@@ -6,6 +6,10 @@ the Grover operator built from two reflections rotates the good/bad span by
 twice the angle theta_a with a = sin^2(theta_a). Reading the rotation angle
 out through phase estimation on m counting qubits yields the estimator
 ``sin^2(pi*y/M)`` with M = 2^m.
+
+That readout distribution depends on a alone (Brassard-Hoyer-Mosca-Tapp,
+quant-ph/0005055), so ``run_ae`` evaluates it exactly from one pass of A; the
+unsimulated counting qubits still count against the qubit ceiling.
 """
 
 import math
@@ -19,14 +23,10 @@ from .simulator import (
     Circuit,
     Statevector,
     apply_ops,
-    controlled_ops,
-    h,
     inverse_op,
-    inverse_qft_ops,
     new_zero_state,
     phase_gate,
     probability_of_one,
-    register_distribution,
 )
 
 
@@ -100,10 +100,16 @@ def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
            seed: int | None = None, ceiling: int = MAX_QUBITS) -> AeResult:
     """Phase estimation of the Grover operator on m counting qubits.
 
-    The counting register sits above the A register. Controlled Q^{2^j} is
-    built by literal repetition of controlled Q. By default the estimate is
-    the mode of the exact output distribution; with ``shots`` set, the mode
-    of a seed-deterministic sampled histogram is used instead.
+    The readout distribution is evaluated exactly from a = sin^2(theta),
+    taken from one pass of A: P(y) = [F_M(y/M - theta/pi) + F_M(y/M + theta/pi)]/2
+    with the Fejer kernel F_M(d) = sin^2(M pi d) / (M^2 sin^2(pi d)), and
+    F_M = 1 where sin(pi d) = 0. The counting register is not simulated, but
+    the A register plus m counting qubits must still fit under ``ceiling``.
+
+    By default the estimate is the mode of the exact distribution. Since
+    P(y) = P(M - y), the mode always ties with its mirror image; the tie rule
+    takes the first maximum over y = 0..M/2. With ``shots`` set, the mode of
+    a seed-deterministic sampled histogram is used instead.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -113,22 +119,17 @@ def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
         raise CapacityError(
             f"need {n_total} qubits (A register {n_sv} + {m} counting), ceiling {ceiling}")
 
-    counting = tuple(range(n_sv, n_sv + m))
-    ops = list(problem.a_circuit.ops)
-    ops.extend(h(q) for q in counting)
-    q_ops = grover_ops(problem)
-    for j, cq in enumerate(counting):
-        ctrl_q = controlled_ops(q_ops, cq)
-        for _ in range(1 << j):
-            ops.extend(ctrl_q)
-    ops.extend(inverse_qft_ops(counting))
-
-    state = apply_ops(new_zero_state(n_total, ceiling), ops)
-    dist = register_distribution(state, counting)
-
+    a = min(max(true_amplitude(problem), 0.0), 1.0)
     big_m = 1 << m
+    phase = math.asin(math.sqrt(a)) / math.pi
+    y = np.arange(big_m) / big_m
+    delta = np.stack([y - phase, y + phase])
+    ratio = np.divide(np.sin(big_m * np.pi * delta), big_m * np.sin(np.pi * delta),
+                      out=np.ones_like(delta), where=delta != 0.0)
+    dist = 0.5 * (ratio ** 2).sum(axis=0)
+
     if shots is None:
-        y_mode = int(np.argmax(dist))
+        y_mode = int(np.argmax(dist[:big_m // 2 + 1]))
     else:
         rng = np.random.default_rng(seed)
         outcomes = rng.choice(big_m, size=shots, p=dist / dist.sum())

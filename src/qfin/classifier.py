@@ -245,8 +245,11 @@ def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
     The reference model reads the points through the same min-max scaler that
     training will fit on the finished dataset, so the labels stay exactly
     representable: low-margin points are resampled and the scaler refit until
-    every record clears the margin under the final scaling.
+    every record clears the margin under the final scaling. The reference
+    decision values lie in [-1, 1], so the margin must lie in [0, 1).
     """
+    if not 0.0 <= margin < 1.0:
+        raise ValueError("margin must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     config = model_config or ModelConfig(n_qubits=n_features)
     theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
@@ -261,7 +264,7 @@ def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
             break
         points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), n_features))
     else:
-        raise RuntimeError("could not stabilize a margin-respecting sample")
+        raise ValueError(f"could not draw {n_records} points clearing margin {margin}")
     labels = np.where(values > 0, 1, -1)
     if np.all(labels == labels[0]):
         labels[0] = -labels[0]

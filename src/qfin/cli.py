@@ -366,6 +366,8 @@ def cmd_ml_eval(args, argv) -> int:
 def cmd_ae_calibrate(args, argv) -> int:
     if args.m > 8:
         raise ValueError("calibration supports m <= 8")
+    if not 0.0 < args.grid < 1.0:
+        raise ValueError("grid step must lie in (0, 1)")
     big_m = 1 << args.m
     grid = np.arange(args.grid, 1.0, args.grid)
     coverage_path = os.path.join(args.out_dir, "coverage.csv")

@@ -125,12 +125,6 @@ def linear_angle_fit(portfolio: CreditPortfolio) -> list[tuple[float, float]]:
     return fits
 
 
-def linearized_default_probability(portfolio: CreditPortfolio, k: int, i: int) -> float:
-    """P(asset k defaults | latent grid index i) under the circuit's linear angles."""
-    a_k, b_k = linear_angle_fit(portfolio)[k]
-    return math.sin(0.5 * (a_k * i + b_k)) ** 2
-
-
 def uncertainty_ops(portfolio: CreditPortfolio) -> tuple[GateOp, ...]:
     """U: load the latent normal, then index-linear controlled RY per asset.
 
@@ -164,13 +158,6 @@ def weighted_sum_ops(lgds, asset_qubits, sum_qubits) -> tuple[GateOp, ...]:
         add = sum(lgd for bit, lgd in enumerate(lgds) if (pattern >> bit) & 1)
         table.append(pattern | (((acc + add) % (1 << n_s)) << k))
     return (perm_gate(targets, table),)
-
-
-def weighted_sum_operator(portfolio: CreditPortfolio) -> Circuit:
-    lgds = [a.lgd for a in portfolio.assets]
-    assets = [portfolio.asset_qubit(k) for k in range(portfolio.n_assets)]
-    return Circuit(portfolio.n_qubits,
-                   weighted_sum_ops(lgds, assets, portfolio.sum_register))
 
 
 def comparator_ops(threshold: int, sum_qubits, objective: int) -> tuple[GateOp, ...]:

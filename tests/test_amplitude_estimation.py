@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfin import amplitude_estimation as ae
+from qfin import credit_risk as cr
 from qfin import simulator as sv
 
 
@@ -187,3 +188,87 @@ def test_estimation_problem_validation():
         ae.EstimationProblem(sv.Circuit(2), objective_qubit=0, n_state_qubits=0)
     with pytest.raises(ValueError):
         ae.EstimationProblem(sv.Circuit(1), objective_qubit=3, n_state_qubits=0)
+
+
+def _qpe_circuit_distribution(problem: ae.EstimationProblem, m: int) -> np.ndarray:
+    """Circuit-level canonical AE: the readout ``run_ae`` evaluates in closed form.
+
+    The counting register sits above the A register, controlled Q^{2^j} is
+    built by literal repetition of controlled Q, and an inverse QFT reads
+    the phase out.
+    """
+    n_sv = problem.a_circuit.n_qubits
+    counting = tuple(range(n_sv, n_sv + m))
+    ops = list(problem.a_circuit.ops)
+    ops.extend(sv.h(q) for q in counting)
+    q_ops = ae.grover_ops(problem)
+    for j, cq in enumerate(counting):
+        ctrl_q = sv.controlled_ops(q_ops, cq)
+        for _ in range(1 << j):
+            ops.extend(ctrl_q)
+    ops.extend(sv.inverse_qft_ops(counting))
+    state = sv.apply_ops(sv.new_zero_state(n_sv + m), ops)
+    return sv.register_distribution(state, counting)
+
+
+def _assert_matches_circuit(problem: ae.EstimationProblem, m: int) -> None:
+    result = ae.run_ae(problem, m)
+    circuit = _qpe_circuit_distribution(problem, m)
+    assert np.max(np.abs(result.distribution - circuit)) <= 1e-12
+    # the same tie rule applied to the circuit's distribution
+    big_m = 1 << m
+    y_circuit = int(np.argmax(circuit[:big_m // 2 + 1]))
+    assert abs(result.a_estimate - math.sin(math.pi * y_circuit / big_m) ** 2) <= 1e-15
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_closed_form_matches_circuit_on_criterion_grid(m):
+    for step in range(1, 20):
+        _assert_matches_circuit(ae.single_qubit_problem(step * 0.05), m)
+
+
+def test_closed_form_matches_circuit_on_credit_demo():
+    portfolio = cr.CreditPortfolio(
+        assets=(cr.Asset(1, 0.15, 0.1), cr.Asset(2, 0.25, 0.05)), n_z=2)
+    for threshold in range(-1, portfolio.total_lgd + 2):
+        for m in (1, 3, 5):
+            _assert_matches_circuit(cr.estimation_problem(portfolio, threshold), m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_form_matches_circuit_on_random_portfolios(seed):
+    rng = np.random.default_rng([seed, 17])
+    assets = tuple(cr.Asset(int(rng.integers(1, 3)), float(rng.uniform(0.05, 0.3)),
+                            float(rng.uniform(0.05, 0.3)))
+                   for _ in range(int(rng.integers(2, 4))))
+    portfolio = cr.CreditPortfolio(assets=assets, n_z=2)
+    for threshold in range(portfolio.total_lgd):
+        for m in (3, 5):
+            _assert_matches_circuit(cr.estimation_problem(portfolio, threshold), m)
+
+
+def test_tie_rule_picks_lower_half_mode():
+    for m in (1, 3, 5):
+        big_m = 1 << m
+        zero = ae.run_ae(ae.single_qubit_problem(0.0), m)
+        assert (zero.y_mode, zero.a_estimate) == (0, 0.0)
+        one = ae.run_ae(ae.single_qubit_problem(1.0), m)
+        assert (one.y_mode, one.a_estimate) == (big_m // 2, 1.0)
+        for a in (0.05, 0.37, 0.5, 0.95):
+            result = ae.run_ae(ae.single_qubit_problem(a), m)
+            assert result.y_mode <= big_m // 2
+            assert result.distribution[result.y_mode] == pytest.approx(
+                result.distribution.max(), abs=1e-12)
+    # grid-aligned: exact ties between y = 3 and y = M - 3 = 13
+    aligned = ae.run_ae(ae.single_qubit_problem(math.sin(3 * math.pi / 16) ** 2), 4)
+    assert aligned.y_mode == 3
+
+
+def test_run_ae_clamps_amplitude_rounded_above_one():
+    # the objective always reads 1, but the marginal over these rotations sums
+    # to 1 + 4e-16, whose square root exceeds 1 and is outside asin's domain
+    ops = (sv.ry(4.862, 0), sv.ry(9.724, 1), sv.x(2))
+    problem = ae.EstimationProblem(sv.Circuit(3, ops), objective_qubit=2, n_state_qubits=2)
+    assert math.sqrt(ae.true_amplitude(problem)) > 1.0
+    result = ae.run_ae(problem, 3)
+    assert (result.y_mode, result.a_estimate) == (4, 1.0)

@@ -206,6 +206,30 @@ def test_ae_calibrate_outputs(tmp_path):
     assert len(failure) == 10
 
 
+def _assert_one_line_validation_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("validation error:")
+
+
+@pytest.mark.parametrize("grid", ["0", "-0.1", "1.5"])
+def test_ae_calibrate_rejects_grid_outside_unit_interval(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    code = main(["ae", "calibrate", "--m", "3", "--grid", grid, "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_validation_error(capsys)
+    assert not (out / "coverage.csv").exists()
+
+
+def test_ml_synth_rejects_unreachable_margin(tmp_path, capsys):
+    out = tmp_path / "synth"
+    code = main(["ml", "synth", "--n", "10", "--mode", "separable", "--margin", "5",
+                 "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_validation_error(capsys)
+    assert not (out / "dataset.csv").exists()
+
+
 def test_replay_reproduces_bytes(tmp_path, demo_portfolio_csv):
     out = tmp_path / "run"
     assert main(["risk", "var", "--portfolio", demo_portfolio_csv,
