@@ -6,6 +6,12 @@ follows, and the decision is the expectation of a +/-1 readout (parity by
 default) plus a bias. Discrete features can be packed three bits per qubit
 with the (3,1) quantum random access code. Classical baselines are
 gradient-trained logistic regression and a linear hinge classifier.
+
+The encoded state of a record (feature map plus QRAC) does not depend on the
+separator angles, so a dataset is encoded once into the columns of one
+batched statevector; each training objective call then runs only the
+separator over that block. ``decision`` and ``model_state`` keep the
+per-record path, which the batched one reproduces bit for bit.
 """
 
 import csv
@@ -254,11 +260,12 @@ def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
     config = model_config or ModelConfig(n_qubits=n_features)
     theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
     points = rng.uniform(0.0, TWO_PI, size=(n_records, n_features))
+    no_categorical = np.zeros((n_records, 0), dtype=int)
     values = np.zeros(n_records)
     for _ in range(500):
         reference = _assemble_model(config, theta_star, bias=0.0,
                                     scaler=fit_scaler(points))
-        values = np.array([decision(reference, x) for x in points])
+        values = _record_decisions(reference, points, no_categorical)
         weak = np.abs(values) < margin
         if not weak.any():
             break
@@ -268,8 +275,8 @@ def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
     labels = np.where(values > 0, 1, -1)
     if np.all(labels == labels[0]):
         labels[0] = -labels[0]
-    return LabeledDataset(points, np.zeros((n_records, 0), dtype=int),
-                          labels, tuple(f"x{i}" for i in range(n_features)), (), ())
+    return LabeledDataset(points, no_categorical, labels,
+                          tuple(f"x{i}" for i in range(n_features)), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +390,9 @@ def scale_features(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.
     return TWO_PI * (values - low) / (high - low)
 
 
-def _map_inputs(model: VqcModel, continuous, categorical) -> tuple[np.ndarray, list[int]]:
+def _map_inputs(config: ModelConfig, scaler, continuous,
+                categorical) -> tuple[np.ndarray, list[int]]:
     """Split a record into feature-map values (scaled) and QRAC bit list."""
-    config = model.config
     qrac_bits: list[int] = []
     map_raw: list[float] = list(np.asarray(continuous, dtype=float))
     for name, vocab, code in zip(config.categorical_names, config.vocab_sizes,
@@ -399,13 +406,12 @@ def _map_inputs(model: VqcModel, continuous, categorical) -> tuple[np.ndarray, l
     if values.size != config.n_map_qubits:
         raise ValueError(
             f"record supplies {values.size} map features, model expects {config.n_map_qubits}")
-    return scale_features(values, model.scaler_low, model.scaler_high), qrac_bits
+    return scale_features(values, *scaler), qrac_bits
 
 
-def model_state(model: VqcModel, continuous, categorical=()) -> Statevector:
-    """Feature-map + QRAC preparation followed by the separator."""
-    config = model.config
-    mapped, qrac_bits = _map_inputs(model, continuous, categorical)
+def _encoding_ops(config: ModelConfig, scaler, continuous, categorical) -> list[GateOp]:
+    """Feature-map + QRAC preparation of one record; independent of theta and bias."""
+    mapped, qrac_bits = _map_inputs(config, scaler, continuous, categorical)
     ops: list[GateOp] = []
     if config.n_map_qubits:
         fmap = FeatureMap(config.n_map_qubits, config.repetitions)
@@ -415,9 +421,20 @@ def model_state(model: VqcModel, continuous, categorical=()) -> Statevector:
         block = qrac_bits[block_start:block_start + 3]
         block += [0] * (3 - len(block))
         ops.extend(qrac_encode_block(block, qubit=base + block_start // 3))
-    separator = rxry_ansatz(config.n_qubits, config.separator_layers)
-    ops.extend(ansatz_ops(separator, model.theta))
-    return apply_ops(new_zero_state(config.n_qubits), ops)
+    return ops
+
+
+def _separator_ops(model: VqcModel) -> list[GateOp]:
+    separator = rxry_ansatz(model.config.n_qubits, model.config.separator_layers)
+    return ansatz_ops(separator, model.theta)
+
+
+def model_state(model: VqcModel, continuous, categorical=()) -> Statevector:
+    """Feature-map + QRAC preparation followed by the separator."""
+    scaler = (model.scaler_low, model.scaler_high)
+    ops = _encoding_ops(model.config, scaler, continuous, categorical)
+    ops.extend(_separator_ops(model))
+    return apply_ops(new_zero_state(model.config.n_qubits), ops)
 
 
 def decision(model: VqcModel, continuous, categorical=()) -> float:
@@ -430,15 +447,47 @@ def predict(model: VqcModel, continuous, categorical=()) -> int:
     return 1 if decision(model, continuous, categorical) >= 0.0 else -1
 
 
+def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.ndarray:
+    """Encoded states of the records as the columns of one ``(2^n, records)`` block."""
+    zero = new_zero_state(config.n_qubits)
+    block = np.empty((zero.dim, len(continuous)), dtype=np.complex128)
+    for i in range(len(continuous)):
+        ops = _encoding_ops(config, scaler, continuous[i], categorical[i])
+        block[:, i] = apply_ops(zero, ops).amplitudes
+    return block
+
+
+def _separated_decisions(model: VqcModel, block: np.ndarray) -> np.ndarray:
+    """Run the separator over every column of ``block`` at once, then read each out.
+
+    Each record's probabilities are reduced by the same contiguous 1-D dot
+    that ``decision`` uses, so the values agree with it bit for bit (one
+    matrix-vector product would sum in another order).
+    """
+    state = apply_ops(Statevector(model.config.n_qubits, block), _separator_ops(model))
+    probs = np.abs(np.ascontiguousarray(state.amplitudes.T)) ** 2
+    table = model.readout_table()
+    return np.array([float(row @ table) + model.bias for row in probs])
+
+
+def _record_decisions(model: VqcModel, continuous, categorical) -> np.ndarray:
+    scaler = (model.scaler_low, model.scaler_high)
+    block = _encoded_block(model.config, scaler, continuous, categorical)
+    return _separated_decisions(model, block)
+
+
 def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
-    return np.array([decision(model, dataset.continuous[i], dataset.categorical[i])
-                     for i in range(len(dataset))])
+    """f(x) of every record, with the separator applied to all records in one pass."""
+    return _record_decisions(model, dataset.continuous, dataset.categorical)
+
+
+def _accuracy_of_values(values: np.ndarray, labels: np.ndarray) -> float:
+    predicted = np.where(values >= 0.0, 1, -1)
+    return float(np.mean(predicted == labels))
 
 
 def accuracy(model: VqcModel, dataset: LabeledDataset) -> float:
-    values = decisions(model, dataset)
-    predicted = np.where(values >= 0.0, 1, -1)
-    return float(np.mean(predicted == dataset.labels))
+    return _accuracy_of_values(decisions(model, dataset), dataset.labels)
 
 
 RISK_FORMS = ("absolute", "cross-entropy")
@@ -452,6 +501,15 @@ def empirical_risk(model: VqcModel, dataset: LabeledDataset,
         raise ValueError("dataset is empty")
     values = decisions(model, dataset)
     return _risk_of_values(values, dataset.labels, form)
+
+
+def evaluate(model: VqcModel, dataset: LabeledDataset) -> tuple[float, float]:
+    """Accuracy and absolute risk of a dataset from one pass of ``decisions``."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    values = decisions(model, dataset)
+    return (_accuracy_of_values(values, dataset.labels),
+            _risk_of_values(values, dataset.labels, "absolute"))
 
 
 def _risk_of_values(values: np.ndarray, labels: np.ndarray, form: str) -> float:
@@ -468,7 +526,9 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     """Optimize the separator angles and bias against the chosen risk.
 
     Continuous features are min-max scaled onto [0, 2 pi]; the scaler is
-    stored on the model. Returns the trained model and the loss trace.
+    stored on the model. The scaler is fixed before optimizing, so the records
+    are encoded once and each objective call applies only the separator.
+    Returns the trained model and the loss trace.
     """
     if form not in RISK_FORMS:
         raise ValueError(f"risk form must be one of {RISK_FORMS}")
@@ -477,13 +537,14 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     map_columns = _map_feature_matrix(dataset, config)
     scaler = fit_scaler(map_columns)
     n_params = separator_parameter_count(config)
+    encoded = _encoded_block(config, scaler, dataset.continuous, dataset.categorical)
 
     def build(params):
         return _assemble_model(config, params[:n_params], params[n_params], scaler)
 
     def objective(params):
         model = build(params)
-        return _risk_of_values(decisions(model, dataset), dataset.labels, form)
+        return _risk_of_values(_separated_decisions(model, encoded), dataset.labels, form)
 
     master = np.random.SeedSequence(optimizer.seed)
     best = None

@@ -326,9 +326,7 @@ def cmd_ml_train(args, argv) -> int:
         def trainer(train_set):
             m, _ = clf.train(train_set, config, optimizer, form=args.risk)
             def predict_fn(test_set):
-                return np.array([clf.predict(m, test_set.continuous[i],
-                                             test_set.categorical[i])
-                                 for i in range(len(test_set))])
+                return np.where(clf.decisions(m, test_set) >= 0.0, 1, -1)
             return predict_fn, clf.accuracy(m, train_set)
         result["cross_validation"] = clf.cross_validate(
             trainer, dataset, k=args.folds, seed=args.seed)
@@ -349,8 +347,7 @@ def cmd_ml_eval(args, argv) -> int:
     if tuple(dataset.continuous_names) != model.config.continuous_names \
             or tuple(dataset.categorical_names) != model.config.categorical_names:
         raise ValueError("dataset schema does not match the saved model")
-    acc = clf.accuracy(model, dataset)
-    risk_abs = clf.empirical_risk(model, dataset, form="absolute")
+    acc, risk_abs = clf.evaluate(model, dataset)
     result = {"records": len(dataset), "accuracy": acc, "absolute_risk": risk_abs}
     out = os.path.join(args.out_dir, "eval.json")
     _write_json(out, result)
@@ -364,8 +361,8 @@ def cmd_ml_eval(args, argv) -> int:
 
 
 def cmd_ae_calibrate(args, argv) -> int:
-    if args.m > 8:
-        raise ValueError("calibration supports m <= 8")
+    if not 1 <= args.m <= 8:
+        raise ValueError("calibration supports 1 <= m <= 8")
     if not 0.0 < args.grid < 1.0:
         raise ValueError("grid step must lie in (0, 1)")
     big_m = 1 << args.m

@@ -4,6 +4,11 @@ Qubit 0 is the least significant bit of the basis index throughout the
 package: basis state ``|i>`` assigns bit ``(i >> q) & 1`` to qubit ``q``.
 All operations are functional; ``apply`` returns a new state and never
 mutates its input. Global phase is not tracked as meaningful.
+
+Amplitudes may carry a trailing batch axis: an array shaped ``(2^n, B)``
+holds ``B`` states as columns, and every gate acts on each column alike.
+Qubit ``q`` still addresses bit ``q`` of the row index. The readout
+helpers (probabilities, sampling, expectations) take one state.
 """
 
 import math
@@ -118,7 +123,11 @@ def inverse_op(op: GateOp) -> GateOp:
 
 @dataclass(frozen=True, eq=False)
 class Statevector:
-    """Dense complex amplitude vector over ``n_qubits`` qubits."""
+    """Dense complex amplitudes over ``n_qubits`` qubits.
+
+    ``amplitudes`` is shaped ``(2^n,)`` for one state, or ``(2^n, B)`` for a
+    batch of ``B`` states stored as columns; the row index is the basis index.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -238,8 +247,10 @@ def _apply_inplace(amps: np.ndarray, n: int, op: GateOp) -> None:
     if op.kind == "phase":
         idx = _masked_indices(n, ctrl)
         sub = _sub_index(idx, op.targets)
-        factors = np.exp(1j * np.asarray(op.phases))
-        amps[idx] *= factors[sub]
+        factors = np.exp(1j * np.asarray(op.phases))[sub]
+        if amps.ndim > 1:
+            factors = factors[:, None]
+        amps[idx] *= factors
         return
 
     if op.kind == "perm":

@@ -5,7 +5,7 @@ import pytest
 
 from qfin import classifier as clf
 from qfin import simulator as sv
-from qfin.optimizers import OptimizerConfig
+from qfin.optimizers import OptimizerConfig, minimize
 
 TWO_Q = clf.ModelConfig(n_qubits=2, continuous_names=("a", "b"))
 
@@ -315,3 +315,132 @@ def test_cross_validate_report_shape():
     report = clf.cross_validate(clf._baseline_trainer("logistic-regression"),
                                 data, k=4, seed=2)
     assert set(report) == {"train_mean", "train_std", "test_mean", "test_std"}
+
+
+def _per_record_decisions(model, dataset):
+    """The per-record oracle: one full circuit from |0...0> per record."""
+    return np.array([clf.decision(model, dataset.continuous[i], dataset.categorical[i])
+                     for i in range(len(dataset))])
+
+
+def _transaction_config(encoder, layers, dataset):
+    if encoder == "qrac":
+        return clf.build_vqc_with_qrac(dataset.continuous_names, dataset.categorical_names,
+                                       dataset.vocab_sizes, qrac_features=("method",),
+                                       separator_layers=layers)
+    return clf.ModelConfig(n_qubits=5, separator_layers=layers,
+                           continuous_names=dataset.continuous_names,
+                           categorical_names=dataset.categorical_names,
+                           vocab_sizes=dataset.vocab_sizes)
+
+
+@pytest.mark.parametrize("encoder", ["qrac", "map"])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_batched_decisions_equal_per_record_bitwise(encoder, layers):
+    for seed in range(3):
+        dataset = clf.synthesize_transactions(30, seed=seed)
+        config = _transaction_config(encoder, layers, dataset)
+        rng = np.random.default_rng(seed + 40)
+        theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(config))
+        scaler = clf.fit_scaler(clf._map_feature_matrix(dataset, config))
+        model = clf._assemble_model(config, theta, rng.normal(), scaler)
+        assert np.array_equal(clf.decisions(model, dataset),
+                              _per_record_decisions(model, dataset))
+
+
+def test_batched_decisions_equal_per_record_with_custom_readout():
+    import dataclasses
+
+    dataset = clf.synthesize_separable(25, seed=4)
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(TWO_Q))
+    model = identity_scaled_model(TWO_Q, theta, bias=-0.1)
+    z_on_qubit_0 = 1.0 - 2.0 * (np.arange(4) & 1)
+    for readout in (z_on_qubit_0, rng.uniform(-1.0, 1.0, size=4)):
+        custom = dataclasses.replace(model, readout=readout)
+        values = clf.decisions(custom, dataset)
+        assert np.array_equal(values, _per_record_decisions(custom, dataset))
+        assert not np.array_equal(values, clf.decisions(model, dataset))
+
+
+def test_batched_decisions_of_empty_dataset():
+    model = identity_scaled_model(TWO_Q, np.zeros(clf.separator_parameter_count(TWO_Q)))
+    empty = clf.synthesize_separable(6, seed=1).subset(np.array([], dtype=int))
+    assert clf.decisions(model, empty).shape == (0,)
+
+
+def _per_record_train(dataset, config, optimizer, form):
+    """``train`` with every record re-simulated from |0...0> on every objective call."""
+    scaler = clf.fit_scaler(clf._map_feature_matrix(dataset, config))
+    n_params = clf.separator_parameter_count(config)
+
+    def build(params):
+        return clf._assemble_model(config, params[:n_params], params[n_params], scaler)
+
+    def objective(params):
+        values = _per_record_decisions(build(params), dataset)
+        return clf._risk_of_values(values, dataset.labels, form)
+
+    best = None
+    for child in np.random.SeedSequence(optimizer.seed).spawn(optimizer.restarts):
+        rng = np.random.default_rng(child)
+        x0 = np.concatenate([rng.uniform(-math.pi, math.pi, size=n_params), [0.0]])
+        outcome = minimize(objective, x0, optimizer, rng=rng)
+        if best is None or outcome.value < best.value:
+            best = outcome
+    return build(best.x), best.trace
+
+
+@pytest.mark.parametrize("method,form,restarts", [
+    ("nelder-mead", "cross-entropy", 1),
+    ("spsa", "absolute", 2),
+])
+def test_train_with_cached_encoding_matches_per_record_trace(method, form, restarts):
+    dataset = clf.synthesize_transactions(16, seed=6)
+    config = _transaction_config("qrac", 1, dataset)
+    optimizer = OptimizerConfig(method=method, iterations=12, restarts=restarts, seed=2)
+    model, trace = clf.train(dataset, config, optimizer, form=form)
+    want_model, want_trace = _per_record_train(dataset, config, optimizer, form)
+    assert trace == want_trace
+    assert np.array_equal(model.theta, want_model.theta)
+    assert model.bias == want_model.bias
+
+
+def _per_record_separable(n_records, seed, n_features=2, margin=0.1):
+    """``synthesize_separable`` with the reference model read one record at a time."""
+    rng = np.random.default_rng(seed)
+    config = clf.ModelConfig(n_qubits=n_features)
+    theta_star = rng.uniform(-math.pi, math.pi, size=clf.separator_parameter_count(config))
+    points = rng.uniform(0.0, 2 * math.pi, size=(n_records, n_features))
+    for _ in range(500):
+        reference = clf._assemble_model(config, theta_star, bias=0.0,
+                                        scaler=clf.fit_scaler(points))
+        values = np.array([clf.decision(reference, x) for x in points])
+        weak = np.abs(values) < margin
+        if not weak.any():
+            break
+        points[weak] = rng.uniform(0.0, 2 * math.pi, size=(int(weak.sum()), n_features))
+    labels = np.where(values > 0, 1, -1)
+    if np.all(labels == labels[0]):
+        labels[0] = -labels[0]
+    return points, labels
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("margin", [0.1, 0.3])
+def test_synthesize_separable_matches_per_record_reference(seed, margin):
+    dataset = clf.synthesize_separable(40, seed, margin=margin)
+    points, labels = _per_record_separable(40, seed, margin=margin)
+    assert np.array_equal(dataset.continuous, points)
+    assert np.array_equal(dataset.labels, labels)
+
+
+def test_evaluate_matches_accuracy_and_absolute_risk():
+    train_set = clf.synthesize_separable(12, seed=3)
+    model, _ = clf.train(train_set, TWO_Q, OptimizerConfig(iterations=8, seed=1))
+    heldout = clf.synthesize_separable(30, seed=9)
+    acc, risk = clf.evaluate(model, heldout)
+    assert acc == clf.accuracy(model, heldout)
+    assert risk == clf.empirical_risk(model, heldout, form="absolute")
+    with pytest.raises(ValueError):
+        clf.evaluate(model, heldout.subset(np.array([], dtype=int)))

@@ -173,6 +173,55 @@ def test_ml_train_qrac_five_qubits(tmp_path):
     assert model["config"]["n_qubits"] == 5
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ml_cross_validation_matches_per_record_prediction(tmp_path, seed):
+    from qfin import classifier as clf
+    from qfin.optimizers import OptimizerConfig
+
+    synth_dir = tmp_path / "synth"
+    assert main(["ml", "synth", "--n", "24", "--seed", str(seed),
+                 "--out-dir", str(synth_dir)]) == 0
+    train_dir = tmp_path / "train"
+    assert main(["ml", "train", "--data", str(synth_dir / "dataset.csv"),
+                 "--encoder", "qrac", "--iterations", "6", "--cross-validate",
+                 "--folds", "3", "--seed", str(seed), "--out-dir", str(train_dir)]) == 0
+    dataset = clf.ingest_csv(synth_dir / "dataset.csv")
+    config = clf.build_vqc_with_qrac(dataset.continuous_names, dataset.categorical_names,
+                                     dataset.vocab_sizes, qrac_features=("method",))
+    optimizer = OptimizerConfig(method="nelder-mead", iterations=6, seed=seed)
+
+    def per_record_trainer(train_set):
+        model, _ = clf.train(train_set, config, optimizer)
+
+        def predict_fn(test_set):
+            return np.array([clf.predict(model, test_set.continuous[i], test_set.categorical[i])
+                             for i in range(len(test_set))])
+
+        return predict_fn, clf.accuracy(model, train_set)
+
+    want = clf.cross_validate(per_record_trainer, dataset, k=3, seed=seed)
+    assert read_json(train_dir / "result.json")["cross_validation"] == want
+
+
+def test_ml_eval_figures_match_accuracy_and_empirical_risk(tmp_path):
+    from qfin import classifier as clf
+
+    for name, seed in (("train", "4"), ("heldout", "5")):
+        assert main(["ml", "synth", "--n", "30", "--mode", "separable", "--seed", seed,
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert main(["ml", "train", "--data", str(tmp_path / "train" / "dataset.csv"),
+                 "--iterations", "10", "--out-dir", str(tmp_path / "model")]) == 0
+    heldout_csv = tmp_path / "heldout" / "dataset.csv"
+    assert main(["ml", "eval", "--model", str(tmp_path / "model" / "model.json"),
+                 "--data", str(heldout_csv), "--out-dir", str(tmp_path / "eval")]) == 0
+    evaluation = read_json(tmp_path / "eval" / "eval.json")
+    model = clf.load_model(tmp_path / "model" / "model.json")
+    dataset = clf.ingest_csv(heldout_csv, continuous_names=("x0", "x1"),
+                             categorical_names=(), vocab_sizes=())
+    assert evaluation["accuracy"] == clf.accuracy(model, dataset)
+    assert evaluation["absolute_risk"] == clf.empirical_risk(model, dataset, form="absolute")
+
+
 def test_ml_eval_schema_mismatch_exit(tmp_path):
     synth_a = tmp_path / "a"
     assert main(["ml", "synth", "--n", "12", "--mode", "separable",
@@ -218,6 +267,16 @@ def test_ae_calibrate_rejects_grid_outside_unit_interval(tmp_path, capsys, grid)
     code = main(["ae", "calibrate", "--m", "3", "--grid", grid, "--out-dir", str(out)])
     assert code == 3
     _assert_one_line_validation_error(capsys)
+    assert not (out / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize("m", ["-1", "0", "9"])
+def test_ae_calibrate_rejects_m_outside_range(tmp_path, capsys, m):
+    out = tmp_path / "run"
+    code = main(["ae", "calibrate", "--m", m, "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["validation error: calibration supports 1 <= m <= 8"]
     assert not (out / "coverage.csv").exists()
 
 

@@ -286,3 +286,62 @@ def test_gate_validation():
         sv.phase_gate((0, 1), (0.0,))  # wrong table size
     with pytest.raises(ValueError):
         sv.perm_gate((0,), (0, 0))  # not a bijection
+
+
+def _every_kind_ops(n, rng):
+    """One gate of each kind, plain and with controls (n >= 4)."""
+    table = [int(v) for v in rng.permutation(4)]
+    plain = [
+        sv.h(0), sv.x(1), sv.rx(float(rng.uniform(-3, 3)), 2),
+        sv.ry(float(rng.uniform(-3, 3)), 3), sv.rz(float(rng.uniform(-3, 3)), 0),
+        sv.cnot(1, 2), sv.swap(0, 3),
+        sv.phase_gate((1, 3), tuple(rng.uniform(-3, 3, size=4))),
+        sv.perm_gate((0, 2), table),
+    ]
+    controlled = [
+        sv.h(0, controls=(3,)), sv.x(1, controls=(0,)),
+        sv.rx(float(rng.uniform(-3, 3)), 2, controls=(1, 3)),
+        sv.ry(float(rng.uniform(-3, 3)), 3, controls=(2,)),
+        sv.rz(float(rng.uniform(-3, 3)), 0, controls=(1,)),
+        sv.cnot(1, 2, controls=(0,)), sv.swap(0, 3, controls=(2,)),
+        sv.phase_gate((1, 3), tuple(rng.uniform(-3, 3, size=4)), controls=(0,)),
+        sv.perm_gate((0, 2), table, controls=(1, 3)),
+    ]
+    return plain + controlled
+
+
+def _random_block(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+    return block / np.linalg.norm(block, axis=0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_axis_matches_each_column_every_kind(seed):
+    rng = np.random.default_rng(seed)
+    n, batch = 4, 5
+    block = _random_block(n, batch, seed + 200)
+    for op in _every_kind_ops(n, rng):
+        out = sv.apply_ops(sv.Statevector(n, block), [op]).amplitudes
+        assert out.shape == (1 << n, batch)
+        for col in range(batch):
+            alone = sv.apply(sv.Statevector(n, block[:, col].copy()), op).amplitudes
+            assert np.array_equal(out[:, col], alone), (op.kind, op.controls)
+
+
+def test_batch_axis_matches_each_column_over_a_sequence():
+    rng = np.random.default_rng(17)
+    n, batch = 5, 7
+    ops = _every_kind_ops(n, rng) + _random_ops(n, rng)
+    block = _random_block(n, batch, 18)
+    out = sv.apply_ops(sv.Statevector(n, block), ops).amplitudes
+    for col in range(batch):
+        alone = sv.apply_ops(sv.Statevector(n, block[:, col].copy()), ops).amplitudes
+        assert np.array_equal(out[:, col], alone)
+
+
+def test_batch_axis_leaves_input_block_untouched():
+    block = _random_block(3, 4, 5)
+    before = block.copy()
+    sv.apply_ops(sv.Statevector(3, block), [sv.h(0), sv.phase_gate((1,), (0.0, 1.0))])
+    assert np.array_equal(block, before)
