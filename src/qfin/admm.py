@@ -9,6 +9,7 @@ zero, so for builders with A1 = -I the two coincide up to the sign of xbar.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,11 @@ class AdmmConfig:
     qaoa_depth: int = 2
 
     def __post_init__(self):
-        if min(self.rho, self.beta, self.c, self.tolerance) <= 0.0:
-            raise ValueError("rho, beta, c, and tolerance must be positive")
-        if self.merit_weight is not None and self.merit_weight <= 0.0:
-            raise ValueError("merit_weight must be positive")
+        # written so that NaN fails too
+        if not all(0.0 < v < math.inf for v in (self.rho, self.beta, self.c, self.tolerance)):
+            raise ValueError("rho, beta, c, and tolerance must be finite and positive")
+        if self.merit_weight is not None and not 0.0 < self.merit_weight < math.inf:
+            raise ValueError("merit_weight must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.qubo_solver not in QUBO_SOLVERS:
@@ -300,9 +302,7 @@ def merit(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
 
 
 def _solve_qubo(block: qb.Qubo, config: AdmmConfig, iteration: int) -> np.ndarray:
-    if config.qubo_solver == "brute-force":
-        bits, _ = qb.brute_force(block)
-        return bits.astype(float)
+    """Block-1 update by VQE or QAOA; brute force is served by ``run``'s enumeration."""
     observable = qb.to_ising(block)
     opt = OptimizerConfig(method="spsa", iterations=config.vqe_iterations,
                           seed=config.seed * 100003 + iteration)
@@ -324,6 +324,11 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     the lower bound, then zero) so capacity-style consensus rows begin from
     full availability. Stops when the recorded residual drops below the
     tolerance or after max_iterations.
+
+    Block 1's quadratic matrix does not depend on x_bar, y or lam, so with the
+    brute-force solver x'Qx is enumerated once per run and each iteration only
+    adds its linear term and constant (the same energies as ``qb.brute_force``
+    on each block, bit for bit).
     """
     n, l, d = problem.n_binary, problem.n_continuous, problem.n_consensus
     mu = resolve_merit_weight(problem, config)
@@ -334,10 +339,16 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     y = np.zeros(d)
     lam = np.zeros(d)
     trace: list[AdmmIterate] = []
+    enumeration = None
 
     for k in range(1, config.max_iterations + 1):
         block = block1_qubo(problem, x_bar, y, lam, config)
-        x = _solve_qubo(block, config, k)
+        if config.qubo_solver == "brute-force":
+            if enumeration is None:
+                enumeration = qb.QuadraticEnumeration(block.quadratic)
+            x = enumeration.minimize(block.linear, block.constant)[0].astype(float)
+        else:
+            x = _solve_qubo(block, config, k)
         x_bar = block2_convex(problem, x, y, lam, config)
         y = block3_y(problem, x, x_bar, lam, config)
         gradient = config.beta * y - lam - config.rho * (
@@ -368,8 +379,11 @@ class Bid:
     price: float
 
     def __post_init__(self):
-        if any(q < 0 for q in self.quantities) or self.price < 0:
-            raise ValueError("quantities and price must be nonnegative")
+        if not all(float(q).is_integer() and q >= 0 for q in self.quantities):
+            raise ValueError("quantities must be nonnegative whole numbers")
+        if not 0.0 <= self.price < math.inf:
+            raise ValueError("price must be finite and nonnegative")
+        object.__setattr__(self, "quantities", tuple(int(q) for q in self.quantities))
 
 
 def build_auction(bids, units) -> MboProblem:
@@ -384,6 +398,8 @@ def build_auction(bids, units) -> MboProblem:
     """
     bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
     units = np.asarray(units, dtype=float)
+    if not np.all((units >= 0.0) & (units < math.inf)):
+        raise ValueError("units must be finite and nonnegative")
     m = units.size
     n = len(bids)
     if any(len(b.quantities) != m for b in bids):
@@ -467,7 +483,7 @@ def read_auction_csv(path) -> tuple[list[Bid], np.ndarray]:
             continue
         if len(row) != m + 1:
             raise ValueError(f"bad auction row at line {line_no}")
-        bids.append(Bid(tuple(int(float(v)) for v in row[1:]), float(row[0])))
+        bids.append(Bid(tuple(float(v) for v in row[1:]), float(row[0])))
     if units is None or units.size != m:
         raise ValueError("auction CSV is missing its units line")
     if not bids:

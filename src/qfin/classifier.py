@@ -530,6 +530,24 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     are encoded once and each objective call applies only the separator.
     Returns the trained model and the loss trace.
     """
+    model, trace, _ = _fit(dataset, config, optimizer, form)
+    return model, trace
+
+
+def train_scored(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
+                 form: str = "cross-entropy") -> tuple[VqcModel, list[float], float]:
+    """``train`` plus the training accuracy, read off the block training encoded.
+
+    The accuracy equals ``accuracy(model, dataset)`` bit for bit without
+    encoding the records a second time.
+    """
+    model, trace, encoded = _fit(dataset, config, optimizer, form)
+    return model, trace, _accuracy_of_values(_separated_decisions(model, encoded),
+                                             dataset.labels)
+
+
+def _fit(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
+         form: str) -> tuple[VqcModel, list[float], np.ndarray]:
     if form not in RISK_FORMS:
         raise ValueError(f"risk form must be one of {RISK_FORMS}")
     if len(dataset) == 0:
@@ -554,7 +572,7 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
         outcome = minimize(objective, x0, optimizer, rng=rng)
         if best is None or outcome.value < best.value:
             best = outcome
-    return build(best.x), best.trace
+    return build(best.x), best.trace, encoded
 
 
 def _map_feature_matrix(dataset: LabeledDataset, config: ModelConfig) -> np.ndarray:

@@ -305,8 +305,7 @@ def cmd_ml_train(args, argv) -> int:
                                  categorical_names=dataset.categorical_names,
                                  vocab_sizes=dataset.vocab_sizes)
     optimizer = _optimizer_from_args(args, args.seed)
-    model, trace = clf.train(dataset, config, optimizer, form=args.risk)
-    train_accuracy = clf.accuracy(model, dataset)
+    model, trace, train_accuracy = clf.train_scored(dataset, config, optimizer, form=args.risk)
     model_path = os.path.join(args.out_dir, "model.json")
     clf.save_model(model_path, model, provenance={
         "seed": args.seed, "optimizer": args.optimizer,
@@ -324,10 +323,10 @@ def cmd_ml_train(args, argv) -> int:
     outputs = [model_path, loss_path]
     if args.cross_validate:
         def trainer(train_set):
-            m, _ = clf.train(train_set, config, optimizer, form=args.risk)
+            m, _, train_acc = clf.train_scored(train_set, config, optimizer, form=args.risk)
             def predict_fn(test_set):
                 return np.where(clf.decisions(m, test_set) >= 0.0, 1, -1)
-            return predict_fn, clf.accuracy(m, train_set)
+            return predict_fn, train_acc
         result["cross_validation"] = clf.cross_validate(
             trainer, dataset, k=args.folds, seed=args.seed)
         result["baselines"] = clf.classical_baselines(dataset, k=args.folds,
@@ -520,7 +519,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except SolverFailure as exc:
+    except (SolverFailure, admm.InfeasibleContinuousBlock) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -58,31 +58,73 @@ def energy(qubo: Qubo, bits) -> float:
     return float(qubo.linear @ bits + bits @ qubo.quadratic @ bits + qubo.constant)
 
 
+class QuadraticEnumeration:
+    """x' Q x of all 2^n assignments for one fixed Q, enumerated once.
+
+    ``energies(linear, constant)`` then adds the linear term and constant in
+    ``all_energies``' order of operations, so a solver whose QUBOs share Q
+    and differ only in those two gets the same energies bit for bit without
+    redoing the quadratic form. Assignments are enumerated in chunks of
+    ``chunk`` basis indices; the first chunk's bit block is held, later ones
+    are rebuilt on each call.
+    """
+
+    def __init__(self, quadratic: np.ndarray, chunk: int = 1 << 16):
+        n = quadratic.shape[0]
+        if n > 24:
+            raise CapacityError("enumeration supports at most 24 variables")
+        self.n = n
+        self._chunk = chunk
+        self._first = self._bits(0)
+        self.quad = np.empty(1 << n)
+        for start, bits in self._blocks():
+            self.quad[start:start + len(bits)] = np.einsum("ij,jk,ik->i", bits, quadratic, bits)
+
+    def _bits(self, start: int) -> np.ndarray:
+        # int32 index arithmetic (n <= 24) halves the integer temporaries
+        idx = np.arange(start, min(start + self._chunk, 1 << self.n), dtype=np.int32)
+        bits = idx[:, None] >> np.arange(self.n, dtype=np.int32)
+        bits &= 1
+        return bits.astype(float)
+
+    def _blocks(self):
+        for start in range(0, 1 << self.n, self._chunk):
+            yield start, self._first if start == 0 else self._bits(start)
+
+    def energies(self, linear: np.ndarray, constant: float = 0.0,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Energies indexed by basis index (bit i = x_i); ``out`` may be ``self.quad``."""
+        if out is None:
+            out = np.empty(1 << self.n)
+        for start, bits in self._blocks():
+            stop = start + len(bits)
+            out[start:stop] = bits @ linear + self.quad[start:stop] + constant
+        return out
+
+    def minimize(self, linear: np.ndarray, constant: float = 0.0) -> tuple[np.ndarray, float]:
+        return lowest_energy(self.energies(linear, constant), self.n)
+
+
 def all_energies(qubo: Qubo, chunk: int = 1 << 16) -> np.ndarray:
     """Energies of all 2^n assignments, indexed by basis index (bit i = x_i)."""
-    if qubo.n > 24:
-        raise CapacityError("enumeration supports at most 24 variables")
-    dim = 1 << qubo.n
-    out = np.empty(dim)
-    shifts = np.arange(qubo.n)
-    for start in range(0, dim, chunk):
-        idx = np.arange(start, min(start + chunk, dim))
-        bits = ((idx[:, None] >> shifts) & 1).astype(float)
-        out[start:start + idx.size] = (
-            bits @ qubo.linear + np.einsum("ij,jk,ik->i", bits, qubo.quadratic, bits)
-            + qubo.constant)
-    return out
+    form = QuadraticEnumeration(qubo.quadratic, chunk)
+    # one-shot: overwrite the held x'Qx chunk by chunk, so only one 2^n vector exists
+    return form.energies(qubo.linear, qubo.constant, out=form.quad)
 
 
 def bits_of_index(index: int, n: int) -> np.ndarray:
     return (index >> np.arange(n)) & 1
 
 
+def lowest_energy(energies: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Minimizer over an n-variable energy table; ties break to the lowest basis index."""
+    best = int(np.argmin(energies))
+    return bits_of_index(best, n), float(energies[best])
+
+
 def brute_force(qubo: Qubo) -> tuple[np.ndarray, float]:
     """Global minimizer; ties break to the lowest basis index."""
-    energies = all_energies(qubo)
-    best = int(np.argmin(energies))
-    return bits_of_index(best, qubo.n), float(energies[best])
+    return lowest_energy(all_energies(qubo), qubo.n)
 
 
 def energy_spread(qubo: Qubo) -> float:

@@ -307,3 +307,113 @@ def test_config_validation():
         admm.AdmmConfig(rho=0.0)
     with pytest.raises(ValueError):
         admm.AdmmConfig(qubo_solver="cplex")
+
+
+@pytest.mark.parametrize("field", ["rho", "beta", "c", "tolerance", "merit_weight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        admm.AdmmConfig(**{field: value})
+
+
+@pytest.mark.parametrize("quantities,price", [
+    ((1, float("nan")), 3.0), ((1, float("inf")), 3.0), ((1, -1), 3.0), ((1, 2.5), 3.0),
+    ((1, 2), float("nan")), ((1, 2), float("inf")), ((1, 2), -0.5),
+])
+def test_bid_rejects_bad_quantity_or_price(quantities, price):
+    with pytest.raises(ValueError):
+        admm.Bid(quantities, price)
+
+
+def test_bid_stores_whole_float_quantities_as_ints():
+    bid = admm.Bid((1.0, 0.0), 3.0)
+    assert bid.quantities == (1, 0)
+    assert all(type(q) is int for q in bid.quantities)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -3.0])
+def test_build_auction_rejects_bad_units(bad):
+    with pytest.raises(ValueError, match="units"):
+        admm.build_auction(SMALL_BIDS, (2.0, bad))
+
+
+# ---------------------------------------------------------------------------
+# the held block-1 enumeration against the per-iteration brute force
+
+
+def reference_run(problem, config):
+    """``run`` with a fresh ``qb.brute_force(block1_qubo(...))`` on every iteration."""
+    l = problem.n_continuous
+    mu = admm.resolve_merit_weight(problem, config)
+    x_bar = np.where(np.isfinite(problem.u_upper), problem.u_upper,
+                     np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0)) \
+        if l else np.zeros(0)
+    y = np.zeros(problem.n_consensus)
+    lam = np.zeros(problem.n_consensus)
+    trace = []
+    for k in range(1, config.max_iterations + 1):
+        bits, _ = qb.brute_force(admm.block1_qubo(problem, x_bar, y, lam, config))
+        x = bits.astype(float)
+        x_bar = admm.block2_convex(problem, x, y, lam, config)
+        y = admm.block3_y(problem, x, x_bar, lam, config)
+        lam = admm.dual_update(problem, x, x_bar, y, lam, config)
+        residual = problem.a0 @ x - (problem.a1 @ x_bar if l else 0.0) - y
+        trace.append((x, lam, float(np.linalg.norm(residual)),
+                      admm.merit(problem, x, x_bar, mu)))
+        if trace[-1][2] < config.tolerance:
+            break
+    k_star = min(range(len(trace)), key=lambda i: (trace[i][3], i)) + 1
+    return trace, k_star
+
+
+def assert_same_trace(result, reference):
+    trace, k_star = reference
+    assert len(result.trace) == len(trace)
+    for it, (x, lam, residual_norm, merit) in zip(result.trace, trace):
+        assert np.array_equal(it.x, x)
+        assert np.array_equal(it.lam, lam)
+        assert it.residual_norm == residual_norm
+        assert it.merit == merit
+    assert result.k_star == k_star
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_held_enumeration_matches_per_iteration_brute_force_on_auctions(seed):
+    bids, units = admm.random_auction(16, 3, 6, seed=seed)
+    problem = admm.build_auction(bids, units)
+    config = admm.AdmmConfig(rho=12.0, beta=11.0, max_iterations=12)
+    assert_same_trace(admm.run(problem, config), reference_run(problem, config))
+
+
+def test_held_enumeration_matches_on_two_chunks():
+    # 17 binaries: 2^17 states, enumerated in two 2^16-row chunks
+    bids, units = admm.random_auction(17, 3, 6, seed=5)
+    problem = admm.build_auction(bids, units)
+    config = admm.AdmmConfig(rho=12.0, beta=11.0, max_iterations=3)
+    assert_same_trace(admm.run(problem, config), reference_run(problem, config))
+
+
+def test_held_enumeration_matches_on_dense_pure_binary_problem():
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(12, 12)) * 2.3
+    problem = admm.pure_binary_problem((m + m.T) / 2, rng.normal(size=12))
+    config = admm.AdmmConfig()
+    assert_same_trace(admm.run(problem, config), reference_run(problem, config))
+
+
+def test_held_enumeration_matches_with_equality_rows():
+    rng = np.random.default_rng(22)
+    n, l = 10, 2
+    m = rng.normal(size=(n, n))
+    problem = admm.MboProblem(
+        q_quadratic=(m + m.T) / 2, q_linear=rng.normal(size=n),
+        eq_matrix=rng.integers(0, 2, size=(2, n)).astype(float), eq_rhs=np.array([2.0, 3.0]),
+        ineq_matrix=np.zeros((0, n)), ineq_rhs=np.zeros(0),
+        phi_quadratic=np.eye(l), phi_linear=rng.normal(size=l),
+        u_lower=np.zeros(l), u_upper=np.full(l, 4.0),
+        joint_x=np.zeros((0, n)), joint_u=np.zeros((0, l)), joint_rhs=np.zeros(0),
+        a0=rng.uniform(0.0, 1.5, size=(l, n)), a1=-np.eye(l))
+    config = admm.AdmmConfig(rho=3.3, beta=2.1, c=7.5, max_iterations=15)
+    result = admm.run(problem, config)
+    assert len(result.trace) > 1
+    assert_same_trace(result, reference_run(problem, config))

@@ -444,3 +444,16 @@ def test_evaluate_matches_accuracy_and_absolute_risk():
     assert risk == clf.empirical_risk(model, heldout, form="absolute")
     with pytest.raises(ValueError):
         clf.evaluate(model, heldout.subset(np.array([], dtype=int)))
+
+
+@pytest.mark.parametrize("encoder,seed", [("qrac", 1), ("map", 2), ("qrac", 3)])
+def test_train_scored_equals_train_then_accuracy(encoder, seed):
+    dataset = clf.synthesize_transactions(20, seed=seed)
+    config = _transaction_config(encoder, 1, dataset)
+    optimizer = OptimizerConfig(method="spsa", iterations=10, seed=seed)
+    model, trace, train_acc = clf.train_scored(dataset, config, optimizer)
+    want_model, want_trace = clf.train(dataset, config, optimizer)
+    assert trace == want_trace
+    assert np.array_equal(model.theta, want_model.theta)
+    assert model.bias == want_model.bias
+    assert train_acc == clf.accuracy(want_model, dataset)

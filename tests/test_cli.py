@@ -141,6 +141,66 @@ def test_opt_auction_wrong_solver_exit(tmp_path):
     assert code == 5
 
 
+def _auction_csv(tmp_path, units_line="units,5.0,5.0", first_bid="3.0,1,2"):
+    path = tmp_path / "auction.csv"
+    path.write_text(f"price,qty_item_1,qty_item_2\n{first_bid}\n4.5,2,1\n{units_line}\n")
+    return str(path)
+
+
+def _assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("units_line,first_bid", [
+    ("units,nan,5.0", "3.0,1,2"),
+    ("units,-3,5.0", "3.0,1,2"),
+    ("units,5.0,inf", "3.0,1,2"),
+    ("units,5.0,5.0", "nan,1,2"),
+    ("units,5.0,5.0", "inf,1,2"),
+    ("units,5.0,5.0", "3.0,nan,2"),
+    ("units,5.0,5.0", "3.0,inf,2"),
+    ("units,5.0,5.0", "3.0,-1,2"),
+])
+@pytest.mark.parametrize("solver", ["admm", "brute-force"])
+def test_opt_auction_rejects_bad_values(tmp_path, capsys, units_line, first_bid, solver):
+    out = tmp_path / "run"
+    code = main(["opt", "auction", "--instance", _auction_csv(tmp_path, units_line, first_bid),
+                 "--solver", solver, "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error:")
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--beta", "--c"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_opt_auction_rejects_non_finite_admm_parameters(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    code = main(["opt", "auction", "--instance", _auction_csv(tmp_path), f"{flag}={value}",
+                 "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "validation error: rho, beta, c, and tolerance must be finite and positive"]
+    assert not (out / "result.json").exists()
+
+
+def test_opt_auction_infeasible_continuous_block_exits_solver(tmp_path, capsys, monkeypatch):
+    def infeasible(problem, config):
+        raise admm.InfeasibleContinuousBlock("joint constraints admit no continuous point")
+
+    monkeypatch.setattr(admm, "run", infeasible)
+    out = tmp_path / "run"
+    code = main(["opt", "auction", "--instance", _auction_csv(tmp_path), "--out-dir", str(out)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "solver failure: joint constraints admit no continuous point"]
+    assert not (out / "result.json").exists()
+
+
 def test_ml_synth_train_eval_pipeline(tmp_path):
     synth_dir = tmp_path / "synth"
     assert main(["ml", "synth", "--n", "20", "--mode", "separable", "--seed", "3",

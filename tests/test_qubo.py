@@ -286,3 +286,58 @@ def test_similarity_reader_rejects_ragged(tmp_path):
     path.write_text("1.0,0.5\n0.5,1.0\n0.1,0.2\n")
     with pytest.raises(ValueError):
         qb.read_similarity_csv(path)
+
+
+def all_energies_reference(qubo, chunk=1 << 16):
+    """The chunked enumeration as it stood before the quadratic form was held."""
+    dim = 1 << qubo.n
+    out = np.empty(dim)
+    shifts = np.arange(qubo.n)
+    for start in range(0, dim, chunk):
+        idx = np.arange(start, min(start + chunk, dim))
+        bits = ((idx[:, None] >> shifts) & 1).astype(float)
+        out[start:start + idx.size] = (
+            bits @ qubo.linear + np.einsum("ij,jk,ik->i", bits, qubo.quadratic, bits)
+            + qubo.constant)
+    return out
+
+
+@pytest.mark.parametrize("n,chunk", [(0, 1 << 16), (1, 1 << 16), (6, 1 << 16), (6, 8),
+                                     (7, 5), (16, 1 << 16), (17, 1 << 16)])
+def test_all_energies_equals_reference_bitwise(n, chunk):
+    qubo = random_qubo(n, 30 + n, scale=3.7)
+    assert np.array_equal(qb.all_energies(qubo, chunk),
+                          all_energies_reference(qubo, chunk))
+
+
+@pytest.mark.parametrize("n,chunk", [(5, 1 << 16), (6, 8), (17, 1 << 16)])
+def test_held_enumeration_serves_many_linear_terms_bitwise(n, chunk):
+    base = random_qubo(n, 50 + n)
+    form = qb.QuadraticEnumeration(base.quadratic, chunk)
+    held_quad = form.quad.copy()
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        qubo = qb.Qubo(n=n, quadratic=base.quadratic, linear=rng.normal(size=n) * 5,
+                       constant=float(rng.normal()))
+        energies = form.energies(qubo.linear, qubo.constant)
+        assert np.array_equal(energies, all_energies_reference(qubo, chunk))
+        bits, value = form.minimize(qubo.linear, qubo.constant)
+        want_bits, want_value = qb.brute_force(qubo)
+        assert np.array_equal(bits, want_bits) and value == want_value
+    assert np.array_equal(form.quad, held_quad)
+
+
+def test_held_enumeration_minimize_keeps_lowest_index_tie_rule():
+    form = qb.QuadraticEnumeration(np.zeros((3, 3)))
+    # indices 4..7 all reach -1 + 2; the lowest of them wins
+    bits, value = form.minimize(np.array([0.0, 0.0, -1.0]), 2.0)
+    assert bits.tolist() == [0, 0, 1] and value == 1.0
+    bits, value = form.minimize(np.zeros(3), 1.0)
+    assert bits.tolist() == [0, 0, 0] and value == 1.0
+
+
+def test_enumeration_capacity():
+    with pytest.raises(qb.CapacityError):
+        qb.QuadraticEnumeration(np.zeros((25, 25)))
+    with pytest.raises(qb.CapacityError):
+        qb.all_energies(qb.Qubo(n=25, quadratic=np.zeros((25, 25)), linear=np.zeros(25)))
