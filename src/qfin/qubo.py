@@ -188,6 +188,11 @@ def _auto_penalty(quadratic: np.ndarray, linear: np.ndarray) -> float:
     return 2.0 * mass if mass > 0.0 else 1.0
 
 
+def _check_penalty(penalty: float | None) -> None:
+    if penalty is not None and not 0.0 < penalty < math.inf:
+        raise ValueError("penalty must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PortfolioSpec:
     """Mean-variance selection: min q x' Sigma x - mu' x subject to 1' x = B."""
@@ -204,16 +209,17 @@ class PortfolioSpec:
         n = mu.size
         if sigma.shape != (n, n):
             raise ValueError("sigma must be square and match mu")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         if np.max(np.abs(sigma - sigma.T), initial=0.0) > 1e-9:
             raise ValueError("sigma must be symmetric")
         if np.linalg.eigvalsh(sigma).min() < -1e-8:
             raise ValueError("sigma must be positive semidefinite within tolerance")
-        if self.q <= 0.0:
-            raise ValueError("risk aversion q must be positive")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("risk aversion q must be finite and positive")
         if not 0 < self.budget < n:
             raise ValueError("budget must satisfy 0 < B < n")
-        if self.penalty is not None and self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
+        _check_penalty(self.penalty)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -267,6 +273,8 @@ class DiversificationSpec:
         n = rho.shape[0]
         if rho.shape != (n, n):
             raise ValueError("rho must be square")
+        if not np.isfinite(rho).all():
+            raise ValueError("similarities must be finite")
         if np.max(np.abs(rho - rho.T), initial=0.0) > 1e-9:
             raise ValueError("rho must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-9):
@@ -275,8 +283,7 @@ class DiversificationSpec:
             raise ValueError("similarities must not exceed 1")
         if not 1 <= self.q_clusters <= n:
             raise ValueError("q_clusters must lie in [1, n]")
-        if self.penalty is not None and self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
+        _check_penalty(self.penalty)
         object.__setattr__(self, "rho", rho)
 
     @property

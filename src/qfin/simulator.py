@@ -154,20 +154,38 @@ def new_zero_state(n_qubits: int, ceiling: int = MAX_QUBITS) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
-def _matrix_1q(op: GateOp) -> np.ndarray:
-    if op.kind == "h":
-        return np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]])
-    if op.kind in ("x", "cnot"):
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-    half = 0.5 * op.theta
+def _matrix_1q(kind: str, theta: float = 0.0) -> tuple:
+    """Row-major entries (m00, m01, m10, m11) of a one-qubit gate (cnot: its x)."""
+    if kind == "h":
+        return _SQRT2_INV, _SQRT2_INV, _SQRT2_INV, -_SQRT2_INV
+    if kind in ("x", "cnot"):
+        return 0.0, 1.0, 1.0, 0.0
+    half = 0.5 * theta
     c, s = math.cos(half), math.sin(half)
-    if op.kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if op.kind == "ry":
-        return np.array([[c, -s], [s, c]])
-    if op.kind == "rz":
-        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]])
-    raise ValueError(f"no 2x2 matrix for kind {op.kind!r}")
+    if kind == "rx":
+        return c, -1j * s, -1j * s, c
+    if kind == "ry":
+        return c, -s, s, c
+    if kind == "rz":
+        return c - 1j * s, 0.0, 0.0, c + 1j * s
+    raise ValueError(f"no 2x2 matrix for kind {kind!r}")
+
+
+def apply_1q_inplace(amps: np.ndarray, q: int, kind: str, theta: float = 0.0) -> None:
+    """Apply an uncontrolled one-qubit gate to qubit ``q`` of ``amps`` in place.
+
+    Works on the strided view that splits the row index at bit ``q``, so it
+    needs no index array; a trailing batch axis rides along. Each amplitude
+    pair sees ``m00*a0 + m01*a1`` and ``m10*a0 + m11*a1`` with the entries of
+    ``_matrix_1q``, the same operations as a gather over the pair's indices.
+    ``amps`` may be real for the real kinds (h, x, ry).
+    """
+    view = amps.reshape((amps.shape[0] >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
+    a0, a1 = view[:, 0], view[:, 1]
+    m00, m01, m10, m11 = _matrix_1q(kind, theta)
+    new0 = m00 * a0 + m01 * a1
+    a1[...] = m10 * a0 + m11 * a1
+    a0[...] = new0
 
 
 def _control_mask(controls) -> int:
@@ -223,14 +241,17 @@ def _apply_inplace(amps: np.ndarray, n: int, op: GateOp) -> None:
         if op.kind == "cnot":
             target = op.targets[1]
             ctrl |= 1 << op.targets[0]
+        elif not ctrl:
+            apply_1q_inplace(amps, op.targets[0], op.kind, op.theta)
+            return
         else:
             target = op.targets[0]
-        mat = _matrix_1q(op)
+        mat = _matrix_1q(op.kind, op.theta)
         lo, hi = _pair_indices(n, target, ctrl)
         a0 = amps[lo]
         a1 = amps[hi]
-        amps[lo] = mat[0, 0] * a0 + mat[0, 1] * a1
-        amps[hi] = mat[1, 0] * a0 + mat[1, 1] * a1
+        amps[lo] = mat[0] * a0 + mat[1] * a1
+        amps[hi] = mat[2] * a0 + mat[3] * a1
         return
 
     if op.kind == "swap":

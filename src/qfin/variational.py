@@ -18,6 +18,7 @@ from .simulator import (
     GateOp,
     IsingObservable,
     Statevector,
+    apply_1q_inplace,
     apply_ops,
     basis_probabilities,
     cnot,
@@ -45,8 +46,15 @@ class Ansatz:
             raise ValueError("n_qubits must be >= 1")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.kind == "qaoa" and self.cost is None:
-            raise ValueError("qaoa ansatz needs a cost observable")
+        if self.kind == "qaoa":
+            if self.cost is None:
+                raise ValueError("qaoa ansatz needs a cost observable")
+            for support, _ in self.cost.terms:
+                if len(set(support)) != len(support):
+                    raise ValueError(f"cost term {support} repeats a qubit")
+                if not all(0 <= q < self.n_qubits for q in support):
+                    raise ValueError(
+                        f"cost term {support} does not fit {self.n_qubits} qubits")
 
     @property
     def parameter_count(self) -> int:
@@ -74,27 +82,45 @@ def _entangler(n: int) -> list[GateOp]:
     return [cnot(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _ladder_permutation(n: int) -> np.ndarray:
+    """Gather index of the CNOT ladder: ``amps[perm]`` applies ``_entangler(n)``.
+
+    One CNOT maps amplitude ``k`` from ``k ^ (bit_c(k) << t)``; composing the
+    ladder's maps last gate first gives the whole ladder's source index.
+    """
+    perm = np.arange(1 << n)
+    for op in reversed(_entangler(n)):
+        control, target = op.targets
+        perm ^= ((perm >> control) & 1) << target
+    return perm
+
+
+def _parity_signs(width: int) -> np.ndarray:
+    """Z^width eigenvalue (-1)^popcount(s) of each sub-basis index s."""
+    sub = np.arange(1 << width)
+    signs = np.ones(1 << width)
+    for bit in range(width):
+        signs *= 1.0 - 2.0 * ((sub >> bit) & 1)
+    return signs
+
+
 def cost_phase_ops(cost: IsingObservable, gamma: float) -> list[GateOp]:
     """exp(-i gamma H) for a diagonal H, term by term; the offset is global phase."""
-    ops = []
-    for support, coeff in cost.terms:
-        width = len(support)
-        phases = []
-        for sub in range(1 << width):
-            sign = 1.0
-            for bit in range(width):
-                if (sub >> bit) & 1:
-                    sign = -sign
-            phases.append(-gamma * coeff * sign)
-        ops.append(phase_gate(support, phases))
-    return ops
+    return [phase_gate(support, -gamma * coeff * _parity_signs(len(support)))
+            for support, coeff in cost.terms]
 
 
-def ansatz_ops(ansatz: Ansatz, params) -> list[GateOp]:
+def _checked_params(ansatz: Ansatz, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.size != ansatz.parameter_count:
         raise ValueError(
             f"expected {ansatz.parameter_count} parameters, got {params.size}")
+    return params
+
+
+def ansatz_ops(ansatz: Ansatz, params) -> list[GateOp]:
+    """The ansatz as a gate list: the classifier's path and the state functions' oracle."""
+    params = _checked_params(ansatz, params)
     n = ansatz.n_qubits
     ops: list[GateOp] = []
     if ansatz.kind == "ry-full-entanglement":
@@ -122,8 +148,88 @@ def ansatz_ops(ansatz: Ansatz, params) -> list[GateOp]:
     return ops
 
 
+def _phase_layout(n: int, support: tuple[int, ...]):
+    """Lay one cost term out for a broadcast multiply over a strided view.
+
+    The view splits the row index at each support qubit, highest first.
+    Returns its shape, the factors' shape (2 on those axes, 1 elsewhere), and
+    the term's Z-parity signs reordered from ``phase_gate``'s sub-basis order
+    (bit j <-> support[j]) into the view's axis order.
+    """
+    width = len(support)
+    desc = sorted(range(width), key=lambda j: -support[j])
+    view_shape, factor_shape, above = [], [], n
+    for j in desc:
+        view_shape += [1 << (above - support[j] - 1), 2]
+        factor_shape += [1, 2]
+        above = support[j]
+    view_shape.append(1 << above)
+    factor_shape.append(1)
+    axes = tuple(width - 1 - j for j in desc)
+    order = np.arange(1 << width).reshape((2,) * width).transpose(axes).ravel()
+    return tuple(view_shape), tuple(factor_shape), _parity_signs(width)[order]
+
+
+def compile_ansatz(ansatz: Ansatz):
+    """Build ``ansatz`` once into a state function ``params -> amplitudes``.
+
+    The function gives the amplitudes ``apply_ops(new_zero_state(n),
+    ansatz_ops(ansatz, params))`` gives, with bit-identical probabilities:
+    the rotations go through the same strided kernel and matrix entries as
+    the gate path, the CNOT ladder is one gather (exact up to the sign of
+    zero), and each QAOA cost term multiplies by the same ``phase_gate``
+    factors in the same term order. The RY kind runs on real amplitudes, as
+    RY and CNOT are real. It holds at most one 2^n index (the ladder) or one
+    2^n state (the QAOA start).
+    """
+    n = ansatz.n_qubits
+    if ansatz.kind == "qaoa":
+        start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
+        layouts = [_phase_layout(n, support) for support, _ in ansatz.cost.terms]
+        coeffs = np.repeat([coeff for _, coeff in ansatz.cost.terms],
+                           [term_signs.size for *_, term_signs in layouts])
+        signs = np.concatenate([np.zeros(0)] + [term_signs for *_, term_signs in layouts])
+
+        def qaoa_state(params):
+            params = _checked_params(ansatz, params).tolist()
+            p = ansatz.depth
+            amps = start.copy()
+            for gamma, beta in zip(params[:p], params[p:]):
+                # every term's factors at once: cost_phase_ops' phases, laid out
+                factors = np.exp(1j * (-gamma * coeffs * signs))
+                at = 0
+                for view_shape, factor_shape, term_signs in layouts:
+                    view = amps.reshape(view_shape, copy=False)
+                    view *= factors[at:at + term_signs.size].reshape(factor_shape)
+                    at += term_signs.size
+                for q in range(n):
+                    apply_1q_inplace(amps, q, "rx", 2.0 * beta)
+            return amps
+
+        return qaoa_state
+
+    perm = _ladder_permutation(n) if ansatz.depth else None
+    real = ansatz.kind == "ry-full-entanglement"
+    kinds = ("ry",) if real else ("rx", "ry")
+
+    def layered_state(params):
+        layers = _checked_params(ansatz, params).reshape(ansatz.depth + 1, -1)
+        amps = np.zeros(1 << n, dtype=float if real else complex)
+        amps[0] = 1.0
+        for layer, angles in enumerate(layers.tolist()):
+            if layer:
+                amps = amps[perm]
+            for k, kind in enumerate(kinds):
+                for q in range(n):
+                    apply_1q_inplace(amps, q, kind, angles[k * n + q])
+        return amps
+
+    return layered_state
+
+
 def prepare_state(ansatz: Ansatz, params) -> Statevector:
-    return apply_ops(new_zero_state(ansatz.n_qubits), ansatz_ops(ansatz, params))
+    amps = compile_ansatz(ansatz)(params)
+    return Statevector(ansatz.n_qubits, amps.astype(complex, copy=False))
 
 
 def bitstring_of(index: int, n: int) -> str:
@@ -171,15 +277,16 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     if observable.max_qubit() >= ansatz.n_qubits:
         raise ValueError("observable support exceeds the ansatz register")
     table = observable.energy_table(ansatz.n_qubits)
+    state_of = compile_ansatz(ansatz)
 
     def make_objective(rng):
         if shots is None:
             def objective(params):
-                probs = basis_probabilities(prepare_state(ansatz, params))
+                probs = np.abs(state_of(params)) ** 2
                 return float(probs @ table)
         else:
             def objective(params):
-                probs = basis_probabilities(prepare_state(ansatz, params))
+                probs = np.abs(state_of(params)) ** 2
                 outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
                 return float(table[outcomes].mean())
         return objective
@@ -192,7 +299,7 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
                            optimizer, rng=rng)
         if best is None or outcome.value < best.value:
             best = outcome
-    state = prepare_state(ansatz, best.x)
+    state = Statevector(ansatz.n_qubits, state_of(best.x).astype(complex, copy=False))
     return VariationalResult(
         best_value=best.value,
         best_params=best.x,

@@ -367,3 +367,52 @@ def test_vqe_runs_replay_byte_identical(tmp_path, portfolio_instance, argv_extra
     assert main(base + argv_extra + ["--out-dir", str(out_a)]) == 0
     assert main(base + argv_extra + ["--out-dir", str(out_b)]) == 0
     assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
+
+
+def _edited_instance(tmp_path, portfolio_instance, label, field, value):
+    """Copy the instance with one field of the first line labelled ``label`` replaced."""
+    lines = open(portfolio_instance).read().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(label + ","):
+            parts = line.split(",")
+            parts[field] = value
+            lines[i] = ",".join(parts)
+            break
+    else:
+        lines.append(f"{label},{value}")
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("label,field,value", [
+    ("mu", 2, "nan"), ("mu", 1, "inf"), ("sigma", 3, "nan"), ("q", 1, "inf"),
+    ("q", 1, "nan"), ("penalty", 1, "nan"), ("penalty", 1, "inf"),
+])
+@pytest.mark.parametrize("solver", ["vqe", "brute-force"])
+def test_opt_portfolio_rejects_non_finite_inputs(tmp_path, capsys, portfolio_instance,
+                                                 label, field, value, solver):
+    out = tmp_path / "run"
+    instance = _edited_instance(tmp_path, portfolio_instance, label, field, value)
+    code = main(["opt", "portfolio", "--instance", instance, "--solver", solver,
+                 "--iterations", "5", "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error:")
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("rho_text,extra", [
+    ("1.0,0.8,nan\n0.8,1.0,0.3\nnan,0.3,1.0\n", []),
+    ("1.0,-inf,0.2\n-inf,1.0,0.3\n0.2,0.3,1.0\n", []),
+    ("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n", ["--penalty", "nan"]),
+    ("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n", ["--penalty", "inf"]),
+])
+def test_opt_diversify_rejects_non_finite_inputs(tmp_path, capsys, rho_text, extra):
+    rho_path = tmp_path / "rho.csv"
+    rho_path.write_text(rho_text)
+    out = tmp_path / "run"
+    code = main(["opt", "diversify", "--similarity", str(rho_path), "--clusters", "2",
+                 "--solver", "vqe", "--iterations", "5", "--out-dir", str(out)] + extra)
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error:")
+    assert not (out / "result.json").exists()

@@ -164,6 +164,32 @@ def test_portfolio_validation():
         qb.PortfolioSpec(mu=np.zeros(2), sigma=-np.eye(2), q=1.0, budget=1)
 
 
+@pytest.mark.parametrize("bad", ["mu", "sigma", "q", "penalty"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_portfolio_spec_rejects_non_finite_inputs(bad, value):
+    fields = {"mu": np.zeros(3), "sigma": np.eye(3), "q": 1.0, "penalty": 2.0}
+    if bad in ("mu", "sigma"):
+        fields[bad] = fields[bad].copy()
+        fields[bad].flat[1] = value
+        if bad == "sigma":
+            fields[bad][1, 0] = value
+    else:
+        fields[bad] = value
+    with pytest.raises(ValueError, match="finite"):
+        qb.PortfolioSpec(budget=1, **fields)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_diversification_spec_rejects_non_finite_inputs(value):
+    rho = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    bad = rho.copy()
+    bad[0, 2] = bad[2, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        qb.DiversificationSpec(rho=bad, q_clusters=2)
+    with pytest.raises(ValueError, match="finite"):
+        qb.DiversificationSpec(rho=rho, q_clusters=2, penalty=value)
+
+
 def test_frontier_high_risk_aversion_empties_portfolio():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 4))

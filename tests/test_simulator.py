@@ -345,3 +345,71 @@ def test_batch_axis_leaves_input_block_untouched():
     before = block.copy()
     sv.apply_ops(sv.Statevector(3, block), [sv.h(0), sv.phase_gate((1,), (0.0, 1.0))])
     assert np.array_equal(block, before)
+
+
+def _fancy_index_1q(amps, n, op):
+    """Gather/scatter over each pair's indices, with the gate matrix as a numpy array."""
+    if op.kind == "h":
+        mat = np.array([[1.0, 1.0], [1.0, -1.0]]) * (1.0 / math.sqrt(2.0))
+    elif op.kind == "x":
+        mat = np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        c, s = math.cos(0.5 * op.theta), math.sin(0.5 * op.theta)
+        mat = {"rx": np.array([[c, -1j * s], [-1j * s, c]]),
+               "ry": np.array([[c, -s], [s, c]]),
+               "rz": np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]])}[op.kind]
+    idx = np.arange(1 << n)
+    lo = idx[(idx >> op.targets[0]) & 1 == 0]
+    hi = lo | (1 << op.targets[0])
+    out = amps.copy()
+    a0, a1 = amps[lo], amps[hi]
+    out[lo] = mat[0, 0] * a0 + mat[0, 1] * a1
+    out[hi] = mat[1, 0] * a0 + mat[1, 1] * a1
+    return out
+
+
+def _same_bits(a, b):
+    """Equal bit patterns, signed zeros included."""
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+def _uncontrolled_ops(n, rng):
+    ops = []
+    for q in range(n):
+        ops += [sv.h(q), sv.x(q)]
+        for theta in (float(rng.uniform(-3, 3)), float(rng.uniform(-1e4, 1e4))):
+            ops += [sv.rx(theta, q), sv.ry(theta, q), sv.rz(theta, q)]
+    return ops
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_strided_kernel_matches_fancy_index_path_bitwise(n):
+    rng = np.random.default_rng(n)
+    amps = random_state(n, n + 300).amplitudes
+    for op in _uncontrolled_ops(n, rng):
+        got = sv.apply(sv.Statevector(n, amps), op).amplitudes
+        assert _same_bits(got, _fancy_index_1q(amps, n, op)), op
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_strided_kernel_matches_fancy_index_path_with_batch_axis(n):
+    rng = np.random.default_rng(n + 10)
+    block = _random_block(n, 3, n + 400)
+    for op in _uncontrolled_ops(n, rng):
+        out = sv.apply(sv.Statevector(n, block), op).amplitudes
+        for col in range(block.shape[1]):
+            want = _fancy_index_1q(block[:, col].copy(), n, op)
+            assert _same_bits(out[:, col], want), op
+
+
+def test_strided_kernel_on_real_amplitudes_gives_the_complex_probabilities():
+    n = 5
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=1 << n)
+    cplx = real.astype(complex)
+    for op in [sv.h(2), sv.x(0), sv.ry(0.7, 4), sv.ry(-2.9e3, 1)]:
+        sv.apply_1q_inplace(real, op.targets[0], op.kind, op.theta)
+        cplx = _fancy_index_1q(cplx, n, op)
+        assert np.array_equal(real, cplx.real)
+        assert np.array_equal(np.abs(real) ** 2, np.abs(cplx) ** 2)

@@ -5,8 +5,14 @@ import pytest
 
 from qfin import qubo as qb
 from qfin import variational as vq
-from qfin.optimizers import OptimizerConfig
-from qfin.simulator import IsingObservable, basis_probabilities
+from qfin.optimizers import OptimizerConfig, minimize
+from qfin.simulator import (
+    IsingObservable,
+    Statevector,
+    apply_ops,
+    basis_probabilities,
+    new_zero_state,
+)
 
 Z0 = IsingObservable(terms=(((0,), 1.0),))
 
@@ -182,3 +188,170 @@ def test_portfolio_structure_top_states_select_budget():
                              OptimizerConfig(method="spsa", iterations=300, seed=1),
                              top_k=3)
     assert all(bits.count("1") == 3 for bits, _, _ in result.top_states)
+
+
+# -- compiled state functions against the gate-list path --------------------
+
+def ops_probabilities(ansatz, params):
+    """The oracle: the ansatz applied gate by gate."""
+    state = apply_ops(new_zero_state(ansatz.n_qubits), vq.ansatz_ops(ansatz, params))
+    return basis_probabilities(state)
+
+
+def compiled_probabilities(ansatz, params):
+    return np.abs(vq.compile_ansatz(ansatz)(params)) ** 2
+
+
+def mixed_cost(n, rng):
+    """Unsorted, non-adjacent, width-0 and width-3 supports over n qubits."""
+    terms = [((), float(rng.normal()))]
+    for _ in range(2 * n):
+        width = int(rng.integers(1, min(n, 3) + 1))
+        support = tuple(int(q) for q in rng.permutation(n)[:width])
+        terms.append((support, float(rng.normal())))
+    if n >= 3:
+        terms += [((2, 0), 0.7), ((n - 1, 0, n // 2), -1.3)]
+    return IsingObservable(terms=tuple(terms), offset=float(rng.normal()))
+
+
+def _ansaetze(kind, n, depth, rng):
+    if kind == "ry":
+        return vq.ry_ansatz(n, depth)
+    if kind == "rxry":
+        return vq.rxry_ansatz(n, depth)
+    return vq.qaoa_ansatz(n, depth, mixed_cost(n, rng))
+
+
+@pytest.mark.parametrize("kind", ["ry", "rxry", "qaoa"])
+def test_compiled_probabilities_equal_ops_path(kind):
+    rng = np.random.default_rng(["ry", "rxry", "qaoa"].index(kind))
+    for n in range(1, 13):
+        for depth in range(4):
+            if n > 9 and depth > 1:
+                continue
+            ansatz = _ansaetze(kind, n, depth, rng)
+            for scale in (math.pi, 1e4):
+                params = rng.uniform(-scale, scale, ansatz.parameter_count)
+                got = compiled_probabilities(ansatz, params)
+                assert np.array_equal(got, ops_probabilities(ansatz, params)), (n, depth, scale)
+
+
+@pytest.mark.parametrize("n,depth", [(10, 3), (12, 2)])
+def test_compiled_probabilities_equal_ops_path_wide_and_deep(n, depth):
+    rng = np.random.default_rng(n)
+    for kind in ("ry", "rxry", "qaoa"):
+        ansatz = _ansaetze(kind, n, depth, rng)
+        params = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+        assert np.array_equal(compiled_probabilities(ansatz, params),
+                              ops_probabilities(ansatz, params)), kind
+
+
+def test_compiled_state_is_reusable_across_calls():
+    rng = np.random.default_rng(4)
+    for ansatz in (vq.ry_ansatz(4, 2), vq.rxry_ansatz(3, 1),
+                   vq.qaoa_ansatz(4, 2, mixed_cost(4, rng))):
+        state_of = vq.compile_ansatz(ansatz)
+        for _ in range(3):
+            params = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+            assert np.array_equal(np.abs(state_of(params)) ** 2,
+                                  ops_probabilities(ansatz, params))
+
+
+def test_prepare_state_is_complex_and_matches_ops_path():
+    ansatz = vq.ry_ansatz(3, 2)
+    params = np.linspace(-2.0, 2.5, ansatz.parameter_count)
+    state = vq.prepare_state(ansatz, params)
+    assert state.amplitudes.dtype == np.complex128
+    want = apply_ops(new_zero_state(3), vq.ansatz_ops(ansatz, params)).amplitudes
+    assert np.array_equal(state.amplitudes, want)
+
+
+def test_ladder_permutation_is_the_cnot_ladder():
+    for n in range(1, 7):
+        amps = np.arange(1 << n, dtype=complex) + 1.0
+        ladder = apply_ops(Statevector(n, amps), vq._entangler(n)).amplitudes
+        assert np.array_equal(amps[vq._ladder_permutation(n)], ladder)
+
+
+def test_cost_phase_ops_signs_are_z_parities():
+    cost = IsingObservable(terms=(((), 0.5), ((1,), 2.0), ((0, 2), -1.0)))
+    ops = vq.cost_phase_ops(cost, 0.3)
+    assert ops[0].phases == (-0.15,)
+    assert ops[1].phases == (-0.6, 0.6)
+    assert ops[2].phases == (0.3, -0.3, -0.3, 0.3)
+
+
+@pytest.mark.parametrize("terms", [
+    (((3,), 1.0),),
+    (((0, 3), 1.0),),
+    (((-1,), 1.0),),
+    (((1, 1), 1.0),),
+    (((0,), 1.0), ((2, 0, 2), 0.5)),
+])
+def test_qaoa_ansatz_rejects_cost_outside_the_register(terms):
+    cost = IsingObservable(terms=terms)
+    with pytest.raises(ValueError):
+        vq.qaoa_ansatz(3, 1, cost)
+    with pytest.raises(ValueError):
+        vq.Ansatz("qaoa", 3, 2, cost=cost)
+
+
+# -- vqe_minimize against a loop over the gate-list objective ----------------
+
+def reference_vqe(observable, ansatz, optimizer, top_k=8, shots=None):
+    """vqe_minimize with the objective built from ansatz_ops gate by gate."""
+    table = observable.energy_table(ansatz.n_qubits)
+
+    def make_objective(rng):
+        def objective(params):
+            probs = ops_probabilities(ansatz, params)
+            if shots is None:
+                return float(probs @ table)
+            outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+            return float(table[outcomes].mean())
+        return objective
+
+    best = None
+    for child in np.random.SeedSequence(optimizer.seed).spawn(optimizer.restarts):
+        rng = np.random.default_rng(child)
+        outcome = minimize(make_objective(rng), vq._initial_params(ansatz, rng),
+                           optimizer, rng=rng)
+        if best is None or outcome.value < best.value:
+            best = outcome
+    state = apply_ops(new_zero_state(ansatz.n_qubits), vq.ansatz_ops(ansatz, best.x))
+    return best, vq.sample_solutions(state, observable, min(top_k, state.dim))
+
+
+def _benchmark_observables():
+    rng = np.random.default_rng([3, 2])
+    w = rng.normal(size=(6, 6))
+    portfolio = qb.to_ising(qb.build_portfolio_qubo(qb.PortfolioSpec(
+        mu=rng.uniform(0.0, 0.1, 6), sigma=w @ w.T / 6, q=0.5, budget=3)))
+    base = rng.uniform(0.1, 0.9, size=(3, 3))
+    rho = (base + base.T) / 2.0
+    np.fill_diagonal(rho, 1.0)
+    diversify = qb.to_ising(qb.build_diversification_qubo(
+        qb.DiversificationSpec(rho=rho, q_clusters=2)))
+    return portfolio, diversify
+
+
+PORTFOLIO, DIVERSIFY = _benchmark_observables()
+
+
+@pytest.mark.parametrize("observable,ansatz,config,shots", [
+    (PORTFOLIO, vq.ry_ansatz(6, 3), OptimizerConfig("spsa", 25, seed=3), None),
+    (PORTFOLIO, vq.qaoa_ansatz(6, 3, PORTFOLIO), OptimizerConfig("spsa", 25, seed=3), None),
+    (DIVERSIFY, vq.ry_ansatz(12, 1), OptimizerConfig("nelder-mead", 30, seed=3), None),
+    (PORTFOLIO, vq.ry_ansatz(6, 1), OptimizerConfig("nelder-mead", 20, seed=1, restarts=2),
+     None),
+    (PORTFOLIO, vq.ry_ansatz(6, 2), OptimizerConfig("spsa", 15, seed=2, restarts=2), 64),
+    (PORTFOLIO, vq.qaoa_ansatz(6, 2, PORTFOLIO), OptimizerConfig("spsa", 10, seed=4), 32),
+], ids=["vqe-spsa", "qaoa-spsa", "diversify-nelder-mead", "nelder-mead-restarts",
+        "vqe-shots", "qaoa-shots"])
+def test_vqe_minimize_equals_the_ops_objective_loop(observable, ansatz, config, shots):
+    got = vq.vqe_minimize(observable, ansatz, config, top_k=5, shots=shots)
+    best, top_states = reference_vqe(observable, ansatz, config, top_k=5, shots=shots)
+    assert got.best_value == best.value
+    assert np.array_equal(got.best_params, best.x)
+    assert got.trace == best.trace
+    assert got.top_states == top_states
