@@ -1,9 +1,10 @@
 """Quantum-finance toolkit on an exact dense statevector simulator.
 
-Subpackages by capability: ``simulator`` (gates, measurement, diagonal
-observables), ``amplitude_estimation`` (Grover operator and phase-estimation
-readout), ``distributions`` (register loading), ``credit_risk`` (VaR/ECR by
-AE bisection with classical oracles), ``qubo`` (penalty folding, Ising
+Subpackages by capability: ``simulator`` (gate tuples applied by
+``apply_ops``, measurement, diagonal observables), ``amplitude_estimation``
+(Grover operator and closed-form phase-estimation readout),
+``distributions`` (register loading), ``credit_risk`` (VaR/ECR by AE
+bisection with classical oracles), ``qubo`` (penalty folding, Ising
 conversion, portfolio and diversification builders), ``variational``
 (VQE/QAOA), ``admm`` (three-block mixed-binary ADMM and auctions),
 ``classifier`` (variational quantum classification with QRAC), and ``cli``.
@@ -13,16 +14,12 @@ __version__ = "0.1.0"
 
 from .simulator import (  # noqa: F401
     CapacityError,
-    Circuit,
     GateOp,
     IsingObservable,
     Statevector,
     apply,
-    apply_circuit,
     basis_probabilities,
     expectation,
-    inverse_circuit,
-    inverse_qft,
     new_zero_state,
     sample,
 )
@@ -30,7 +27,6 @@ from .amplitude_estimation import (  # noqa: F401
     AeResult,
     EstimationProblem,
     error_bound,
-    grover_operator,
     qpe_failure_probability,
     run_ae,
     true_amplitude,

@@ -59,6 +59,13 @@ class MboProblem:
         for item in checks:
             if item and item[0] != item[1]:
                 raise ValueError(f"inconsistent dimensions for {item[2]}")
+        for name in ("q_quadratic", "q_linear", "eq_matrix", "eq_rhs", "ineq_matrix",
+                     "ineq_rhs", "phi_quadratic", "phi_linear", "joint_x", "joint_u",
+                     "joint_rhs", "a0", "a1"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not (np.all(self.u_lower < math.inf) and np.all(self.u_upper > -math.inf)):
+            raise ValueError("u_lower must be below +inf and u_upper above -inf, neither NaN")
         if np.max(np.abs(self.q_quadratic - self.q_quadratic.T), initial=0.0) > 1e-12:
             raise ValueError("q_quadratic must be symmetric")
 

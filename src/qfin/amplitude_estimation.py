@@ -20,7 +20,7 @@ import numpy as np
 from .simulator import (
     MAX_QUBITS,
     CapacityError,
-    Circuit,
+    GateOp,
     Statevector,
     apply_ops,
     inverse_op,
@@ -32,17 +32,22 @@ from .simulator import (
 
 @dataclass(frozen=True)
 class EstimationProblem:
-    """State-preparation circuit plus the qubit whose |1> probability is sought."""
+    """Gates of A on n_state_qubits + 1 qubits, and the qubit whose |1> probability is sought."""
 
-    a_circuit: Circuit
+    a_ops: tuple[GateOp, ...]
     objective_qubit: int
     n_state_qubits: int
 
     def __post_init__(self):
-        if self.a_circuit.n_qubits != self.n_state_qubits + 1:
-            raise ValueError("a_circuit must act on n_state_qubits + 1 qubits")
-        if not 0 <= self.objective_qubit < self.a_circuit.n_qubits:
+        for op in self.a_ops:
+            if not all(0 <= q < self.n_qubits for q in op.targets + op.controls):
+                raise ValueError("a_ops must act on n_state_qubits + 1 qubits")
+        if not 0 <= self.objective_qubit < self.n_qubits:
             raise ValueError("objective qubit out of range")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_state_qubits + 1
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,12 @@ def single_qubit_problem(a: float) -> EstimationProblem:
     if not 0.0 <= a <= 1.0:
         raise ValueError("a must lie in [0, 1]")
     theta = 2.0 * math.asin(math.sqrt(a))
-    return EstimationProblem(Circuit(1, (ry(theta, 0),)), objective_qubit=0, n_state_qubits=0)
+    return EstimationProblem((ry(theta, 0),), objective_qubit=0, n_state_qubits=0)
 
 
 def prepare(problem: EstimationProblem) -> Statevector:
     """Apply A to the all-zeros register."""
-    return apply_ops(new_zero_state(problem.a_circuit.n_qubits), problem.a_circuit.ops)
+    return apply_ops(new_zero_state(problem.n_qubits), problem.a_ops)
 
 
 def true_amplitude(problem: EstimationProblem) -> float:
@@ -82,18 +87,14 @@ def grover_ops(problem: EstimationProblem) -> tuple:
     with a global sign, so the reflection carries correctly under controls.
     S_0 flips the sign of the all-zeros state of the full A register.
     """
-    n_total = problem.a_circuit.n_qubits
+    n_total = problem.n_qubits
     s_good = phase_gate((problem.objective_qubit,), (math.pi, 0.0))
     zero_phases = [0.0] * (1 << n_total)
     zero_phases[0] = math.pi
     s_zero = phase_gate(tuple(range(n_total)), tuple(zero_phases))
-    a_ops = problem.a_circuit.ops
+    a_ops = problem.a_ops
     a_dag = tuple(inverse_op(op) for op in reversed(a_ops))
     return (s_good,) + a_dag + (s_zero,) + a_ops
-
-
-def grover_operator(problem: EstimationProblem) -> Circuit:
-    return Circuit(problem.a_circuit.n_qubits, grover_ops(problem))
 
 
 def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
@@ -113,7 +114,7 @@ def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n_sv = problem.a_circuit.n_qubits
+    n_sv = problem.n_qubits
     n_total = n_sv + m
     if n_total > ceiling:
         raise CapacityError(

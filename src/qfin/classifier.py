@@ -607,10 +607,39 @@ def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:
         fh.write("\n")
 
 
+_MODEL_KEYS = ("config", "theta", "bias", "scaler_low", "scaler_high")
+_CONFIG_INTS = ("n_qubits", "repetitions", "separator_layers", "latent_qubits")
+_CONFIG_LISTS = ("qrac_features", "continuous_names", "categorical_names", "vocab_sizes")
+
+
+def _finite_vector(values, length: int, name: str) -> np.ndarray:
+    if not (isinstance(values, list) and len(values) == length
+            and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+        raise ValueError(f"model {name} must be a list of {length} finite numbers")
+    return np.array(values, dtype=float)
+
+
 def load_model(path) -> VqcModel:
+    """Read a model written by ``save_model``, checking it where it enters.
+
+    Raises ValueError unless the file holds a JSON object with the saved
+    keys, a well-typed configuration, a finite numeric bias, and finite
+    ``theta`` and scaler vectors of the lengths the configuration implies.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    cfg = payload["config"]
+    cfg = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(cfg, dict):
+        raise ValueError("model file must hold a JSON object with a config object")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    missing += [f"config.{key}" for key in _CONFIG_INTS + _CONFIG_LISTS if key not in cfg]
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(missing)}")
+    if not (all(type(cfg[key]) is int and cfg[key] >= 0 for key in _CONFIG_INTS)
+            and cfg["n_qubits"] >= 1 and all(type(cfg[key]) is list for key in _CONFIG_LISTS)
+            and all(type(v) is str for key in _CONFIG_LISTS[:-1] for v in cfg[key])
+            and all(type(v) is int and v >= 0 for v in cfg["vocab_sizes"])):
+        raise ValueError("model config needs whole-number sizes and lists of names")
     config = ModelConfig(
         n_qubits=cfg["n_qubits"], repetitions=cfg["repetitions"],
         separator_layers=cfg["separator_layers"],
@@ -620,9 +649,16 @@ def load_model(path) -> VqcModel:
         categorical_names=tuple(cfg["categorical_names"]),
         vocab_sizes=tuple(cfg["vocab_sizes"]),
     )
-    return VqcModel(config=config, theta=np.array(payload["theta"]),
-                    bias=payload["bias"], scaler_low=np.array(payload["scaler_low"]),
-                    scaler_high=np.array(payload["scaler_high"]))
+    bias = payload["bias"]
+    if not (type(bias) in (int, float) and math.isfinite(bias)):
+        raise ValueError("model bias must be a finite number")
+    low = _finite_vector(payload["scaler_low"], config.n_map_qubits, "scaler_low")
+    high = _finite_vector(payload["scaler_high"], config.n_map_qubits, "scaler_high")
+    if not np.all(high > low):
+        raise ValueError("model scaler_high must exceed scaler_low")
+    theta = _finite_vector(payload["theta"], separator_parameter_count(config), "theta")
+    return VqcModel(config=config, theta=theta, bias=float(bias),
+                    scaler_low=low, scaler_high=high)
 
 
 # ---------------------------------------------------------------------------

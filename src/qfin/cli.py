@@ -387,7 +387,10 @@ def cmd_ae_calibrate(args, argv) -> int:
 def cmd_replay(args, argv) -> int:
     with open(args.manifest) as fh:
         manifest = json.load(fh)
-    return main(manifest["argv"])
+    argv_list = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv_list, list) and all(isinstance(a, str) for a in argv_list)):
+        raise ValueError("manifest must be a JSON object whose argv is a list of strings")
+    return main(argv_list)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .distributions import discretize_normal, loader_ops
 from .simulator import (
     MAX_QUBITS,
     CapacityError,
-    Circuit,
     GateOp,
     perm_gate,
     ry,
@@ -142,10 +141,6 @@ def uncertainty_ops(portfolio: CreditPortfolio) -> tuple[GateOp, ...]:
     return tuple(ops)
 
 
-def uncertainty_operator(portfolio: CreditPortfolio) -> Circuit:
-    return Circuit(portfolio.n_qubits, uncertainty_ops(portfolio))
-
-
 def weighted_sum_ops(lgds, asset_qubits, sum_qubits) -> tuple[GateOp, ...]:
     """S: add sum(lgd_k * x_k) into the sum register, as one basis permutation."""
     k = len(lgds)
@@ -177,19 +172,14 @@ def comparator_ops(threshold: int, sum_qubits, objective: int) -> tuple[GateOp, 
     return (perm_gate(targets, table),)
 
 
-def comparator_operator(threshold: int, n_s: int) -> Circuit:
-    """Standalone comparator on n_s + 1 qubits (sum register low, objective on top)."""
-    return Circuit(n_s + 1, comparator_ops(threshold, tuple(range(n_s)), n_s))
-
-
-def cdf_operator(portfolio: CreditPortfolio, threshold: int) -> Circuit:
-    """A = C S U for the loss CDF at the given threshold."""
+def cdf_operator(portfolio: CreditPortfolio, threshold: int) -> tuple[GateOp, ...]:
+    """A = C S U for the loss CDF at the given threshold, on ``portfolio.n_qubits``."""
     ops = uncertainty_ops(portfolio)
     lgds = [a.lgd for a in portfolio.assets]
     assets = [portfolio.asset_qubit(k) for k in range(portfolio.n_assets)]
     ops += weighted_sum_ops(lgds, assets, portfolio.sum_register)
     ops += comparator_ops(threshold, portfolio.sum_register, portfolio.objective_qubit)
-    return Circuit(portfolio.n_qubits, ops)
+    return ops
 
 
 def estimation_problem(portfolio: CreditPortfolio, threshold: int) -> EstimationProblem:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .simulator import Circuit, GateOp, ry, x
+from .simulator import GateOp, ry, x
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,3 @@ def loader_ops(dist: DiscretizedDistribution) -> tuple[GateOp, ...]:
             ops.append(ry(angles[prefix], j, controls=lower))
             ops.extend(flips)
     return tuple(ops)
-
-
-def loader_circuit(dist: DiscretizedDistribution) -> Circuit:
-    return Circuit(dist.n_qubits, loader_ops(dist))

@@ -394,55 +394,6 @@ def decode_diversification(bits, q_clusters: int | None = None) -> Diversificati
 # file formats
 
 
-def write_qubo_text(path, qubo: Qubo) -> None:
-    """Serialize: first line n, then `const v`, `i v` linear, `i j v` quadratic (i <= j)."""
-    lines = [str(qubo.n)]
-    if qubo.constant != 0.0:
-        lines.append(f"const {float(qubo.constant)!r}")
-    for i in range(qubo.n):
-        if qubo.linear[i] != 0.0:
-            lines.append(f"{i} {float(qubo.linear[i])!r}")
-    for i in range(qubo.n):
-        for j in range(i, qubo.n):
-            coeff = qubo.quadratic[i, j] if i == j else 2.0 * qubo.quadratic[i, j]
-            if coeff != 0.0:
-                lines.append(f"{i} {j} {float(coeff)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_qubo_text(path) -> Qubo:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not raw:
-        raise ValueError("empty QUBO file")
-    n = int(raw[0])
-    quadratic = np.zeros((n, n))
-    linear = np.zeros(n)
-    constant = 0.0
-    for line_no, line in enumerate(raw[1:], start=2):
-        parts = line.split()
-        try:
-            if parts[0] == "const":
-                constant += float(parts[1])
-            elif len(parts) == 2:
-                linear[int(parts[0])] += float(parts[1])
-            elif len(parts) == 3:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-                if i > j:
-                    raise ValueError("quadratic entries need i <= j")
-                if i == j:
-                    quadratic[i, i] += v
-                else:
-                    quadratic[i, j] += 0.5 * v
-                    quadratic[j, i] += 0.5 * v
-            else:
-                raise ValueError("expected 2 or 3 fields")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad QUBO entry at line {line_no}: {exc}") from exc
-    return Qubo(n=n, quadratic=quadratic, linear=linear, constant=constant)
-
-
 def write_portfolio_instance(path, spec: PortfolioSpec) -> None:
     """Labeled-line format: mu row, n sigma rows, q, budget, optional penalty."""
     lines = ["mu," + ",".join(repr(float(v)) for v in spec.mu)]

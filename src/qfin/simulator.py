@@ -13,7 +13,6 @@ helpers (probabilities, sampling, expectations) take one state.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -99,14 +98,6 @@ def perm_gate(targets, table, controls: tuple[int, ...] = ()) -> GateOp:
     return GateOp("perm", tuple(targets), tuple(controls), table=tuple(int(t) for t in table))
 
 
-def with_control(op: GateOp, control: int) -> GateOp:
-    """Return ``op`` with one more control qubit attached."""
-    if control in op.targets or control in op.controls:
-        raise ValueError("control qubit already used by the gate")
-    return GateOp(op.kind, op.targets, op.controls + (control,),
-                  theta=op.theta, phases=op.phases, table=op.table)
-
-
 def inverse_op(op: GateOp) -> GateOp:
     if op.kind in _ROTATION_KINDS:
         return GateOp(op.kind, op.targets, op.controls, theta=-op.theta)
@@ -137,14 +128,6 @@ class Statevector:
         return 1 << self.n_qubits
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate list on a fixed-width register."""
-
-    n_qubits: int
-    ops: tuple[GateOp, ...] = ()
-
-
 def new_zero_state(n_qubits: int, ceiling: int = MAX_QUBITS) -> Statevector:
     """All-zeros computational basis state ``|0...0>``."""
     if not 1 <= n_qubits <= ceiling:
@@ -171,120 +154,110 @@ def _matrix_1q(kind: str, theta: float = 0.0) -> tuple:
     raise ValueError(f"no 2x2 matrix for kind {kind!r}")
 
 
-def apply_1q_inplace(amps: np.ndarray, q: int, kind: str, theta: float = 0.0) -> None:
-    """Apply an uncontrolled one-qubit gate to qubit ``q`` of ``amps`` in place.
+def _split(dim: int, targets, controls=()):
+    """Split a row index of length ``dim`` at each target and control qubit.
 
-    Works on the strided view that splits the row index at bit ``q``, so it
-    needs no index array; a trailing batch axis rides along. Each amplitude
-    pair sees ``m00*a0 + m01*a1`` and ``m10*a0 + m11*a1`` with the entries of
-    ``_matrix_1q``, the same operations as a gather over the pair's indices.
-    ``amps`` may be real for the real kinds (h, x, ry).
+    The shape has a length-2 axis per listed qubit, highest qubit first, and
+    the blocks of unlisted bits between them, less blocks of length 1 (they
+    slow numpy's loops). Reshaping C-ordered amplitudes to it, plus any batch
+    axis, is a view: no index array is built. Also returns an index list that
+    selects the rows whose controls read 1 (its closing ``...`` keeps the
+    selection a view) and the axis of each target.
     """
-    view = amps.reshape((amps.shape[0] >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
-    a0, a1 = view[:, 0], view[:, 1]
-    m00, m01, m10, m11 = _matrix_1q(kind, theta)
+    shape, axis_of, above = [], {}, dim
+    for q in sorted(targets + controls, reverse=True):
+        if above >> (q + 1) > 1:
+            shape.append(above >> (q + 1))
+        axis_of[q] = len(shape)
+        shape.append(2)
+        above = 1 << q
+    if above > 1:
+        shape.append(above)
+    index = [slice(None)] * len(shape) + [...]
+    for c in controls:
+        index[axis_of[c]] = 1
+    return tuple(shape), index, [axis_of[t] for t in targets]
+
+
+def phase_layout(dim: int, targets, controls=()):
+    """Lay a table over the sub-basis of ``targets`` out on a row index of length ``dim``.
+
+    Returns ``_split``'s shape and control selection, the shape that
+    broadcasts the table over that selection (2 on the target axes, 1 on the
+    blocks), and the order that takes the table from sub-basis order (bit
+    j <-> targets[j]) to the split view's axis order. The ``phase`` kind and
+    the compiled QAOA cost layer both lay their tables out here.
+    """
+    targets, controls = tuple(targets), tuple(controls)
+    shape, select, axes = _split(dim, targets, controls)
+    factor_shape = [2 if axis in axes else 1 for axis in range(len(shape))]
+    if controls:
+        factor_shape = [f for f, s in zip(factor_shape, select) if s != 1]
+    order = np.arange(1 << len(targets))
+    if list(targets) != sorted(targets):  # ascending targets are in axis order already
+        k = len(targets)
+        by_axis = sorted(range(k), key=axes.__getitem__)
+        order = order.reshape((2,) * k).transpose([k - 1 - j for j in by_axis]).ravel()
+    return shape, tuple(select), tuple(factor_shape), order
+
+
+def _rotate(a0: np.ndarray, a1: np.ndarray, matrix: tuple) -> None:
+    """Map each amplitude pair to ``m00*a0 + m01*a1`` and ``m10*a0 + m11*a1`` in place."""
+    m00, m01, m10, m11 = matrix
     new0 = m00 * a0 + m01 * a1
     a1[...] = m10 * a0 + m11 * a1
     a0[...] = new0
 
 
-def _control_mask(controls) -> int:
-    mask = 0
-    for c in controls:
-        mask |= 1 << c
-    return mask
+def apply_1q_inplace(amps: np.ndarray, q: int, kind: str, theta: float = 0.0) -> None:
+    """Apply an uncontrolled one-qubit gate to qubit ``q`` of ``amps`` in place.
 
-
-@lru_cache(maxsize=8192)
-def _pair_indices(n: int, target: int, ctrl_mask: int):
-    """Indices with target bit 0 (controls satisfied), and their bit-1 partners."""
-    idx = np.arange(1 << n, dtype=np.intp)
-    lo = idx[(idx & (1 << target)) == 0]
-    if ctrl_mask:
-        lo = lo[(lo & ctrl_mask) == ctrl_mask]
-    hi = lo | (1 << target)
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
-
-
-@lru_cache(maxsize=8192)
-def _masked_indices(n: int, ctrl_mask: int):
-    idx = np.arange(1 << n, dtype=np.intp)
-    if ctrl_mask:
-        idx = idx[(idx & ctrl_mask) == ctrl_mask]
-    idx.setflags(write=False)
-    return idx
-
-
-def _sub_index(idx: np.ndarray, targets) -> np.ndarray:
-    sub = np.zeros_like(idx)
-    for j, t in enumerate(targets):
-        sub |= ((idx >> t) & 1) << j
-    return sub
-
-
-def _scatter_sub(sub: np.ndarray, targets) -> np.ndarray:
-    out = np.zeros_like(sub)
-    for j, t in enumerate(targets):
-        out |= ((sub >> j) & 1) << t
-    return out
+    This is the one-qubit case of ``_split``'s view, written out because the
+    compiled ansatz calls it in its inner loop; a trailing batch axis rides
+    along. Each amplitude pair goes through ``_rotate`` with the entries of
+    ``_matrix_1q``. ``amps`` may be real for the real kinds (h, x, ry).
+    """
+    view = amps.reshape((amps.shape[0] >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
+    _rotate(view[:, 0], view[:, 1], _matrix_1q(kind, theta))
 
 
 def _apply_inplace(amps: np.ndarray, n: int, op: GateOp) -> None:
     for q in op.targets + op.controls:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n}-qubit state")
-    ctrl = _control_mask(op.controls)
-
-    if op.kind in ("h", "x", "rx", "ry", "rz", "cnot"):
-        if op.kind == "cnot":
-            target = op.targets[1]
-            ctrl |= 1 << op.targets[0]
-        elif not ctrl:
-            apply_1q_inplace(amps, op.targets[0], op.kind, op.theta)
-            return
-        else:
-            target = op.targets[0]
-        mat = _matrix_1q(op.kind, op.theta)
-        lo, hi = _pair_indices(n, target, ctrl)
-        a0 = amps[lo]
-        a1 = amps[hi]
-        amps[lo] = mat[0] * a0 + mat[1] * a1
-        amps[hi] = mat[2] * a0 + mat[3] * a1
-        return
-
-    if op.kind == "swap":
-        t1, t2 = op.targets
-        m1, m2 = 1 << t1, 1 << t2
-        idx = _masked_indices(n, ctrl)
-        sel = idx[((idx & m1) != 0) & ((idx & m2) == 0)]
-        partner = sel ^ m1 ^ m2
-        tmp = amps[sel].copy()
-        amps[sel] = amps[partner]
-        amps[partner] = tmp
-        return
+    batch = amps.shape[1:]
 
     if op.kind == "phase":
-        idx = _masked_indices(n, ctrl)
-        sub = _sub_index(idx, op.targets)
-        factors = np.exp(1j * np.asarray(op.phases))[sub]
-        if amps.ndim > 1:
-            factors = factors[:, None]
-        amps[idx] *= factors
+        shape, select, factor_shape, order = phase_layout(amps.shape[0], op.targets, op.controls)
+        factors = np.exp(1j * np.asarray(op.phases))[order]
+        rows = amps.reshape(shape + batch, copy=False)[select]
+        rows *= factors.reshape(factor_shape + (1,) * len(batch))
         return
 
-    if op.kind == "perm":
-        idx = _masked_indices(n, ctrl)
-        sub = _sub_index(idx, op.targets)
-        new_sub = np.asarray(op.table, dtype=np.intp)[sub]
-        tmask = _control_mask(op.targets)
-        dest = (idx & ~tmask) | _scatter_sub(new_sub, op.targets)
-        snapshot = amps[idx].copy()
-        amps[dest] = snapshot
+    if op.kind in ("swap", "perm"):
+        # gather along the target axes: sub-basis s moves to table[s]
+        table = np.asarray((0, 2, 1, 3) if op.kind == "swap" else op.table)
+        shape, frm, axes = _split(amps.shape[0], op.targets, op.controls)
+        view = amps.reshape(shape + batch, copy=False)
+        to = list(frm)
+        src = np.arange(table.size)
+        for j, axis in enumerate(axes):
+            frm[axis] = (src >> j) & 1
+            to[axis] = (table >> j) & 1
+        view[tuple(to)] = view[tuple(frm)]
         return
 
-    raise ValueError(f"unhandled gate kind {op.kind!r}")
+    # the 2x2 kinds; CNOT's first target acts as one more control
+    target, controls = op.targets[-1], op.targets[:-1] + op.controls
+    if not controls:
+        apply_1q_inplace(amps, target, op.kind, op.theta)
+        return
+    shape, pair, (axis,) = _split(amps.shape[0], (target,), controls)
+    view = amps.reshape(shape + batch, copy=False)
+    pair[axis] = 0
+    a0 = view[tuple(pair)]
+    pair[axis] = 1
+    _rotate(a0, view[tuple(pair)], _matrix_1q(op.kind, op.theta))
 
 
 def apply(state: Statevector, op: GateOp) -> Statevector:
@@ -300,48 +273,6 @@ def apply_ops(state: Statevector, ops) -> Statevector:
     for op in ops:
         _apply_inplace(amps, state.n_qubits, op)
     return Statevector(state.n_qubits, amps)
-
-
-def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
-    if circuit.n_qubits > state.n_qubits:
-        raise ValueError("circuit is wider than the state")
-    return apply_ops(state, circuit.ops)
-
-
-def inverse_circuit(circuit: Circuit) -> Circuit:
-    """Reverse the op order and conjugate each gate's parameters."""
-    return Circuit(circuit.n_qubits, tuple(inverse_op(op) for op in reversed(circuit.ops)))
-
-
-def controlled_ops(ops, control: int) -> tuple[GateOp, ...]:
-    """Attach ``control`` to every gate, controlling the whole sequence."""
-    return tuple(with_control(op, control) for op in ops)
-
-
-def qft_ops(register) -> tuple[GateOp, ...]:
-    """Fourier transform F_M on a register listed LSB first (register[i] weighs 2^i)."""
-    reg = tuple(register)
-    if len(set(reg)) != len(reg):
-        raise ValueError("duplicate qubit indices in register")
-    ops = []
-    m = len(reg)
-    for j in reversed(range(m)):
-        ops.append(h(reg[j]))
-        for i in reversed(range(j)):
-            angle = math.pi / (1 << (j - i))
-            ops.append(phase_gate((reg[i],), (0.0, angle), controls=(reg[j],)))
-    for i in range(m // 2):
-        ops.append(swap(reg[i], reg[m - 1 - i]))
-    return tuple(ops)
-
-
-def inverse_qft_ops(register) -> tuple[GateOp, ...]:
-    return tuple(inverse_op(op) for op in reversed(qft_ops(register)))
-
-
-def inverse_qft(state: Statevector, register) -> Statevector:
-    """Apply F_M^dagger (|k> -> M^{-1/2} sum_y e^{-2 pi i yk/M} |y>) to the register."""
-    return apply_ops(state, inverse_qft_ops(register))
 
 
 def basis_probabilities(state: Statevector) -> np.ndarray:
@@ -361,7 +292,10 @@ def register_distribution(state: Statevector, register) -> np.ndarray:
     """Marginal distribution over the sub-basis of ``register`` (LSB first)."""
     reg = tuple(register)
     probs = basis_probabilities(state)
-    sub = _sub_index(np.arange(state.dim, dtype=np.intp), reg)
+    idx = np.arange(state.dim, dtype=np.intp)
+    sub = np.zeros_like(idx)
+    for j, q in enumerate(reg):
+        sub |= ((idx >> q) & 1) << j
     return np.bincount(sub, weights=probs, minlength=1 << len(reg))
 
 

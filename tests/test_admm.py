@@ -417,3 +417,47 @@ def test_held_enumeration_matches_with_equality_rows():
     result = admm.run(problem, config)
     assert len(result.trace) > 1
     assert_same_trace(result, reference_run(problem, config))
+
+
+MBO_ARRAYS = ("q_quadratic", "q_linear", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs",
+              "phi_quadratic", "phi_linear", "joint_x", "joint_u", "joint_rhs", "a0", "a1")
+
+
+def _mbo_fields():
+    """Fields of a problem with one entry in every array, so each can be spoiled."""
+    return dict(
+        q_quadratic=np.eye(2), q_linear=np.ones(2),
+        eq_matrix=np.ones((1, 2)), eq_rhs=np.ones(1),
+        ineq_matrix=np.ones((1, 2)), ineq_rhs=np.ones(1),
+        phi_quadratic=np.eye(1), phi_linear=np.ones(1),
+        u_lower=np.zeros(1), u_upper=np.ones(1),
+        joint_x=np.ones((1, 2)), joint_u=np.ones((1, 1)), joint_rhs=np.ones(1),
+        a0=np.ones((1, 2)), a1=-np.eye(1))
+
+
+@pytest.mark.parametrize("name", MBO_ARRAYS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_mbo_problem_rejects_non_finite_entries(name, bad):
+    fields = _mbo_fields()
+    admm.MboProblem(**fields)
+    spoiled = fields[name].copy()
+    spoiled.flat[-1] = bad
+    fields[name] = spoiled
+    with pytest.raises(ValueError, match=name):
+        admm.MboProblem(**fields)
+
+
+@pytest.mark.parametrize("lower,upper", [
+    (float("nan"), 1.0), (0.0, float("nan")), (float("inf"), float("inf")),
+    (-float("inf"), -float("inf"))])
+def test_mbo_problem_rejects_bad_box_bounds(lower, upper):
+    fields = _mbo_fields()
+    fields.update(u_lower=np.array([lower]), u_upper=np.array([upper]))
+    with pytest.raises(ValueError, match="u_lower"):
+        admm.MboProblem(**fields)
+
+
+def test_mbo_problem_accepts_an_unbounded_box():
+    fields = _mbo_fields()
+    fields.update(u_lower=np.array([-np.inf]), u_upper=np.array([np.inf]))
+    admm.MboProblem(**fields)

@@ -6,12 +6,13 @@ import pytest
 from qfin import amplitude_estimation as ae
 from qfin import credit_risk as cr
 from qfin import simulator as sv
+from qpe_oracle import controlled_ops, inverse_qft_ops
 
 
 def test_true_amplitude_identity_and_x():
-    identity = ae.EstimationProblem(sv.Circuit(1), objective_qubit=0, n_state_qubits=0)
+    identity = ae.EstimationProblem((), objective_qubit=0, n_state_qubits=0)
     assert ae.true_amplitude(identity) == pytest.approx(0.0)
-    flip = ae.EstimationProblem(sv.Circuit(1, (sv.x(0),)), 0, 0)
+    flip = ae.EstimationProblem((sv.x(0),), 0, 0)
     assert ae.true_amplitude(flip) == pytest.approx(1.0)
 
 
@@ -41,11 +42,10 @@ def test_grover_half_amplitude_single_step():
 
 
 def test_grover_matches_dense_matrix_definition():
-    """Circuit Q against the textbook reflections built as dense matrices."""
+    """Gate-level Q against the textbook reflections built as dense matrices."""
     rng = np.random.default_rng(5)
     ops = (sv.ry(1.234, 0), sv.ry(0.777, 1), sv.cnot(0, 1), sv.ry(0.4, 1, controls=(0,)))
-    circuit = sv.Circuit(2, ops)
-    problem = ae.EstimationProblem(circuit, objective_qubit=1, n_state_qubits=1)
+    problem = ae.EstimationProblem(ops, objective_qubit=1, n_state_qubits=1)
 
     dim = 4
     a_mat = np.zeros((dim, dim), dtype=complex)
@@ -159,7 +159,7 @@ def _qpe_distribution(phi: float, t: int) -> np.ndarray:
     for j, cq in enumerate(counting):
         ops.append(sv.phase_gate((0,), (0.0, 2 * math.pi * phi * (1 << j)),
                                  controls=(cq,)))
-    ops += list(sv.inverse_qft_ops(counting))
+    ops += list(inverse_qft_ops(counting))
     state = sv.apply_ops(sv.new_zero_state(1 + t), ops)
     return sv.register_distribution(state, counting)
 
@@ -185,9 +185,12 @@ def test_qpe_failure_matches_exact_simulation(s, p):
 
 def test_estimation_problem_validation():
     with pytest.raises(ValueError):
-        ae.EstimationProblem(sv.Circuit(2), objective_qubit=0, n_state_qubits=0)
+        ae.EstimationProblem((sv.x(1),), objective_qubit=0, n_state_qubits=0)
     with pytest.raises(ValueError):
-        ae.EstimationProblem(sv.Circuit(1), objective_qubit=3, n_state_qubits=0)
+        ae.EstimationProblem((sv.ry(0.3, 0, controls=(2,)),), objective_qubit=0,
+                             n_state_qubits=1)
+    with pytest.raises(ValueError):
+        ae.EstimationProblem((), objective_qubit=3, n_state_qubits=0)
 
 
 def _qpe_circuit_distribution(problem: ae.EstimationProblem, m: int) -> np.ndarray:
@@ -197,16 +200,16 @@ def _qpe_circuit_distribution(problem: ae.EstimationProblem, m: int) -> np.ndarr
     built by literal repetition of controlled Q, and an inverse QFT reads
     the phase out.
     """
-    n_sv = problem.a_circuit.n_qubits
+    n_sv = problem.n_qubits
     counting = tuple(range(n_sv, n_sv + m))
-    ops = list(problem.a_circuit.ops)
+    ops = list(problem.a_ops)
     ops.extend(sv.h(q) for q in counting)
     q_ops = ae.grover_ops(problem)
     for j, cq in enumerate(counting):
-        ctrl_q = sv.controlled_ops(q_ops, cq)
+        ctrl_q = controlled_ops(q_ops, cq)
         for _ in range(1 << j):
             ops.extend(ctrl_q)
-    ops.extend(sv.inverse_qft_ops(counting))
+    ops.extend(inverse_qft_ops(counting))
     state = sv.apply_ops(sv.new_zero_state(n_sv + m), ops)
     return sv.register_distribution(state, counting)
 
@@ -268,7 +271,7 @@ def test_run_ae_clamps_amplitude_rounded_above_one():
     # the objective always reads 1, but the marginal over these rotations sums
     # to 1 + 4e-16, whose square root exceeds 1 and is outside asin's domain
     ops = (sv.ry(4.862, 0), sv.ry(9.724, 1), sv.x(2))
-    problem = ae.EstimationProblem(sv.Circuit(3, ops), objective_qubit=2, n_state_qubits=2)
+    problem = ae.EstimationProblem(ops, objective_qubit=2, n_state_qubits=2)
     assert math.sqrt(ae.true_amplitude(problem)) > 1.0
     result = ae.run_ae(problem, 3)
     assert (result.y_mode, result.a_estimate) == (4, 1.0)

@@ -298,6 +298,68 @@ def test_ml_eval_schema_mismatch_exit(tmp_path):
     assert code == 3
 
 
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """A saved model and a dataset it can score."""
+    root = tmp_path_factory.mktemp("model")
+    assert main(["ml", "synth", "--n", "12", "--mode", "separable", "--seed", "2",
+                 "--out-dir", str(root / "synth")]) == 0
+    assert main(["ml", "train", "--data", str(root / "synth" / "dataset.csv"),
+                 "--iterations", "3", "--out-dir", str(root / "train")]) == 0
+    return read_json(root / "train" / "model.json"), str(root / "synth" / "dataset.csv")
+
+
+def _spoil(model, key, value):
+    model = json.loads(json.dumps(model))
+    if value is KeyError:
+        del model[key]
+    elif value is IndexError:
+        model[key] = model[key][:-1]
+    elif key == "config.n_qubits":
+        model["config"]["n_qubits"] = value
+    elif key in ("theta", "scaler_low", "scaler_high"):
+        model[key][-1] = value
+    else:
+        model[key] = value
+    return model
+
+
+@pytest.mark.parametrize("spoil", [
+    "list", ("bias", "x"), ("bias", float("nan")), ("bias", float("inf")), ("bias", True),
+    ("theta", float("nan")), ("theta", "x"), ("scaler_low", float("inf")),
+    ("scaler_high", -float("inf")), ("scaler_high", -1e9), ("config.n_qubits", "5"),
+    ("config.n_qubits", 0), ("theta", KeyError), ("config", []), ("theta", IndexError),
+    ("scaler_low", IndexError), ("scaler_high", IndexError)])
+def test_ml_eval_rejects_a_bad_model_file(tmp_path, capsys, trained_model, spoil):
+    model, data = trained_model
+    model = [1] if spoil == "list" else _spoil(model, *spoil)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["ml", "eval", "--model", str(path), "--data", data,
+                 "--out-dir", str(out)]) == 3
+    _assert_one_line_error(capsys, "validation error:")
+    assert not (out / "eval.json").exists()
+
+
+def test_ml_eval_accepts_the_saved_model_unchanged(tmp_path, trained_model):
+    model, data = trained_model
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["ml", "eval", "--model", str(path), "--data", data,
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+
+
+@pytest.mark.parametrize("manifest", ["[1]", "{}", '{"argv": "risk"}', '{"argv": [1]}',
+                                      '{"argv": null}'])
+def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    assert main(["replay", str(path)]) == 3
+    _assert_one_line_error(capsys, "validation error:")
+
+
 def test_ae_calibrate_outputs(tmp_path):
     out = tmp_path / "run"
     code = main(["ae", "calibrate", "--m", "4", "--grid", "0.1",

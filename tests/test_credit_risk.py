@@ -48,15 +48,14 @@ def test_register_sizing_demo():
 
 def test_uncertainty_zero_rho_single_asset():
     portfolio = cr.CreditPortfolio(assets=(cr.Asset(1, 0.3, 0.0),), n_z=1)
-    state = sv.apply_circuit(sv.new_zero_state(portfolio.n_qubits),
-                             cr.uncertainty_operator(portfolio))
+    state = sv.apply_ops(sv.new_zero_state(portfolio.n_qubits),
+                         cr.uncertainty_ops(portfolio))
     assert sv.probability_of_one(state, portfolio.asset_qubit(0)) == pytest.approx(
         0.3, abs=1e-9)
 
 
 def test_uncertainty_marginals_match_linearized_oracle():
-    state = sv.apply_circuit(sv.new_zero_state(DEMO.n_qubits),
-                             cr.uncertainty_operator(DEMO))
+    state = sv.apply_ops(sv.new_zero_state(DEMO.n_qubits), cr.uncertainty_ops(DEMO))
     latent = cr.latent_distribution(DEMO)
     fits = cr.linear_angle_fit(DEMO)
     for k in range(DEMO.n_assets):
@@ -97,11 +96,11 @@ def test_weighted_sum_is_basis_permutation():
 def test_comparator_truth_tables():
     n_s = 3
     for threshold in (-1, 0, 5, 7, 9):
-        circuit = cr.comparator_operator(threshold, n_s)
+        ops = cr.comparator_ops(threshold, tuple(range(n_s)), n_s)
         for value in range(8):
             amps = np.zeros(16, dtype=complex)
             amps[value] = 1.0
-            out = sv.apply_circuit(sv.Statevector(4, amps), circuit)
+            out = sv.apply_ops(sv.Statevector(4, amps), ops)
             landed = int(np.argmax(np.abs(out.amplitudes)))
             flag = landed >> n_s
             assert landed & 7 == value

@@ -41,20 +41,20 @@ def test_distribution_validation():
 
 def test_loader_uniform_equals_equal_superposition():
     d = dist.DiscretizedDistribution(2, np.full(4, 0.25), 1.0, 0.0)
-    state = sv.apply_circuit(sv.new_zero_state(2), dist.loader_circuit(d))
+    state = sv.apply_ops(sv.new_zero_state(2), dist.loader_ops(d))
     assert np.allclose(np.abs(state.amplitudes) ** 2, 0.25, atol=1e-12)
 
 
 def test_loader_point_mass():
     d = dist.DiscretizedDistribution(2, np.array([0.0, 0.0, 0.0, 1.0]), 1.0, 0.0)
-    state = sv.apply_circuit(sv.new_zero_state(2), dist.loader_circuit(d))
+    state = sv.apply_ops(sv.new_zero_state(2), dist.loader_ops(d))
     probs = np.abs(state.amplitudes) ** 2
     assert probs[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_loader_truncated_normal_readback():
     d = dist.discretize_normal(0.0, 1.0, 2, -2.0, 2.0)
-    state = sv.apply_circuit(sv.new_zero_state(2), dist.loader_circuit(d))
+    state = sv.apply_ops(sv.new_zero_state(2), dist.loader_ops(d))
     assert np.max(np.abs(np.abs(state.amplitudes) ** 2 - d.probabilities)) < 1e-9
 
 
@@ -64,7 +64,7 @@ def test_loader_readback_random_distributions(n, seed):
     p = rng.random(1 << n)
     p /= p.sum()
     d = dist.DiscretizedDistribution(n, p, 1.0, 0.0)
-    state = sv.apply_circuit(sv.new_zero_state(n), dist.loader_circuit(d))
+    state = sv.apply_ops(sv.new_zero_state(n), dist.loader_ops(d))
     assert np.max(np.abs(np.abs(state.amplitudes) ** 2 - p)) < 1e-9
     assert np.max(np.abs(state.amplitudes.imag)) < 1e-12
     assert np.min(state.amplitudes.real) > -1e-12
@@ -73,5 +73,5 @@ def test_loader_readback_random_distributions(n, seed):
 def test_loader_handles_zero_mass_branches():
     p = np.array([0.5, 0.0, 0.5, 0.0])
     d = dist.DiscretizedDistribution(2, p, 1.0, 0.0)
-    state = sv.apply_circuit(sv.new_zero_state(2), dist.loader_circuit(d))
+    state = sv.apply_ops(sv.new_zero_state(2), dist.loader_ops(d))
     assert np.max(np.abs(np.abs(state.amplitudes) ** 2 - p)) < 1e-12

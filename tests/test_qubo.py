@@ -277,21 +277,6 @@ def test_diversification_brute_force_feasible_with_large_penalty():
     assert set(decode.assignment) == {0, 1, 2}
 
 
-def test_qubo_text_roundtrip(tmp_path):
-    qubo = random_qubo(5, 42)
-    path = tmp_path / "instance.qubo"
-    qb.write_qubo_text(path, qubo)
-    loaded = qb.read_qubo_text(path)
-    assert np.allclose(qb.all_energies(loaded), qb.all_energies(qubo), atol=1e-12)
-
-
-def test_qubo_text_rejects_bad_entries(tmp_path):
-    path = tmp_path / "bad.qubo"
-    path.write_text("2\n1 0 3.0\n")
-    with pytest.raises(ValueError, match="line 2"):
-        qb.read_qubo_text(path)
-
-
 def test_portfolio_instance_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     w = rng.normal(size=(4, 4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfin import simulator as sv
+from qpe_oracle import controlled_ops, inverse_qft
 
 
 def dense_unitary(op, n):
@@ -120,20 +121,19 @@ def test_circuit_inverse_roundtrip_random():
     ops = []
     for _ in range(30):
         ops.extend(_random_ops(n, rng))
-    circuit = sv.Circuit(n, tuple(ops[:40]))
+    ops = ops[:40]
     state = random_state(n, 123)
-    forward = sv.apply_circuit(state, circuit)
-    back = sv.apply_circuit(forward, sv.inverse_circuit(circuit))
+    forward = sv.apply_ops(state, ops)
+    back = sv.apply_ops(forward, [sv.inverse_op(op) for op in reversed(ops)])
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-9
 
 
 def test_empty_circuit_and_double_h():
     state = random_state(3, 7)
-    assert np.allclose(sv.apply_circuit(state, sv.Circuit(3)).amplitudes,
-                       state.amplitudes)
-    double_h = sv.Circuit(1, (sv.h(0), sv.h(0)))
+    assert np.allclose(sv.apply_ops(state, ()).amplitudes, state.amplitudes)
+    double_h = (sv.h(0), sv.h(0))
     one = random_state(1, 8)
-    assert np.max(np.abs(sv.apply_circuit(one, double_h).amplitudes
+    assert np.max(np.abs(sv.apply_ops(one, double_h).amplitudes
                          - one.amplitudes)) < 1e-12
 
 
@@ -141,7 +141,7 @@ def test_inverse_qft_single_qubit_is_hadamard():
     for basis in (0, 1):
         amps = np.zeros(2, dtype=complex)
         amps[basis] = 1.0
-        via_qft = sv.inverse_qft(sv.Statevector(1, amps.copy()), [0])
+        via_qft = inverse_qft(sv.Statevector(1, amps.copy()), [0])
         via_h = sv.apply(sv.Statevector(1, amps.copy()), sv.h(0))
         assert np.allclose(via_qft.amplitudes, via_h.amplitudes, atol=1e-12)
 
@@ -151,13 +151,13 @@ def test_inverse_qft_collapses_uniform_superposition():
     state = sv.new_zero_state(n)
     for q in range(n):
         state = sv.apply(state, sv.h(q))
-    out = sv.inverse_qft(state, list(range(n)))
+    out = inverse_qft(state, list(range(n)))
     assert abs(abs(out.amplitudes[0]) - 1.0) < 1e-10
 
 
 def test_inverse_qft_extracts_fourier_phase():
     amps = np.exp(2j * np.pi * 3 * np.arange(8) / 8) / math.sqrt(8)
-    out = sv.inverse_qft(sv.Statevector(3, amps), [0, 1, 2])
+    out = inverse_qft(sv.Statevector(3, amps), [0, 1, 2])
     probs = np.abs(out.amplitudes) ** 2
     assert probs[3] > 1.0 - 1e-9
 
@@ -168,14 +168,14 @@ def test_inverse_qft_matches_dense_matrix_oracle(m):
     y, k = np.meshgrid(np.arange(big_m), np.arange(big_m), indexing="ij")
     dense = np.exp(-2j * np.pi * y * k / big_m) / math.sqrt(big_m)
     state = random_state(m, m + 11)
-    got = sv.inverse_qft(state, list(range(m))).amplitudes
+    got = inverse_qft(state, list(range(m))).amplitudes
     want = dense @ state.amplitudes
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_inverse_qft_rejects_duplicates():
     with pytest.raises(ValueError):
-        sv.inverse_qft(sv.new_zero_state(2), [0, 0])
+        inverse_qft(sv.new_zero_state(2), [0, 0])
 
 
 def test_probabilities_sum_to_one():
@@ -266,7 +266,7 @@ def test_expectation_rejects_out_of_range_support():
 def test_controlled_ops_control_whole_sequence():
     # a controlled X-sandwiched rotation behaves as the controlled version of the block
     inner = [sv.x(0), sv.ry(1.1, 1, controls=(0,)), sv.x(0)]
-    controlled = sv.controlled_ops(inner, 2)
+    controlled = controlled_ops(inner, 2)
     base = random_state(3, 41)
     # control = 0 on |ctrl=0> subspace: build state with qubit 2 = 0
     amps = base.amplitudes.copy()
@@ -413,3 +413,151 @@ def test_strided_kernel_on_real_amplitudes_gives_the_complex_probabilities():
         cplx = _fancy_index_1q(cplx, n, op)
         assert np.array_equal(real, cplx.real)
         assert np.array_equal(np.abs(real) ** 2, np.abs(cplx) ** 2)
+
+
+# The index-array gather path the split-view kernel replaced, kept as its
+# oracle: every gate gathers the rows it touches through an index array.
+
+
+def _pair_indices(n, target, ctrl_mask):
+    idx = np.arange(1 << n, dtype=np.intp)
+    lo = idx[(idx & (1 << target)) == 0]
+    if ctrl_mask:
+        lo = lo[(lo & ctrl_mask) == ctrl_mask]
+    return lo, lo | (1 << target)
+
+
+def _masked_indices(n, ctrl_mask):
+    idx = np.arange(1 << n, dtype=np.intp)
+    return idx[(idx & ctrl_mask) == ctrl_mask] if ctrl_mask else idx
+
+
+def _sub_index(idx, targets):
+    sub = np.zeros_like(idx)
+    for j, t in enumerate(targets):
+        sub |= ((idx >> t) & 1) << j
+    return sub
+
+
+def _scatter_sub(sub, targets):
+    out = np.zeros_like(sub)
+    for j, t in enumerate(targets):
+        out |= ((sub >> j) & 1) << t
+    return out
+
+
+def _mask(qubits):
+    return sum(1 << q for q in qubits)
+
+
+def _gather_apply(amps, n, op):
+    """One gate by index gathers, on a copy of ``amps``."""
+    amps = amps.copy()
+    ctrl = _mask(op.controls)
+    if op.kind in ("h", "x", "rx", "ry", "rz", "cnot"):
+        target = op.targets[-1]
+        if op.kind == "cnot":
+            ctrl |= 1 << op.targets[0]
+        mat = sv._matrix_1q(op.kind, op.theta)
+        lo, hi = _pair_indices(n, target, ctrl)
+        a0, a1 = amps[lo], amps[hi]
+        amps[lo] = mat[0] * a0 + mat[1] * a1
+        amps[hi] = mat[2] * a0 + mat[3] * a1
+    elif op.kind == "swap":
+        m1, m2 = 1 << op.targets[0], 1 << op.targets[1]
+        idx = _masked_indices(n, ctrl)
+        sel = idx[((idx & m1) != 0) & ((idx & m2) == 0)]
+        partner = sel ^ m1 ^ m2
+        tmp = amps[sel].copy()
+        amps[sel] = amps[partner]
+        amps[partner] = tmp
+    elif op.kind == "phase":
+        idx = _masked_indices(n, ctrl)
+        factors = np.exp(1j * np.asarray(op.phases))[_sub_index(idx, op.targets)]
+        if amps.ndim > 1:
+            factors = factors[:, None]
+        amps[idx] *= factors
+    else:
+        idx = _masked_indices(n, ctrl)
+        new_sub = np.asarray(op.table, dtype=np.intp)[_sub_index(idx, op.targets)]
+        dest = (idx & ~_mask(op.targets)) | _scatter_sub(new_sub, op.targets)
+        amps[dest] = amps[idx].copy()
+    return amps
+
+
+def _random_gate(kind, n, n_controls, rng):
+    width = {"cnot": 2, "swap": 2, "phase": None, "perm": None}.get(kind, 1)
+    if width is None:
+        width = int(rng.integers(0, min(n - n_controls, 3) + 1))
+    qubits = [int(q) for q in rng.permutation(n)[:width + n_controls]]
+    targets, controls = tuple(qubits[:width]), tuple(qubits[width:])
+    theta = float(rng.uniform(-1e3, 1e3) if rng.random() < 0.3 else rng.uniform(-4, 4))
+    phases = tuple(-0.0 if rng.random() < 0.2 else float(p)
+                   for p in rng.uniform(-7, 7, size=1 << width))
+    return sv.GateOp(kind, targets, controls,
+                     theta=theta if kind in ("rx", "ry", "rz") else 0.0,
+                     phases=phases if kind == "phase" else (),
+                     table=tuple(int(v) for v in rng.permutation(1 << width))
+                     if kind == "perm" else ())
+
+
+def _signed_zero_amplitudes(shape, rng):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps[rng.random(shape) < 0.2] = complex(-0.0, 0.0)
+    amps[rng.random(shape) < 0.1] = complex(0.0, -0.0)
+    amps[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    return amps
+
+
+@pytest.mark.parametrize("kind", sorted(sv.GATE_KINDS))
+@pytest.mark.parametrize("n_controls", range(4))
+def test_split_view_kernel_matches_gather_oracle_bitwise(kind, n_controls):
+    rng = np.random.default_rng([sorted(sv.GATE_KINDS).index(kind), n_controls])
+    for n in range(n_controls + 2, 9):
+        for batch in ((), (1,), (3,)):
+            for _ in range(6):
+                op = _random_gate(kind, n, n_controls, rng)
+                amps = _signed_zero_amplitudes((1 << n,) + batch, rng)
+                got = sv.apply(sv.Statevector(n, amps), op).amplitudes
+                assert _same_bits(got, _gather_apply(amps, n, op)), (op, batch)
+
+
+def test_split_view_kernel_matches_gather_oracle_at_twelve_qubits():
+    rng = np.random.default_rng(12)
+    n = 12
+    amps = _signed_zero_amplitudes(1 << n, rng)
+    for kind in sorted(sv.GATE_KINDS):
+        for n_controls in range(4):
+            op = _random_gate(kind, n, n_controls, rng)
+            got = sv.apply(sv.Statevector(n, amps), op).amplitudes
+            assert _same_bits(got, _gather_apply(amps, n, op)), op
+
+
+def test_phase_layout_orders_a_table_by_view_axis():
+    # the view's axes run highest qubit first: qubit 2, the block of qubit 1, qubit 0
+    shape, select, factor_shape, order = sv.phase_layout(8, (0, 2))
+    assert shape == (2, 2, 2) and factor_shape == (2, 1, 2)
+    assert select == (slice(None),) * 3 + (...,)
+    assert order.tolist() == [0, 1, 2, 3]
+    # table bit 0 is qubit 2 here, so the middle two entries trade places
+    assert sv.phase_layout(8, (2, 0))[3].tolist() == [0, 2, 1, 3]
+    # qubit 3's control axis is selected at 1 and drops out of the factor shape
+    shape, select, factor_shape, order = sv.phase_layout(16, (1,), controls=(3,))
+    assert shape == (2, 2, 2, 2) and select[0] == 1 and factor_shape == (1, 2, 1)
+    assert order.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n,depth", [(3, 2), (6, 3)])
+def test_compiled_qaoa_matches_gather_oracle(n, depth):
+    from qfin import variational as vq
+
+    rng = np.random.default_rng(n)
+    terms = [((), 0.4), ((2, 0), 0.7), ((n - 1, 0, 1), -1.3)]
+    terms += [((int(q),), float(rng.normal())) for q in rng.permutation(n)[:3]]
+    ansatz = vq.qaoa_ansatz(n, depth, sv.IsingObservable(terms=tuple(terms)))
+    params = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
+    amps = sv.new_zero_state(n).amplitudes
+    for op in vq.ansatz_ops(ansatz, params):
+        amps = _gather_apply(amps, n, op)
+    compiled = vq.compile_ansatz(ansatz)(params)
+    assert np.array_equal(np.abs(compiled) ** 2, np.abs(amps) ** 2)
