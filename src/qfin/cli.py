@@ -6,7 +6,8 @@ and amplitude-estimation calibration (``ae calibrate``). Every run writes a
 manifest (arguments, seed, input digests, version) next to deterministic
 result files, so rerunning the same manifest reproduces them byte for byte.
 
-Exit codes: 0 success, 2 usage, 3 validation, 4 capacity, 5 solver failure.
+Exit codes: 0 success, 1 internal error, 2 usage, 3 validation, 4 capacity,
+5 solver failure.
 """
 
 import argparse
@@ -32,6 +33,7 @@ from .optimizers import OptimizerConfig
 from .simulator import CapacityError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CAPACITY = 4
@@ -390,6 +392,8 @@ def cmd_replay(args, argv) -> int:
     argv_list = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv_list, list) and all(isinstance(a, str) for a in argv_list)):
         raise ValueError("manifest must be a JSON object whose argv is a list of strings")
+    if argv_list[:1] == ["replay"]:
+        raise ValueError("manifest argv must not be another replay")
     return main(argv_list)
 
 
@@ -525,9 +529,17 @@ def main(argv=None) -> int:
     except (SolverFailure, admm.InfeasibleContinuousBlock) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical fault rather than bad input
+        print(f"internal error: LinAlgError: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        # a fault of the program, not of its input: still one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .amplitude_estimation import EstimationProblem, run_ae
 from .distributions import discretize_normal, loader_ops
@@ -99,8 +98,12 @@ def default_probability(asset: Asset, z: float) -> float:
     """Gaussian conditional independence model: Phi((Phi^-1(p0) - sqrt(rho) z)/sqrt(1-rho))."""
     if asset.rho == 0.0:
         return asset.p0
-    shifted = (norm.ppf(asset.p0) - math.sqrt(asset.rho) * z) / math.sqrt(1.0 - asset.rho)
-    return float(norm.cdf(shifted))
+    # ndtr and ndtri are the kernels of scipy.stats.norm.cdf and norm.ppf; importing
+    # them here keeps scipy off the import path of every other command
+    from scipy.special import ndtr, ndtri
+
+    shifted = (ndtri(asset.p0) - math.sqrt(asset.rho) * z) / math.sqrt(1.0 - asset.rho)
+    return float(ndtr(shifted))
 
 
 def latent_distribution(portfolio: CreditPortfolio):

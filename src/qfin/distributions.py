@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .simulator import GateOp, ry, x
 
@@ -41,7 +40,8 @@ def discretize_normal(mean: float, stddev: float, n_qubits: int,
         raise ValueError("low must be less than high")
     n_points = 1 << n_qubits
     grid = np.linspace(low, high, n_points)
-    weights = norm.pdf(grid, loc=mean, scale=stddev)
+    z = (grid - mean) / stddev
+    weights = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / stddev  # scipy's norm.pdf, bit for bit
     probs = weights / weights.sum()
     slope = (high - low) / (n_points - 1) if n_points > 1 else 0.0
     return DiscretizedDistribution(n_qubits, probs, slope=slope, intercept=low)

@@ -1,14 +1,15 @@
 """Derivative-free minimizers for the variational loops.
 
 SPSA uses the standard decaying gain schedules with Bernoulli perturbations;
-Nelder-Mead is delegated to scipy behind the same configuration surface.
-Both are seed-deterministic and report a best-so-far trace per iteration.
+Nelder-Mead is a numpy port of scipy's fixed-coefficient simplex method that
+evaluates the same points in the same order. Both are seed-deterministic and
+report a best-so-far trace per iteration, the number of objective calls and
+why they stopped.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 METHODS = ("spsa", "nelder-mead")
 
@@ -41,6 +42,8 @@ class OptimizeOutcome:
     x: np.ndarray
     value: float
     trace: list[float]
+    evaluations: int
+    stop_reason: str  # "tolerance" or "maxiter"
 
 
 def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator) -> OptimizeOutcome:
@@ -60,29 +63,88 @@ def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator)
             best_f = f_x
             best_x = x.copy()
         trace.append(best_f)
-    return OptimizeOutcome(x=best_x, value=best_f, trace=trace)
+    return OptimizeOutcome(x=best_x, value=best_f, trace=trace,
+                           evaluations=1 + 3 * config.iterations, stop_reason="maxiter")
 
 
 def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome:
-    x0 = np.asarray(x0, dtype=float)
-    simplex = np.vstack([x0] + [x0 + config.simplex_step * np.eye(x0.size)[i]
-                                for i in range(x0.size)])
-    best = {"f": fn(x0), "x": x0.copy()}
-    trace = [best["f"]]
+    """Nelder-Mead with rho=1, chi=2, psi=1/2, sigma=1/2 from an axis-step simplex.
 
-    def wrapped(params):
+    The operations, their order and the tie-breaking sorts are those of
+    scipy.optimize.minimize(method="Nelder-Mead") 1.17 with ``initial_simplex``,
+    ``maxiter=config.iterations``, ``xatol=1e-10`` and ``fatol=1e-12``, so the
+    objective sees the same points bit for bit, each as a copy of the simplex
+    row. x0 is evaluated once before the simplex: objectives that draw from an
+    RNG on every call depend on that call sequence.
+    """
+    n = x0.size
+    sim = np.vstack([x0] + [x0 + config.simplex_step * np.eye(n)[i] for i in range(n)])
+    best_f = fn(x0)
+    best_x = x0.copy()
+    evaluations = 1
+    trace = [best_f]
+
+    def evaluate(point):
+        nonlocal best_f, best_x, evaluations
+        evaluations += 1
+        params = np.copy(point)
         value = fn(params)
-        if value < best["f"]:
-            best["f"] = value
-            best["x"] = np.array(params, dtype=float)
+        if value < best_f:
+            best_f = value
+            best_x = np.array(params, dtype=float)
         return value
 
-    scipy_minimize(wrapped, x0, method="Nelder-Mead",
-                   callback=lambda xk: trace.append(best["f"]),
-                   options={"maxiter": config.iterations, "initial_simplex": simplex,
-                            "xatol": 1e-10, "fatol": 1e-12})
-    trace.append(best["f"])
-    return OptimizeOutcome(x=best["x"], value=best["f"], trace=trace)
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    for k in range(n + 1):
+        fsim[k] = evaluate(sim[k])
+    # two sorts, as scipy does: argsort is not stable, so the second may reorder ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    stop_reason = "maxiter"
+    iterations = 1
+    while iterations < config.iterations:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            stop_reason = "tolerance"
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = evaluate(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = evaluate(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = evaluate(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = evaluate(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        trace.append(best_f)
+    trace.append(best_f)
+    return OptimizeOutcome(x=best_x, value=best_f, trace=trace,
+                           evaluations=evaluations, stop_reason=stop_reason)
 
 
 def minimize(fn, x0, config: OptimizerConfig,

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qfin
 
 from qfin import admm
 from qfin import credit_risk as cr
@@ -358,6 +364,42 @@ def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
     path.write_text(manifest)
     assert main(["replay", str(path)]) == 3
     _assert_one_line_error(capsys, "validation error:")
+
+
+def test_replay_rejects_a_manifest_that_replays(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"argv": ["replay", str(path)]}))
+    assert main(["replay", str(path)]) == 3
+    _assert_one_line_error(capsys, "validation error:")
+
+
+@pytest.mark.parametrize("fault,line", [
+    (np.linalg.LinAlgError("Singular matrix"), "internal error: LinAlgError: Singular matrix"),
+    (ZeroDivisionError("float division by zero"),
+     "internal error: ZeroDivisionError: float division by zero"),
+])
+def test_unexpected_exception_exits_internal_error(tmp_path, capsys, monkeypatch,
+                                                  demo_portfolio_csv, fault, line):
+    def failing(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cr, "var_bisection", failing)
+    out = tmp_path / "run"
+    assert main(["risk", "var", "--portfolio", demo_portfolio_csv,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not (out / "result.json").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(qfin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, qfin.cli; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ae_calibrate_outputs(tmp_path):

@@ -33,6 +33,19 @@ def test_default_probability_formula_oracle():
     assert cr.default_probability(asset, 0.0) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("p0", [1e-9, 0.001, 0.15, 0.5, 0.93, 1.0 - 1e-9])
+@pytest.mark.parametrize("rho", [0.0, 0.01, 0.1, 0.5, 0.99])
+def test_default_probability_equals_scipy_norm_bitwise(p0, rho):
+    def scipy_formula(z):
+        if rho == 0.0:
+            return p0
+        return float(norm.cdf((norm.ppf(p0) - math.sqrt(rho) * z) / math.sqrt(1.0 - rho)))
+
+    asset = cr.Asset(1, p0, rho)
+    for z in np.linspace(-6.0, 6.0, 49):
+        assert cr.default_probability(asset, z).hex() == scipy_formula(z).hex()
+
+
 def test_default_probability_monotone_decreasing_in_z():
     asset = cr.Asset(1, 0.3, 0.25)
     zs = np.linspace(-3, 3, 13)

@@ -20,6 +20,16 @@ def test_four_point_grid_matches_density_oracle():
     assert np.allclose(d.grid, grid)
 
 
+@pytest.mark.parametrize("mean", [-1.7, 0.0, 0.4, 3.0])
+@pytest.mark.parametrize("stddev", [0.3, 0.7, 1.0, 2.5])
+@pytest.mark.parametrize("n_qubits", [1, 3, 6])
+def test_density_equals_scipy_norm_pdf_bitwise(mean, stddev, n_qubits):
+    for low, high in [(-3.0, 3.0), (-1.0, 4.0), (0.5, 0.75), (-2.2, 1.1)]:
+        d = dist.discretize_normal(mean, stddev, n_qubits, low, high)
+        weights = norm.pdf(np.linspace(low, high, 1 << n_qubits), loc=mean, scale=stddev)
+        assert d.probabilities.tobytes() == (weights / weights.sum()).tobytes()
+
+
 def test_probabilities_sum_to_one():
     d = dist.discretize_normal(1.3, 0.7, 4, -1.0, 4.0)
     assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qfin.optimizers import OptimizerConfig, minimize
+from qfin import variational as vq
+from qfin.optimizers import OptimizeOutcome, OptimizerConfig, minimize
+from qfin.simulator import IsingObservable
 
 
 def quadratic_bowl(x):
@@ -42,3 +44,125 @@ def test_config_validation():
         OptimizerConfig(iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
+
+
+def scipy_nelder_mead(fn, x0, config):
+    """The former scipy-backed Nelder-Mead, kept as the oracle for the numpy port.
+
+    Returns the outcome fields and scipy's OptimizeResult.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    x0 = np.asarray(x0, dtype=float)
+    simplex = np.vstack([x0] + [x0 + config.simplex_step * np.eye(x0.size)[i]
+                                for i in range(x0.size)])
+    best = {"f": fn(x0), "x": x0.copy()}
+    trace = [best["f"]]
+
+    def wrapped(params):
+        value = fn(params)
+        if value < best["f"]:
+            best["f"] = value
+            best["x"] = np.array(params, dtype=float)
+        return value
+
+    result = scipy_minimize(wrapped, x0, method="Nelder-Mead",
+                            callback=lambda xk: trace.append(best["f"]),
+                            options={"maxiter": config.iterations, "initial_simplex": simplex,
+                                     "xatol": 1e-10, "fatol": 1e-12})
+    trace.append(best["f"])
+    return best["x"], best["f"], trace, result
+
+
+def recorded(fn):
+    """fn plus the bytes of every point it was called on, in call order."""
+    points = []
+
+    def objective(params):
+        points.append(params.tobytes())
+        return fn(params)
+    return objective, points
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def scribbling(x):
+    # writes to its argument: the simplex must not move when it does
+    value = rosenbrock(x)
+    x *= 0.5
+    return value
+
+
+def quantised(x):
+    # integer levels make simplex vertices and trial points tie
+    return float(np.floor(np.sum((x - 0.3) ** 2)))
+
+
+@pytest.mark.parametrize("fn,x0,iterations,stop_reason", [
+    (rosenbrock, np.full(2, -1.2), 400, "tolerance"),
+    (rosenbrock, np.linspace(-1.0, 1.0, 5), 120, "maxiter"),
+    (rosenbrock, np.linspace(-0.5, 0.7, 12), 100, "maxiter"),
+    (quantised, np.linspace(-1.0, 2.0, 6), 150, "tolerance"),
+    (scribbling, np.full(3, 2.0), 80, "maxiter"),
+    (quadratic_bowl, np.zeros(3), 5000, "tolerance"),
+    (quadratic_bowl, np.zeros(3), 1, "maxiter"),
+], ids=["rosenbrock-2", "rosenbrock-5", "rosenbrock-12", "quantised-ties", "scribbling",
+        "bowl-tolerance", "one-iteration"])
+def test_nelder_mead_evaluates_scipys_points(fn, x0, iterations, stop_reason):
+    config = OptimizerConfig(method="nelder-mead", iterations=iterations)
+    port_fn, port_points = recorded(fn)
+    got = minimize(port_fn, x0.copy(), config)
+    oracle_fn, oracle_points = recorded(fn)
+    want_x, want_f, want_trace, result = scipy_nelder_mead(oracle_fn, x0.copy(), config)
+    assert port_points == oracle_points
+    assert got.trace == want_trace
+    assert got.x.tobytes() == want_x.tobytes()
+    assert np.float64(got.value).tobytes() == np.float64(want_f).tobytes()
+    assert got.evaluations == len(port_points) == result.nfev + 1
+    assert got.stop_reason == stop_reason
+    assert result.status == {"tolerance": 0, "maxiter": 2}[stop_reason]
+    assert len(got.trace) == result.nit + 1
+
+
+def test_spsa_reports_evaluations_and_stop_reason():
+    fn, points = recorded(quadratic_bowl)
+    out = minimize(fn, np.zeros(3), OptimizerConfig(method="spsa", iterations=40))
+    assert out.evaluations == len(points) == 1 + 3 * 40
+    assert out.stop_reason == "maxiter"
+
+
+def test_nelder_mead_shots_vqe_matches_scipy(monkeypatch):
+    # the sampled objective draws from the run's RNG on every call, so any
+    # extra, missing or reordered evaluation shifts every later sample
+    observable = IsingObservable(terms=(((0,), 0.7), ((1, 2), -0.4), ((0, 3), 0.9),
+                                        ((2,), -0.3)), offset=0.1)
+    ansatz = vq.ry_ansatz(4, 1)
+    config = OptimizerConfig(method="nelder-mead", iterations=60, seed=5)
+
+    def run_with(minimizer):
+        points = []
+
+        def patched(fn, x0, config, rng=None):
+            def objective(params):
+                points.append(params.tobytes())
+                return fn(params)
+            return minimizer(objective, x0, config)
+
+        monkeypatch.setattr(vq, "minimize", patched)
+        return vq.vqe_minimize(observable, ansatz, config, top_k=4, shots=32), points
+
+    def oracle(fn, x0, config):
+        x, value, trace, result = scipy_nelder_mead(fn, x0, config)
+        return OptimizeOutcome(x=x, value=value, trace=trace,
+                               evaluations=result.nfev + 1, stop_reason="")
+
+    got, got_points = run_with(minimize)
+    want, want_points = run_with(oracle)
+    assert got_points == want_points
+    assert len(got_points) > 60
+    assert got.trace == want.trace
+    assert got.best_params.tobytes() == want.best_params.tobytes()
+    assert got.best_value == want.best_value
+    assert got.top_states == want.top_states
