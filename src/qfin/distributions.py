@@ -21,6 +21,8 @@ class DiscretizedDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.size != 1 << self.n_qubits:
             raise ValueError("probabilities length must be 2**n_qubits")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -38,11 +40,19 @@ def discretize_normal(mean: float, stddev: float, n_qubits: int,
         raise ValueError("stddev must be positive")
     if not low < high:
         raise ValueError("low must be less than high")
+    if not math.isfinite(high - low):
+        raise ValueError("low and high must be finite, and so must high - low")
     n_points = 1 << n_qubits
     grid = np.linspace(low, high, n_points)
     z = (grid - mean) / stddev
-    weights = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / stddev  # scipy's norm.pdf, bit for bit
-    probs = weights / weights.sum()
+    with np.errstate(over="ignore"):  # z**2 = inf has density 0, as it should
+        weights = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / stddev  # scipy's norm.pdf, bit for bit
+    total = weights.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        # a grid far enough in the tail underflows every weight to 0
+        raise ValueError(f"normal density on [{low}, {high}] sums to {total}, "
+                         "so it cannot be normalised")
+    probs = weights / total
     slope = (high - low) / (n_points - 1) if n_points > 1 else 0.0
     return DiscretizedDistribution(n_qubits, probs, slope=slope, intercept=low)
 

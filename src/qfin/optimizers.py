@@ -5,6 +5,15 @@ Nelder-Mead is a numpy port of scipy's fixed-coefficient simplex method that
 evaluates the same points in the same order. Both are seed-deterministic and
 report a best-so-far trace per iteration, the number of objective calls and
 why they stopped.
+
+An objective may carry a ``rows`` attribute: ``fn.rows(stack)`` takes a
+``(B, P)`` array of points and returns their B values in row order, each
+equal to ``fn(row)`` and with the same side effects in the same order (an
+objective that samples draws for row 0, then row 1, ...). SPSA evaluates its
++/- pair through one ``rows`` call, and Nelder-Mead its initial simplex and
+each shrink. Without ``rows`` (a plain function, or a wrapper that does not
+pass it on) each point is its own call, in the same order, so both paths see
+the same point sequence byte for byte and return the same outcome.
 """
 
 from dataclasses import dataclass
@@ -46,6 +55,14 @@ class OptimizeOutcome:
     stop_reason: str  # "tolerance" or "maxiter"
 
 
+def _values(fn, stack: np.ndarray) -> list:
+    """fn at each row of ``stack``, in row order: one ``fn.rows`` call when fn has one."""
+    rows = getattr(fn, "rows", None)
+    if rows is None:
+        return [fn(point) for point in stack]
+    return list(rows(stack))
+
+
 def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator) -> OptimizeOutcome:
     x = np.asarray(x0, dtype=float).copy()
     best_x = x.copy()
@@ -56,7 +73,8 @@ def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator)
         a_k = config.a / (k + 1 + stability) ** config.alpha
         c_k = config.c / (k + 1) ** config.gamma
         delta = rng.choice((-1.0, 1.0), size=x.size)
-        diff = fn(x + c_k * delta) - fn(x - c_k * delta)
+        f_plus, f_minus = _values(fn, np.stack([x + c_k * delta, x - c_k * delta]))
+        diff = f_plus - f_minus
         x = x - a_k * (diff / (2.0 * c_k)) * delta
         f_x = fn(x)
         if f_x < best_f:
@@ -84,19 +102,19 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     evaluations = 1
     trace = [best_f]
 
-    def evaluate(point):
+    def evaluate(points):
+        # each point goes to fn as a row of a copy: fn may write to its argument
         nonlocal best_f, best_x, evaluations
-        evaluations += 1
-        params = np.copy(point)
-        value = fn(params)
-        if value < best_f:
-            best_f = value
-            best_x = np.array(params, dtype=float)
-        return value
+        stack = np.array(points)
+        values = _values(fn, stack)
+        for params, value in zip(stack, values):
+            evaluations += 1
+            if value < best_f:
+                best_f = value
+                best_x = np.array(params, dtype=float)
+        return values
 
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    for k in range(n + 1):
-        fsim[k] = evaluate(sim[k])
+    fsim = np.array(evaluate(sim), dtype=float)
     # two sorts, as scipy does: argsort is not stable, so the second may reorder ties
     for _ in range(2):
         ind = np.argsort(fsim)
@@ -112,10 +130,10 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = evaluate(xr)
+        fxr = evaluate(xr[None])[0]
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = evaluate(xe)
+            fxe = evaluate(xe[None])[0]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -125,18 +143,17 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
         else:
             if fxr < fsim[-1]:  # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = evaluate(xc)
+                fxc = evaluate(xc[None])[0]
                 accept = fxc <= fxr
             else:  # inside contraction
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = evaluate(xc)
+                fxc = evaluate(xc[None])[0]
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = evaluate(sim[j])
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = evaluate(sim[1:])
         iterations += 1
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)

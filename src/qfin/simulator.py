@@ -212,10 +212,10 @@ def _rotate(a0: np.ndarray, a1: np.ndarray, matrix: tuple) -> None:
 def apply_1q_inplace(amps: np.ndarray, q: int, kind: str, theta: float = 0.0) -> None:
     """Apply an uncontrolled one-qubit gate to qubit ``q`` of ``amps`` in place.
 
-    This is the one-qubit case of ``_split``'s view, written out because the
-    compiled ansatz calls it in its inner loop; a trailing batch axis rides
-    along. Each amplitude pair goes through ``_rotate`` with the entries of
-    ``_matrix_1q``. ``amps`` may be real for the real kinds (h, x, ry).
+    This is the one-qubit case of ``_split``'s view, without the control
+    bookkeeping; a trailing batch axis rides along. Each amplitude pair goes
+    through ``_rotate`` with the entries of ``_matrix_1q``. ``amps`` may be
+    real for the real kinds (h, x, ry).
     """
     view = amps.reshape((amps.shape[0] >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
     _rotate(view[:, 0], view[:, 1], _matrix_1q(kind, theta))

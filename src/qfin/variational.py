@@ -18,7 +18,7 @@ from .simulator import (
     GateOp,
     IsingObservable,
     Statevector,
-    apply_1q_inplace,
+    _matrix_1q,
     apply_ops,
     basis_probabilities,
     cnot,
@@ -31,6 +31,11 @@ from .simulator import (
 )
 
 ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
+
+# Most amplitudes one state block of vqe_minimize's objective holds: a stack
+# of rows is simulated in chunks of BLOCK_AMPLITUDES >> n rows (at least one),
+# so from 16 qubits up a stack costs no more memory than one row at a time.
+BLOCK_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,62 +154,128 @@ def ansatz_ops(ansatz: Ansatz, params) -> list[GateOp]:
     return ops
 
 
+def _checked_stack(ansatz: Ansatz, params) -> np.ndarray:
+    """Parameter rows as a ``(B, P)`` float array; a ``(P,)`` row is a stack of one."""
+    stack = np.atleast_2d(np.asarray(params, dtype=float))
+    if stack.ndim != 2 or stack.shape[1] != ansatz.parameter_count:
+        raise ValueError(f"expected rows of {ansatz.parameter_count} parameters, "
+                         f"got shape {np.shape(params)}")
+    return stack
+
+
+def _column_entries(kinds, angles) -> np.ndarray:
+    """Per-column entries of ``_matrix_1q(kinds[r], angles[r][b])`` for each row r.
+
+    Shaped ``(R, 2, 2, 1, B)``: ``[r, j, i, 0, b]`` is entry m_ij of column
+    b, laid out for ``_rotate_columns``. The entries come from ``math.cos``/
+    ``math.sin`` inside ``_matrix_1q``, as the gate path's do; ``np.cos``
+    may differ in the last bit. Real entries among complex ones become
+    complex with a zero imaginary part, which is what a multiply by complex
+    amplitudes casts them to anyway.
+    """
+    entries = np.array([[_matrix_1q(kind, angle) for angle in row]
+                        for kind, row in zip(kinds, angles)])
+    rows, columns = len(entries), entries.shape[1]
+    entries = entries.reshape(rows, columns, 2, 2).transpose(0, 3, 2, 1)
+    return np.ascontiguousarray(entries)[:, :, :, None]
+
+
+def _split_view(amps: np.ndarray, q: int, rows: int) -> np.ndarray:
+    """The leading ``rows`` rows of a block, split at qubit ``q``: ``(hi, 2, lo, B)``."""
+    return amps[:rows].reshape((rows >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
+
+
+def _rotate_columns(view: np.ndarray, entries: np.ndarray) -> None:
+    """Map each pair ``(a0, a1)`` of a split view to ``(m00*a0 + m01*a1, m10*a0 + m11*a1)``.
+
+    ``entries`` is one row of ``_column_entries``, so each column has its
+    own matrix. Element by element these are ``simulator._rotate``'s
+    products and sums in its order; both halves of the pair are computed in
+    one broadcast product per input half.
+    """
+    new = entries[0] * view[:, :1]
+    new += entries[1] * view[:, 1:]
+    view[...] = new
+
+
 def compile_ansatz(ansatz: Ansatz):
     """Build ``ansatz`` once into a state function ``params -> amplitudes``.
 
-    The function gives the amplitudes ``apply_ops(new_zero_state(n),
-    ansatz_ops(ansatz, params))`` gives, with bit-identical probabilities:
-    the rotations go through the same strided kernel and matrix entries as
-    the gate path, the CNOT ladder is one gather (exact up to the sign of
-    zero), and each QAOA cost term multiplies by the same ``phase_gate``
-    factors in the same term order. The RY kind runs on real amplitudes, as
-    RY and CNOT are real. It holds at most one 2^n index (the ladder) or one
-    2^n state (the QAOA start).
+    The function takes a ``(B, P)`` stack of parameter rows and returns a
+    ``(2^n, B)`` block whose column ``b`` is the state of row ``b``; a
+    ``(P,)`` row is a stack of one and gives a ``(2^n,)`` state. Each column
+    has the probabilities ``apply_ops(new_zero_state(n), ansatz_ops(ansatz,
+    row))`` gives, bit for bit, whatever the other rows hold: every rotation
+    takes the gate path's products and sums with per-column copies of
+    ``_matrix_1q``'s entries (``_rotate_columns``), the CNOT ladder is one
+    gather (exact up to the sign of zero), and each QAOA cost term
+    multiplies by the same ``phase_gate`` factors in the same term order. The first rotation layer
+    of the RY and RX+RY kinds rotates qubit ``q`` over the leading
+    ``2^(q+1)`` rows only, the only ones non-zero from ``|0...0>``; the
+    skipped rows stay zero up to sign. The RY kind runs on real amplitudes,
+    as RY and CNOT are real. Besides the state block it holds at most one
+    2^n index (the ladder) or one 2^n state (the QAOA start).
     """
     n = ansatz.n_qubits
+    dim = 1 << n
     if ansatz.kind == "qaoa":
         start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-        layouts = []
+        terms, at = [], 0
         for support, _ in ansatz.cost.terms:
-            view_shape, _, factor_shape, order = phase_layout(1 << n, support)
-            layouts.append((view_shape, factor_shape, _parity_signs(len(support))[order]))
+            view_shape, _, factor_shape, order = phase_layout(dim, support)
+            terms.append((view_shape, slice(at, at + order.size), factor_shape,
+                          _parity_signs(len(support))[order]))
+            at += order.size
         coeffs = np.repeat([coeff for _, coeff in ansatz.cost.terms],
-                           [term_signs.size for *_, term_signs in layouts])
-        signs = np.concatenate([np.zeros(0)] + [term_signs for *_, term_signs in layouts])
+                           [term_signs.size for *_, term_signs in terms])
+        signs = np.concatenate([np.zeros(0)] + [term_signs for *_, term_signs in terms])
+        # signs are +-1 and negation is exact, so rates * gamma equals
+        # cost_phase_ops' -gamma * coeff * sign bit for bit
+        rates = -coeffs * signs
 
         def qaoa_state(params):
-            params = _checked_params(ansatz, params).tolist()
+            stack = _checked_stack(ansatz, params)
+            batch = stack.shape[:1]
+            amps = np.repeat(start[:, None], len(stack), axis=1)
+            factors = np.empty((rates.size,) + batch, dtype=complex)
+            # every term's view of the block and of its factors, once per call
+            layers = [(amps.reshape(view_shape + batch, copy=False),
+                       factors[rows].reshape(factor_shape + batch, copy=False))
+                      for view_shape, rows, factor_shape, _ in terms]
+            splits = [_split_view(amps, q, dim) for q in range(n)]
             p = ansatz.depth
-            amps = start.copy()
-            for gamma, beta in zip(params[:p], params[p:]):
-                # every term's factors at once: cost_phase_ops' phases, laid out
-                factors = np.exp(1j * (-gamma * coeffs * signs))
-                at = 0
-                for view_shape, factor_shape, term_signs in layouts:
-                    view = amps.reshape(view_shape, copy=False)
-                    view *= factors[at:at + term_signs.size].reshape(factor_shape)
-                    at += term_signs.size
-                for q in range(n):
-                    apply_1q_inplace(amps, q, "rx", 2.0 * beta)
-            return amps
+            for gammas, betas in zip(stack[:, :p].T, stack[:, p:].T.tolist()):
+                # every term's phases for every column at once
+                np.exp(1j * np.multiply.outer(rates, gammas), out=factors)
+                for view, term_factors in layers:
+                    view *= term_factors
+                entries = _column_entries(["rx"], [[2.0 * beta for beta in betas]])[0]
+                for view in splits:
+                    _rotate_columns(view, entries)
+            return amps if np.ndim(params) == 2 else amps[:, 0]
 
         return qaoa_state
 
     perm = _ladder_permutation(n) if ansatz.depth else None
     real = ansatz.kind == "ry-full-entanglement"
+    # parameter j of a layer rotates qubit j % n by kinds[j // n]
     kinds = ("ry",) if real else ("rx", "ry")
+    param_kinds = [kind for kind in kinds for _ in range(n)] * (ansatz.depth + 1)
 
     def layered_state(params):
-        layers = _checked_params(ansatz, params).reshape(ansatz.depth + 1, -1)
-        amps = np.zeros(1 << n, dtype=float if real else complex)
+        stack = _checked_stack(ansatz, params)
+        entries = _column_entries(param_kinds, stack.T.tolist())
+        entries = entries.reshape((ansatz.depth + 1, -1) + entries.shape[1:])
+        amps = np.zeros((dim, len(stack)), dtype=float if real else complex)
         amps[0] = 1.0
-        for layer, angles in enumerate(layers.tolist()):
+        for layer, layer_entries in enumerate(entries):
             if layer:
                 amps = amps[perm]
-            for k, kind in enumerate(kinds):
-                for q in range(n):
-                    apply_1q_inplace(amps, q, kind, angles[k * n + q])
-        return amps
+            for j, matrix in enumerate(layer_entries):
+                q = j % n
+                rows = 2 << q if layer == 0 and j < n else dim
+                _rotate_columns(_split_view(amps, q, rows), matrix)
+        return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return layered_state
 
@@ -255,22 +326,44 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     objective to a seed-deterministic sampled estimate for realism
     experiments. The returned trace is the winning restart's best-so-far
     curve, which is nonincreasing by construction.
+
+    The objective handed to the optimizer carries a ``rows`` attribute (see
+    ``optimizers``): ``objective.rows(stack)`` evaluates a ``(B, P)`` stack
+    from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
+    the B values in row order, each equal bit for bit to ``objective(row)``. Each column is read out as a
+    contiguous 1-D row, as a single state is, not as a strided column or a
+    matrix-vector product, whose sums may round differently; with ``shots``
+    the samples are drawn row by row in order, so the RNG stream is the one
+    the row-by-row calls draw.
     """
     if observable.max_qubit() >= ansatz.n_qubits:
         raise ValueError("observable support exceeds the ansatz register")
     table = observable.energy_table(ansatz.n_qubits)
     state_of = compile_ansatz(ansatz)
 
+    chunk = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits)
+
     def make_objective(rng):
-        if shots is None:
-            def objective(params):
-                probs = np.abs(state_of(params)) ** 2
+        def value_of(amps):
+            probs = np.abs(amps) ** 2
+            if shots is None:
                 return float(probs @ table)
-        else:
-            def objective(params):
-                probs = np.abs(state_of(params)) ** 2
-                outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
-                return float(table[outcomes].mean())
+            outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+            return float(table[outcomes].mean())
+
+        def rows(stack):
+            stack = np.asarray(stack, dtype=float)
+            values = []
+            for at in range(0, len(stack), chunk):
+                # columns copied out as contiguous 1-D rows, read in row order
+                block = np.ascontiguousarray(state_of(stack[at:at + chunk]).T)
+                values.extend(value_of(amps) for amps in block)
+            return values
+
+        def objective(params):
+            return rows([params])[0]
+
+        objective.rows = rows
         return objective
 
     master = np.random.SeedSequence(optimizer.seed)

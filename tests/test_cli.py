@@ -76,6 +76,18 @@ def test_risk_var_capacity_exit(tmp_path, demo_portfolio_csv):
     assert code == 4
 
 
+@pytest.mark.parametrize("bounds", [["--z-low", "40", "--z-high", "50"],
+                                    ["--z-low=-inf", "--z-high", "3"]])
+def test_risk_var_rejects_a_latent_grid_without_mass(tmp_path, demo_portfolio_csv, capsys,
+                                                     bounds):
+    out = tmp_path / "run"
+    code = main(["risk", "var", "--portfolio", demo_portfolio_csv, *bounds,
+                 "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error:")
+    assert not (out / "result.json").exists()
+
+
 def test_usage_error_exit_code():
     assert main(["risk", "var"]) == 2
     assert main(["opt", "nonsense"]) == 2

@@ -42,11 +42,22 @@ def test_invalid_bounds_rejected():
         dist.discretize_normal(0.0, -1.0, 2, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("low,high", [(40.0, 50.0), (-1e200, 1e200), (-np.inf, 1.0),
+                                      (-1e308, 1e308)])
+def test_grid_without_normalisable_mass_rejected(low, high):
+    # every weight underflows to 0 (or the span overflows): no NaN probabilities
+    with pytest.raises(ValueError):
+        dist.discretize_normal(0.0, 1.0, 2, low, high)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         dist.DiscretizedDistribution(1, np.array([0.6, 0.6]), 1.0, 0.0)
     with pytest.raises(ValueError):
         dist.DiscretizedDistribution(1, np.array([-0.1, 1.1]), 1.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dist.DiscretizedDistribution(1, np.array([bad, 0.5]), 1.0, 0.0)
 
 
 def test_loader_uniform_equals_equal_superposition():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from qfin import optimizers
+from qfin import qubo as qb
 from qfin import variational as vq
+from qfin.cli import main
 from qfin.optimizers import OptimizeOutcome, OptimizerConfig, minimize
 from qfin.simulator import IsingObservable
 
@@ -74,13 +77,23 @@ def scipy_nelder_mead(fn, x0, config):
     return best["x"], best["f"], trace, result
 
 
-def recorded(fn):
-    """fn plus the bytes of every point it was called on, in call order."""
-    points = []
+def recorded(fn, points=None):
+    """fn plus the bytes of every point it was called on, in call order.
+
+    When fn has ``rows``, so does the recorder: it records each row of the
+    stack, in row order, and hands the stack on.
+    """
+    points = [] if points is None else points
 
     def objective(params):
         points.append(params.tobytes())
         return fn(params)
+
+    if hasattr(fn, "rows"):
+        def rows(stack):
+            points.extend(row.tobytes() for row in stack)
+            return fn.rows(stack)
+        objective.rows = rows
     return objective, points
 
 
@@ -145,9 +158,7 @@ def test_nelder_mead_shots_vqe_matches_scipy(monkeypatch):
         points = []
 
         def patched(fn, x0, config, rng=None):
-            def objective(params):
-                points.append(params.tobytes())
-                return fn(params)
+            objective, _ = recorded(fn, points)
             return minimizer(objective, x0, config)
 
         monkeypatch.setattr(vq, "minimize", patched)
@@ -166,3 +177,111 @@ def test_nelder_mead_shots_vqe_matches_scipy(monkeypatch):
     assert got.best_params.tobytes() == want.best_params.tobytes()
     assert got.best_value == want.best_value
     assert got.top_states == want.top_states
+
+
+# -- SPSA's +/- pair as one batch, against the sequential loop ---------------
+
+def sequential_spsa(fn, x0, config, rng):
+    """SPSA with one objective call per point, kept as the oracle for the batched pair."""
+    x = np.asarray(x0, dtype=float).copy()
+    best_x = x.copy()
+    best_f = fn(x)
+    stability = 0.1 * config.iterations
+    trace = [best_f]
+    for k in range(config.iterations):
+        a_k = config.a / (k + 1 + stability) ** config.alpha
+        c_k = config.c / (k + 1) ** config.gamma
+        delta = rng.choice((-1.0, 1.0), size=x.size)
+        diff = fn(x + c_k * delta) - fn(x - c_k * delta)
+        x = x - a_k * (diff / (2.0 * c_k)) * delta
+        f_x = fn(x)
+        if f_x < best_f:
+            best_f = f_x
+            best_x = x.copy()
+        trace.append(best_f)
+    return OptimizeOutcome(x=best_x, value=best_f, trace=trace,
+                           evaluations=1 + 3 * config.iterations, stop_reason="maxiter")
+
+
+def _portfolio_observable():
+    rng = np.random.default_rng([3, 2])
+    w = rng.normal(size=(6, 6))
+    return qb.to_ising(qb.build_portfolio_qubo(qb.PortfolioSpec(
+        mu=rng.uniform(0.0, 0.1, 6), sigma=w @ w.T / 6, q=0.5, budget=3)))
+
+
+PORTFOLIO = _portfolio_observable()
+
+
+def run_spsa(monkeypatch, spsa, ansatz, shots):
+    """vqe_minimize under ``spsa``: the outcome, the points it evaluated and its batch sizes."""
+    points, batches, outcomes = [], [], []
+
+    def patched(fn, x0, config, rng=None):
+        objective, _ = recorded(fn, points)
+        if hasattr(objective, "rows"):
+            rows = objective.rows
+
+            def counted(stack):
+                batches.append(len(stack))
+                return rows(stack)
+            objective.rows = counted
+        outcomes.append(spsa(objective, np.asarray(x0, dtype=float), config, rng))
+        return outcomes[-1]
+
+    monkeypatch.setattr(vq, "minimize", patched)
+    config = OptimizerConfig("spsa", iterations=30, seed=4)
+    result = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
+    return outcomes[0], result, points, batches
+
+
+def assert_same_outcome(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.trace == want.trace
+    assert got.evaluations == want.evaluations
+
+
+@pytest.mark.parametrize("ansatz", [vq.ry_ansatz(6, 3), vq.qaoa_ansatz(6, 3, PORTFOLIO)],
+                         ids=["vqe", "qaoa"])
+@pytest.mark.parametrize("shots", [None, 32], ids=["exact", "shots"])
+def test_batched_spsa_equals_sequential_on_portfolio_objectives(monkeypatch, ansatz, shots):
+    got, got_result, got_points, batches = run_spsa(monkeypatch, optimizers._spsa,
+                                                    ansatz, shots)
+    want, want_result, want_points, _ = run_spsa(monkeypatch, sequential_spsa, ansatz, shots)
+    assert batches == [2] * 30  # every +/- pair went through one rows call
+    assert got_points == want_points
+    assert len(got_points) == got.evaluations == 1 + 3 * 30
+    assert_same_outcome(got, want)
+    assert got_result.top_states == want_result.top_states
+
+
+def test_spsa_without_rows_equals_sequential():
+    config = OptimizerConfig("spsa", iterations=50, seed=2)
+    fn, points = recorded(rosenbrock)
+    got = minimize(fn, np.full(4, 0.3), config)
+    oracle_fn, oracle_points = recorded(rosenbrock)
+    want = sequential_spsa(oracle_fn, np.full(4, 0.3), config, np.random.default_rng(2))
+    assert points == oracle_points
+    assert len(points) == got.evaluations == 1 + 3 * 50
+    assert_same_outcome(got, want)
+
+
+def test_qaoa_portfolio_command_equals_sequential_spsa(tmp_path, monkeypatch):
+    # a regression guard on the whole command: any change to the point
+    # sequence, the batched state or its readout shows in result.json
+    rng = np.random.default_rng(123)
+    w = rng.normal(size=(6, 6))
+    instance = tmp_path / "instance.txt"
+    qb.write_portfolio_instance(instance, qb.PortfolioSpec(
+        mu=rng.uniform(0.0, 0.1, 6), sigma=w @ w.T / 6, q=0.5, budget=3))
+
+    def run(out):
+        argv = ["opt", "portfolio", "--instance", str(instance), "--solver", "qaoa",
+                "--iterations", "20", "--seed", "7", "--out-dir", str(out)]
+        assert main(argv) == 0
+        return (out / "result.json").read_bytes()
+
+    batched = run(tmp_path / "batched")
+    monkeypatch.setattr(optimizers, "_spsa", sequential_spsa)
+    assert run(tmp_path / "sequential") == batched

@@ -246,6 +246,42 @@ def test_compiled_probabilities_equal_ops_path_wide_and_deep(n, depth):
                               ops_probabilities(ansatz, params)), kind
 
 
+def row_probabilities(block):
+    """Probabilities of each column of a state block, read as contiguous rows."""
+    return [(np.abs(amps) ** 2).tobytes() for amps in np.ascontiguousarray(block.T)]
+
+
+@pytest.mark.parametrize("kind", ["ry", "rxry", "qaoa"])
+def test_stacked_states_equal_per_row_calls_and_ops_path(kind):
+    rng = np.random.default_rng(["ry", "rxry", "qaoa"].index(kind) + 10)
+    for n in [1, 2, 3, 4, 5, 6, 7, 8, 12]:
+        for depth in range(4):
+            ansatz = _ansaetze(kind, n, depth, rng)
+            state_of = vq.compile_ansatz(ansatz)
+            for batch in (1, 2, 5):
+                # every row its own angles, one of them far outside [-pi, pi]
+                stack = rng.uniform(-math.pi, math.pi, (batch, ansatz.parameter_count))
+                stack[-1] *= 1e4 if batch > 1 else 1.0
+                block = state_of(stack)
+                assert block.shape == (1 << n, batch)
+                got = row_probabilities(block)
+                for row, probs in zip(stack, got):
+                    assert probs == (np.abs(state_of(row)) ** 2).tobytes(), (n, depth, batch)
+                    assert probs == ops_probabilities(ansatz, row).tobytes(), (n, depth, batch)
+
+
+def test_state_function_shapes_and_validation():
+    ansatz = vq.ry_ansatz(3, 1)
+    state_of = vq.compile_ansatz(ansatz)
+    params = np.linspace(-1.0, 1.0, ansatz.parameter_count)
+    assert state_of(params).shape == (8,)
+    assert state_of(params[None]).shape == (8, 1)
+    assert state_of(params[None])[:, 0].tobytes() == state_of(params).tobytes()
+    for bad in (params[:-1], np.stack([params[:-1]] * 2), params.reshape(2, 3, 1)):
+        with pytest.raises(ValueError):
+            state_of(bad)
+
+
 def test_compiled_state_is_reusable_across_calls():
     rng = np.random.default_rng(4)
     for ansatz in (vq.ry_ansatz(4, 2), vq.rxry_ansatz(3, 1),
@@ -353,5 +389,20 @@ def test_vqe_minimize_equals_the_ops_objective_loop(observable, ansatz, config, 
     best, top_states = reference_vqe(observable, ansatz, config, top_k=5, shots=shots)
     assert got.best_value == best.value
     assert np.array_equal(got.best_params, best.x)
+    assert got.trace == best.trace
+    assert got.top_states == top_states
+
+
+@pytest.mark.parametrize("shots", [None, 32], ids=["exact", "shots"])
+def test_stacks_split_into_blocks_equal_the_ops_objective_loop(monkeypatch, shots):
+    # a bound of 2^7 amplitudes splits 6-qubit stacks into blocks of two rows,
+    # so Nelder-Mead's simplex and shrinks span several blocks
+    monkeypatch.setattr(vq, "BLOCK_AMPLITUDES", 1 << 7)
+    ansatz = vq.ry_ansatz(6, 1)
+    config = OptimizerConfig("nelder-mead", 40, seed=3)
+    got = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
+    best, top_states = reference_vqe(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
+    assert got.best_value == best.value
+    assert got.best_params.tobytes() == best.x.tobytes()
     assert got.trace == best.trace
     assert got.top_states == top_states
