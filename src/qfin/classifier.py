@@ -9,9 +9,13 @@ gradient-trained logistic regression and a linear hinge classifier.
 
 The encoded state of a record (feature map plus QRAC) does not depend on the
 separator angles, so a dataset is encoded once into the columns of one
-batched statevector; each training objective call then runs only the
-separator over that block. ``decision`` and ``model_state`` keep the
-per-record path, which the batched one reproduces bit for bit.
+batched statevector, with no gate built: Hadamard layers act on the whole
+block, each feature-map term multiplies it by per-record phase factors, and
+the QRAC rotations take per-record entries. Each training objective call
+then runs only the separator, compiled once by ``compile_ansatz``, over that
+block with one parameter row for every record. ``decision`` and
+``model_state`` keep the per-record gate-list path, which the batched one
+reproduces bit for bit; the tests use it as the oracle.
 """
 
 import csv
@@ -25,15 +29,19 @@ from .optimizers import OptimizerConfig, minimize
 from .simulator import (
     GateOp,
     Statevector,
+    _matrix_1q,
+    _rotate,
+    apply_1q_inplace,
     apply_ops,
     basis_probabilities,
     h,
     new_zero_state,
     phase_gate,
+    phase_layout,
     ry,
     rz,
 )
-from .variational import ansatz_ops, rxry_ansatz
+from .variational import _parity_signs, ansatz_ops, compile_ansatz, rxry_ansatz
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,14 +51,18 @@ TWO_PI = 2.0 * math.pi
 
 
 def default_coefficients(x: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Second-order expansion: phi_i = x_i and phi_ij = (pi - x_i)(pi - x_j)."""
+    """Second-order expansion: phi_i = x_i and phi_ij = (pi - x_i)(pi - x_j).
+
+    ``x`` may also be a ``(d, records)`` array, one column per record; each
+    phase is then the row of its per-record values.
+    """
     coeffs: dict[tuple[int, ...], float] = {}
-    d = x.size
+    d = len(x)
     for i in range(d):
-        coeffs[(i,)] = float(x[i])
+        coeffs[(i,)] = x[i]
     for i in range(d):
         for j in range(i + 1, d):
-            coeffs[(i, j)] = float((math.pi - x[i]) * (math.pi - x[j]))
+            coeffs[(i, j)] = (math.pi - x[i]) * (math.pi - x[j])
     return coeffs
 
 
@@ -106,11 +118,15 @@ def qrac_bloch(bits) -> np.ndarray:
     return np.array([(-1.0) ** b for b in bits]) / math.sqrt(3.0)
 
 
+def _qrac_angles(bits) -> tuple[float, float]:
+    """Polar and azimuthal angles of the block's Bloch vector."""
+    bx, by, bz = qrac_bloch(bits)
+    return math.acos(bz), math.atan2(by, bx)
+
+
 def qrac_encode_block(bits, qubit: int = 0) -> list[GateOp]:
     """Gates preparing the pure state at the block's Bloch vector from |0>."""
-    bx, by, bz = qrac_bloch(bits)
-    theta = math.acos(bz)
-    phi = math.atan2(by, bx)
+    theta, phi = _qrac_angles(bits)
     return [ry(theta, qubit), rz(phi, qubit)]
 
 
@@ -209,7 +225,11 @@ def export_csv(path, dataset: LabeledDataset) -> None:
 def ingest_csv(path, continuous_names=TRANSACTION_CONTINUOUS,
                categorical_names=TRANSACTION_CATEGORICAL,
                vocab_sizes=TRANSACTION_VOCABS) -> LabeledDataset:
-    """Read a dataset CSV, validating the schema; bad rows report line numbers."""
+    """Read a dataset CSV, validating the schema; bad rows report line numbers.
+
+    Each record needs finite continuous features, categorical codes inside
+    their vocabularies and a label of -1 or 1.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -224,7 +244,10 @@ def ingest_csv(path, continuous_names=TRANSACTION_CONTINUOUS,
                 raise ValueError(f"wrong field count at line {line_no}")
             try:
                 nc = len(continuous_names)
-                cont.append([float(v) for v in row[:nc]])
+                values = [float(v) for v in row[:nc]]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError("continuous features must be finite")
+                cont.append(values)
                 codes = [int(v) for v in row[nc:-1]]
                 for code, vocab in zip(codes, vocab_sizes):
                     if not 0 <= code < vocab:
@@ -390,37 +413,39 @@ def scale_features(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.
     return TWO_PI * (values - low) / (high - low)
 
 
-def _map_inputs(config: ModelConfig, scaler, continuous,
-                categorical) -> tuple[np.ndarray, list[int]]:
-    """Split a record into feature-map values (scaled) and QRAC bit list."""
-    qrac_bits: list[int] = []
-    map_raw: list[float] = list(np.asarray(continuous, dtype=float))
-    for name, vocab, code in zip(config.categorical_names, config.vocab_sizes,
-                                 np.asarray(categorical, dtype=int)):
+def _map_block(config: ModelConfig, continuous, categorical) -> tuple[np.ndarray, np.ndarray]:
+    """Split records into feature-map values (unscaled) and QRAC bits.
+
+    Returns ``(records, n_map)`` values, the continuous features and then
+    each categorical code the QRAC does not pack, and ``(records, 3 *
+    n_qrac)`` bits: the one-hot codes of the QRAC features, zero-padded to
+    whole blocks.
+    """
+    codes = np.asarray(categorical, dtype=int)
+    map_columns = [np.asarray(continuous, dtype=float)]
+    qrac_columns = [np.zeros((len(codes), 0), dtype=int)]
+    for k, (name, vocab) in enumerate(zip(config.categorical_names, config.vocab_sizes)):
         if name in config.qrac_features:
-            onehot = [1 if code == v else 0 for v in range(vocab)]
-            qrac_bits.extend(onehot)
+            qrac_columns.append((codes[:, k:k + 1] == np.arange(vocab)).astype(int))
         else:
-            map_raw.append(float(code))
-    values = np.asarray(map_raw, dtype=float)
-    if values.size != config.n_map_qubits:
-        raise ValueError(
-            f"record supplies {values.size} map features, model expects {config.n_map_qubits}")
-    return scale_features(values, *scaler), qrac_bits
+            map_columns.append(codes[:, k:k + 1].astype(float))
+    values = np.hstack(map_columns)
+    if values.shape[1] != config.n_map_qubits:
+        raise ValueError(f"records supply {values.shape[1]} map features, "
+                         f"model expects {config.n_map_qubits}")
+    bits = np.hstack(qrac_columns)
+    return values, np.pad(bits, ((0, 0), (0, -bits.shape[1] % 3)))
 
 
 def _encoding_ops(config: ModelConfig, scaler, continuous, categorical) -> list[GateOp]:
     """Feature-map + QRAC preparation of one record; independent of theta and bias."""
-    mapped, qrac_bits = _map_inputs(config, scaler, continuous, categorical)
+    values, bits = _map_block(config, [continuous], [categorical])
     ops: list[GateOp] = []
     if config.n_map_qubits:
         fmap = FeatureMap(config.n_map_qubits, config.repetitions)
-        ops.extend(feature_map_ops(fmap, mapped))
-    base = config.n_map_qubits
-    for block_start in range(0, len(qrac_bits), 3):
-        block = qrac_bits[block_start:block_start + 3]
-        block += [0] * (3 - len(block))
-        ops.extend(qrac_encode_block(block, qubit=base + block_start // 3))
+        ops.extend(feature_map_ops(fmap, scale_features(values[0], *scaler)))
+    for k in range(0, bits.shape[1], 3):
+        ops.extend(qrac_encode_block(bits[0, k:k + 3], qubit=config.n_map_qubits + k // 3))
     return ops
 
 
@@ -447,25 +472,67 @@ def predict(model: VqcModel, continuous, categorical=()) -> int:
     return 1 if decision(model, continuous, categorical) >= 0.0 else -1
 
 
+def _rotate_records(block: np.ndarray, q: int, kind: str, angles) -> None:
+    """Rotate qubit ``q`` of column b of ``block`` by ``_matrix_1q(kind, angles[b])``."""
+    matrix = np.array([_matrix_1q(kind, angle) for angle in angles]).reshape(-1, 4).T
+    view = block.reshape((block.shape[0] >> (q + 1), 2, 1 << q, block.shape[1]), copy=False)
+    _rotate(view[:, 0], view[:, 1], matrix)
+
+
 def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.ndarray:
-    """Encoded states of the records as the columns of one ``(2^n, records)`` block."""
-    zero = new_zero_state(config.n_qubits)
-    block = np.empty((zero.dim, len(continuous)), dtype=np.complex128)
-    for i in range(len(continuous)):
-        ops = _encoding_ops(config, scaler, continuous[i], categorical[i])
-        block[:, i] = apply_ops(zero, ops).amplitudes
+    """Encoded states of the records as the columns of one ``(2^n, records)`` block.
+
+    Column i holds what ``apply_ops`` makes of ``_encoding_ops`` for record i,
+    bit for bit up to the sign of zero, with no gate built: the Hadamard
+    layers go through the scalar kernel, each feature-map term is one
+    multiply by per-column factors exp(1j * phases) laid out through
+    ``phase_layout`` (exactly 1 + 0j for a record whose phase is 0, whose
+    gate ``feature_map_ops`` leaves out), and the QRAC rotations take
+    per-column entries.
+    """
+    values, bits = _map_block(config, continuous, categorical)
+    mapped = scale_features(values, *scaler)
+    dim, records = 1 << config.n_qubits, len(mapped)
+    block = np.zeros((dim, records), dtype=np.complex128)
+    block[0] = 1.0
+    if config.n_map_qubits:
+        fmap = FeatureMap(config.n_map_qubits, config.repetitions)
+        phases = []
+        for subset, phis in sorted(fmap.coefficients(mapped.T).items()):
+            shape, select, factor_shape, order = phase_layout(dim, subset)
+            factors = np.exp(1j * np.multiply.outer(_parity_signs(len(subset)), phis))[order]
+            factors[:, phis == 0.0] = 1.0
+            phases.append((block.reshape(shape + (records,), copy=False)[select],
+                           factors.reshape(factor_shape + (records,))))
+        for _ in range(fmap.repetitions):
+            for q in range(fmap.n_qubits):
+                apply_1q_inplace(block, q, "h")
+            for rows, factors in phases:
+                rows *= factors
+    for k in range(0, bits.shape[1], 3):
+        blocks = [tuple(row) for row in bits[:, k:k + 3].tolist()]
+        angles = {bloch: _qrac_angles(bloch) for bloch in set(blocks)}
+        _rotate_records(block, config.n_map_qubits + k // 3, "ry", [angles[b][0] for b in blocks])
+        _rotate_records(block, config.n_map_qubits + k // 3, "rz", [angles[b][1] for b in blocks])
     return block
 
 
-def _separated_decisions(model: VqcModel, block: np.ndarray) -> np.ndarray:
+def _separator(config: ModelConfig):
+    """The separator of ``config`` compiled once: ``(theta, start=block) -> block``."""
+    return compile_ansatz(rxry_ansatz(config.n_qubits, config.separator_layers))
+
+
+def _separated_decisions(model: VqcModel, block: np.ndarray, separate) -> np.ndarray:
     """Run the separator over every column of ``block`` at once, then read each out.
 
-    Each record's probabilities are reduced by the same contiguous 1-D dot
-    that ``decision`` uses, so the values agree with it bit for bit (one
-    matrix-vector product would sum in another order).
+    ``separate`` is ``_separator(model.config)``, whose compiled layers
+    rotate every column with ``model.theta``'s entries as ``decision``'s
+    gates do. Each record's probabilities are reduced by the same
+    contiguous 1-D dot that ``decision`` uses, so the values agree with it
+    bit for bit (one matrix-vector product would sum in another order).
     """
-    state = apply_ops(Statevector(model.config.n_qubits, block), _separator_ops(model))
-    probs = np.abs(np.ascontiguousarray(state.amplitudes.T)) ** 2
+    state = separate(model.theta, start=block)
+    probs = np.abs(np.ascontiguousarray(state.T)) ** 2
     table = model.readout_table()
     return np.array([float(row @ table) + model.bias for row in probs])
 
@@ -473,7 +540,7 @@ def _separated_decisions(model: VqcModel, block: np.ndarray) -> np.ndarray:
 def _record_decisions(model: VqcModel, continuous, categorical) -> np.ndarray:
     scaler = (model.scaler_low, model.scaler_high)
     block = _encoded_block(model.config, scaler, continuous, categorical)
-    return _separated_decisions(model, block)
+    return _separated_decisions(model, block, _separator(model.config))
 
 
 def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
@@ -541,28 +608,30 @@ def train_scored(dataset: LabeledDataset, config: ModelConfig, optimizer: Optimi
     The accuracy equals ``accuracy(model, dataset)`` bit for bit without
     encoding the records a second time.
     """
-    model, trace, encoded = _fit(dataset, config, optimizer, form)
-    return model, trace, _accuracy_of_values(_separated_decisions(model, encoded),
-                                             dataset.labels)
+    model, trace, decide = _fit(dataset, config, optimizer, form)
+    return model, trace, _accuracy_of_values(decide(model), dataset.labels)
 
 
 def _fit(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
-         form: str) -> tuple[VqcModel, list[float], np.ndarray]:
+         form: str) -> tuple[VqcModel, list[float], object]:
+    """``train``'s fit, plus ``decide(model)``: the decisions of the encoded records."""
     if form not in RISK_FORMS:
         raise ValueError(f"risk form must be one of {RISK_FORMS}")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    map_columns = _map_feature_matrix(dataset, config)
-    scaler = fit_scaler(map_columns)
+    scaler = fit_scaler(_map_block(config, dataset.continuous, dataset.categorical)[0])
     n_params = separator_parameter_count(config)
     encoded = _encoded_block(config, scaler, dataset.continuous, dataset.categorical)
+    separate = _separator(config)
 
     def build(params):
         return _assemble_model(config, params[:n_params], params[n_params], scaler)
 
+    def decide(model):
+        return _separated_decisions(model, encoded, separate)
+
     def objective(params):
-        model = build(params)
-        return _risk_of_values(_separated_decisions(model, encoded), dataset.labels, form)
+        return _risk_of_values(decide(build(params)), dataset.labels, form)
 
     master = np.random.SeedSequence(optimizer.seed)
     best = None
@@ -572,15 +641,7 @@ def _fit(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfi
         outcome = minimize(objective, x0, optimizer, rng=rng)
         if best is None or outcome.value < best.value:
             best = outcome
-    return build(best.x), best.trace, encoded
-
-
-def _map_feature_matrix(dataset: LabeledDataset, config: ModelConfig) -> np.ndarray:
-    columns = [dataset.continuous]
-    for idx, name in enumerate(dataset.categorical_names):
-        if name not in config.qrac_features:
-            columns.append(dataset.categorical[:, idx:idx + 1].astype(float))
-    return np.hstack(columns) if columns else np.zeros((len(dataset), 0))
+    return build(best.x), best.trace, decide
 
 
 def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:

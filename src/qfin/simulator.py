@@ -186,7 +186,7 @@ def phase_layout(dim: int, targets, controls=()):
     broadcasts the table over that selection (2 on the target axes, 1 on the
     blocks), and the order that takes the table from sub-basis order (bit
     j <-> targets[j]) to the split view's axis order. The ``phase`` kind and
-    the compiled QAOA cost layer both lay their tables out here.
+    the classifier's batched feature map both lay their tables out here.
     """
     targets, controls = tuple(targets), tuple(controls)
     shape, select, axes = _split(dim, targets, controls)

@@ -8,6 +8,7 @@ classical optimizer sees a noiseless objective; shot-based sampling remains
 available through ``simulator.sample`` for realism experiments.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,14 +19,12 @@ from .simulator import (
     GateOp,
     IsingObservable,
     Statevector,
-    _matrix_1q,
     apply_ops,
     basis_probabilities,
     cnot,
     h,
     new_zero_state,
     phase_gate,
-    phase_layout,
     rx,
     ry,
 )
@@ -163,39 +162,47 @@ def _checked_stack(ansatz: Ansatz, params) -> np.ndarray:
     return stack
 
 
-def _column_entries(kinds, angles) -> np.ndarray:
-    """Per-column entries of ``_matrix_1q(kinds[r], angles[r][b])`` for each row r.
+def _fill_entries(entries: np.ndarray, angles: np.ndarray, u10, u01) -> None:
+    """Write per-column ``_matrix_1q`` entries of every rotation into ``entries``.
 
-    Shaped ``(R, 2, 2, 1, B)``: ``[r, j, i, 0, b]`` is entry m_ij of column
-    b, laid out for ``_rotate_columns``. The entries come from ``math.cos``/
-    ``math.sin`` inside ``_matrix_1q``, as the gate path's do; ``np.cos``
-    may differ in the last bit. Real entries among complex ones become
-    complex with a zero imaginary part, which is what a multiply by complex
-    amplitudes casts them to anyway.
+    ``entries[r, j, i, 0, b]`` becomes entry m_ij of rotation r by angle
+    ``angles[b, r]``: m00 = m11 = cos(angle/2), m10 = sin(angle/2) * u10[r]
+    and m01 = sin(angle/2) * u01[r], with u = (1, -1) for RY and (-1j, -1j)
+    for RX. The cosines and sines come from ``math.cos``/``math.sin`` of the
+    same halved angle ``_matrix_1q`` takes (``np.cos`` may differ in the last
+    bit), and the products by u are exact, so every entry equals the gate
+    path's.
     """
-    entries = np.array([[_matrix_1q(kind, angle) for angle in row]
-                        for kind, row in zip(kinds, angles)])
-    rows, columns = len(entries), entries.shape[1]
-    entries = entries.reshape(rows, columns, 2, 2).transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(entries)[:, :, :, None]
+    halves = [0.5 * angle for row in angles.T.tolist() for angle in row]
+    shape = (len(entries), entries.shape[-1])
+    c = np.array([math.cos(half) for half in halves]).reshape(shape)
+    s = np.array([math.sin(half) for half in halves]).reshape(shape)
+    entries[:, 0, 0, 0] = c
+    entries[:, 1, 1, 0] = c
+    np.multiply(s, u10, out=entries[:, 0, 1, 0])
+    np.multiply(s, u01, out=entries[:, 1, 0, 0])
 
 
-def _split_view(amps: np.ndarray, q: int, rows: int) -> np.ndarray:
-    """The leading ``rows`` rows of a block, split at qubit ``q``: ``(hi, 2, lo, B)``."""
-    return amps[:rows].reshape((rows >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
+def _rotation(entries, r: int, src, dst, scratch, q: int, rows: int) -> tuple:
+    """Operands of one planned rotation of qubit ``q`` over the leading ``rows`` rows."""
+    def split(buf):
+        return buf[:rows].reshape((rows >> (q + 1), 2, 1 << q) + buf.shape[1:], copy=False)
+
+    pairs = split(src)
+    return entries[r, 0], pairs[:, :1], split(dst), entries[r, 1], pairs[:, 1:], split(scratch)
 
 
-def _rotate_columns(view: np.ndarray, entries: np.ndarray) -> None:
-    """Map each pair ``(a0, a1)`` of a split view to ``(m00*a0 + m01*a1, m10*a0 + m11*a1)``.
+def _run_rotations(rotations) -> None:
+    """Map each pair ``(a0, a1)`` to ``(m00*a0 + m01*a1, m10*a0 + m11*a1)`` in ``dst``.
 
-    ``entries`` is one row of ``_column_entries``, so each column has its
-    own matrix. Element by element these are ``simulator._rotate``'s
-    products and sums in its order; both halves of the pair are computed in
-    one broadcast product per input half.
+    These are ``simulator._rotate``'s products and sums in its order, both
+    halves of the pair in one broadcast product per input half, written
+    through ``out=`` into the plan's buffers: nothing is allocated.
     """
-    new = entries[0] * view[:, :1]
-    new += entries[1] * view[:, 1:]
-    view[...] = new
+    for m0, a0, dst, m1, a1, scratch in rotations:
+        np.multiply(m0, a0, out=dst)
+        np.multiply(m1, a1, out=scratch)
+        np.add(dst, scratch, out=dst)
 
 
 def compile_ansatz(ansatz: Ansatz):
@@ -207,77 +214,161 @@ def compile_ansatz(ansatz: Ansatz):
     has the probabilities ``apply_ops(new_zero_state(n), ansatz_ops(ansatz,
     row))`` gives, bit for bit, whatever the other rows hold: every rotation
     takes the gate path's products and sums with per-column copies of
-    ``_matrix_1q``'s entries (``_rotate_columns``), the CNOT ladder is one
-    gather (exact up to the sign of zero), and each QAOA cost term
-    multiplies by the same ``phase_gate`` factors in the same term order. The first rotation layer
-    of the RY and RX+RY kinds rotates qubit ``q`` over the leading
-    ``2^(q+1)`` rows only, the only ones non-zero from ``|0...0>``; the
-    skipped rows stay zero up to sign. The RY kind runs on real amplitudes,
-    as RY and CNOT are real. Besides the state block it holds at most one
-    2^n index (the ladder) or one 2^n state (the QAOA start).
+    ``_matrix_1q``'s entries (``_fill_entries``), the CNOT ladder is one
+    gather (exact up to the sign of zero), and the QAOA cost layer
+    multiplies each amplitude by the same ``phase_gate`` factors in the same
+    term order (one gather of every term's factor, then one ordered product).
+
+    The RY and RX+RY functions also take ``start``, a ``(2^n, B)`` block to
+    run from instead of ``|0...0>``, with one parameter row for every column;
+    they return a ``(2^n, B)`` block. From ``|0...0>`` the first rotation
+    layer rotates qubit ``q`` over the leading ``2^(q+1)`` rows only, the
+    only non-zero ones; the RY kind then runs on real amplitudes, as RY and
+    CNOT are real.
+
+    Each block width gets a plan the first time it is used: two ping-pong
+    state buffers, a scratch buffer, and every rotation's split views of
+    them, so a call allocates nothing per gate. Plans are kept for the two
+    most recent widths. The returned block is a copy that later calls do
+    not overwrite; two threads must not call one state function at once.
     """
-    n = ansatz.n_qubits
-    dim = 1 << n
     if ansatz.kind == "qaoa":
-        start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-        terms, at = [], 0
-        for support, _ in ansatz.cost.terms:
-            view_shape, _, factor_shape, order = phase_layout(dim, support)
-            terms.append((view_shape, slice(at, at + order.size), factor_shape,
-                          _parity_signs(len(support))[order]))
-            at += order.size
-        coeffs = np.repeat([coeff for _, coeff in ansatz.cost.terms],
-                           [term_signs.size for *_, term_signs in terms])
-        signs = np.concatenate([np.zeros(0)] + [term_signs for *_, term_signs in terms])
-        # signs are +-1 and negation is exact, so rates * gamma equals
-        # cost_phase_ops' -gamma * coeff * sign bit for bit
-        rates = -coeffs * signs
-
-        def qaoa_state(params):
-            stack = _checked_stack(ansatz, params)
-            batch = stack.shape[:1]
-            amps = np.repeat(start[:, None], len(stack), axis=1)
-            factors = np.empty((rates.size,) + batch, dtype=complex)
-            # every term's view of the block and of its factors, once per call
-            layers = [(amps.reshape(view_shape + batch, copy=False),
-                       factors[rows].reshape(factor_shape + batch, copy=False))
-                      for view_shape, rows, factor_shape, _ in terms]
-            splits = [_split_view(amps, q, dim) for q in range(n)]
-            p = ansatz.depth
-            for gammas, betas in zip(stack[:, :p].T, stack[:, p:].T.tolist()):
-                # every term's phases for every column at once
-                np.exp(1j * np.multiply.outer(rates, gammas), out=factors)
-                for view, term_factors in layers:
-                    view *= term_factors
-                entries = _column_entries(["rx"], [[2.0 * beta for beta in betas]])[0]
-                for view in splits:
-                    _rotate_columns(view, entries)
-            return amps if np.ndim(params) == 2 else amps[:, 0]
-
-        return qaoa_state
-
-    perm = _ladder_permutation(n) if ansatz.depth else None
+        return _compile_qaoa(ansatz)
+    n, p = ansatz.n_qubits, ansatz.depth
+    dim = 1 << n
+    perm = _ladder_permutation(n) if p else None
     real = ansatz.kind == "ry-full-entanglement"
-    # parameter j of a layer rotates qubit j % n by kinds[j // n]
-    kinds = ("ry",) if real else ("rx", "ry")
-    param_kinds = [kind for kind in kinds for _ in range(n)] * (ansatz.depth + 1)
+    # rotation r is parameter r: per layer RY on each qubit, or RX then RY
+    u10 = [1.0] * n if real else [-1j] * n + [1.0] * n
+    u01 = [-1.0] * n if real else [-1j] * n + [-1.0] * n
+    per_layer = len(u10)
+    u10 = np.array(u10 * (p + 1))[:, None]
+    u01 = np.array(u01 * (p + 1))[:, None]
 
-    def layered_state(params):
-        stack = _checked_stack(ansatz, params)
-        entries = _column_entries(param_kinds, stack.T.tolist())
-        entries = entries.reshape((ansatz.depth + 1, -1) + entries.shape[1:])
-        amps = np.zeros((dim, len(stack)), dtype=float if real else complex)
-        amps[0] = 1.0
-        for layer, layer_entries in enumerate(entries):
+    def build(key):
+        width, from_zero = key
+        dtype = float if real and from_zero else complex
+        bufs = np.empty((2, dim, width), dtype=dtype)
+        scratch = np.empty((dim, width), dtype=dtype)
+        entries = np.empty((ansatz.parameter_count, 2, 2, 1, width if from_zero else 1),
+                           dtype=u10.dtype)
+        layers, steps = [], 0
+        for layer in range(p + 1):
+            ladder = None
             if layer:
-                amps = amps[perm]
-            for j, matrix in enumerate(layer_entries):
+                ladder = bufs[steps % 2], bufs[(steps + 1) % 2]
+                steps += 1
+            rotations = []
+            for j in range(per_layer):
                 q = j % n
-                rows = 2 << q if layer == 0 and j < n else dim
-                _rotate_columns(_split_view(amps, q, rows), matrix)
-        return amps if np.ndim(params) == 2 else amps[:, 0]
+                rows = 2 << q if from_zero and layer == 0 and j < n else dim
+                rotations.append(_rotation(entries, layer * per_layer + j, bufs[steps % 2],
+                                           bufs[(steps + 1) % 2], scratch, q, rows))
+                steps += 1
+            layers.append((ladder, rotations))
+        return bufs, entries, layers, bufs[steps % 2]
+
+    # SPSA alternates stacks of two rows and of one: keep both plans
+    plan_for = functools.lru_cache(maxsize=2)(build)
+
+    def layered_state(params, start=None):
+        stack = _checked_stack(ansatz, params)
+        if start is not None and (len(stack) != 1 or np.ndim(start) != 2
+                                  or len(start) != dim):
+            raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
+        bufs, entries, layers, final = plan_for(
+            (len(stack), True) if start is None else (np.shape(start)[1], False))
+        _fill_entries(entries, stack, u10, u01)
+        if start is None:
+            bufs.fill(0.0)
+            bufs[0, 0] = 1.0
+        else:
+            np.copyto(bufs[0], start)
+        for ladder, rotations in layers:
+            if ladder is not None:
+                np.take(ladder[0], perm, axis=0, out=ladder[1], mode="clip")
+            _run_rotations(rotations)
+        amps = final.copy()
+        return amps if start is not None or np.ndim(params) == 2 else amps[:, 0]
 
     return layered_state
+
+
+def _compile_qaoa(ansatz: Ansatz):
+    """``compile_ansatz`` for the QAOA kind.
+
+    Each level multiplies every amplitude by the exp(-i gamma c_t s_t)
+    factor of each cost term t in term order, where s_t is the Z parity of
+    the term's support; ``view *= factors`` term by term makes the same
+    left-to-right product. Here one row-index table picks each term's
+    factor (row 2t for even parity, 2t + 1 for odd), one ``np.take``
+    gathers them behind the amplitudes and ``np.multiply.reduce`` takes the
+    ordered product. The rows are worked in chunks of ``span`` so that
+    neither the index table nor the gathered table exceeds
+    ``BLOCK_AMPLITUDES`` elements (at least two rows): a chunk's index table
+    is the first chunk's with the parities of its high bits flipped in.
+    """
+    n, p = ansatz.n_qubits, ansatz.depth
+    dim = 1 << n
+    start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
+    terms = ansatz.cost.terms
+    # signs are +-1 and negation is exact, so rates * gamma equals
+    # cost_phase_ops' -gamma * coeff * sign bit for bit
+    rates = -np.repeat([coeff for _, coeff in terms], 2) * np.tile([1.0, -1.0], len(terms))
+    member = np.zeros((len(terms), n), dtype=np.intp)
+    for t, (support, _) in enumerate(terms):
+        member[t, list(support)] = 1
+    qubits = np.arange(n)
+    u = np.full((p, 1), -1j)
+
+    def parities(rows: np.ndarray) -> np.ndarray:
+        """Z parity of each term's support at each row index: ``(terms, rows)``."""
+        return (member @ ((rows[None, :] >> qubits[:, None]) & 1)) & 1
+
+    def build(width):
+        # at least two rows: over a single element numpy's reduce loop rounds
+        # its complex products unlike the elementwise multiply
+        span = max(2, BLOCK_AMPLITUDES // ((len(terms) + 1) * width))
+        span = min(dim, 1 << (span.bit_length() - 1))
+        first = 2 * np.arange(len(terms))[:, None] + parities(np.arange(span))
+        bufs = np.empty((2, dim, width), dtype=complex)
+        scratch = np.empty((dim, width), dtype=complex)
+        entries = np.empty((p, 2, 2, 1, width), dtype=complex)
+        levels = []
+        for level in range(p):
+            steps = level * n
+            levels.append((bufs[steps % 2], [
+                _rotation(entries, level, bufs[(steps + q) % 2], bufs[(steps + q + 1) % 2],
+                          scratch, q, dim) for q in range(n)]))
+        return (bufs, entries, levels, bufs[(p * n) % 2], span, first, np.empty_like(first),
+                np.empty((len(terms) + 1, span, width), dtype=complex),
+                np.empty((2 * len(terms), p, width), dtype=complex))
+
+    # SPSA alternates stacks of two rows and of one: keep both plans
+    plan_for = functools.lru_cache(maxsize=2)(build)
+
+    def qaoa_state(params):
+        stack = _checked_stack(ansatz, params)
+        (bufs, entries, levels, final, span, first, index, gathered,
+         factors) = plan_for(len(stack))
+        np.copyto(bufs[0], start[:, None])
+        # every term's two factors for every level and column at once
+        np.exp(1j * np.multiply.outer(rates, stack[:, :p].T), out=factors)
+        _fill_entries(entries, 2.0 * stack[:, p:], u, u)
+        for level, (amps, rotations) in enumerate(levels):
+            for at in range(0, dim, span):
+                chunk = amps[at:at + span]
+                gathered[0] = chunk
+                if at:
+                    np.bitwise_xor(first, parities(np.array([at])), out=index)
+                np.take(factors[:, level], index if at else first, axis=0,
+                        out=gathered[1:], mode="clip")
+                np.multiply.reduce(gathered, axis=0, out=chunk)
+            _run_rotations(rotations)
+        amps = final.copy()
+        return amps if np.ndim(params) == 2 else amps[:, 0]
+
+    return qaoa_state
 
 
 def prepare_state(ansatz: Ansatz, params) -> Statevector:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -342,15 +343,36 @@ def test_batched_decisions_equal_per_record_bitwise(encoder, layers):
         config = _transaction_config(encoder, layers, dataset)
         rng = np.random.default_rng(seed + 40)
         theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(config))
-        scaler = clf.fit_scaler(clf._map_feature_matrix(dataset, config))
+        values, _ = clf._map_block(config, dataset.continuous, dataset.categorical)
+        scaler = clf.fit_scaler(values)
         model = clf._assemble_model(config, theta, rng.normal(), scaler)
         assert np.array_equal(clf.decisions(model, dataset),
                               _per_record_decisions(model, dataset))
 
 
-def test_batched_decisions_equal_per_record_with_custom_readout():
-    import dataclasses
+@pytest.mark.parametrize("encoder", ["qrac", "map"])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_batched_decisions_with_latent_qubits_and_zero_phases(encoder, layers):
+    dataset = clf.synthesize_transactions(24, seed=layers + 7)
+    # a scaler onto [0, 2] makes feature value 0 the phase 0 and value 1 the
+    # phase pi, which zeroes every pair term it takes part in
+    dataset.continuous[:3] = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]
+    dataset.categorical[:3, 1:] = [[0, 0], [1, 1], [0, 1]]
+    config = _transaction_config(encoder, layers, dataset)
+    config = dataclasses.replace(config, n_qubits=config.n_qubits + 2, latent_qubits=2)
+    rng = np.random.default_rng(layers)
+    theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(config))
+    d = config.n_map_qubits
+    model = clf.VqcModel(config, theta, rng.normal(), np.zeros(d), np.full(d, 2.0))
+    every_gate = config.repetitions * (2 * d + d * (d - 1) // 2) + 2 * config.n_qrac_qubits
+    for i in range(3):  # each of these records skips some zero-phase gates
+        assert len(clf._encoding_ops(config, (model.scaler_low, model.scaler_high),
+                                     dataset.continuous[i], dataset.categorical[i])) < every_gate
+    assert clf.decisions(model, dataset).tobytes() == \
+        _per_record_decisions(model, dataset).tobytes()
 
+
+def test_batched_decisions_equal_per_record_with_custom_readout():
     dataset = clf.synthesize_separable(25, seed=4)
     rng = np.random.default_rng(8)
     theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(TWO_Q))
@@ -371,7 +393,8 @@ def test_batched_decisions_of_empty_dataset():
 
 def _per_record_train(dataset, config, optimizer, form):
     """``train`` with every record re-simulated from |0...0> on every objective call."""
-    scaler = clf.fit_scaler(clf._map_feature_matrix(dataset, config))
+    values, _ = clf._map_block(config, dataset.continuous, dataset.categorical)
+    scaler = clf.fit_scaler(values)
     n_params = clf.separator_parameter_count(config)
 
     def build(params):

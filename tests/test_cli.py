@@ -532,3 +532,149 @@ def test_opt_diversify_rejects_non_finite_inputs(tmp_path, capsys, rho_text, ext
     assert code == 3
     _assert_one_line_error(capsys, "validation error:")
     assert not (out / "result.json").exists()
+
+
+# -- the former per-call kernels, kept as the oracle for the planned ones ----
+
+def _former_column_entries(kinds, angles):
+    """Per-column ``_matrix_1q`` entries, ``[r, j, i, 0, b]`` = m_ij of column b."""
+    from qfin.simulator import _matrix_1q
+
+    entries = np.array([[_matrix_1q(kind, angle) for angle in row]
+                        for kind, row in zip(kinds, angles)])
+    rows, columns = len(entries), entries.shape[1]
+    entries = entries.reshape(rows, columns, 2, 2).transpose(0, 3, 2, 1)
+    return np.ascontiguousarray(entries)[:, :, :, None]
+
+
+def _former_split_view(amps, q, rows):
+    return amps[:rows].reshape((rows >> (q + 1), 2, 1 << q) + amps.shape[1:], copy=False)
+
+
+def _former_rotate_columns(view, entries):
+    new = entries[0] * view[:, :1]
+    new += entries[1] * view[:, 1:]
+    view[...] = new
+
+
+def former_compile_ansatz(ansatz):
+    """State functions that allocate per rotation and multiply the QAOA cost term by term."""
+    from qfin import variational as vq
+    from qfin.simulator import apply_ops, h, new_zero_state, phase_layout
+
+    n = ansatz.n_qubits
+    dim = 1 << n
+    if ansatz.kind == "qaoa":
+        start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
+        terms, at = [], 0
+        for support, _ in ansatz.cost.terms:
+            view_shape, _, factor_shape, order = phase_layout(dim, support)
+            terms.append((view_shape, slice(at, at + order.size), factor_shape,
+                          vq._parity_signs(len(support))[order]))
+            at += order.size
+        coeffs = np.repeat([coeff for _, coeff in ansatz.cost.terms],
+                           [term_signs.size for *_, term_signs in terms])
+        rates = -coeffs * np.concatenate([np.zeros(0)] + [signs for *_, signs in terms])
+
+        def qaoa_state(params):
+            stack = vq._checked_stack(ansatz, params)
+            batch = stack.shape[:1]
+            amps = np.repeat(start[:, None], len(stack), axis=1)
+            factors = np.empty((rates.size,) + batch, dtype=complex)
+            layers = [(amps.reshape(view_shape + batch, copy=False),
+                       factors[rows].reshape(factor_shape + batch, copy=False))
+                      for view_shape, rows, factor_shape, _ in terms]
+            splits = [_former_split_view(amps, q, dim) for q in range(n)]
+            p = ansatz.depth
+            for gammas, betas in zip(stack[:, :p].T, stack[:, p:].T.tolist()):
+                np.exp(1j * np.multiply.outer(rates, gammas), out=factors)
+                for view, term_factors in layers:
+                    view *= term_factors
+                entries = _former_column_entries(["rx"], [[2.0 * beta for beta in betas]])[0]
+                for view in splits:
+                    _former_rotate_columns(view, entries)
+            return amps if np.ndim(params) == 2 else amps[:, 0]
+
+        return qaoa_state
+
+    perm = vq._ladder_permutation(n) if ansatz.depth else None
+    real = ansatz.kind == "ry-full-entanglement"
+    kinds = ("ry",) if real else ("rx", "ry")
+    param_kinds = [kind for kind in kinds for _ in range(n)] * (ansatz.depth + 1)
+
+    def layered_state(params):
+        stack = vq._checked_stack(ansatz, params)
+        entries = _former_column_entries(param_kinds, stack.T.tolist())
+        entries = entries.reshape((ansatz.depth + 1, -1) + entries.shape[1:])
+        amps = np.zeros((dim, len(stack)), dtype=float if real else complex)
+        amps[0] = 1.0
+        for layer, layer_entries in enumerate(entries):
+            if layer:
+                amps = amps[perm]
+            for j, matrix in enumerate(layer_entries):
+                q = j % n
+                rows = 2 << q if layer == 0 and j < n else dim
+                _former_rotate_columns(_former_split_view(amps, q, rows), matrix)
+        return amps if np.ndim(params) == 2 else amps[:, 0]
+
+    return layered_state
+
+
+def former_encoded_block(config, scaler, continuous, categorical):
+    """Each record encoded on its own through its gate list."""
+    from qfin import classifier as clf
+    from qfin.simulator import apply_ops, new_zero_state
+
+    zero = new_zero_state(config.n_qubits)
+    block = np.empty((zero.dim, len(continuous)), dtype=np.complex128)
+    for i in range(len(continuous)):
+        ops = clf._encoding_ops(config, scaler, continuous[i], categorical[i])
+        block[:, i] = apply_ops(zero, ops).amplitudes
+    return block
+
+
+def former_separated_decisions(model, block, *_):
+    """The separator's gate list applied to the block, then each column read out."""
+    from qfin import classifier as clf
+    from qfin.simulator import Statevector, apply_ops
+
+    state = apply_ops(Statevector(model.config.n_qubits, block), clf._separator_ops(model))
+    probs = np.abs(np.ascontiguousarray(state.amplitudes.T)) ** 2
+    table = model.readout_table()
+    return np.array([float(row @ table) + model.bias for row in probs])
+
+
+def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypatch,
+                                                            portfolio_instance):
+    # a regression guard on whole commands: any change to a planned state
+    # function, the batched encoder or the compiled separator shows in a file
+    from qfin import classifier as clf
+    from qfin import variational as vq
+
+    for name, seed in (("train", "5"), ("heldout", "6")):
+        assert main(["ml", "synth", "--n", "30", "--mode", "transactions", "--seed", seed,
+                     "--out-dir", str(tmp_path / name)]) == 0
+
+    def run(root):
+        for encoder in ("qrac", "map"):
+            model_dir = root / f"train-{encoder}"
+            assert main(["ml", "train", "--data", str(tmp_path / "train" / "dataset.csv"),
+                         "--encoder", encoder, "--iterations", "15", "--layers", "2",
+                         "--out-dir", str(model_dir)]) == 0
+            assert main(["ml", "eval", "--model", str(model_dir / "model.json"),
+                         "--data", str(tmp_path / "heldout" / "dataset.csv"),
+                         "--out-dir", str(root / f"eval-{encoder}")]) == 0
+        for solver in ("vqe", "qaoa"):
+            assert main(["opt", "portfolio", "--instance", portfolio_instance,
+                         "--solver", solver, "--iterations", "25", "--seed", "3",
+                         "--out-dir", str(root / solver)]) == 0
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.name != "manifest.json"
+                and path.is_file()}
+
+    planned = run(tmp_path / "planned")
+    assert len(planned) == 2 * 4 + 2
+    monkeypatch.setattr(vq, "compile_ansatz", former_compile_ansatz)
+    monkeypatch.setattr(clf, "_encoded_block", former_encoded_block)
+    monkeypatch.setattr(clf, "_separated_decisions", former_separated_decisions)
+    assert run(tmp_path / "former") == planned

@@ -406,3 +406,85 @@ def test_stacks_split_into_blocks_equal_the_ops_objective_loop(monkeypatch, shot
     assert got.best_params.tobytes() == best.x.tobytes()
     assert got.trace == best.trace
     assert got.top_states == top_states
+
+
+# -- planned state functions: buffers, start blocks and the chunked cost layer
+
+@pytest.mark.parametrize("kind", ["ry", "rxry", "qaoa"])
+def test_returned_blocks_keep_their_bytes_after_later_calls(kind):
+    # plans reuse their buffers, so a returned block must be a copy of them
+    rng = np.random.default_rng(["ry", "rxry", "qaoa"].index(kind) + 30)
+    ansatz = _ansaetze(kind, 4, 2, rng)
+    state_of = vq.compile_ansatz(ansatz)
+    kept = []
+    for width in (2, 2, 1, 3, 2, 1):  # same width, other widths, evicted plans
+        block = state_of(rng.uniform(-math.pi, math.pi, (width, ansatz.parameter_count)))
+        kept.append((block, block.tobytes()))
+        if kind != "qaoa":
+            start = rng.normal(size=(16, width)) + 1j * rng.normal(size=(16, width))
+            block = state_of(rng.uniform(-math.pi, math.pi, ansatz.parameter_count),
+                             start=start)
+            kept.append((block, block.tobytes()))
+        for block, data in kept:
+            assert block.tobytes() == data
+
+
+@pytest.mark.parametrize("kind", ["ry", "rxry"])
+def test_start_block_equals_ops_path(kind):
+    rng = np.random.default_rng(["ry", "rxry"].index(kind) + 40)
+    for n in (1, 2, 3, 5, 7):
+        for depth in range(3):
+            ansatz = _ansaetze(kind, n, depth, rng)
+            state_of = vq.compile_ansatz(ansatz)
+            for batch in (1, 2, 5):
+                start = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+                row = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+                block = state_of(row, start=start)
+                assert block.shape == (1 << n, batch)
+                want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, row))
+                assert block.tobytes() == want.amplitudes.tobytes(), (n, depth, batch)
+
+
+def test_start_block_validation():
+    ansatz = vq.rxry_ansatz(2, 1)
+    state_of = vq.compile_ansatz(ansatz)
+    row = np.zeros(ansatz.parameter_count)
+    start = np.zeros((4, 3), dtype=complex)
+    for bad_row, bad_start in ((np.stack([row, row]), start), (row, start[:2]),
+                               (row, start[:, 0])):
+        with pytest.raises(ValueError):
+            state_of(bad_row, start=bad_start)
+
+
+@pytest.mark.parametrize("bound", [1, 1 << 3, 1 << 6, 1 << 16])
+def test_chunked_qaoa_cost_layer_equals_term_by_term_gates(monkeypatch, bound):
+    # small bounds split the rows into many chunks, down to two rows each
+    monkeypatch.setattr(vq, "BLOCK_AMPLITUDES", bound)
+    rng = np.random.default_rng(bound)
+    for n in (1, 2, 5, 8):
+        ansatz = vq.qaoa_ansatz(n, 2, mixed_cost(n, rng))
+        state_of = vq.compile_ansatz(ansatz)
+        for batch in (1, 2, 5):
+            stack = rng.uniform(-math.pi, math.pi, (batch, ansatz.parameter_count))
+            for row, amps in zip(stack, state_of(stack).T):
+                want = apply_ops(new_zero_state(n), vq.ansatz_ops(ansatz, row)).amplitudes
+                assert amps.tobytes() == want.tobytes(), (n, batch)
+
+
+def test_qaoa_tables_stay_within_the_block_bound():
+    import tracemalloc
+
+    # 105 terms over 14 qubits: a (terms x 2^n) complex table would take 27.5 MB
+    n = 14
+    terms = [((i,), 0.1 * i) for i in range(n)]
+    terms += [((i, j), 0.01 * (i + j)) for i in range(n) for j in range(i + 1, n)]
+    ansatz = vq.qaoa_ansatz(n, 1, IsingObservable(terms=tuple(terms)))
+    state_of = vq.compile_ansatz(ansatz)
+    tracemalloc.start()
+    try:
+        state_of(np.array([0.3, 0.7]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three state buffers, the returned copy, and tables of BLOCK_AMPLITUDES elements
+    assert peak < 16 * (4 << n) + 40 * vq.BLOCK_AMPLITUDES
