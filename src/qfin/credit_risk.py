@@ -312,8 +312,10 @@ def load_portfolio_csv(path) -> list[Asset]:
             raise ValueError("portfolio CSV must have header lgd,p0,rho")
         for line, row in enumerate(reader, start=2):
             try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
                 lgd_raw = float(row["lgd"])
-                if lgd_raw != int(lgd_raw):
+                if not lgd_raw.is_integer():  # also rejects NaN and inf
                     raise ValueError("lgd must be an integer")
                 assets.append(Asset(lgd=int(lgd_raw), p0=float(row["p0"]),
                                     rho=float(row["rho"])))

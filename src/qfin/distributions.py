@@ -61,7 +61,13 @@ def loader_ops(dist: DiscretizedDistribution) -> tuple[GateOp, ...]:
     """Exact conditional-rotation tree preparing sum_i sqrt(p_i)|i>.
 
     Qubit j is rotated by the conditional probability of its bit given the
-    already-prepared lower bits; controls on a zero bit are wrapped in X.
+    already-prepared lower bits, one RY controlled on all of them per prefix
+    of those bits; a control on a zero bit is wrapped in X. The prefixes are
+    visited in Gray-code order, and between two of them only the X gates
+    whose zero pattern changes are emitted (the rest stay in place), so a
+    level of 2^j prefixes needs about 2^j X gates instead of j * 2^j. X is an
+    exact permutation and each prefix's RY acts on its own amplitudes, so the
+    state equals that of bracketing every RY in its own X pairs, bit for bit.
     Amplitudes come out real and nonnegative. Gate count is exponential in n,
     which is fine at desk scale.
     """
@@ -87,11 +93,14 @@ def loader_ops(dist: DiscretizedDistribution) -> tuple[GateOp, ...]:
             ops.append(ry(angles[0], j))
             continue
         lower = tuple(range(j))
-        for prefix in range(block):
+        flipped = 0  # mask of the lower qubits wrapped in X now
+        for step in range(block):
+            prefix = step ^ (step >> 1)
             if angles[prefix] == 0.0:
                 continue
-            flips = [x(q) for q in lower if not (prefix >> q) & 1]
-            ops.extend(flips)
+            zeros = ~prefix & (block - 1)
+            ops.extend(x(q) for q in lower if (zeros ^ flipped) >> q & 1)
+            flipped = zeros
             ops.append(ry(angles[prefix], j, controls=lower))
-            ops.extend(flips)
+        ops.extend(x(q) for q in lower if flipped >> q & 1)
     return tuple(ops)

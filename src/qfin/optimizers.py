@@ -9,11 +9,15 @@ why they stopped.
 An objective may carry a ``rows`` attribute: ``fn.rows(stack)`` takes a
 ``(B, P)`` array of points and returns their B values in row order, each
 equal to ``fn(row)`` and with the same side effects in the same order (an
-objective that samples draws for row 0, then row 1, ...). SPSA evaluates its
-+/- pair through one ``rows`` call, and Nelder-Mead its initial simplex and
-each shrink. Without ``rows`` (a plain function, or a wrapper that does not
-pass it on) each point is its own call, in the same order, so both paths see
-the same point sequence byte for byte and return the same outcome.
+objective that samples from its own generator draws for row 0, then row 1,
+...). SPSA evaluates f(x_k) together with the +/- pair about x_k as one
+stack of three, and Nelder-Mead its initial simplex and each shrink as one
+stack. SPSA draws the perturbation of a stack before the stack's first
+value, where the sequential loop draws it after, so an objective that
+draws from the optimizer's own generator must not carry ``rows``. Without
+``rows`` (a plain function, a sampled objective, or a wrapper that does not
+pass it on) each point is its own call, in the same order, so both paths
+see the same point sequence byte for byte and return the same outcome.
 """
 
 from dataclasses import dataclass
@@ -64,19 +68,43 @@ def _values(fn, stack: np.ndarray) -> list:
 
 
 def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator) -> OptimizeOutcome:
-    x = np.asarray(x0, dtype=float).copy()
-    best_x = x.copy()
-    best_f = fn(x)
+    """SPSA from x0. With ``fn.rows``, f(x_k) and the +/- pair about x_k are one stack.
+
+    The stack ``[x_k, x_k + c_k*delta_k, x_k - c_k*delta_k]`` holds the
+    points the sequential loop evaluates next, in its order; only delta_k
+    is drawn before f(x_k) rather than after, which no objective with
+    ``rows`` can tell (see the module docstring). The last f(x) is a call
+    of its own.
+    """
+    rows = getattr(fn, "rows", None)
     stability = 0.1 * config.iterations
-    trace = [best_f]
-    for k in range(config.iterations):
-        a_k = config.a / (k + 1 + stability) ** config.alpha
+    x = np.asarray(x0, dtype=float).copy()
+
+    def perturbed(k: int) -> tuple:
+        """c_k, delta_k and the pair x_k +/- c_k*delta_k about the current x."""
         c_k = config.c / (k + 1) ** config.gamma
         delta = rng.choice((-1.0, 1.0), size=x.size)
-        f_plus, f_minus = _values(fn, np.stack([x + c_k * delta, x - c_k * delta]))
+        return c_k, delta, (x + c_k * delta, x - c_k * delta)
+
+    if rows is None:
+        best_f = fn(x)
+    else:
+        c_k, delta, pair = perturbed(0)
+        best_f, f_plus, f_minus = rows(np.stack([x, *pair]))
+    best_x = x.copy()
+    trace = [best_f]
+    for k in range(config.iterations):
+        if rows is None:
+            c_k, delta, pair = perturbed(k)
+            f_plus, f_minus = fn(pair[0]), fn(pair[1])
+        a_k = config.a / (k + 1 + stability) ** config.alpha
         diff = f_plus - f_minus
         x = x - a_k * (diff / (2.0 * c_k)) * delta
-        f_x = fn(x)
+        if rows is None or k + 1 == config.iterations:
+            f_x = fn(x)
+        else:
+            c_k, delta, pair = perturbed(k + 1)
+            f_x, f_plus, f_minus = rows(np.stack([x, *pair]))
         if f_x < best_f:
             best_f = f_x
             best_x = x.copy()

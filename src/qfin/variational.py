@@ -183,26 +183,32 @@ def _fill_entries(entries: np.ndarray, angles: np.ndarray, u10, u01) -> None:
     np.multiply(s, u01, out=entries[:, 1, 0, 0])
 
 
-def _rotation(entries, r: int, src, dst, scratch, q: int, rows: int) -> tuple:
-    """Operands of one planned rotation of qubit ``q`` over the leading ``rows`` rows."""
+def _rotation(entries, r: int, src, dst, scratch, q: int, rows: int) -> list:
+    """Steps of one planned rotation: bit ``q`` of the leading ``rows`` rows.
+
+    Each pair ``(a0, a1)`` maps to ``(m00*a0 + m01*a1, m10*a0 + m11*a1)`` in
+    ``dst``: ``simulator._rotate``'s products and sums in its order, both
+    halves of the pair in one broadcast product per input half, written
+    through ``out=`` into the plan's buffers, so nothing is allocated.
+    """
     def split(buf):
         return buf[:rows].reshape((rows >> (q + 1), 2, 1 << q) + buf.shape[1:], copy=False)
 
-    pairs = split(src)
-    return entries[r, 0], pairs[:, :1], split(dst), entries[r, 1], pairs[:, 1:], split(scratch)
+    pairs, out, tmp = split(src), split(dst), split(scratch)
+    return [functools.partial(np.multiply, entries[r, 0], pairs[:, :1], out=out),
+            functools.partial(np.multiply, entries[r, 1], pairs[:, 1:], out=tmp),
+            functools.partial(np.add, out, tmp, out=out)]
 
 
-def _run_rotations(rotations) -> None:
-    """Map each pair ``(a0, a1)`` to ``(m00*a0 + m01*a1, m10*a0 + m11*a1)`` in ``dst``.
+def _low_bits_on_top(n: int) -> np.ndarray:
+    """Natural index at each position of the layout whose top bits are the low ``n//2``.
 
-    These are ``simulator._rotate``'s products and sums in its order, both
-    halves of the pair in one broadcast product per input half, written
-    through ``out=`` into the plan's buffers: nothing is allocated.
+    Position ``(i & (2^(n//2) - 1)) << (n - n//2) | i >> n//2`` holds
+    natural index ``i``: qubit ``q < n//2`` sits at bit ``q + n - n//2``.
     """
-    for m0, a0, dst, m1, a1, scratch in rotations:
-        np.multiply(m0, a0, out=dst)
-        np.multiply(m1, a1, out=scratch)
-        np.add(dst, scratch, out=dst)
+    low, high = n // 2, n - n // 2
+    positions = np.arange(1 << n)
+    return (positions >> high) | ((positions & ((1 << high) - 1)) << low)
 
 
 def compile_ansatz(ansatz: Ansatz):
@@ -227,16 +233,30 @@ def compile_ansatz(ansatz: Ansatz):
     CNOT are real.
 
     Each block width gets a plan the first time it is used: two ping-pong
-    state buffers, a scratch buffer, and every rotation's split views of
+    state buffers, a scratch buffer, and a flat list of steps over views of
     them, so a call allocates nothing per gate. Plans are kept for the two
     most recent widths. The returned block is a copy that later calls do
     not overwrite; two threads must not call one state function at once.
+
+    In natural order, qubit ``q`` pairs rows ``2^q`` apart, so a rotation
+    of a low qubit of one column runs numpy inner loops of ``2^q``
+    elements. After each CNOT ladder the state is therefore written with
+    its low ``n//2`` index bits on top: the function's one ``2^n`` index is
+    the ladder's permutation composed with that bit rotation, so the
+    ladder's single ``np.take`` does both. Qubits ``q < n//2`` rotate there,
+    as bit ``q + n - n//2``, with inner runs of at least ``2^(n - n//2)``;
+    one transposing ``np.copyto`` restores natural order, and the other
+    rotations of the layer follow as before. Every rotation keeps its place
+    in the gate order, and the gather and the copy only move amplitudes, so
+    each amplitude is the same product and sum as in natural order.
     """
     if ansatz.kind == "qaoa":
         return _compile_qaoa(ansatz)
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
-    perm = _ladder_permutation(n) if p else None
+    low, high = n // 2, n - n // 2
+    # the ladder's gather writes the layout with the low bits on top
+    index = _ladder_permutation(n)[_low_bits_on_top(n)] if p else None
     real = ansatz.kind == "ry-full-entanglement"
     # rotation r is parameter r: per layer RY on each qubit, or RX then RY
     u10 = [1.0] * n if real else [-1j] * n + [1.0] * n
@@ -252,23 +272,31 @@ def compile_ansatz(ansatz: Ansatz):
         scratch = np.empty((dim, width), dtype=dtype)
         entries = np.empty((ansatz.parameter_count, 2, 2, 1, width if from_zero else 1),
                            dtype=u10.dtype)
-        layers, steps = [], 0
+        steps, at = [], 0  # bufs[at] holds the state
         for layer in range(p + 1):
-            ladder = None
             if layer:
-                ladder = bufs[steps % 2], bufs[(steps + 1) % 2]
-                steps += 1
-            rotations = []
+                steps.append(functools.partial(np.take, bufs[at], index, axis=0,
+                                               out=bufs[1 - at], mode="clip"))
+                at = 1 - at
             for j in range(per_layer):
-                q = j % n
-                rows = 2 << q if from_zero and layer == 0 and j < n else dim
-                rotations.append(_rotation(entries, layer * per_layer + j, bufs[steps % 2],
-                                           bufs[(steps + 1) % 2], scratch, q, rows))
-                steps += 1
-            layers.append((ladder, rotations))
-        return bufs, entries, layers, bufs[steps % 2]
+                q, position, rows = j % n, j % n, dim
+                if layer and j < low:
+                    position = q + high
+                elif layer and j == low and low:
+                    # back to natural order, (low bits, high bits) -> (high bits, low bits)
+                    steps.append(functools.partial(
+                        np.copyto, bufs[1 - at].reshape(1 << high, 1 << low, width),
+                        bufs[at].reshape(1 << low, 1 << high, width).transpose(1, 0, 2)))
+                    at = 1 - at
+                elif from_zero and layer == 0 and j < n:
+                    rows = 2 << q
+                steps.extend(_rotation(entries, layer * per_layer + j, bufs[at],
+                                       bufs[1 - at], scratch, position, rows))
+                at = 1 - at
+        return bufs, entries, steps, bufs[at]
 
-    # SPSA alternates stacks of two rows and of one: keep both plans
+    # SPSA sends stacks of three and ends with one; Nelder-Mead its simplex
+    # blocks, then mostly single points: keep two plans
     plan_for = functools.lru_cache(maxsize=2)(build)
 
     def layered_state(params, start=None):
@@ -276,7 +304,7 @@ def compile_ansatz(ansatz: Ansatz):
         if start is not None and (len(stack) != 1 or np.ndim(start) != 2
                                   or len(start) != dim):
             raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
-        bufs, entries, layers, final = plan_for(
+        bufs, entries, steps, final = plan_for(
             (len(stack), True) if start is None else (np.shape(start)[1], False))
         _fill_entries(entries, stack, u10, u01)
         if start is None:
@@ -284,10 +312,8 @@ def compile_ansatz(ansatz: Ansatz):
             bufs[0, 0] = 1.0
         else:
             np.copyto(bufs[0], start)
-        for ladder, rotations in layers:
-            if ladder is not None:
-                np.take(ladder[0], perm, axis=0, out=ladder[1], mode="clip")
-            _run_rotations(rotations)
+        for step in steps:
+            step()
         amps = final.copy()
         return amps if start is not None or np.ndim(params) == 2 else amps[:, 0]
 
@@ -338,13 +364,14 @@ def _compile_qaoa(ansatz: Ansatz):
         for level in range(p):
             steps = level * n
             levels.append((bufs[steps % 2], [
-                _rotation(entries, level, bufs[(steps + q) % 2], bufs[(steps + q + 1) % 2],
-                          scratch, q, dim) for q in range(n)]))
+                step for q in range(n) for step in _rotation(
+                    entries, level, bufs[(steps + q) % 2], bufs[(steps + q + 1) % 2],
+                    scratch, q, dim)]))
         return (bufs, entries, levels, bufs[(p * n) % 2], span, first, np.empty_like(first),
                 np.empty((len(terms) + 1, span, width), dtype=complex),
                 np.empty((2 * len(terms), p, width), dtype=complex))
 
-    # SPSA alternates stacks of two rows and of one: keep both plans
+    # SPSA sends stacks of three and ends with one: keep both plans
     plan_for = functools.lru_cache(maxsize=2)(build)
 
     def qaoa_state(params):
@@ -364,7 +391,8 @@ def _compile_qaoa(ansatz: Ansatz):
                 np.take(factors[:, level], index if at else first, axis=0,
                         out=gathered[1:], mode="clip")
                 np.multiply.reduce(gathered, axis=0, out=chunk)
-            _run_rotations(rotations)
+            for step in rotations:
+                step()
         amps = final.copy()
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
@@ -418,14 +446,15 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     experiments. The returned trace is the winning restart's best-so-far
     curve, which is nonincreasing by construction.
 
-    The objective handed to the optimizer carries a ``rows`` attribute (see
-    ``optimizers``): ``objective.rows(stack)`` evaluates a ``(B, P)`` stack
-    from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
-    the B values in row order, each equal bit for bit to ``objective(row)``. Each column is read out as a
-    contiguous 1-D row, as a single state is, not as a strided column or a
-    matrix-vector product, whose sums may round differently; with ``shots``
-    the samples are drawn row by row in order, so the RNG stream is the one
-    the row-by-row calls draw.
+    The exact objective handed to the optimizer carries a ``rows``
+    attribute (see ``optimizers``): ``objective.rows(stack)`` evaluates a
+    ``(B, P)`` stack from state blocks of at most ``BLOCK_AMPLITUDES``
+    amplitudes and returns the B values in row order, each equal bit for bit
+    to ``objective(row)``. Each column is read out as a contiguous 1-D row,
+    as a single state is, not as a strided column or a matrix-vector
+    product, whose sums may round differently. The ``shots`` objective draws
+    its samples from the optimizer's own generator, so it carries no
+    ``rows`` and the optimizer calls it point by point.
     """
     if observable.max_qubit() >= ansatz.n_qubits:
         raise ValueError("observable support exceeds the ansatz register")
@@ -454,7 +483,9 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
         def objective(params):
             return rows([params])[0]
 
-        objective.rows = rows
+        if shots is None:
+            # sampled values draw from the optimizer's generator: no rows (see optimizers)
+            objective.rows = rows
         return objective
 
     master = np.random.SeedSequence(optimizer.seed)

@@ -647,13 +647,19 @@ def former_separated_decisions(model, block, *_):
 def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypatch,
                                                             portfolio_instance):
     # a regression guard on whole commands: any change to a planned state
-    # function, the batched encoder or the compiled separator shows in a file
+    # function, the batched encoder, the compiled separator or SPSA's stacks
+    # shows in a file
+    from test_optimizers import sequential_spsa
+
     from qfin import classifier as clf
+    from qfin import optimizers
     from qfin import variational as vq
 
     for name, seed in (("train", "5"), ("heldout", "6")):
         assert main(["ml", "synth", "--n", "30", "--mode", "transactions", "--seed", seed,
                      "--out-dir", str(tmp_path / name)]) == 0
+    similarity = tmp_path / "rho.csv"
+    similarity.write_text("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n")
 
     def run(root):
         for encoder in ("qrac", "map"):
@@ -668,12 +674,19 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
             assert main(["opt", "portfolio", "--instance", portfolio_instance,
                          "--solver", solver, "--iterations", "25", "--seed", "3",
                          "--out-dir", str(root / solver)]) == 0
+        # 12 qubits: the low qubits rotate in the ladder's moved layout
+        assert main(["opt", "diversify", "--similarity", str(similarity), "--clusters", "2",
+                     "--solver", "vqe", "--optimizer", "nelder-mead", "--depth", "1",
+                     "--iterations", "80", "--seed", "3",
+                     "--out-dir", str(root / "diversify")]) == 0
         return {str(path.relative_to(root)): path.read_bytes()
                 for path in sorted(root.rglob("*")) if path.name != "manifest.json"
                 and path.is_file()}
 
     planned = run(tmp_path / "planned")
-    assert len(planned) == 2 * 4 + 2
+    assert len(planned) == 2 * 4 + 3
+    monkeypatch.setattr(optimizers, "_spsa", sequential_spsa)
+    assert run(tmp_path / "sequential") == planned
     monkeypatch.setattr(vq, "compile_ansatz", former_compile_ansatz)
     monkeypatch.setattr(clf, "_encoded_block", former_encoded_block)
     monkeypatch.setattr(clf, "_separated_decisions", former_separated_decisions)

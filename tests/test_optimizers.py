@@ -213,9 +213,10 @@ def _portfolio_observable():
 PORTFOLIO = _portfolio_observable()
 
 
-def run_spsa(monkeypatch, spsa, ansatz, shots):
-    """vqe_minimize under ``spsa``: the outcome, the points it evaluated and its batch sizes."""
-    points, batches, outcomes = [], [], []
+def run_spsa(monkeypatch, spsa, ansatz, shots, iterations=30):
+    """vqe_minimize under ``spsa``: the outcome, the points it evaluated, its
+    batch sizes and the state of the optimizer's generator afterwards."""
+    points, batches, outcomes, states = [], [], [], []
 
     def patched(fn, x0, config, rng=None):
         objective, _ = recorded(fn, points)
@@ -227,12 +228,13 @@ def run_spsa(monkeypatch, spsa, ansatz, shots):
                 return rows(stack)
             objective.rows = counted
         outcomes.append(spsa(objective, np.asarray(x0, dtype=float), config, rng))
+        states.append(rng.bit_generator.state)
         return outcomes[-1]
 
     monkeypatch.setattr(vq, "minimize", patched)
-    config = OptimizerConfig("spsa", iterations=30, seed=4)
+    config = OptimizerConfig("spsa", iterations=iterations, seed=4)
     result = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
-    return outcomes[0], result, points, batches
+    return outcomes[0], result, points, batches, states[0]
 
 
 def assert_same_outcome(got, want):
@@ -242,18 +244,40 @@ def assert_same_outcome(got, want):
     assert got.evaluations == want.evaluations
 
 
-@pytest.mark.parametrize("ansatz", [vq.ry_ansatz(6, 3), vq.qaoa_ansatz(6, 3, PORTFOLIO)],
-                         ids=["vqe", "qaoa"])
-@pytest.mark.parametrize("shots", [None, 32], ids=["exact", "shots"])
-def test_batched_spsa_equals_sequential_on_portfolio_objectives(monkeypatch, ansatz, shots):
-    got, got_result, got_points, batches = run_spsa(monkeypatch, optimizers._spsa,
-                                                    ansatz, shots)
-    want, want_result, want_points, _ = run_spsa(monkeypatch, sequential_spsa, ansatz, shots)
-    assert batches == [2] * 30  # every +/- pair went through one rows call
+def assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations):
+    got, got_result, got_points, batches, got_state = run_spsa(
+        monkeypatch, optimizers._spsa, ansatz, shots, iterations)
+    want, want_result, want_points, _, want_state = run_spsa(
+        monkeypatch, sequential_spsa, ansatz, shots, iterations)
+    if shots is None:
+        # f(x_k) and the +/- pair about x_k went through one rows call; f(x_K) alone
+        assert batches == [3] * iterations
+    else:
+        # sampled values draw from the optimizer's generator: point by point
+        assert batches == []
     assert got_points == want_points
-    assert len(got_points) == got.evaluations == 1 + 3 * 30
+    assert len(got_points) == got.evaluations == 1 + 3 * iterations
+    assert got_state == want_state  # the same draws from the optimizer's generator
     assert_same_outcome(got, want)
     assert got_result.top_states == want_result.top_states
+
+
+SPSA_ANSATZ = pytest.mark.parametrize(
+    "ansatz", [vq.ry_ansatz(6, 3), vq.qaoa_ansatz(6, 3, PORTFOLIO)], ids=["vqe", "qaoa"])
+SPSA_SHOTS = pytest.mark.parametrize("shots", [None, 32], ids=["exact", "shots"])
+
+
+@SPSA_ANSATZ
+@SPSA_SHOTS
+def test_batched_spsa_equals_sequential_on_portfolio_objectives(monkeypatch, ansatz, shots):
+    assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations=30)
+
+
+@SPSA_ANSATZ
+@SPSA_SHOTS
+def test_batched_spsa_single_iteration_equals_sequential(monkeypatch, ansatz, shots):
+    # the first stack [x0, x0 +/- c0*delta0] is also the last: f(x1) runs alone
+    assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations=1)
 
 
 def test_spsa_without_rows_equals_sequential():

@@ -317,6 +317,52 @@ def test_cost_phase_ops_signs_are_z_parities():
     assert ops[2].phases == (0.3, -0.3, -0.3, 0.3)
 
 
+def test_low_bits_on_top_layout():
+    for n in range(1, 9):
+        low, high = n // 2, n - n // 2
+        natural = vq._low_bits_on_top(n)
+        assert sorted(natural) == list(range(1 << n))
+        for position, i in enumerate(natural):
+            assert position == (i & ((1 << low) - 1)) << high | i >> low
+
+
+# -- the moved layout: after a ladder, qubits below n//2 rotate with their
+# index bits on top, then one transposing copy restores natural order
+
+@pytest.mark.parametrize("kind", ["ry", "rxry"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])
+def test_moved_layout_states_equal_ops_path_and_per_row_calls(kind, n):
+    rng = np.random.default_rng([n, ["ry", "rxry"].index(kind)])
+    for depth in range(4):
+        ansatz = _ansaetze(kind, n, depth, rng)
+        state_of = vq.compile_ansatz(ansatz)
+        for width in (1, 3, 16):
+            stack = rng.uniform(-math.pi, math.pi, (width, ansatz.parameter_count))
+            block = state_of(stack)
+            for row, column in zip(stack, block.T):
+                want = apply_ops(new_zero_state(n), vq.ansatz_ops(ansatz, row)).amplitudes
+                assert column.astype(complex).tobytes() == want.tobytes(), (depth, width)
+                assert column.tobytes() == state_of(row).tobytes(), (depth, width)
+
+
+@pytest.mark.parametrize("kind", ["ry", "rxry"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])
+def test_moved_layout_start_blocks_equal_ops_path_and_per_column_calls(kind, n):
+    rng = np.random.default_rng([n, ["ry", "rxry"].index(kind) + 2])
+    for depth in range(4):
+        ansatz = _ansaetze(kind, n, depth, rng)
+        state_of = vq.compile_ansatz(ansatz)
+        row = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+        for width in (1, 3, 16):
+            start = rng.normal(size=(1 << n, width)) + 1j * rng.normal(size=(1 << n, width))
+            block = state_of(row, start=start)
+            want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, row)).amplitudes
+            assert block.tobytes() == want.tobytes(), (depth, width)
+            for b in range(width):
+                column = state_of(row, start=start[:, b:b + 1])
+                assert block[:, b].tobytes() == column.tobytes(), (depth, width, b)
+
+
 @pytest.mark.parametrize("terms", [
     (((3,), 1.0),),
     (((0, 3), 1.0),),
