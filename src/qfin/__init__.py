@@ -1,7 +1,7 @@
 """Quantum-finance toolkit on an exact dense statevector simulator.
 
 Subpackages by capability: ``simulator`` (gate tuples applied by
-``apply_ops``, measurement, diagonal observables), ``amplitude_estimation``
+``apply_ops``, readout, diagonal observables), ``amplitude_estimation``
 (Grover operator and closed-form phase-estimation readout),
 ``distributions`` (register loading), ``credit_risk`` (VaR/ECR by AE
 bisection with classical oracles), ``qubo`` (penalty folding, Ising
@@ -21,7 +21,6 @@ from .simulator import (  # noqa: F401
     basis_probabilities,
     expectation,
     new_zero_state,
-    sample,
 )
 from .amplitude_estimation import (  # noqa: F401
     AeResult,

@@ -97,8 +97,7 @@ def grover_ops(problem: EstimationProblem) -> tuple:
     return (s_good,) + a_dag + (s_zero,) + a_ops
 
 
-def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
-           seed: int | None = None, ceiling: int = MAX_QUBITS) -> AeResult:
+def run_ae(problem: EstimationProblem, m: int, ceiling: int = MAX_QUBITS) -> AeResult:
     """Phase estimation of the Grover operator on m counting qubits.
 
     The readout distribution is evaluated exactly from a = sin^2(theta),
@@ -107,10 +106,9 @@ def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
     F_M = 1 where sin(pi d) = 0. The counting register is not simulated, but
     the A register plus m counting qubits must still fit under ``ceiling``.
 
-    By default the estimate is the mode of the exact distribution. Since
-    P(y) = P(M - y), the mode always ties with its mirror image; the tie rule
-    takes the first maximum over y = 0..M/2. With ``shots`` set, the mode of
-    a seed-deterministic sampled histogram is used instead.
+    The estimate is the mode of the exact distribution. Since P(y) = P(M - y),
+    the mode always ties with its mirror image; the tie rule takes the first
+    maximum over y = 0..M/2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -129,13 +127,7 @@ def run_ae(problem: EstimationProblem, m: int, shots: int | None = None,
                       out=np.ones_like(delta), where=delta != 0.0)
     dist = 0.5 * (ratio ** 2).sum(axis=0)
 
-    if shots is None:
-        y_mode = int(np.argmax(dist[:big_m // 2 + 1]))
-    else:
-        rng = np.random.default_rng(seed)
-        outcomes = rng.choice(big_m, size=shots, p=dist / dist.sum())
-        counts = np.bincount(outcomes, minlength=big_m)
-        y_mode = int(np.argmax(counts))
+    y_mode = int(np.argmax(dist[:big_m // 2 + 1]))
     a_est = math.sin(math.pi * y_mode / big_m) ** 2
     return AeResult(m=m, distribution=dist, y_mode=y_mode, a_estimate=a_est)
 

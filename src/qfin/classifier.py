@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, minimize
+from .optimizers import OptimizerConfig, minimize_restarts
 from .simulator import (
     GateOp,
     Statevector,
@@ -90,15 +90,7 @@ def feature_map_ops(fmap: FeatureMap, x) -> list[GateOp]:
         for subset, phi in sorted(coeffs.items()):
             if phi == 0.0:
                 continue
-            width = len(subset)
-            phases = []
-            for sub in range(1 << width):
-                sign = 1.0
-                for bit in range(width):
-                    if (sub >> bit) & 1:
-                        sign = -sign
-                phases.append(phi * sign)
-            ops.append(phase_gate(subset, phases))
+            ops.append(phase_gate(subset, phi * _parity_signs(len(subset))))
     return ops
 
 
@@ -371,11 +363,7 @@ def separator_parameter_count(config: ModelConfig) -> int:
 
 def parity_readout(n_qubits: int) -> np.ndarray:
     """+1 on even-parity basis states, -1 on odd."""
-    idx = np.arange(1 << n_qubits)
-    parity = np.zeros(idx.shape, dtype=int)
-    for q in range(n_qubits):
-        parity ^= (idx >> q) & 1
-    return 1.0 - 2.0 * parity
+    return _parity_signs(n_qubits)
 
 
 @dataclass(frozen=True)
@@ -633,14 +621,10 @@ def _fit(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfi
     def objective(params):
         return _risk_of_values(decide(build(params)), dataset.labels, form)
 
-    master = np.random.SeedSequence(optimizer.seed)
-    best = None
-    for child in master.spawn(optimizer.restarts):
-        rng = np.random.default_rng(child)
-        x0 = np.concatenate([rng.uniform(-math.pi, math.pi, size=n_params), [0.0]])
-        outcome = minimize(objective, x0, optimizer, rng=rng)
-        if best is None or outcome.value < best.value:
-            best = outcome
+    def initial(rng):
+        return np.concatenate([rng.uniform(-math.pi, math.pi, size=n_params), [0.0]])
+
+    best = minimize_restarts(objective, initial, optimizer)
     return build(best.x), best.trace, decide
 
 
@@ -726,22 +710,6 @@ def load_model(path) -> VqcModel:
 # classical baselines and cross-validation
 
 
-def _baseline_features(dataset: LabeledDataset) -> np.ndarray:
-    """Continuous columns scaled to [0, 1] plus one-hot categoricals."""
-    blocks = []
-    if dataset.continuous.size:
-        low, high = fit_scaler(dataset.continuous)
-        blocks.append((dataset.continuous - low) / (high - low))
-    for idx, vocab in enumerate(dataset.vocab_sizes):
-        codes = dataset.categorical[:, idx]
-        onehot = np.zeros((len(dataset), vocab))
-        onehot[np.arange(len(dataset)), codes] = 1.0
-        blocks.append(onehot)
-    if not blocks:
-        return np.zeros((len(dataset), 0))
-    return np.hstack(blocks)
-
-
 def _train_logistic(features, labels, epochs=400, lr=0.5):
     w = np.zeros(features.shape[1] + 1)
     design = np.hstack([features, np.ones((features.shape[0], 1))])
@@ -812,7 +780,7 @@ def _baseline_trainer(kind: str):
     fit = BASELINES[kind]
 
     def trainer(train_set: LabeledDataset):
-        features = _baseline_features(train_set)
+        features = _baseline_features_like(train_set, train_set)
         model = fit(features, train_set.labels)
         train_acc = float(np.mean(model(features) == train_set.labels))
 

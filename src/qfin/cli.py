@@ -39,6 +39,11 @@ EXIT_VALIDATION = 3
 EXIT_CAPACITY = 4
 EXIT_SOLVER = 5
 
+# ``ae calibrate`` bounds: at most 9,999 grid points, and a QPE table of at
+# most about 2^23 failure-sum terms (2^(p-1) for each s and p)
+CALIBRATE_MIN_GRID = 1e-4
+CALIBRATE_MAX_QPE_BITS = 24
+
 
 class SolverFailure(Exception):
     pass
@@ -52,8 +57,22 @@ def _digest(path: str) -> str:
     return sha.hexdigest()
 
 
+def _fresh(path: str) -> str:
+    """``path``, with any file there unlinked so that the writer creates a new one.
+
+    ext4 flushes a file on close when it was truncated in place or renamed
+    over, and a new file it does not; a hard link to the old file keeps the
+    old bytes.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
+
+
 def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
+    with open(_fresh(path), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -179,7 +198,7 @@ def cmd_opt_portfolio(args, argv) -> int:
         q_values = [float(v) for v in args.q_values.split(",")]
         points = qb.efficient_frontier(spec.mu, spec.sigma, q_values)
         frontier_path = os.path.join(args.out_dir, "frontier.csv")
-        with open(frontier_path, "w") as fh:
+        with open(_fresh(frontier_path), "w") as fh:
             fh.write("q,risk,return,selection\n")
             for q, pt in zip(q_values, points):
                 bitstring = "".join(str(int(b)) for b in pt.x)
@@ -275,7 +294,7 @@ def cmd_ml_synth(args, argv) -> int:
     else:
         dataset = clf.synthesize_separable(args.n, args.seed, margin=args.margin)
     path = os.path.join(args.out_dir, "dataset.csv")
-    clf.export_csv(path, dataset)
+    clf.export_csv(_fresh(path), dataset)
     _write_manifest(args.out_dir, argv, args.seed, [], [path])
     print(f"wrote {len(dataset)} records to {path} "
           f"(labels: +1 x{int((dataset.labels == 1).sum())}, "
@@ -309,11 +328,11 @@ def cmd_ml_train(args, argv) -> int:
     optimizer = _optimizer_from_args(args, args.seed)
     model, trace, train_accuracy = clf.train_scored(dataset, config, optimizer, form=args.risk)
     model_path = os.path.join(args.out_dir, "model.json")
-    clf.save_model(model_path, model, provenance={
+    clf.save_model(_fresh(model_path), model, provenance={
         "seed": args.seed, "optimizer": args.optimizer,
         "iterations": args.iterations, "risk": args.risk, "version": __version__})
     loss_path = os.path.join(args.out_dir, "loss_trace.csv")
-    with open(loss_path, "w") as fh:
+    with open(_fresh(loss_path), "w") as fh:
         fh.write("iteration,loss\n")
         for i, v in enumerate(trace):
             fh.write(f"{i},{v!r}\n")
@@ -364,19 +383,23 @@ def cmd_ml_eval(args, argv) -> int:
 def cmd_ae_calibrate(args, argv) -> int:
     if not 1 <= args.m <= 8:
         raise ValueError("calibration supports 1 <= m <= 8")
-    if not 0.0 < args.grid < 1.0:
-        raise ValueError("grid step must lie in (0, 1)")
+    if not CALIBRATE_MIN_GRID <= args.grid < 1.0:
+        raise ValueError(f"grid step must lie in [{CALIBRATE_MIN_GRID}, 1)")
+    if not (args.s_max >= 1 and args.p_max >= 1
+            and args.s_max + args.p_max <= CALIBRATE_MAX_QPE_BITS):
+        raise ValueError("calibration supports s_max, p_max >= 1 and "
+                         f"s_max + p_max <= {CALIBRATE_MAX_QPE_BITS}")
     big_m = 1 << args.m
     grid = np.arange(args.grid, 1.0, args.grid)
     coverage_path = os.path.join(args.out_dir, "coverage.csv")
-    with open(coverage_path, "w") as fh:
+    with open(_fresh(coverage_path), "w") as fh:
         fh.write("a,coverage,bound\n")
         for a in grid:
             a = float(round(a, 10))
             fh.write(f"{a!r},{coverage_probability(a, args.m)!r},"
                      f"{error_bound(a, big_m)!r}\n")
     failure_path = os.path.join(args.out_dir, "qpe_failure.csv")
-    with open(failure_path, "w") as fh:
+    with open(_fresh(failure_path), "w") as fh:
         fh.write("s,p,failure_probability\n")
         for s in range(1, args.s_max + 1):
             for p in range(1, args.p_max + 1):

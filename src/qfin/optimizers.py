@@ -6,18 +6,14 @@ evaluates the same points in the same order. Both are seed-deterministic and
 report a best-so-far trace per iteration, the number of objective calls and
 why they stopped.
 
+Objectives are deterministic: a point's value depends on the point alone.
 An objective may carry a ``rows`` attribute: ``fn.rows(stack)`` takes a
 ``(B, P)`` array of points and returns their B values in row order, each
-equal to ``fn(row)`` and with the same side effects in the same order (an
-objective that samples from its own generator draws for row 0, then row 1,
-...). SPSA evaluates f(x_k) together with the +/- pair about x_k as one
-stack of three, and Nelder-Mead its initial simplex and each shrink as one
-stack. SPSA draws the perturbation of a stack before the stack's first
-value, where the sequential loop draws it after, so an objective that
-draws from the optimizer's own generator must not carry ``rows``. Without
-``rows`` (a plain function, a sampled objective, or a wrapper that does not
-pass it on) each point is its own call, in the same order, so both paths
-see the same point sequence byte for byte and return the same outcome.
+equal to ``fn(row)``. SPSA evaluates f(x_k) together with the +/- pair
+about x_k as one stack of three, and Nelder-Mead its initial simplex and
+each shrink as one stack. Without ``rows`` (a plain function, or a wrapper
+that does not pass it on) each point of a stack is its own call, in the
+same order, so both see the same point sequence and give the same outcome.
 """
 
 from dataclasses import dataclass
@@ -68,47 +64,30 @@ def _values(fn, stack: np.ndarray) -> list:
 
 
 def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator) -> OptimizeOutcome:
-    """SPSA from x0. With ``fn.rows``, f(x_k) and the +/- pair about x_k are one stack.
+    """SPSA from x0: iteration k evaluates ``[x_k, x_k + c_k*delta_k, x_k - c_k*delta_k]``.
 
-    The stack ``[x_k, x_k + c_k*delta_k, x_k - c_k*delta_k]`` holds the
-    points the sequential loop evaluates next, in its order; only delta_k
-    is drawn before f(x_k) rather than after, which no objective with
-    ``rows`` can tell (see the module docstring). The last f(x) is a call
-    of its own.
+    The three points are one stack (see ``_values``); the last f(x) is a
+    call of its own.
     """
-    rows = getattr(fn, "rows", None)
     stability = 0.1 * config.iterations
     x = np.asarray(x0, dtype=float).copy()
-
-    def perturbed(k: int) -> tuple:
-        """c_k, delta_k and the pair x_k +/- c_k*delta_k about the current x."""
+    trace = []
+    for k in range(config.iterations):
         c_k = config.c / (k + 1) ** config.gamma
         delta = rng.choice((-1.0, 1.0), size=x.size)
-        return c_k, delta, (x + c_k * delta, x - c_k * delta)
-
-    if rows is None:
-        best_f = fn(x)
-    else:
-        c_k, delta, pair = perturbed(0)
-        best_f, f_plus, f_minus = rows(np.stack([x, *pair]))
-    best_x = x.copy()
-    trace = [best_f]
-    for k in range(config.iterations):
-        if rows is None:
-            c_k, delta, pair = perturbed(k)
-            f_plus, f_minus = fn(pair[0]), fn(pair[1])
-        a_k = config.a / (k + 1 + stability) ** config.alpha
-        diff = f_plus - f_minus
-        x = x - a_k * (diff / (2.0 * c_k)) * delta
-        if rows is None or k + 1 == config.iterations:
-            f_x = fn(x)
-        else:
-            c_k, delta, pair = perturbed(k + 1)
-            f_x, f_plus, f_minus = rows(np.stack([x, *pair]))
-        if f_x < best_f:
+        f_x, f_plus, f_minus = _values(fn, np.stack([x, x + c_k * delta, x - c_k * delta]))
+        if not trace or f_x < best_f:
             best_f = f_x
             best_x = x.copy()
         trace.append(best_f)
+        a_k = config.a / (k + 1 + stability) ** config.alpha
+        diff = f_plus - f_minus
+        x = x - a_k * (diff / (2.0 * c_k)) * delta
+    f_x = fn(x)
+    if f_x < best_f:
+        best_f = f_x
+        best_x = x.copy()
+    trace.append(best_f)
     return OptimizeOutcome(x=best_x, value=best_f, trace=trace,
                            evaluations=1 + 3 * config.iterations, stop_reason="maxiter")
 
@@ -120,15 +99,11 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     scipy.optimize.minimize(method="Nelder-Mead") 1.17 with ``initial_simplex``,
     ``maxiter=config.iterations``, ``xatol=1e-10`` and ``fatol=1e-12``, so the
     objective sees the same points bit for bit, each as a copy of the simplex
-    row. x0 is evaluated once before the simplex: objectives that draw from an
-    RNG on every call depend on that call sequence.
+    row. The trace starts at f(x0), the value of the simplex's first row.
     """
     n = x0.size
     sim = np.vstack([x0] + [x0 + config.simplex_step * np.eye(n)[i] for i in range(n)])
-    best_f = fn(x0)
-    best_x = x0.copy()
-    evaluations = 1
-    trace = [best_f]
+    best_f, best_x, evaluations = None, None, 0
 
     def evaluate(points):
         # each point goes to fn as a row of a copy: fn may write to its argument
@@ -137,12 +112,14 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
         values = _values(fn, stack)
         for params, value in zip(stack, values):
             evaluations += 1
-            if value < best_f:
+            if best_x is None or value < best_f:
                 best_f = value
                 best_x = np.array(params, dtype=float)
         return values
 
-    fsim = np.array(evaluate(sim), dtype=float)
+    values = evaluate(sim)
+    trace = [values[0]]
+    fsim = np.array(values, dtype=float)
     # two sorts, as scipy does: argsort is not stable, so the second may reorder ties
     for _ in range(2):
         ind = np.argsort(fsim)
@@ -200,3 +177,19 @@ def minimize(fn, x0, config: OptimizerConfig,
     if config.method == "spsa":
         return _spsa(fn, np.asarray(x0, dtype=float), config, rng)
     return _nelder_mead(fn, np.asarray(x0, dtype=float), config)
+
+
+def minimize_restarts(fn, initial, config: OptimizerConfig) -> OptimizeOutcome:
+    """The best of ``config.restarts`` runs of ``minimize``, each from ``initial(rng)``.
+
+    Restart r draws its start point, and SPSA its perturbations, from the
+    generator of child r of ``SeedSequence(config.seed)``; the first run
+    with the lowest value wins.
+    """
+    best = None
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        rng = np.random.default_rng(child)
+        outcome = minimize(fn, initial(rng), config, rng=rng)
+        if best is None or outcome.value < best.value:
+            best = outcome
+    return best

@@ -441,13 +441,23 @@ def read_portfolio_instance(path) -> PortfolioSpec:
 
 
 def read_similarity_csv(path) -> np.ndarray:
+    """The n x n matrix of a plain CSV; a malformed row is refused by its line number."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"bad similarity line {line_no}: {exc}") from exc
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"bad similarity line {line_no}: {len(row)} fields, "
+                                 f"the first row has {len(rows[0])}")
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"bad similarity line {line_no}: similarities must be finite")
+            rows.append(row)
     matrix = np.array(rows)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("similarity file must hold a square matrix")

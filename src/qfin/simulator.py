@@ -8,7 +8,7 @@ mutates its input. Global phase is not tracked as meaningful.
 Amplitudes may carry a trailing batch axis: an array shaped ``(2^n, B)``
 holds ``B`` states as columns, and every gate acts on each column alike.
 Qubit ``q`` still addresses bit ``q`` of the row index. The readout
-helpers (probabilities, sampling, expectations) take one state.
+helpers (probabilities, marginals, expectations) take one state.
 """
 
 import math
@@ -297,18 +297,6 @@ def register_distribution(state: Statevector, register) -> np.ndarray:
     for j, q in enumerate(reg):
         sub |= ((idx >> q) & 1) << j
     return np.bincount(sub, weights=probs, minlength=1 << len(reg))
-
-
-def sample(state: Statevector, shots: int, seed: int | None = None) -> dict[int, int]:
-    """Seed-deterministic histogram of basis-index measurements."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = basis_probabilities(state)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(state.dim, size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ Ansatz families: RY rotation layers with full-entanglement CNOT ladders,
 RX+RY layers with the same ladder (the classifier separator), and the QAOA
 alternation of cost-phase and X-mixer evolutions starting from the uniform
 superposition. Expectations are computed from the statevector, so the
-classical optimizer sees a noiseless objective; shot-based sampling remains
-available through ``simulator.sample`` for realism experiments.
+classical optimizer sees a noiseless objective.
 """
 
 import functools
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, minimize
+from .optimizers import OptimizerConfig, minimize_restarts
 from .simulator import (
     GateOp,
     IsingObservable,
@@ -437,24 +436,19 @@ def _initial_params(ansatz: Ansatz, rng: np.random.Generator) -> np.ndarray:
 
 
 def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
-                 optimizer: OptimizerConfig, top_k: int = 8,
-                 shots: int | None = None) -> VariationalResult:
-    """Classical loop over statevector expectations; restarts keep the best outcome.
+                 optimizer: OptimizerConfig, top_k: int = 8) -> VariationalResult:
+    """Classical loop over exact statevector expectations; restarts keep the best outcome.
 
-    Expectations are exact by default; passing ``shots`` switches the
-    objective to a seed-deterministic sampled estimate for realism
-    experiments. The returned trace is the winning restart's best-so-far
-    curve, which is nonincreasing by construction.
+    The returned trace is the winning restart's best-so-far curve, which is
+    nonincreasing by construction.
 
-    The exact objective handed to the optimizer carries a ``rows``
-    attribute (see ``optimizers``): ``objective.rows(stack)`` evaluates a
-    ``(B, P)`` stack from state blocks of at most ``BLOCK_AMPLITUDES``
-    amplitudes and returns the B values in row order, each equal bit for bit
-    to ``objective(row)``. Each column is read out as a contiguous 1-D row,
-    as a single state is, not as a strided column or a matrix-vector
-    product, whose sums may round differently. The ``shots`` objective draws
-    its samples from the optimizer's own generator, so it carries no
-    ``rows`` and the optimizer calls it point by point.
+    The objective handed to the optimizer carries a ``rows`` attribute (see
+    ``optimizers``): ``objective.rows(stack)`` evaluates a ``(B, P)`` stack
+    from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
+    the B values in row order, each equal bit for bit to
+    ``objective(row)``. Each column is read out as a contiguous 1-D row, as
+    a single state is, not as a strided column or a matrix-vector product,
+    whose sums may round differently.
     """
     if observable.max_qubit() >= ansatz.n_qubits:
         raise ValueError("observable support exceeds the ansatz register")
@@ -463,39 +457,20 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
 
     chunk = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits)
 
-    def make_objective(rng):
-        def value_of(amps):
-            probs = np.abs(amps) ** 2
-            if shots is None:
-                return float(probs @ table)
-            outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
-            return float(table[outcomes].mean())
+    def rows(stack):
+        stack = np.asarray(stack, dtype=float)
+        values = []
+        for at in range(0, len(stack), chunk):
+            # columns copied out as contiguous 1-D rows, read in row order
+            block = np.ascontiguousarray(state_of(stack[at:at + chunk]).T)
+            values.extend(float(np.abs(amps) ** 2 @ table) for amps in block)
+        return values
 
-        def rows(stack):
-            stack = np.asarray(stack, dtype=float)
-            values = []
-            for at in range(0, len(stack), chunk):
-                # columns copied out as contiguous 1-D rows, read in row order
-                block = np.ascontiguousarray(state_of(stack[at:at + chunk]).T)
-                values.extend(value_of(amps) for amps in block)
-            return values
+    def objective(params):
+        return rows([params])[0]
 
-        def objective(params):
-            return rows([params])[0]
-
-        if shots is None:
-            # sampled values draw from the optimizer's generator: no rows (see optimizers)
-            objective.rows = rows
-        return objective
-
-    master = np.random.SeedSequence(optimizer.seed)
-    best = None
-    for child in master.spawn(optimizer.restarts):
-        rng = np.random.default_rng(child)
-        outcome = minimize(make_objective(rng), _initial_params(ansatz, rng),
-                           optimizer, rng=rng)
-        if best is None or outcome.value < best.value:
-            best = outcome
+    objective.rows = rows
+    best = minimize_restarts(objective, functools.partial(_initial_params, ansatz), optimizer)
     state = Statevector(ansatz.n_qubits, state_of(best.x).astype(complex, copy=False))
     return VariationalResult(
         best_value=best.value,

@@ -96,14 +96,6 @@ def test_run_ae_distribution_normalized_and_symmetric():
                                                        abs=1e-9)
 
 
-def test_run_ae_sampled_readout_is_seeded():
-    problem = ae.single_qubit_problem(0.2)
-    one = ae.run_ae(problem, 3, shots=256, seed=11)
-    two = ae.run_ae(problem, 3, shots=256, seed=11)
-    assert one.y_mode == two.y_mode
-    assert one.a_estimate == two.a_estimate
-
-
 def test_run_ae_capacity_error():
     with pytest.raises(sv.CapacityError):
         ae.run_ae(ae.single_qubit_problem(0.1), 10, ceiling=8)

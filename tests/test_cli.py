@@ -437,7 +437,8 @@ def _assert_one_line_validation_error(capsys):
     assert err.startswith("validation error:")
 
 
-@pytest.mark.parametrize("grid", ["0", "-0.1", "1.5"])
+# below 1e-4, np.arange(1e-9, 1, 1e-9) alone would allocate about 8 GB
+@pytest.mark.parametrize("grid", ["0", "-0.1", "1.5", "1e-9", "9.99e-5"])
 def test_ae_calibrate_rejects_grid_outside_unit_interval(tmp_path, capsys, grid):
     out = tmp_path / "run"
     code = main(["ae", "calibrate", "--m", "3", "--grid", grid, "--out-dir", str(out)])
@@ -454,6 +455,59 @@ def test_ae_calibrate_rejects_m_outside_range(tmp_path, capsys, m):
     err = capsys.readouterr().err
     assert err.strip().splitlines() == ["validation error: calibration supports 1 <= m <= 8"]
     assert not (out / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize("s_max,p_max", [("12", "13"), ("1", "24"), ("0", "6"), ("6", "0"),
+                                          ("40", "-20")])
+def test_ae_calibrate_rejects_qpe_table_outside_bounds(tmp_path, capsys, s_max, p_max):
+    # qpe_failure_probability sums 2^(p-1) terms: p = 40 would run for a day
+    out = tmp_path / "run"
+    code = main(["ae", "calibrate", "--m", "3", "--s-max", s_max, "--p-max", p_max,
+                 "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "validation error: calibration supports s_max, p_max >= 1 and s_max + p_max <= 24"]
+    assert not (out / "coverage.csv").exists()
+
+
+def _rerun_commands(tmp_path, demo_portfolio_csv, portfolio_instance):
+    synth = tmp_path / "synth"
+    return {
+        "risk-var": ["risk", "var", "--portfolio", demo_portfolio_csv, "--m", "3"],
+        "portfolio-frontier": ["opt", "portfolio", "--instance", str(portfolio_instance),
+                               "--solver", "vqe", "--iterations", "5", "--frontier"],
+        "ml-synth": ["ml", "synth", "--n", "12", "--mode", "separable", "--seed", "2"],
+        "ml-train": ["ml", "train", "--data", str(synth / "dataset.csv"), "--iterations", "3"],
+        "ae-calibrate": ["ae", "calibrate", "--m", "2", "--grid", "0.25",
+                         "--s-max", "2", "--p-max", "2"],
+    }
+
+
+@pytest.mark.parametrize("command", ["risk-var", "portfolio-frontier", "ml-synth", "ml-train",
+                                     "ae-calibrate"])
+def test_rerun_creates_each_file_anew(tmp_path, demo_portfolio_csv, portfolio_instance,
+                                      command):
+    # a file rewritten in place is flushed on close by ext4; each output is
+    # unlinked and created instead, so a hard link to it keeps the old bytes
+    argv = _rerun_commands(tmp_path, demo_portfolio_csv, portfolio_instance)[command]
+    assert main(["ml", "synth", "--n", "12", "--mode", "separable", "--seed", "2",
+                 "--out-dir", str(tmp_path / "synth")]) == 0
+    out = tmp_path / "run"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    files = sorted(out.iterdir())
+    old = {}
+    for path in files:
+        link = tmp_path / ("old-" + path.name)
+        os.link(path, link)
+        old[path.name] = (link, path.read_bytes())
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert sorted(out.iterdir()) == files
+    for path in files:
+        link, before = old[path.name]
+        assert not os.path.samefile(link, path), path.name
+        assert link.read_bytes() == before
+        assert path.read_bytes() == before
 
 
 def test_ml_synth_rejects_unreachable_margin(tmp_path, capsys):

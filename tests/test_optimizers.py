@@ -52,21 +52,24 @@ def test_config_validation():
 def scipy_nelder_mead(fn, x0, config):
     """The former scipy-backed Nelder-Mead, kept as the oracle for the numpy port.
 
-    Returns the outcome fields and scipy's OptimizeResult.
+    Returns the outcome fields and scipy's OptimizeResult. scipy evaluates
+    the simplex first, so the trace starts at its first row's value, f(x0).
     """
     from scipy.optimize import minimize as scipy_minimize
 
     x0 = np.asarray(x0, dtype=float)
     simplex = np.vstack([x0] + [x0 + config.simplex_step * np.eye(x0.size)[i]
                                 for i in range(x0.size)])
-    best = {"f": fn(x0), "x": x0.copy()}
-    trace = [best["f"]]
+    best = {}
+    trace = []
 
     def wrapped(params):
         value = fn(params)
-        if value < best["f"]:
+        if not best or value < best["f"]:
             best["f"] = value
             best["x"] = np.array(params, dtype=float)
+        if not trace:
+            trace.append(value)
         return value
 
     result = scipy_minimize(wrapped, x0, method="Nelder-Mead",
@@ -133,7 +136,7 @@ def test_nelder_mead_evaluates_scipys_points(fn, x0, iterations, stop_reason):
     assert got.trace == want_trace
     assert got.x.tobytes() == want_x.tobytes()
     assert np.float64(got.value).tobytes() == np.float64(want_f).tobytes()
-    assert got.evaluations == len(port_points) == result.nfev + 1
+    assert got.evaluations == len(port_points) == result.nfev
     assert got.stop_reason == stop_reason
     assert result.status == {"tolerance": 0, "maxiter": 2}[stop_reason]
     assert len(got.trace) == result.nit + 1
@@ -146,9 +149,9 @@ def test_spsa_reports_evaluations_and_stop_reason():
     assert out.stop_reason == "maxiter"
 
 
-def test_nelder_mead_shots_vqe_matches_scipy(monkeypatch):
-    # the sampled objective draws from the run's RNG on every call, so any
-    # extra, missing or reordered evaluation shifts every later sample
+def test_nelder_mead_vqe_matches_scipy(monkeypatch):
+    # the port sends the simplex and each shrink through the objective's
+    # rows, scipy calls it point by point: both must see the same points
     observable = IsingObservable(terms=(((0,), 0.7), ((1, 2), -0.4), ((0, 3), 0.9),
                                         ((2,), -0.3)), offset=0.1)
     ansatz = vq.ry_ansatz(4, 1)
@@ -161,13 +164,13 @@ def test_nelder_mead_shots_vqe_matches_scipy(monkeypatch):
             objective, _ = recorded(fn, points)
             return minimizer(objective, x0, config)
 
-        monkeypatch.setattr(vq, "minimize", patched)
-        return vq.vqe_minimize(observable, ansatz, config, top_k=4, shots=32), points
+        monkeypatch.setattr(optimizers, "minimize", patched)
+        return vq.vqe_minimize(observable, ansatz, config, top_k=4), points
 
     def oracle(fn, x0, config):
         x, value, trace, result = scipy_nelder_mead(fn, x0, config)
         return OptimizeOutcome(x=x, value=value, trace=trace,
-                               evaluations=result.nfev + 1, stop_reason="")
+                               evaluations=result.nfev, stop_reason="")
 
     got, got_points = run_with(minimize)
     want, want_points = run_with(oracle)
@@ -213,27 +216,33 @@ def _portfolio_observable():
 PORTFOLIO = _portfolio_observable()
 
 
-def run_spsa(monkeypatch, spsa, ansatz, shots, iterations=30):
-    """vqe_minimize under ``spsa``: the outcome, the points it evaluated, its
-    batch sizes and the state of the optimizer's generator afterwards."""
+def stripped(fn):
+    """fn without its ``rows``: the optimizer must call it point by point."""
+    return lambda params: fn(params)
+
+
+def run_spsa(monkeypatch, spsa, ansatz, rows, iterations=30):
+    """vqe_minimize under ``spsa``, its objective with or without ``rows``: the
+    outcome, the points it evaluated, its batch sizes and the state of the
+    optimizer's generator afterwards."""
     points, batches, outcomes, states = [], [], [], []
 
     def patched(fn, x0, config, rng=None):
-        objective, _ = recorded(fn, points)
-        if hasattr(objective, "rows"):
-            rows = objective.rows
+        objective, _ = recorded(fn if rows else stripped(fn), points)
+        if rows:
+            evaluate = objective.rows
 
             def counted(stack):
                 batches.append(len(stack))
-                return rows(stack)
+                return evaluate(stack)
             objective.rows = counted
         outcomes.append(spsa(objective, np.asarray(x0, dtype=float), config, rng))
         states.append(rng.bit_generator.state)
         return outcomes[-1]
 
-    monkeypatch.setattr(vq, "minimize", patched)
+    monkeypatch.setattr(optimizers, "minimize", patched)
     config = OptimizerConfig("spsa", iterations=iterations, seed=4)
-    result = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
+    result = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5)
     return outcomes[0], result, points, batches, states[0]
 
 
@@ -244,17 +253,14 @@ def assert_same_outcome(got, want):
     assert got.evaluations == want.evaluations
 
 
-def assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations):
+def assert_spsa_equals_sequential(monkeypatch, ansatz, rows, iterations):
     got, got_result, got_points, batches, got_state = run_spsa(
-        monkeypatch, optimizers._spsa, ansatz, shots, iterations)
+        monkeypatch, optimizers._spsa, ansatz, rows, iterations)
     want, want_result, want_points, _, want_state = run_spsa(
-        monkeypatch, sequential_spsa, ansatz, shots, iterations)
-    if shots is None:
-        # f(x_k) and the +/- pair about x_k went through one rows call; f(x_K) alone
-        assert batches == [3] * iterations
-    else:
-        # sampled values draw from the optimizer's generator: point by point
-        assert batches == []
+        monkeypatch, sequential_spsa, ansatz, rows, iterations)
+    # with rows, f(x_k) and the +/- pair about x_k went through one call;
+    # f(x_K) alone. Without, every point is its own call.
+    assert batches == ([3] * iterations if rows else [])
     assert got_points == want_points
     assert len(got_points) == got.evaluations == 1 + 3 * iterations
     assert got_state == want_state  # the same draws from the optimizer's generator
@@ -264,20 +270,59 @@ def assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations):
 
 SPSA_ANSATZ = pytest.mark.parametrize(
     "ansatz", [vq.ry_ansatz(6, 3), vq.qaoa_ansatz(6, 3, PORTFOLIO)], ids=["vqe", "qaoa"])
-SPSA_SHOTS = pytest.mark.parametrize("shots", [None, 32], ids=["exact", "shots"])
+# "exact" is vqe_minimize's exact objective as it is, with rows
+SPSA_ROWS = pytest.mark.parametrize("rows", [True, False], ids=["exact", "no-rows"])
 
 
 @SPSA_ANSATZ
-@SPSA_SHOTS
-def test_batched_spsa_equals_sequential_on_portfolio_objectives(monkeypatch, ansatz, shots):
-    assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations=30)
+@SPSA_ROWS
+def test_batched_spsa_equals_sequential_on_portfolio_objectives(monkeypatch, ansatz, rows):
+    assert_spsa_equals_sequential(monkeypatch, ansatz, rows, iterations=30)
 
 
 @SPSA_ANSATZ
-@SPSA_SHOTS
-def test_batched_spsa_single_iteration_equals_sequential(monkeypatch, ansatz, shots):
+@SPSA_ROWS
+def test_batched_spsa_single_iteration_equals_sequential(monkeypatch, ansatz, rows):
     # the first stack [x0, x0 +/- c0*delta0] is also the last: f(x1) runs alone
-    assert_spsa_equals_sequential(monkeypatch, ansatz, shots, iterations=1)
+    assert_spsa_equals_sequential(monkeypatch, ansatz, rows, iterations=1)
+
+
+def vqe_objective(monkeypatch, ansatz):
+    """vqe_minimize's objective on PORTFOLIO and its start point, as handed to minimize."""
+    captured = []
+
+    def capture(fn, x0, config, rng=None):
+        captured.append((fn, np.array(x0)))
+        return OptimizeOutcome(x=np.array(x0), value=0.0, trace=[0.0], evaluations=0,
+                               stop_reason="")
+
+    monkeypatch.setattr(optimizers, "minimize", capture)
+    vq.vqe_minimize(PORTFOLIO, ansatz, OptimizerConfig(seed=4), top_k=1)
+    monkeypatch.undo()
+    return captured[0]
+
+
+def assert_identical_outcomes(got, want):
+    """Every field equal byte for byte, the Python type of each value included."""
+    assert got.x.tobytes() == want.x.tobytes()
+    assert repr(got.value) == repr(want.value)
+    assert [repr(v) for v in got.trace] == [repr(v) for v in want.trace]
+    assert (got.evaluations, got.stop_reason) == (want.evaluations, want.stop_reason)
+
+
+@pytest.mark.parametrize("method", ["spsa", "nelder-mead"])
+@SPSA_ANSATZ
+def test_objective_with_and_without_rows_gives_the_same_outcome(monkeypatch, method, ansatz):
+    fn, x0 = vqe_objective(monkeypatch, ansatz)
+    config = OptimizerConfig(method, iterations=40, seed=4)
+    with_rows, points = recorded(fn)
+    without_rows, plain_points = recorded(stripped(fn))
+    assert hasattr(with_rows, "rows") and not hasattr(without_rows, "rows")
+    got = minimize(with_rows, x0.copy(), config)
+    want = minimize(without_rows, x0.copy(), config)
+    assert points == plain_points
+    assert len(points) == got.evaluations
+    assert_identical_outcomes(got, want)
 
 
 def test_spsa_without_rows_equals_sequential():

@@ -299,6 +299,22 @@ def test_similarity_reader_rejects_ragged(tmp_path):
         qb.read_similarity_csv(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1.0,0.5\n0.5,1.0,0.2\n", "bad similarity line 2: 3 fields, the first row has 2"),
+    ("# header\n1.0,0.5\n\n0.5\n", "bad similarity line 4: 1 fields, the first row has 2"),
+    ("1.0,0.5\n0.5,\n", "bad similarity line 2: could not convert string to float: ''"),
+    ("1.0,x\n0.5,1.0\n", "bad similarity line 1: could not convert string to float: 'x'"),
+    ("1.0,0.5\n0.5,nan\n", "bad similarity line 2: similarities must be finite"),
+    ("1.0,1e400\n0.5,1.0\n", "bad similarity line 1: similarities must be finite"),
+], ids=["ragged-long", "ragged-short", "blank-field", "text", "nan", "overflow"])
+def test_similarity_reader_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "rho.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        qb.read_similarity_csv(path)
+    assert str(info.value) == message
+
+
 def all_energies_reference(qubo, chunk=1 << 16):
     """The chunked enumeration as it stood before the quadratic form was held."""
     dim = 1 << qubo.n

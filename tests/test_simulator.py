@@ -183,39 +183,6 @@ def test_probabilities_sum_to_one():
     assert abs(sv.basis_probabilities(state).sum() - 1.0) < 1e-10
 
 
-def test_sampling_pure_state():
-    state = sv.apply(sv.new_zero_state(1), sv.x(0))
-    counts = sv.sample(state, 100, seed=0)
-    assert counts == {1: 100}
-
-
-def test_sampling_frequency_of_hadamard():
-    state = sv.apply(sv.new_zero_state(1), sv.h(0))
-    counts = sv.sample(state, 100_000, seed=4)
-    freq = counts.get(1, 0) / 100_000
-    # binomial 3 sigma band around 0.5 is about +/- 0.0047
-    assert abs(freq - 0.5) < 0.01
-
-
-def test_sampling_seed_deterministic():
-    state = random_state(4, 17)
-    assert sv.sample(state, 500, seed=12) == sv.sample(state, 500, seed=12)
-
-
-def test_sampling_chi_square_consistency():
-    from scipy.stats import chisquare
-
-    state = random_state(3, 23)
-    shots = 20_000
-    counts = sv.sample(state, shots, seed=5)
-    observed = np.array([counts.get(i, 0) for i in range(8)], dtype=float)
-    expected = sv.basis_probabilities(state) * shots
-    keep = expected > 5
-    _, p_value = chisquare(observed[keep], expected[keep] * observed[keep].sum()
-                           / expected[keep].sum())
-    assert p_value > 1e-3
-
-
 def test_expectation_z_eigenstates():
     z = sv.IsingObservable(terms=(((0,), 1.0),))
     zero = sv.new_zero_state(1)

@@ -153,14 +153,6 @@ def test_sample_solutions_sorted_descending():
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_vqe_shot_mode_is_seed_deterministic():
-    config = OptimizerConfig(method="spsa", iterations=50, seed=3)
-    one = vq.vqe_minimize(Z0, vq.ry_ansatz(1, 1), config, shots=256)
-    two = vq.vqe_minimize(Z0, vq.ry_ansatz(1, 1), config, shots=256)
-    assert one.best_value == two.best_value
-    assert np.array_equal(one.best_params, two.best_params)
-
-
 def test_qaoa_depth_four_runs_on_portfolio():
     rng = np.random.default_rng(123)
     w = rng.normal(size=(6, 6))
@@ -380,24 +372,18 @@ def test_qaoa_ansatz_rejects_cost_outside_the_register(terms):
 
 # -- vqe_minimize against a loop over the gate-list objective ----------------
 
-def reference_vqe(observable, ansatz, optimizer, top_k=8, shots=None):
-    """vqe_minimize with the objective built from ansatz_ops gate by gate."""
+def reference_vqe(observable, ansatz, optimizer, top_k=8):
+    """vqe_minimize with the objective built from ansatz_ops gate by gate,
+    restarted by an explicit loop over the seed's children."""
     table = observable.energy_table(ansatz.n_qubits)
 
-    def make_objective(rng):
-        def objective(params):
-            probs = ops_probabilities(ansatz, params)
-            if shots is None:
-                return float(probs @ table)
-            outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
-            return float(table[outcomes].mean())
-        return objective
+    def objective(params):
+        return float(ops_probabilities(ansatz, params) @ table)
 
     best = None
     for child in np.random.SeedSequence(optimizer.seed).spawn(optimizer.restarts):
         rng = np.random.default_rng(child)
-        outcome = minimize(make_objective(rng), vq._initial_params(ansatz, rng),
-                           optimizer, rng=rng)
+        outcome = minimize(objective, vq._initial_params(ansatz, rng), optimizer, rng=rng)
         if best is None or outcome.value < best.value:
             best = outcome
     state = apply_ops(new_zero_state(ansatz.n_qubits), vq.ansatz_ops(ansatz, best.x))
@@ -420,34 +406,32 @@ def _benchmark_observables():
 PORTFOLIO, DIVERSIFY = _benchmark_observables()
 
 
-@pytest.mark.parametrize("observable,ansatz,config,shots", [
-    (PORTFOLIO, vq.ry_ansatz(6, 3), OptimizerConfig("spsa", 25, seed=3), None),
-    (PORTFOLIO, vq.qaoa_ansatz(6, 3, PORTFOLIO), OptimizerConfig("spsa", 25, seed=3), None),
-    (DIVERSIFY, vq.ry_ansatz(12, 1), OptimizerConfig("nelder-mead", 30, seed=3), None),
-    (PORTFOLIO, vq.ry_ansatz(6, 1), OptimizerConfig("nelder-mead", 20, seed=1, restarts=2),
-     None),
-    (PORTFOLIO, vq.ry_ansatz(6, 2), OptimizerConfig("spsa", 15, seed=2, restarts=2), 64),
-    (PORTFOLIO, vq.qaoa_ansatz(6, 2, PORTFOLIO), OptimizerConfig("spsa", 10, seed=4), 32),
+@pytest.mark.parametrize("observable,ansatz,config", [
+    (PORTFOLIO, vq.ry_ansatz(6, 3), OptimizerConfig("spsa", 25, seed=3)),
+    (PORTFOLIO, vq.qaoa_ansatz(6, 3, PORTFOLIO), OptimizerConfig("spsa", 25, seed=3)),
+    (DIVERSIFY, vq.ry_ansatz(12, 1), OptimizerConfig("nelder-mead", 30, seed=3)),
+    (PORTFOLIO, vq.ry_ansatz(6, 1), OptimizerConfig("nelder-mead", 20, seed=1, restarts=2)),
+    (PORTFOLIO, vq.ry_ansatz(6, 2), OptimizerConfig("spsa", 15, seed=2, restarts=2)),
+    (PORTFOLIO, vq.qaoa_ansatz(6, 2, PORTFOLIO), OptimizerConfig("spsa", 10, seed=4)),
 ], ids=["vqe-spsa", "qaoa-spsa", "diversify-nelder-mead", "nelder-mead-restarts",
-        "vqe-shots", "qaoa-shots"])
-def test_vqe_minimize_equals_the_ops_objective_loop(observable, ansatz, config, shots):
-    got = vq.vqe_minimize(observable, ansatz, config, top_k=5, shots=shots)
-    best, top_states = reference_vqe(observable, ansatz, config, top_k=5, shots=shots)
+        "spsa-restarts", "qaoa-depth-2"])
+def test_vqe_minimize_equals_the_ops_objective_loop(observable, ansatz, config):
+    got = vq.vqe_minimize(observable, ansatz, config, top_k=5)
+    best, top_states = reference_vqe(observable, ansatz, config, top_k=5)
     assert got.best_value == best.value
     assert np.array_equal(got.best_params, best.x)
     assert got.trace == best.trace
     assert got.top_states == top_states
 
 
-@pytest.mark.parametrize("shots", [None, 32], ids=["exact", "shots"])
-def test_stacks_split_into_blocks_equal_the_ops_objective_loop(monkeypatch, shots):
+def test_stacks_split_into_blocks_equal_the_ops_objective_loop(monkeypatch):
     # a bound of 2^7 amplitudes splits 6-qubit stacks into blocks of two rows,
     # so Nelder-Mead's simplex and shrinks span several blocks
     monkeypatch.setattr(vq, "BLOCK_AMPLITUDES", 1 << 7)
     ansatz = vq.ry_ansatz(6, 1)
     config = OptimizerConfig("nelder-mead", 40, seed=3)
-    got = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
-    best, top_states = reference_vqe(PORTFOLIO, ansatz, config, top_k=5, shots=shots)
+    got = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=5)
+    best, top_states = reference_vqe(PORTFOLIO, ansatz, config, top_k=5)
     assert got.best_value == best.value
     assert got.best_params.tobytes() == best.x.tobytes()
     assert got.trace == best.trace
