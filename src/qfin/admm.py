@@ -477,21 +477,30 @@ def write_auction_csv(path, bids, units) -> None:
 
 
 def read_auction_csv(path) -> tuple[list[Bid], np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) < 3 or not rows[0] or rows[0][0] != "price":
-        raise ValueError("auction CSV needs a price,qty_item_* header, bids, and a units line")
-    m = len(rows[0]) - 1
+    """Bids and per-item units of an auction CSV; a bad row is refused by its file line."""
     bids = []
     units = None
-    for line_no, row in enumerate(rows[1:], start=2):
-        if row[0] == "units":
-            units = np.array([float(v) for v in row[1:]])
-            continue
-        if len(row) != m + 1:
-            raise ValueError(f"bad auction row at line {line_no}")
-        bids.append(Bid(tuple(float(v) for v in row[1:]), float(row[0])))
-    if units is None or units.size != m:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next((row for row in reader if row), None)
+        if header is None or header[0] != "price":
+            raise ValueError("auction CSV needs a price,qty_item_* header, bids, and a units line")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                values = [float(v) for v in row[1:]]
+                if row[0] == "units":
+                    if not all(0.0 <= v < math.inf for v in values):
+                        raise ValueError("units must be finite and nonnegative")
+                    units = np.array(values)
+                else:
+                    bids.append(Bid(tuple(values), float(row[0])))
+            except ValueError as exc:
+                raise ValueError(f"bad auction row at line {reader.line_num}: {exc}") from exc
+    if units is None:
         raise ValueError("auction CSV is missing its units line")
     if not bids:
         raise ValueError("auction CSV contains no bids")

@@ -27,6 +27,8 @@ import numpy as np
 
 from .optimizers import OptimizerConfig, minimize_restarts
 from .simulator import (
+    MAX_QUBITS,
+    CapacityError,
     GateOp,
     Statevector,
     _matrix_1q,
@@ -478,6 +480,8 @@ def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.n
     gate ``feature_map_ops`` leaves out), and the QRAC rotations take
     per-column entries.
     """
+    if config.n_qubits > MAX_QUBITS:
+        raise CapacityError(f"classifier needs {config.n_qubits} qubits, ceiling {MAX_QUBITS}")
     values, bits = _map_block(config, continuous, categorical)
     mapped = scale_features(values, *scaler)
     dim, records = 1 << config.n_qubits, len(mapped)
@@ -652,6 +656,9 @@ def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:
         fh.write("\n")
 
 
+# The feature map runs its layers this many times per record; ``ml train``
+# writes 2, and a larger value in a model file is refused.
+MAX_REPETITIONS = 16
 _MODEL_KEYS = ("config", "theta", "bias", "scaler_low", "scaler_high")
 _CONFIG_INTS = ("n_qubits", "repetitions", "separator_layers", "latent_qubits")
 _CONFIG_LISTS = ("qrac_features", "continuous_names", "categorical_names", "vocab_sizes")
@@ -668,8 +675,10 @@ def load_model(path) -> VqcModel:
     """Read a model written by ``save_model``, checking it where it enters.
 
     Raises ValueError unless the file holds a JSON object with the saved
-    keys, a well-typed configuration, a finite numeric bias, and finite
-    ``theta`` and scaler vectors of the lengths the configuration implies.
+    keys, a well-typed configuration (at most ``MAX_REPETITIONS`` feature-map
+    repetitions, one vocabulary size per categorical feature, and QRAC
+    features among those), a finite numeric bias, and finite ``theta`` and
+    scaler vectors of the lengths the configuration implies.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -685,6 +694,12 @@ def load_model(path) -> VqcModel:
             and all(type(v) is str for key in _CONFIG_LISTS[:-1] for v in cfg[key])
             and all(type(v) is int and v >= 0 for v in cfg["vocab_sizes"])):
         raise ValueError("model config needs whole-number sizes and lists of names")
+    if cfg["repetitions"] > MAX_REPETITIONS:
+        raise ValueError(f"model repetitions must be at most {MAX_REPETITIONS}")
+    if (len(cfg["vocab_sizes"]) != len(cfg["categorical_names"])
+            or not set(cfg["qrac_features"]) <= set(cfg["categorical_names"])):
+        raise ValueError("model config needs one vocabulary size per categorical feature "
+                         "and QRAC features among them")
     config = ModelConfig(
         n_qubits=cfg["n_qubits"], repetitions=cfg["repetitions"],
         separator_layers=cfg["separator_layers"],

@@ -11,6 +11,7 @@ comparisons are tight to machine precision.
 import csv
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .simulator import (
     perm_gate,
     ry,
 )
+
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -98,12 +102,10 @@ def default_probability(asset: Asset, z: float) -> float:
     """Gaussian conditional independence model: Phi((Phi^-1(p0) - sqrt(rho) z)/sqrt(1-rho))."""
     if asset.rho == 0.0:
         return asset.p0
-    # ndtr and ndtri are the kernels of scipy.stats.norm.cdf and norm.ppf; importing
-    # them here keeps scipy off the import path of every other command
-    from scipy.special import ndtr, ndtri
-
-    shifted = (ndtri(asset.p0) - math.sqrt(asset.rho) * z) / math.sqrt(1.0 - asset.rho)
-    return float(ndtr(shifted))
+    shifted = ((_STANDARD_NORMAL.inv_cdf(asset.p0) - math.sqrt(asset.rho) * z)
+               / math.sqrt(1.0 - asset.rho))
+    # Phi through erfc: NormalDist.cdf's 1 + erf form cancels in the lower tail
+    return 0.5 * math.erfc(-shifted / math.sqrt(2.0))
 
 
 def latent_distribution(portfolio: CreditPortfolio):
@@ -303,14 +305,14 @@ def cvar(dist: LossDistribution, alpha: float) -> float:
 
 
 def load_portfolio_csv(path) -> list[Asset]:
-    """Read assets from a CSV with header ``lgd,p0,rho``."""
+    """Read assets from a CSV with header ``lgd,p0,rho``; a bad row is refused by its file line."""
     assets = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"lgd", "p0", "rho"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError("portfolio CSV must have header lgd,p0,rho")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 if None in row or None in row.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
@@ -320,7 +322,7 @@ def load_portfolio_csv(path) -> list[Asset]:
                 assets.append(Asset(lgd=int(lgd_raw), p0=float(row["p0"]),
                                     rho=float(row["rho"])))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad asset at line {line}: {exc}") from exc
+                raise ValueError(f"bad asset at line {reader.line_num}: {exc}") from exc
     if not assets:
         raise ValueError("portfolio CSV contains no assets")
     return assets

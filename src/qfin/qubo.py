@@ -193,6 +193,11 @@ def _check_penalty(penalty: float | None) -> None:
         raise ValueError("penalty must be finite and positive")
 
 
+def _check_risk_aversion(q: float) -> None:
+    if not 0.0 < q < math.inf:
+        raise ValueError("risk aversion q must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PortfolioSpec:
     """Mean-variance selection: min q x' Sigma x - mu' x subject to 1' x = B."""
@@ -215,8 +220,7 @@ class PortfolioSpec:
             raise ValueError("sigma must be symmetric")
         if np.linalg.eigvalsh(sigma).min() < -1e-8:
             raise ValueError("sigma must be positive semidefinite within tolerance")
-        if not 0.0 < self.q < math.inf:
-            raise ValueError("risk aversion q must be finite and positive")
+        _check_risk_aversion(self.q)
         if not 0 < self.budget < n:
             raise ValueError("budget must satisfy 0 < B < n")
         _check_penalty(self.penalty)
@@ -408,6 +412,12 @@ def write_portfolio_instance(path, spec: PortfolioSpec) -> None:
 
 
 def read_portfolio_instance(path) -> PortfolioSpec:
+    """The labeled-line instance; a malformed line is refused by its line number.
+
+    Each ``mu`` and ``sigma`` value must be finite, and every such line as
+    wide as the first; ``q`` and ``penalty`` must be finite and positive, and
+    ``budget`` a positive integer.
+    """
     mu = None
     sigma_rows = []
     q = None
@@ -420,16 +430,28 @@ def read_portfolio_instance(path) -> PortfolioSpec:
                 continue
             label, _, rest = line.partition(",")
             try:
-                if label == "mu":
-                    mu = np.array([float(v) for v in rest.split(",")])
-                elif label == "sigma":
-                    sigma_rows.append([float(v) for v in rest.split(",")])
+                if label in ("mu", "sigma"):
+                    row = [float(v) for v in rest.split(",")]
+                    if not all(math.isfinite(v) for v in row):
+                        raise ValueError(f"{label} values must be finite")
+                    width = (mu.size if mu is not None
+                             else len(sigma_rows[0]) if sigma_rows else len(row))
+                    if len(row) != width:
+                        raise ValueError(f"{label} has {len(row)} values, expected {width}")
+                    if label == "mu":
+                        mu = np.array(row)
+                    else:
+                        sigma_rows.append(row)
                 elif label == "q":
                     q = float(rest)
+                    _check_risk_aversion(q)
                 elif label == "budget":
                     budget = int(rest)
+                    if budget < 1:
+                        raise ValueError("budget must be positive")
                 elif label == "penalty":
                     penalty = float(rest)
+                    _check_penalty(penalty)
                 else:
                     raise ValueError(f"unknown label {label!r}")
             except ValueError as exc:

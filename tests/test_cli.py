@@ -192,6 +192,27 @@ def test_opt_auction_rejects_bad_values(tmp_path, capsys, units_line, first_bid,
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("command,text,message", [
+    (["opt", "auction", "--instance"], "price,qty_item_1\n3,x\n1,2\nunits,5\n",
+     "bad auction row at line 2: could not convert string to float: 'x'"),
+    (["opt", "auction", "--instance"], "price,qty_item_1\n3,1\n\n\n1,2,3\nunits,5\n",
+     "bad auction row at line 5: expected 2 fields, got 3"),
+    (["risk", "var", "--portfolio"], "lgd,p0,rho\n1,0.1,0.1\n\n\n2,x,0.1\n",
+     "bad asset at line 5: could not convert string to float: 'x'"),
+    (["opt", "portfolio", "--instance"],
+     "mu,0.1,0.2,0.3\n# covariance\nsigma,1.0,0.1\nsigma,0.1,1.0,0.0\nsigma,0,0,1\n"
+     "q,0.5\nbudget,1\n",
+     "bad portfolio instance line 3: sigma has 2 values, expected 3"),
+])
+def test_input_errors_name_the_file_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert main(command + [str(path), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [f"validation error: {message}"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--rho", "--beta", "--c"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_opt_auction_rejects_non_finite_admm_parameters(tmp_path, capsys, flag, value):
@@ -333,8 +354,8 @@ def _spoil(model, key, value):
         del model[key]
     elif value is IndexError:
         model[key] = model[key][:-1]
-    elif key == "config.n_qubits":
-        model["config"]["n_qubits"] = value
+    elif key.startswith("config."):
+        model["config"][key.removeprefix("config.")] = value
     elif key in ("theta", "scaler_low", "scaler_high"):
         model[key][-1] = value
     else:
@@ -347,7 +368,9 @@ def _spoil(model, key, value):
     ("theta", float("nan")), ("theta", "x"), ("scaler_low", float("inf")),
     ("scaler_high", -float("inf")), ("scaler_high", -1e9), ("config.n_qubits", "5"),
     ("config.n_qubits", 0), ("theta", KeyError), ("config", []), ("theta", IndexError),
-    ("scaler_low", IndexError), ("scaler_high", IndexError)])
+    ("scaler_low", IndexError), ("scaler_high", IndexError), ("config.repetitions", 17),
+    ("config.repetitions", 10 ** 4), ("config.vocab_sizes", [2]),
+    ("config.qrac_features", ["x0"])])
 def test_ml_eval_rejects_a_bad_model_file(tmp_path, capsys, trained_model, spoil):
     model, data = trained_model
     model = [1] if spoil == "list" else _spoil(model, *spoil)
@@ -358,6 +381,23 @@ def test_ml_eval_rejects_a_bad_model_file(tmp_path, capsys, trained_model, spoil
     assert main(["ml", "eval", "--model", str(path), "--data", data,
                  "--out-dir", str(out)]) == 3
     _assert_one_line_error(capsys, "validation error:")
+    assert not (out / "eval.json").exists()
+
+
+def test_ml_eval_refuses_a_register_over_the_ceiling(tmp_path, trained_model):
+    model, data = trained_model
+    n_qubits = model["config"]["n_qubits"] + 30
+    model = _spoil(model, "config.latent_qubits", 30)
+    model["config"]["n_qubits"] = n_qubits
+    model["theta"] = [0.0] * (2 * n_qubits * (model["config"]["separator_layers"] + 1))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "eval"
+    proc = _run_under_memory_cap(["ml", "eval", "--model", str(path), "--data", data,
+                                  "--out-dir", str(out)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        f"capacity error: classifier needs {n_qubits} qubits, ceiling 24"]
     assert not (out / "eval.json").exists()
 
 
@@ -403,15 +443,78 @@ def test_unexpected_exception_exits_internal_error(tmp_path, capsys, monkeypatch
     assert not (out / "result.json").exists()
 
 
-def test_importing_the_cli_loads_no_scipy():
+def _subprocess_env() -> dict:
     src = str(Path(qfin.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, qfin.cli; "
-             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path, demo_portfolio_csv, portfolio_instance):
+    """Every command, run in one fresh process, leaves no scipy module loaded."""
+    similarity = tmp_path / "rho.csv"
+    similarity.write_text("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n")
+    auction = tmp_path / "auction.csv"
+    admm.write_auction_csv(auction, *admm.random_auction(4, 2, 5, seed=4))
+    dataset = str(tmp_path / "synth" / "dataset.csv")
+    model = str(tmp_path / "train" / "model.json")
+    commands = [
+        ["risk", "var", "--portfolio", demo_portfolio_csv, "--exact-oracle"],
+        ["ae", "calibrate", "--m", "3"],
+        ["opt", "portfolio", "--instance", portfolio_instance, "--solver", "brute-force"],
+        ["opt", "portfolio", "--instance", portfolio_instance, "--solver", "qaoa",
+         "--iterations", "5"],
+        ["opt", "diversify", "--similarity", str(similarity), "--clusters", "2"],
+        ["opt", "auction", "--instance", str(auction), "--max-iterations", "5"],
+        ["ml", "synth", "--n", "12", "--mode", "separable", "--out-dir",
+         str(tmp_path / "synth")],
+        ["ml", "train", "--data", dataset, "--iterations", "3", "--out-dir",
+         str(tmp_path / "train")],
+        ["ml", "eval", "--model", model, "--data", dataset],
+    ]
+    commands = [argv if "--out-dir" in argv else argv + ["--out-dir", str(tmp_path / str(i))]
+                for i, argv in enumerate(commands)]
+    probe = ("import contextlib, io, json, sys\n"
+             "from qfin.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+             "                                if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                          env=_subprocess_env(), capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert json.loads(proc.stdout) == [[0] * len(commands), []]
+
+
+def _run_under_memory_cap(argv: list[str]) -> subprocess.CompletedProcess:
+    """``qfin argv`` in a fresh process whose address space is capped at 3 GiB.
+
+    A register over the ceiling asks numpy for a (2^n, records) block; under
+    the cap a regression fails fast with a MemoryError instead of taking the
+    host's pages.
+    """
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+             "from qfin.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", probe] + argv,
+                          env=dict(_subprocess_env(), OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_ml_train_refuses_a_register_over_the_ceiling(tmp_path):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "wide.csv"
+    with open(data, "w") as fh:
+        fh.write(",".join(f"x{i}" for i in range(30)) + ",label\n")
+        for r in range(8):
+            fh.write(",".join(map(repr, rng.uniform(size=30).tolist())) + f",{(-1) ** r}\n")
+    out = tmp_path / "run"
+    proc = _run_under_memory_cap(["ml", "train", "--data", str(data), "--iterations", "3",
+                                  "--out-dir", str(out)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "capacity error: classifier needs 30 qubits, ceiling 24"]
+    assert not (out / "model.json").exists()
 
 
 def test_ae_calibrate_outputs(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import norm
 from qfin import credit_risk as cr
 from qfin import simulator as sv
 from qfin.amplitude_estimation import error_bound, true_amplitude
+from qfin.cli import main
 
 DEMO = cr.CreditPortfolio(assets=(cr.Asset(1, 0.15, 0.1), cr.Asset(2, 0.25, 0.05)),
                           n_z=2)
@@ -33,17 +35,79 @@ def test_default_probability_formula_oracle():
     assert cr.default_probability(asset, 0.0) == pytest.approx(want, abs=1e-12)
 
 
+def scipy_default_probability(asset, z):
+    """The model through scipy's normal kernels, the oracle for the stdlib ones."""
+    if asset.rho == 0.0:
+        return asset.p0
+    shifted = (norm.ppf(asset.p0) - math.sqrt(asset.rho) * z) / math.sqrt(1.0 - asset.rho)
+    return float(norm.cdf(shifted))
+
+
+# The stdlib kernels round differently from scipy's. On this grid the worst
+# measured deviations are |dp| 6.8e-15 and |d theta| 1.4e-14, theta = 2 asin
+# sqrt(p) being the RY angle the circuit uses; the bounds leave about 1.5x.
+# NormalDist.cdf's erf form would move theta by 6.6e-9 in the lower tail.
 @pytest.mark.parametrize("p0", [1e-9, 0.001, 0.15, 0.5, 0.93, 1.0 - 1e-9])
 @pytest.mark.parametrize("rho", [0.0, 0.01, 0.1, 0.5, 0.99])
 def test_default_probability_equals_scipy_norm_bitwise(p0, rho):
-    def scipy_formula(z):
-        if rho == 0.0:
-            return p0
-        return float(norm.cdf((norm.ppf(p0) - math.sqrt(rho) * z) / math.sqrt(1.0 - rho)))
-
     asset = cr.Asset(1, p0, rho)
     for z in np.linspace(-6.0, 6.0, 49):
-        assert cr.default_probability(asset, z).hex() == scipy_formula(z).hex()
+        got = cr.default_probability(asset, z)
+        want = scipy_default_probability(asset, z)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-14
+        assert abs(2.0 * math.asin(math.sqrt(got)) - 2.0 * math.asin(math.sqrt(want))) <= 2e-14
+        if rho == 0.0:
+            assert got == p0
+
+
+def _assert_same_risk_var(got, want, path="result"):
+    """Equal ints, strings and keys; floats within 1e-13 of each other."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-13, path
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_same_risk_var(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_risk_var(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, path
+
+
+def _risk_var_assets(seed: int, wide: bool) -> list:
+    """The benchmark's 3-asset shape, or one with p0 down to 1e-4 and rho up to 0.6."""
+    rng = np.random.default_rng([seed, 1])
+    if not wide:
+        return [cr.Asset(int(lgd), float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.05, 0.3)))
+                for lgd in rng.permutation([1, 2, 3])]
+    return [cr.Asset(int(rng.integers(1, 5)), float(10 ** rng.uniform(-4.0, math.log10(0.3))),
+                     float(rng.uniform(0.0, 0.6))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_risk_var_with_stdlib_kernels_matches_scipy_kernels(tmp_path, monkeypatch, capsys, wide):
+    """``risk var --exact-oracle`` on 100 seeded portfolios per shape, stdlib vs scipy."""
+    def run(seed, label):
+        out = tmp_path / f"{seed}-{label}"
+        assert main(["risk", "var", "--portfolio", str(portfolio), "--alpha", "0.95",
+                     "--nz", "3", "--m", "6", "--exact-oracle", "--out-dir", str(out)]) == 0
+        return json.loads((out / "result.json").read_text())
+
+    for seed in range(100):
+        portfolio = tmp_path / f"portfolio-{seed}.csv"
+        cr.write_portfolio_csv(portfolio, _risk_var_assets(seed, wide))
+        stdlib = run(seed, "stdlib")
+        with monkeypatch.context() as patch:
+            patch.setattr(cr, "default_probability", scipy_default_probability)
+            scipy = run(seed, "scipy")
+        assert stdlib["var"] == scipy["var"]
+        assert stdlib["bisection"] == scipy["bisection"]
+        assert stdlib["oracle"]["var"] == scipy["oracle"]["var"]
+        _assert_same_risk_var(stdlib, scipy)
+    capsys.readouterr()
 
 
 def test_default_probability_monotone_decreasing_in_z():
