@@ -16,9 +16,22 @@ import numpy as np
 
 from . import qubo as qb
 from .optimizers import OptimizerConfig
-from .variational import qaoa_minimize, ry_ansatz, vqe_minimize
+from .variational import minimize_qubo
 
 QUBO_SOLVERS = ("brute-force", "vqe", "qaoa")
+
+# ``run`` stops once the recorded residual norm is below TOLERANCE, or after
+# ``max_iterations`` (at most MAX_ITERATIONS, each solving a QUBO). Block 1 by
+# VQE or QAOA runs SPSA for VQE_ITERATIONS iterations on a depth-3 RY ansatz or
+# QAOA_DEPTH levels. Block 2 takes at most BLOCK2_MAX_STEPS projected-gradient
+# steps down to BLOCK2_TOLERANCE, each projection at most DYKSTRA_SWEEPS sweeps.
+TOLERANCE = 1e-4
+MAX_ITERATIONS = 10_000
+VQE_ITERATIONS = 200
+QAOA_DEPTH = 2
+BLOCK2_MAX_STEPS = 5000
+BLOCK2_TOLERANCE = 1e-8
+DYKSTRA_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -90,52 +103,27 @@ class MboProblem:
         return float(0.5 * u @ self.phi_quadratic @ u + self.phi_linear @ u)
 
 
-def pure_binary_problem(quadratic, linear) -> MboProblem:
-    """MBO with no continuous part and no constraints: blocks decouple."""
-    quadratic = np.asarray(quadratic, dtype=float)
-    linear = np.asarray(linear, dtype=float)
-    n = linear.size
-    empty_rows = np.zeros((0, n))
-    return MboProblem(
-        q_quadratic=quadratic, q_linear=linear,
-        eq_matrix=empty_rows, eq_rhs=np.zeros(0),
-        ineq_matrix=empty_rows, ineq_rhs=np.zeros(0),
-        phi_quadratic=np.zeros((0, 0)), phi_linear=np.zeros(0),
-        u_lower=np.zeros(0), u_upper=np.zeros(0),
-        joint_x=np.zeros((0, n)), joint_u=np.zeros((0, 0)), joint_rhs=np.zeros(0),
-        a0=np.zeros((0, n)), a1=np.zeros((0, 0)),
-    )
-
-
 @dataclass(frozen=True)
 class AdmmConfig:
     rho: float = 12.0
     beta: float = 11.0
     c: float = 10.0
-    merit_weight: float | None = None
-    tolerance: float = 1e-4
     max_iterations: int = 100
     qubo_solver: str = "brute-force"
     seed: int = 0
-    vqe_iterations: int = 200
-    qaoa_depth: int = 2
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not all(0.0 < v < math.inf for v in (self.rho, self.beta, self.c, self.tolerance)):
-            raise ValueError("rho, beta, c, and tolerance must be finite and positive")
-        if self.merit_weight is not None and not 0.0 < self.merit_weight < math.inf:
-            raise ValueError("merit_weight must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not all(0.0 < v < math.inf for v in (self.rho, self.beta, self.c)):
+            raise ValueError("rho, beta, and c must be finite and positive")
+        if not 1 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must lie in [1, {MAX_ITERATIONS}]")
         if self.qubo_solver not in QUBO_SOLVERS:
             raise ValueError(f"qubo_solver must be one of {QUBO_SOLVERS}")
 
 
-def resolve_merit_weight(problem: MboProblem, config: AdmmConfig) -> float:
-    """Ten times the largest linear objective coefficient, unless configured."""
-    if config.merit_weight is not None:
-        return config.merit_weight
+def resolve_merit_weight(problem: MboProblem) -> float:
+    """Ten times the largest linear objective coefficient (10 when there is none)."""
     scale = float(np.max(np.abs(problem.q_linear), initial=0.0))
     return 10.0 * scale if scale > 0.0 else 10.0
 
@@ -160,14 +148,6 @@ class AdmmResult:
     k_star: int
     merit: float
     trace: list[AdmmIterate]
-
-    @property
-    def residual_history(self) -> list[float]:
-        return [it.residual_norm for it in self.trace]
-
-    @property
-    def merit_history(self) -> list[float]:
-        return [it.merit for it in self.trace]
 
 
 def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
@@ -198,14 +178,14 @@ def _project_box(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndar
     return np.minimum(np.maximum(u, lower), upper)
 
 
-def _project_feasible(u, lower, upper, halfspace_a, halfspace_b, sweeps=200):
+def _project_feasible(u, lower, upper, halfspace_a, halfspace_b):
     """Dykstra alternating projection onto the box intersected with halfspaces."""
     if halfspace_a.size == 0:
         return _project_box(u, lower, upper)
     rows = [(halfspace_a[i], float(halfspace_b[i])) for i in range(halfspace_a.shape[0])]
     corrections = [np.zeros_like(u) for _ in range(len(rows) + 1)]
     z = u.copy()
-    for _ in range(sweeps):
+    for _ in range(DYKSTRA_SWEEPS):
         previous = z.copy()
         w = z + corrections[0]
         z = _project_box(w, lower, upper)
@@ -225,8 +205,7 @@ class InfeasibleContinuousBlock(Exception):
 
 
 def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
-                  lam: np.ndarray, config: AdmmConfig,
-                  max_steps: int = 5000, tol: float = 1e-8) -> np.ndarray:
+                  lam: np.ndarray, config: AdmmConfig) -> np.ndarray:
     """Projected gradient descent for the continuous update.
 
     Minimizes phi(u) + lam'A1 u + (rho/2)||A0 x + A1 u - y||^2 over the box
@@ -262,7 +241,7 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
     def value(u):
         return float(0.5 * u @ hess @ u + grad0 @ u)
 
-    for _ in range(max_steps):
+    for _ in range(BLOCK2_MAX_STEPS):
         grad = hess @ u + grad0
         candidate = project(u - step * grad)
         # backtracking on the projected step
@@ -274,7 +253,7 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
             candidate = project(u - step * grad)
         mapping_norm = np.linalg.norm(candidate - u) / step
         u = candidate
-        if mapping_norm <= tol:
+        if mapping_norm <= BLOCK2_TOLERANCE:
             break
     return u
 
@@ -308,29 +287,13 @@ def merit(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
     return value + merit_weight * violation
 
 
-def _solve_qubo(block: qb.Qubo, config: AdmmConfig, iteration: int) -> np.ndarray:
-    """Block-1 update by VQE or QAOA; brute force is served by ``run``'s enumeration."""
-    observable = qb.to_ising(block)
-    opt = OptimizerConfig(method="spsa", iterations=config.vqe_iterations,
-                          seed=config.seed * 100003 + iteration)
-    if config.qubo_solver == "vqe":
-        result = vqe_minimize(observable, ry_ansatz(block.n, 3), opt,
-                              top_k=min(16, 1 << block.n))
-    else:
-        result = qaoa_minimize(observable, config.qaoa_depth, opt,
-                               n_qubits=block.n, top_k=min(16, 1 << block.n))
-    # take the lowest-energy state among the most probable samples
-    best = min(result.top_states, key=lambda entry: entry[2])
-    return np.array([float(ch) for ch in best[0]])
-
-
 def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     """Iterate the three blocks and dual update, returning the merit-best iterate.
 
     The continuous variable starts at its finite upper bound (falling back to
     the lower bound, then zero) so capacity-style consensus rows begin from
-    full availability. Stops when the recorded residual drops below the
-    tolerance or after max_iterations.
+    full availability. Stops when the recorded residual drops below
+    TOLERANCE or after max_iterations.
 
     Block 1's quadratic matrix does not depend on x_bar, y or lam, so with the
     brute-force solver x'Qx is enumerated once per run and each iteration only
@@ -338,7 +301,7 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     on each block, bit for bit).
     """
     n, l, d = problem.n_binary, problem.n_continuous, problem.n_consensus
-    mu = resolve_merit_weight(problem, config)
+    mu = resolve_merit_weight(problem)
     x = np.zeros(n)
     x_bar = np.where(np.isfinite(problem.u_upper), problem.u_upper,
                      np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0)) \
@@ -355,7 +318,11 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
                 enumeration = qb.QuadraticEnumeration(block.quadratic)
             x = enumeration.minimize(block.linear, block.constant)[0].astype(float)
         else:
-            x = _solve_qubo(block, config, k)
+            # Block 1 by VQE or QAOA; brute force is served by the enumeration above
+            opt = OptimizerConfig(method="spsa", iterations=VQE_ITERATIONS,
+                                  seed=config.seed * 100003 + k)
+            depth = 3 if config.qubo_solver == "vqe" else QAOA_DEPTH
+            x = minimize_qubo(block, config.qubo_solver, depth, opt, 16)[0].astype(float)
         x_bar = block2_convex(problem, x, y, lam, config)
         y = block3_y(problem, x, x_bar, lam, config)
         gradient = config.beta * y - lam - config.rho * (
@@ -368,7 +335,7 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
             merit=merit(problem, x, x_bar, mu),
             block3_gradient_norm=float(np.abs(gradient).max(initial=0.0)),
         ))
-        if trace[-1].residual_norm < config.tolerance:
+        if trace[-1].residual_norm < TOLERANCE:
             break
 
     best = min(trace, key=lambda it: (it.merit, it.k))
@@ -451,15 +418,18 @@ def solve_auction_exact(bids, units) -> tuple[np.ndarray, float]:
     return best_x, best_profit
 
 
+AUCTION_MAX_QUANTITY = 6
+AUCTION_PRICE_RANGE = (1.0, 30.0)
+
+
 def random_auction(n_bids: int, n_items: int, units_per_item: int,
-                   seed: int, max_quantity: int = 6,
-                   price_range: tuple[float, float] = (1.0, 30.0)) -> tuple[list[Bid], np.ndarray]:
-    """Seeded instance in the paper's shape: quantities in [1, max_quantity]."""
+                   seed: int) -> tuple[list[Bid], np.ndarray]:
+    """Seeded instance in the paper's shape: quantities in [1, AUCTION_MAX_QUANTITY]."""
     rng = np.random.default_rng(seed)
     bids = []
     for _ in range(n_bids):
-        quantities = rng.integers(1, max_quantity + 1, size=n_items)
-        price = float(np.round(rng.uniform(*price_range), 2))
+        quantities = rng.integers(1, AUCTION_MAX_QUANTITY + 1, size=n_items)
+        price = float(np.round(rng.uniform(*AUCTION_PRICE_RANGE), 2))
         bids.append(Bid(tuple(int(q) for q in quantities), price))
     return bids, np.full(n_items, float(units_per_item))
 

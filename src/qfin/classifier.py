@@ -2,8 +2,8 @@
 
 A record is embedded by alternating Hadamard layers with a diagonal phase
 whose coefficients carry the (scaled) features; a trainable RX+RY separator
-follows, and the decision is the expectation of a +/-1 readout (parity by
-default) plus a bias. Discrete features can be packed three bits per qubit
+follows, and the decision is the expectation of the +/-1 parity readout
+plus a bias. Discrete features can be packed three bits per qubit
 with the (3,1) quantum random access code. Classical baselines are
 gradient-trained logistic regression and a linear hinge classifier.
 
@@ -68,36 +68,23 @@ def default_coefficients(x: np.ndarray) -> dict[tuple[int, ...], float]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Repetitions of U_phi H^n with U_phi = exp(i sum_S phi_S(x) prod_S Z)."""
+def feature_map_ops(n_qubits: int, repetitions: int, x) -> list[GateOp]:
+    """Repetitions of U_phi H^n with U_phi = exp(i sum_S phi_S(x) prod_S Z).
 
-    n_qubits: int
-    repetitions: int = 2
-    coefficient_fn: object = None  # callable x -> {subset: phase}; None = defaults
-
-    def coefficients(self, x: np.ndarray) -> dict[tuple[int, ...], float]:
-        fn = self.coefficient_fn or default_coefficients
-        return fn(np.asarray(x, dtype=float))
-
-
-def feature_map_ops(fmap: FeatureMap, x) -> list[GateOp]:
+    The phases are ``default_coefficients(x)``; a zero phase's gate is left out.
+    """
     x = np.asarray(x, dtype=float)
-    if x.size != fmap.n_qubits:
-        raise ValueError(f"feature map expects {fmap.n_qubits} features, got {x.size}")
-    coeffs = fmap.coefficients(x)
+    if x.size != n_qubits:
+        raise ValueError(f"feature map expects {n_qubits} features, got {x.size}")
+    coeffs = default_coefficients(x)
     ops: list[GateOp] = []
-    for _ in range(fmap.repetitions):
-        ops.extend(h(q) for q in range(fmap.n_qubits))
+    for _ in range(repetitions):
+        ops.extend(h(q) for q in range(n_qubits))
         for subset, phi in sorted(coeffs.items()):
             if phi == 0.0:
                 continue
             ops.append(phase_gate(subset, phi * _parity_signs(len(subset))))
     return ops
-
-
-def feature_state(fmap: FeatureMap, x) -> Statevector:
-    return apply_ops(new_zero_state(fmap.n_qubits), feature_map_ops(fmap, x))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +153,13 @@ TRANSACTION_CATEGORICAL = ("method", "zip", "mcc")
 TRANSACTION_VOCABS = (3, 10, 10)
 _ZIP_CODES = tuple(range(10))
 _MCC_CODES = tuple(range(10))
+MAX_RECORDS = 1_000_000  # most records either synthesizer (``ml synth --n``) writes
+SEPARABLE_FEATURES = 2  # features, one qubit each, of ``synthesize_separable``'s points
+
+
+def _check_record_count(n_records: int) -> None:
+    if not 1 <= n_records <= MAX_RECORDS:
+        raise ValueError(f"n_records must lie in [1, {MAX_RECORDS}]")
 
 
 def synthesize_transactions(n_records: int, seed: int) -> LabeledDataset:
@@ -175,8 +169,7 @@ def synthesize_transactions(n_records: int, seed: int) -> LabeledDataset:
     risky method or a night-time risky merchant code, plus a little label
     noise so the classes are never perfectly separable.
     """
-    if n_records < 1:
-        raise ValueError("n_records must be >= 1")
+    _check_record_count(n_records)
     rng = np.random.default_rng(seed)
     hours = np.round(rng.uniform(0.0, 24.0, size=n_records), 3)
     amounts = np.round(np.exp(rng.normal(3.0, 1.0, size=n_records)), 2)
@@ -260,9 +253,7 @@ def ingest_csv(path, continuous_names=TRANSACTION_CONTINUOUS,
                           tuple(vocab_sizes))
 
 
-def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
-                         margin: float = 0.1,
-                         model_config: "ModelConfig | None" = None) -> LabeledDataset:
+def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> LabeledDataset:
     """Points labeled by a fixed random model's own sign with the given margin.
 
     The reference model reads the points through the same min-max scaler that
@@ -271,12 +262,13 @@ def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
     every record clears the margin under the final scaling. The reference
     decision values lie in [-1, 1], so the margin must lie in [0, 1).
     """
+    _check_record_count(n_records)
     if not 0.0 <= margin < 1.0:
         raise ValueError("margin must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-    config = model_config or ModelConfig(n_qubits=n_features)
+    config = ModelConfig(n_qubits=SEPARABLE_FEATURES)
     theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
-    points = rng.uniform(0.0, TWO_PI, size=(n_records, n_features))
+    points = rng.uniform(0.0, TWO_PI, size=(n_records, SEPARABLE_FEATURES))
     no_categorical = np.zeros((n_records, 0), dtype=int)
     values = np.zeros(n_records)
     for _ in range(500):
@@ -286,14 +278,14 @@ def synthesize_separable(n_records: int, seed: int, n_features: int = 2,
         weak = np.abs(values) < margin
         if not weak.any():
             break
-        points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), n_features))
+        points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), SEPARABLE_FEATURES))
     else:
         raise ValueError(f"could not draw {n_records} points clearing margin {margin}")
     labels = np.where(values > 0, 1, -1)
     if np.all(labels == labels[0]):
         labels[0] = -labels[0]
     return LabeledDataset(points, no_categorical, labels,
-                          tuple(f"x{i}" for i in range(n_features)), (), ())
+                          tuple(f"x{i}" for i in range(SEPARABLE_FEATURES)), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +321,8 @@ class ModelConfig:
 
 
 def build_vqc_with_qrac(continuous_names, categorical_names, vocab_sizes,
-                        qrac_features=None, repetitions: int = 2,
-                        separator_layers: int = 1, latent_qubits: int = 0) -> ModelConfig:
+                        qrac_features=None, separator_layers: int = 1,
+                        latent_qubits: int = 0) -> ModelConfig:
     """Qubit budget: ceil(one-hot bits / 3) QRAC qubits + one per remaining feature."""
     if not continuous_names and not categorical_names:
         raise ValueError("schema must name at least one feature")
@@ -349,7 +341,6 @@ def build_vqc_with_qrac(continuous_names, categorical_names, vocab_sizes,
                                         if name not in qrac_features)
     return ModelConfig(
         n_qubits=n_qrac + n_map + latent_qubits,
-        repetitions=repetitions,
         separator_layers=separator_layers,
         qrac_features=qrac_features,
         latent_qubits=latent_qubits,
@@ -375,12 +366,6 @@ class VqcModel:
     bias: float
     scaler_low: np.ndarray
     scaler_high: np.ndarray
-    readout: np.ndarray | None = None  # None = parity
-
-    def readout_table(self) -> np.ndarray:
-        if self.readout is not None:
-            return self.readout
-        return parity_readout(self.config.n_qubits)
 
 
 def _assemble_model(config: ModelConfig, theta, bias, scaler) -> VqcModel:
@@ -432,8 +417,8 @@ def _encoding_ops(config: ModelConfig, scaler, continuous, categorical) -> list[
     values, bits = _map_block(config, [continuous], [categorical])
     ops: list[GateOp] = []
     if config.n_map_qubits:
-        fmap = FeatureMap(config.n_map_qubits, config.repetitions)
-        ops.extend(feature_map_ops(fmap, scale_features(values[0], *scaler)))
+        ops.extend(feature_map_ops(config.n_map_qubits, config.repetitions,
+                                   scale_features(values[0], *scaler)))
     for k in range(0, bits.shape[1], 3):
         ops.extend(qrac_encode_block(bits[0, k:k + 3], qubit=config.n_map_qubits + k // 3))
     return ops
@@ -453,13 +438,9 @@ def model_state(model: VqcModel, continuous, categorical=()) -> Statevector:
 
 
 def decision(model: VqcModel, continuous, categorical=()) -> float:
-    """f(x): expectation of the +/-1 readout after the separator, plus bias."""
-    state = model_state(model, continuous, categorical)
-    return float(basis_probabilities(state) @ model.readout_table()) + model.bias
-
-
-def predict(model: VqcModel, continuous, categorical=()) -> int:
-    return 1 if decision(model, continuous, categorical) >= 0.0 else -1
+    """f(x): expectation of the +/-1 parity readout after the separator, plus bias."""
+    probs = basis_probabilities(model_state(model, continuous, categorical))
+    return float(probs @ parity_readout(model.config.n_qubits)) + model.bias
 
 
 def _rotate_records(block: np.ndarray, q: int, kind: str, angles) -> None:
@@ -488,16 +469,15 @@ def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.n
     block = np.zeros((dim, records), dtype=np.complex128)
     block[0] = 1.0
     if config.n_map_qubits:
-        fmap = FeatureMap(config.n_map_qubits, config.repetitions)
         phases = []
-        for subset, phis in sorted(fmap.coefficients(mapped.T).items()):
+        for subset, phis in sorted(default_coefficients(mapped.T).items()):
             shape, select, factor_shape, order = phase_layout(dim, subset)
             factors = np.exp(1j * np.multiply.outer(_parity_signs(len(subset)), phis))[order]
             factors[:, phis == 0.0] = 1.0
             phases.append((block.reshape(shape + (records,), copy=False)[select],
                            factors.reshape(factor_shape + (records,))))
-        for _ in range(fmap.repetitions):
-            for q in range(fmap.n_qubits):
+        for _ in range(config.repetitions):
+            for q in range(config.n_map_qubits):
                 apply_1q_inplace(block, q, "h")
             for rows, factors in phases:
                 rows *= factors
@@ -525,7 +505,7 @@ def _separated_decisions(model: VqcModel, block: np.ndarray, separate) -> np.nda
     """
     state = separate(model.theta, start=block)
     probs = np.abs(np.ascontiguousarray(state.T)) ** 2
-    table = model.readout_table()
+    table = parity_readout(model.config.n_qubits)
     return np.array([float(row @ table) + model.bias for row in probs])
 
 
@@ -725,25 +705,32 @@ def load_model(path) -> VqcModel:
 # classical baselines and cross-validation
 
 
-def _train_logistic(features, labels, epochs=400, lr=0.5):
+# full-batch gradient descent of the two baselines
+BASELINE_EPOCHS = 400
+LOGISTIC_STEP = 0.5
+HINGE_STEP = 0.2
+HINGE_L2 = 1e-3
+
+
+def _train_logistic(features, labels):
     w = np.zeros(features.shape[1] + 1)
     design = np.hstack([features, np.ones((features.shape[0], 1))])
     target = (labels + 1) / 2.0
-    for _ in range(epochs):
+    for _ in range(BASELINE_EPOCHS):
         prob = 1.0 / (1.0 + np.exp(-design @ w))
-        w -= lr * design.T @ (prob - target) / len(labels)
+        w -= LOGISTIC_STEP * design.T @ (prob - target) / len(labels)
     return lambda feats: np.where(
         np.hstack([feats, np.ones((feats.shape[0], 1))]) @ w >= 0.0, 1, -1)
 
 
-def _train_hinge(features, labels, epochs=400, lr=0.2, l2=1e-3):
+def _train_hinge(features, labels):
     w = np.zeros(features.shape[1] + 1)
     design = np.hstack([features, np.ones((features.shape[0], 1))])
-    for _ in range(epochs):
+    for _ in range(BASELINE_EPOCHS):
         margins = labels * (design @ w)
         active = margins < 1.0
-        grad = l2 * w - (labels[active, None] * design[active]).sum(axis=0) / len(labels)
-        w -= lr * grad
+        grad = HINGE_L2 * w - (labels[active, None] * design[active]).sum(axis=0) / len(labels)
+        w -= HINGE_STEP * grad
     return lambda feats: np.where(
         np.hstack([feats, np.ones((feats.shape[0], 1))]) @ w >= 0.0, 1, -1)
 

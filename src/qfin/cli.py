@@ -97,9 +97,9 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _optimizer_from_args(args, seed: int) -> OptimizerConfig:
+def _optimizer_from_args(args) -> OptimizerConfig:
     return OptimizerConfig(method=args.optimizer, iterations=args.iterations,
-                           seed=seed, restarts=args.restarts)
+                           seed=args.seed, restarts=args.restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +153,18 @@ def cmd_risk_var(args, argv) -> int:
 # opt subcommands
 
 
-def _solve_qubo_by(args, qubo: qb.Qubo, seed: int):
-    observable = qb.to_ising(qubo)
+def _solve_qubo_by(args, qubo: qb.Qubo):
     if args.solver == "brute-force":
         bits, value = qb.brute_force(qubo)
         return bits, value, None
-    optimizer = _optimizer_from_args(args, seed)
-    if args.solver == "vqe":
-        result = vq.vqe_minimize(observable, vq.ry_ansatz(qubo.n, args.depth),
-                                 optimizer, top_k=args.top_k)
-    elif args.solver == "qaoa":
-        result = vq.qaoa_minimize(observable, args.depth, optimizer,
-                                  n_qubits=qubo.n, top_k=args.top_k)
-    else:
-        raise SolverFailure(f"solver {args.solver} cannot run on this problem")
-    best = min(result.top_states, key=lambda entry: entry[2])
-    bits = np.array([int(ch) for ch in best[0]])
-    return bits, best[2], result
+    return vq.minimize_qubo(qubo, args.solver, args.depth,
+                            _optimizer_from_args(args), args.top_k)
 
 
 def cmd_opt_portfolio(args, argv) -> int:
     spec = qb.read_portfolio_instance(args.instance)
     qubo = qb.build_portfolio_qubo(spec)
-    bits, value, variational = _solve_qubo_by(args, qubo, args.seed)
+    bits, value, variational = _solve_qubo_by(args, qubo)
     outputs = []
     result = {
         "solver": args.solver,
@@ -215,7 +204,7 @@ def cmd_opt_diversify(args, argv) -> int:
     spec = qb.DiversificationSpec(rho=rho, q_clusters=args.clusters,
                                   penalty=args.penalty)
     qubo = qb.build_diversification_qubo(spec)
-    bits, value, variational = _solve_qubo_by(args, qubo, args.seed)
+    bits, value, variational = _solve_qubo_by(args, qubo)
     decode = qb.decode_diversification(bits, spec.q_clusters)
     result = {
         "solver": args.solver,
@@ -325,7 +314,7 @@ def cmd_ml_train(args, argv) -> int:
                                  continuous_names=dataset.continuous_names,
                                  categorical_names=dataset.categorical_names,
                                  vocab_sizes=dataset.vocab_sizes)
-    optimizer = _optimizer_from_args(args, args.seed)
+    optimizer = _optimizer_from_args(args)
     model, trace, train_accuracy = clf.train_scored(dataset, config, optimizer, form=args.risk)
     model_path = os.path.join(args.out_dir, "model.json")
     clf.save_model(_fresh(model_path), model, provenance={

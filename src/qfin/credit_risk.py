@@ -193,13 +193,9 @@ def estimation_problem(portfolio: CreditPortfolio, threshold: int) -> Estimation
                              n_state_qubits=portfolio.n_qubits - 1)
 
 
-def cdf_estimate(portfolio: CreditPortfolio, threshold: int, m: int,
-                 ceiling: int = MAX_QUBITS) -> float:
+def cdf_estimate(portfolio: CreditPortfolio, threshold: int, m: int) -> float:
     """Amplitude-estimated P[L <= threshold]."""
-    if portfolio.n_qubits + m > ceiling:
-        raise CapacityError(
-            f"portfolio needs {portfolio.n_qubits} qubits plus {m} counting, ceiling {ceiling}")
-    return run_ae(estimation_problem(portfolio, threshold), m, ceiling=ceiling).a_estimate
+    return run_ae(estimation_problem(portfolio, threshold), m).a_estimate
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,8 @@ class BisectionProbe:
     cdf: float
 
 
-def var_bisection(portfolio: CreditPortfolio, alpha: float, m: int,
-                  ceiling: int = MAX_QUBITS) -> tuple[int, list[BisectionProbe]]:
+def var_bisection(portfolio: CreditPortfolio, alpha: float,
+                  m: int) -> tuple[int, list[BisectionProbe]]:
     """Smallest integer loss whose estimated CDF reaches alpha.
 
     The bracket starts at [-1, total LGD + 1] so the whole distribution is
@@ -224,7 +220,7 @@ def var_bisection(portfolio: CreditPortfolio, alpha: float, m: int,
     trace: list[BisectionProbe] = []
     while high - low > 1:
         mid = (low + high) // 2
-        est = cdf_estimate(portfolio, mid, m, ceiling=ceiling)
+        est = cdf_estimate(portfolio, mid, m)
         trace.append(BisectionProbe(low=low, mid=mid, high=high, cdf=est))
         if est >= alpha:
             high = mid
@@ -287,10 +283,9 @@ def expected_loss(portfolio: CreditPortfolio) -> float:
     return exact_loss_distribution(portfolio).mean()
 
 
-def ecr(portfolio: CreditPortfolio, alpha: float, m: int,
-        ceiling: int = MAX_QUBITS) -> float:
+def ecr(portfolio: CreditPortfolio, alpha: float, m: int) -> float:
     """Economic capital requirement: estimated VaR minus the expected loss."""
-    var, _ = var_bisection(portfolio, alpha, m, ceiling=ceiling)
+    var, _ = var_bisection(portfolio, alpha, m)
     return var - expected_loss(portfolio)
 
 

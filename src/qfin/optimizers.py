@@ -1,10 +1,12 @@
 """Derivative-free minimizers for the variational loops.
 
-SPSA uses the standard decaying gain schedules with Bernoulli perturbations;
-Nelder-Mead is a numpy port of scipy's fixed-coefficient simplex method that
-evaluates the same points in the same order. Both are seed-deterministic and
-report a best-so-far trace per iteration, the number of objective calls and
-why they stopped.
+SPSA uses Spall's decaying gains a_k = SPSA_A / (k + 1 + 0.1 N)^SPSA_ALPHA
+and c_k = SPSA_C / (k + 1)^SPSA_GAMMA, N the iteration count, with
+Bernoulli perturbations; Nelder-Mead is a numpy port of scipy's
+fixed-coefficient simplex method, started from the simplex that steps
+SIMPLEX_STEP along each axis, and evaluates the same points in the same
+order. Both are seed-deterministic and report a best-so-far trace per
+iteration, the number of objective calls and why they stopped.
 
 Objectives are deterministic: a point's value depends on the point alone.
 An objective may carry a ``rows`` attribute: ``fn.rows(stack)`` takes a
@@ -22,6 +24,19 @@ import numpy as np
 
 METHODS = ("spsa", "nelder-mead")
 
+# SPSA gain schedule
+SPSA_A = 0.6
+SPSA_C = 0.15
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+# Nelder-Mead initial simplex scale
+SIMPLEX_STEP = 0.5
+
+# Bounds on ``--iterations`` and ``--restarts``: a run's objective calls grow
+# with their product, so a larger value is refused before any is made.
+MAX_ITERATIONS = 100_000
+MAX_RESTARTS = 100
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -29,21 +44,14 @@ class OptimizerConfig:
     iterations: int = 200
     seed: int = 0
     restarts: int = 1
-    # SPSA gain schedule
-    a: float = 0.6
-    c: float = 0.15
-    alpha: float = 0.602
-    gamma: float = 0.101
-    # Nelder-Mead initial simplex scale
-    simplex_step: float = 0.5
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}]")
 
 
 @dataclass(frozen=True)
@@ -73,14 +81,14 @@ def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator)
     x = np.asarray(x0, dtype=float).copy()
     trace = []
     for k in range(config.iterations):
-        c_k = config.c / (k + 1) ** config.gamma
+        c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
         delta = rng.choice((-1.0, 1.0), size=x.size)
         f_x, f_plus, f_minus = _values(fn, np.stack([x, x + c_k * delta, x - c_k * delta]))
         if not trace or f_x < best_f:
             best_f = f_x
             best_x = x.copy()
         trace.append(best_f)
-        a_k = config.a / (k + 1 + stability) ** config.alpha
+        a_k = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA
         diff = f_plus - f_minus
         x = x - a_k * (diff / (2.0 * c_k)) * delta
     f_x = fn(x)
@@ -102,7 +110,7 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     row. The trace starts at f(x0), the value of the simplex's first row.
     """
     n = x0.size
-    sim = np.vstack([x0] + [x0 + config.simplex_step * np.eye(n)[i] for i in range(n)])
+    sim = np.vstack([x0] + [x0 + SIMPLEX_STEP * np.eye(n)[i] for i in range(n)])
     best_f, best_x, evaluations = None, None, 0
 
     def evaluate(points):

@@ -35,27 +35,15 @@ class Qubo:
         object.__setattr__(self, "linear", c)
 
 
-@dataclass(frozen=True)
-class EqualityConstraint:
-    """Rows of A x = b."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("row count of a must equal length of b")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
 def energy(qubo: Qubo, bits) -> float:
     bits = np.asarray(bits, dtype=float)
     if bits.shape != (qubo.n,):
         raise ValueError(f"bitstring length {bits.size} does not match n={qubo.n}")
     return float(qubo.linear @ bits + bits @ qubo.quadratic @ bits + qubo.constant)
+
+
+# Assignments are enumerated ENUMERATION_CHUNK basis indices at a time.
+ENUMERATION_CHUNK = 1 << 16
 
 
 class QuadraticEnumeration:
@@ -64,17 +52,15 @@ class QuadraticEnumeration:
     ``energies(linear, constant)`` then adds the linear term and constant in
     ``all_energies``' order of operations, so a solver whose QUBOs share Q
     and differ only in those two gets the same energies bit for bit without
-    redoing the quadratic form. Assignments are enumerated in chunks of
-    ``chunk`` basis indices; the first chunk's bit block is held, later ones
-    are rebuilt on each call.
+    redoing the quadratic form. The first chunk's bit block is held, later
+    ones are rebuilt on each call.
     """
 
-    def __init__(self, quadratic: np.ndarray, chunk: int = 1 << 16):
+    def __init__(self, quadratic: np.ndarray):
         n = quadratic.shape[0]
         if n > 24:
             raise CapacityError("enumeration supports at most 24 variables")
         self.n = n
-        self._chunk = chunk
         self._first = self._bits(0)
         self.quad = np.empty(1 << n)
         for start, bits in self._blocks():
@@ -82,13 +68,13 @@ class QuadraticEnumeration:
 
     def _bits(self, start: int) -> np.ndarray:
         # int32 index arithmetic (n <= 24) halves the integer temporaries
-        idx = np.arange(start, min(start + self._chunk, 1 << self.n), dtype=np.int32)
+        idx = np.arange(start, min(start + ENUMERATION_CHUNK, 1 << self.n), dtype=np.int32)
         bits = idx[:, None] >> np.arange(self.n, dtype=np.int32)
         bits &= 1
         return bits.astype(float)
 
     def _blocks(self):
-        for start in range(0, 1 << self.n, self._chunk):
+        for start in range(0, 1 << self.n, ENUMERATION_CHUNK):
             yield start, self._first if start == 0 else self._bits(start)
 
     def energies(self, linear: np.ndarray, constant: float = 0.0,
@@ -105,9 +91,9 @@ class QuadraticEnumeration:
         return lowest_energy(self.energies(linear, constant), self.n)
 
 
-def all_energies(qubo: Qubo, chunk: int = 1 << 16) -> np.ndarray:
+def all_energies(qubo: Qubo) -> np.ndarray:
     """Energies of all 2^n assignments, indexed by basis index (bit i = x_i)."""
-    form = QuadraticEnumeration(qubo.quadratic, chunk)
+    form = QuadraticEnumeration(qubo.quadratic)
     # one-shot: overwrite the held x'Qx chunk by chunk, so only one 2^n vector exists
     return form.energies(qubo.linear, qubo.constant, out=form.quad)
 
@@ -127,17 +113,14 @@ def brute_force(qubo: Qubo) -> tuple[np.ndarray, float]:
     return lowest_energy(all_energies(qubo), qubo.n)
 
 
-def energy_spread(qubo: Qubo) -> float:
-    """max - min energy over all assignments; a sufficient penalty scale."""
-    energies = all_energies(qubo)
-    return float(energies.max() - energies.min())
-
-
-def fold_equality(qubo: Qubo, eq: EqualityConstraint, weight: float) -> Qubo:
-    """Add weight * ||A x - b||^2, expanded into quadratic, linear, and constant."""
+def fold_equality(qubo: Qubo, a, b, weight: float) -> Qubo:
+    """Add weight * ||a x - b||^2 for the rows of a x = b to the quadratic, linear and constant."""
     if weight <= 0.0:
         raise ValueError("penalty weight must be positive")
-    a, b = eq.a, eq.b
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("row count of a must equal length of b")
     if a.shape[1] != qubo.n:
         raise ValueError("constraint width does not match variable count")
     return Qubo(
@@ -238,8 +221,7 @@ def build_portfolio_qubo(spec: PortfolioSpec) -> Qubo:
     linear = -spec.mu
     weight = spec.penalty if spec.penalty is not None else _auto_penalty(quadratic, linear)
     base = Qubo(n=spec.n, quadratic=quadratic, linear=linear)
-    eq = EqualityConstraint(a=np.ones((1, spec.n)), b=np.array([float(spec.budget)]))
-    return fold_equality(base, eq, weight)
+    return fold_equality(base, np.ones((1, spec.n)), np.array([float(spec.budget)]), weight)
 
 
 @dataclass(frozen=True)
@@ -328,20 +310,19 @@ def build_diversification_qubo(spec: DiversificationSpec) -> Qubo:
     budget_row = np.zeros((1, n_vars))
     for j in range(n):
         budget_row[0, yi(j)] = 1.0
-    base = fold_equality(base, EqualityConstraint(budget_row, np.array([float(spec.q_clusters)])),
-                         weight)
+    base = fold_equality(base, budget_row, np.array([float(spec.q_clusters)]), weight)
 
     assign_rows = np.zeros((n, n_vars))
     for i in range(n):
         for j in range(n):
             assign_rows[i, xi(i, j)] = 1.0
-    base = fold_equality(base, EqualityConstraint(assign_rows, np.ones(n)), weight)
+    base = fold_equality(base, assign_rows, np.ones(n), weight)
 
     diag_rows = np.zeros((n, n_vars))
     for j in range(n):
         diag_rows[j, xi(j, j)] = 1.0
         diag_rows[j, yi(j)] = -1.0
-    base = fold_equality(base, EqualityConstraint(diag_rows, np.zeros(n)), weight)
+    base = fold_equality(base, diag_rows, np.zeros(n), weight)
 
     # x_ij (1 - y_j): linear on x_ij minus the product coupling
     quadratic = base.quadratic.copy()

@@ -128,10 +128,10 @@ class Statevector:
         return 1 << self.n_qubits
 
 
-def new_zero_state(n_qubits: int, ceiling: int = MAX_QUBITS) -> Statevector:
+def new_zero_state(n_qubits: int) -> Statevector:
     """All-zeros computational basis state ``|0...0>``."""
-    if not 1 <= n_qubits <= ceiling:
-        raise CapacityError(f"n_qubits={n_qubits} outside [1, {ceiling}]")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise CapacityError(f"n_qubits={n_qubits} outside [1, {MAX_QUBITS}]")
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(n_qubits, amps)
@@ -326,6 +326,8 @@ class IsingObservable:
         """Energies of all 2^n basis states, indexed by basis index."""
         if self.max_qubit() >= n_qubits:
             raise ValueError("observable support out of range")
+        if n_qubits > MAX_QUBITS:
+            raise CapacityError(f"energy table of {n_qubits} qubits, ceiling {MAX_QUBITS}")
         idx = np.arange(1 << n_qubits)
         out = np.full(idx.shape, self.offset, dtype=float)
         for support, coeff in self.terms:

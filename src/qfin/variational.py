@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import OptimizerConfig, minimize_restarts
+from .qubo import Qubo, to_ising
 from .simulator import (
     GateOp,
     IsingObservable,
@@ -35,6 +36,10 @@ ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
 # so from 16 qubits up a stack costs no more memory than one row at a time.
 BLOCK_AMPLITUDES = 1 << 16
 
+# Most layers an ansatz may have (``--depth``, ``--layers``), as many as the feature
+# map's repetitions: it keeps Nelder-Mead's (P + 1) x P simplex small.
+MAX_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class Ansatz:
@@ -48,8 +53,8 @@ class Ansatz:
             raise ValueError(f"kind must be one of {ANSATZ_KINDS}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
         if self.kind == "qaoa":
             if self.cost is None:
                 raise ValueError("qaoa ansatz needs a cost observable")
@@ -496,3 +501,18 @@ def qaoa_minimize(observable: IsingObservable, p: int, optimizer: OptimizerConfi
             trace=[value], state=state)
     return vqe_minimize(observable, qaoa_ansatz(n_qubits, p, observable),
                         optimizer, top_k=top_k)
+
+
+def minimize_qubo(qubo: Qubo, solver: str, depth: int, optimizer: OptimizerConfig,
+                  top_k: int) -> tuple[np.ndarray, float, VariationalResult]:
+    """(bits, energy, run) of the lowest-energy of a run's ``top_k`` most probable states.
+
+    ``solver`` is ``"vqe"`` (an RY ansatz of ``depth`` layers) or ``"qaoa"`` (``depth`` levels).
+    """
+    observable = to_ising(qubo)
+    if solver == "vqe":
+        result = vqe_minimize(observable, ry_ansatz(qubo.n, depth), optimizer, top_k=top_k)
+    else:
+        result = qaoa_minimize(observable, depth, optimizer, n_qubits=qubo.n, top_k=top_k)
+    bits, _, energy = min(result.top_states, key=lambda entry: entry[2])
+    return np.array([int(ch) for ch in bits]), energy, result

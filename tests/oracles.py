@@ -1,0 +1,53 @@
+"""Small helpers that only the tests use, kept out of the package.
+
+Each was a public function of ``qfin`` that no command calls: a penalty
+scale for QUBO tests, an unconstrained ADMM problem, an ADMM result's
+per-iteration histories, a classifier's one-record prediction and the
+feature-map state of one record.
+"""
+
+import numpy as np
+
+from qfin import admm
+from qfin import classifier as clf
+from qfin import qubo as qb
+from qfin import simulator as sv
+
+
+def energy_spread(qubo: qb.Qubo) -> float:
+    """max - min energy over all assignments; a sufficient penalty scale."""
+    energies = qb.all_energies(qubo)
+    return float(energies.max() - energies.min())
+
+
+def pure_binary_problem(quadratic, linear) -> admm.MboProblem:
+    """MBO with no continuous part and no constraints: blocks decouple."""
+    quadratic = np.asarray(quadratic, dtype=float)
+    linear = np.asarray(linear, dtype=float)
+    n = linear.size
+    empty_rows = np.zeros((0, n))
+    return admm.MboProblem(
+        q_quadratic=quadratic, q_linear=linear,
+        eq_matrix=empty_rows, eq_rhs=np.zeros(0),
+        ineq_matrix=empty_rows, ineq_rhs=np.zeros(0),
+        phi_quadratic=np.zeros((0, 0)), phi_linear=np.zeros(0),
+        u_lower=np.zeros(0), u_upper=np.zeros(0),
+        joint_x=np.zeros((0, n)), joint_u=np.zeros((0, 0)), joint_rhs=np.zeros(0),
+        a0=np.zeros((0, n)), a1=np.zeros((0, 0)),
+    )
+
+
+def residual_history(result: admm.AdmmResult) -> list[float]:
+    return [it.residual_norm for it in result.trace]
+
+
+def merit_history(result: admm.AdmmResult) -> list[float]:
+    return [it.merit for it in result.trace]
+
+
+def predict(model: clf.VqcModel, continuous, categorical=()) -> int:
+    return 1 if clf.decision(model, continuous, categorical) >= 0.0 else -1
+
+
+def feature_state(n_qubits: int, repetitions: int, x) -> sv.Statevector:
+    return sv.apply_ops(sv.new_zero_state(n_qubits), clf.feature_map_ops(n_qubits, repetitions, x))

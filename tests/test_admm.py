@@ -3,6 +3,7 @@ import pytest
 
 from qfin import admm
 from qfin import qubo as qb
+from oracles import merit_history, pure_binary_problem, residual_history
 
 SMALL_BIDS = [((1, 0), 3.0), ((0, 1), 3.0), ((2, 2), 5.0)]
 SMALL_UNITS = (2.0, 2.0)
@@ -35,7 +36,7 @@ def test_block1_decouples_when_couplings_vanish():
     m = rng.normal(size=(3, 3))
     quadratic = (m + m.T) / 2
     linear = rng.normal(size=3)
-    problem = admm.pure_binary_problem(quadratic, linear)
+    problem = pure_binary_problem(quadratic, linear)
     block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0),
                              admm.AdmmConfig())
     for index in range(8):
@@ -46,7 +47,7 @@ def test_block1_decouples_when_couplings_vanish():
 
 def test_block1_equality_term_vanishes_on_feasible_x():
     n = 3
-    base = admm.pure_binary_problem(np.zeros((n, n)), -np.ones(n))
+    base = pure_binary_problem(np.zeros((n, n)), -np.ones(n))
     problem = admm.MboProblem(
         q_quadratic=base.q_quadratic, q_linear=base.q_linear,
         eq_matrix=np.ones((1, n)), eq_rhs=np.array([2.0]),
@@ -63,7 +64,7 @@ def test_block1_equality_term_vanishes_on_feasible_x():
 
 
 def test_block2_empty_continuous_is_noop():
-    problem = admm.pure_binary_problem(np.zeros((2, 2)), np.ones(2))
+    problem = pure_binary_problem(np.zeros((2, 2)), np.ones(2))
     out = admm.block2_convex(problem, np.zeros(2), np.zeros(0), np.zeros(0),
                              admm.AdmmConfig())
     assert out.size == 0
@@ -209,7 +210,7 @@ def test_run_pure_qubo_single_iteration():
     m = rng.normal(size=(4, 4))
     quadratic = (m + m.T) / 2
     linear = rng.normal(size=4)
-    problem = admm.pure_binary_problem(quadratic, linear)
+    problem = pure_binary_problem(quadratic, linear)
     result = admm.run(problem, admm.AdmmConfig())
     bits, value = qb.brute_force(qb.Qubo(n=4, quadratic=quadratic, linear=linear))
     assert len(result.trace) == 1
@@ -271,16 +272,16 @@ def test_paper_shape_instance_terminates_with_trace():
     problem = admm.build_auction(bids, units)
     result = admm.run(problem, admm.AdmmConfig(rho=12.0, beta=11.0))
     assert len(result.trace) <= 100
-    assert len(result.residual_history) == len(result.merit_history)
+    assert len(residual_history(result)) == len(merit_history(result))
 
 
-def test_solver_agnostic_contract_vqe_block1():
+def test_solver_agnostic_contract_vqe_block1(monkeypatch):
     """Replacing brute force with VQE degrades quality only, never crashes."""
+    monkeypatch.setattr(admm, "VQE_ITERATIONS", 40)
     bids = [((1, 0), 4.0), ((0, 1), 3.0), ((1, 1), 5.0)]
     units = (2.0, 2.0)
     problem = admm.build_auction(bids, units)
-    config = admm.AdmmConfig(qubo_solver="vqe", vqe_iterations=40,
-                             max_iterations=5, seed=3)
+    config = admm.AdmmConfig(qubo_solver="vqe", max_iterations=5, seed=3)
     result = admm.run(problem, config)
     assert len(result.trace) == 5
     assert result.x.shape == (3,)
@@ -309,7 +310,7 @@ def test_config_validation():
         admm.AdmmConfig(qubo_solver="cplex")
 
 
-@pytest.mark.parametrize("field", ["rho", "beta", "c", "tolerance", "merit_weight"])
+@pytest.mark.parametrize("field", ["rho", "beta", "c"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
 def test_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ValueError, match="finite and positive"):
@@ -344,7 +345,7 @@ def test_build_auction_rejects_bad_units(bad):
 def reference_run(problem, config):
     """``run`` with a fresh ``qb.brute_force(block1_qubo(...))`` on every iteration."""
     l = problem.n_continuous
-    mu = admm.resolve_merit_weight(problem, config)
+    mu = admm.resolve_merit_weight(problem)
     x_bar = np.where(np.isfinite(problem.u_upper), problem.u_upper,
                      np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0)) \
         if l else np.zeros(0)
@@ -360,7 +361,7 @@ def reference_run(problem, config):
         residual = problem.a0 @ x - (problem.a1 @ x_bar if l else 0.0) - y
         trace.append((x, lam, float(np.linalg.norm(residual)),
                       admm.merit(problem, x, x_bar, mu)))
-        if trace[-1][2] < config.tolerance:
+        if trace[-1][2] < admm.TOLERANCE:
             break
     k_star = min(range(len(trace)), key=lambda i: (trace[i][3], i)) + 1
     return trace, k_star
@@ -396,7 +397,7 @@ def test_held_enumeration_matches_on_two_chunks():
 def test_held_enumeration_matches_on_dense_pure_binary_problem():
     rng = np.random.default_rng(21)
     m = rng.normal(size=(12, 12)) * 2.3
-    problem = admm.pure_binary_problem((m + m.T) / 2, rng.normal(size=12))
+    problem = pure_binary_problem((m + m.T) / 2, rng.normal(size=12))
     config = admm.AdmmConfig()
     assert_same_trace(admm.run(problem, config), reference_run(problem, config))
 

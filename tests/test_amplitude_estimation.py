@@ -97,8 +97,8 @@ def test_run_ae_distribution_normalized_and_symmetric():
 
 
 def test_run_ae_capacity_error():
-    with pytest.raises(sv.CapacityError):
-        ae.run_ae(ae.single_qubit_problem(0.1), 10, ceiling=8)
+    with pytest.raises(sv.CapacityError, match="counting qubits"):
+        ae.run_ae(ae.single_qubit_problem(0.1), ae.MAX_COUNTING_QUBITS + 1)
 
 
 def test_estimates_grid_symmetry():

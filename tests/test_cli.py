@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,9 +11,14 @@ import pytest
 import qfin
 
 from qfin import admm
+from qfin import classifier as clf
 from qfin import credit_risk as cr
+from qfin import optimizers
 from qfin import qubo as qb
+from qfin import variational as vq
+from qfin.amplitude_estimation import MAX_COUNTING_QUBITS
 from qfin.cli import main
+from oracles import predict
 
 
 @pytest.fixture
@@ -70,10 +76,34 @@ def test_risk_var_missing_file_exits_validation(tmp_path):
     assert code == 3
 
 
-def test_risk_var_capacity_exit(tmp_path, demo_portfolio_csv):
-    code = main(["risk", "var", "--portfolio", demo_portfolio_csv, "--nz", "12",
-                 "--m", "12", "--out-dir", str(tmp_path / "run")])
+def test_risk_var_capacity_exit(tmp_path, demo_portfolio_csv, capsys):
+    # an A register of 22 latent + 2 asset + 2 sum + 1 objective = 27 qubits
+    out = tmp_path / "run"
+    code = main(["risk", "var", "--portfolio", demo_portfolio_csv, "--nz", "22",
+                 "--m", "4", "--out-dir", str(out)])
     assert code == 4
+    _assert_one_line_error(capsys, "capacity error: portfolio needs 27 qubits")
+    assert not (out / "result.json").exists()
+
+
+def test_risk_var_counting_qubits_do_not_count_against_the_ceiling(tmp_path,
+                                                                   demo_portfolio_csv):
+    # a 7-qubit A register with 20 counting qubits: 27 together, over the 24 ceiling;
+    # P[L <= 2] = 0.94993 is resolved below alpha = 0.95 (at m = 4 it reads 0.96)
+    out = tmp_path / "run"
+    assert main(["risk", "var", "--portfolio", demo_portfolio_csv, "--nz", "2", "--m", "20",
+                 "--exact-oracle", "--out-dir", str(out)]) == 0
+    result = read_json(out / "result.json")
+    assert result["var"] == result["oracle"]["var"] == 3
+
+
+def test_risk_var_refuses_m_over_its_bound(tmp_path, demo_portfolio_csv, capsys):
+    out = tmp_path / "run"
+    code = main(["risk", "var", "--portfolio", demo_portfolio_csv, "--nz", "2",
+                 "--m", str(MAX_COUNTING_QUBITS + 1), "--out-dir", str(out)])
+    assert code == 4
+    _assert_one_line_error(capsys, f"capacity error: m={MAX_COUNTING_QUBITS + 1} counting")
+    assert not (out / "result.json").exists()
 
 
 @pytest.mark.parametrize("bounds", [["--z-low", "40", "--z-high", "50"],
@@ -222,7 +252,7 @@ def test_opt_auction_rejects_non_finite_admm_parameters(tmp_path, capsys, flag, 
     assert code == 3
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [
-        "validation error: rho, beta, c, and tolerance must be finite and positive"]
+        "validation error: rho, beta, and c must be finite and positive"]
     assert not (out / "result.json").exists()
 
 
@@ -293,7 +323,7 @@ def test_ml_cross_validation_matches_per_record_prediction(tmp_path, seed):
         model, _ = clf.train(train_set, config, optimizer)
 
         def predict_fn(test_set):
-            return np.array([clf.predict(model, test_set.continuous[i], test_set.categorical[i])
+            return np.array([predict(model, test_set.continuous[i], test_set.categorical[i])
                              for i in range(len(test_set))])
 
         return predict_fn, clf.accuracy(model, train_set)
@@ -515,6 +545,96 @@ def test_ml_train_refuses_a_register_over_the_ceiling(tmp_path):
     assert proc.stderr.strip().splitlines() == [
         "capacity error: classifier needs 30 qubits, ceiling 24"]
     assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("solver", ["vqe", "qaoa"])
+def test_opt_diversify_refuses_a_variational_register_over_the_ceiling(tmp_path, solver):
+    # five stocks make 5^2 + 5 = 30 QUBO variables, a 2^30-entry energy table
+    rho = np.full((5, 5), 0.3)
+    np.fill_diagonal(rho, 1.0)
+    path = tmp_path / "rho.csv"
+    np.savetxt(path, rho, delimiter=",")
+    out = tmp_path / "run"
+    proc = _run_under_memory_cap(["opt", "diversify", "--similarity", str(path), "--clusters",
+                                  "2", "--solver", solver, "--out-dir", str(out)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "capacity error: energy table of 30 qubits, ceiling 24"]
+    assert not (out / "result.json").exists()
+
+
+# -- size flags: each is bounded, and a value over its bound does no work ----
+
+SIZE_FLAGS = [
+    (["ml", "train", "--data", "{data}", "--layers", str(vq.MAX_DEPTH + 1)],
+     f"depth must lie in [0, {vq.MAX_DEPTH}]"),
+    (["opt", "portfolio", "--instance", "{instance}", "--solver", "vqe", "--optimizer",
+      "nelder-mead", "--depth", str(vq.MAX_DEPTH + 1)], f"depth must lie in [0, {vq.MAX_DEPTH}]"),
+    (["opt", "portfolio", "--instance", "{instance}", "--solver", "qaoa",
+      "--depth", str(vq.MAX_DEPTH + 1)], f"depth must lie in [0, {vq.MAX_DEPTH}]"),
+    (["opt", "portfolio", "--instance", "{instance}", "--solver", "vqe",
+      "--iterations", str(optimizers.MAX_ITERATIONS + 1)],
+     f"iterations must lie in [1, {optimizers.MAX_ITERATIONS}]"),
+    (["ml", "train", "--data", "{data}", "--restarts", str(optimizers.MAX_RESTARTS + 1)],
+     f"restarts must lie in [1, {optimizers.MAX_RESTARTS}]"),
+    (["opt", "auction", "--instance", "{auction}",
+      "--max-iterations", str(admm.MAX_ITERATIONS + 1)],
+     f"max_iterations must lie in [1, {admm.MAX_ITERATIONS}]"),
+    (["ml", "synth", "--n", str(clf.MAX_RECORDS + 1)],
+     f"n_records must lie in [1, {clf.MAX_RECORDS}]"),
+    (["ml", "synth", "--mode", "separable", "--n", str(clf.MAX_RECORDS + 1)],
+     f"n_records must lie in [1, {clf.MAX_RECORDS}]"),
+    (["ml", "synth", "--mode", "separable", "--n", "0"],
+     f"n_records must lie in [1, {clf.MAX_RECORDS}]"),
+]
+
+
+@pytest.mark.parametrize("argv,message", SIZE_FLAGS, ids=[
+    "ml-train-layers", "opt-vqe-depth", "opt-qaoa-depth", "opt-iterations",
+    "ml-train-restarts", "opt-auction-max-iterations", "ml-synth-n", "ml-synth-separable-n",
+    "ml-synth-separable-zero"])
+def test_size_flag_over_its_bound_exits_validation(tmp_path, capsys, monkeypatch,
+                                                   portfolio_instance, argv, message):
+    data = tmp_path / "data"
+    assert main(["ml", "synth", "--n", "12", "--out-dir", str(data)]) == 0
+    paths = {"data": str(data / "dataset.csv"), "instance": portfolio_instance,
+             "auction": _auction_csv(tmp_path)}
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        # past the bound, the run must stop before the work: fail fast, never allocate
+        raise AssertionError("an over-bound run reached the work")
+
+    monkeypatch.setattr(optimizers, "minimize", refuse)
+    monkeypatch.setattr(admm, "run", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    out = tmp_path / "run"
+    code = main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)])
+    assert capsys.readouterr().err.strip().splitlines() == [f"validation error: {message}"]
+    assert code == 3
+    assert not (out / "result.json").exists() and not (out / "dataset.csv").exists()
+
+
+def test_every_optimizer_and_admm_setting_is_a_flag(tmp_path, monkeypatch, portfolio_instance):
+    """Non-default values of the flags reach every field of both config objects."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(optimizers, "minimize", lambda fn, x0, config, rng=None: capture(config))
+    monkeypatch.setattr(admm, "run", lambda problem, config: capture(config))
+    assert main(["opt", "portfolio", "--instance", portfolio_instance, "--solver", "vqe",
+                 "--optimizer", "nelder-mead", "--iterations", "7", "--restarts", "3",
+                 "--seed", "5", "--out-dir", str(tmp_path / "portfolio")]) == 1
+    assert main(["opt", "auction", "--instance", _auction_csv(tmp_path), "--rho", "3",
+                 "--beta", "4", "--c", "5", "--max-iterations", "7", "--qubo-solver", "qaoa",
+                 "--seed", "5", "--out-dir", str(tmp_path / "auction")]) == 1
+    assert [type(config) for config in seen] == [optimizers.OptimizerConfig, admm.AdmmConfig]
+    for config in seen:
+        for field in dataclasses.fields(config):
+            assert getattr(config, field.name) != field.default, field.name
 
 
 def test_ae_calibrate_outputs(tmp_path):
@@ -797,7 +917,7 @@ def former_separated_decisions(model, block, *_):
 
     state = apply_ops(Statevector(model.config.n_qubits, block), clf._separator_ops(model))
     probs = np.abs(np.ascontiguousarray(state.amplitudes.T)) ** 2
-    table = model.readout_table()
+    table = clf.parity_readout(model.config.n_qubits)
     return np.array([float(row @ table) + model.bias for row in probs])
 
 

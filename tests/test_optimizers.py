@@ -58,7 +58,7 @@ def scipy_nelder_mead(fn, x0, config):
     from scipy.optimize import minimize as scipy_minimize
 
     x0 = np.asarray(x0, dtype=float)
-    simplex = np.vstack([x0] + [x0 + config.simplex_step * np.eye(x0.size)[i]
+    simplex = np.vstack([x0] + [x0 + optimizers.SIMPLEX_STEP * np.eye(x0.size)[i]
                                 for i in range(x0.size)])
     best = {}
     trace = []
@@ -192,8 +192,8 @@ def sequential_spsa(fn, x0, config, rng):
     stability = 0.1 * config.iterations
     trace = [best_f]
     for k in range(config.iterations):
-        a_k = config.a / (k + 1 + stability) ** config.alpha
-        c_k = config.c / (k + 1) ** config.gamma
+        a_k = optimizers.SPSA_A / (k + 1 + stability) ** optimizers.SPSA_ALPHA
+        c_k = optimizers.SPSA_C / (k + 1) ** optimizers.SPSA_GAMMA
         delta = rng.choice((-1.0, 1.0), size=x.size)
         diff = fn(x + c_k * delta) - fn(x - c_k * delta)
         x = x - a_k * (diff / (2.0 * c_k)) * delta

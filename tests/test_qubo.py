@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfin import qubo as qb
+from oracles import energy_spread
 
 
 def random_qubo(n, seed, scale=1.0):
@@ -52,20 +53,26 @@ def test_all_energies_matches_enumeration(seed):
 
 def test_fold_equality_feasible_points_unchanged():
     qubo = random_qubo(4, 1)
-    eq = qb.EqualityConstraint(np.ones((1, 4)), np.array([2.0]))
-    folded = qb.fold_equality(qubo, eq, 7.0)
+    folded = qb.fold_equality(qubo, np.ones((1, 4)), np.array([2.0]), 7.0)
     x = [1, 0, 1, 0]
     assert qb.energy(folded, x) == pytest.approx(qb.energy(qubo, x), abs=1e-12)
 
 
 def test_fold_equality_budget_example():
     base = qb.Qubo(n=2, quadratic=np.zeros((2, 2)), linear=np.zeros(2))
-    folded = qb.fold_equality(base, qb.EqualityConstraint(np.ones((1, 2)),
-                                                          np.array([1.0])), 10.0)
+    folded = qb.fold_equality(base, np.ones((1, 2)), np.array([1.0]), 10.0)
     assert qb.energy(folded, [0, 0]) == pytest.approx(10.0)
     assert qb.energy(folded, [1, 1]) == pytest.approx(10.0)
     assert qb.energy(folded, [0, 1]) == pytest.approx(0.0)
     assert qb.energy(folded, [1, 0]) == pytest.approx(0.0)
+
+
+def test_fold_equality_checks_rows_and_width():
+    qubo = random_qubo(3, 2)
+    with pytest.raises(ValueError, match="row count"):
+        qb.fold_equality(qubo, np.ones((2, 3)), np.ones(1), 1.0)
+    with pytest.raises(ValueError, match="width"):
+        qb.fold_equality(qubo, np.ones((1, 4)), np.ones(1), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -76,7 +83,7 @@ def test_fold_equality_random_instances(seed):
     a = rng.normal(size=(2, n))
     b = rng.normal(size=2)
     weight = float(rng.uniform(0.5, 5.0))
-    folded = qb.fold_equality(qubo, qb.EqualityConstraint(a, b), weight)
+    folded = qb.fold_equality(qubo, a, b, weight)
     for index in range(1 << n):
         bits = np.array([(index >> i) & 1 for i in range(n)], dtype=float)
         residual = a @ bits - b
@@ -127,9 +134,8 @@ def test_penalty_soundness_sweep():
     for _ in range(3):
         n = 5
         qubo = random_qubo(n, int(rng.integers(1 << 30)))
-        spread = qb.energy_spread(qubo)
-        eq = qb.EqualityConstraint(np.ones((1, n)), np.array([2.0]))
-        folded = qb.fold_equality(qubo, eq, spread * 1.01 + 1e-9)
+        spread = energy_spread(qubo)
+        folded = qb.fold_equality(qubo, np.ones((1, n)), np.array([2.0]), spread * 1.01 + 1e-9)
         bits, _ = qb.brute_force(folded)
         assert bits.sum() == 2
 
@@ -146,7 +152,7 @@ def test_portfolio_budget_feasible_above_penalty_bound():
     sigma = w @ w.T / 6
     mu = rng.uniform(0.0, 0.1, size=6)
     unpenalized = qb.Qubo(n=6, quadratic=0.5 * sigma, linear=-mu)
-    spread = qb.energy_spread(unpenalized)
+    spread = energy_spread(unpenalized)
     spec = qb.PortfolioSpec(mu=mu, sigma=sigma, q=0.5, budget=3,
                             penalty=spread * 1.5)
     bits, _ = qb.brute_force(qb.build_portfolio_qubo(spec))
@@ -267,8 +273,8 @@ def test_diversification_brute_force_feasible_with_large_penalty():
     base = qb.build_diversification_qubo(
         qb.DiversificationSpec(rho=rho, q_clusters=2, penalty=1e-9))
     # derived bound: spread of the (essentially unpenalized) objective
-    spread = qb.energy_spread(qb.Qubo(n=12, quadratic=np.zeros((12, 12)),
-                                      linear=base.linear))
+    spread = energy_spread(qb.Qubo(n=12, quadratic=np.zeros((12, 12)),
+                                   linear=base.linear))
     spec = qb.DiversificationSpec(rho=rho, q_clusters=2, penalty=spread * 1.05)
     bits, _ = qb.brute_force(qb.build_diversification_qubo(spec))
     decode = qb.decode_diversification(bits, 2)
@@ -331,16 +337,17 @@ def all_energies_reference(qubo, chunk=1 << 16):
 
 @pytest.mark.parametrize("n,chunk", [(0, 1 << 16), (1, 1 << 16), (6, 1 << 16), (6, 8),
                                      (7, 5), (16, 1 << 16), (17, 1 << 16)])
-def test_all_energies_equals_reference_bitwise(n, chunk):
+def test_all_energies_equals_reference_bitwise(monkeypatch, n, chunk):
+    monkeypatch.setattr(qb, "ENUMERATION_CHUNK", chunk)
     qubo = random_qubo(n, 30 + n, scale=3.7)
-    assert np.array_equal(qb.all_energies(qubo, chunk),
-                          all_energies_reference(qubo, chunk))
+    assert np.array_equal(qb.all_energies(qubo), all_energies_reference(qubo, chunk))
 
 
 @pytest.mark.parametrize("n,chunk", [(5, 1 << 16), (6, 8), (17, 1 << 16)])
-def test_held_enumeration_serves_many_linear_terms_bitwise(n, chunk):
+def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk):
+    monkeypatch.setattr(qb, "ENUMERATION_CHUNK", chunk)
     base = random_qubo(n, 50 + n)
-    form = qb.QuadraticEnumeration(base.quadratic, chunk)
+    form = qb.QuadraticEnumeration(base.quadratic)
     held_quad = form.quad.copy()
     rng = np.random.default_rng(n)
     for _ in range(3):

@@ -38,9 +38,6 @@ def test_capacity_ceiling():
         sv.new_zero_state(0)
     with pytest.raises(sv.CapacityError):
         sv.new_zero_state(25)
-    sv.new_zero_state(5, ceiling=5)
-    with pytest.raises(sv.CapacityError):
-        sv.new_zero_state(6, ceiling=5)
 
 
 def test_hadamard_on_zero():

@@ -13,6 +13,7 @@ from qfin.simulator import (
     basis_probabilities,
     new_zero_state,
 )
+from oracles import energy_spread
 
 Z0 = IsingObservable(terms=(((0,), 1.0),))
 
@@ -166,6 +167,25 @@ def test_qaoa_depth_four_runs_on_portfolio():
     assert len(result.top_states) == 8
 
 
+@pytest.mark.parametrize("solver,depth", [("vqe", 2), ("qaoa", 2), ("qaoa", 0)])
+def test_minimize_qubo_keeps_the_lowest_energy_top_state(solver, depth):
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(4, 4))
+    qubo = qb.Qubo(n=4, quadratic=(m + m.T) / 2, linear=rng.normal(size=4))
+    optimizer = OptimizerConfig(method="spsa", iterations=15, seed=2)
+    bits, energy, result = vq.minimize_qubo(qubo, solver, depth, optimizer, top_k=5)
+    assert len(result.top_states) == 5
+    assert energy == min(e for _, _, e in result.top_states)
+    assert bits.dtype.kind == "i"
+    assert energy == pytest.approx(qb.energy(qubo, bits), abs=1e-12)
+    observable = qb.to_ising(qubo)
+    if solver == "vqe":
+        want = vq.vqe_minimize(observable, vq.ry_ansatz(4, depth), optimizer, top_k=5)
+    else:
+        want = vq.qaoa_minimize(observable, depth, optimizer, n_qubits=4, top_k=5)
+    assert result.top_states == want.top_states
+
+
 def test_portfolio_structure_top_states_select_budget():
     """Seeded n=6 B=3 instance: feasible top-3 in most restarts."""
     rng = np.random.default_rng(123)
@@ -174,7 +194,7 @@ def test_portfolio_structure_top_states_select_budget():
     mu = rng.uniform(0.0, 0.1, size=6)
     unpenalized = qb.Qubo(n=6, quadratic=0.5 * sigma, linear=-mu)
     spec = qb.PortfolioSpec(mu=mu, sigma=sigma, q=0.5, budget=3,
-                            penalty=qb.energy_spread(unpenalized) * 1.5)
+                            penalty=energy_spread(unpenalized) * 1.5)
     obs = qb.to_ising(qb.build_portfolio_qubo(spec))
     result = vq.vqe_minimize(obs, vq.ry_ansatz(6, 3),
                              OptimizerConfig(method="spsa", iterations=300, seed=1),
