@@ -4,8 +4,8 @@ The problem splits into a QUBO block over the binaries (solved by brute
 force, VQE, or QAOA), a convex block over the continuous variables, and a
 quadratically-penalized auxiliary block with a closed form, glued by a dual
 update and a merit-ranked incumbent. The recorded residual is
-``A0 x - A1 xbar - y``; the dual update drives ``A0 x + A1 xbar - y`` to
-zero, so for builders with A1 = -I the two coincide up to the sign of xbar.
+``A0 x - A1 xbar - y``, but the dual update drives ``A0 x + A1 xbar - y`` to
+zero; with the auction builder's A1 = -I the two differ by ``2 xbar``.
 """
 
 import csv
@@ -150,12 +150,8 @@ class AdmmResult:
     trace: list[AdmmIterate]
 
 
-def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
-                lam: np.ndarray, config: AdmmConfig) -> qb.Qubo:
-    """QUBO for the binary update with the other blocks frozen.
-
-    Expands q(x) + (c/2)||Gx - b||^2 + lam'A0 x + (rho/2)||A0 x + A1 xbar - y||^2.
-    """
+def block1_fixed(problem: MboProblem, config: AdmmConfig) -> qb.Qubo:
+    """Block 1 without its terms in x_bar, y and lam: the part no iterate changes."""
     n = problem.n_binary
     quadratic = problem.q_quadratic.copy()
     linear = problem.q_linear.copy()
@@ -166,12 +162,24 @@ def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
         linear = linear - config.c * (g_mat.T @ b_vec)
         constant += 0.5 * config.c * float(b_vec @ b_vec)
     if problem.n_consensus:
-        drift = problem.a1 @ x_bar - y if problem.n_continuous else -y
         quadratic = quadratic + 0.5 * config.rho * (problem.a0.T @ problem.a0)
-        linear = linear + problem.a0.T @ lam + config.rho * (problem.a0.T @ drift)
-        constant += 0.5 * config.rho * float(drift @ drift)
     return qb.Qubo(n=n, quadratic=0.5 * (quadratic + quadratic.T), linear=linear,
                    constant=constant)
+
+
+def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
+                lam: np.ndarray, config: AdmmConfig, fixed: qb.Qubo) -> qb.Qubo:
+    """QUBO for the binary update with the other blocks frozen.
+
+    Expands q(x) + (c/2)||Gx - b||^2 + lam'A0 x + (rho/2)||A0 x + A1 xbar - y||^2;
+    ``fixed`` is ``block1_fixed(problem, config)``.
+    """
+    if not problem.n_consensus:
+        return fixed
+    drift = problem.a1 @ x_bar - y if problem.n_continuous else -y
+    linear = fixed.linear + problem.a0.T @ lam + config.rho * (problem.a0.T @ drift)
+    constant = fixed.constant + 0.5 * config.rho * float(drift @ drift)
+    return qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear, constant=constant)
 
 
 def _project_box(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -204,20 +212,29 @@ class InfeasibleContinuousBlock(Exception):
     """The continuous feasible region for the current binaries is empty."""
 
 
+def block2_curvature(problem: MboProblem, config: AdmmConfig) -> tuple[np.ndarray, float]:
+    """Block 2's Hessian P + rho A1'A1 and its first step, the inverse of its top eigenvalue."""
+    hess = problem.phi_quadratic + config.rho * (problem.a1.T @ problem.a1)
+    lipschitz = max(float(np.linalg.eigvalsh(hess).max(initial=0.0)), 1e-12)
+    return hess, 1.0 / lipschitz
+
+
 def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
-                  lam: np.ndarray, config: AdmmConfig) -> np.ndarray:
+                  lam: np.ndarray, config: AdmmConfig,
+                  curvature: tuple[np.ndarray, float]) -> np.ndarray:
     """Projected gradient descent for the continuous update.
 
     Minimizes phi(u) + lam'A1 u + (rho/2)||A0 x + A1 u - y||^2 over the box
     intersected with the joint rows l(x, u) <= 0, to first-order
-    stationarity measured by the projected-gradient mapping.
+    stationarity measured by the projected-gradient mapping. ``curvature``
+    is ``block2_curvature(problem, config)``.
     """
     l = problem.n_continuous
     if l == 0:
         return np.zeros(0)
     rho = config.rho
+    hess, step = curvature
     offset = problem.a0 @ x - y
-    hess = problem.phi_quadratic + rho * (problem.a1.T @ problem.a1)
     grad0 = problem.phi_linear + problem.a1.T @ lam + rho * (problem.a1.T @ offset)
 
     if problem.joint_u.size:
@@ -233,10 +250,6 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
     u = project(np.clip(np.zeros(l), problem.u_lower, problem.u_upper))
     if half_a.size and np.any(half_a @ u - half_b > 1e-6):
         raise InfeasibleContinuousBlock("joint constraints admit no continuous point")
-
-    eigs = np.linalg.eigvalsh(hess) if l else np.zeros(1)
-    lipschitz = max(float(eigs.max(initial=0.0)), 1e-12)
-    step = 1.0 / lipschitz
 
     def value(u):
         return float(0.5 * u @ hess @ u + grad0 @ u)
@@ -293,12 +306,16 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     The continuous variable starts at its finite upper bound (falling back to
     the lower bound, then zero) so capacity-style consensus rows begin from
     full availability. Stops when the recorded residual drops below
-    TOLERANCE or after max_iterations.
+    TOLERANCE or after max_iterations. The recorded residual is not the one
+    the dual update drives to zero (see the module docstring): on auctions it
+    stays near ``2 xbar``, far above TOLERANCE, so every auction run takes
+    all max_iterations.
 
     Block 1's quadratic matrix does not depend on x_bar, y or lam, so with the
     brute-force solver x'Qx is enumerated once per run and each iteration only
     adds its linear term and constant (the same energies as ``qb.brute_force``
-    on each block, bit for bit).
+    on each block, bit for bit). Block 1's fixed part and block 2's Hessian
+    and first step are computed once per run too.
     """
     n, l, d = problem.n_binary, problem.n_continuous, problem.n_consensus
     mu = resolve_merit_weight(problem)
@@ -309,13 +326,14 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     y = np.zeros(d)
     lam = np.zeros(d)
     trace: list[AdmmIterate] = []
-    enumeration = None
+    fixed = block1_fixed(problem, config)
+    curvature = block2_curvature(problem, config)
+    enumeration = (qb.QuadraticEnumeration(fixed.quadratic)
+                   if config.qubo_solver == "brute-force" else None)
 
     for k in range(1, config.max_iterations + 1):
-        block = block1_qubo(problem, x_bar, y, lam, config)
-        if config.qubo_solver == "brute-force":
-            if enumeration is None:
-                enumeration = qb.QuadraticEnumeration(block.quadratic)
+        block = block1_qubo(problem, x_bar, y, lam, config, fixed)
+        if enumeration is not None:
             x = enumeration.minimize(block.linear, block.constant)[0].astype(float)
         else:
             # Block 1 by VQE or QAOA; brute force is served by the enumeration above
@@ -323,7 +341,7 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
                                   seed=config.seed * 100003 + k)
             depth = 3 if config.qubo_solver == "vqe" else QAOA_DEPTH
             x = minimize_qubo(block, config.qubo_solver, depth, opt, 16)[0].astype(float)
-        x_bar = block2_convex(problem, x, y, lam, config)
+        x_bar = block2_convex(problem, x, y, lam, config, curvature)
         y = block3_y(problem, x, x_bar, lam, config)
         gradient = config.beta * y - lam - config.rho * (
             problem.a0 @ x + (problem.a1 @ x_bar if l else 0.0) - y)
@@ -360,6 +378,15 @@ class Bid:
         object.__setattr__(self, "quantities", tuple(int(q) for q in self.quantities))
 
 
+def _auction_bids(bids, units) -> tuple[list[Bid], np.ndarray]:
+    """``Bid``s (from ``(quantities, price)`` pairs too) and float units; a quantity per item."""
+    bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
+    units = np.asarray(units, dtype=float)
+    if any(len(b.quantities) != units.size for b in bids):
+        raise ValueError("every bid must quote all items")
+    return bids, units
+
+
 def build_auction(bids, units) -> MboProblem:
     """Winner determination with multiple units per item.
 
@@ -370,14 +397,11 @@ def build_auction(bids, units) -> MboProblem:
     and A1 = -I ties the two through the consensus rows. The raw capacity
     rows also enter g(x) so the merit function prices violations.
     """
-    bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
-    units = np.asarray(units, dtype=float)
+    bids, units = _auction_bids(bids, units)
     if not np.all((units >= 0.0) & (units < math.inf)):
         raise ValueError("units must be finite and nonnegative")
     m = units.size
     n = len(bids)
-    if any(len(b.quantities) != m for b in bids):
-        raise ValueError("every bid must quote all items")
     capacity = np.array([[b.quantities[i] for b in bids] for i in range(m)], dtype=float)
     prices = np.array([b.price for b in bids])
     return MboProblem(
@@ -396,26 +420,50 @@ def auction_profit(bids, x) -> float:
     return float(prices @ np.asarray(x, dtype=float))
 
 
+# The exact auction solve tables the subsets of its first AUCTION_TABLE_BITS
+# bids and visits those of the rest one at a time.
+AUCTION_TABLE_BITS = 16
+
+
+def _subset_sums(columns: np.ndarray) -> np.ndarray:
+    """Column k is the sum of the columns in bit mask k, added from 0.0 in ascending order."""
+    sums = np.empty((columns.shape[0], 1 << columns.shape[1]))
+    sums[:, 0] = 0.0
+    for j, column in enumerate(columns.T):
+        np.add(sums[:, :1 << j], column[:, None], out=sums[:, 1 << j:2 << j])
+    return sums
+
+
 def solve_auction_exact(bids, units) -> tuple[np.ndarray, float]:
-    """Exhaustive winner determination; feasible subsets only."""
-    bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
-    units = np.asarray(units, dtype=float)
+    """Exhaustive winner determination; feasible subsets only.
+
+    Each bid is the column (price, quantity of each item); a subset's profit
+    and loads are its columns' sum, added in ascending bid order. The subsets
+    of the first AUCTION_TABLE_BITS bids form one table, and each subset of
+    the remaining bids adds its columns to a copy of it. Of the subsets with
+    load <= units + 1e-9 the lowest mask of highest profit wins; when no
+    profit is positive no bid is accepted.
+    """
+    bids, units = _auction_bids(bids, units)
     n = len(bids)
     if n > 24:
         raise ValueError("exhaustive search supports at most 24 bids")
-    best_x = np.zeros(n)
-    best_profit = 0.0
-    for mask in range(1 << n):
-        load = np.zeros(units.size)
-        profit = 0.0
-        for j in range(n):
-            if (mask >> j) & 1:
-                load += np.asarray(bids[j].quantities, dtype=float)
-                profit += bids[j].price
-        if np.all(load <= units + 1e-9) and profit > best_profit:
-            best_profit = profit
-            best_x = np.array([(mask >> j) & 1 for j in range(n)], dtype=float)
-    return best_x, best_profit
+    columns = np.array([(b.price, *b.quantities) for b in bids], dtype=float)
+    columns = columns.reshape(n, units.size + 1).T
+    low = min(n, AUCTION_TABLE_BITS)
+    table = _subset_sums(columns[:, :low])
+    best, best_profit = 0, 0.0
+    for high in range(1 << (n - low)):
+        sums = table.copy()
+        for j in range(low, n):
+            if high >> (j - low) & 1:
+                sums += columns[:, j:j + 1]
+        feasible = np.all(sums[1:] <= units.reshape(-1, 1) + 1e-9, axis=0)
+        profit = np.where(feasible, sums[0], -math.inf)
+        index = int(np.argmax(profit))
+        if profit[index] > best_profit:
+            best, best_profit = high << low | index, float(profit[index])
+    return qb.bits_of_index(best, n).astype(float), best_profit
 
 
 AUCTION_MAX_QUANTITY = 6

@@ -163,6 +163,10 @@ def _solve_qubo_by(args, qubo: qb.Qubo):
 
 def cmd_opt_portfolio(args, argv) -> int:
     spec = qb.read_portfolio_instance(args.instance)
+    if args.frontier:
+        # solved first, so that a bad q value stops the command before any file is written
+        q_values = [float(v) for v in args.q_values.split(",")]
+        points = qb.efficient_frontier(spec.mu, spec.sigma, q_values)
     qubo = qb.build_portfolio_qubo(spec)
     bits, value, variational = _solve_qubo_by(args, qubo)
     outputs = []
@@ -184,8 +188,6 @@ def cmd_opt_portfolio(args, argv) -> int:
     _write_json(out, result)
     outputs.append(out)
     if args.frontier:
-        q_values = [float(v) for v in args.q_values.split(",")]
-        points = qb.efficient_frontier(spec.mu, spec.sigma, q_values)
         frontier_path = os.path.join(args.out_dir, "frontier.csv")
         with open(_fresh(frontier_path), "w") as fh:
             fh.write("q,risk,return,selection\n")

@@ -44,10 +44,33 @@ def energy(qubo: Qubo, bits) -> float:
 
 # Assignments are enumerated ENUMERATION_CHUNK basis indices at a time.
 ENUMERATION_CHUNK = 1 << 16
+# The x'Qx fold adds row j's terms to 2^FOLD_BITS of its states at a time.
+FOLD_BITS = 15
+
+
+def _add_where_set(values: np.ndarray, bit: int, term: float) -> None:
+    """Add ``term`` in place to the entries of ``values`` whose index has ``bit`` set."""
+    view = values.reshape(-1, 2, 1 << bit)[:, 1]
+    if bit in (1, 2):
+        # runs of 2 or 4 make a slow inner loop; step along the long axis instead
+        view = view.T
+        np.add(view, term, out=view, order="C")
+    else:
+        view += term
 
 
 class QuadraticEnumeration:
     """x' Q x of all 2^n assignments for one fixed Q, enumerated once.
+
+    The table is a fold: starting from +0.0, Q[j, k] is added in place to
+    every state with x_j = x_k = 1, for j and then k in ascending order.
+    Each state thus sums its active entries of Q in the lexicographic (j, k)
+    order in which ``np.einsum("ij,jk,ik->i", bits, Q, bits)`` sums its n^2
+    products, and the products it skips are +-0.0, which leave a sum that
+    began at +0.0 unchanged; so for finite Q the table equals einsum's bit
+    for bit, at a quarter of the additions and none of the products. Row j's
+    states are gathered into a contiguous buffer, 2^FOLD_BITS of them at a
+    time, while its n terms are added, so the table is the only 2^n vector.
 
     ``energies(linear, constant)`` then adds the linear term and constant in
     ``all_energies``' order of operations, so a solver whose QUBOs share Q
@@ -62,9 +85,27 @@ class QuadraticEnumeration:
             raise CapacityError("enumeration supports at most 24 variables")
         self.n = n
         self._first = self._bits(0)
-        self.quad = np.empty(1 << n)
-        for start, bits in self._blocks():
-            self.quad[start:start + len(bits)] = np.einsum("ij,jk,ik->i", bits, quadratic, bits)
+        self.quad = np.zeros(1 << n)
+        half = 1 << max(n - 1, 0)
+        size = min(half, 1 << FOLD_BITS)
+        low = size.bit_length() - 1
+        row = np.empty(size)
+        for j in range(n):
+            held = self.quad.reshape(-1, 2, 1 << j)[:, 1]
+            for start in range(0, half, size):
+                # bit k of a row index is x_k below j and x_(k+1) from j on;
+                # the block's bits from low on are those of start
+                a, b = divmod(start, 1 << j)
+                part = held[a:a + max(size >> j, 1), b:b + size]
+                gathered = row.reshape(part.shape)
+                np.copyto(gathered, part)
+                for k in range(n):
+                    bit = k if k < j else k - 1
+                    if k == j or (bit >= low and start >> bit & 1):
+                        row += quadratic[j, k]
+                    elif bit < low:
+                        _add_where_set(row, bit, quadratic[j, k])
+                np.copyto(part, gathered)
 
     def _bits(self, start: int) -> np.ndarray:
         # int32 index arithmetic (n <= 24) halves the integer temporaries
@@ -84,7 +125,8 @@ class QuadraticEnumeration:
             out = np.empty(1 << self.n)
         for start, bits in self._blocks():
             stop = start + len(bits)
-            out[start:stop] = bits @ linear + self.quad[start:stop] + constant
+            np.add(bits @ linear, self.quad[start:stop], out=out[start:stop])
+            out[start:stop] += constant
         return out
 
     def minimize(self, linear: np.ndarray, constant: float = 0.0) -> tuple[np.ndarray, float]:
@@ -232,13 +274,16 @@ class FrontierPoint:
 
 
 def efficient_frontier(mu, sigma, q_values) -> list[FrontierPoint]:
-    """Brute-force optimum of q x'Sigma x - mu'x for each q, without a budget."""
+    """Brute-force optimum of q x'Sigma x - mu'x for each q, without a budget.
+
+    Every q must be finite and positive; all are checked before any is solved.
+    """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    for q in q_values:
+        _check_risk_aversion(q)
     points = []
     for q in q_values:
-        if q <= 0.0:
-            raise ValueError("q values must be positive")
         qubo = Qubo(n=mu.size, quadratic=q * sigma, linear=-mu)
         x_opt, _ = brute_force(qubo)
         points.append(FrontierPoint(risk=float(x_opt @ sigma @ x_opt),

@@ -3,7 +3,8 @@
 Each was a public function of ``qfin`` that no command calls: a penalty
 scale for QUBO tests, an unconstrained ADMM problem, an ADMM result's
 per-iteration histories, a classifier's one-record prediction and the
-feature-map state of one record.
+feature-map state of one record. ``solve_auction_loop`` is the per-subset
+loop that ``admm.solve_auction_exact`` replaced with subset-sum tables.
 """
 
 import numpy as np
@@ -35,6 +36,26 @@ def pure_binary_problem(quadratic, linear) -> admm.MboProblem:
         joint_x=np.zeros((0, n)), joint_u=np.zeros((0, 0)), joint_rhs=np.zeros(0),
         a0=np.zeros((0, n)), a1=np.zeros((0, 0)),
     )
+
+
+def solve_auction_loop(bids, units) -> tuple[np.ndarray, float]:
+    """Exhaustive winner determination, one subset and one bid at a time."""
+    bids = [b if isinstance(b, admm.Bid) else admm.Bid(tuple(b[0]), float(b[1])) for b in bids]
+    units = np.asarray(units, dtype=float)
+    n = len(bids)
+    best_x = np.zeros(n)
+    best_profit = 0.0
+    for mask in range(1 << n):
+        load = np.zeros(units.size)
+        profit = 0.0
+        for j in range(n):
+            if (mask >> j) & 1:
+                load += np.asarray(bids[j].quantities, dtype=float)
+                profit += bids[j].price
+        if np.all(load <= units + 1e-9) and profit > best_profit:
+            best_profit = profit
+            best_x = np.array([(mask >> j) & 1 for j in range(n)], dtype=float)
+    return best_x, best_profit
 
 
 def residual_history(result: admm.AdmmResult) -> list[float]:

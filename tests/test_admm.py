@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfin import admm
 from qfin import qubo as qb
-from oracles import merit_history, pure_binary_problem, residual_history
+from oracles import merit_history, pure_binary_problem, residual_history, solve_auction_loop
 
 SMALL_BIDS = [((1, 0), 3.0), ((0, 1), 3.0), ((2, 2), 5.0)]
 SMALL_UNITS = (2.0, 2.0)
@@ -21,7 +25,7 @@ def test_block1_qubo_matches_direct_formula():
     x_bar = rng.normal(size=2)
     y = rng.normal(size=2)
     lam = rng.normal(size=2)
-    block = admm.block1_qubo(problem, x_bar, y, lam, config)
+    block = admm.block1_qubo(problem, x_bar, y, lam, config, admm.block1_fixed(problem, config))
     for index in range(8):
         bits = np.array([(index >> i) & 1 for i in range(3)], dtype=float)
         drift = problem.a0 @ bits + problem.a1 @ x_bar - y
@@ -37,8 +41,9 @@ def test_block1_decouples_when_couplings_vanish():
     quadratic = (m + m.T) / 2
     linear = rng.normal(size=3)
     problem = pure_binary_problem(quadratic, linear)
-    block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0),
-                             admm.AdmmConfig())
+    config = admm.AdmmConfig()
+    block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0), config,
+                             admm.block1_fixed(problem, config))
     for index in range(8):
         bits = np.array([(index >> i) & 1 for i in range(3)], dtype=float)
         assert qb.energy(block, bits) == pytest.approx(
@@ -57,7 +62,8 @@ def test_block1_equality_term_vanishes_on_feasible_x():
         joint_x=base.joint_x, joint_u=base.joint_u, joint_rhs=base.joint_rhs,
         a0=base.a0, a1=base.a1)
     config = admm.AdmmConfig(c=50.0)
-    block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0), config)
+    block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0), config,
+                             admm.block1_fixed(problem, config))
     feasible = np.array([1.0, 1.0, 0.0])
     assert qb.energy(block, feasible) == pytest.approx(
         problem.binary_objective(feasible), abs=1e-9)
@@ -65,8 +71,9 @@ def test_block1_equality_term_vanishes_on_feasible_x():
 
 def test_block2_empty_continuous_is_noop():
     problem = pure_binary_problem(np.zeros((2, 2)), np.ones(2))
-    out = admm.block2_convex(problem, np.zeros(2), np.zeros(0), np.zeros(0),
-                             admm.AdmmConfig())
+    config = admm.AdmmConfig()
+    out = admm.block2_convex(problem, np.zeros(2), np.zeros(0), np.zeros(0), config,
+                             admm.block2_curvature(problem, config))
     assert out.size == 0
 
 
@@ -87,7 +94,7 @@ def test_block2_unconstrained_closed_form():
     y = rng.normal(size=l)
     lam = rng.normal(size=l)
     want = (config.rho * (y - problem.a0 @ x) - lam) / (1.0 + config.rho)
-    got = admm.block2_convex(problem, x, y, lam, config)
+    got = admm.block2_convex(problem, x, y, lam, config, admm.block2_curvature(problem, config))
     assert np.max(np.abs(got - want)) < 1e-7
 
 
@@ -104,7 +111,7 @@ def test_block2_box_clamped_scalar():
     config = admm.AdmmConfig(rho=4.0)
     # unconstrained minimizer of (rho/2)(x - u - y)^2 - lam u is x - y + lam/rho = 2.3
     got = admm.block2_convex(problem, np.array([1.0]), np.array([-1.0]),
-                             np.array([4.0 * 0.3]), config)
+                             np.array([4.0 * 0.3]), config, admm.block2_curvature(problem, config))
     assert got[0] == pytest.approx(1.0, abs=1e-7)
 
 
@@ -120,7 +127,7 @@ def test_block2_respects_joint_halfspace():
         a0=np.ones((2, 1)), a1=-np.eye(2))
     config = admm.AdmmConfig(rho=2.0)
     got = admm.block2_convex(problem, np.array([1.0]), np.zeros(2), np.zeros(2),
-                             config)
+                             config, admm.block2_curvature(problem, config))
     assert got.sum() <= 1.0 + 1e-6
     # target without the halfspace would be (1, 1); the projection splits it
     assert np.allclose(got, [0.5, 0.5], atol=1e-5)
@@ -242,6 +249,42 @@ def test_exact_auction_no_bids_profit_zero():
     assert bits.size == 0
 
 
+@st.composite
+def auctions(draw):
+    """Up to 10 bids over 1 to 3 items; prices from a short list, so that profits tie."""
+    items = draw(st.integers(1, 3))
+    price = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.5, 7.25, 13.0])
+    bids = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 6)] * items), price),
+                         max_size=10))
+    units = draw(st.tuples(*[st.sampled_from([0.0, 1.0, 2.5, 4.0, 6.0, 11.0])] * items))
+    return bids, units
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=auctions())
+def test_exact_auction_equals_the_subset_loop(case):
+    bids, units = case
+    bits, profit = admm.solve_auction_exact(bids, units)
+    want_bits, want_profit = solve_auction_loop(bids, units)
+    assert bits.dtype == want_bits.dtype and bits.tolist() == want_bits.tolist()
+    assert type(profit) is float and profit == want_profit
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=auctions(), table_bits=st.integers(0, 4))
+def test_exact_auction_in_table_chunks_equals_the_subset_loop(case, table_bits):
+    bids, units = case
+    with mock.patch.object(admm, "AUCTION_TABLE_BITS", table_bits):
+        bits, profit = admm.solve_auction_exact(bids, units)
+    want_bits, want_profit = solve_auction_loop(bids, units)
+    assert bits.tolist() == want_bits.tolist() and profit == want_profit
+
+
+def test_exact_auction_rejects_a_bid_that_misses_an_item():
+    with pytest.raises(ValueError, match="every bid must quote all items"):
+        admm.solve_auction_exact([((1, 0), 3.0), ((2,), 1.0)], (2.0, 2.0))
+
+
 def test_unit_demand_ample_capacity_matches_exhaustive():
     rng = np.random.default_rng(11)
     bids = []
@@ -343,7 +386,12 @@ def test_build_auction_rejects_bad_units(bad):
 
 
 def reference_run(problem, config):
-    """``run`` with a fresh ``qb.brute_force(block1_qubo(...))`` on every iteration."""
+    """``run`` with a fresh ``qb.brute_force(block1_qubo(...))`` on every iteration.
+
+    Block 1's fixed part and block 2's curvature are rebuilt on every
+    iteration too, so this also checks that ``run``'s once-per-run copies
+    change nothing.
+    """
     l = problem.n_continuous
     mu = admm.resolve_merit_weight(problem)
     x_bar = np.where(np.isfinite(problem.u_upper), problem.u_upper,
@@ -353,9 +401,11 @@ def reference_run(problem, config):
     lam = np.zeros(problem.n_consensus)
     trace = []
     for k in range(1, config.max_iterations + 1):
-        bits, _ = qb.brute_force(admm.block1_qubo(problem, x_bar, y, lam, config))
+        fixed = admm.block1_fixed(problem, config)
+        bits, _ = qb.brute_force(admm.block1_qubo(problem, x_bar, y, lam, config, fixed))
         x = bits.astype(float)
-        x_bar = admm.block2_convex(problem, x, y, lam, config)
+        x_bar = admm.block2_convex(problem, x, y, lam, config,
+                                   admm.block2_curvature(problem, config))
         y = admm.block3_y(problem, x, x_bar, lam, config)
         lam = admm.dual_update(problem, x, x_bar, y, lam, config)
         residual = problem.a0 @ x - (problem.a1 @ x_bar if l else 0.0) - y

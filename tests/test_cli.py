@@ -136,6 +136,18 @@ def test_opt_portfolio_brute_force_and_frontier(tmp_path, portfolio_instance):
     assert len(frontier) == 6
 
 
+@pytest.mark.parametrize("q_values", ["nan", "inf", "-1", "0.5,nan", "0.5,0"])
+def test_opt_portfolio_refuses_a_bad_q_value_before_writing(tmp_path, capsys,
+                                                            portfolio_instance, q_values):
+    out = tmp_path / "run"
+    code = main(["opt", "portfolio", "--instance", portfolio_instance, "--solver", "brute-force",
+                 "--frontier", "--q-values", q_values, "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "validation error: risk aversion q must be finite and positive"]
+    assert list(out.iterdir()) == []
+
+
 def test_opt_portfolio_vqe_schema_matches_brute_force(tmp_path, portfolio_instance):
     out_bf = tmp_path / "bf"
     out_vqe = tmp_path / "vqe"

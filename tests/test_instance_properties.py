@@ -8,7 +8,8 @@ missing column, or a ``sigma`` row made ragged. The command must refuse it
 with exit code 3 and one stderr line naming the file line, blank and comment
 lines counted, without a traceback and without writing any file. A ``mu``
 line a column too wide or too narrow is named by the first ``sigma`` line,
-whose width it then contradicts.
+whose width it then contradicts; an empty extra field fails to parse on the
+``mu`` line itself.
 """
 
 import contextlib
@@ -94,8 +95,10 @@ def test_opt_portfolio_rejects_a_spoiled_instance(case):
     lines[line] = ",".join(fields)
     text = "".join("".join(f + "\n" for f in before) + line_text + "\n"
                    for before, line_text in zip(fillers, lines))
-    # a mu line of another width is contradicted by the first sigma line
-    named = 1 if line == 0 and mutation in ("extra-column", "missing-column") else line
+    # a mu line of another width is contradicted by the first sigma line,
+    # unless its extra field is empty and refused there already
+    named = (1 if line == 0 and mutation in ("extra-column", "missing-column") and value != ""
+             else line)
     file_line = named + 1 + sum(len(before) for before in fillers[:named + 1])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

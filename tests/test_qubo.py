@@ -361,6 +361,49 @@ def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk
     assert np.array_equal(form.quad, held_quad)
 
 
+def quadratic_form_loop(quadratic):
+    """x'Qx of every state, its n^2 products added from 0.0 in (j, k) order, state by state."""
+    n = quadratic.shape[0]
+    out = np.empty(1 << n)
+    for index in range(1 << n):
+        bits = [float((index >> i) & 1) for i in range(n)]
+        total = 0.0
+        for j in range(n):
+            for k in range(n):
+                total += bits[j] * quadratic[j, k] * bits[k]
+        out[index] = total
+    return out
+
+
+def asymmetric_within_tolerance(n, seed):
+    """A Q that ``Qubo`` accepts as symmetric although Q[j, k] != Q[k, j] in the last bits."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-6, 6, size=(n, n))
+    quadratic = m + m.T + np.triu(rng.uniform(-4e-13, 4e-13, size=(n, n)), 1)
+    assert not np.array_equal(quadratic, quadratic.T)
+    qb.Qubo(n=n, quadratic=quadratic, linear=np.zeros(n))
+    return quadratic
+
+
+@pytest.mark.parametrize("quadratic", [
+    np.zeros((0, 0)), np.array([[-2.5]]), random_qubo(6, 71, scale=3.1).quadratic,
+    random_qubo(9, 72, scale=1e3).quadratic, asymmetric_within_tolerance(6, 73),
+], ids=["n0", "n1", "n6", "n9", "n6-asymmetric"])
+def test_enumerated_quadratic_form_equals_the_per_state_loop_bitwise(quadratic):
+    got = qb.QuadraticEnumeration(quadratic).quad
+    assert got.view(np.uint64).tolist() == quadratic_form_loop(quadratic).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("fold_bits", [0, 1, 2, 3])
+def test_fold_in_row_blocks_equals_the_per_state_loop_bitwise(monkeypatch, fold_bits):
+    # row j's 2^(n-1) states are folded 2^fold_bits at a time
+    monkeypatch.setattr(qb, "FOLD_BITS", fold_bits)
+    for quadratic in (random_qubo(6, 74, scale=2.3).quadratic, asymmetric_within_tolerance(7, 75)):
+        got = qb.QuadraticEnumeration(quadratic).quad
+        want = quadratic_form_loop(quadratic)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_held_enumeration_minimize_keeps_lowest_index_tie_rule():
     form = qb.QuadraticEnumeration(np.zeros((3, 3)))
     # indices 4..7 all reach -1 + 2; the lowest of them wins
