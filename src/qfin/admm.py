@@ -3,9 +3,9 @@
 The problem splits into a QUBO block over the binaries (solved by brute
 force, VQE, or QAOA), a convex block over the continuous variables, and a
 quadratically-penalized auxiliary block with a closed form, glued by a dual
-update and a merit-ranked incumbent. The recorded residual is
-``A0 x - A1 xbar - y``, but the dual update drives ``A0 x + A1 xbar - y`` to
-zero; with the auction builder's A1 = -I the two differ by ``2 xbar``.
+update and a merit-ranked incumbent. The recorded residual is the
+consensus ``A0 x + A1 xbar - y`` that the dual update drives to zero
+(Gambella & Simonetto, arXiv:2001.02069).
 """
 
 import csv
@@ -20,11 +20,12 @@ from .variational import minimize_qubo
 
 QUBO_SOLVERS = ("brute-force", "vqe", "qaoa")
 
-# ``run`` stops once the recorded residual norm is below TOLERANCE, or after
-# ``max_iterations`` (at most MAX_ITERATIONS, each solving a QUBO). Block 1 by
-# VQE or QAOA runs SPSA for VQE_ITERATIONS iterations on a depth-3 RY ansatz or
-# QAOA_DEPTH levels. Block 2 takes at most BLOCK2_MAX_STEPS projected-gradient
-# steps down to BLOCK2_TOLERANCE, each projection at most DYKSTRA_SWEEPS sweeps.
+# ``run`` stops once the consensus residual norm and the changes in xbar and y
+# are all below TOLERANCE, or after ``max_iterations`` (at most MAX_ITERATIONS,
+# each solving a QUBO). Block 1 by VQE or QAOA runs SPSA for VQE_ITERATIONS
+# iterations on a depth-3 RY ansatz or QAOA_DEPTH levels. Block 2 takes at most
+# BLOCK2_MAX_STEPS projected-gradient steps down to BLOCK2_TOLERANCE, each
+# projection at most DYKSTRA_SWEEPS sweeps.
 TOLERANCE = 1e-4
 MAX_ITERATIONS = 10_000
 VQE_ITERATIONS = 200
@@ -305,11 +306,17 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
 
     The continuous variable starts at its finite upper bound (falling back to
     the lower bound, then zero) so capacity-style consensus rows begin from
-    full availability. Stops when the recorded residual drops below
-    TOLERANCE or after max_iterations. The recorded residual is not the one
-    the dual update drives to zero (see the module docstring): on auctions it
-    stays near ``2 xbar``, far above TOLERANCE, so every auction run takes
-    all max_iterations.
+    full availability. Each iterate records the norm of the consensus
+    residual ``A0 x + A1 xbar - y``. The run stops after max_iterations, or
+    at the first iterate whose residual norm and changes ||xbar_k - xbar_{k-1}||
+    and ||y_k - y_{k-1}|| are all below TOLERANCE (at k = 1 the previous
+    values are the start values): the primal residual and the change in the
+    iterate together, as in Boyd et al. (2011), section 3.3. With the residual
+    near zero lam barely moves, and with xbar and y repeated the next block-1
+    QUBO is (nearly) the one just solved, so with the brute-force solver the
+    iterate would repeat and no later one could displace the merit-best.
+    VQE and QAOA draw a new SPSA seed per iteration, so for them the same
+    stop ends a run that a later iteration might still have changed.
 
     Block 1's quadratic matrix does not depend on x_bar, y or lam, so with the
     brute-force solver x'Qx is enumerated once per run and each iteration only
@@ -341,19 +348,21 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
                                   seed=config.seed * 100003 + k)
             depth = 3 if config.qubo_solver == "vqe" else QAOA_DEPTH
             x = minimize_qubo(block, config.qubo_solver, depth, opt, 16)[0].astype(float)
+        previous_x_bar, previous_y = x_bar, y
         x_bar = block2_convex(problem, x, y, lam, config, curvature)
         y = block3_y(problem, x, x_bar, lam, config)
-        gradient = config.beta * y - lam - config.rho * (
-            problem.a0 @ x + (problem.a1 @ x_bar if l else 0.0) - y)
+        residual = problem.a0 @ x + (problem.a1 @ x_bar if l else 0.0) - y
+        gradient = config.beta * y - lam - config.rho * residual
         lam = dual_update(problem, x, x_bar, y, lam, config)
-        residual = problem.a0 @ x - (problem.a1 @ x_bar if l else 0.0) - y
         trace.append(AdmmIterate(
             k=k, x=x.copy(), x_bar=x_bar.copy(), y=y.copy(), lam=lam.copy(),
             residual_norm=float(np.linalg.norm(residual)),
             merit=merit(problem, x, x_bar, mu),
             block3_gradient_norm=float(np.abs(gradient).max(initial=0.0)),
         ))
-        if trace[-1].residual_norm < TOLERANCE:
+        if (trace[-1].residual_norm < TOLERANCE
+                and np.linalg.norm(x_bar - previous_x_bar) < TOLERANCE
+                and np.linalg.norm(y - previous_y) < TOLERANCE):
             break
 
     best = min(trace, key=lambda it: (it.merit, it.k))
@@ -379,9 +388,14 @@ class Bid:
 
 
 def _auction_bids(bids, units) -> tuple[list[Bid], np.ndarray]:
-    """``Bid``s (from ``(quantities, price)`` pairs too) and float units; a quantity per item."""
+    """``Bid``s (from ``(quantities, price)`` pairs too) and finite nonnegative float units.
+
+    Every bid must quote a quantity per item.
+    """
     bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
     units = np.asarray(units, dtype=float)
+    if not np.all((units >= 0.0) & (units < math.inf)):
+        raise ValueError("units must be finite and nonnegative")
     if any(len(b.quantities) != units.size for b in bids):
         raise ValueError("every bid must quote all items")
     return bids, units
@@ -398,8 +412,6 @@ def build_auction(bids, units) -> MboProblem:
     rows also enter g(x) so the merit function prices violations.
     """
     bids, units = _auction_bids(bids, units)
-    if not np.all((units >= 0.0) & (units < math.inf)):
-        raise ValueError("units must be finite and nonnegative")
     m = units.size
     n = len(bids)
     capacity = np.array([[b.quantities[i] for b in bids] for i in range(m)], dtype=float)
@@ -484,11 +496,10 @@ def random_auction(n_bids: int, n_items: int, units_per_item: int,
 
 def write_auction_csv(path, bids, units) -> None:
     """Header ``price,qty_item_1,..`` rows per bid, then a ``units`` line."""
-    bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
-    m = len(units)
+    bids, units = _auction_bids(bids, units)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["price"] + [f"qty_item_{i + 1}" for i in range(m)])
+        writer.writerow(["price"] + [f"qty_item_{i + 1}" for i in range(units.size)])
         for b in bids:
             writer.writerow([repr(float(b.price))] + [int(q) for q in b.quantities])
         writer.writerow(["units"] + [repr(float(u)) for u in units])

@@ -29,6 +29,9 @@ class Qubo:
             raise ValueError("quadratic must be n by n")
         if c.shape != (self.n,):
             raise ValueError("linear must have length n")
+        for name, values in (("quadratic", q), ("linear", c), ("constant", self.constant)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(q - q.T), initial=0.0) > 1e-12:
             raise ValueError("quadratic matrix must be symmetric")
         object.__setattr__(self, "quadratic", q)

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -226,7 +227,8 @@ def test_run_pure_qubo_single_iteration():
 
 
 def test_run_records_replayable_dual_history():
-    problem = small_problem()
+    # small_problem is a fixed point at k = 1; this instance runs 14 iterations
+    problem = admm.build_auction(*admm.random_auction(8, 2, 5, seed=2))
     config = admm.AdmmConfig(max_iterations=8)
     result = admm.run(problem, config)
     lam = np.zeros(2)
@@ -314,7 +316,8 @@ def test_paper_shape_instance_terminates_with_trace():
     assert all(1 <= q <= 6 for bid in bids for q in bid.quantities)
     problem = admm.build_auction(bids, units)
     result = admm.run(problem, admm.AdmmConfig(rho=12.0, beta=11.0))
-    assert len(result.trace) <= 100
+    assert len(result.trace) <= 20
+    assert passes_stop_test(problem, result.trace)
     assert len(residual_history(result)) == len(merit_history(result))
 
 
@@ -326,7 +329,7 @@ def test_solver_agnostic_contract_vqe_block1(monkeypatch):
     problem = admm.build_auction(bids, units)
     config = admm.AdmmConfig(qubo_solver="vqe", max_iterations=5, seed=3)
     result = admm.run(problem, config)
-    assert len(result.trace) == 5
+    assert len(result.trace) == 5 or passes_stop_test(problem, result.trace)
     assert result.x.shape == (3,)
 
 
@@ -337,6 +340,29 @@ def test_auction_csv_roundtrip(tmp_path):
     loaded_bids, loaded_units = admm.read_auction_csv(path)
     assert loaded_bids == bids
     assert np.allclose(loaded_units, units)
+
+
+def test_auction_csv_writer_refuses_a_bid_its_reader_would(tmp_path):
+    path = tmp_path / "auction.csv"
+    with pytest.raises(ValueError, match="every bid must quote all items"):
+        admm.write_auction_csv(path, [((1, 2), 3.0)], [6.0])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -3.0])
+def test_auction_csv_writer_refuses_bad_units(tmp_path, bad):
+    path = tmp_path / "auction.csv"
+    with pytest.raises(ValueError, match="units"):
+        admm.write_auction_csv(path, SMALL_BIDS, (2.0, bad))
+    assert not path.exists()
+
+
+def test_auction_csv_writer_accepts_pairs_and_units_as_an_array(tmp_path):
+    path = tmp_path / "auction.csv"
+    admm.write_auction_csv(path, SMALL_BIDS, np.array(SMALL_UNITS))
+    bids, units = admm.read_auction_csv(path)
+    assert bids == [admm.Bid(q, p) for q, p in SMALL_BIDS]
+    assert units.tolist() == list(SMALL_UNITS)
 
 
 def test_auction_csv_requires_units(tmp_path):
@@ -385,6 +411,26 @@ def test_build_auction_rejects_bad_units(bad):
 # the held block-1 enumeration against the per-iteration brute force
 
 
+def start_x_bar(problem):
+    return np.where(np.isfinite(problem.u_upper), problem.u_upper,
+                    np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0)) \
+        if problem.n_continuous else np.zeros(0)
+
+
+def passes_stop_test(problem, trace):
+    """The last iterate's consensus residual and its changes in x_bar and y are below TOLERANCE."""
+    last = trace[-1]
+    if len(trace) > 1:
+        previous_x_bar, previous_y = trace[-2].x_bar, trace[-2].y
+    else:
+        previous_x_bar, previous_y = start_x_bar(problem), np.zeros(problem.n_consensus)
+    residual = problem.a0 @ last.x + (problem.a1 @ last.x_bar
+                                      if problem.n_continuous else 0.0) - last.y
+    return bool(np.linalg.norm(residual) < admm.TOLERANCE
+                and np.linalg.norm(last.x_bar - previous_x_bar) < admm.TOLERANCE
+                and np.linalg.norm(last.y - previous_y) < admm.TOLERANCE)
+
+
 def reference_run(problem, config):
     """``run`` with a fresh ``qb.brute_force(block1_qubo(...))`` on every iteration.
 
@@ -394,13 +440,12 @@ def reference_run(problem, config):
     """
     l = problem.n_continuous
     mu = admm.resolve_merit_weight(problem)
-    x_bar = np.where(np.isfinite(problem.u_upper), problem.u_upper,
-                     np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0)) \
-        if l else np.zeros(0)
+    x_bar = start_x_bar(problem)
     y = np.zeros(problem.n_consensus)
     lam = np.zeros(problem.n_consensus)
     trace = []
     for k in range(1, config.max_iterations + 1):
+        previous_x_bar, previous_y = x_bar, y
         fixed = admm.block1_fixed(problem, config)
         bits, _ = qb.brute_force(admm.block1_qubo(problem, x_bar, y, lam, config, fixed))
         x = bits.astype(float)
@@ -408,10 +453,12 @@ def reference_run(problem, config):
                                    admm.block2_curvature(problem, config))
         y = admm.block3_y(problem, x, x_bar, lam, config)
         lam = admm.dual_update(problem, x, x_bar, y, lam, config)
-        residual = problem.a0 @ x - (problem.a1 @ x_bar if l else 0.0) - y
+        residual = problem.a0 @ x + (problem.a1 @ x_bar if l else 0.0) - y
         trace.append((x, lam, float(np.linalg.norm(residual)),
                       admm.merit(problem, x, x_bar, mu)))
-        if trace[-1][2] < admm.TOLERANCE:
+        if (trace[-1][2] < admm.TOLERANCE
+                and np.linalg.norm(x_bar - previous_x_bar) < admm.TOLERANCE
+                and np.linalg.norm(y - previous_y) < admm.TOLERANCE):
             break
     k_star = min(range(len(trace)), key=lambda i: (trace[i][3], i)) + 1
     return trace, k_star
@@ -452,11 +499,11 @@ def test_held_enumeration_matches_on_dense_pure_binary_problem():
     assert_same_trace(admm.run(problem, config), reference_run(problem, config))
 
 
-def test_held_enumeration_matches_with_equality_rows():
+def equality_rows_problem():
     rng = np.random.default_rng(22)
     n, l = 10, 2
     m = rng.normal(size=(n, n))
-    problem = admm.MboProblem(
+    return admm.MboProblem(
         q_quadratic=(m + m.T) / 2, q_linear=rng.normal(size=n),
         eq_matrix=rng.integers(0, 2, size=(2, n)).astype(float), eq_rhs=np.array([2.0, 3.0]),
         ineq_matrix=np.zeros((0, n)), ineq_rhs=np.zeros(0),
@@ -464,10 +511,49 @@ def test_held_enumeration_matches_with_equality_rows():
         u_lower=np.zeros(l), u_upper=np.full(l, 4.0),
         joint_x=np.zeros((0, n)), joint_u=np.zeros((0, l)), joint_rhs=np.zeros(0),
         a0=rng.uniform(0.0, 1.5, size=(l, n)), a1=-np.eye(l))
-    config = admm.AdmmConfig(rho=3.3, beta=2.1, c=7.5, max_iterations=15)
+
+
+EQUALITY_ROWS_CONFIG = admm.AdmmConfig(rho=3.3, beta=2.1, c=7.5, max_iterations=15)
+
+
+def test_held_enumeration_matches_with_equality_rows():
+    problem, config = equality_rows_problem(), EQUALITY_ROWS_CONFIG
     result = admm.run(problem, config)
     assert len(result.trace) > 1
     assert_same_trace(result, reference_run(problem, config))
+
+
+# ---------------------------------------------------------------------------
+# the stop against the full max_iterations run
+
+
+def assert_stop_loses_nothing(problem, config, monkeypatch):
+    """The stopped run is a bitwise prefix of the full run and picks the same iterate."""
+    stopped = admm.run(problem, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(admm, "TOLERANCE", -1.0)
+        full = admm.run(problem, config)
+    assert len(full.trace) == config.max_iterations
+    assert len(stopped.trace) < len(full.trace)
+    for it, whole in zip(stopped.trace, full.trace):
+        assert np.array_equal(it.x, whole.x)
+        assert np.array_equal(it.lam, whole.lam)
+        assert it.merit == whole.merit
+        assert it.block3_gradient_norm == whole.block3_gradient_norm
+    assert np.array_equal(stopped.x, full.x)
+    assert stopped.k_star == full.k_star
+    assert stopped.merit == full.merit
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_stop_loses_nothing_on_auctions(seed, monkeypatch):
+    problem = admm.build_auction(*admm.random_auction(12, 2, 5, seed=seed))
+    assert_stop_loses_nothing(problem, admm.AdmmConfig(rho=12.0, beta=11.0), monkeypatch)
+
+
+def test_stop_loses_nothing_with_equality_rows(monkeypatch):
+    config = dataclasses.replace(EQUALITY_ROWS_CONFIG, max_iterations=100)
+    assert_stop_loses_nothing(equality_rows_problem(), config, monkeypatch)
 
 
 MBO_ARRAYS = ("q_quadratic", "q_linear", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs",

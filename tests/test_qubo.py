@@ -45,6 +45,24 @@ def test_symmetry_validation():
         qb.Qubo(n=2, quadratic=np.array([[0.0, 1.0], [0.0, 0.0]]), linear=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_qubo_rejects_non_finite_quadratic(bad):
+    with pytest.raises(ValueError, match="quadratic must be finite"):
+        qb.Qubo(n=2, quadratic=np.array([[bad, 0.0], [0.0, 1.0]]), linear=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_qubo_rejects_non_finite_linear(bad):
+    with pytest.raises(ValueError, match="linear must be finite"):
+        qb.Qubo(n=2, quadratic=np.eye(2), linear=np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_qubo_rejects_non_finite_constant(bad):
+    with pytest.raises(ValueError, match="constant must be finite"):
+        qb.Qubo(n=2, quadratic=np.eye(2), linear=np.zeros(2), constant=bad)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_all_energies_matches_enumeration(seed):
     qubo = random_qubo(6, seed)
