@@ -17,9 +17,7 @@ from .simulator import (  # noqa: F401
     GateOp,
     IsingObservable,
     Statevector,
-    apply,
     basis_probabilities,
-    expectation,
     new_zero_state,
 )
 from .amplitude_estimation import (  # noqa: F401

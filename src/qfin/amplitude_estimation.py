@@ -101,6 +101,14 @@ def grover_ops(problem: EstimationProblem) -> tuple:
     return (s_good,) + a_dag + (s_zero,) + a_ops
 
 
+def check_counting_qubits(m: int) -> None:
+    """Refuse m < 1 (ValueError) and m above MAX_COUNTING_QUBITS (CapacityError)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > MAX_COUNTING_QUBITS:
+        raise CapacityError(f"m={m} counting qubits, at most {MAX_COUNTING_QUBITS}")
+
+
 def run_ae(problem: EstimationProblem, m: int) -> AeResult:
     """Phase estimation of the Grover operator on m counting qubits.
 
@@ -114,11 +122,7 @@ def run_ae(problem: EstimationProblem, m: int) -> AeResult:
     the mode always ties with its mirror image; the tie rule takes the first
     maximum over y = 0..M/2.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > MAX_COUNTING_QUBITS:
-        raise CapacityError(f"m={m} counting qubits, at most {MAX_COUNTING_QUBITS}")
-
+    check_counting_qubits(m)
     a = min(max(true_amplitude(problem), 0.0), 1.0)
     big_m = 1 << m
     phase = math.asin(math.sqrt(a)) / math.pi

@@ -25,6 +25,7 @@ from . import credit_risk as cr
 from . import qubo as qb
 from . import variational as vq
 from .amplitude_estimation import (
+    check_counting_qubits,
     coverage_probability,
     error_bound,
     qpe_failure_probability,
@@ -107,6 +108,10 @@ def _optimizer_from_args(args) -> OptimizerConfig:
 
 
 def cmd_risk_var(args, argv) -> int:
+    # both branches record alpha and m, so both are checked here
+    if not 0.0 <= args.alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+    check_counting_qubits(args.m)
     assets = cr.load_portfolio_csv(args.portfolio)
     portfolio = cr.CreditPortfolio(assets=tuple(assets), n_z=args.nz,
                                    z_low=args.z_low, z_high=args.z_high)
@@ -318,21 +323,12 @@ def cmd_ml_train(args, argv) -> int:
                                  vocab_sizes=dataset.vocab_sizes)
     optimizer = _optimizer_from_args(args)
     model, trace, train_accuracy = clf.train_scored(dataset, config, optimizer, form=args.risk)
-    model_path = os.path.join(args.out_dir, "model.json")
-    clf.save_model(_fresh(model_path), model, provenance={
-        "seed": args.seed, "optimizer": args.optimizer,
-        "iterations": args.iterations, "risk": args.risk, "version": __version__})
-    loss_path = os.path.join(args.out_dir, "loss_trace.csv")
-    with open(_fresh(loss_path), "w") as fh:
-        fh.write("iteration,loss\n")
-        for i, v in enumerate(trace):
-            fh.write(f"{i},{v!r}\n")
     result = {
         "encoder": args.encoder, "n_qubits": config.n_qubits,
         "records": len(dataset), "risk_form": args.risk,
         "final_loss": trace[-1], "train_accuracy": train_accuracy,
     }
-    outputs = [model_path, loss_path]
+    # everything that can fail runs before the first file is written
     if args.cross_validate:
         def trainer(train_set):
             m, _, train_acc = clf.train_scored(train_set, config, optimizer, form=args.risk)
@@ -343,10 +339,18 @@ def cmd_ml_train(args, argv) -> int:
             trainer, dataset, k=args.folds, seed=args.seed)
         result["baselines"] = clf.classical_baselines(dataset, k=args.folds,
                                                       seed=args.seed)
+    model_path = os.path.join(args.out_dir, "model.json")
+    clf.save_model(_fresh(model_path), model, provenance={
+        "seed": args.seed, "optimizer": args.optimizer,
+        "iterations": args.iterations, "risk": args.risk, "version": __version__})
+    loss_path = os.path.join(args.out_dir, "loss_trace.csv")
+    with open(_fresh(loss_path), "w") as fh:
+        fh.write("iteration,loss\n")
+        for i, v in enumerate(trace):
+            fh.write(f"{i},{v!r}\n")
     out = os.path.join(args.out_dir, "result.json")
     _write_json(out, result)
-    outputs.append(out)
-    _write_manifest(args.out_dir, argv, args.seed, [args.data], outputs)
+    _write_manifest(args.out_dir, argv, args.seed, [args.data], [model_path, loss_path, out])
     print(f"trained {config.n_qubits}-qubit model: loss {trace[0]:.4f} -> {trace[-1]:.4f},"
           f" train accuracy {train_accuracy:.3f}")
     return EXIT_OK

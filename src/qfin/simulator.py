@@ -2,13 +2,13 @@
 
 Qubit 0 is the least significant bit of the basis index throughout the
 package: basis state ``|i>`` assigns bit ``(i >> q) & 1`` to qubit ``q``.
-All operations are functional; ``apply`` returns a new state and never
-mutates its input. Global phase is not tracked as meaningful.
+All operations are functional; ``apply_ops`` returns a new state and
+never mutates its input. Global phase is not tracked as meaningful.
 
 Amplitudes may carry a trailing batch axis: an array shaped ``(2^n, B)``
 holds ``B`` states as columns, and every gate acts on each column alike.
 Qubit ``q`` still addresses bit ``q`` of the row index. The readout
-helpers (probabilities, marginals, expectations) take one state.
+helpers (probabilities and marginals) take one state.
 """
 
 import math
@@ -20,7 +20,7 @@ MAX_QUBITS = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-GATE_KINDS = frozenset({"h", "x", "rx", "ry", "rz", "cnot", "swap", "phase", "perm"})
+GATE_KINDS = frozenset({"h", "x", "rx", "ry", "rz", "cnot", "phase", "perm"})
 _ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
 
 
@@ -84,10 +84,6 @@ def cnot(control: int, target: int, controls: tuple[int, ...] = ()) -> GateOp:
     return GateOp("cnot", (control, target), tuple(controls))
 
 
-def swap(q1: int, q2: int, controls: tuple[int, ...] = ()) -> GateOp:
-    return GateOp("swap", (q1, q2), tuple(controls))
-
-
 def phase_gate(targets, phases, controls: tuple[int, ...] = ()) -> GateOp:
     """Diagonal gate: basis sub-index ``s`` over ``targets`` picks up e^{i phases[s]}."""
     return GateOp("phase", tuple(targets), tuple(controls), phases=tuple(float(p) for p in phases))
@@ -109,7 +105,7 @@ def inverse_op(op: GateOp) -> GateOp:
         for src, dst in enumerate(op.table):
             inv[dst] = src
         return GateOp("perm", op.targets, op.controls, table=tuple(inv))
-    return op  # h, x, cnot, swap are self-inverse
+    return op  # h, x, cnot are self-inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +230,9 @@ def _apply_inplace(amps: np.ndarray, n: int, op: GateOp) -> None:
         rows *= factors.reshape(factor_shape + (1,) * len(batch))
         return
 
-    if op.kind in ("swap", "perm"):
+    if op.kind == "perm":
         # gather along the target axes: sub-basis s moves to table[s]
-        table = np.asarray((0, 2, 1, 3) if op.kind == "swap" else op.table)
+        table = np.asarray(op.table)
         shape, frm, axes = _split(amps.shape[0], op.targets, op.controls)
         view = amps.reshape(shape + batch, copy=False)
         to = list(frm)
@@ -258,13 +254,6 @@ def _apply_inplace(amps: np.ndarray, n: int, op: GateOp) -> None:
     a0 = view[tuple(pair)]
     pair[axis] = 1
     _rotate(a0, view[tuple(pair)], _matrix_1q(op.kind, op.theta))
-
-
-def apply(state: Statevector, op: GateOp) -> Statevector:
-    """Apply one gate, returning a new state."""
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, state.n_qubits, op)
-    return Statevector(state.n_qubits, amps)
 
 
 def apply_ops(state: Statevector, ops) -> Statevector:
@@ -337,8 +326,3 @@ class IsingObservable:
             out += coeff * sign
         return out
 
-
-def expectation(state: Statevector, observable: IsingObservable) -> float:
-    """Exact probability-weighted energy; no shot noise."""
-    table = observable.energy_table(state.n_qubits)
-    return float(basis_probabilities(state) @ table)

@@ -34,6 +34,8 @@ ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
 # Most amplitudes one state block of vqe_minimize's objective holds: a stack
 # of rows is simulated in chunks of BLOCK_AMPLITUDES >> n rows (at least one),
 # so from 16 qubits up a stack costs no more memory than one row at a time.
+# Only that chunking reads it: a state function sizes its buffers by the
+# stack it is given, and QAOA's cost layer adds one 2^n energy table.
 BLOCK_AMPLITUDES = 1 << 16
 
 # Most layers an ansatz may have (``--depth``, ``--layers``), as many as the feature
@@ -221,13 +223,15 @@ def compile_ansatz(ansatz: Ansatz):
     The function takes a ``(B, P)`` stack of parameter rows and returns a
     ``(2^n, B)`` block whose column ``b`` is the state of row ``b``; a
     ``(P,)`` row is a stack of one and gives a ``(2^n,)`` state. Each column
-    has the probabilities ``apply_ops(new_zero_state(n), ansatz_ops(ansatz,
-    row))`` gives, bit for bit, whatever the other rows hold: every rotation
-    takes the gate path's products and sums with per-column copies of
-    ``_matrix_1q``'s entries (``_fill_entries``), the CNOT ladder is one
-    gather (exact up to the sign of zero), and the QAOA cost layer
-    multiplies each amplitude by the same ``phase_gate`` factors in the same
-    term order (one gather of every term's factor, then one ordered product).
+    has the same bytes whatever the other rows hold. For the RY and RX+RY
+    kinds it has the probabilities ``apply_ops(new_zero_state(n),
+    ansatz_ops(ansatz, row))`` gives, bit for bit: every rotation takes the
+    gate path's products and sums with per-column copies of
+    ``_matrix_1q``'s entries (``_fill_entries``), and the CNOT ladder is one
+    gather (exact up to the sign of zero). The QAOA cost layer is one
+    diagonal, exp(-i gamma C) over the energy table C of the cost terms,
+    where the gate path multiplies term by term, so QAOA probabilities agree
+    with the gate path to round-off, not bit for bit.
 
     The RY and RX+RY functions also take ``start``, a ``(2^n, B)`` block to
     run from instead of ``|0...0>``, with one parameter row for every column;
@@ -327,40 +331,19 @@ def compile_ansatz(ansatz: Ansatz):
 def _compile_qaoa(ansatz: Ansatz):
     """``compile_ansatz`` for the QAOA kind.
 
-    Each level multiplies every amplitude by the exp(-i gamma c_t s_t)
-    factor of each cost term t in term order, where s_t is the Z parity of
-    the term's support; ``view *= factors`` term by term makes the same
-    left-to-right product. Here one row-index table picks each term's
-    factor (row 2t for even parity, 2t + 1 for odd), one ``np.take``
-    gathers them behind the amplitudes and ``np.multiply.reduce`` takes the
-    ordered product. The rows are worked in chunks of ``span`` so that
-    neither the index table nor the gathered table exceeds
-    ``BLOCK_AMPLITUDES`` elements (at least two rows): a chunk's index table
-    is the first chunk's with the parities of its high bits flipped in.
+    Every cost term is a product of Z factors, so a level's cost layer is
+    one diagonal: each amplitude is multiplied by exp(-i gamma C) with C the
+    energy table of the cost terms, the offset dropped (it is a global
+    phase). The factors of a call are written into the plan's scratch
+    buffer, which the mixer's planned RX rotations then reuse.
     """
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
     start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-    terms = ansatz.cost.terms
-    # signs are +-1 and negation is exact, so rates * gamma equals
-    # cost_phase_ops' -gamma * coeff * sign bit for bit
-    rates = -np.repeat([coeff for _, coeff in terms], 2) * np.tile([1.0, -1.0], len(terms))
-    member = np.zeros((len(terms), n), dtype=np.intp)
-    for t, (support, _) in enumerate(terms):
-        member[t, list(support)] = 1
-    qubits = np.arange(n)
+    energies = IsingObservable(ansatz.cost.terms).energy_table(n)
     u = np.full((p, 1), -1j)
 
-    def parities(rows: np.ndarray) -> np.ndarray:
-        """Z parity of each term's support at each row index: ``(terms, rows)``."""
-        return (member @ ((rows[None, :] >> qubits[:, None]) & 1)) & 1
-
     def build(width):
-        # at least two rows: over a single element numpy's reduce loop rounds
-        # its complex products unlike the elementwise multiply
-        span = max(2, BLOCK_AMPLITUDES // ((len(terms) + 1) * width))
-        span = min(dim, 1 << (span.bit_length() - 1))
-        first = 2 * np.arange(len(terms))[:, None] + parities(np.arange(span))
         bufs = np.empty((2, dim, width), dtype=complex)
         scratch = np.empty((dim, width), dtype=complex)
         entries = np.empty((p, 2, 2, 1, width), dtype=complex)
@@ -371,30 +354,20 @@ def _compile_qaoa(ansatz: Ansatz):
                 step for q in range(n) for step in _rotation(
                     entries, level, bufs[(steps + q) % 2], bufs[(steps + q + 1) % 2],
                     scratch, q, dim)]))
-        return (bufs, entries, levels, bufs[(p * n) % 2], span, first, np.empty_like(first),
-                np.empty((len(terms) + 1, span, width), dtype=complex),
-                np.empty((2 * len(terms), p, width), dtype=complex))
+        return bufs, scratch, entries, levels, bufs[(p * n) % 2]
 
     # SPSA sends stacks of three and ends with one: keep both plans
     plan_for = functools.lru_cache(maxsize=2)(build)
 
     def qaoa_state(params):
         stack = _checked_stack(ansatz, params)
-        (bufs, entries, levels, final, span, first, index, gathered,
-         factors) = plan_for(len(stack))
+        bufs, scratch, entries, levels, final = plan_for(len(stack))
         np.copyto(bufs[0], start[:, None])
-        # every term's two factors for every level and column at once
-        np.exp(1j * np.multiply.outer(rates, stack[:, :p].T), out=factors)
         _fill_entries(entries, 2.0 * stack[:, p:], u, u)
-        for level, (amps, rotations) in enumerate(levels):
-            for at in range(0, dim, span):
-                chunk = amps[at:at + span]
-                gathered[0] = chunk
-                if at:
-                    np.bitwise_xor(first, parities(np.array([at])), out=index)
-                np.take(factors[:, level], index if at else first, axis=0,
-                        out=gathered[1:], mode="clip")
-                np.multiply.reduce(gathered, axis=0, out=chunk)
+        for gammas, (amps, rotations) in zip(stack[:, :p].T, levels):
+            np.multiply.outer(energies, -1j * gammas, out=scratch)
+            np.exp(scratch, out=scratch)
+            amps *= scratch
             for step in rotations:
                 step()
         amps = final.copy()
@@ -455,6 +428,8 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     a single state is, not as a strided column or a matrix-vector product,
     whose sums may round differently.
     """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     if observable.max_qubit() >= ansatz.n_qubits:
         raise ValueError("observable support exceeds the ansatz register")
     table = observable.energy_table(ansatz.n_qubits)

@@ -2,8 +2,9 @@
 
 Each was a public function of ``qfin`` that no command calls: a penalty
 scale for QUBO tests, an unconstrained ADMM problem, an ADMM result's
-per-iteration histories, a classifier's one-record prediction and the
-feature-map state of one record. ``solve_auction_loop`` is the per-subset
+per-iteration histories, a classifier's one-record prediction, the
+feature-map state of one record and a state's expectation of a diagonal
+observable. ``solve_auction_loop`` is the per-subset
 loop that ``admm.solve_auction_exact`` replaced with subset-sum tables.
 """
 
@@ -72,3 +73,9 @@ def predict(model: clf.VqcModel, continuous, categorical=()) -> int:
 
 def feature_state(n_qubits: int, repetitions: int, x) -> sv.Statevector:
     return sv.apply_ops(sv.new_zero_state(n_qubits), clf.feature_map_ops(n_qubits, repetitions, x))
+
+
+def expectation(state: sv.Statevector, observable: sv.IsingObservable) -> float:
+    """Exact probability-weighted energy; no shot noise."""
+    table = observable.energy_table(state.n_qubits)
+    return float(sv.basis_probabilities(state) @ table)

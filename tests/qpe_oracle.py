@@ -37,7 +37,7 @@ def qft_ops(register) -> tuple[sv.GateOp, ...]:
             angle = math.pi / (1 << (j - i))
             ops.append(sv.phase_gate((reg[i],), (0.0, angle), controls=(reg[j],)))
     for i in range(m // 2):
-        ops.append(sv.swap(reg[i], reg[m - 1 - i]))
+        ops.append(sv.perm_gate((reg[i], reg[m - 1 - i]), (0, 2, 1, 3)))
     return tuple(ops)
 
 

@@ -106,6 +106,29 @@ def test_risk_var_refuses_m_over_its_bound(tmp_path, demo_portfolio_csv, capsys)
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--alpha", "-5", "--m", "-3"], ["--alpha", "-5"],
+                                   ["--alpha", "1"], ["--alpha", "nan"],
+                                   ["--alpha", "0", "--m", "0"], ["--m", "-3"]])
+def test_risk_var_checks_alpha_and_m_on_both_branches(tmp_path, demo_portfolio_csv,
+                                                      capsys, flags):
+    out = tmp_path / "run"
+    code = main(["risk", "var", "--portfolio", demo_portfolio_csv, *flags,
+                 "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error:")
+    assert not any(out.iterdir())
+
+
+def test_risk_var_checks_m_above_its_bound_at_alpha_zero(tmp_path, demo_portfolio_csv,
+                                                         capsys):
+    out = tmp_path / "run"
+    code = main(["risk", "var", "--portfolio", demo_portfolio_csv, "--alpha", "0",
+                 "--m", str(MAX_COUNTING_QUBITS + 1), "--out-dir", str(out)])
+    assert code == 4
+    _assert_one_line_error(capsys, f"capacity error: m={MAX_COUNTING_QUBITS + 1} counting")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("bounds", [["--z-low", "40", "--z-high", "50"],
                                     ["--z-low=-inf", "--z-high", "3"]])
 def test_risk_var_rejects_a_latent_grid_without_mass(tmp_path, demo_portfolio_csv, capsys,
@@ -312,6 +335,20 @@ def test_ml_train_qrac_five_qubits(tmp_path):
     assert result["n_qubits"] == 5
     model = read_json(train_dir / "model.json")
     assert model["config"]["n_qubits"] == 5
+
+
+def test_ml_train_with_one_fold_writes_nothing(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert main(["ml", "synth", "--n", "24", "--seed", "1",
+                 "--out-dir", str(synth_dir)]) == 0
+    capsys.readouterr()
+    train_dir = tmp_path / "train"
+    code = main(["ml", "train", "--data", str(synth_dir / "dataset.csv"),
+                 "--iterations", "3", "--cross-validate", "--folds", "1",
+                 "--out-dir", str(train_dir)])
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error: k must be >= 2")
+    assert not any(train_dir.iterdir())
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -823,6 +860,26 @@ def test_opt_diversify_rejects_non_finite_inputs(tmp_path, capsys, rho_text, ext
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("solver,command", [
+    ("qaoa", "portfolio"), ("vqe", "portfolio"), ("qaoa", "diversify")])
+def test_opt_top_k_is_checked_before_the_solve(tmp_path, capsys, monkeypatch,
+                                               portfolio_instance, solver, command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(optimizers, "minimize", no_solve)
+    similarity = tmp_path / "rho.csv"
+    similarity.write_text("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n")
+    source = (["--instance", portfolio_instance] if command == "portfolio"
+              else ["--similarity", str(similarity), "--clusters", "2"])
+    out = tmp_path / "run"
+    code = main(["opt", command, *source, "--solver", solver, "--top-k", "0",
+                 "--iterations", "2000", "--out-dir", str(out)])
+    assert code == 3
+    _assert_one_line_error(capsys, "validation error: top_k must be >= 1")
+    assert not any(out.iterdir())
+
+
 # -- the former per-call kernels, kept as the oracle for the planned ones ----
 
 def _former_column_entries(kinds, angles):
@@ -847,45 +904,13 @@ def _former_rotate_columns(view, entries):
 
 
 def former_compile_ansatz(ansatz):
-    """State functions that allocate per rotation and multiply the QAOA cost term by term."""
+    """RY and RX+RY state functions that allocate per rotation; QAOA's stays planned."""
     from qfin import variational as vq
-    from qfin.simulator import apply_ops, h, new_zero_state, phase_layout
 
+    if ansatz.kind == "qaoa":
+        return vq._compile_qaoa(ansatz)
     n = ansatz.n_qubits
     dim = 1 << n
-    if ansatz.kind == "qaoa":
-        start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-        terms, at = [], 0
-        for support, _ in ansatz.cost.terms:
-            view_shape, _, factor_shape, order = phase_layout(dim, support)
-            terms.append((view_shape, slice(at, at + order.size), factor_shape,
-                          vq._parity_signs(len(support))[order]))
-            at += order.size
-        coeffs = np.repeat([coeff for _, coeff in ansatz.cost.terms],
-                           [term_signs.size for *_, term_signs in terms])
-        rates = -coeffs * np.concatenate([np.zeros(0)] + [signs for *_, signs in terms])
-
-        def qaoa_state(params):
-            stack = vq._checked_stack(ansatz, params)
-            batch = stack.shape[:1]
-            amps = np.repeat(start[:, None], len(stack), axis=1)
-            factors = np.empty((rates.size,) + batch, dtype=complex)
-            layers = [(amps.reshape(view_shape + batch, copy=False),
-                       factors[rows].reshape(factor_shape + batch, copy=False))
-                      for view_shape, rows, factor_shape, _ in terms]
-            splits = [_former_split_view(amps, q, dim) for q in range(n)]
-            p = ansatz.depth
-            for gammas, betas in zip(stack[:, :p].T, stack[:, p:].T.tolist()):
-                np.exp(1j * np.multiply.outer(rates, gammas), out=factors)
-                for view, term_factors in layers:
-                    view *= term_factors
-                entries = _former_column_entries(["rx"], [[2.0 * beta for beta in betas]])[0]
-                for view in splits:
-                    _former_rotate_columns(view, entries)
-            return amps if np.ndim(params) == 2 else amps[:, 0]
-
-        return qaoa_state
-
     perm = vq._ladder_permutation(n) if ansatz.depth else None
     real = ansatz.kind == "ry-full-entanglement"
     kinds = ("ry",) if real else ("rx", "ry")

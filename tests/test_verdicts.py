@@ -1,0 +1,81 @@
+"""The verdict rule of ``tools/verdicts.py`` on fixed tables."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "verdicts", Path(__file__).resolve().parents[1] / "tools" / "verdicts.py")
+verdicts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verdicts)
+Outcome = verdicts.Outcome
+
+
+def outcomes(gaps, misses=None, results=None):
+    misses = misses or [False] * len(gaps)
+    results = results or [str(g).encode() for g in gaps]
+    return [Outcome(g, not m, m, r) for g, m, r in zip(gaps, misses, results)]
+
+
+def test_sign_test_is_the_binomial_upper_tail():
+    assert verdicts.sign_test(0, 0) == 1.0
+    assert verdicts.sign_test(0, 5) == 1.0
+    assert verdicts.sign_test(5, 0) == 1 / 32
+    assert verdicts.sign_test(3, 1) == 5 / 16
+    assert verdicts.sign_test(4, 0) == 1 / 16  # four of four is not yet significant
+
+
+def test_identical_rows_pass_with_nothing_changed():
+    base = outcomes([0.0, 0.01, 0.2], misses=[False, False, True])
+    got = verdicts.compare(base, list(base))
+    assert got["changed"] == 0 and got["seeds"] == 3
+    assert got["misses"] == (1, 1)
+    assert got["miss"] == (0, 0, 1.0) and got["gap"] == (0, 0, 1.0)
+    assert got["passes"]
+
+
+def test_gaps_worse_on_five_untied_seeds_fail_and_ties_are_left_out():
+    base = outcomes([0.1, 0.1, 0.1, 0.1, 0.1, 0.3, 0.3])
+    new = outcomes([0.2, 0.2, 0.2, 0.2, 0.2, 0.3, 0.3])
+    got = verdicts.compare(base, new)
+    assert got["gap"] == (5, 0, 1 / 32)
+    assert got["changed"] == 5
+    assert not got["passes"]
+
+
+def test_gaps_that_move_both_ways_pass():
+    base = outcomes([0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+    new = outcomes([0.2, 0.2, 0.2, 0.0, 0.0, 0.05])
+    got = verdicts.compare(base, new)
+    assert got["gap"] == (3, 3, 21 / 32)
+    assert got["passes"]
+
+
+def test_new_misses_fail_even_where_gaps_improve():
+    base = outcomes([0.3] * 6, misses=[False] * 6)
+    new = outcomes([0.2] * 6, misses=[True] * 5 + [False])
+    got = verdicts.compare(base, new)
+    assert got["misses"] == (0, 5)
+    assert got["miss"] == (5, 0, 1 / 32)
+    assert got["gap"] == (0, 6, 1.0)
+    assert not got["passes"]
+
+
+def test_changed_counts_result_bytes_not_scores():
+    base = outcomes([0.1, 0.1], results=[b"a", b"b"])
+    new = outcomes([0.1, 0.1], results=[b"a", b"c"])
+    got = verdicts.compare(base, new)
+    assert got["changed"] == 1 and got["passes"]
+
+
+def test_the_fixed_sweep_can_see_a_unanimous_regression():
+    assert len(verdicts.SEEDS) >= 50
+    base = outcomes([0.1] * len(verdicts.SEEDS))
+    new = outcomes([0.2] * len(verdicts.SEEDS))
+    assert not verdicts.compare(base, new)["passes"]
+
+
+def test_unpaired_tables_are_refused():
+    with pytest.raises(ValueError):
+        verdicts.compare(outcomes([0.1, 0.2]), outcomes([0.1]))
