@@ -8,9 +8,9 @@ out through phase estimation on m counting qubits yields the estimator
 ``sin^2(pi*y/M)`` with M = 2^m.
 
 That readout distribution depends on a alone (Brassard-Hoyer-Mosca-Tapp,
-quant-ph/0005055), so ``run_ae`` evaluates it exactly from one pass of A. The
-counting qubits are never simulated: only the A register counts against the
-simulator's qubit ceiling, and m has its own bound, MAX_COUNTING_QUBITS.
+quant-ph/0005055), so ``run_ae`` takes a and simulates nothing, neither A nor
+the counting qubits; m has its own bound, MAX_COUNTING_QUBITS. The gates of A
+and Q built below are the oracle the closed form is checked against.
 """
 
 import math
@@ -64,16 +64,6 @@ class AeResult:
     a_estimate: float
 
 
-def single_qubit_problem(a: float) -> EstimationProblem:
-    """A acting on one qubit only: RY(2 arcsin sqrt(a)) on the objective."""
-    from .simulator import ry
-
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("a must lie in [0, 1]")
-    theta = 2.0 * math.asin(math.sqrt(a))
-    return EstimationProblem((ry(theta, 0),), objective_qubit=0, n_state_qubits=0)
-
-
 def prepare(problem: EstimationProblem) -> Statevector:
     """Apply A to the all-zeros register."""
     return apply_ops(new_zero_state(problem.n_qubits), problem.a_ops)
@@ -109,21 +99,21 @@ def check_counting_qubits(m: int) -> None:
         raise CapacityError(f"m={m} counting qubits, at most {MAX_COUNTING_QUBITS}")
 
 
-def run_ae(problem: EstimationProblem, m: int) -> AeResult:
-    """Phase estimation of the Grover operator on m counting qubits.
+def run_ae(a: float, m: int) -> AeResult:
+    """Phase estimation of the Grover operator on m counting qubits, for amplitude a.
 
-    The readout distribution is evaluated exactly from a = sin^2(theta),
-    taken from one pass of A: P(y) = [F_M(y/M - theta/pi) + F_M(y/M + theta/pi)]/2
+    The readout distribution is evaluated exactly from a = sin^2(theta), a
+    clamped to [0, 1]: P(y) = [F_M(y/M - theta/pi) + F_M(y/M + theta/pi)]/2
     with the Fejer kernel F_M(d) = sin^2(M pi d) / (M^2 sin^2(pi d)), and
-    F_M = 1 where sin(pi d) = 0. The counting register is not simulated; m
-    above MAX_COUNTING_QUBITS raises CapacityError before A is run.
+    F_M = 1 where sin(pi d) = 0. Nothing is simulated; m above
+    MAX_COUNTING_QUBITS raises CapacityError.
 
     The estimate is the mode of the exact distribution. Since P(y) = P(M - y),
     the mode always ties with its mirror image; the tie rule takes the first
     maximum over y = 0..M/2.
     """
     check_counting_qubits(m)
-    a = min(max(true_amplitude(problem), 0.0), 1.0)
+    a = min(max(a, 0.0), 1.0)
     big_m = 1 << m
     phase = math.asin(math.sqrt(a)) / math.pi
     y = np.arange(big_m) / big_m
@@ -154,8 +144,8 @@ def error_bound(a: float, big_m: int) -> float:
 
 def coverage_probability(a: float, m: int) -> float:
     """Exact AE output mass on estimates within error_bound(a, 2^m) of a."""
-    result = run_ae(single_qubit_problem(a), m)
     bound = error_bound(a, 1 << m)
+    result = run_ae(a, m)
     grid = estimates_grid(m)
     return float(result.distribution[np.abs(grid - a) <= bound].sum())
 

@@ -561,32 +561,16 @@ def _risk_of_values(values: np.ndarray, labels: np.ndarray, form: str) -> float:
 
 
 def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
-          form: str = "cross-entropy") -> tuple[VqcModel, list[float]]:
+          form: str = "cross-entropy") -> tuple[VqcModel, list[float], float]:
     """Optimize the separator angles and bias against the chosen risk.
 
     Continuous features are min-max scaled onto [0, 2 pi]; the scaler is
     stored on the model. The scaler is fixed before optimizing, so the records
     are encoded once and each objective call applies only the separator.
-    Returns the trained model and the loss trace.
+    Returns the trained model, the loss trace and the training accuracy. The
+    accuracy is read off the block training encoded, and equals
+    ``accuracy(model, dataset)`` bit for bit.
     """
-    model, trace, _ = _fit(dataset, config, optimizer, form)
-    return model, trace
-
-
-def train_scored(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
-                 form: str = "cross-entropy") -> tuple[VqcModel, list[float], float]:
-    """``train`` plus the training accuracy, read off the block training encoded.
-
-    The accuracy equals ``accuracy(model, dataset)`` bit for bit without
-    encoding the records a second time.
-    """
-    model, trace, decide = _fit(dataset, config, optimizer, form)
-    return model, trace, _accuracy_of_values(decide(model), dataset.labels)
-
-
-def _fit(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
-         form: str) -> tuple[VqcModel, list[float], object]:
-    """``train``'s fit, plus ``decide(model)``: the decisions of the encoded records."""
     if form not in RISK_FORMS:
         raise ValueError(f"risk form must be one of {RISK_FORMS}")
     if len(dataset) == 0:
@@ -609,7 +593,8 @@ def _fit(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfi
         return np.concatenate([rng.uniform(-math.pi, math.pi, size=n_params), [0.0]])
 
     best = minimize_restarts(objective, initial, optimizer)
-    return build(best.x), best.trace, decide
+    model = build(best.x)
+    return model, best.trace, _accuracy_of_values(decide(model), dataset.labels)
 
 
 def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:

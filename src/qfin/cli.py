@@ -115,12 +115,13 @@ def cmd_risk_var(args, argv) -> int:
     assets = cr.load_portfolio_csv(args.portfolio)
     portfolio = cr.CreditPortfolio(assets=tuple(assets), n_z=args.nz,
                                    z_low=args.z_low, z_high=args.z_high)
+    dist = cr.exact_loss_distribution(portfolio)
     if args.alpha <= 0.0:
-        var = min(cr.exact_loss_distribution(portfolio).pmf)
+        var = min(dist.pmf)
         trace = []
     else:
         var, trace = cr.var_bisection(portfolio, args.alpha, args.m)
-    expected = cr.expected_loss(portfolio)
+    expected = dist.mean()
     result = {
         "alpha": args.alpha,
         "m": args.m,
@@ -132,11 +133,9 @@ def cmd_risk_var(args, argv) -> int:
                       for p in trace],
     }
     if args.exact_oracle:
-        dist = cr.exact_loss_distribution(portfolio)
-        bound = error_bound(1.0, 1 << args.m)
         result["oracle"] = {
             "pmf": {str(k): v for k, v in sorted(dist.pmf.items())},
-            "expected_loss": dist.mean(),
+            "expected_loss": expected,
             "var": dist.value_at_risk(args.alpha) if args.alpha > 0 else min(dist.pmf),
             "cvar": cr.cvar(dist, args.alpha) if args.alpha > 0 else dist.mean(),
             "probe_deltas": [{"x": p.mid, "quantum": p.cdf,
@@ -322,7 +321,7 @@ def cmd_ml_train(args, argv) -> int:
                                  categorical_names=dataset.categorical_names,
                                  vocab_sizes=dataset.vocab_sizes)
     optimizer = _optimizer_from_args(args)
-    model, trace, train_accuracy = clf.train_scored(dataset, config, optimizer, form=args.risk)
+    model, trace, train_accuracy = clf.train(dataset, config, optimizer, form=args.risk)
     result = {
         "encoder": args.encoder, "n_qubits": config.n_qubits,
         "records": len(dataset), "risk_form": args.risk,
@@ -331,7 +330,7 @@ def cmd_ml_train(args, argv) -> int:
     # everything that can fail runs before the first file is written
     if args.cross_validate:
         def trainer(train_set):
-            m, _, train_acc = clf.train_scored(train_set, config, optimizer, form=args.risk)
+            m, _, train_acc = clf.train(train_set, config, optimizer, form=args.risk)
             def predict_fn(test_set):
                 return np.where(clf.decisions(m, test_set) >= 0.0, 1, -1)
             return predict_fn, train_acc

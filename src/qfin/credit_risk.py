@@ -3,9 +3,11 @@
 The CDF operator A = C * S * U acts on four registers laid out low to high:
 the latent factor Z (n_z qubits), one default qubit per asset, the weighted
 loss sum (n_s qubits), and the objective qubit marked when the loss is at or
-below the probed threshold. Classical enumeration oracles use exactly the
-same linearized default probabilities as the circuit, so quantum/classical
-comparisons are tight to machine precision.
+below the probed threshold. ``var_bisection`` applies S * U once, without the
+objective qubit, and reads each probe's a = P[L <= t] off the prefix sums of
+the loss marginal; A as gates is the oracle of that table. Classical
+enumeration oracles use exactly the same linearized default probabilities as
+the circuit, so quantum/classical comparisons are tight to machine precision.
 """
 
 import csv
@@ -21,7 +23,10 @@ from .simulator import (
     MAX_QUBITS,
     CapacityError,
     GateOp,
+    apply_ops,
+    new_zero_state,
     perm_gate,
+    register_distribution,
     ry,
 )
 
@@ -177,14 +182,17 @@ def comparator_ops(threshold: int, sum_qubits, objective: int) -> tuple[GateOp, 
     return (perm_gate(targets, table),)
 
 
-def cdf_operator(portfolio: CreditPortfolio, threshold: int) -> tuple[GateOp, ...]:
-    """A = C S U for the loss CDF at the given threshold, on ``portfolio.n_qubits``."""
-    ops = uncertainty_ops(portfolio)
+def loss_ops(portfolio: CreditPortfolio) -> tuple[GateOp, ...]:
+    """S U: the sum register ends up holding the loss; the objective qubit is untouched."""
     lgds = [a.lgd for a in portfolio.assets]
     assets = [portfolio.asset_qubit(k) for k in range(portfolio.n_assets)]
-    ops += weighted_sum_ops(lgds, assets, portfolio.sum_register)
-    ops += comparator_ops(threshold, portfolio.sum_register, portfolio.objective_qubit)
-    return ops
+    return uncertainty_ops(portfolio) + weighted_sum_ops(lgds, assets, portfolio.sum_register)
+
+
+def cdf_operator(portfolio: CreditPortfolio, threshold: int) -> tuple[GateOp, ...]:
+    """A = C S U for the loss CDF at the given threshold, on ``portfolio.n_qubits``."""
+    return loss_ops(portfolio) + comparator_ops(threshold, portfolio.sum_register,
+                                                portfolio.objective_qubit)
 
 
 def estimation_problem(portfolio: CreditPortfolio, threshold: int) -> EstimationProblem:
@@ -193,9 +201,16 @@ def estimation_problem(portfolio: CreditPortfolio, threshold: int) -> Estimation
                              n_state_qubits=portfolio.n_qubits - 1)
 
 
-def cdf_estimate(portfolio: CreditPortfolio, threshold: int, m: int) -> float:
-    """Amplitude-estimated P[L <= threshold]."""
-    return run_ae(estimation_problem(portfolio, threshold), m).a_estimate
+def loss_cdf(portfolio: CreditPortfolio) -> np.ndarray:
+    """P[L <= l] for l = 0 .. 2^n_s - 1, from one pass of S U below the objective qubit."""
+    state = apply_ops(new_zero_state(portfolio.n_qubits - 1), loss_ops(portfolio))
+    return np.cumsum(register_distribution(state, portfolio.sum_register))
+
+
+def cdf_estimate(cdf: np.ndarray, threshold: int, m: int) -> float:
+    """Amplitude-estimated P[L <= threshold], given ``loss_cdf``'s table."""
+    a = 0.0 if threshold < 0 else cdf[min(threshold, cdf.size - 1)]
+    return run_ae(a, m).a_estimate
 
 
 @dataclass(frozen=True)
@@ -215,12 +230,13 @@ def var_bisection(portfolio: CreditPortfolio, alpha: float,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    cdf = loss_cdf(portfolio)
     low = -1
     high = portfolio.total_lgd + 1
     trace: list[BisectionProbe] = []
     while high - low > 1:
         mid = (low + high) // 2
-        est = cdf_estimate(portfolio, mid, m)
+        est = cdf_estimate(cdf, mid, m)
         trace.append(BisectionProbe(low=low, mid=mid, high=high, cdf=est))
         if est >= alpha:
             high = mid
@@ -277,16 +293,6 @@ def exact_loss_distribution(portfolio: CreditPortfolio) -> LossDistribution:
                     weight *= 1.0 - p_def[bit]
             pmf[loss] = pmf.get(loss, 0.0) + weight
     return LossDistribution(pmf)
-
-
-def expected_loss(portfolio: CreditPortfolio) -> float:
-    return exact_loss_distribution(portfolio).mean()
-
-
-def ecr(portfolio: CreditPortfolio, alpha: float, m: int) -> float:
-    """Economic capital requirement: estimated VaR minus the expected loss."""
-    var, _ = var_bisection(portfolio, alpha, m)
-    return var - expected_loss(portfolio)
 
 
 def cvar(dist: LossDistribution, alpha: float) -> float:

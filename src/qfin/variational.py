@@ -386,13 +386,12 @@ def bitstring_of(index: int, n: int) -> str:
     return "".join(str((index >> q) & 1) for q in range(n))
 
 
-def sample_solutions(state: Statevector, observable: IsingObservable,
+def sample_solutions(state: Statevector, table: np.ndarray,
                      top_k: int) -> list[tuple[str, float, float]]:
-    """Most probable basis states with their exact probabilities and energies."""
+    """Most probable basis states with exact probabilities and energies from ``table``."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     probs = basis_probabilities(state)
-    table = observable.energy_table(state.n_qubits)
     order = np.lexsort((np.arange(probs.size), -probs))[:top_k]
     return [(bitstring_of(int(i), state.n_qubits), float(probs[i]), float(table[i]))
             for i in order]
@@ -455,7 +454,7 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     return VariationalResult(
         best_value=best.value,
         best_params=best.x,
-        top_states=sample_solutions(state, observable, min(top_k, state.dim)),
+        top_states=sample_solutions(state, table, min(top_k, state.dim)),
         trace=best.trace,
         state=state,
     )
@@ -469,10 +468,11 @@ def qaoa_minimize(observable: IsingObservable, p: int, optimizer: OptimizerConfi
     if p == 0:
         # degenerate: uniform superposition, no parameters to tune
         state = apply_ops(new_zero_state(n_qubits), [h(q) for q in range(n_qubits)])
-        value = float(basis_probabilities(state) @ observable.energy_table(n_qubits))
+        table = observable.energy_table(n_qubits)
+        value = float(basis_probabilities(state) @ table)
         return VariationalResult(
             best_value=value, best_params=np.zeros(0),
-            top_states=sample_solutions(state, observable, min(top_k, state.dim)),
+            top_states=sample_solutions(state, table, min(top_k, state.dim)),
             trace=[value], state=state)
     return vqe_minimize(observable, qaoa_ansatz(n_qubits, p, observable),
                         optimizer, top_k=top_k)

@@ -1,14 +1,24 @@
 """Circuit-level phase-estimation gates, kept as test oracles.
 
-``run_ae`` evaluates the phase-estimation readout in closed form, so the
-package applies no controlled Grover operator and no inverse QFT. These
-builders reproduce the circuit those formulas replace, for the tests that
-compare against it.
+``run_ae`` evaluates the phase-estimation readout in closed form from the
+amplitude alone, so the package applies no controlled Grover operator and
+no inverse QFT, and builds no A to find a given amplitude. These builders
+reproduce the circuit those formulas replace, for the tests that compare
+against it.
 """
 
 import math
 
 from qfin import simulator as sv
+from qfin.amplitude_estimation import EstimationProblem
+
+
+def single_qubit_problem(a: float) -> EstimationProblem:
+    """A acting on one qubit only: RY(2 arcsin sqrt(a)) on the objective."""
+    if not 0.0 <= a <= 1.0:
+        raise ValueError("a must lie in [0, 1]")
+    theta = 2.0 * math.asin(math.sqrt(a))
+    return EstimationProblem((sv.ry(theta, 0),), objective_qubit=0, n_state_qubits=0)
 
 
 def with_control(op: sv.GateOp, control: int) -> sv.GateOp:

@@ -246,7 +246,7 @@ def test_criterion_08_vqc_properties():
     wins = 0
     for seed in range(5):
         data = clf.synthesize_separable(20, seed=seed + 100, margin=0.3)
-        model, _ = clf.train(data, config,
+        model, _, _ = clf.train(data, config,
                              OptimizerConfig(method="nelder-mead", iterations=200,
                                              seed=seed))
         if clf.accuracy(model, data) >= 0.95:

@@ -6,7 +6,7 @@ import pytest
 from qfin import amplitude_estimation as ae
 from qfin import credit_risk as cr
 from qfin import simulator as sv
-from qpe_oracle import controlled_ops, inverse_qft_ops
+from qpe_oracle import controlled_ops, inverse_qft_ops, single_qubit_problem
 
 
 def test_true_amplitude_identity_and_x():
@@ -17,7 +17,7 @@ def test_true_amplitude_identity_and_x():
 
 
 def test_true_amplitude_rotation():
-    problem = ae.single_qubit_problem(0.3)
+    problem = single_qubit_problem(0.3)
     assert ae.true_amplitude(problem) == pytest.approx(0.3, abs=1e-10)
 
 
@@ -25,7 +25,7 @@ def test_grover_rotation_identity():
     # oracle: P(objective = 1 after Q^k A|0>) = sin^2((2k+1) theta_a)
     a = 0.3
     theta = math.asin(math.sqrt(a))
-    problem = ae.single_qubit_problem(a)
+    problem = single_qubit_problem(a)
     state = ae.prepare(problem)
     q_ops = ae.grover_ops(problem)
     for k in range(1, 4):
@@ -35,7 +35,7 @@ def test_grover_rotation_identity():
 
 
 def test_grover_half_amplitude_single_step():
-    problem = ae.single_qubit_problem(0.5)
+    problem = single_qubit_problem(0.5)
     state = sv.apply_ops(ae.prepare(problem), ae.grover_ops(problem))
     # sin^2(3 pi / 4) = 0.5
     assert sv.probability_of_one(state, 0) == pytest.approx(0.5, abs=1e-9)
@@ -73,7 +73,7 @@ def test_grover_matches_dense_matrix_definition():
 
 
 def test_run_ae_zero_amplitude_concentrates_at_origin():
-    result = ae.run_ae(ae.single_qubit_problem(0.0), 4)
+    result = ae.run_ae(0.0, 4)
     assert result.y_mode == 0
     assert result.a_estimate == pytest.approx(0.0)
     assert result.distribution[0] == pytest.approx(1.0, abs=1e-9)
@@ -81,14 +81,14 @@ def test_run_ae_zero_amplitude_concentrates_at_origin():
 
 def test_run_ae_grid_aligned_angle_is_exact():
     a = math.sin(3 * math.pi / 16) ** 2
-    result = ae.run_ae(ae.single_qubit_problem(a), 4)
+    result = ae.run_ae(a, 4)
     support = np.nonzero(result.distribution > 1e-9)[0]
     assert sorted(support.tolist()) == [3, 13]
     assert result.a_estimate == pytest.approx(a, abs=1e-12)
 
 
 def test_run_ae_distribution_normalized_and_symmetric():
-    result = ae.run_ae(ae.single_qubit_problem(0.37), 4)
+    result = ae.run_ae(0.37, 4)
     assert result.distribution.sum() == pytest.approx(1.0, abs=1e-9)
     # real-amplitude A gives P(y) = P(M - y) for y != 0
     for y in range(1, 16):
@@ -98,7 +98,7 @@ def test_run_ae_distribution_normalized_and_symmetric():
 
 def test_run_ae_capacity_error():
     with pytest.raises(sv.CapacityError, match="counting qubits"):
-        ae.run_ae(ae.single_qubit_problem(0.1), ae.MAX_COUNTING_QUBITS + 1)
+        ae.run_ae(0.1, ae.MAX_COUNTING_QUBITS + 1)
 
 
 def test_estimates_grid_symmetry():
@@ -207,7 +207,7 @@ def _qpe_circuit_distribution(problem: ae.EstimationProblem, m: int) -> np.ndarr
 
 
 def _assert_matches_circuit(problem: ae.EstimationProblem, m: int) -> None:
-    result = ae.run_ae(problem, m)
+    result = ae.run_ae(ae.true_amplitude(problem), m)
     circuit = _qpe_circuit_distribution(problem, m)
     assert np.max(np.abs(result.distribution - circuit)) <= 1e-12
     # the same tie rule applied to the circuit's distribution
@@ -219,7 +219,7 @@ def _assert_matches_circuit(problem: ae.EstimationProblem, m: int) -> None:
 @pytest.mark.parametrize("m", range(1, 6))
 def test_closed_form_matches_circuit_on_criterion_grid(m):
     for step in range(1, 20):
-        _assert_matches_circuit(ae.single_qubit_problem(step * 0.05), m)
+        _assert_matches_circuit(single_qubit_problem(step * 0.05), m)
 
 
 def test_closed_form_matches_circuit_on_credit_demo():
@@ -245,17 +245,17 @@ def test_closed_form_matches_circuit_on_random_portfolios(seed):
 def test_tie_rule_picks_lower_half_mode():
     for m in (1, 3, 5):
         big_m = 1 << m
-        zero = ae.run_ae(ae.single_qubit_problem(0.0), m)
+        zero = ae.run_ae(0.0, m)
         assert (zero.y_mode, zero.a_estimate) == (0, 0.0)
-        one = ae.run_ae(ae.single_qubit_problem(1.0), m)
+        one = ae.run_ae(1.0, m)
         assert (one.y_mode, one.a_estimate) == (big_m // 2, 1.0)
         for a in (0.05, 0.37, 0.5, 0.95):
-            result = ae.run_ae(ae.single_qubit_problem(a), m)
+            result = ae.run_ae(a, m)
             assert result.y_mode <= big_m // 2
             assert result.distribution[result.y_mode] == pytest.approx(
                 result.distribution.max(), abs=1e-12)
     # grid-aligned: exact ties between y = 3 and y = M - 3 = 13
-    aligned = ae.run_ae(ae.single_qubit_problem(math.sin(3 * math.pi / 16) ** 2), 4)
+    aligned = ae.run_ae(math.sin(3 * math.pi / 16) ** 2, 4)
     assert aligned.y_mode == 3
 
 
@@ -264,6 +264,9 @@ def test_run_ae_clamps_amplitude_rounded_above_one():
     # to 1 + 4e-16, whose square root exceeds 1 and is outside asin's domain
     ops = (sv.ry(4.862, 0), sv.ry(9.724, 1), sv.x(2))
     problem = ae.EstimationProblem(ops, objective_qubit=2, n_state_qubits=2)
-    assert math.sqrt(ae.true_amplitude(problem)) > 1.0
-    result = ae.run_ae(problem, 3)
+    a = ae.true_amplitude(problem)
+    assert math.sqrt(a) > 1.0
+    result = ae.run_ae(a, 3)
     assert (result.y_mode, result.a_estimate) == (4, 1.0)
+    # and an amplitude rounded below 0 reads as 0
+    assert ae.run_ae(-1e-17, 3).distribution.tolist() == ae.run_ae(0.0, 3).distribution.tolist()

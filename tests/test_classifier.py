@@ -118,7 +118,7 @@ def test_empirical_risk_cross_entropy_rewards_margin():
 
 def test_empirical_risk_validation():
     data = clf.synthesize_separable(4, seed=0)
-    model, _ = clf.train(data, TWO_Q, OptimizerConfig(iterations=1, seed=0))
+    model, _, _ = clf.train(data, TWO_Q, OptimizerConfig(iterations=1, seed=0))
     with pytest.raises(ValueError):
         clf.empirical_risk(model, data, form="hinge")
 
@@ -234,7 +234,7 @@ def test_vqc_with_qrac_model_runs_on_transactions():
                                      dataset.vocab_sizes,
                                      qrac_features=("method",))
     assert config.n_qubits == 5
-    model, trace = clf.train(dataset, config,
+    model, trace, _ = clf.train(dataset, config,
                              OptimizerConfig(method="nelder-mead", iterations=10,
                                              seed=0))
     assert len(trace) >= 2
@@ -244,14 +244,14 @@ def test_vqc_with_qrac_model_runs_on_transactions():
 
 def test_train_improves_loss_on_seeded_data():
     data = clf.synthesize_separable(12, seed=5)
-    _, trace = clf.train(data, TWO_Q,
+    _, trace, _ = clf.train(data, TWO_Q,
                          OptimizerConfig(method="nelder-mead", iterations=80, seed=0))
     assert trace[-1] < trace[0]
 
 
 def test_train_reaches_accuracy_on_representable_labels():
     data = clf.synthesize_separable(20, seed=103, margin=0.3)
-    model, _ = clf.train(data, TWO_Q,
+    model, _, _ = clf.train(data, TWO_Q,
                          OptimizerConfig(method="nelder-mead", iterations=200, seed=3))
     assert clf.accuracy(model, data) >= 0.95
 
@@ -260,7 +260,7 @@ def test_model_save_load_roundtrip(tmp_path):
     import json
 
     data = clf.synthesize_separable(8, seed=2)
-    model, _ = clf.train(data, TWO_Q, OptimizerConfig(iterations=5, seed=1))
+    model, _, _ = clf.train(data, TWO_Q, OptimizerConfig(iterations=5, seed=1))
     path = tmp_path / "model.json"
     clf.save_model(path, model, provenance={"seed": 1})
     assert json.loads(path.read_text())["provenance"] == {"seed": 1}
@@ -407,7 +407,7 @@ def test_train_with_cached_encoding_matches_per_record_trace(method, form, resta
     dataset = clf.synthesize_transactions(16, seed=6)
     config = _transaction_config("qrac", 1, dataset)
     optimizer = OptimizerConfig(method=method, iterations=12, restarts=restarts, seed=2)
-    model, trace = clf.train(dataset, config, optimizer, form=form)
+    model, trace, _ = clf.train(dataset, config, optimizer, form=form)
     want_model, want_trace = _per_record_train(dataset, config, optimizer, form)
     assert trace == want_trace
     assert np.array_equal(model.theta, want_model.theta)
@@ -445,7 +445,7 @@ def test_synthesize_separable_matches_per_record_reference(seed, margin):
 
 def test_evaluate_matches_accuracy_and_absolute_risk():
     train_set = clf.synthesize_separable(12, seed=3)
-    model, _ = clf.train(train_set, TWO_Q, OptimizerConfig(iterations=8, seed=1))
+    model, _, _ = clf.train(train_set, TWO_Q, OptimizerConfig(iterations=8, seed=1))
     heldout = clf.synthesize_separable(30, seed=9)
     acc, risk = clf.evaluate(model, heldout)
     assert acc == clf.accuracy(model, heldout)
@@ -455,13 +455,9 @@ def test_evaluate_matches_accuracy_and_absolute_risk():
 
 
 @pytest.mark.parametrize("encoder,seed", [("qrac", 1), ("map", 2), ("qrac", 3)])
-def test_train_scored_equals_train_then_accuracy(encoder, seed):
+def test_train_accuracy_equals_accuracy_of_the_trained_model(encoder, seed):
     dataset = clf.synthesize_transactions(20, seed=seed)
     config = _transaction_config(encoder, 1, dataset)
     optimizer = OptimizerConfig(method="spsa", iterations=10, seed=seed)
-    model, trace, train_acc = clf.train_scored(dataset, config, optimizer)
-    want_model, want_trace = clf.train(dataset, config, optimizer)
-    assert trace == want_trace
-    assert np.array_equal(model.theta, want_model.theta)
-    assert model.bias == want_model.bias
-    assert train_acc == clf.accuracy(want_model, dataset)
+    model, _, train_acc = clf.train(dataset, config, optimizer)
+    assert train_acc == clf.accuracy(model, dataset)

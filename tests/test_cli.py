@@ -15,6 +15,7 @@ from qfin import classifier as clf
 from qfin import credit_risk as cr
 from qfin import optimizers
 from qfin import qubo as qb
+from qfin import simulator as sv
 from qfin import variational as vq
 from qfin.amplitude_estimation import MAX_COUNTING_QUBITS
 from qfin.cli import main
@@ -68,6 +69,39 @@ def test_risk_var_alpha_zero_returns_support_minimum(tmp_path, demo_portfolio_cs
     result = read_json(out / "result.json")
     assert result["var"] == 0
     assert result["bisection"] == []
+
+
+def _count_apply_ops(monkeypatch) -> list:
+    """Count ``simulator.apply_ops`` calls through every qfin module that binds it."""
+    calls = []
+    original = sv.apply_ops
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "qfin" or name.startswith("qfin.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha,passes", [("0.95", 1), ("0", 0)])
+def test_risk_var_applies_s_u_at_most_once(tmp_path, demo_portfolio_csv, monkeypatch,
+                                            alpha, passes):
+    calls = _count_apply_ops(monkeypatch)
+    assert main(["risk", "var", "--portfolio", demo_portfolio_csv, "--alpha", alpha,
+                 "--nz", "3", "--m", "6", "--exact-oracle",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert len(calls) == passes
+
+
+def test_ae_calibrate_applies_no_gate(tmp_path, monkeypatch):
+    calls = _count_apply_ops(monkeypatch)
+    assert main(["ae", "calibrate", "--m", "8", "--out-dir", str(tmp_path / "run")]) == 0
+    assert calls == []
 
 
 def test_risk_var_missing_file_exits_validation(tmp_path):
@@ -369,7 +403,7 @@ def test_ml_cross_validation_matches_per_record_prediction(tmp_path, seed):
     optimizer = OptimizerConfig(method="nelder-mead", iterations=6, seed=seed)
 
     def per_record_trainer(train_set):
-        model, _ = clf.train(train_set, config, optimizer)
+        model, _, _ = clf.train(train_set, config, optimizer)
 
         def predict_fn(test_set):
             return np.array([predict(model, test_set.continuous[i], test_set.categorical[i])

@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from qfin import credit_risk as cr
 from qfin import simulator as sv
-from qfin.amplitude_estimation import error_bound, true_amplitude
+from qfin.amplitude_estimation import error_bound, run_ae, true_amplitude
 from qfin.cli import main
 
 DEMO = cr.CreditPortfolio(assets=(cr.Asset(1, 0.15, 0.1), cr.Asset(2, 0.25, 0.05)),
@@ -192,34 +192,36 @@ def test_cdf_operator_amplitude_matches_classical_cdf():
 
 
 def test_cdf_estimate_saturates_above_support():
-    estimate = cr.cdf_estimate(DEMO, DEMO.total_lgd, m=4)
+    estimate = cr.cdf_estimate(cr.loss_cdf(DEMO), DEMO.total_lgd, m=4)
     assert estimate == pytest.approx(1.0, abs=error_bound(1.0, 16) + 1e-12)
 
 
 def test_cdf_estimates_within_ae_bound_of_classical():
     dist = cr.exact_loss_distribution(DEMO)
+    cdf = cr.loss_cdf(DEMO)
     for x in range(0, 4):
         classical = dist.cdf(x)
-        estimate = cr.cdf_estimate(DEMO, x, m=4)
+        estimate = cr.cdf_estimate(cdf, x, m=4)
         assert abs(estimate - classical) <= error_bound(classical, 16) + 1e-12
 
 
 def test_composed_a_ae_mass_within_bound():
     """The full C S U estimation problem also honors the 8/pi^2 mass bound."""
-    from qfin.amplitude_estimation import estimates_grid, run_ae
+    from qfin.amplitude_estimation import estimates_grid
 
     dist = cr.exact_loss_distribution(DEMO)
     grid = estimates_grid(4)
     for x in (0, 1, 2):
         a = dist.cdf(x)
-        result = run_ae(cr.estimation_problem(DEMO, x), 4)
+        result = run_ae(true_amplitude(cr.estimation_problem(DEMO, x)), 4)
         mass = float(result.distribution[np.abs(grid - a)
                                          <= error_bound(a, 16)].sum())
         assert mass >= 8 / math.pi ** 2
 
 
 def test_cdf_estimate_monotone_up_to_grid():
-    estimates = [cr.cdf_estimate(DEMO, x, m=4) for x in range(0, 4)]
+    cdf = cr.loss_cdf(DEMO)
+    estimates = [cr.cdf_estimate(cdf, x, m=4) for x in range(0, 4)]
     slack = math.pi ** 2 / 256
     assert all(b >= a - slack for a, b in zip(estimates, estimates[1:]))
 
@@ -232,6 +234,62 @@ def test_var_bisection_paper_demo():
     for probe in trace:
         amplitude = true_amplitude(cr.estimation_problem(DEMO, probe.mid))
         assert amplitude == pytest.approx(dist.cdf(probe.mid), abs=1e-9)
+
+
+def _seeded_portfolio(seed: int) -> cr.CreditPortfolio:
+    """1-4 assets with LGD 1-4 and n_z 1-3: sum registers of 1-4 qubits."""
+    rng = np.random.default_rng([seed, 23])
+    assets = tuple(cr.Asset(int(rng.integers(1, 5)), float(rng.uniform(0.02, 0.5)),
+                            float(rng.uniform(0.0, 0.5)))
+                   for _ in range(int(rng.integers(1, 5))))
+    return cr.CreditPortfolio(assets=assets, n_z=int(rng.integers(1, 4)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_loss_cdf_matches_the_comparator_path(seed):
+    """Each prefix sum of S U's marginal is the a that C S U prepares, at every threshold."""
+    portfolio = _seeded_portfolio(seed)
+    cdf = cr.loss_cdf(portfolio)
+    assert cdf.shape == (1 << portfolio.n_sum,)
+    for threshold in range(-1, portfolio.total_lgd + 2):
+        want = true_amplitude(cr.estimation_problem(portfolio, threshold))
+        got = 0.0 if threshold < 0 else cdf[min(threshold, cdf.size - 1)]
+        assert abs(got - want) <= 1e-14
+        assert cr.cdf_estimate(cdf, threshold, 5) == run_ae(want, 5).a_estimate
+
+
+def _gate_path_bisection(portfolio, alpha, m):
+    """``var_bisection`` as it was: C S U built and run for every probe."""
+    low, high = -1, portfolio.total_lgd + 1
+    trace = []
+    while high - low > 1:
+        mid = (low + high) // 2
+        est = run_ae(true_amplitude(cr.estimation_problem(portfolio, mid)), m).a_estimate
+        trace.append(cr.BisectionProbe(low=low, mid=mid, high=high, cdf=est))
+        if est >= alpha:
+            high = mid
+        else:
+            low = mid
+    return high, trace
+
+
+def test_var_bisection_equals_the_gate_path_bisection():
+    """VaR, every probe and every estimate, on 240 seeded portfolios."""
+    for seed in range(240):
+        portfolio = _seeded_portfolio(seed)
+        alpha = (0.5, 0.9, 0.95, 0.99)[seed % 4]
+        m = (3, 4, 6)[seed % 3]
+        assert cr.var_bisection(portfolio, alpha, m) == _gate_path_bisection(portfolio, alpha, m)
+
+
+def test_var_bisection_reads_one_estimate_per_probe(monkeypatch):
+    passes, estimates = [], []
+    loss_cdf, cdf_estimate = cr.loss_cdf, cr.cdf_estimate
+    monkeypatch.setattr(cr, "loss_cdf", lambda *a: passes.append(1) or loss_cdf(*a))
+    monkeypatch.setattr(cr, "cdf_estimate", lambda *a: estimates.append(1) or cdf_estimate(*a))
+    _, trace = cr.var_bisection(_seeded_portfolio(5), 0.95, 6)
+    assert len(passes) == 1
+    assert len(estimates) == len(trace) > 1
 
 
 def test_var_bisection_bernoulli():
@@ -259,12 +317,19 @@ def test_exact_loss_distribution_demo_support_and_mass():
     assert sum(dist.pmf.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_expected_loss_and_ecr():
-    expected = cr.expected_loss(DEMO)
-    # oracle recomputation from the pmf
+def test_expected_loss_and_ecr(tmp_path):
+    """``risk var``'s expected loss and ECR, recomputed from the pmf."""
+    path = tmp_path / "portfolio.csv"
+    cr.write_portfolio_csv(path, DEMO.assets)
+    out = tmp_path / "run"
+    assert main(["risk", "var", "--portfolio", str(path), "--alpha", "0.95", "--nz", "2",
+                 "--m", "4", "--out-dir", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
     dist = cr.exact_loss_distribution(DEMO)
-    assert expected == pytest.approx(sum(k * v for k, v in dist.pmf.items()))
-    assert cr.ecr(DEMO, 0.95, 4) == pytest.approx(2 - expected)
+    expected = sum(k * v for k, v in dist.pmf.items())
+    assert result["expected_loss"] == pytest.approx(expected)
+    assert result["var"] == 2
+    assert result["ecr"] == pytest.approx(2 - expected)
 
 
 def test_cvar_deterministic_loss():

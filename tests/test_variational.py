@@ -134,13 +134,13 @@ def test_random_ising_close_to_brute_force_in_restarts():
 def test_sample_solutions_vacuum():
     state = vq.prepare_state(vq.ry_ansatz(2, 0), np.zeros(2))
     top = vq.sample_solutions(state, qb.to_ising(qb.Qubo(
-        n=2, quadratic=np.zeros((2, 2)), linear=np.zeros(2))), 1)
+        n=2, quadratic=np.zeros((2, 2)), linear=np.zeros(2))).energy_table(2), 1)
     assert top == [("00", pytest.approx(1.0), 0.0)]
 
 
 def test_sample_solutions_uniform_superposition():
     state = vq.prepare_state(vq.qaoa_ansatz(2, 1, Z0), [0.0, 0.0])
-    top = vq.sample_solutions(state, Z0, 4)
+    top = vq.sample_solutions(state, Z0.energy_table(2), 4)
     assert len(top) == 4
     for _, probability, _ in top:
         assert probability == pytest.approx(0.25, abs=1e-12)
@@ -148,7 +148,7 @@ def test_sample_solutions_uniform_superposition():
 
 def test_sample_solutions_sorted_descending():
     state = vq.prepare_state(vq.ry_ansatz(3, 1), np.linspace(0.1, 1.7, 6))
-    top = vq.sample_solutions(state, Z0, 8)
+    top = vq.sample_solutions(state, Z0.energy_table(3), 8)
     probabilities = [p for _, p, _ in top]
     assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-9)
@@ -430,7 +430,7 @@ def reference_vqe(observable, ansatz, optimizer, top_k=8):
         if best is None or outcome.value < best.value:
             best = outcome
     state = Statevector(n, amplitudes(best.x))
-    return best, vq.sample_solutions(state, observable, min(top_k, state.dim))
+    return best, vq.sample_solutions(state, table, min(top_k, state.dim))
 
 
 def _benchmark_observables():

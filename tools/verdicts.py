@@ -2,17 +2,21 @@
 
     python tools/verdicts.py BASE
 
-BASE is a git revision. It is checked out with ``git worktree add`` under a
+BASE is a git revision. Its ``src`` is unpacked by ``git archive`` into a
 temporary directory and compared with the working tree. Each seed's inputs
-come from the benchmark's ``build_portfolio_vqe`` (``perfbench/workloads.py``)
-and both sides run the same three commands on them: ``opt portfolio`` by VQE
-(row ``vqe``) and by QAOA (row ``qaoa``), and ``opt diversify`` by VQE (row
-``diversify``). Each side runs ``python -m qfin.cli`` with its own ``src``.
-The benchmark's ``_check_portfolio`` and ``_check_diversify`` score every
-result: the energy gap to the brute-force optimum, normalised by the energy
-range, feasibility, and a miss (infeasible, or a gap above the benchmark's
-tolerance). The sweep is fixed: seeds 1-60 (``SEEDS``). The tool prints a
-paired per-seed table of gap and feasibility, then one summary line per row.
+come from the benchmark's ``build_portfolio_vqe`` and ``build_credit_var``
+(``perfbench/workloads.py``), and both sides run the same four commands on
+them: ``opt portfolio`` by VQE (row ``vqe``) and by QAOA (row ``qaoa``),
+``opt diversify`` by VQE (row ``diversify``) and ``risk var`` (row
+``risk var``). Each side runs ``python -m qfin.cli`` with its own ``src``.
+The benchmark's ``_check_portfolio`` and ``_check_diversify`` score the
+first three: the energy gap to the brute-force optimum, normalised by the
+energy range, feasibility, and a miss (infeasible, or a gap above the
+benchmark's tolerance). Its ``_check_risk_var`` scores ``risk var``: the gap
+|VaR - exact VaR| and a miss (a VaR off the exact one, or a probe outside
+the AE error bound). The sweep is fixed: seeds 1-60 (``SEEDS``). The tool
+prints a paired per-seed table of gap and feasibility (the miss, for
+``risk var``), then one summary line per row.
 
 Rule: a change passes when
   1. no row is worse under a one-sided sign test at p < 0.05, on misses and
@@ -23,21 +27,23 @@ Rule: a change passes when
 Misses already occur at the base, so "every seed passes" cannot be the rule.
 The exit status is 0 when the change passes and 1 when it does not.
 
-The ADMM, ``risk var`` and classifier rows are not covered yet.
+The ADMM and classifier rows are not covered yet.
 """
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ("vqe", "qaoa", "diversify")  # build_portfolio_vqe's commands, in order
+ROWS = ("vqe", "qaoa", "diversify", "risk var")  # the builders' commands, in order
 SIGNIFICANCE = 0.05
 SEEDS = range(1, 61)  # fixed, so every change is judged on the same sweep
 
@@ -89,14 +95,18 @@ def _run(src: Path, cmd) -> None:
         raise RuntimeError(f"{' '.join(argv[3:])} exited {done.returncode}: {done.stderr}")
 
 
-def _score(workloads, cmd, work: Path) -> tuple[Outcome, list[str]]:
-    if cmd.name == "opt-diversify-vqe":
-        verdict = workloads._check_diversify(cmd, str(work / "similarity.csv"))
-    else:
-        verdict = workloads._check_portfolio(cmd, str(work / "instance.txt"))
+def _score(workloads, cmd, work: Path, seed: int) -> tuple[Outcome, list[str]]:
     result = Path(cmd.out_dir, "result.json").read_bytes()
     fields = json.loads(result)
-    feasible = fields["budget_feasible"] if "budget_feasible" in fields else fields["feasible"]
+    if cmd.name == "risk-var":
+        verdict = workloads._check_risk_var(cmd, seed)
+        feasible = True  # every integer loss is an admissible VaR
+    elif cmd.name == "opt-diversify-vqe":
+        verdict = workloads._check_diversify(cmd, str(work / "similarity.csv"))
+        feasible = fields["feasible"]
+    else:
+        verdict = workloads._check_portfolio(cmd, str(work / "instance.txt"))
+        feasible = fields["budget_feasible"]
     return Outcome(verdict.gap, feasible, verdict.miss, result), verdict.problems
 
 
@@ -110,13 +120,14 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
     for seed in seeds:
         work = scratch / f"seed-{seed}"
         work.mkdir()
-        # the builder writes its inputs through qfin.qubo; it does not run the CLI
-        commands = workloads.build_portfolio_vqe(None, str(work), seed)
+        # the builders write their inputs through qfin; they do not run the CLI
+        commands = (workloads.build_portfolio_vqe(None, str(work), seed)
+                    + workloads.build_credit_var(None, str(work), seed)[:1])
         for side, src in (("base", base_src), ("new", new_src)):
             for row, cmd in zip(ROWS, commands):
                 cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
                 _run(src, cmd)
-                outcome, found = _score(workloads, cmd, work)
+                outcome, found = _score(workloads, cmd, work, seed)
                 outcomes[side][row].append(outcome)
                 if side == "new":
                     problems += [f"seed {seed} {row}: {p}" for p in found]
@@ -127,21 +138,23 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
     return outcomes, problems, unstable
 
 
-def _feasible(outcome: Outcome) -> str:
-    return "y" if outcome.feasible else "n"
+def _flag(row: str, outcome: Outcome) -> str:
+    """The third cell: feasibility, or for ``risk var`` the miss."""
+    return "y" if (outcome.miss if row == "risk var" else outcome.feasible) else "n"
 
 
 def report(seeds, outcomes, problems, unstable) -> bool:
     """Print the per-seed table and the row summaries; True when the change passes."""
     header = ["seed"] + [f"{row} {what}" for row in ROWS
-                         for what in ("gap base", "gap new", "feasible")]
+                         for what in ("gap base", "gap new",
+                                      "miss" if row == "risk var" else "feasible")]
     print("| " + " | ".join(header) + " |")
     print("|" + " --- |" * len(header))
     for i, seed in enumerate(seeds):
         cells = [str(seed)]
         for row in ROWS:
             b, n = outcomes["base"][row][i], outcomes["new"][row][i]
-            cells += [f"{b.gap:.4f}", f"{n.gap:.4f}", f"{_feasible(b)}/{_feasible(n)}"]
+            cells += [f"{b.gap:.4f}", f"{n.gap:.4f}", f"{_flag(row, b)}/{_flag(row, n)}"]
         print("| " + " | ".join(cells) + " |")
     print()
     print("| row | seeds | changed | misses base → new | misses worse/better, p "
@@ -169,15 +182,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="qfin-verdicts-") as tmp:
         checkout = Path(tmp, "base")
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(checkout), args.base], check=True)
-        try:
-            scratch = Path(tmp, "runs")
-            scratch.mkdir()
-            found = sweep(checkout / "src", ROOT / "src", SEEDS, scratch)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(checkout)], check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(checkout, filter="data")
+        scratch = Path(tmp, "runs")
+        scratch.mkdir()
+        found = sweep(checkout / "src", ROOT / "src", SEEDS, scratch)
     return 0 if report(SEEDS, *found) else 1
 
 
