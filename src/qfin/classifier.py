@@ -9,19 +9,20 @@ gradient-trained logistic regression and a linear hinge classifier.
 
 The encoded state of a record (feature map plus QRAC) does not depend on the
 separator angles, so a dataset is encoded once into the columns of one
-batched statevector, with no gate built: Hadamard layers act on the whole
-block, each feature-map term multiplies it by per-record phase factors, and
-the QRAC rotations take per-record entries. Each training objective call
-then runs only the separator, compiled once by ``compile_ansatz``, over that
-block with one parameter row for every record. ``decision`` and
-``model_state`` keep the per-record gate-list path, which the batched one
-reproduces bit for bit; the tests use it as the oracle.
+batched statevector, with no gate built. The feature map's U_phi is one
+diagonal per record, exp(i sum_S phi_S prod_S Z) from ``z_diagonal``,
+multiplied in after each Hadamard layer; each QRAC qubit is set to its Bloch
+state as a product-state factor. Each training objective call then runs
+only the separator, compiled once by ``compile_ansatz``, over that block
+with one parameter row for every record. ``decision`` and ``model_state``
+keep the per-record gate-list path, which the batched one agrees with to
+round-off; the tests use it as the oracle.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,19 +32,18 @@ from .simulator import (
     CapacityError,
     GateOp,
     Statevector,
-    _matrix_1q,
-    _rotate,
     apply_1q_inplace,
     apply_ops,
     basis_probabilities,
     h,
     new_zero_state,
+    parity_signs,
     phase_gate,
-    phase_layout,
     ry,
     rz,
+    z_diagonal,
 )
-from .variational import _parity_signs, ansatz_ops, compile_ansatz, rxry_ansatz
+from .variational import ansatz_ops, compile_ansatz, rxry_ansatz
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,7 +83,7 @@ def feature_map_ops(n_qubits: int, repetitions: int, x) -> list[GateOp]:
         for subset, phi in sorted(coeffs.items()):
             if phi == 0.0:
                 continue
-            ops.append(phase_gate(subset, phi * _parity_signs(len(subset))))
+            ops.append(phase_gate(subset, phi * parity_signs(len(subset))))
     return ops
 
 
@@ -109,6 +109,13 @@ def qrac_encode_block(bits, qubit: int = 0) -> list[GateOp]:
     """Gates preparing the pure state at the block's Bloch vector from |0>."""
     theta, phi = _qrac_angles(bits)
     return [ry(theta, qubit), rz(phi, qubit)]
+
+
+def _qrac_state(bits) -> tuple[complex, complex]:
+    """``qrac_encode_block``'s state: cos(theta/2) e^{-i phi/2}, sin(theta/2) e^{i phi/2}."""
+    theta, phi = _qrac_angles(bits)
+    return (math.cos(0.5 * theta) * np.exp(-0.5j * phi),
+            math.sin(0.5 * theta) * np.exp(0.5j * phi))
 
 
 QRAC_RECOVERY_PROBABILITY = 0.5 + 0.5 / math.sqrt(3.0)
@@ -151,8 +158,6 @@ class LabeledDataset:
 TRANSACTION_CONTINUOUS = ("time", "amount")
 TRANSACTION_CATEGORICAL = ("method", "zip", "mcc")
 TRANSACTION_VOCABS = (3, 10, 10)
-_ZIP_CODES = tuple(range(10))
-_MCC_CODES = tuple(range(10))
 MAX_RECORDS = 1_000_000  # most records either synthesizer (``ml synth --n``) writes
 SEPARABLE_FEATURES = 2  # features, one qubit each, of ``synthesize_separable``'s points
 
@@ -261,6 +266,10 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
     representable: low-margin points are resampled and the scaler refit until
     every record clears the margin under the final scaling. The reference
     decision values lie in [-1, 1], so the margin must lie in [0, 1).
+
+    The reference model is drawn from ``seed``, so a held-out set must come
+    from the same draw (a split of it): a set synthesised with another seed
+    is labelled by another model.
     """
     _check_record_count(n_records)
     if not 0.0 <= margin < 1.0:
@@ -334,13 +343,8 @@ def build_vqc_with_qrac(continuous_names, categorical_names, vocab_sizes,
     unknown = set(qrac_features) - set(categorical_names)
     if unknown:
         raise ValueError(f"unknown QRAC features {sorted(unknown)}")
-    bits = sum(v for name, v in zip(categorical_names, vocab_sizes)
-               if name in qrac_features)
-    n_qrac = (bits + 2) // 3 if bits else 0
-    n_map = len(continuous_names) + sum(1 for name in categorical_names
-                                        if name not in qrac_features)
-    return ModelConfig(
-        n_qubits=n_qrac + n_map + latent_qubits,
+    config = ModelConfig(
+        n_qubits=0,
         separator_layers=separator_layers,
         qrac_features=qrac_features,
         latent_qubits=latent_qubits,
@@ -348,15 +352,13 @@ def build_vqc_with_qrac(continuous_names, categorical_names, vocab_sizes,
         categorical_names=categorical_names,
         vocab_sizes=vocab_sizes,
     )
+    n_map = len(continuous_names) + sum(1 for name in categorical_names
+                                        if name not in qrac_features)
+    return replace(config, n_qubits=config.n_qrac_qubits + n_map + latent_qubits)
 
 
 def separator_parameter_count(config: ModelConfig) -> int:
     return rxry_ansatz(config.n_qubits, config.separator_layers).parameter_count
-
-
-def parity_readout(n_qubits: int) -> np.ndarray:
-    """+1 on even-parity basis states, -1 on odd."""
-    return _parity_signs(n_qubits)
 
 
 @dataclass(frozen=True)
@@ -440,53 +442,39 @@ def model_state(model: VqcModel, continuous, categorical=()) -> Statevector:
 def decision(model: VqcModel, continuous, categorical=()) -> float:
     """f(x): expectation of the +/-1 parity readout after the separator, plus bias."""
     probs = basis_probabilities(model_state(model, continuous, categorical))
-    return float(probs @ parity_readout(model.config.n_qubits)) + model.bias
-
-
-def _rotate_records(block: np.ndarray, q: int, kind: str, angles) -> None:
-    """Rotate qubit ``q`` of column b of ``block`` by ``_matrix_1q(kind, angles[b])``."""
-    matrix = np.array([_matrix_1q(kind, angle) for angle in angles]).reshape(-1, 4).T
-    view = block.reshape((block.shape[0] >> (q + 1), 2, 1 << q, block.shape[1]), copy=False)
-    _rotate(view[:, 0], view[:, 1], matrix)
+    return float(probs @ parity_signs(model.config.n_qubits)) + model.bias
 
 
 def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.ndarray:
     """Encoded states of the records as the columns of one ``(2^n, records)`` block.
 
-    Column i holds what ``apply_ops`` makes of ``_encoding_ops`` for record i,
-    bit for bit up to the sign of zero, with no gate built: the Hadamard
-    layers go through the scalar kernel, each feature-map term is one
-    multiply by per-column factors exp(1j * phases) laid out through
-    ``phase_layout`` (exactly 1 + 0j for a record whose phase is 0, whose
-    gate ``feature_map_ops`` leaves out), and the QRAC rotations take
-    per-column entries.
+    Column i holds the state ``apply_ops`` makes of ``_encoding_ops`` for
+    record i, to round-off, with no gate built. The feature-map register
+    takes the Hadamard layers through the scalar kernel, each followed by
+    one multiply by U_phi, the record's diagonal exp(i sum_S phi_S prod_S Z)
+    from ``z_diagonal``. Each QRAC qubit then joins as a product-state
+    factor in its Bloch state, and the latent qubits stay at |0>.
     """
     if config.n_qubits > MAX_QUBITS:
         raise CapacityError(f"classifier needs {config.n_qubits} qubits, ceiling {MAX_QUBITS}")
     values, bits = _map_block(config, continuous, categorical)
     mapped = scale_features(values, *scaler)
-    dim, records = 1 << config.n_qubits, len(mapped)
-    block = np.zeros((dim, records), dtype=np.complex128)
+    records = len(mapped)
+    block = np.zeros((1 << config.n_map_qubits, records), dtype=np.complex128)
     block[0] = 1.0
     if config.n_map_qubits:
-        phases = []
-        for subset, phis in sorted(default_coefficients(mapped.T).items()):
-            shape, select, factor_shape, order = phase_layout(dim, subset)
-            factors = np.exp(1j * np.multiply.outer(_parity_signs(len(subset)), phis))[order]
-            factors[:, phis == 0.0] = 1.0
-            phases.append((block.reshape(shape + (records,), copy=False)[select],
-                           factors.reshape(factor_shape + (records,))))
+        u_phi = np.exp(1j * z_diagonal(config.n_map_qubits,
+                                       sorted(default_coefficients(mapped.T).items())))
         for _ in range(config.repetitions):
             for q in range(config.n_map_qubits):
                 apply_1q_inplace(block, q, "h")
-            for rows, factors in phases:
-                rows *= factors
+            block *= u_phi
+    # the state of each of the eight code words, indexed by b1 + 2 b2 + 4 b3
+    words = np.array([_qrac_state((w & 1, w >> 1 & 1, w >> 2)) for w in range(8)])
     for k in range(0, bits.shape[1], 3):
-        blocks = [tuple(row) for row in bits[:, k:k + 3].tolist()]
-        angles = {bloch: _qrac_angles(bloch) for bloch in set(blocks)}
-        _rotate_records(block, config.n_map_qubits + k // 3, "ry", [angles[b][0] for b in blocks])
-        _rotate_records(block, config.n_map_qubits + k // 3, "rz", [angles[b][1] for b in blocks])
-    return block
+        qubit = words[bits[:, k:k + 3] @ (1, 2, 4)].T
+        block = (qubit[:, None] * block).reshape(-1, records)  # the new qubit on top
+    return np.pad(block, ((0, (1 << config.n_qubits) - len(block)), (0, 0)))
 
 
 def _separator(config: ModelConfig):
@@ -499,14 +487,11 @@ def _separated_decisions(model: VqcModel, block: np.ndarray, separate) -> np.nda
 
     ``separate`` is ``_separator(model.config)``, whose compiled layers
     rotate every column with ``model.theta``'s entries as ``decision``'s
-    gates do. Each record's probabilities are reduced by the same
-    contiguous 1-D dot that ``decision`` uses, so the values agree with it
-    bit for bit (one matrix-vector product would sum in another order).
+    gates do. The parity readout of all records is one ``signs @ probs``
+    product.
     """
     state = separate(model.theta, start=block)
-    probs = np.abs(np.ascontiguousarray(state.T)) ** 2
-    table = parity_readout(model.config.n_qubits)
-    return np.array([float(row @ table) + model.bias for row in probs])
+    return parity_signs(model.config.n_qubits) @ np.abs(state) ** 2 + model.bias
 
 
 def _record_decisions(model: VqcModel, continuous, categorical) -> np.ndarray:
@@ -569,7 +554,7 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     are encoded once and each objective call applies only the separator.
     Returns the trained model, the loss trace and the training accuracy. The
     accuracy is read off the block training encoded, and equals
-    ``accuracy(model, dataset)`` bit for bit.
+    ``accuracy(model, dataset)``.
     """
     if form not in RISK_FORMS:
         raise ValueError(f"risk form must be one of {RISK_FORMS}")

@@ -309,17 +309,10 @@ def _load_any_dataset(path: str) -> clf.LabeledDataset:
 
 def cmd_ml_train(args, argv) -> int:
     dataset = _load_any_dataset(args.data)
-    if args.encoder == "qrac":
-        config = clf.build_vqc_with_qrac(
-            dataset.continuous_names, dataset.categorical_names,
-            dataset.vocab_sizes, qrac_features=("method",) if "method" in dataset.categorical_names else (),
-            separator_layers=args.layers)
-    else:
-        n_qubits = dataset.continuous.shape[1] + dataset.categorical.shape[1]
-        config = clf.ModelConfig(n_qubits=n_qubits, separator_layers=args.layers,
-                                 continuous_names=dataset.continuous_names,
-                                 categorical_names=dataset.categorical_names,
-                                 vocab_sizes=dataset.vocab_sizes)
+    qrac = ("method",) if args.encoder == "qrac" and "method" in dataset.categorical_names else ()
+    config = clf.build_vqc_with_qrac(dataset.continuous_names, dataset.categorical_names,
+                                     dataset.vocab_sizes, qrac_features=qrac,
+                                     separator_layers=args.layers)
     optimizer = _optimizer_from_args(args)
     model, trace, train_accuracy = clf.train(dataset, config, optimizer, form=args.risk)
     result = {

@@ -182,7 +182,7 @@ def phase_layout(dim: int, targets, controls=()):
     broadcasts the table over that selection (2 on the target axes, 1 on the
     blocks), and the order that takes the table from sub-basis order (bit
     j <-> targets[j]) to the split view's axis order. The ``phase`` kind and
-    the classifier's batched feature map both lay their tables out here.
+    ``z_diagonal`` both lay their tables out here.
     """
     targets, controls = tuple(targets), tuple(controls)
     shape, select, axes = _split(dim, targets, controls)
@@ -195,6 +195,39 @@ def phase_layout(dim: int, targets, controls=()):
         by_axis = sorted(range(k), key=axes.__getitem__)
         order = order.reshape((2,) * k).transpose([k - 1 - j for j in by_axis]).ravel()
     return shape, tuple(select), tuple(factor_shape), order
+
+
+def parity_signs(width: int) -> np.ndarray:
+    """Z^width eigenvalue (-1)^popcount(s) of each sub-basis index s."""
+    sub = np.arange(1 << width)
+    signs = np.ones(1 << width)
+    for bit in range(width):
+        signs *= 1.0 - 2.0 * ((sub >> bit) & 1)
+    return signs
+
+
+def z_diagonal(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
+    """``offset + sum_S c_S prod_{q in S} Z_q`` over all 2^n basis states.
+
+    ``terms`` is a sequence of ``(support, c_S)`` with no qubit repeated in a
+    support. Each term is added in order through ``phase_layout``'s view of
+    its support, as its 2^|S| signed coefficients broadcast over the blocks,
+    so no 2^n index or sign vector is built. Every sign is exactly +-1, so
+    each entry is the same sum, in the same order, as adding ``c_S`` times
+    a term's sign vector. A ``c_S`` may also be a row of values, one per
+    column: all coefficients are then rows of one length B, and the result
+    is a ``(2^n, B)`` block with one diagonal per column.
+    """
+    dim = 1 << n_qubits
+    coeffs = [np.asarray(c, dtype=float) for _, c in terms]
+    columns = coeffs[0].shape if coeffs else ()
+    out = np.full((dim,) + columns, offset, dtype=float)
+    for (support, _), coeff in zip(terms, coeffs):
+        shape, _, factor_shape, order = phase_layout(dim, support)
+        rows = out.reshape(shape + columns, copy=False)
+        rows += np.multiply.outer(parity_signs(len(support))[order], coeff).reshape(
+            factor_shape + columns)
+    return out
 
 
 def _rotate(a0: np.ndarray, a1: np.ndarray, matrix: tuple) -> None:
@@ -317,12 +350,5 @@ class IsingObservable:
             raise ValueError("observable support out of range")
         if n_qubits > MAX_QUBITS:
             raise CapacityError(f"energy table of {n_qubits} qubits, ceiling {MAX_QUBITS}")
-        idx = np.arange(1 << n_qubits)
-        out = np.full(idx.shape, self.offset, dtype=float)
-        for support, coeff in self.terms:
-            sign = np.ones(idx.shape)
-            for q in support:
-                sign *= 1.0 - 2.0 * ((idx >> q) & 1)
-            out += coeff * sign
-        return out
+        return z_diagonal(n_qubits, self.terms, self.offset)
 

@@ -24,9 +24,11 @@ from .simulator import (
     cnot,
     h,
     new_zero_state,
+    parity_signs,
     phase_gate,
     rx,
     ry,
+    z_diagonal,
 )
 
 ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
@@ -106,18 +108,9 @@ def _ladder_permutation(n: int) -> np.ndarray:
     return perm
 
 
-def _parity_signs(width: int) -> np.ndarray:
-    """Z^width eigenvalue (-1)^popcount(s) of each sub-basis index s."""
-    sub = np.arange(1 << width)
-    signs = np.ones(1 << width)
-    for bit in range(width):
-        signs *= 1.0 - 2.0 * ((sub >> bit) & 1)
-    return signs
-
-
 def cost_phase_ops(cost: IsingObservable, gamma: float) -> list[GateOp]:
     """exp(-i gamma H) for a diagonal H, term by term; the offset is global phase."""
-    return [phase_gate(support, -gamma * coeff * _parity_signs(len(support)))
+    return [phase_gate(support, -gamma * coeff * parity_signs(len(support)))
             for support, coeff in cost.terms]
 
 
@@ -174,15 +167,12 @@ def _fill_entries(entries: np.ndarray, angles: np.ndarray, u10, u01) -> None:
     ``entries[r, j, i, 0, b]`` becomes entry m_ij of rotation r by angle
     ``angles[b, r]``: m00 = m11 = cos(angle/2), m10 = sin(angle/2) * u10[r]
     and m01 = sin(angle/2) * u01[r], with u = (1, -1) for RY and (-1j, -1j)
-    for RX. The cosines and sines come from ``math.cos``/``math.sin`` of the
-    same halved angle ``_matrix_1q`` takes (``np.cos`` may differ in the last
-    bit), and the products by u are exact, so every entry equals the gate
-    path's.
+    for RX. The cosines and sines are ``np.cos``/``np.sin`` of the same
+    halved angle ``_matrix_1q`` takes, and the products by u are exact; the
+    tests check the entries against the gate path's bit for bit.
     """
-    halves = [0.5 * angle for row in angles.T.tolist() for angle in row]
-    shape = (len(entries), entries.shape[-1])
-    c = np.array([math.cos(half) for half in halves]).reshape(shape)
-    s = np.array([math.sin(half) for half in halves]).reshape(shape)
+    halves = 0.5 * angles.T
+    c, s = np.cos(halves), np.sin(halves)
     entries[:, 0, 0, 0] = c
     entries[:, 1, 1, 0] = c
     np.multiply(s, u10, out=entries[:, 0, 1, 0])
@@ -340,7 +330,7 @@ def _compile_qaoa(ansatz: Ansatz):
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
     start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-    energies = IsingObservable(ansatz.cost.terms).energy_table(n)
+    energies = z_diagonal(n, ansatz.cost.terms)
     u = np.full((p, 1), -1j)
 
     def build(width):

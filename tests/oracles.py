@@ -5,7 +5,8 @@ scale for QUBO tests, an unconstrained ADMM problem, an ADMM result's
 per-iteration histories, a classifier's one-record prediction, the
 feature-map state of one record and a state's expectation of a diagonal
 observable. ``solve_auction_loop`` is the per-subset
-loop that ``admm.solve_auction_exact`` replaced with subset-sum tables.
+loop that ``admm.solve_auction_exact`` replaced with subset-sum tables, and
+``z_sign_loop`` the sign loop that ``simulator.z_diagonal`` replaced.
 """
 
 import numpy as np
@@ -79,3 +80,15 @@ def expectation(state: sv.Statevector, observable: sv.IsingObservable) -> float:
     """Exact probability-weighted energy; no shot noise."""
     table = observable.energy_table(state.n_qubits)
     return float(sv.basis_probabilities(state) @ table)
+
+
+def z_sign_loop(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
+    """offset + sum_S c_S prod_S Z, each term's sign vector built from all 2^n indices."""
+    idx = np.arange(1 << n_qubits)
+    out = np.full(idx.shape, offset, dtype=float)
+    for support, coeff in terms:
+        sign = np.ones(idx.shape)
+        for q in support:
+            sign *= 1.0 - 2.0 * ((idx >> q) & 1)
+        out += coeff * sign
+    return out

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL lines.
 """
 
+import json
 import math
 import time
 
@@ -22,7 +23,7 @@ from qfin.amplitude_estimation import (
 )
 from qfin.cli import main as cli_main
 from qfin.optimizers import OptimizerConfig
-from oracles import energy_spread, merit_history, residual_history
+from oracles import energy_spread, merit_history, predict, residual_history
 from qpe_oracle import inverse_qft_ops
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
@@ -299,6 +300,47 @@ def test_criterion_09_qpe_failure_formula():
     report(9, f"QPE failure: monotone in p for s,p<=6={monotone}, matches exact "
               f"simulation at s=2, p in {{1,2}} within 1e-6={sim_ok}",
            monotone and sim_ok)
+
+
+# Fixed before the sweep that chose the margin (CHANGES.md): over seeds 1-60
+# of the same commands, the VQC's mean test accuracy ties the better of the
+# majority rate and the logistic baseline on 8 seeds, beats it by less than
+# 0.05 on 7, and by 0.05 or more on 44; seed 43 draws no set at margin 0.3.
+# Seeds 1-3 beat it by 0.090, 0.320 and 0.415.
+SEPARABLE_SEEDS = (1, 2, 3)
+SEPARABLE_EDGE = 0.05
+
+
+def test_criterion_11_vqc_learns_separable_data(tmp_path):
+    # ml synth --mode separable labels points by a reference VQC with a
+    # margin, so the VQC can learn them and the linear baseline cannot fully;
+    # the saved model, read record by record through the gate path, must
+    # score the training set as ml train reports
+    names = tuple(f"x{i}" for i in range(clf.SEPARABLE_FEATURES))
+    ok, lines = True, []
+    for seed in SEPARABLE_SEEDS:
+        data, out = tmp_path / f"data-{seed}", tmp_path / f"train-{seed}"
+        assert cli_main(["ml", "synth", "--mode", "separable", "--n", "200",
+                         "--seed", str(seed), "--out-dir", str(data)]) == 0
+        assert cli_main(["ml", "train", "--data", str(data / "dataset.csv"),
+                         "--encoder", "map", "--optimizer", "nelder-mead",
+                         "--iterations", "300", "--cross-validate", "--folds", "4",
+                         "--seed", str(seed), "--out-dir", str(out)]) == 0
+        dataset = clf.ingest_csv(data / "dataset.csv", continuous_names=names,
+                                 categorical_names=(), vocab_sizes=())
+        result = json.loads((out / "result.json").read_text())
+        test = result["cross_validation"]["test_mean"]
+        majority = max(np.mean(dataset.labels == 1), np.mean(dataset.labels == -1))
+        logistic = result["baselines"]["logistic-regression"]["test_mean"]
+        model = clf.load_model(out / "model.json")
+        gate = np.mean([predict(model, x) == label
+                        for x, label in zip(dataset.continuous, dataset.labels)])
+        ok = (ok and test > max(majority, logistic) + SEPARABLE_EDGE
+              and abs(gate - result["train_accuracy"]) <= 1 / len(dataset))
+        lines.append(f"seed {seed} test {test:.3f} majority {majority:.3f} "
+                     f"logistic {logistic:.3f} gate-path train {gate:.3f}")
+    report(11, f"VQC beats majority and logistic by {SEPARABLE_EDGE} on separable "
+               f"data, and the gate path agrees ({'; '.join(lines)})", ok)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfin import simulator as sv
-from oracles import expectation
+from oracles import expectation, z_sign_loop
 from qpe_oracle import controlled_ops, inverse_qft
 
 
@@ -516,6 +516,50 @@ def test_phase_layout_orders_a_table_by_view_axis():
     shape, select, factor_shape, order = sv.phase_layout(16, (1,), controls=(3,))
     assert shape == (2, 2, 2, 2) and select[0] == 1 and factor_shape == (1, 2, 1)
     assert order.tolist() == [0, 1]
+
+
+def _z_terms(n, rng):
+    """Width-0 to width-3 supports over n qubits, most of them unsorted."""
+    terms = [((), float(rng.normal()))]
+    for _ in range(3 * n):
+        width = int(rng.integers(1, min(n, 3) + 1))
+        terms.append((tuple(int(q) for q in rng.permutation(n)[:width]), float(rng.normal())))
+    return terms
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 11])
+def test_z_diagonal_equals_the_sign_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n + 200)
+    terms = _z_terms(n, rng)
+    offset = float(rng.normal())
+    assert sv.z_diagonal(n, terms, offset).tobytes() == z_sign_loop(n, terms, offset).tobytes()
+    assert sv.z_diagonal(n, terms).tobytes() == z_sign_loop(n, terms).tobytes()
+    observable = sv.IsingObservable(terms=tuple(terms), offset=offset)
+    assert observable.energy_table(n).tobytes() == z_sign_loop(n, terms, offset).tobytes()
+
+
+def test_z_diagonal_of_no_terms_is_the_offset():
+    assert sv.z_diagonal(3, []).tolist() == [0.0] * 8
+    assert sv.z_diagonal(2, [], 1.5).tolist() == [1.5] * 4
+    assert sv.IsingObservable(terms=()).energy_table(2).tolist() == [0.0] * 4
+
+
+def test_z_diagonal_takes_one_column_per_coefficient_value():
+    rng = np.random.default_rng(7)
+    n, columns = 5, 4
+    supports = [support for support, _ in _z_terms(n, rng)]
+    rows = rng.normal(size=(len(supports), columns))
+    block = sv.z_diagonal(n, list(zip(supports, rows)), 0.25)
+    assert block.shape == (1 << n, columns)
+    for b in range(columns):
+        want = z_sign_loop(n, list(zip(supports, rows[:, b])), 0.25)
+        assert block[:, b].tobytes() == want.tobytes(), b
+
+
+def test_parity_signs_are_the_z_product_of_every_qubit():
+    for width in range(5):
+        assert sv.parity_signs(width).tobytes() == \
+            z_sign_loop(width, [(tuple(range(width)), 1.0)]).tobytes()
 
 
 @pytest.mark.parametrize("n,depth", [(3, 2), (6, 3)])

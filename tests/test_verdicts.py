@@ -79,3 +79,31 @@ def test_the_fixed_sweep_can_see_a_unanimous_regression():
 def test_unpaired_tables_are_refused():
     with pytest.raises(ValueError):
         verdicts.compare(outcomes([0.1, 0.2]), outcomes([0.1]))
+
+
+def test_energy_gaps_below_the_optimum_tie_with_it():
+    for row in verdicts.ENERGY_ROWS:
+        assert verdicts.row_gap(row, -1e-17, True) == 0.0
+        assert verdicts.row_gap(row, 0.03, False) == 0.03
+    # round-off below an optimum on the base side is no regression of the new side
+    base = outcomes([verdicts.row_gap("vqe", -1e-17, True)] * 6)
+    new = outcomes([verdicts.row_gap("vqe", 0.0, True)] * 6)
+    got = verdicts.compare(base, new)
+    assert got["gap"] == (0, 0, 1.0) and got["passes"]
+
+
+def test_an_infeasible_allocation_scores_the_worst_gap():
+    assert verdicts.row_gap("admm", -0.8, False) == 1.0
+    assert verdicts.row_gap("admm", 0.05, True) == 0.05
+    # over-selling reads as a negative profit gap; it must count as worse
+    base = outcomes([verdicts.row_gap("admm", 0.1, True)] * 5)
+    new = outcomes([verdicts.row_gap("admm", -0.5, False)] * 5, misses=[True] * 5)
+    got = verdicts.compare(base, new)
+    assert got["gap"] == (5, 0, 1 / 32) and got["miss"] == (5, 0, 1 / 32)
+    assert not got["passes"]
+
+
+def test_risk_var_and_vqc_gaps_are_scored_as_checked():
+    assert verdicts.row_gap("risk var", 2.0, True) == 2.0
+    assert verdicts.row_gap("vqc", 0.225, True) == 0.225
+    assert set(verdicts.ROWS) == {"vqe", "qaoa", "diversify", "risk var", "admm", "vqc"}

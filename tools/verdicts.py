@@ -3,20 +3,40 @@
     python tools/verdicts.py BASE
 
 BASE is a git revision. Its ``src`` is unpacked by ``git archive`` into a
-temporary directory and compared with the working tree. Each seed's inputs
-come from the benchmark's ``build_portfolio_vqe`` and ``build_credit_var``
-(``perfbench/workloads.py``), and both sides run the same four commands on
-them: ``opt portfolio`` by VQE (row ``vqe``) and by QAOA (row ``qaoa``),
-``opt diversify`` by VQE (row ``diversify``) and ``risk var`` (row
-``risk var``). Each side runs ``python -m qfin.cli`` with its own ``src``.
-The benchmark's ``_check_portfolio`` and ``_check_diversify`` score the
-first three: the energy gap to the brute-force optimum, normalised by the
-energy range, feasibility, and a miss (infeasible, or a gap above the
-benchmark's tolerance). Its ``_check_risk_var`` scores ``risk var``: the gap
-|VaR - exact VaR| and a miss (a VaR off the exact one, or a probe outside
-the AE error bound). The sweep is fixed: seeds 1-60 (``SEEDS``). The tool
-prints a paired per-seed table of gap and feasibility (the miss, for
-``risk var``), then one summary line per row.
+temporary directory and compared with the working tree. Each side runs
+``python -m qfin.cli`` with its own ``src`` on the same inputs, one row per
+command:
+
+- ``vqe``, ``qaoa``, ``diversify``: ``opt portfolio`` by VQE and by QAOA and
+  ``opt diversify`` by VQE, on the inputs of the benchmark's
+  ``build_portfolio_vqe`` (``perfbench/workloads.py``). Its
+  ``_check_portfolio`` and ``_check_diversify`` score them: the energy gap to
+  the brute-force optimum, normalised by the energy range and floored at 0
+  (the two energies are sums in different orders, so an optimum may read
+  -1e-17), feasibility, and a miss (infeasible, or a gap above the
+  benchmark's tolerance).
+- ``risk var``: on ``build_credit_var``'s portfolio, scored by
+  ``_check_risk_var``: the gap |VaR - exact VaR| and a miss (a VaR off the
+  exact one, or a probe outside the AE error bound).
+- ``admm``: ``opt auction --solver admm`` on ``build_auction_admm``'s
+  instance, scored by ``check_auction_admm``: the profit gap to
+  ``solve_auction_exact``, feasibility, and a miss (a capacity violation
+  above 0). An infeasible allocation scores gap 1.0: the check's own gap is
+  negative when an allocation over-sells, and the sign test would read that
+  as better. The table also shows each side's ADMM iterations.
+- ``vqc``: ``ml synth --mode separable --n 200`` is run once per seed with
+  the working tree, and both sides run ``ml train --encoder map --optimizer
+  nelder-mead --iterations 300 --cross-validate --folds 4`` on that one
+  file. The gap is 1 - the VQC's mean test accuracy; a miss is a mean test
+  accuracy at or below the larger of the majority rate and the logistic
+  baseline's. A seed whose synth exits 3 (no draw clears the margin) is
+  printed and left out on both sides. Balanced accuracy and the fraction
+  predicted +1 would need per-fold predictions, which the command does not
+  record, so the row has neither.
+
+The sweep is fixed: seeds 1-60 (``SEEDS``). The tool prints a paired
+per-seed table of gap and feasibility (the miss, for ``risk var`` and
+``vqc``), then one summary line per row.
 
 Rule: a change passes when
   1. no row is worse under a one-sided sign test at p < 0.05, on misses and
@@ -26,8 +46,6 @@ Rule: a change passes when
   3. rerunning each command at the working tree gives the same bytes.
 Misses already occur at the base, so "every seed passes" cannot be the rule.
 The exit status is 0 when the change passes and 1 when it does not.
-
-The ADMM and classifier rows are not covered yet.
 """
 
 import argparse
@@ -43,9 +61,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ("vqe", "qaoa", "diversify", "risk var")  # the builders' commands, in order
+ROWS = ("vqe", "qaoa", "diversify", "risk var", "admm", "vqc")
+ENERGY_ROWS = ("vqe", "qaoa", "diversify")  # normalised energy gaps
+MISS_ROWS = ("risk var", "vqc")  # rows whose third cell is the miss, not feasibility
 SIGNIFICANCE = 0.05
 SEEDS = range(1, 61)  # fixed, so every change is judged on the same sweep
+EXIT_VALIDATION = 3  # the CLI's exit status for input it refuses
+SEPARABLE_RECORDS = 200
+VQC_TRAIN = ("--encoder", "map", "--optimizer", "nelder-mead", "--iterations", "300",
+             "--cross-validate", "--folds", "4")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,12 +80,27 @@ class Outcome:
     feasible: bool
     miss: bool
     result: bytes = b""  # result.json as written
+    iterations: int = 0  # ADMM iterations; 0 for the other rows
 
 
 def sign_test(worse: int, better: int) -> float:
     """One-sided sign-test p-value that ``worse`` of the untied pairs are worse by chance."""
     n = worse + better
     return sum(math.comb(n, k) for k in range(worse, n + 1)) / 2 ** n
+
+
+def row_gap(row: str, gap: float, feasible: bool) -> float:
+    """The gap the sign test compares for ``row``, from its oracle check's gap.
+
+    Energy gaps are floored at 0, so round-off below an optimum ties with
+    it; an infeasible ADMM allocation scores 1.0, the worst a feasible one
+    can score, since the check's gap is negative when it over-sells.
+    """
+    if row in ENERGY_ROWS:
+        return max(0.0, gap)
+    if row == "admm" and not feasible:
+        return 1.0
+    return gap
 
 
 def compare(base: list[Outcome], new: list[Outcome]) -> dict:
@@ -87,48 +126,83 @@ def _outputs(out_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
-def _run(src: Path, cmd) -> None:
+def _run(src: Path, cmd) -> int:
+    """Run ``cmd`` with ``src``; exit 3 is returned, any other failure raises."""
     argv = [sys.executable, "-m", "qfin.cli", *cmd.argv, "--out-dir", cmd.out_dir]
     done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
-    if done.returncode:
+    if done.returncode not in (0, EXIT_VALIDATION):
         raise RuntimeError(f"{' '.join(argv[3:])} exited {done.returncode}: {done.stderr}")
+    if done.returncode:
+        print(f"{' '.join(argv[3:])} exited {done.returncode}: {done.stderr.strip()}")
+    return done.returncode
 
 
-def _score(workloads, cmd, work: Path, seed: int) -> tuple[Outcome, list[str]]:
+def _vqc_commands(workloads, src: Path, work: Path, seed: int):
+    """The ``vqc`` row's train command, or ``[]`` when the seed's synth exits 3."""
+    synth = workloads.Command("ml-synth-separable", (
+        "ml", "synth", "--mode", "separable", "--n", str(SEPARABLE_RECORDS),
+        "--seed", str(seed)), str(work / "separable"))
+    if _run(src, synth) == EXIT_VALIDATION:
+        return []
+    data = str(work / "separable" / "dataset.csv")
+    return [workloads.Command("ml-train-cv", (
+        "ml", "train", "--data", data, *VQC_TRAIN, "--seed", str(seed)), "")]
+
+
+def _score(workloads, row, cmd, work: Path, seed: int) -> tuple[Outcome, list[str]]:
     result = Path(cmd.out_dir, "result.json").read_bytes()
     fields = json.loads(result)
-    if cmd.name == "risk-var":
+    iterations = 0
+    if row == "vqc":
+        labels = workloads._labels(str(work / "separable" / "dataset.csv"))
+        majority = max(labels.count(1), labels.count(-1)) / len(labels)
+        test = fields["cross_validation"]["test_mean"]
+        logistic = fields["baselines"]["logistic-regression"]["test_mean"]
+        verdict = workloads.Verdict(cmd.name, gap=1.0 - test,
+                                    miss=test <= max(majority, logistic))
+        feasible = True
+    elif row == "admm":
+        verdict = workloads.check_auction_admm(str(work), seed, [cmd])[0]
+        feasible, iterations = not verdict.miss, fields["iterations"]
+    elif row == "risk var":
         verdict = workloads._check_risk_var(cmd, seed)
         feasible = True  # every integer loss is an admissible VaR
-    elif cmd.name == "opt-diversify-vqe":
+    elif row == "diversify":
         verdict = workloads._check_diversify(cmd, str(work / "similarity.csv"))
         feasible = fields["feasible"]
     else:
         verdict = workloads._check_portfolio(cmd, str(work / "instance.txt"))
         feasible = fields["budget_feasible"]
-    return Outcome(verdict.gap, feasible, verdict.miss, result), verdict.problems
+    gap = row_gap(row, verdict.gap, feasible)
+    return Outcome(gap, feasible, verdict.miss, result, iterations), verdict.problems
 
 
 def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
-    """Both sides' outcomes per row, the new side's problems, and its rerun faults."""
+    """Both sides' outcomes per row and seed, the new side's problems, and its rerun faults.
+
+    ``outcomes[side][row]`` maps each seed the row scored to its outcome.
+    """
     sys.path[:0] = [str(new_src), str(ROOT / "perfbench")]
     import workloads
 
-    outcomes = {side: {row: [] for row in ROWS} for side in ("base", "new")}
+    outcomes = {side: {row: {} for row in ROWS} for side in ("base", "new")}
     problems, unstable = [], []
     for seed in seeds:
         work = scratch / f"seed-{seed}"
         work.mkdir()
         # the builders write their inputs through qfin; they do not run the CLI
         commands = (workloads.build_portfolio_vqe(None, str(work), seed)
-                    + workloads.build_credit_var(None, str(work), seed)[:1])
+                    + workloads.build_credit_var(None, str(work), seed)[:1]
+                    + workloads.build_auction_admm(None, str(work), seed)
+                    + _vqc_commands(workloads, new_src, work, seed))
         for side, src in (("base", base_src), ("new", new_src)):
             for row, cmd in zip(ROWS, commands):
                 cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
-                _run(src, cmd)
-                outcome, found = _score(workloads, cmd, work, seed)
-                outcomes[side][row].append(outcome)
+                if _run(src, cmd):
+                    raise RuntimeError(f"seed {seed} {row} on the {side} side was refused")
+                outcome, found = _score(workloads, row, cmd, work, seed)
+                outcomes[side][row][seed] = outcome
                 if side == "new":
                     problems += [f"seed {seed} {row}: {p}" for p in found]
                     first = _outputs(Path(cmd.out_dir))
@@ -138,23 +212,30 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
     return outcomes, problems, unstable
 
 
-def _flag(row: str, outcome: Outcome) -> str:
-    """The third cell: feasibility, or for ``risk var`` the miss."""
-    return "y" if (outcome.miss if row == "risk var" else outcome.feasible) else "n"
+def _cells(row: str, b: Outcome, n: Outcome) -> list[str]:
+    def flag(outcome):
+        return "y" if (outcome.miss if row in MISS_ROWS else outcome.feasible) else "n"
+
+    cells = [f"{b.gap:.4f}", f"{n.gap:.4f}", f"{flag(b)}/{flag(n)}"]
+    return cells + [f"{b.iterations}/{n.iterations}"] if row == "admm" else cells
 
 
 def report(seeds, outcomes, problems, unstable) -> bool:
     """Print the per-seed table and the row summaries; True when the change passes."""
-    header = ["seed"] + [f"{row} {what}" for row in ROWS
-                         for what in ("gap base", "gap new",
-                                      "miss" if row == "risk var" else "feasible")]
+    header = ["seed"]
+    for row in ROWS:
+        header += [f"{row} gap base", f"{row} gap new",
+                   f"{row} {'miss' if row in MISS_ROWS else 'feasible'}"]
+        header += ["admm iterations"] if row == "admm" else []
     print("| " + " | ".join(header) + " |")
     print("|" + " --- |" * len(header))
-    for i, seed in enumerate(seeds):
+    for seed in seeds:
         cells = [str(seed)]
         for row in ROWS:
-            b, n = outcomes["base"][row][i], outcomes["new"][row][i]
-            cells += [f"{b.gap:.4f}", f"{n.gap:.4f}", f"{_flag(row, b)}/{_flag(row, n)}"]
+            if seed in outcomes["new"][row]:
+                cells += _cells(row, outcomes["base"][row][seed], outcomes["new"][row][seed])
+            else:
+                cells += ["left out"] * 3
         print("| " + " | ".join(cells) + " |")
     print()
     print("| row | seeds | changed | misses base → new | misses worse/better, p "
@@ -162,7 +243,7 @@ def report(seeds, outcomes, problems, unstable) -> bool:
     print("| --- | --- | --- | --- | --- | --- | --- |")
     passes = not problems and not unstable
     for row in ROWS:
-        c = compare(outcomes["base"][row], outcomes["new"][row])
+        c = compare(list(outcomes["base"][row].values()), list(outcomes["new"][row].values()))
         passes = passes and c["passes"]
         print(f"| {row} | {c['seeds']} | {c['changed']} | {c['misses'][0]} → {c['misses'][1]} "
               f"| {c['miss'][0]}/{c['miss'][1]}, {c['miss'][2]:.3g} "
