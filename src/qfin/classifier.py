@@ -160,6 +160,7 @@ TRANSACTION_CATEGORICAL = ("method", "zip", "mcc")
 TRANSACTION_VOCABS = (3, 10, 10)
 MAX_RECORDS = 1_000_000  # most records either synthesizer (``ml synth --n``) writes
 SEPARABLE_FEATURES = 2  # features, one qubit each, of ``synthesize_separable``'s points
+REFERENCE_DRAWS = 10  # most reference models ``synthesize_separable`` draws
 
 
 def _check_record_count(n_records: int) -> None:
@@ -265,7 +266,9 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
     training will fit on the finished dataset, so the labels stay exactly
     representable: low-margin points are resampled and the scaler refit until
     every record clears the margin under the final scaling. The reference
-    decision values lie in [-1, 1], so the margin must lie in [0, 1).
+    decision values lie in [-1, 1], so the margin must lie in [0, 1). A
+    reference model whose points do not clear the margin within 500 draws is
+    replaced, with new points, up to REFERENCE_DRAWS models.
 
     The reference model is drawn from ``seed``, so a held-out set must come
     from the same draw (a split of it): a set synthesised with another seed
@@ -276,18 +279,18 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
         raise ValueError("margin must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     config = ModelConfig(n_qubits=SEPARABLE_FEATURES)
-    theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
-    points = rng.uniform(0.0, TWO_PI, size=(n_records, SEPARABLE_FEATURES))
     no_categorical = np.zeros((n_records, 0), dtype=int)
-    values = np.zeros(n_records)
-    for _ in range(500):
-        reference = _assemble_model(config, theta_star, bias=0.0,
-                                    scaler=fit_scaler(points))
+    for attempt in range(500 * REFERENCE_DRAWS):
+        if attempt % 500 == 0:  # a reference model, and points to label by it
+            theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
+            points = rng.uniform(0.0, TWO_PI, size=(n_records, SEPARABLE_FEATURES))
+        else:
+            points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), SEPARABLE_FEATURES))
+        reference = _assemble_model(config, theta_star, bias=0.0, scaler=fit_scaler(points))
         values = _record_decisions(reference, points, no_categorical)
         weak = np.abs(values) < margin
         if not weak.any():
             break
-        points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), SEPARABLE_FEATURES))
     else:
         raise ValueError(f"could not draw {n_records} points clearing margin {margin}")
     labels = np.where(values > 0, 1, -1)
@@ -482,22 +485,25 @@ def _separator(config: ModelConfig):
     return compile_ansatz(rxry_ansatz(config.n_qubits, config.separator_layers))
 
 
-def _separated_decisions(model: VqcModel, block: np.ndarray, separate) -> np.ndarray:
+def _separated_decisions(model: VqcModel, block: np.ndarray, separate,
+                         signs: np.ndarray) -> np.ndarray:
     """Run the separator over every column of ``block`` at once, then read each out.
 
     ``separate`` is ``_separator(model.config)``, whose compiled layers
-    rotate every column with ``model.theta``'s entries as ``decision``'s
-    gates do. The parity readout of all records is one ``signs @ probs``
-    product.
+    rotate every column with ``model.theta``'s angles, each qubit's RX and
+    RY as one rotation, where ``decision``'s gates apply them in turn. The
+    parity readout of all records is one ``signs @ probs`` product, with
+    ``signs`` the run's ``parity_signs(n_qubits)``.
     """
     state = separate(model.theta, start=block)
-    return parity_signs(model.config.n_qubits) @ np.abs(state) ** 2 + model.bias
+    return signs @ np.abs(state) ** 2 + model.bias
 
 
 def _record_decisions(model: VqcModel, continuous, categorical) -> np.ndarray:
     scaler = (model.scaler_low, model.scaler_high)
     block = _encoded_block(model.config, scaler, continuous, categorical)
-    return _separated_decisions(model, block, _separator(model.config))
+    return _separated_decisions(model, block, _separator(model.config),
+                                parity_signs(model.config.n_qubits))
 
 
 def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
@@ -563,13 +569,13 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     scaler = fit_scaler(_map_block(config, dataset.continuous, dataset.categorical)[0])
     n_params = separator_parameter_count(config)
     encoded = _encoded_block(config, scaler, dataset.continuous, dataset.categorical)
-    separate = _separator(config)
+    separate, signs = _separator(config), parity_signs(config.n_qubits)
 
     def build(params):
         return _assemble_model(config, params[:n_params], params[n_params], scaler)
 
     def decide(model):
-        return _separated_decisions(model, encoded, separate)
+        return _separated_decisions(model, encoded, separate, signs)
 
     def objective(params):
         return _risk_of_values(decide(build(params)), dataset.labels, form)

@@ -408,125 +408,124 @@ def cmd_replay(args, argv) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of commands. main builds the flat parser of the command
+# argv names, and the whole tree only when argv names none.
+
+COMMON = (("--seed", dict(type=int, default=0)),
+          ("--out-dir", dict(default=".", help="directory for result files")),
+          ("--verbosity", dict(type=int, default=1)))
+SOLVER = (("--solver", dict(choices=("brute-force", "vqe", "qaoa"), default="brute-force")),
+          ("--optimizer", dict(choices=("spsa", "nelder-mead"), default="spsa")),
+          ("--iterations", dict(type=int, default=300)),
+          ("--restarts", dict(type=int, default=1)),
+          ("--depth", dict(type=int, default=3)),
+          ("--top-k", dict(type=int, default=8)))
+GROUPS = {"risk": "amplitude-estimation risk analysis", "opt": "combinatorial optimization",
+          "ml": "variational classification", "ae": "amplitude-estimation calibration"}
+
+# path -> (help, handler, arguments), in the order ``qfin --help`` lists them;
+# every command but replay ends with the COMMON options
+COMMANDS = {
+    ("risk", "var"): ("value at risk via AE bisection", cmd_risk_var, (
+        ("--portfolio", dict(required=True, help="CSV with header lgd,p0,rho")),
+        ("--alpha", dict(type=float, default=0.95)),
+        ("--nz", dict(type=int, default=2, help="latent register qubits")),
+        ("--m", dict(type=int, default=4, help="evaluation qubits")),
+        ("--z-low", dict(type=float, default=-3.0)),
+        ("--z-high", dict(type=float, default=3.0)),
+        ("--exact-oracle", dict(action="store_true"))) + COMMON),
+    ("opt", "portfolio"): ("mean-variance selection", cmd_opt_portfolio, (
+        ("--instance", dict(required=True)),
+        ("--frontier", dict(action="store_true")),
+        ("--q-values", dict(default="0.1,0.25,0.5,1.0,2.0"))) + SOLVER + COMMON),
+    ("opt", "diversify"): ("representative clustering", cmd_opt_diversify, (
+        ("--similarity", dict(required=True, help="n x n CSV matrix")),
+        ("--clusters", dict(type=int, required=True)),
+        ("--penalty", dict(type=float, default=None))) + SOLVER + COMMON),
+    ("opt", "auction"): ("winner determination", cmd_opt_auction, (
+        ("--instance", dict(required=True)),
+        ("--solver", dict(choices=("admm", "brute-force", "vqe", "qaoa"), default="admm")),
+        ("--qubo-solver", dict(choices=admm.QUBO_SOLVERS, default="brute-force")),
+        ("--rho", dict(type=float, default=12.0)),
+        ("--beta", dict(type=float, default=11.0)),
+        ("--c", dict(type=float, default=10.0)),
+        ("--max-iterations", dict(type=int, default=100))) + COMMON),
+    ("ml", "synth"): ("generate a seeded dataset", cmd_ml_synth, (
+        ("--n", dict(type=int, default=100)),
+        ("--mode", dict(choices=("transactions", "separable"), default="transactions")),
+        ("--margin", dict(type=float, default=0.3))) + COMMON),
+    ("ml", "train"): ("train a classifier", cmd_ml_train, (
+        ("--data", dict(required=True)),
+        ("--encoder", dict(choices=("map", "qrac"), default="map")),
+        ("--risk", dict(choices=clf.RISK_FORMS, default="cross-entropy")),
+        ("--layers", dict(type=int, default=1)),
+        ("--optimizer", dict(choices=("spsa", "nelder-mead"), default="nelder-mead")),
+        ("--iterations", dict(type=int, default=200)),
+        ("--restarts", dict(type=int, default=1)),
+        ("--cross-validate", dict(action="store_true")),
+        ("--folds", dict(type=int, default=5))) + COMMON),
+    ("ml", "eval"): ("evaluate a saved model", cmd_ml_eval, (
+        ("--model", dict(required=True)),
+        ("--data", dict(required=True))) + COMMON),
+    ("ae", "calibrate"): ("coverage and QPE failure tables", cmd_ae_calibrate, (
+        ("--m", dict(type=int, default=4)),
+        ("--grid", dict(type=float, default=0.05)),
+        ("--s-max", dict(type=int, default=6)),
+        ("--p-max", dict(type=int, default=6))) + COMMON),
+    # replay writes nothing of its own: no seed or output options
+    ("replay",): ("re-run a recorded manifest", cmd_replay, (("manifest", {}),)),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, path: tuple) -> argparse.ArgumentParser:
+    _, handler, arguments = COMMANDS[path]
+    for name, options in arguments:
+        parser.add_argument(name, **options)
+    parser.set_defaults(func=handler, **dict(zip(("command", "subcommand"), path)))
+    if path == ("replay",):
+        parser.set_defaults(seed=0, out_dir=".")
+    return parser
+
+
+def command_parser(path: tuple) -> argparse.ArgumentParser:
+    """The parser of the command at ``path``: it parses as the tree's subparser does."""
+    return _fill(argparse.ArgumentParser(prog=" ".join(("qfin",) + path)), path)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qfin", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", default=".", help="directory for result files")
-        p.add_argument("--verbosity", type=int, default=1)
-
-    risk = sub.add_parser("risk", help="amplitude-estimation risk analysis")
-    risk_sub = risk.add_subparsers(dest="subcommand", required=True)
-    var = risk_sub.add_parser("var", help="value at risk via AE bisection")
-    var.add_argument("--portfolio", required=True, help="CSV with header lgd,p0,rho")
-    var.add_argument("--alpha", type=float, default=0.95)
-    var.add_argument("--nz", type=int, default=2, help="latent register qubits")
-    var.add_argument("--m", type=int, default=4, help="evaluation qubits")
-    var.add_argument("--z-low", type=float, default=-3.0)
-    var.add_argument("--z-high", type=float, default=3.0)
-    var.add_argument("--exact-oracle", action="store_true")
-    common(var)
-    var.set_defaults(func=cmd_risk_var)
-
-    opt = sub.add_parser("opt", help="combinatorial optimization")
-    opt_sub = opt.add_subparsers(dest="subcommand", required=True)
-
-    def solver_options(p, solvers):
-        p.add_argument("--solver", choices=solvers, default=solvers[0])
-        p.add_argument("--optimizer", choices=("spsa", "nelder-mead"), default="spsa")
-        p.add_argument("--iterations", type=int, default=300)
-        p.add_argument("--restarts", type=int, default=1)
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--top-k", type=int, default=8)
-
-    portfolio = opt_sub.add_parser("portfolio", help="mean-variance selection")
-    portfolio.add_argument("--instance", required=True)
-    portfolio.add_argument("--frontier", action="store_true")
-    portfolio.add_argument("--q-values", default="0.1,0.25,0.5,1.0,2.0")
-    solver_options(portfolio, ("brute-force", "vqe", "qaoa"))
-    common(portfolio)
-    portfolio.set_defaults(func=cmd_opt_portfolio)
-
-    diversify = opt_sub.add_parser("diversify", help="representative clustering")
-    diversify.add_argument("--similarity", required=True, help="n x n CSV matrix")
-    diversify.add_argument("--clusters", type=int, required=True)
-    diversify.add_argument("--penalty", type=float, default=None)
-    solver_options(diversify, ("brute-force", "vqe", "qaoa"))
-    common(diversify)
-    diversify.set_defaults(func=cmd_opt_diversify)
-
-    auction = opt_sub.add_parser("auction", help="winner determination")
-    auction.add_argument("--instance", required=True)
-    auction.add_argument("--solver", choices=("admm", "brute-force", "vqe", "qaoa"),
-                         default="admm")
-    auction.add_argument("--qubo-solver", choices=admm.QUBO_SOLVERS,
-                         default="brute-force")
-    auction.add_argument("--rho", type=float, default=12.0)
-    auction.add_argument("--beta", type=float, default=11.0)
-    auction.add_argument("--c", type=float, default=10.0)
-    auction.add_argument("--max-iterations", type=int, default=100)
-    common(auction)
-    auction.set_defaults(func=cmd_opt_auction)
-
-    ml = sub.add_parser("ml", help="variational classification")
-    ml_sub = ml.add_subparsers(dest="subcommand", required=True)
-
-    synth = ml_sub.add_parser("synth", help="generate a seeded dataset")
-    synth.add_argument("--n", type=int, default=100)
-    synth.add_argument("--mode", choices=("transactions", "separable"),
-                       default="transactions")
-    synth.add_argument("--margin", type=float, default=0.3)
-    common(synth)
-    synth.set_defaults(func=cmd_ml_synth)
-
-    train_p = ml_sub.add_parser("train", help="train a classifier")
-    train_p.add_argument("--data", required=True)
-    train_p.add_argument("--encoder", choices=("map", "qrac"), default="map")
-    train_p.add_argument("--risk", choices=clf.RISK_FORMS, default="cross-entropy")
-    train_p.add_argument("--layers", type=int, default=1)
-    train_p.add_argument("--optimizer", choices=("spsa", "nelder-mead"),
-                         default="nelder-mead")
-    train_p.add_argument("--iterations", type=int, default=200)
-    train_p.add_argument("--restarts", type=int, default=1)
-    train_p.add_argument("--cross-validate", action="store_true")
-    train_p.add_argument("--folds", type=int, default=5)
-    common(train_p)
-    train_p.set_defaults(func=cmd_ml_train)
-
-    eval_p = ml_sub.add_parser("eval", help="evaluate a saved model")
-    eval_p.add_argument("--model", required=True)
-    eval_p.add_argument("--data", required=True)
-    common(eval_p)
-    eval_p.set_defaults(func=cmd_ml_eval)
-
-    ae = sub.add_parser("ae", help="amplitude-estimation calibration")
-    ae_sub = ae.add_subparsers(dest="subcommand", required=True)
-    calibrate = ae_sub.add_parser("calibrate", help="coverage and QPE failure tables")
-    calibrate.add_argument("--m", type=int, default=4)
-    calibrate.add_argument("--grid", type=float, default=0.05)
-    calibrate.add_argument("--s-max", type=int, default=6)
-    calibrate.add_argument("--p-max", type=int, default=6)
-    common(calibrate)
-    calibrate.set_defaults(func=cmd_ae_calibrate)
-
-    replay = sub.add_parser("replay", help="re-run a recorded manifest")
-    replay.add_argument("manifest")
-    replay.set_defaults(func=cmd_replay, seed=0, out_dir=".")
-
+    groups = {}
+    for path, (help_text, _, _) in COMMANDS.items():
+        if len(path) == 1:
+            _fill(sub.add_parser(path[0], help=help_text), path)
+            continue
+        if path[0] not in groups:
+            group = sub.add_parser(path[0], help=GROUPS[path[0]])
+            groups[path[0]] = group.add_subparsers(dest="subcommand", required=True)
+        _fill(groups[path[0]].add_parser(path[1], help=help_text), path)
     return parser
+
+
+def parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its command's parser, or by the tree when it names none.
+
+    The tree also reports what a command's parser leaves over, so that the
+    message carries the tree's usage line.
+    """
+    path = next((p for p in COMMANDS if tuple(argv[:len(p)]) == p), None)
+    if path is not None:
+        args, extra = command_parser(path).parse_known_args(argv[len(path):])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     out_dir = getattr(args, "out_dir", ".")

@@ -31,6 +31,9 @@ SPSA_ALPHA = 0.602
 SPSA_GAMMA = 0.101
 # Nelder-Mead initial simplex scale
 SIMPLEX_STEP = 0.5
+# SPSA's perturbation signs: indexed by ``rng.integers(0, 2, size)``, they give
+# the values and generator state ``rng.choice((-1.0, 1.0), size)`` gives
+_SIGNS = np.array((-1.0, 1.0))
 
 # Bounds on ``--iterations`` and ``--restarts``: a run's objective calls grow
 # with their product, so a larger value is refused before any is made.
@@ -82,7 +85,7 @@ def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator)
     trace = []
     for k in range(config.iterations):
         c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
-        delta = rng.choice((-1.0, 1.0), size=x.size)
+        delta = _SIGNS[rng.integers(0, 2, size=x.size)]
         f_x, f_plus, f_minus = _values(fn, np.stack([x, x + c_k * delta, x - c_k * delta]))
         if not trace or f_x < best_f:
             best_f = f_x

@@ -34,11 +34,14 @@ from .simulator import (
 ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
 
 # Most amplitudes one state block of vqe_minimize's objective holds: a stack
-# of rows is simulated in chunks of BLOCK_AMPLITUDES >> n rows (at least one),
-# so from 16 qubits up a stack costs no more memory than one row at a time.
+# of rows is simulated in chunks of BLOCK_AMPLITUDES >> n rows (at least one).
+# A stack pays only while rows are short: each rotation's entries vary per
+# column, so numpy cannot merge the state axis with the batch axis, and
+# every inner loop runs over the B columns. SPSA's stacks of three stay
+# whole up to 8 qubits; from 9 qubits up each row is its own block.
 # Only that chunking reads it: a state function sizes its buffers by the
 # stack it is given, and QAOA's cost layer adds one 2^n energy table.
-BLOCK_AMPLITUDES = 1 << 16
+BLOCK_AMPLITUDES = 3 << 8
 
 # Most layers an ansatz may have (``--depth``, ``--layers``), as many as the feature
 # map's repetitions: it keeps Nelder-Mead's (P + 1) x P simplex small.
@@ -165,8 +168,8 @@ def _fill_entries(entries: np.ndarray, angles: np.ndarray, u10, u01) -> None:
     """Write per-column ``_matrix_1q`` entries of every rotation into ``entries``.
 
     ``entries[r, j, i, 0, b]`` becomes entry m_ij of rotation r by angle
-    ``angles[b, r]``: m00 = m11 = cos(angle/2), m10 = sin(angle/2) * u10[r]
-    and m01 = sin(angle/2) * u01[r], with u = (1, -1) for RY and (-1j, -1j)
+    ``angles[b, r]``: m00 = m11 = cos(angle/2), m10 = sin(angle/2) * u10
+    and m01 = sin(angle/2) * u01, with u = (1, -1) for RY and (-1j, -1j)
     for RX. The cosines and sines are ``np.cos``/``np.sin`` of the same
     halved angle ``_matrix_1q`` takes, and the products by u are exact; the
     tests check the entries against the gate path's bit for bit.
@@ -177,6 +180,26 @@ def _fill_entries(entries: np.ndarray, angles: np.ndarray, u10, u01) -> None:
     entries[:, 1, 1, 0] = c
     np.multiply(s, u10, out=entries[:, 0, 1, 0])
     np.multiply(s, u01, out=entries[:, 1, 0, 0])
+
+
+def _fill_fused(entries: np.ndarray, angles: np.ndarray, n: int) -> None:
+    """Write per-column entries of RY(phi_q)·RX(theta_q), one rotation per qubit and layer.
+
+    Each layer's row of ``angles`` holds n RX angles, then n RY angles, as
+    ``ansatz_ops`` reads them. With c, s the cosine and sine of theta/2 and
+    C, S those of phi/2, the product is m00 = Cc + iSs, m01 = -Sc - iCs,
+    m10 = Sc - iCs and m11 = Cc - iSs, laid out as ``_fill_entries`` lays
+    them out. It equals the two gates applied in turn to round-off.
+    """
+    halves = 0.5 * angles.T.reshape(-1, 2, n, len(angles))
+    cos, sin = np.cos(halves), np.sin(halves)
+    cc, ss = cos[:, 1] * cos[:, 0], sin[:, 1] * sin[:, 0]
+    sc, cs = sin[:, 1] * cos[:, 0], cos[:, 1] * sin[:, 0]
+    rotations = entries[:, :, :, 0]
+    rotations[:, 0, 0] = (cc + 1j * ss).reshape(len(entries), -1)
+    rotations[:, 1, 1] = (cc - 1j * ss).reshape(len(entries), -1)
+    rotations[:, 0, 1] = (sc - 1j * cs).reshape(len(entries), -1)
+    rotations[:, 1, 0] = (-sc - 1j * cs).reshape(len(entries), -1)
 
 
 def _rotation(entries, r: int, src, dst, scratch, q: int, rows: int) -> list:
@@ -213,15 +236,16 @@ def compile_ansatz(ansatz: Ansatz):
     The function takes a ``(B, P)`` stack of parameter rows and returns a
     ``(2^n, B)`` block whose column ``b`` is the state of row ``b``; a
     ``(P,)`` row is a stack of one and gives a ``(2^n,)`` state. Each column
-    has the same bytes whatever the other rows hold. For the RY and RX+RY
-    kinds it has the probabilities ``apply_ops(new_zero_state(n),
-    ansatz_ops(ansatz, row))`` gives, bit for bit: every rotation takes the
-    gate path's products and sums with per-column copies of
-    ``_matrix_1q``'s entries (``_fill_entries``), and the CNOT ladder is one
-    gather (exact up to the sign of zero). The QAOA cost layer is one
-    diagonal, exp(-i gamma C) over the energy table C of the cost terms,
-    where the gate path multiplies term by term, so QAOA probabilities agree
-    with the gate path to round-off, not bit for bit.
+    has the same bytes whatever the other rows hold. For the RY kind it has
+    the probabilities ``apply_ops(new_zero_state(n), ansatz_ops(ansatz,
+    row))`` gives, bit for bit: every rotation takes the gate path's
+    products and sums with per-column copies of ``_matrix_1q``'s entries
+    (``_fill_entries``), and the CNOT ladder is one gather (exact up to the
+    sign of zero). The RX+RY kind applies each qubit's RX and RY as one
+    rotation by their product (``_fill_fused``), and the QAOA cost layer is
+    one diagonal, exp(-i gamma C) over the energy table C of the cost terms,
+    where the gate path multiplies term by term; both agree with the gate
+    path to round-off, not bit for bit.
 
     The RY and RX+RY functions also take ``start``, a ``(2^n, B)`` block to
     run from instead of ``|0...0>``, with one parameter row for every column;
@@ -256,39 +280,34 @@ def compile_ansatz(ansatz: Ansatz):
     # the ladder's gather writes the layout with the low bits on top
     index = _ladder_permutation(n)[_low_bits_on_top(n)] if p else None
     real = ansatz.kind == "ry-full-entanglement"
-    # rotation r is parameter r: per layer RY on each qubit, or RX then RY
-    u10 = [1.0] * n if real else [-1j] * n + [1.0] * n
-    u01 = [-1.0] * n if real else [-1j] * n + [-1.0] * n
-    per_layer = len(u10)
-    u10 = np.array(u10 * (p + 1))[:, None]
-    u01 = np.array(u01 * (p + 1))[:, None]
 
     def build(key):
         width, from_zero = key
         dtype = float if real and from_zero else complex
         bufs = np.empty((2, dim, width), dtype=dtype)
         scratch = np.empty((dim, width), dtype=dtype)
-        entries = np.empty((ansatz.parameter_count, 2, 2, 1, width if from_zero else 1),
-                           dtype=u10.dtype)
+        # rotation layer * n + q is qubit q's: RY, or RX and RY fused
+        entries = np.empty((n * (p + 1), 2, 2, 1, width if from_zero else 1),
+                           dtype=float if real else complex)
         steps, at = [], 0  # bufs[at] holds the state
         for layer in range(p + 1):
             if layer:
                 steps.append(functools.partial(np.take, bufs[at], index, axis=0,
                                                out=bufs[1 - at], mode="clip"))
                 at = 1 - at
-            for j in range(per_layer):
-                q, position, rows = j % n, j % n, dim
-                if layer and j < low:
+            for q in range(n):
+                position, rows = q, dim
+                if layer and q < low:
                     position = q + high
-                elif layer and j == low and low:
+                elif layer and q == low and low:
                     # back to natural order, (low bits, high bits) -> (high bits, low bits)
                     steps.append(functools.partial(
                         np.copyto, bufs[1 - at].reshape(1 << high, 1 << low, width),
                         bufs[at].reshape(1 << low, 1 << high, width).transpose(1, 0, 2)))
                     at = 1 - at
-                elif from_zero and layer == 0 and j < n:
+                elif from_zero and layer == 0:
                     rows = 2 << q
-                steps.extend(_rotation(entries, layer * per_layer + j, bufs[at],
+                steps.extend(_rotation(entries, layer * n + q, bufs[at],
                                        bufs[1 - at], scratch, position, rows))
                 at = 1 - at
         return bufs, entries, steps, bufs[at]
@@ -304,7 +323,10 @@ def compile_ansatz(ansatz: Ansatz):
             raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
         bufs, entries, steps, final = plan_for(
             (len(stack), True) if start is None else (np.shape(start)[1], False))
-        _fill_entries(entries, stack, u10, u01)
+        if real:
+            _fill_entries(entries, stack, 1.0, -1.0)
+        else:
+            _fill_fused(entries, stack, n)
         if start is None:
             bufs.fill(0.0)
             bufs[0, 0] = 1.0
@@ -331,7 +353,6 @@ def _compile_qaoa(ansatz: Ansatz):
     dim = 1 << n
     start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
     energies = z_diagonal(n, ansatz.cost.terms)
-    u = np.full((p, 1), -1j)
 
     def build(width):
         bufs = np.empty((2, dim, width), dtype=complex)
@@ -353,7 +374,7 @@ def _compile_qaoa(ansatz: Ansatz):
         stack = _checked_stack(ansatz, params)
         bufs, scratch, entries, levels, final = plan_for(len(stack))
         np.copyto(bufs[0], start[:, None])
-        _fill_entries(entries, 2.0 * stack[:, p:], u, u)
+        _fill_entries(entries, 2.0 * stack[:, p:], -1j, -1j)
         for gammas, (amps, rotations) in zip(stack[:, :p].T, levels):
             np.multiply.outer(energies, -1j * gammas, out=scratch)
             np.exp(scratch, out=scratch)
@@ -413,7 +434,9 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     ``optimizers``): ``objective.rows(stack)`` evaluates a ``(B, P)`` stack
     from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
     the B values in row order, each equal bit for bit to
-    ``objective(row)``. Each column is read out as a contiguous 1-D row, as
+    ``objective(row)``. The bound is small: per-column rotation entries stop
+    numpy from merging the state axis with the batch axis, so a stack of
+    wide rows costs more than its rows one at a time. Each column is read out as a contiguous 1-D row, as
     a single state is, not as a strided column or a matrix-vector product,
     whose sums may round differently.
     """

@@ -305,7 +305,7 @@ def test_criterion_09_qpe_failure_formula():
 # Fixed before the sweep that chose the margin (CHANGES.md): over seeds 1-60
 # of the same commands, the VQC's mean test accuracy ties the better of the
 # majority rate and the logistic baseline on 8 seeds, beats it by less than
-# 0.05 on 7, and by 0.05 or more on 44; seed 43 draws no set at margin 0.3.
+# 0.05 on 7, and by 0.05 or more on 44; seed 43 then drew no set at margin 0.3.
 # Seeds 1-3 beat it by 0.090, 0.320 and 0.415.
 SEPARABLE_SEEDS = (1, 2, 3)
 SEPARABLE_EDGE = 0.05

@@ -446,30 +446,47 @@ def test_train_with_cached_encoding_matches_per_record_trace(method, form, resta
 
 
 def _per_record_separable(n_records, seed, n_features=2, margin=0.1):
-    """``synthesize_separable`` with the reference model read one record at a time."""
+    """``synthesize_separable`` with the reference model read one record at a time.
+
+    Also returns how many reference models were drawn.
+    """
     rng = np.random.default_rng(seed)
     config = clf.ModelConfig(n_qubits=n_features)
-    theta_star = rng.uniform(-math.pi, math.pi, size=clf.separator_parameter_count(config))
-    points = rng.uniform(0.0, 2 * math.pi, size=(n_records, n_features))
-    for _ in range(500):
-        reference = clf._assemble_model(config, theta_star, bias=0.0,
-                                        scaler=clf.fit_scaler(points))
-        values = np.array([clf.decision(reference, x) for x in points])
-        weak = np.abs(values) < margin
+    for draws in range(1, clf.REFERENCE_DRAWS + 1):
+        theta_star = rng.uniform(-math.pi, math.pi, size=clf.separator_parameter_count(config))
+        points = rng.uniform(0.0, 2 * math.pi, size=(n_records, n_features))
+        for tries in range(1, 501):
+            reference = clf._assemble_model(config, theta_star, bias=0.0,
+                                            scaler=clf.fit_scaler(points))
+            values = np.array([clf.decision(reference, x) for x in points])
+            weak = np.abs(values) < margin
+            if not weak.any() or tries == 500:
+                break
+            points[weak] = rng.uniform(0.0, 2 * math.pi, size=(int(weak.sum()), n_features))
         if not weak.any():
             break
-        points[weak] = rng.uniform(0.0, 2 * math.pi, size=(int(weak.sum()), n_features))
     labels = np.where(values > 0, 1, -1)
     if np.all(labels == labels[0]):
         labels[0] = -labels[0]
-    return points, labels
+    return points, labels, draws
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("margin", [0.1, 0.3])
 def test_synthesize_separable_matches_per_record_reference(seed, margin):
     dataset = clf.synthesize_separable(40, seed, margin=margin)
-    points, labels = _per_record_separable(40, seed, margin=margin)
+    points, labels, draws = _per_record_separable(40, seed, margin=margin)
+    assert np.array_equal(dataset.continuous, points)
+    assert np.array_equal(dataset.labels, labels)
+    assert draws == 1
+
+
+def test_synthesize_separable_redraws_a_reference_that_cannot_clear_the_margin():
+    # seed 43's first reference model cannot place 8 points (nor 200) 0.3
+    # clear of its boundary within 500 draws
+    dataset = clf.synthesize_separable(8, 43, margin=0.3)
+    points, labels, draws = _per_record_separable(8, 43, margin=0.3)
+    assert draws == 2
     assert np.array_equal(dataset.continuous, points)
     assert np.array_equal(dataset.labels, labels)
 

@@ -11,6 +11,7 @@ import pytest
 import qfin
 
 from qfin import admm
+from qfin import cli
 from qfin import classifier as clf
 from qfin import credit_risk as cr
 from qfin import optimizers
@@ -178,6 +179,90 @@ def test_risk_var_rejects_a_latent_grid_without_mass(tmp_path, demo_portfolio_cs
 def test_usage_error_exit_code():
     assert main(["risk", "var"]) == 2
     assert main(["opt", "nonsense"]) == 2
+
+
+# -- one parser per command, against the whole tree --------------------------
+
+def _benchmark_argvs(work):
+    """Every command line the benchmark's workloads issue, and one replay."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    commands = []
+    for build in (workloads.build_credit_var, workloads.build_portfolio_vqe,
+                  workloads.build_auction_admm, workloads.build_vqc_train):
+        commands += build(cli, str(work), 1)
+    return ([list(cmd.argv) + ["--out-dir", cmd.out_dir] for cmd in commands]
+            + [["replay", str(work / "manifest.json")]])
+
+
+def test_command_parsers_equal_the_tree_on_the_benchmark_argv(tmp_path, monkeypatch):
+    argvs = _benchmark_argvs(tmp_path)
+    trees = [cli.build_parser().parse_args(argv) for argv in argvs]
+
+    def no_tree():
+        raise AssertionError("the tree was built for a command line that names a command")
+
+    monkeypatch.setattr(cli, "build_parser", no_tree)
+    named = set()
+    for argv, tree in zip(argvs, trees):
+        assert cli.parse(argv) == tree, argv
+        named.add(next(path for path in cli.COMMANDS if tuple(argv[:len(path)]) == path))
+    assert named == set(cli.COMMANDS)
+
+
+def _outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, or None when it returns."""
+    try:
+        parse(argv)
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+    return None
+
+
+@pytest.mark.parametrize("path", list(cli.COMMANDS), ids="-".join)
+def test_command_parsers_print_the_trees_help_and_usage_errors(capsys, path):
+    # help, a missing required argument, a bad type, a bad choice and a
+    # left-over argument, each as the tree prints it, with its exit code
+    tails = [["--help"], ["--seed", "x"], ["--bogus"], ["a", "b", "c"]]
+    tails += [[], ["--solver", "x"], ["--mode", "x"], ["--m", "1.5"], ["--alpha", "x"]]
+    tree = cli.build_parser()
+    for tail in tails:
+        argv = list(path) + tail
+        want = _outcome(capsys, tree.parse_args, argv)
+        assert _outcome(capsys, cli.parse, argv) == want, argv
+        if want is not None:  # a command line the tree accepts would run
+            assert main(argv) == (want[0] or 0)
+            assert capsys.readouterr() == want[1:], argv
+
+
+def test_main_builds_the_tree_for_a_command_line_naming_no_command(capsys):
+    for argv in ([], ["--help"], ["--version"], ["opt"], ["bogus"], ["opt", "bogus"]):
+        want = _outcome(capsys, cli.build_parser().parse_args, argv)
+        assert main(argv) == (want[0] or 0)
+        assert capsys.readouterr() == want[1:], argv
+
+
+def test_a_write_failing_mid_command_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # the second file the command opens cannot be written: one stderr line,
+    # exit 3 as for any file that cannot be read or written, and no manifest
+    fresh, opened = cli._fresh, []
+
+    def second_fails(path):
+        opened.append(path)
+        if len(opened) == 2:
+            raise OSError(28, "No space left on device", path)
+        return fresh(path)
+
+    monkeypatch.setattr(cli, "_fresh", second_fails)
+    out = tmp_path / "run"
+    assert main(["ae", "calibrate", "--m", "2", "--out-dir", str(out)]) == 3
+    _assert_one_line_error(capsys, "validation error: [Errno 28] No space left on device")
+    assert [Path(p).name for p in opened] == ["coverage.csv", "qpe_failure.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["coverage.csv"]
 
 
 def test_opt_portfolio_brute_force_and_frontier(tmp_path, portfolio_instance):

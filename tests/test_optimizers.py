@@ -149,6 +149,16 @@ def test_spsa_reports_evaluations_and_stop_reason():
     assert out.stop_reason == "maxiter"
 
 
+def test_spsa_signs_equal_rng_choice():
+    # the oracle is numpy's own choice: same values, same generator state after
+    for seed in range(3):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in range(1, 65):
+            delta = optimizers._SIGNS[got.integers(0, 2, size=size)]
+            assert delta.tobytes() == want.choice((-1.0, 1.0), size=size).tobytes(), size
+            assert got.bit_generator.state == want.bit_generator.state, size
+
+
 def test_nelder_mead_vqe_matches_scipy(monkeypatch):
     # the port sends the simplex and each shrink through the objective's
     # rows, scipy calls it point by point: both must see the same points

@@ -1,6 +1,7 @@
 """The verdict rule of ``tools/verdicts.py`` on fixed tables."""
 
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,17 @@ def test_risk_var_and_vqc_gaps_are_scored_as_checked():
     assert verdicts.row_gap("risk var", 2.0, True) == 2.0
     assert verdicts.row_gap("vqc", 0.225, True) == 0.225
     assert set(verdicts.ROWS) == {"vqe", "qaoa", "diversify", "risk var", "admm", "vqc"}
+
+
+def test_a_command_that_exits_3_stops_the_sweep(tmp_path):
+    # every seed draws a separable set, so a refused command is a fault of
+    # the change under test, not a seed to leave out of its row
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def command(*argv):
+        return types.SimpleNamespace(argv=argv, out_dir=str(tmp_path))
+
+    with pytest.raises(RuntimeError, match="exited 3"):
+        verdicts._run(src, command("ml", "synth", "--n", "0"))
+    verdicts._run(src, command("ml", "synth", "--n", "4"))
+    assert (tmp_path / "dataset.csv").is_file()

@@ -29,10 +29,10 @@ command:
   nelder-mead --iterations 300 --cross-validate --folds 4`` on that one
   file. The gap is 1 - the VQC's mean test accuracy; a miss is a mean test
   accuracy at or below the larger of the majority rate and the logistic
-  baseline's. A seed whose synth exits 3 (no draw clears the margin) is
-  printed and left out on both sides. Balanced accuracy and the fraction
-  predicted +1 would need per-fold predictions, which the command does not
-  record, so the row has neither.
+  baseline's. Every seed draws a set (a reference model that cannot clear
+  the margin is redrawn), so no seed is left out. Balanced accuracy and the
+  fraction predicted +1 would need per-fold predictions, which the command
+  does not record, so the row has neither.
 
 The sweep is fixed: seeds 1-60 (``SEEDS``). The tool prints a paired
 per-seed table of gap and feasibility (the miss, for ``risk var`` and
@@ -66,7 +66,6 @@ ENERGY_ROWS = ("vqe", "qaoa", "diversify")  # normalised energy gaps
 MISS_ROWS = ("risk var", "vqc")  # rows whose third cell is the miss, not feasibility
 SIGNIFICANCE = 0.05
 SEEDS = range(1, 61)  # fixed, so every change is judged on the same sweep
-EXIT_VALIDATION = 3  # the CLI's exit status for input it refuses
 SEPARABLE_RECORDS = 200
 VQC_TRAIN = ("--encoder", "map", "--optimizer", "nelder-mead", "--iterations", "300",
              "--cross-validate", "--folds", "4")
@@ -126,28 +125,24 @@ def _outputs(out_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
-def _run(src: Path, cmd) -> int:
-    """Run ``cmd`` with ``src``; exit 3 is returned, any other failure raises."""
+def _run(src: Path, cmd) -> None:
+    """Run ``cmd`` with ``src``; a non-zero exit raises, so no seed drops out of a row."""
     argv = [sys.executable, "-m", "qfin.cli", *cmd.argv, "--out-dir", cmd.out_dir]
     done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
-    if done.returncode not in (0, EXIT_VALIDATION):
-        raise RuntimeError(f"{' '.join(argv[3:])} exited {done.returncode}: {done.stderr}")
     if done.returncode:
-        print(f"{' '.join(argv[3:])} exited {done.returncode}: {done.stderr.strip()}")
-    return done.returncode
+        raise RuntimeError(f"{' '.join(argv[3:])} with {src} exited {done.returncode}: "
+                           f"{done.stderr}")
 
 
-def _vqc_commands(workloads, src: Path, work: Path, seed: int):
-    """The ``vqc`` row's train command, or ``[]`` when the seed's synth exits 3."""
-    synth = workloads.Command("ml-synth-separable", (
+def _vqc_command(workloads, src: Path, work: Path, seed: int):
+    """The ``vqc`` row's train command, on the set the seed's synth writes."""
+    _run(src, workloads.Command("ml-synth-separable", (
         "ml", "synth", "--mode", "separable", "--n", str(SEPARABLE_RECORDS),
-        "--seed", str(seed)), str(work / "separable"))
-    if _run(src, synth) == EXIT_VALIDATION:
-        return []
+        "--seed", str(seed)), str(work / "separable")))
     data = str(work / "separable" / "dataset.csv")
-    return [workloads.Command("ml-train-cv", (
-        "ml", "train", "--data", data, *VQC_TRAIN, "--seed", str(seed)), "")]
+    return workloads.Command("ml-train-cv", (
+        "ml", "train", "--data", data, *VQC_TRAIN, "--seed", str(seed)), "")
 
 
 def _score(workloads, row, cmd, work: Path, seed: int) -> tuple[Outcome, list[str]]:
@@ -181,7 +176,7 @@ def _score(workloads, row, cmd, work: Path, seed: int) -> tuple[Outcome, list[st
 def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
     """Both sides' outcomes per row and seed, the new side's problems, and its rerun faults.
 
-    ``outcomes[side][row]`` maps each seed the row scored to its outcome.
+    ``outcomes[side][row]`` maps each seed to its outcome.
     """
     sys.path[:0] = [str(new_src), str(ROOT / "perfbench")]
     import workloads
@@ -195,12 +190,11 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
         commands = (workloads.build_portfolio_vqe(None, str(work), seed)
                     + workloads.build_credit_var(None, str(work), seed)[:1]
                     + workloads.build_auction_admm(None, str(work), seed)
-                    + _vqc_commands(workloads, new_src, work, seed))
+                    + [_vqc_command(workloads, new_src, work, seed)])
         for side, src in (("base", base_src), ("new", new_src)):
             for row, cmd in zip(ROWS, commands):
                 cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
-                if _run(src, cmd):
-                    raise RuntimeError(f"seed {seed} {row} on the {side} side was refused")
+                _run(src, cmd)
                 outcome, found = _score(workloads, row, cmd, work, seed)
                 outcomes[side][row][seed] = outcome
                 if side == "new":
@@ -232,10 +226,7 @@ def report(seeds, outcomes, problems, unstable) -> bool:
     for seed in seeds:
         cells = [str(seed)]
         for row in ROWS:
-            if seed in outcomes["new"][row]:
-                cells += _cells(row, outcomes["base"][row][seed], outcomes["new"][row][seed])
-            else:
-                cells += ["left out"] * 3
+            cells += _cells(row, outcomes["base"][row][seed], outcomes["new"][row][seed])
         print("| " + " | ".join(cells) + " |")
     print()
     print("| row | seeds | changed | misses base → new | misses worse/better, p "
