@@ -280,14 +280,17 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
     rng = np.random.default_rng(seed)
     config = ModelConfig(n_qubits=SEPARABLE_FEATURES)
     no_categorical = np.zeros((n_records, 0), dtype=int)
+    separate, signs = _separator(config), parity_signs(config.n_qubits)
     for attempt in range(500 * REFERENCE_DRAWS):
         if attempt % 500 == 0:  # a reference model, and points to label by it
             theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
             points = rng.uniform(0.0, TWO_PI, size=(n_records, SEPARABLE_FEATURES))
         else:
             points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), SEPARABLE_FEATURES))
-        reference = _assemble_model(config, theta_star, bias=0.0, scaler=fit_scaler(points))
-        values = _record_decisions(reference, points, no_categorical)
+        scaler = fit_scaler(points)
+        reference = _assemble_model(config, theta_star, bias=0.0, scaler=scaler)
+        block = _encoded_block(config, scaler, points, no_categorical)
+        values = _separated_decisions(reference, block, separate, signs)
         weak = np.abs(values) < margin
         if not weak.any():
             break
@@ -499,16 +502,12 @@ def _separated_decisions(model: VqcModel, block: np.ndarray, separate,
     return signs @ np.abs(state) ** 2 + model.bias
 
 
-def _record_decisions(model: VqcModel, continuous, categorical) -> np.ndarray:
-    scaler = (model.scaler_low, model.scaler_high)
-    block = _encoded_block(model.config, scaler, continuous, categorical)
-    return _separated_decisions(model, block, _separator(model.config),
-                                parity_signs(model.config.n_qubits))
-
-
 def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
     """f(x) of every record, with the separator applied to all records in one pass."""
-    return _record_decisions(model, dataset.continuous, dataset.categorical)
+    scaler = (model.scaler_low, model.scaler_high)
+    block = _encoded_block(model.config, scaler, dataset.continuous, dataset.categorical)
+    return _separated_decisions(model, block, _separator(model.config),
+                                parity_signs(model.config.n_qubits))
 
 
 def _accuracy_of_values(values: np.ndarray, labels: np.ndarray) -> float:

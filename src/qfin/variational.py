@@ -28,20 +28,24 @@ from .simulator import (
     phase_gate,
     rx,
     ry,
-    z_diagonal,
 )
 
 ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
 
 # Most amplitudes one state block of vqe_minimize's objective holds: a stack
 # of rows is simulated in chunks of BLOCK_AMPLITUDES >> n rows (at least one).
-# A stack pays only while rows are short: each rotation's entries vary per
-# column, so numpy cannot merge the state axis with the batch axis, and
-# every inner loop runs over the B columns. SPSA's stacks of three stay
-# whole up to 8 qubits; from 9 qubits up each row is its own block.
-# Only that chunking reads it: a state function sizes its buffers by the
-# stack it is given, and QAOA's cost layer adds one 2^n energy table.
-BLOCK_AMPLITUDES = 3 << 8
+# It bounds memory more than time: each row's matmuls are the same calls in
+# any chunk, so a stack costs its rows one at a time less the per-call
+# overhead. SPSA's stacks of three stay whole up to 12 qubits, and from 14
+# qubits up each row is its own block, so a Nelder-Mead simplex of P + 1 rows
+# at 24 qubits holds one row's buffers, not P + 1.
+BLOCK_AMPLITUDES = 1 << 14
+
+# Most qubits one group of a rotation layer spans (see ``_kron_groups``).
+GROUP_QUBITS = 5
+
+# Columns of a ``start`` block each matmul takes (see ``compile_ansatz``).
+RECORD_COLUMNS = 16
 
 # Most layers an ansatz may have (``--depth``, ``--layers``), as many as the feature
 # map's repetitions: it keeps Nelder-Mead's (P + 1) x P simplex small.
@@ -164,224 +168,197 @@ def _checked_stack(ansatz: Ansatz, params) -> np.ndarray:
     return stack
 
 
-def _fill_entries(entries: np.ndarray, angles: np.ndarray, u10, u01) -> None:
-    """Write per-column ``_matrix_1q`` entries of every rotation into ``entries``.
+_IDENTITY = np.eye(2)
 
-    ``entries[r, j, i, 0, b]`` becomes entry m_ij of rotation r by angle
-    ``angles[b, r]``: m00 = m11 = cos(angle/2), m10 = sin(angle/2) * u10
-    and m01 = sin(angle/2) * u01, with u = (1, -1) for RY and (-1j, -1j)
-    for RX. The cosines and sines are ``np.cos``/``np.sin`` of the same
-    halved angle ``_matrix_1q`` takes, and the products by u are exact; the
-    tests check the entries against the gate path's bit for bit.
+
+def _rotations(rx_angles: np.ndarray | None, ry_angles: np.ndarray | None) -> np.ndarray:
+    """Per-qubit 2x2 matrices ``[..., q, i, j]`` = m_ij of RY(phi)·RX(theta).
+
+    ``rx_angles[..., q]`` is qubit q's theta and ``ry_angles[..., q]`` its
+    phi; either may be None, for no such gate. With c, s the cosine and
+    sine of theta/2 and C, S those of phi/2, RY(phi) is [[C, -S], [S, C]]
+    and RX(theta) = cI - isX, so the product is c RY(phi) - is RY(phi)X:
+    [[Cc + iSs, -Sc - iCs], [Sc - iCs, Cc - iSs]], one product per part.
     """
-    halves = 0.5 * angles.T
-    c, s = np.cos(halves), np.sin(halves)
-    entries[:, 0, 0, 0] = c
-    entries[:, 1, 1, 0] = c
-    np.multiply(s, u10, out=entries[:, 0, 1, 0])
-    np.multiply(s, u01, out=entries[:, 1, 0, 0])
+    if ry_angles is None:
+        ry = _IDENTITY
+    else:
+        halves = 0.5 * ry_angles
+        cos, sin = np.cos(halves), np.sin(halves)
+        ry = np.empty(halves.shape + (2, 2))
+        ry[..., 0, 0] = ry[..., 1, 1] = cos
+        ry[..., 1, 0] = sin
+        np.negative(sin, out=ry[..., 0, 1])
+    if rx_angles is None:
+        return ry
+    halves = 0.5 * rx_angles
+    rotations = np.empty(halves.shape + (2, 2), dtype=complex)
+    np.multiply(ry, np.cos(halves)[..., None, None], out=rotations.real)
+    np.multiply(ry[..., ::-1], -np.sin(halves)[..., None, None], out=rotations.imag)
+    return rotations
 
 
-def _fill_fused(entries: np.ndarray, angles: np.ndarray, n: int) -> None:
-    """Write per-column entries of RY(phi_q)·RX(theta_q), one rotation per qubit and layer.
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of the ``factors[..., q, :, :]``, factor q on index bit q.
 
-    Each layer's row of ``angles`` holds n RX angles, then n RY angles, as
-    ``ansatz_ops`` reads them. With c, s the cosine and sine of theta/2 and
-    C, S those of phi/2, the product is m00 = Cc + iSs, m01 = -Sc - iCs,
-    m10 = Sc - iCs and m11 = Cc - iSs, laid out as ``_fill_entries`` lays
-    them out. It equals the two gates applied in turn to round-off.
+    One broadcast product per factor puts it on top of those below it, so
+    each product's inner loop runs over a whole row of the smaller matrix,
+    and each entry is the product of its factors' entries, top one first.
     """
-    halves = 0.5 * angles.T.reshape(-1, 2, n, len(angles))
-    cos, sin = np.cos(halves), np.sin(halves)
-    cc, ss = cos[:, 1] * cos[:, 0], sin[:, 1] * sin[:, 0]
-    sc, cs = sin[:, 1] * cos[:, 0], cos[:, 1] * sin[:, 0]
-    rotations = entries[:, :, :, 0]
-    rotations[:, 0, 0] = (cc + 1j * ss).reshape(len(entries), -1)
-    rotations[:, 1, 1] = (cc - 1j * ss).reshape(len(entries), -1)
-    rotations[:, 0, 1] = (sc - 1j * cs).reshape(len(entries), -1)
-    rotations[:, 1, 0] = (-sc - 1j * cs).reshape(len(entries), -1)
+    product = factors[..., 0, :, :]
+    for q in range(1, factors.shape[-3]):
+        product = (factors[..., q, :, None, :, None] * product[..., None, :, None, :]).reshape(
+            product.shape[:-2] + (2 * product.shape[-2], factors.shape[-1] * product.shape[-1]))
+    return product
 
 
-def _rotation(entries, r: int, src, dst, scratch, q: int, rows: int) -> list:
-    """Steps of one planned rotation: bit ``q`` of the leading ``rows`` rows.
+def _kron_groups(rotations: np.ndarray, least: int = 2) -> list:
+    """A layer of per-qubit rotations ``(..., n, 2, 2)`` as its balanced qubit groups.
 
-    Each pair ``(a0, a1)`` maps to ``(m00*a0 + m01*a1, m10*a0 + m11*a1)`` in
-    ``dst``: ``simulator._rotate``'s products and sums in its order, both
-    halves of the pair in one broadcast product per input half, written
-    through ``out=`` into the plan's buffers, so nothing is allocated.
+    Returns ``(low, high, matrix)`` per group, low group first, with
+    ``matrix[...]`` the Kronecker product R_{high-1} ⊗ ... ⊗ R_low. The n
+    qubits split into ceil(n / GROUP_QUBITS) groups whose sizes differ by
+    at most one, and into at least ``least`` (at most n): matrices built
+    per parameter row take two groups even for a few qubits, 2 * 4^(n/2)
+    entries instead of 4^n, while a start block's records share one matrix,
+    which is then cheaper whole. The groups of one size are built together.
     """
-    def split(buf):
-        return buf[:rows].reshape((rows >> (q + 1), 2, 1 << q) + buf.shape[1:], copy=False)
+    n = rotations.shape[-3]
+    count = min(n, max(least, -(-n // GROUP_QUBITS)))
+    small, extra = divmod(n, count)
+    groups, low = [], 0
+    for size, number in ((small, count - extra), (small + 1, extra)):
+        if not number:
+            continue
+        part = rotations[..., low:low + size * number, :, :]
+        matrices = _kron(part.reshape(part.shape[:-3] + (number, size, 2, 2)))
+        groups.extend((low + j * size, low + (j + 1) * size, matrices[..., j, :, :])
+                      for j in range(number))
+        low += size * number
+    return groups
 
-    pairs, out, tmp = split(src), split(dst), split(scratch)
-    return [functools.partial(np.multiply, entries[r, 0], pairs[:, :1], out=out),
-            functools.partial(np.multiply, entries[r, 1], pairs[:, 1:], out=tmp),
-            functools.partial(np.add, out, tmp, out=out)]
 
+def _rotate_layer(groups, layer: int, n: int, src: np.ndarray, dst: np.ndarray):
+    """Apply layer ``layer`` of ``groups`` to the ``(B, 2^n, W)`` block ``src``.
 
-def _low_bits_on_top(n: int) -> np.ndarray:
-    """Natural index at each position of the layout whose top bits are the low ``n//2``.
-
-    Position ``(i & (2^(n//2) - 1)) << (n - n//2) | i >> n//2`` holds
-    natural index ``i``: qubit ``q < n//2`` sits at bit ``q + n - n//2``.
+    Each group is one ``np.matmul`` from one buffer into the other, over
+    the view that puts the group's qubits on their own axis: a ``(B, K, K)``
+    matrix per state, or a ``(1, K, K)`` one all states share, times
+    ``(A, K, C)`` slices (A the states of the qubits above the group, C
+    those below it times W). With C = 1 the low group is read as rows times
+    the transposed matrix, one product per state instead of A. numpy calls
+    BLAS once per state and slice with the same shapes whatever B is.
+    Returns ``(result, spare)``.
     """
-    low, high = n // 2, n - n // 2
-    positions = np.arange(1 << n)
-    return (positions >> high) | ((positions & ((1 << high) - 1)) << low)
+    for low, high, matrix in groups:
+        matrix = matrix[:, layer]
+        shape = (len(src), 1 << (n - high), 1 << (high - low), src.shape[2] << low)
+        if shape[3] == 1:
+            np.matmul(src.reshape(shape[:3]), matrix.transpose(0, 2, 1),
+                      out=dst.reshape(shape[:3]))
+        else:
+            np.matmul(matrix[:, None], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    return src, dst
 
 
-def compile_ansatz(ansatz: Ansatz):
+def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     """Build ``ansatz`` once into a state function ``params -> amplitudes``.
 
     The function takes a ``(B, P)`` stack of parameter rows and returns a
     ``(2^n, B)`` block whose column ``b`` is the state of row ``b``; a
     ``(P,)`` row is a stack of one and gives a ``(2^n,)`` state. Each column
-    has the same bytes whatever the other rows hold. For the RY kind it has
-    the probabilities ``apply_ops(new_zero_state(n), ansatz_ops(ansatz,
-    row))`` gives, bit for bit: every rotation takes the gate path's
-    products and sums with per-column copies of ``_matrix_1q``'s entries
-    (``_fill_entries``), and the CNOT ladder is one gather (exact up to the
-    sign of zero). The RX+RY kind applies each qubit's RX and RY as one
-    rotation by their product (``_fill_fused``), and the QAOA cost layer is
-    one diagonal, exp(-i gamma C) over the energy table C of the cost terms,
-    where the gate path multiplies term by term; both agree with the gate
-    path to round-off, not bit for bit.
+    has the same bytes whatever the other rows hold, and agrees with
+    ``apply_ops(new_zero_state(n), ansatz_ops(ansatz, row))`` to round-off.
 
-    The RY and RX+RY functions also take ``start``, a ``(2^n, B)`` block to
-    run from instead of ``|0...0>``, with one parameter row for every column;
-    they return a ``(2^n, B)`` block. From ``|0...0>`` the first rotation
-    layer rotates qubit ``q`` over the leading ``2^(q+1)`` rows only, the
-    only non-zero ones; the RY kind then runs on real amplitudes, as RY and
-    CNOT are real.
+    The state is held batch-first, a contiguous 2^n row per parameter row.
+    A rotation layer is the Kronecker product of its qubit groups
+    (``_kron_groups``), built from each row's angles and applied by
+    ``_rotate_layer``; RX+RY rotates each qubit by RY·RX. The first layer
+    from |0...0> is the product state of the rotations' first columns, and
+    the CNOT ladder is one gather. RY amplitudes stay real.
 
-    Each block width gets a plan the first time it is used: two ping-pong
-    state buffers, a scratch buffer, and a flat list of steps over views of
-    them, so a call allocates nothing per gate. Plans are kept for the two
-    most recent widths. The returned block is a copy that later calls do
-    not overwrite; two threads must not call one state function at once.
+    The RY and RX+RY functions also take ``start``, a ``(2^n, R)`` block to
+    run from instead of |0...0> under one parameter row, and return a
+    ``(2^n, R)`` block. Its columns run in chunks of ``RECORD_COLUMNS``, the
+    last padded with zeros, so every matmul has one shape whatever R is:
+    BLAS picks its kernel by shape, and a column's bytes must not depend on
+    how many share the block.
 
-    In natural order, qubit ``q`` pairs rows ``2^q`` apart, so a rotation
-    of a low qubit of one column runs numpy inner loops of ``2^q``
-    elements. After each CNOT ladder the state is therefore written with
-    its low ``n//2`` index bits on top: the function's one ``2^n`` index is
-    the ladder's permutation composed with that bit rotation, so the
-    ladder's single ``np.take`` does both. Qubits ``q < n//2`` rotate there,
-    as bit ``q + n - n//2``, with inner runs of at least ``2^(n - n//2)``;
-    one transposing ``np.copyto`` restores natural order, and the other
-    rotations of the layer follow as before. Every rotation keeps its place
-    in the gate order, and the gather and the copy only move amplitudes, so
-    each amplitude is the same product and sum as in natural order.
+    ``table`` is QAOA's cost energy table, if the caller has built it. The
+    buffers of the two latest block shapes are kept; the returned block is
+    a copy, and two threads must not call one state function at once.
     """
     if ansatz.kind == "qaoa":
-        return _compile_qaoa(ansatz)
+        return _compile_qaoa(ansatz, table)
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
-    low, high = n // 2, n - n // 2
-    # the ladder's gather writes the layout with the low bits on top
-    index = _ladder_permutation(n)[_low_bits_on_top(n)] if p else None
+    perm = _ladder_permutation(n) if p else None
     real = ansatz.kind == "ry-full-entanglement"
-
-    def build(key):
-        width, from_zero = key
-        dtype = float if real and from_zero else complex
-        bufs = np.empty((2, dim, width), dtype=dtype)
-        scratch = np.empty((dim, width), dtype=dtype)
-        # rotation layer * n + q is qubit q's: RY, or RX and RY fused
-        entries = np.empty((n * (p + 1), 2, 2, 1, width if from_zero else 1),
-                           dtype=float if real else complex)
-        steps, at = [], 0  # bufs[at] holds the state
-        for layer in range(p + 1):
-            if layer:
-                steps.append(functools.partial(np.take, bufs[at], index, axis=0,
-                                               out=bufs[1 - at], mode="clip"))
-                at = 1 - at
-            for q in range(n):
-                position, rows = q, dim
-                if layer and q < low:
-                    position = q + high
-                elif layer and q == low and low:
-                    # back to natural order, (low bits, high bits) -> (high bits, low bits)
-                    steps.append(functools.partial(
-                        np.copyto, bufs[1 - at].reshape(1 << high, 1 << low, width),
-                        bufs[at].reshape(1 << low, 1 << high, width).transpose(1, 0, 2)))
-                    at = 1 - at
-                elif from_zero and layer == 0:
-                    rows = 2 << q
-                steps.extend(_rotation(entries, layer * n + q, bufs[at],
-                                       bufs[1 - at], scratch, position, rows))
-                at = 1 - at
-        return bufs, entries, steps, bufs[at]
-
-    # SPSA sends stacks of three and ends with one; Nelder-Mead its simplex
-    # blocks, then mostly single points: keep two plans
-    plan_for = functools.lru_cache(maxsize=2)(build)
+    pair = functools.lru_cache(maxsize=2)(lambda shape, dtype: np.empty((2,) + shape, dtype))
 
     def layered_state(params, start=None):
         stack = _checked_stack(ansatz, params)
         if start is not None and (len(stack) != 1 or np.ndim(start) != 2
                                   or len(start) != dim):
             raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
-        bufs, entries, steps, final = plan_for(
-            (len(stack), True) if start is None else (np.shape(start)[1], False))
-        if real:
-            _fill_entries(entries, stack, 1.0, -1.0)
-        else:
-            _fill_fused(entries, stack, n)
+        layers = stack.reshape(len(stack), p + 1, -1)
+        rotations = (_rotations(None, layers) if real
+                     else _rotations(layers[..., :n], layers[..., n:]))
         if start is None:
-            bufs.fill(0.0)
-            bufs[0, 0] = 1.0
+            src, dst = pair((len(stack), dim, 1), float if real else complex)
+            src[:, :, 0] = _kron(rotations[:, 0, :, :, :1])[..., 0]  # from |0...0>
+            groups, first = _kron_groups(rotations[:, 1:]), 1
         else:
-            np.copyto(bufs[0], start)
-        for step in steps:
-            step()
-        amps = final.copy()
-        return amps if start is not None or np.ndim(params) == 2 else amps[:, 0]
+            start = np.asarray(start)
+            records, width = start.shape[1], RECORD_COLUMNS
+            full, rest = divmod(records, width)
+            src, dst = pair((full + (rest > 0), dim, width), complex)
+            grid = src.transpose(1, 0, 2)  # (2^n, chunks, width)
+            grid[:, :full] = start[:, :full * width].reshape(dim, full, width)
+            if rest:
+                grid[:, full, :rest] = start[:, full * width:]
+                grid[:, full, rest:] = 0.0
+            groups, first = _kron_groups(rotations, 1), 0
+        for layer in range(first, p + 1):
+            if layer:
+                np.take(src, perm, axis=1, out=dst, mode="clip")
+                src, dst = dst, src
+            src, dst = _rotate_layer(groups, layer - first, n, src, dst)
+        if start is not None:
+            return np.array(src.transpose(1, 0, 2)).reshape(dim, -1)[:, :records]
+        amps = src[:, :, 0].copy().T
+        return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return layered_state
 
 
-def _compile_qaoa(ansatz: Ansatz):
+def _compile_qaoa(ansatz: Ansatz, table: np.ndarray | None = None):
     """``compile_ansatz`` for the QAOA kind.
 
     Every cost term is a product of Z factors, so a level's cost layer is
-    one diagonal: each amplitude is multiplied by exp(-i gamma C) with C the
-    energy table of the cost terms, the offset dropped (it is a global
-    phase). The factors of a call are written into the plan's scratch
-    buffer, which the mixer's planned RX rotations then reuse.
+    one diagonal: each amplitude is multiplied by exp(-i gamma C), with C
+    ``table`` or else ``ansatz.cost.energy_table(n)``; its offset is a
+    global phase. The mixer is the RX(2 beta) layer, applied by qubit group
+    as ``compile_ansatz``'s rotation layers are, to the uniform start state.
     """
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
-    start = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-    energies = z_diagonal(n, ansatz.cost.terms)
-
-    def build(width):
-        bufs = np.empty((2, dim, width), dtype=complex)
-        scratch = np.empty((dim, width), dtype=complex)
-        entries = np.empty((p, 2, 2, 1, width), dtype=complex)
-        levels = []
-        for level in range(p):
-            steps = level * n
-            levels.append((bufs[steps % 2], [
-                step for q in range(n) for step in _rotation(
-                    entries, level, bufs[(steps + q) % 2], bufs[(steps + q + 1) % 2],
-                    scratch, q, dim)]))
-        return bufs, scratch, entries, levels, bufs[(p * n) % 2]
-
-    # SPSA sends stacks of three and ends with one: keep both plans
-    plan_for = functools.lru_cache(maxsize=2)(build)
+    energies = ansatz.cost.energy_table(n) if table is None else table
+    buffers = functools.lru_cache(maxsize=2)(
+        lambda width: np.empty((3, width, dim, 1), dtype=complex))
 
     def qaoa_state(params):
         stack = _checked_stack(ansatz, params)
-        bufs, scratch, entries, levels, final = plan_for(len(stack))
-        np.copyto(bufs[0], start[:, None])
-        _fill_entries(entries, 2.0 * stack[:, p:], -1j, -1j)
-        for gammas, (amps, rotations) in zip(stack[:, :p].T, levels):
-            np.multiply.outer(energies, -1j * gammas, out=scratch)
-            np.exp(scratch, out=scratch)
-            amps *= scratch
-            for step in rotations:
-                step()
-        amps = final.copy()
+        src, dst, phases = buffers(len(stack))
+        mixers = _kron_groups(_rotations(np.repeat(2.0 * stack[:, p:, None], n, axis=2), None))
+        src.fill(math.sqrt(0.5) ** n)  # H on every qubit of |0...0>
+        for level in range(p):
+            np.multiply.outer(-1j * stack[:, level], energies, out=phases[:, :, 0])
+            np.exp(phases, out=phases)
+            src *= phases
+            src, dst = _rotate_layer(mixers, level, n, src, dst)
+        amps = src[:, :, 0].copy().T
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return qaoa_state
@@ -434,18 +411,17 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     ``optimizers``): ``objective.rows(stack)`` evaluates a ``(B, P)`` stack
     from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
     the B values in row order, each equal bit for bit to
-    ``objective(row)``. The bound is small: per-column rotation entries stop
-    numpy from merging the state axis with the batch axis, so a stack of
-    wide rows costs more than its rows one at a time. Each column is read out as a contiguous 1-D row, as
-    a single state is, not as a strided column or a matrix-vector product,
-    whose sums may round differently.
+    ``objective(row)``. The bound keeps a stack of wide rows, such as a
+    Nelder-Mead simplex, from holding every row's state at once. Each state
+    is read out as a contiguous 1-D row, as a single state is, not as a
+    matrix-vector product, whose sums may round differently.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if observable.max_qubit() >= ansatz.n_qubits:
         raise ValueError("observable support exceeds the ansatz register")
     table = observable.energy_table(ansatz.n_qubits)
-    state_of = compile_ansatz(ansatz)
+    state_of = compile_ansatz(ansatz, table if ansatz.cost is observable else None)
 
     chunk = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits)
 

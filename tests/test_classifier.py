@@ -491,6 +491,22 @@ def test_synthesize_separable_redraws_a_reference_that_cannot_clear_the_margin()
     assert np.array_equal(dataset.labels, labels)
 
 
+def test_synthesize_separable_compiles_the_separator_once(monkeypatch):
+    # seed 43 makes over 500 draws under two reference models
+    compiled = []
+    separator = clf._separator
+
+    def counting(config):
+        compiled.append(config)
+        return separator(config)
+
+    monkeypatch.setattr(clf, "_separator", counting)
+    clf.synthesize_separable(8, 43, margin=0.3)
+    assert len(compiled) == 1
+    clf.synthesize_separable(40, 1)
+    assert len(compiled) == 2
+
+
 def test_evaluate_matches_accuracy_and_absolute_risk():
     train_set = clf.synthesize_separable(12, seed=3)
     model, _, _ = clf.train(train_set, TWO_Q, OptimizerConfig(iterations=8, seed=1))

@@ -999,7 +999,7 @@ def test_opt_top_k_is_checked_before_the_solve(tmp_path, capsys, monkeypatch,
     assert not any(out.iterdir())
 
 
-# -- the former per-call kernels, kept as the oracle for the planned ones ----
+# -- the former per-call kernels, kept as the oracle for the grouped ones ---
 
 def _former_column_entries(kinds, angles):
     """Per-column ``_matrix_1q`` entries, ``[r, j, i, 0, b]`` = m_ij of column b."""
@@ -1023,12 +1023,17 @@ def _former_rotate_columns(view, entries):
 
 
 def former_compile_ansatz(ansatz):
-    """RY and RX+RY state functions that allocate per rotation; QAOA's stays planned."""
+    """RY and RX+RY state functions that allocate per rotation; QAOA's applies the gates."""
     from qfin import variational as vq
 
-    if ansatz.kind == "qaoa":
-        return vq._compile_qaoa(ansatz)
     n = ansatz.n_qubits
+    if ansatz.kind == "qaoa":
+        def gate_state(params):
+            stack = vq._checked_stack(ansatz, params)
+            amps = np.stack([sv.apply_ops(sv.new_zero_state(n), vq.ansatz_ops(ansatz, row))
+                             .amplitudes for row in stack], axis=1)
+            return amps if np.ndim(params) == 2 else amps[:, 0]
+        return gate_state
     dim = 1 << n
     perm = vq._ladder_permutation(n) if ansatz.depth else None
     real = ansatz.kind == "ry-full-entanglement"
@@ -1055,10 +1060,11 @@ def former_compile_ansatz(ansatz):
 
 def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypatch,
                                                             portfolio_instance):
-    # a regression guard on whole commands: any change to a planned state
-    # function or SPSA's stacks shows in a file (the classifier's encoder
-    # agrees with its gate path to round-off, so its files are pinned by the
-    # sequential-SPSA run only)
+    # a regression guard on whole commands: any change to SPSA's stacks
+    # shows in a file. The grouped state functions round unlike the former
+    # kernels, so those are held to them on every point the opt commands
+    # evaluate: amplitudes within 1e-12, and QAOA's probabilities (its cost
+    # layer also turns by the offset, a global phase the gates leave out)
     from test_optimizers import sequential_spsa
 
     from qfin import optimizers
@@ -1083,7 +1089,7 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
             assert main(["opt", "portfolio", "--instance", portfolio_instance,
                          "--solver", solver, "--iterations", "25", "--seed", "3",
                          "--out-dir", str(root / solver)]) == 0
-        # 12 qubits: the low qubits rotate in the ladder's moved layout
+        # 12 qubits: three groups of four per layer
         assert main(["opt", "diversify", "--similarity", str(similarity), "--clusters", "2",
                      "--solver", "vqe", "--optimizer", "nelder-mead", "--depth", "1",
                      "--iterations", "80", "--seed", "3",
@@ -1096,7 +1102,23 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
     assert len(planned) == 2 * 4 + 3
     monkeypatch.setattr(optimizers, "_spsa", sequential_spsa)
     assert run(tmp_path / "sequential") == planned
-    monkeypatch.setattr(vq, "compile_ansatz", former_compile_ansatz)
-    former = run(tmp_path / "former", ml=False)
-    assert former == {name: planned[name] for name in former}
-    assert len(former) == 3
+    points, grouped = [], vq.compile_ansatz
+
+    def recording(ansatz, table=None):
+        state_of, former = grouped(ansatz, table), former_compile_ansatz(ansatz)
+
+        def record(params):
+            points.append((ansatz.kind, state_of, former, np.array(params)))
+            return state_of(params)
+        return record
+
+    monkeypatch.setattr(vq, "compile_ansatz", recording)
+    recorded = run(tmp_path / "recorded", ml=False)
+    assert recorded == {name: planned[name] for name in recorded}
+    assert len(recorded) == 3
+    assert {kind for kind, *_ in points} == {"ry-full-entanglement", "qaoa"}
+    for kind, state_of, former, params in points:
+        got, want = state_of(params), former(params)
+        if kind == "qaoa":
+            got, want = np.abs(got) ** 2, np.abs(want) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-12

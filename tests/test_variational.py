@@ -215,26 +215,24 @@ def compiled_probabilities(ansatz, params):
 
 
 def matches_ops_path(ansatz, params, probs):
-    """``probs`` against the gate path: bit for bit for the RY kind.
+    """``probs`` against the gate path, to round-off.
 
-    The RX+RY kind applies each qubit's RX and RY as one rotation by their
-    product, whose entries come from the gates' own cosines and sines, so
-    its probabilities agree to round-off within 1e-14 at any angle scale.
-    QAOA's compiled cost layer is one diagonal exp(-i gamma C), where the
-    gates multiply term by term, so its probabilities agree to round-off:
-    within 1e-14 for angles in [-pi, pi] and 1e-11 up to the 1e4 scale.
+    A compiled rotation layer multiplies each amplitude by a Kronecker
+    product of its qubits' matrices, whose entries come from the gates' own
+    cosines and sines, and sums over a qubit group at once, where the gates
+    go qubit by qubit: the RY and RX+RY probabilities agree within 1e-14 at
+    any angle scale. QAOA's compiled cost layer is one diagonal
+    exp(-i gamma C), where the gates multiply term by term, so its
+    probabilities agree within 1e-14 for angles in [-pi, pi] and 1e-11 up
+    to the 1e4 scale.
     """
     want = ops_probabilities(ansatz, params)
-    if ansatz.kind == "ry-full-entanglement":
-        return np.array_equal(probs, want)
     small = ansatz.kind != "qaoa" or np.max(np.abs(params), initial=0.0) <= math.pi
     return np.max(np.abs(probs - want)) <= (1e-14 if small else 1e-11)
 
 
-def matches_ops_amplitudes(ansatz, got, want):
-    """Amplitudes against the gate path's: the bytes for RY, within 1e-12 for RX+RY."""
-    if ansatz.kind == "ry-full-entanglement":
-        return got.astype(complex).tobytes() == want.tobytes()
+def matches_ops_amplitudes(got, want):
+    """Amplitudes against the gate path's, within 1e-12."""
     return np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -305,6 +303,48 @@ def test_stacked_states_equal_per_row_calls_and_ops_path(kind):
                     assert matches_ops_path(ansatz, row, np.frombuffer(probs)), (n, depth, batch)
 
 
+@pytest.mark.parametrize("kind", ["ry", "rxry", "qaoa"])
+def test_layers_agree_with_the_gate_path_within_1e_12(kind):
+    # n = 1 is one group of one qubit; from 2 qubits a layer splits into
+    # groups of at most GROUP_QUBITS, three of them from 11 qubits up
+    rng = np.random.default_rng(["ry", "rxry", "qaoa"].index(kind) + 50)
+    for n in range(1, 14):
+        for depth in range(4):
+            ansatz = _ansaetze(kind, n, depth, rng)
+            params = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+            want = apply_ops(new_zero_state(n), vq.ansatz_ops(ansatz, params)).amplitudes
+            if kind == "qaoa":  # the compiled cost layer also turns by the offset
+                want = want * np.exp(-1j * ansatz.cost.offset * params[:depth].sum())
+            got = vq.compile_ansatz(ansatz)(params)
+            assert matches_ops_amplitudes(got, want), (n, depth)
+
+
+@pytest.mark.parametrize("group_qubits", [1, 2, 3])
+def test_columns_equal_single_calls_at_every_group_count(monkeypatch, group_qubits):
+    # small groups give middle groups (qubits both below and above) at small n
+    monkeypatch.setattr(vq, "GROUP_QUBITS", group_qubits)
+    rng = np.random.default_rng(group_qubits + 60)
+    for n in range(1, 9):
+        for kind in ("ry", "rxry", "qaoa"):
+            for depth in range(4):
+                ansatz = _ansaetze(kind, n, depth, rng)
+                state_of = vq.compile_ansatz(ansatz)
+                stack = rng.uniform(-math.pi, math.pi, (5, ansatz.parameter_count))
+                block = state_of(stack)
+                for row, column in zip(stack, block.T):
+                    assert column.tobytes() == state_of(row).tobytes(), (n, kind, depth)
+                if kind == "qaoa":
+                    assert matches_ops_path(ansatz, stack[0], np.abs(block[:, 0]) ** 2)
+                    continue
+                start = rng.normal(size=(1 << n, 20)) + 1j * rng.normal(size=(1 << n, 20))
+                block = state_of(stack[0], start=start)
+                want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, stack[0]))
+                assert matches_ops_amplitudes(block, want.amplitudes), (n, kind, depth)
+                for b in (0, 15, 16, 19):
+                    column = state_of(stack[0], start=start[:, b:b + 1])
+                    assert block[:, b].tobytes() == column.tobytes(), (n, kind, depth, b)
+
+
 def test_state_function_shapes_and_validation():
     ansatz = vq.ry_ansatz(3, 1)
     state_of = vq.compile_ansatz(ansatz)
@@ -333,7 +373,7 @@ def test_prepare_state_is_complex_and_matches_ops_path():
     state = vq.prepare_state(ansatz, params)
     assert state.amplitudes.dtype == np.complex128
     want = apply_ops(new_zero_state(3), vq.ansatz_ops(ansatz, params)).amplitudes
-    assert np.array_equal(state.amplitudes, want)
+    assert matches_ops_amplitudes(state.amplitudes, want)
 
 
 def test_ladder_permutation_is_the_cnot_ladder():
@@ -351,17 +391,27 @@ def test_cost_phase_ops_signs_are_z_parities():
     assert ops[2].phases == (0.3, -0.3, -0.3, 0.3)
 
 
-def test_low_bits_on_top_layout():
-    for n in range(1, 9):
-        low, high = n // 2, n - n // 2
-        natural = vq._low_bits_on_top(n)
-        assert sorted(natural) == list(range(1 << n))
-        for position, i in enumerate(natural):
-            assert position == (i & ((1 << low) - 1)) << high | i >> low
+def test_kron_groups_are_balanced_and_cover_the_layer():
+    rng = np.random.default_rng(7)
+    for n in range(1, 14):
+        rotations = rng.normal(size=(n, 2, 2))
+        groups = vq._kron_groups(rotations)
+        bounds = [(low, high) for low, high, _ in groups]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        sizes = [high - low for low, high in bounds]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= vq.GROUP_QUBITS
+        assert len(groups) == min(n, max(2, -(-n // vq.GROUP_QUBITS)))
+        assert len(vq._kron_groups(rotations, 1)) == -(-n // vq.GROUP_QUBITS)
+        for low, high, matrix in groups:
+            want = rotations[low]
+            for q in range(low + 1, high):
+                want = np.kron(rotations[q], want)  # qubit q on top of those below it
+            assert np.array_equal(matrix, want), (n, low, high)
 
 
-# -- the moved layout: after a ladder, qubits below n//2 rotate with their
-# index bits on top, then one transposing copy restores natural order
+# -- stacks and start blocks of 1, 3 and 16 columns against the gate path and
+# per-row calls (the tests are named for the layout of an earlier kernel)
 
 @pytest.mark.parametrize("kind", ["ry", "rxry"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])
@@ -375,7 +425,7 @@ def test_moved_layout_states_equal_ops_path_and_per_row_calls(kind, n):
             block = state_of(stack)
             for row, column in zip(stack, block.T):
                 want = apply_ops(new_zero_state(n), vq.ansatz_ops(ansatz, row)).amplitudes
-                assert matches_ops_amplitudes(ansatz, column, want), (depth, width)
+                assert matches_ops_amplitudes(column, want), (depth, width)
                 assert column.tobytes() == state_of(row).tobytes(), (depth, width)
 
 
@@ -391,7 +441,7 @@ def test_moved_layout_start_blocks_equal_ops_path_and_per_column_calls(kind, n):
             start = rng.normal(size=(1 << n, width)) + 1j * rng.normal(size=(1 << n, width))
             block = state_of(row, start=start)
             want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, row)).amplitudes
-            assert matches_ops_amplitudes(ansatz, block, want), (depth, width)
+            assert matches_ops_amplitudes(block, want), (depth, width)
             for b in range(width):
                 column = state_of(row, start=start[:, b:b + 1])
                 assert block[:, b].tobytes() == column.tobytes(), (depth, width, b)
@@ -418,17 +468,13 @@ def reference_vqe(observable, ansatz, optimizer, top_k=8):
     """vqe_minimize with one point per objective call, restarted by an
     explicit loop over the seed's children.
 
-    The states come from ansatz_ops gate by gate, except QAOA's: its
-    compiled cost layer rounds unlike the gates, so they come from the
-    compiled function, one row per call.
+    The states come from the compiled function, one row per call: its
+    layers round unlike the gates, and the tests above hold it to the gate
+    path, so this checks the stacks, blocks and restarts around it.
     """
     n = ansatz.n_qubits
     table = observable.energy_table(n)
-    if ansatz.kind == "qaoa":
-        amplitudes = vq.compile_ansatz(ansatz)
-    else:
-        def amplitudes(params):
-            return apply_ops(new_zero_state(n), vq.ansatz_ops(ansatz, params)).amplitudes
+    amplitudes = vq.compile_ansatz(ansatz)
 
     def objective(params):
         return float(np.abs(amplitudes(params)) ** 2 @ table)
@@ -525,7 +571,7 @@ def test_start_block_equals_ops_path(kind):
                 block = state_of(row, start=start)
                 assert block.shape == (1 << n, batch)
                 want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, row))
-                assert matches_ops_amplitudes(ansatz, block, want.amplitudes), (n, depth, batch)
+                assert matches_ops_amplitudes(block, want.amplitudes), (n, depth, batch)
 
 
 def test_start_block_validation():
@@ -554,6 +600,7 @@ def test_qaoa_tables_stay_within_the_block_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the start state, two ping-pong buffers, the scratch buffer and the
-    # returned copy, one 2^n energy table, and 64 KiB for the small tables
+    # two ping-pong buffers, the phase buffer and the returned copy (a 2^n
+    # complex vector to spare), one 2^n energy table, and 64 KiB for the
+    # small tables
     assert peak < 16 * (5 << n) + 8 * (1 << n) + (1 << 16)
