@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inputs
 from . import qubo as qb
 from .optimizers import OptimizerConfig
 from .variational import minimize_qubo
@@ -506,29 +507,22 @@ def write_auction_csv(path, bids, units) -> None:
 
 
 def read_auction_csv(path) -> tuple[list[Bid], np.ndarray]:
-    """Bids and per-item units of an auction CSV; a bad row is refused by its file line."""
-    bids = []
-    units = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next((row for row in reader if row), None)
+    """Bids and the final ``units`` row of an auction CSV; a bad row is refused by its line."""
+    bids, units = [], None
+    with inputs.rows(path, "auction") as rows:
+        header = next(rows, None)
         if header is None or header[0] != "price":
             raise ValueError("auction CSV needs a price,qty_item_* header, bids, and a units line")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                values = [float(v) for v in row[1:]]
-                if row[0] == "units":
-                    if not all(0.0 <= v < math.inf for v in values):
-                        raise ValueError("units must be finite and nonnegative")
-                    units = np.array(values)
-                else:
-                    bids.append(Bid(tuple(values), float(row[0])))
-            except ValueError as exc:
-                raise ValueError(f"bad auction row at line {reader.line_num}: {exc}") from exc
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            if units is not None:
+                raise ValueError("the units line must be the last line")
+            values = [float(v) for v in row[1:]]
+            if row[0] == "units":
+                units = _auction_bids((), values)[1]
+            else:
+                bids.append(Bid(tuple(values), float(row[0])))
     if units is None:
         raise ValueError("auction CSV is missing its units line")
     if not bids:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import inputs
 from .optimizers import OptimizerConfig, minimize_restarts
 from .simulator import (
     MAX_QUBITS,
@@ -215,43 +216,43 @@ def export_csv(path, dataset: LabeledDataset) -> None:
             writer.writerow(row)
 
 
-def ingest_csv(path, continuous_names=TRANSACTION_CONTINUOUS,
-               categorical_names=TRANSACTION_CATEGORICAL,
-               vocab_sizes=TRANSACTION_VOCABS) -> LabeledDataset:
-    """Read a dataset CSV, validating the schema; bad rows report line numbers.
+def ingest_csv(path, continuous_names=None, categorical_names=(),
+               vocab_sizes=()) -> LabeledDataset:
+    """Read a dataset CSV, validating the schema; a bad record is refused by its file line.
 
-    Each record needs finite continuous features, categorical codes inside
-    their vocabularies and a label of -1 or 1.
+    Without ``continuous_names`` the header sets the schema: the transactions
+    header means the transactions schema, and any other ``name,...,label``
+    header that many continuous features. Each record needs finite continuous
+    features, categorical codes inside their vocabularies and a label of -1 or 1.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = list(continuous_names) + list(categorical_names) + ["label"]
+    cont, cat, labels = [], [], []
+    with inputs.rows(path, "dataset") as rows:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("dataset CSV has no header line")
+        if continuous_names is None and header == [*TRANSACTION_CONTINUOUS,
+                                                   *TRANSACTION_CATEGORICAL, "label"]:
+            continuous_names, categorical_names, vocab_sizes = (
+                TRANSACTION_CONTINUOUS, TRANSACTION_CATEGORICAL, TRANSACTION_VOCABS)
+        elif continuous_names is None:
+            continuous_names = header[:-1]
+        expected = [*continuous_names, *categorical_names, "label"]
         if header != expected:
             raise ValueError(f"dataset header must be {','.join(expected)}")
-        cont, cat, labels = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        nc = len(continuous_names)
+        for row in rows:
             if len(row) != len(expected):
-                raise ValueError(f"wrong field count at line {line_no}")
-            try:
-                nc = len(continuous_names)
-                values = [float(v) for v in row[:nc]]
-                if not all(math.isfinite(v) for v in values):
-                    raise ValueError("continuous features must be finite")
-                cont.append(values)
-                codes = [int(v) for v in row[nc:-1]]
-                for code, vocab in zip(codes, vocab_sizes):
-                    if not 0 <= code < vocab:
-                        raise ValueError(f"categorical code {code} outside vocabulary")
-                cat.append(codes)
-                label = int(row[-1])
-                if label not in (-1, 1):
-                    raise ValueError("label must be -1 or 1")
-                labels.append(label)
-            except ValueError as exc:
-                raise ValueError(f"bad record at line {line_no}: {exc}") from exc
+                raise ValueError(f"expected {len(expected)} fields, got {len(row)}")
+            cont.append(inputs.finite_floats(row[:nc], "continuous features"))
+            codes = [int(v) for v in row[nc:-1]]
+            for code, vocab in zip(codes, vocab_sizes):
+                if not 0 <= code < vocab:
+                    raise ValueError(f"categorical code {code} outside vocabulary")
+            cat.append(codes)
+            label = int(row[-1])
+            if label not in (-1, 1):
+                raise ValueError("label must be -1 or 1")
+            labels.append(label)
     if not labels:
         raise ValueError("dataset is empty")
     return LabeledDataset(np.array(cont), np.array(cat, dtype=int), np.array(labels),

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 internal error, 2 usage, 3 validation, 4 capacity,
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -297,18 +298,8 @@ def cmd_ml_synth(args, argv) -> int:
     return EXIT_OK
 
 
-def _load_any_dataset(path: str) -> clf.LabeledDataset:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-    if header[:-1] == list(clf.TRANSACTION_CONTINUOUS) + list(clf.TRANSACTION_CATEGORICAL):
-        return clf.ingest_csv(path)
-    names = tuple(header[:-1])
-    return clf.ingest_csv(path, continuous_names=names, categorical_names=(),
-                          vocab_sizes=())
-
-
 def cmd_ml_train(args, argv) -> int:
-    dataset = _load_any_dataset(args.data)
+    dataset = clf.ingest_csv(args.data)
     qrac = ("method",) if args.encoder == "qrac" and "method" in dataset.categorical_names else ()
     config = clf.build_vqc_with_qrac(dataset.continuous_names, dataset.categorical_names,
                                      dataset.vocab_sizes, qrac_features=qrac,
@@ -350,10 +341,8 @@ def cmd_ml_train(args, argv) -> int:
 
 def cmd_ml_eval(args, argv) -> int:
     model = clf.load_model(args.model)
-    dataset = _load_any_dataset(args.data)
-    if tuple(dataset.continuous_names) != model.config.continuous_names \
-            or tuple(dataset.categorical_names) != model.config.categorical_names:
-        raise ValueError("dataset schema does not match the saved model")
+    dataset = clf.ingest_csv(args.data, model.config.continuous_names,
+                             model.config.categorical_names, model.config.vocab_sizes)
     acc, risk_abs = clf.evaluate(model, dataset)
     result = {"records": len(dataset), "accuracy": acc, "absolute_risk": risk_abs}
     out = os.path.join(args.out_dir, "eval.json")
@@ -542,7 +531,7 @@ def main(argv=None) -> int:
         # a ValueError subclass, but a numerical fault rather than bad input
         print(f"internal error: LinAlgError: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, KeyError, csv.Error) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:

@@ -17,6 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import inputs
 from .amplitude_estimation import EstimationProblem, run_ae
 from .distributions import discretize_normal, loader_ops
 from .simulator import (
@@ -308,22 +309,18 @@ def cvar(dist: LossDistribution, alpha: float) -> float:
 def load_portfolio_csv(path) -> list[Asset]:
     """Read assets from a CSV with header ``lgd,p0,rho``; a bad row is refused by its file line."""
     assets = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"lgd", "p0", "rho"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    with inputs.rows(path, "credit portfolio") as rows:
+        header = next(rows, None)
+        if header is None or not {"lgd", "p0", "rho"}.issubset(header):
             raise ValueError("portfolio CSV must have header lgd,p0,rho")
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                lgd_raw = float(row["lgd"])
-                if not lgd_raw.is_integer():  # also rejects NaN and inf
-                    raise ValueError("lgd must be an integer")
-                assets.append(Asset(lgd=int(lgd_raw), p0=float(row["p0"]),
-                                    rho=float(row["rho"])))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad asset at line {reader.line_num}: {exc}") from exc
+        lgd, p0, rho = (header.index(name) for name in ("lgd", "p0", "rho"))
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            lgd_raw = float(row[lgd])
+            if not lgd_raw.is_integer():  # also rejects NaN and inf
+                raise ValueError("lgd must be an integer")
+            assets.append(Asset(lgd=int(lgd_raw), p0=float(row[p0]), rho=float(row[rho])))
     if not assets:
         raise ValueError("portfolio CSV contains no assets")
     return assets

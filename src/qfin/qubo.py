@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inputs
 from .simulator import CapacityError, IsingObservable
 
 
@@ -445,71 +446,46 @@ def read_portfolio_instance(path) -> PortfolioSpec:
 
     Each ``mu`` and ``sigma`` value must be finite, and every such line as
     wide as the first; ``q`` and ``penalty`` must be finite and positive, and
-    ``budget`` a positive integer.
+    ``budget`` a positive integer. Each label but ``sigma`` appears once.
     """
-    mu = None
-    sigma_rows = []
-    q = None
-    budget = None
-    penalty = None
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, _, rest = line.partition(",")
-            try:
-                if label in ("mu", "sigma"):
-                    row = [float(v) for v in rest.split(",")]
-                    if not all(math.isfinite(v) for v in row):
-                        raise ValueError(f"{label} values must be finite")
-                    width = (mu.size if mu is not None
-                             else len(sigma_rows[0]) if sigma_rows else len(row))
-                    if len(row) != width:
-                        raise ValueError(f"{label} has {len(row)} values, expected {width}")
-                    if label == "mu":
-                        mu = np.array(row)
-                    else:
-                        sigma_rows.append(row)
-                elif label == "q":
-                    q = float(rest)
-                    _check_risk_aversion(q)
-                elif label == "budget":
-                    budget = int(rest)
-                    if budget < 1:
-                        raise ValueError("budget must be positive")
-                elif label == "penalty":
-                    penalty = float(rest)
-                    _check_penalty(penalty)
+    found, sigma_rows = {}, []
+    with inputs.rows(path, "portfolio instance") as rows:
+        for fields in rows:
+            label, values = fields[0].strip(), fields[1:]
+            if label in found:
+                raise ValueError(f"a second {label} line")
+            if label in ("mu", "sigma"):
+                row = inputs.finite_floats(values, f"{label} values")
+                first = found["mu"] if "mu" in found else sigma_rows[0] if sigma_rows else row
+                if len(row) != len(first):
+                    raise ValueError(f"{label} has {len(row)} values, expected {len(first)}")
+                if label == "mu":
+                    found["mu"] = row
                 else:
-                    raise ValueError(f"unknown label {label!r}")
-            except ValueError as exc:
-                raise ValueError(f"bad portfolio instance line {line_no}: {exc}") from exc
-    if mu is None or not sigma_rows or q is None or budget is None:
+                    sigma_rows.append(row)
+            elif label in ("q", "budget", "penalty"):
+                if len(values) != 1:
+                    raise ValueError(f"{label} takes one value, got {len(values)}")
+                found[label] = int(values[0]) if label == "budget" else float(values[0])
+                if not 0 < found[label] < math.inf:
+                    raise ValueError(f"{label} must be finite and positive")
+            else:
+                raise ValueError(f"unknown label {label!r}")
+    if not sigma_rows or not {"mu", "q", "budget"} <= found.keys():
         raise ValueError("portfolio instance needs mu, sigma, q, and budget")
-    return PortfolioSpec(mu=mu, sigma=np.array(sigma_rows), q=q, budget=budget,
-                         penalty=penalty)
+    return PortfolioSpec(mu=found["mu"], sigma=sigma_rows, q=found["q"],
+                         budget=found["budget"], penalty=found.get("penalty"))
 
 
 def read_similarity_csv(path) -> np.ndarray:
     """The n x n matrix of a plain CSV; a malformed row is refused by its line number."""
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"bad similarity line {line_no}: {exc}") from exc
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"bad similarity line {line_no}: {len(row)} fields, "
-                                 f"the first row has {len(rows[0])}")
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"bad similarity line {line_no}: similarities must be finite")
-            rows.append(row)
-    matrix = np.array(rows)
+    matrix = []
+    with inputs.rows(path, "similarity") as rows:
+        for fields in rows:
+            if matrix and len(fields) != len(matrix[0]):
+                raise ValueError(f"{len(fields)} fields, the first row has {len(matrix[0])}")
+            matrix.append(inputs.finite_floats(fields, "similarities"))
+    matrix = np.array(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("similarity file must hold a square matrix")
     return matrix

@@ -1,12 +1,12 @@
 """Property tests for the auction reader behind ``opt auction``.
 
 Each case takes a valid auction CSV written by ``write_auction_csv``, puts
-blank lines between its rows, and spoils one field of one bid or of the
-``units`` row: a NaN or infinite value (``1e400`` included, which parses as
-inf), a negative value, a blank field, text, an extra or a missing column.
-The command must refuse it with exit code 3 and one stderr line naming the
-row's file line, blank lines counted, without a traceback and without
-writing any file.
+blank and comment lines before its rows (the header's too), and spoils one
+field of one bid or of the ``units`` row: a NaN or infinite value (``1e400``
+included, which parses as inf), a negative value, a blank field, text, an
+extra or a missing column. The command must refuse it with exit code 3 and
+one stderr line naming the row's file line, blank and comment lines
+counted, without a traceback and without writing any file.
 """
 
 import contextlib
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from qfin import admm
 from qfin.cli import main
+from test_instance_properties import file_line, filler_lists, with_fillers
 
 BIDS, ITEMS = 4, 2
 MUTATIONS = ("nan", "inf", "negative", "blank", "text", "extra-column", "missing-column")
@@ -34,11 +35,11 @@ def valid_lines() -> list[str]:
 
 @st.composite
 def spoiled_fields(draw):
-    """(mutation, row, column or None to append, new field text or None to drop, blank lines).
+    """(mutation, row, column or None to append, new field text or None to drop, fillers).
 
     Row 1 to ``BIDS`` is a bid, row ``BIDS + 1`` the ``units`` row, whose
-    label in column 0 is left alone. ``blank lines`` holds how many empty
-    lines go before each row.
+    label in column 0 is left alone. ``fillers`` holds the blank or comment
+    lines that go before each row.
     """
     mutation = draw(st.sampled_from(MUTATIONS))
     row = draw(st.integers(1, BIDS + 1))
@@ -58,14 +59,14 @@ def spoiled_fields(draw):
         column, value = None, draw(st.sampled_from(["0", "1.5", ""]))
     else:
         value = None
-    blanks = draw(st.lists(st.integers(0, 2), min_size=BIDS + 2, max_size=BIDS + 2))
-    return mutation, row, column, value, blanks
+    fillers = draw(filler_lists(BIDS + 2))
+    return mutation, row, column, value, fillers
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(case=spoiled_fields())
 def test_opt_auction_rejects_a_spoiled_row(case):
-    mutation, row, column, value, blanks = case
+    mutation, row, column, value, fillers = case
     lines = valid_lines()
     fields = lines[row].split(",")
     if column is None:
@@ -75,8 +76,8 @@ def test_opt_auction_rejects_a_spoiled_row(case):
     else:
         fields[column] = value
     lines[row] = ",".join(fields)
-    text = "".join("\n" * blank + line + "\n" for blank, line in zip(blanks, lines))
-    file_line = row + 1 + sum(blanks[:row + 1])
+    text = with_fillers(lines, fillers)
+    line_no = file_line(row, fillers)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         auction = root / "auction.csv"
@@ -89,7 +90,7 @@ def test_opt_auction_rejects_a_spoiled_row(case):
         assert code == 3, (mutation, lines[row])
         message = err.getvalue().strip().splitlines()
         assert len(message) == 1 and message[0].startswith("validation error:")
-        assert f"line {file_line}:" in message[0]
+        assert f"line {line_no}:" in message[0]
         assert "Traceback" not in err.getvalue()
         assert list(out.iterdir()) == []
 

@@ -378,11 +378,11 @@ def test_opt_auction_rejects_bad_values(tmp_path, capsys, units_line, first_bid,
 
 @pytest.mark.parametrize("command,text,message", [
     (["opt", "auction", "--instance"], "price,qty_item_1\n3,x\n1,2\nunits,5\n",
-     "bad auction row at line 2: could not convert string to float: 'x'"),
+     "bad auction line 2: could not convert string to float: 'x'"),
     (["opt", "auction", "--instance"], "price,qty_item_1\n3,1\n\n\n1,2,3\nunits,5\n",
-     "bad auction row at line 5: expected 2 fields, got 3"),
+     "bad auction line 5: expected 2 fields, got 3"),
     (["risk", "var", "--portfolio"], "lgd,p0,rho\n1,0.1,0.1\n\n\n2,x,0.1\n",
-     "bad asset at line 5: could not convert string to float: 'x'"),
+     "bad credit portfolio line 5: could not convert string to float: 'x'"),
     (["opt", "portfolio", "--instance"],
      "mu,0.1,0.2,0.3\n# covariance\nsigma,1.0,0.1\nsigma,0.1,1.0,0.0\nsigma,0,0,1\n"
      "q,0.5\nbudget,1\n",

@@ -35,6 +35,23 @@ MUTATIONS = ("nan", "inf", "negative", "blank", "text", "extra-column", "missing
 FILLERS = ("", "   ", "# a comment", "#")
 
 
+def filler_lists(count: int):
+    """For each of ``count`` lines, up to two ``FILLERS`` lines to go before it."""
+    return st.lists(st.lists(st.sampled_from(FILLERS), max_size=2),
+                    min_size=count, max_size=count)
+
+
+def with_fillers(lines: list[str], fillers: list[list[str]]) -> str:
+    """The file text of ``lines``, each after its fillers."""
+    return "".join("".join(f + "\n" for f in before) + line + "\n"
+                   for before, line in zip(fillers, lines))
+
+
+def file_line(index: int, fillers: list[list[str]]) -> int:
+    """The file line of ``lines[index]`` in ``with_fillers(lines, fillers)``."""
+    return index + 1 + sum(len(before) for before in fillers[:index + 1])
+
+
 def valid_lines() -> list[str]:
     """``mu``, one ``sigma`` line per asset, then ``q``, ``budget`` and ``penalty``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,8 +92,7 @@ def spoiled_fields(draw):
     else:
         line = draw(st.integers(1, ASSETS))
         column, value = draw(st.sampled_from([(None, "0.1"), (ASSETS, None)]))
-    fillers = draw(st.lists(st.lists(st.sampled_from(FILLERS), max_size=2),
-                            min_size=ASSETS + 4, max_size=ASSETS + 4))
+    fillers = draw(filler_lists(ASSETS + 4))
     return mutation, line, column, value, fillers
 
 
@@ -93,13 +109,12 @@ def test_opt_portfolio_rejects_a_spoiled_instance(case):
     else:
         fields[column] = value
     lines[line] = ",".join(fields)
-    text = "".join("".join(f + "\n" for f in before) + line_text + "\n"
-                   for before, line_text in zip(fillers, lines))
+    text = with_fillers(lines, fillers)
     # a mu line of another width is contradicted by the first sigma line,
     # unless its extra field is empty and refused there already
     named = (1 if line == 0 and mutation in ("extra-column", "missing-column") and value != ""
              else line)
-    file_line = named + 1 + sum(len(before) for before in fillers[:named + 1])
+    line_no = file_line(named, fillers)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         instance = root / "instance.txt"
@@ -112,7 +127,7 @@ def test_opt_portfolio_rejects_a_spoiled_instance(case):
         assert code == 3, (mutation, lines[line])
         message = err.getvalue().strip().splitlines()
         assert len(message) == 1 and message[0].startswith("validation error:")
-        assert f"line {file_line}:" in message[0]
+        assert f"line {line_no}:" in message[0]
         assert "Traceback" not in err.getvalue()
         assert list(out.iterdir()) == []
 
