@@ -321,9 +321,10 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
 
     Block 1's quadratic matrix does not depend on x_bar, y or lam, so with the
     brute-force solver x'Qx is enumerated once per run and each iteration only
-    adds its linear term and constant (the same energies as ``qb.brute_force``
-    on each block, bit for bit). Block 1's fixed part and block 2's Hessian
-    and first step are computed once per run too.
+    adds the subset sums of its linear term and its constant (the same
+    energies as ``qb.brute_force`` on each block, bit for bit). Block 1's
+    fixed part and block 2's Hessian and first step are computed once per
+    run too.
     """
     n, l, d = problem.n_binary, problem.n_continuous, problem.n_consensus
     mu = resolve_merit_weight(problem)
@@ -438,24 +439,15 @@ def auction_profit(bids, x) -> float:
 AUCTION_TABLE_BITS = 16
 
 
-def _subset_sums(columns: np.ndarray) -> np.ndarray:
-    """Column k is the sum of the columns in bit mask k, added from 0.0 in ascending order."""
-    sums = np.empty((columns.shape[0], 1 << columns.shape[1]))
-    sums[:, 0] = 0.0
-    for j, column in enumerate(columns.T):
-        np.add(sums[:, :1 << j], column[:, None], out=sums[:, 1 << j:2 << j])
-    return sums
-
-
 def solve_auction_exact(bids, units) -> tuple[np.ndarray, float]:
     """Exhaustive winner determination; feasible subsets only.
 
     Each bid is the column (price, quantity of each item); a subset's profit
     and loads are its columns' sum, added in ascending bid order. The subsets
     of the first AUCTION_TABLE_BITS bids form one table, and each subset of
-    the remaining bids adds its columns to a copy of it. Of the subsets with
-    load <= units + 1e-9 the lowest mask of highest profit wins; when no
-    profit is positive no bid is accepted.
+    the remaining bids adds its columns to it (``qb.subset_sum_blocks``). Of
+    the subsets with load <= units + 1e-9 the lowest mask of highest profit
+    wins; when no profit is positive no bid is accepted.
     """
     bids, units = _auction_bids(bids, units)
     n = len(bids)
@@ -463,19 +455,13 @@ def solve_auction_exact(bids, units) -> tuple[np.ndarray, float]:
         raise ValueError("exhaustive search supports at most 24 bids")
     columns = np.array([(b.price, *b.quantities) for b in bids], dtype=float)
     columns = columns.reshape(n, units.size + 1).T
-    low = min(n, AUCTION_TABLE_BITS)
-    table = _subset_sums(columns[:, :low])
     best, best_profit = 0, 0.0
-    for high in range(1 << (n - low)):
-        sums = table.copy()
-        for j in range(low, n):
-            if high >> (j - low) & 1:
-                sums += columns[:, j:j + 1]
+    for start, sums in qb.subset_sum_blocks(columns, AUCTION_TABLE_BITS):
         feasible = np.all(sums[1:] <= units.reshape(-1, 1) + 1e-9, axis=0)
         profit = np.where(feasible, sums[0], -math.inf)
         index = int(np.argmax(profit))
         if profit[index] > best_profit:
-            best, best_profit = high << low | index, float(profit[index])
+            best, best_profit = start | index, float(profit[index])
     return qb.bits_of_index(best, n).astype(float), best_profit
 
 

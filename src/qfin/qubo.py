@@ -46,41 +46,57 @@ def energy(qubo: Qubo, bits) -> float:
     return float(qubo.linear @ bits + bits @ qubo.quadratic @ bits + qubo.constant)
 
 
-# Assignments are enumerated ENUMERATION_CHUNK basis indices at a time.
-ENUMERATION_CHUNK = 1 << 16
-# The x'Qx fold adds row j's terms to 2^FOLD_BITS of its states at a time.
-FOLD_BITS = 15
+def subset_sums(columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entry k of the last axis sums the columns in bit mask k, from 0.0 in ascending order.
+
+    ``columns`` holds one column per entry of its last axis. The table
+    doubles: the masks with top bit j are those below 2^j plus column j.
+    ``out`` may be given, such as a view of a larger table, to fill in place.
+    """
+    if out is None:
+        out = np.empty(columns.shape[:-1] + (1 << columns.shape[-1],))
+    out[..., 0] = 0.0
+    for j in range(columns.shape[-1]):
+        np.add(out[..., :1 << j], columns[..., j:j + 1], out=out[..., 1 << j:2 << j])
+    return out
 
 
-def _add_where_set(values: np.ndarray, bit: int, term: float) -> None:
-    """Add ``term`` in place to the entries of ``values`` whose index has ``bit`` set."""
-    view = values.reshape(-1, 2, 1 << bit)[:, 1]
-    if bit in (1, 2):
-        # runs of 2 or 4 make a slow inner loop; step along the long axis instead
-        view = view.T
-        np.add(view, term, out=view, order="C")
-    else:
-        view += term
+def subset_sum_blocks(columns: np.ndarray, table_bits: int = 16):
+    """``(start, sums)`` for the masks in blocks of 2^table_bits, each as ``subset_sums``'.
+
+    The subsets of the first ``table_bits`` columns form one table, and each
+    later block adds its set columns from there on to a copy of that table
+    in ascending order, so every mask sums its columns in ``subset_sums``'
+    order while only a few tables of 2^table_bits masks exist. The first
+    block's ``sums`` is the table itself, so it is read-only.
+    """
+    n = columns.shape[-1]
+    low = min(n, table_bits)
+    table = subset_sums(columns[..., :low])
+    yield 0, table
+    for high in range(1, 1 << (n - low)):
+        sums = table.copy()
+        for j in range(low, n):
+            if high >> (j - low) & 1:
+                sums += columns[..., j:j + 1]
+        yield high << low, sums
 
 
 class QuadraticEnumeration:
     """x' Q x of all 2^n assignments for one fixed Q, enumerated once.
 
-    The table is a fold: starting from +0.0, Q[j, k] is added in place to
-    every state with x_j = x_k = 1, for j and then k in ascending order.
-    Each state thus sums its active entries of Q in the lexicographic (j, k)
-    order in which ``np.einsum("ij,jk,ik->i", bits, Q, bits)`` sums its n^2
-    products, and the products it skips are +-0.0, which leave a sum that
-    began at +0.0 unchanged; so for finite Q the table equals einsum's bit
-    for bit, at a quarter of the additions and none of the products. Row j's
-    states are gathered into a contiguous buffer, 2^FOLD_BITS of them at a
-    time, while its n terms are added, so the table is the only 2^n vector.
+    The table doubles: a state with top bit j has x'Qx equal to
+    ``(S_j + t) + Q[j, j]``, where t is the table entry of its lower bits
+    and S_j the subset sum (``subset_sums``) of its cross terms
+    ``Q[j, k] + Q[k, j]`` over the lower set bits k. S_j is built in place
+    where the states with top bit j go, so building the table takes no
+    other 2^n vector.
 
-    ``energies(linear, constant)`` then adds the linear term and constant in
-    ``all_energies``' order of operations, so a solver whose QUBOs share Q
-    and differ only in those two gets the same energies bit for bit without
-    redoing the quadratic form. The first chunk's bit block is held, later
-    ones are rebuilt on each call.
+    ``energies(linear, constant)`` then adds the subset sum of ``linear`` and
+    the constant, 2^16 states at a time, so a solver whose QUBOs share Q and
+    differ only in those two gets ``all_energies``' energies bit for bit
+    without redoing the quadratic form. ``minimize`` holds a second 2^n
+    vector, its energies, from its first call on.
     """
 
     def __init__(self, quadratic: np.ndarray):
@@ -88,59 +104,41 @@ class QuadraticEnumeration:
         if n > 24:
             raise CapacityError("enumeration supports at most 24 variables")
         self.n = n
-        self._first = self._bits(0)
-        self.quad = np.zeros(1 << n)
-        half = 1 << max(n - 1, 0)
-        size = min(half, 1 << FOLD_BITS)
-        low = size.bit_length() - 1
-        row = np.empty(size)
+        self._energies = None
+        cross = quadratic + quadratic.T
+        self.quad = np.empty(1 << n)
+        self.quad[0] = 0.0
         for j in range(n):
-            held = self.quad.reshape(-1, 2, 1 << j)[:, 1]
-            for start in range(0, half, size):
-                # bit k of a row index is x_k below j and x_(k+1) from j on;
-                # the block's bits from low on are those of start
-                a, b = divmod(start, 1 << j)
-                part = held[a:a + max(size >> j, 1), b:b + size]
-                gathered = row.reshape(part.shape)
-                np.copyto(gathered, part)
-                for k in range(n):
-                    bit = k if k < j else k - 1
-                    if k == j or (bit >= low and start >> bit & 1):
-                        row += quadratic[j, k]
-                    elif bit < low:
-                        _add_where_set(row, bit, quadratic[j, k])
-                np.copyto(part, gathered)
-
-    def _bits(self, start: int) -> np.ndarray:
-        # int32 index arithmetic (n <= 24) halves the integer temporaries
-        idx = np.arange(start, min(start + ENUMERATION_CHUNK, 1 << self.n), dtype=np.int32)
-        bits = idx[:, None] >> np.arange(self.n, dtype=np.int32)
-        bits &= 1
-        return bits.astype(float)
-
-    def _blocks(self):
-        for start in range(0, 1 << self.n, ENUMERATION_CHUNK):
-            yield start, self._first if start == 0 else self._bits(start)
+            top = subset_sums(cross[j, :j], out=self.quad[1 << j:2 << j])
+            top += self.quad[:1 << j]
+            top += quadratic[j, j]
 
     def energies(self, linear: np.ndarray, constant: float = 0.0,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Energies indexed by basis index (bit i = x_i); ``out`` may be ``self.quad``."""
         if out is None:
             out = np.empty(1 << self.n)
-        for start, bits in self._blocks():
-            stop = start + len(bits)
-            np.add(bits @ linear, self.quad[start:stop], out=out[start:stop])
-            out[start:stop] += constant
+        for start, sums in subset_sum_blocks(linear):
+            part = slice(start, start + sums.size)
+            np.add(self.quad[part], sums, out=out[part])
+            out[part] += constant
         return out
 
     def minimize(self, linear: np.ndarray, constant: float = 0.0) -> tuple[np.ndarray, float]:
-        return lowest_energy(self.energies(linear, constant), self.n)
+        """``lowest_energy`` of ``energies``, written to one buffer that later calls reuse.
+
+        A fresh 2^n buffer per call would be paged in again each time, which
+        at 16 variables costs more than the energies themselves.
+        """
+        if self._energies is None:
+            self._energies = np.empty(1 << self.n)
+        return lowest_energy(self.energies(linear, constant, out=self._energies), self.n)
 
 
 def all_energies(qubo: Qubo) -> np.ndarray:
     """Energies of all 2^n assignments, indexed by basis index (bit i = x_i)."""
     form = QuadraticEnumeration(qubo.quadratic)
-    # one-shot: overwrite the held x'Qx chunk by chunk, so only one 2^n vector exists
+    # one-shot: overwrite x'Qx block by block, so only one 2^n vector exists
     return form.energies(qubo.linear, qubo.constant, out=form.quad)
 
 

@@ -932,7 +932,7 @@ def test_vqe_runs_replay_byte_identical(tmp_path, portfolio_instance, argv_extra
 
 def _edited_instance(tmp_path, portfolio_instance, label, field, value):
     """Copy the instance with one field of the first line labelled ``label`` replaced."""
-    lines = open(portfolio_instance).read().splitlines()
+    lines = Path(portfolio_instance).read_text().splitlines()
     for i, line in enumerate(lines):
         if line.startswith(label + ","):
             parts = line.split(",")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,7 +342,7 @@ def test_similarity_reader_names_the_bad_line(tmp_path, text, message):
 
 
 def all_energies_reference(qubo, chunk=1 << 16):
-    """The chunked enumeration as it stood before the quadratic form was held."""
+    """The chunked einsum enumeration: x'Qx by ``np.einsum``, the linear term by dgemv."""
     dim = 1 << qubo.n
     out = np.empty(dim)
     shifts = np.arange(qubo.n)
@@ -351,32 +353,6 @@ def all_energies_reference(qubo, chunk=1 << 16):
             bits @ qubo.linear + np.einsum("ij,jk,ik->i", bits, qubo.quadratic, bits)
             + qubo.constant)
     return out
-
-
-@pytest.mark.parametrize("n,chunk", [(0, 1 << 16), (1, 1 << 16), (6, 1 << 16), (6, 8),
-                                     (7, 5), (16, 1 << 16), (17, 1 << 16)])
-def test_all_energies_equals_reference_bitwise(monkeypatch, n, chunk):
-    monkeypatch.setattr(qb, "ENUMERATION_CHUNK", chunk)
-    qubo = random_qubo(n, 30 + n, scale=3.7)
-    assert np.array_equal(qb.all_energies(qubo), all_energies_reference(qubo, chunk))
-
-
-@pytest.mark.parametrize("n,chunk", [(5, 1 << 16), (6, 8), (17, 1 << 16)])
-def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk):
-    monkeypatch.setattr(qb, "ENUMERATION_CHUNK", chunk)
-    base = random_qubo(n, 50 + n)
-    form = qb.QuadraticEnumeration(base.quadratic)
-    held_quad = form.quad.copy()
-    rng = np.random.default_rng(n)
-    for _ in range(3):
-        qubo = qb.Qubo(n=n, quadratic=base.quadratic, linear=rng.normal(size=n) * 5,
-                       constant=float(rng.normal()))
-        energies = form.energies(qubo.linear, qubo.constant)
-        assert np.array_equal(energies, all_energies_reference(qubo, chunk))
-        bits, value = form.minimize(qubo.linear, qubo.constant)
-        want_bits, want_value = qb.brute_force(qubo)
-        assert np.array_equal(bits, want_bits) and value == want_value
-    assert np.array_equal(form.quad, held_quad)
 
 
 def quadratic_form_loop(quadratic):
@@ -393,6 +369,47 @@ def quadratic_form_loop(quadratic):
     return out
 
 
+def doubling_quadratic(quadratic, index):
+    """x'Qx of one state in the doubling's order, one scalar addition at a time.
+
+    With j the top set bit and ``lower`` the bits below it, the cross terms
+    Q[j, k] + Q[k, j] of the set bits k of ``lower`` are summed from 0.0 in
+    ascending k, then x'Qx of ``lower`` and then Q[j, j] are added.
+    """
+    if index == 0:
+        return 0.0
+    j = index.bit_length() - 1
+    lower = index - (1 << j)
+    cross = 0.0
+    for k in range(j):
+        if lower >> k & 1:
+            cross += quadratic[j, k] + quadratic[k, j]
+    return (cross + doubling_quadratic(quadratic, lower)) + quadratic[j, j]
+
+
+def doubling_energy(qubo, index):
+    """(x'Qx + the linear terms of the set bits summed from 0.0 in ascending order) + constant."""
+    linear = 0.0
+    for i in range(qubo.n):
+        if index >> i & 1:
+            linear += qubo.linear[i]
+    return (doubling_quadratic(qubo.quadratic, index) + linear) + qubo.constant
+
+
+def checked_indices(n, seed):
+    """Every state up to 2^10; above that the two ends, the 2^16 block edges and 4000 more."""
+    dim = 1 << n
+    if dim <= 1 << 10:
+        return list(range(dim))
+    edges = {0, 1, dim - 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1} & set(range(dim))
+    drawn = np.random.default_rng(seed).integers(0, dim, size=4000)
+    return sorted(edges | set(drawn.tolist()))
+
+
+def same_bits(got, want):
+    return np.asarray(got).view(np.uint64).tolist() == np.asarray(want).view(np.uint64).tolist()
+
+
 def asymmetric_within_tolerance(n, seed):
     """A Q that ``Qubo`` accepts as symmetric although Q[j, k] != Q[k, j] in the last bits."""
     rng = np.random.default_rng(seed)
@@ -403,23 +420,117 @@ def asymmetric_within_tolerance(n, seed):
     return quadratic
 
 
+def oracle_qubos():
+    rng = np.random.default_rng(76)
+    asymmetric = asymmetric_within_tolerance(6, 73)
+    return [
+        pytest.param(random_qubo(0, 30), id="n0"),
+        pytest.param(random_qubo(1, 31, scale=3.7), id="n1"),
+        pytest.param(random_qubo(6, 36, scale=3.7), id="n6"),
+        pytest.param(random_qubo(9, 72, scale=1e3), id="n9-scale1e3"),
+        pytest.param(qb.Qubo(n=6, quadratic=asymmetric, linear=rng.normal(size=6) * 1e3,
+                             constant=-2.5), id="n6-asymmetric"),
+        pytest.param(random_qubo(16, 46, scale=3.7), id="n16"),
+        pytest.param(random_qubo(17, 47, scale=3.7), id="n17"),
+    ]
+
+
+@pytest.mark.parametrize("qubo", oracle_qubos())
+def test_all_energies_equals_the_doubling_loop_bitwise(qubo):
+    energies = qb.all_energies(qubo)
+    indices = checked_indices(qubo.n, qubo.n)
+    want = [doubling_energy(qubo, index) for index in indices]
+    assert same_bits(energies[indices], want)
+
+
+@pytest.mark.parametrize("qubo", oracle_qubos())
+def test_all_energies_is_within_round_off_of_the_einsum_reference(qubo):
+    # the sums run in another order, so they agree to within a few ulps of |terms|
+    bits = ((np.arange(1 << qubo.n)[:, None] >> np.arange(qubo.n)) & 1).astype(float)
+    magnitude = (bits @ np.abs(qubo.linear)
+                 + np.einsum("ij,jk,ik->i", bits, np.abs(qubo.quadratic), bits)
+                 + abs(qubo.constant))
+    gap = np.abs(qb.all_energies(qubo) - all_energies_reference(qubo))
+    assert np.all(gap <= 1e-12 * magnitude)
+
+
+@pytest.mark.parametrize("n,chunk", [(5, 1 << 16), (6, 8), (17, 1 << 16)])
+def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk):
+    # the linear terms are added ``chunk`` states at a time
+    blocks = qb.subset_sum_blocks
+    monkeypatch.setattr(qb, "subset_sum_blocks",
+                        lambda columns: blocks(columns, chunk.bit_length() - 1))
+    base = random_qubo(n, 50 + n)
+    form = qb.QuadraticEnumeration(base.quadratic)
+    held_quad = form.quad.copy()
+    rng = np.random.default_rng(n)
+    indices = checked_indices(n, n)
+    for _ in range(3):
+        qubo = qb.Qubo(n=n, quadratic=base.quadratic, linear=rng.normal(size=n) * 5,
+                       constant=float(rng.normal()))
+        energies = form.energies(qubo.linear, qubo.constant)
+        assert same_bits(energies[indices], [doubling_energy(qubo, i) for i in indices])
+        assert same_bits(energies, qb.all_energies(qubo))
+        bits, value = form.minimize(qubo.linear, qubo.constant)
+        want_bits, want_value = qb.brute_force(qubo)
+        assert np.array_equal(bits, want_bits) and value == want_value
+    assert np.array_equal(form.quad, held_quad)
+
+
 @pytest.mark.parametrize("quadratic", [
     np.zeros((0, 0)), np.array([[-2.5]]), random_qubo(6, 71, scale=3.1).quadratic,
     random_qubo(9, 72, scale=1e3).quadratic, asymmetric_within_tolerance(6, 73),
 ], ids=["n0", "n1", "n6", "n9", "n6-asymmetric"])
 def test_enumerated_quadratic_form_equals_the_per_state_loop_bitwise(quadratic):
     got = qb.QuadraticEnumeration(quadratic).quad
-    assert got.view(np.uint64).tolist() == quadratic_form_loop(quadratic).view(np.uint64).tolist()
+    want = [doubling_quadratic(quadratic, index) for index in range(1 << quadratic.shape[0])]
+    assert same_bits(got, want)
+    # the (j, k)-order loop is an independent oracle, to round-off
+    n = quadratic.shape[0]
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    magnitude = np.einsum("ij,jk,ik->i", bits, np.abs(quadratic), bits)
+    assert np.all(np.abs(got - quadratic_form_loop(quadratic)) <= 1e-12 * magnitude)
 
 
-@pytest.mark.parametrize("fold_bits", [0, 1, 2, 3])
-def test_fold_in_row_blocks_equals_the_per_state_loop_bitwise(monkeypatch, fold_bits):
-    # row j's 2^(n-1) states are folded 2^fold_bits at a time
-    monkeypatch.setattr(qb, "FOLD_BITS", fold_bits)
-    for quadratic in (random_qubo(6, 74, scale=2.3).quadratic, asymmetric_within_tolerance(7, 75)):
-        got = qb.QuadraticEnumeration(quadratic).quad
-        want = quadratic_form_loop(quadratic)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+def subset_sum_loop(columns):
+    """Each mask's columns summed from 0.0 in ascending order, one scalar addition at a time."""
+    out = np.empty((columns.shape[0], 1 << columns.shape[1]))
+    for row, values in enumerate(columns):
+        for mask in range(out.shape[1]):
+            total = 0.0
+            for j, value in enumerate(values):
+                if mask >> j & 1:
+                    total += value
+            out[row, mask] = total
+    return out
+
+
+@pytest.mark.parametrize("table_bits", [0, 1, 2, 3, 16])
+def test_subset_sum_blocks_equal_the_per_mask_loop_bitwise(table_bits):
+    rng = np.random.default_rng(77)
+    columns = rng.normal(size=(3, 7)) * 10.0 ** rng.integers(-8, 8, size=(3, 7))
+    want = subset_sum_loop(columns)
+    assert same_bits(qb.subset_sums(columns), want)
+    blocks = list(qb.subset_sum_blocks(columns, table_bits))
+    assert [start for start, _ in blocks] == list(range(0, 1 << 7, 1 << min(table_bits, 7)))
+    assert same_bits(np.concatenate([sums for _, sums in blocks], axis=1), want)
+    # one row of columns as a vector gives that row's table
+    whole = np.concatenate([sums for _, sums in qb.subset_sum_blocks(columns[1], table_bits)])
+    assert same_bits(whole, want[1])
+
+
+def test_one_shot_enumeration_holds_one_table():
+    n = 20
+    qubo = random_qubo(n, 78)
+    tracemalloc.start()
+    try:
+        energies = qb.all_energies(qubo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert energies.nbytes == 8 << n
+    # one 2^n table plus a few 2^16 tables of linear sums
+    assert peak <= (8 << n) + 4 * (8 << 16)
 
 
 def test_held_enumeration_minimize_keeps_lowest_index_tie_rule():
