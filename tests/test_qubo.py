@@ -454,6 +454,19 @@ def test_all_energies_is_within_round_off_of_the_einsum_reference(qubo):
     assert np.all(gap <= 1e-12 * magnitude)
 
 
+@pytest.mark.parametrize("n,chunk", [(6, 8), (7, 5)])
+def test_all_energies_equals_reference_bitwise(monkeypatch, n, chunk):
+    # the linear terms are added in blocks of the largest power of two <= ``chunk``
+    qubo = random_qubo(n, 30 + n, scale=3.7)
+    whole = qb.all_energies(qubo)
+    blocks = qb.subset_sum_blocks
+    monkeypatch.setattr(qb, "subset_sum_blocks",
+                        lambda columns: blocks(columns, chunk.bit_length() - 1))
+    energies = qb.all_energies(qubo)
+    assert same_bits(energies, [doubling_energy(qubo, i) for i in range(1 << n)])
+    assert same_bits(energies, whole)
+
+
 @pytest.mark.parametrize("n,chunk", [(5, 1 << 16), (6, 8), (17, 1 << 16)])
 def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk):
     # the linear terms are added ``chunk`` states at a time
