@@ -20,9 +20,10 @@ round-off; the tests use it as the oracle.
 """
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -162,6 +163,9 @@ TRANSACTION_VOCABS = (3, 10, 10)
 MAX_RECORDS = 1_000_000  # most records either synthesizer (``ml synth --n``) writes
 SEPARABLE_FEATURES = 2  # features, one qubit each, of ``synthesize_separable``'s points
 REFERENCE_DRAWS = 10  # most reference models ``synthesize_separable`` draws
+# records per chunk of ``dataset_csv``: formatted in one block, a 10^6-record
+# ``ml synth`` peaks at 476 MiB; in chunks of 2^14, at the 131 MiB of a row loop
+DATASET_CHUNK_ROWS = 1 << 14
 
 
 def _check_record_count(n_records: int) -> None:
@@ -204,16 +208,32 @@ def synthesize_transactions(n_records: int, seed: int) -> LabeledDataset:
     )
 
 
+def dataset_csv(dataset: LabeledDataset):
+    """The CSV text of ``dataset``, header first, in chunks of ``DATASET_CHUNK_ROWS`` records.
+
+    The rows are formatted from ``tolist`` blocks: a Python float prints as
+    ``repr`` of the float64 it came from, so the text does not depend on the
+    chunking, and a large set is never held as one string.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([*dataset.continuous_names, *dataset.categorical_names, "label"])
+    for start in range(0, len(dataset), DATASET_CHUNK_ROWS):
+        yield text.getvalue()
+        text.seek(0)
+        text.truncate()
+        block = slice(start, start + DATASET_CHUNK_ROWS)
+        writer.writerows(
+            continuous + categorical + [label] for continuous, categorical, label in zip(
+                dataset.continuous[block].astype(float).tolist(),
+                dataset.categorical[block].astype(int).tolist(),
+                dataset.labels[block].astype(int).tolist()))
+    yield text.getvalue()
+
+
 def export_csv(path, dataset: LabeledDataset) -> None:
-    names = list(dataset.continuous_names) + list(dataset.categorical_names)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["label"])
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.continuous[i]]
-            row += [int(v) for v in dataset.categorical[i]]
-            row.append(int(dataset.labels[i]))
-            writer.writerow(row)
+        fh.writelines(dataset_csv(dataset))
 
 
 def ingest_csv(path, continuous_names=None, categorical_names=(),
@@ -588,28 +608,21 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     return model, best.trace, _accuracy_of_values(decide(model), dataset.labels)
 
 
-def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:
-    """Persist the architecture, scaler, parameters, and optional seed provenance."""
-    payload = {
-        "config": {
-            "n_qubits": model.config.n_qubits,
-            "repetitions": model.config.repetitions,
-            "separator_layers": model.config.separator_layers,
-            "qrac_features": list(model.config.qrac_features),
-            "latent_qubits": model.config.latent_qubits,
-            "continuous_names": list(model.config.continuous_names),
-            "categorical_names": list(model.config.categorical_names),
-            "vocab_sizes": list(model.config.vocab_sizes),
-        },
+def model_payload(model: VqcModel, provenance: dict | None = None) -> dict:
+    """The JSON object of a model file: architecture, scaler, parameters and provenance."""
+    return {
+        "config": asdict(model.config),
         "theta": [float(v) for v in model.theta],
         "bias": model.bias,
         "scaler_low": [float(v) for v in model.scaler_low],
         "scaler_high": [float(v) for v in model.scaler_high],
         "provenance": provenance or {},
     }
+
+
+def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(inputs.json_text(model_payload(model, provenance)))
 
 
 # The feature map runs its layers this many times per record; ``ml train``
@@ -656,15 +669,8 @@ def load_model(path) -> VqcModel:
             or not set(cfg["qrac_features"]) <= set(cfg["categorical_names"])):
         raise ValueError("model config needs one vocabulary size per categorical feature "
                          "and QRAC features among them")
-    config = ModelConfig(
-        n_qubits=cfg["n_qubits"], repetitions=cfg["repetitions"],
-        separator_layers=cfg["separator_layers"],
-        qrac_features=tuple(cfg["qrac_features"]),
-        latent_qubits=cfg["latent_qubits"],
-        continuous_names=tuple(cfg["continuous_names"]),
-        categorical_names=tuple(cfg["categorical_names"]),
-        vocab_sizes=tuple(cfg["vocab_sizes"]),
-    )
+    config = ModelConfig(**{key: cfg[key] for key in _CONFIG_INTS},
+                         **{key: tuple(cfg[key]) for key in _CONFIG_LISTS})
     bias = payload["bias"]
     if not (type(bias) in (int, float) and math.isfinite(bias)):
         raise ValueError("model bias must be a finite number")

@@ -6,6 +6,10 @@ and amplitude-estimation calibration (``ae calibrate``). Every run writes a
 manifest (arguments, seed, input digests, version) next to deterministic
 result files, so rerunning the same manifest reproduces them byte for byte.
 
+A command's handler only computes: it returns its files by name, the input
+paths the manifest digests, and its stdout summary. ``main`` alone writes
+them, so a command that fails while computing writes nothing.
+
 Exit codes: 0 success, 1 internal error, 2 usage, 3 validation, 4 capacity,
 5 solver failure.
 """
@@ -31,6 +35,7 @@ from .amplitude_estimation import (
     error_bound,
     qpe_failure_probability,
 )
+from .inputs import json_text
 from .optimizers import OptimizerConfig
 from .simulator import CapacityError
 
@@ -73,22 +78,30 @@ def _fresh(path: str) -> str:
     return path
 
 
-def _write_json(path: str, payload) -> None:
-    with open(_fresh(path), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _path(args, name: str) -> str:
+    """Where ``_write`` puts the file ``name``; a summary that names a file uses it too."""
+    return os.path.join(args.out_dir, name)
 
 
-def _write_manifest(out_dir: str, argv: list[str], seed: int, inputs: list[str],
-                    outputs: list[str]) -> None:
+def _write(args, argv: list[str], files: dict, inputs: list[str], summary: str) -> None:
+    """The one writer of a command's results: ``files`` under ``--out-dir`` in
+    order, each created anew, then ``manifest.json``, then ``summary`` on stdout.
+
+    A dict is written as JSON and any other content as its text chunks. A file
+    that cannot be written stops the run there: the files before it stay, and
+    no manifest is written.
+    """
     manifest = {
         "argv": argv,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "inputs": {os.path.basename(p): _digest(p) for p in inputs},
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted(files),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    for name, content in [*files.items(), ("manifest.json", manifest)]:
+        with open(_fresh(_path(args, name)), "w", newline="") as fh:
+            fh.writelines([json_text(content)] if isinstance(content, dict) else content)
+    print(summary)
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:
@@ -108,7 +121,7 @@ def _optimizer_from_args(args) -> OptimizerConfig:
 # risk var
 
 
-def cmd_risk_var(args, argv) -> int:
+def cmd_risk_var(args):
     # both branches record alpha and m, so both are checked here
     if not 0.0 <= args.alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -144,14 +157,11 @@ def cmd_risk_var(args, argv) -> int:
                               "ae_bound": error_bound(dist.cdf(p.mid), 1 << args.m)}
                              for p in trace],
         }
-    out = os.path.join(args.out_dir, "result.json")
-    _write_json(out, result)
-    _write_manifest(args.out_dir, argv, args.seed, [args.portfolio], [out])
-    print(f"VaR_{args.alpha} = {var}  E[L] = {expected:.6f}  ECR = {var - expected:.6f}")
+    summary = f"VaR_{args.alpha} = {var}  E[L] = {expected:.6f}  ECR = {var - expected:.6f}"
     if trace:
-        print(_table([[p.low, p.mid, p.high, f"{p.cdf:.6f}"] for p in trace],
-                     ["low", "mid", "high", "cdf_estimate"]))
-    return EXIT_OK
+        summary += "\n" + _table([[p.low, p.mid, p.high, f"{p.cdf:.6f}"] for p in trace],
+                                 ["low", "mid", "high", "cdf_estimate"])
+    return {"result.json": result}, [args.portfolio], summary
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +176,18 @@ def _solve_qubo_by(args, qubo: qb.Qubo):
                             _optimizer_from_args(args), args.top_k)
 
 
-def cmd_opt_portfolio(args, argv) -> int:
+def _top_states(variational) -> list[dict]:
+    return [{"bits": s, "probability": p, "energy": e}
+            for s, p, e in variational.top_states]
+
+
+def cmd_opt_portfolio(args):
     spec = qb.read_portfolio_instance(args.instance)
     if args.frontier:
-        # solved first, so that a bad q value stops the command before any file is written
         q_values = [float(v) for v in args.q_values.split(",")]
         points = qb.efficient_frontier(spec.mu, spec.sigma, q_values)
     qubo = qb.build_portfolio_qubo(spec)
     bits, value, variational = _solve_qubo_by(args, qubo)
-    outputs = []
     result = {
         "solver": args.solver,
         "n": spec.n,
@@ -186,27 +199,18 @@ def cmd_opt_portfolio(args, argv) -> int:
         "return": float(spec.mu @ bits),
     }
     if variational is not None:
-        result["top_states"] = [
-            {"bits": s, "probability": p, "energy": e}
-            for s, p, e in variational.top_states]
-    out = os.path.join(args.out_dir, "result.json")
-    _write_json(out, result)
-    outputs.append(out)
+        result["top_states"] = _top_states(variational)
+    files = {"result.json": result}
     if args.frontier:
-        frontier_path = os.path.join(args.out_dir, "frontier.csv")
-        with open(_fresh(frontier_path), "w") as fh:
-            fh.write("q,risk,return,selection\n")
-            for q, pt in zip(q_values, points):
-                bitstring = "".join(str(int(b)) for b in pt.x)
-                fh.write(f"{q!r},{pt.risk!r},{pt.ret!r},{bitstring}\n")
-        outputs.append(frontier_path)
-    _write_manifest(args.out_dir, argv, args.seed, [args.instance], outputs)
-    print(f"selection {''.join(str(int(b)) for b in bits)}  energy {value:.6f}  "
-          f"feasible {result['budget_feasible']}")
-    return EXIT_OK
+        files["frontier.csv"] = ["q,risk,return,selection\n"] + [
+            f"{q!r},{pt.risk!r},{pt.ret!r},{''.join(str(int(b)) for b in pt.x)}\n"
+            for q, pt in zip(q_values, points)]
+    return files, [args.instance], (
+        f"selection {''.join(str(int(b)) for b in bits)}  energy {value:.6f}  "
+        f"feasible {result['budget_feasible']}")
 
 
-def cmd_opt_diversify(args, argv) -> int:
+def cmd_opt_diversify(args):
     rho = qb.read_similarity_csv(args.similarity)
     spec = qb.DiversificationSpec(rho=rho, q_clusters=args.clusters,
                                   penalty=args.penalty)
@@ -225,29 +229,21 @@ def cmd_opt_diversify(args, argv) -> int:
         "violations": list(decode.violations),
     }
     if variational is not None:
-        result["top_states"] = [
-            {"bits": s, "probability": p, "energy": e}
-            for s, p, e in variational.top_states]
-    out = os.path.join(args.out_dir, "result.json")
-    _write_json(out, result)
-    _write_manifest(args.out_dir, argv, args.seed, [args.similarity], [out])
-    print(f"selected {decode.selected} assignment {decode.assignment} "
-          f"feasible {decode.feasible}")
-    return EXIT_OK
+        result["top_states"] = _top_states(variational)
+    return {"result.json": result}, [args.similarity], (
+        f"selected {decode.selected} assignment {decode.assignment} "
+        f"feasible {decode.feasible}")
 
 
-def cmd_opt_auction(args, argv) -> int:
+def cmd_opt_auction(args):
     bids, units = admm.read_auction_csv(args.instance)
     problem = admm.build_auction(bids, units)
     if args.solver == "brute-force":
         bits, profit = admm.solve_auction_exact(bids, units)
         result = {"solver": "brute-force", "accepted": [int(b) for b in bits],
                   "profit": profit, "violation": 0.0}
-        outputs = [os.path.join(args.out_dir, "result.json")]
-        _write_json(outputs[0], result)
-        _write_manifest(args.out_dir, argv, args.seed, [args.instance], outputs)
-        print(f"accepted {''.join(str(int(b)) for b in bits)}  profit {profit}")
-        return EXIT_OK
+        return {"result.json": result}, [args.instance], (
+            f"accepted {''.join(str(int(b)) for b in bits)}  profit {profit}")
     if args.solver != "admm":
         raise SolverFailure(
             f"auction instances are mixed-binary; solver {args.solver!r} needs the admm wrapper")
@@ -265,40 +261,32 @@ def cmd_opt_auction(args, argv) -> int:
         "profit": profit, "violation": violation,
         "iterations": len(outcome.trace), "k_star": outcome.k_star,
     }
-    trace_payload = {
+    trace = {
         "residual_norm": [it.residual_norm for it in outcome.trace],
         "merit": [it.merit for it in outcome.trace],
         "block3_gradient_norm": [it.block3_gradient_norm for it in outcome.trace],
     }
-    out = os.path.join(args.out_dir, "result.json")
-    trace_path = os.path.join(args.out_dir, "trace.json")
-    _write_json(out, result)
-    _write_json(trace_path, trace_payload)
-    _write_manifest(args.out_dir, argv, args.seed, [args.instance], [out, trace_path])
-    print(f"accepted {''.join(str(int(b)) for b in outcome.x)}  profit {profit}  "
-          f"violation {violation}  iterations {len(outcome.trace)}")
-    return EXIT_OK
+    return {"result.json": result, "trace.json": trace}, [args.instance], (
+        f"accepted {''.join(str(int(b)) for b in outcome.x)}  profit {profit}  "
+        f"violation {violation}  iterations {len(outcome.trace)}")
 
 
 # ---------------------------------------------------------------------------
 # ml subcommands
 
 
-def cmd_ml_synth(args, argv) -> int:
+def cmd_ml_synth(args):
     if args.mode == "transactions":
         dataset = clf.synthesize_transactions(args.n, args.seed)
     else:
         dataset = clf.synthesize_separable(args.n, args.seed, margin=args.margin)
-    path = os.path.join(args.out_dir, "dataset.csv")
-    clf.export_csv(_fresh(path), dataset)
-    _write_manifest(args.out_dir, argv, args.seed, [], [path])
-    print(f"wrote {len(dataset)} records to {path} "
-          f"(labels: +1 x{int((dataset.labels == 1).sum())}, "
-          f"-1 x{int((dataset.labels == -1).sum())})")
-    return EXIT_OK
+    return {"dataset.csv": clf.dataset_csv(dataset)}, [], (
+        f"wrote {len(dataset)} records to {_path(args, 'dataset.csv')} "
+        f"(labels: +1 x{int((dataset.labels == 1).sum())}, "
+        f"-1 x{int((dataset.labels == -1).sum())})")
 
 
-def cmd_ml_train(args, argv) -> int:
+def cmd_ml_train(args):
     dataset = clf.ingest_csv(args.data)
     qrac = ("method",) if args.encoder == "qrac" and "method" in dataset.categorical_names else ()
     config = clf.build_vqc_with_qrac(dataset.continuous_names, dataset.categorical_names,
@@ -311,7 +299,6 @@ def cmd_ml_train(args, argv) -> int:
         "records": len(dataset), "risk_form": args.risk,
         "final_loss": trace[-1], "train_accuracy": train_accuracy,
     }
-    # everything that can fail runs before the first file is written
     if args.cross_validate:
         def trainer(train_set):
             m, _, train_acc = clf.train(train_set, config, optimizer, form=args.risk)
@@ -322,41 +309,33 @@ def cmd_ml_train(args, argv) -> int:
             trainer, dataset, k=args.folds, seed=args.seed)
         result["baselines"] = clf.classical_baselines(dataset, k=args.folds,
                                                       seed=args.seed)
-    model_path = os.path.join(args.out_dir, "model.json")
-    clf.save_model(_fresh(model_path), model, provenance={
-        "seed": args.seed, "optimizer": args.optimizer,
-        "iterations": args.iterations, "risk": args.risk, "version": __version__})
-    loss_path = os.path.join(args.out_dir, "loss_trace.csv")
-    with open(_fresh(loss_path), "w") as fh:
-        fh.write("iteration,loss\n")
-        for i, v in enumerate(trace):
-            fh.write(f"{i},{v!r}\n")
-    out = os.path.join(args.out_dir, "result.json")
-    _write_json(out, result)
-    _write_manifest(args.out_dir, argv, args.seed, [args.data], [model_path, loss_path, out])
-    print(f"trained {config.n_qubits}-qubit model: loss {trace[0]:.4f} -> {trace[-1]:.4f},"
-          f" train accuracy {train_accuracy:.3f}")
-    return EXIT_OK
+    files = {
+        "model.json": clf.model_payload(model, provenance={
+            "seed": args.seed, "optimizer": args.optimizer,
+            "iterations": args.iterations, "risk": args.risk, "version": __version__}),
+        "loss_trace.csv": ["iteration,loss\n"] + [f"{i},{v!r}\n" for i, v in enumerate(trace)],
+        "result.json": result,
+    }
+    return files, [args.data], (
+        f"trained {config.n_qubits}-qubit model: loss {trace[0]:.4f} -> {trace[-1]:.4f},"
+        f" train accuracy {train_accuracy:.3f}")
 
 
-def cmd_ml_eval(args, argv) -> int:
+def cmd_ml_eval(args):
     model = clf.load_model(args.model)
     dataset = clf.ingest_csv(args.data, model.config.continuous_names,
                              model.config.categorical_names, model.config.vocab_sizes)
     acc, risk_abs = clf.evaluate(model, dataset)
     result = {"records": len(dataset), "accuracy": acc, "absolute_risk": risk_abs}
-    out = os.path.join(args.out_dir, "eval.json")
-    _write_json(out, result)
-    _write_manifest(args.out_dir, argv, args.seed, [args.model, args.data], [out])
-    print(f"accuracy {acc:.3f} over {len(dataset)} records (absolute risk {risk_abs:.4f})")
-    return EXIT_OK
+    return {"eval.json": result}, [args.model, args.data], (
+        f"accuracy {acc:.3f} over {len(dataset)} records (absolute risk {risk_abs:.4f})")
 
 
 # ---------------------------------------------------------------------------
 # ae calibrate
 
 
-def cmd_ae_calibrate(args, argv) -> int:
+def cmd_ae_calibrate(args):
     if not 1 <= args.m <= 8:
         raise ValueError("calibration supports 1 <= m <= 8")
     if not CALIBRATE_MIN_GRID <= args.grid < 1.0:
@@ -366,26 +345,21 @@ def cmd_ae_calibrate(args, argv) -> int:
         raise ValueError("calibration supports s_max, p_max >= 1 and "
                          f"s_max + p_max <= {CALIBRATE_MAX_QPE_BITS}")
     big_m = 1 << args.m
-    grid = np.arange(args.grid, 1.0, args.grid)
-    coverage_path = os.path.join(args.out_dir, "coverage.csv")
-    with open(_fresh(coverage_path), "w") as fh:
-        fh.write("a,coverage,bound\n")
-        for a in grid:
-            a = float(round(a, 10))
-            fh.write(f"{a!r},{coverage_probability(a, args.m)!r},"
-                     f"{error_bound(a, big_m)!r}\n")
-    failure_path = os.path.join(args.out_dir, "qpe_failure.csv")
-    with open(_fresh(failure_path), "w") as fh:
-        fh.write("s,p,failure_probability\n")
-        for s in range(1, args.s_max + 1):
-            for p in range(1, args.p_max + 1):
-                fh.write(f"{s},{p},{qpe_failure_probability(s, p)!r}\n")
-    _write_manifest(args.out_dir, argv, args.seed, [], [coverage_path, failure_path])
-    print(f"wrote {coverage_path} ({grid.size} rows) and {failure_path}")
-    return EXIT_OK
+    coverage = ["a,coverage,bound\n"]
+    for a in np.arange(args.grid, 1.0, args.grid):
+        a = float(round(a, 10))
+        coverage.append(f"{a!r},{coverage_probability(a, args.m)!r},"
+                        f"{error_bound(a, big_m)!r}\n")
+    failure = ["s,p,failure_probability\n"] + [
+        f"{s},{p},{qpe_failure_probability(s, p)!r}\n"
+        for s in range(1, args.s_max + 1) for p in range(1, args.p_max + 1)]
+    return {"coverage.csv": coverage, "qpe_failure.csv": failure}, [], (
+        f"wrote {_path(args, 'coverage.csv')} ({len(coverage) - 1} rows) "
+        f"and {_path(args, 'qpe_failure.csv')}")
 
 
-def cmd_replay(args, argv) -> int:
+def cmd_replay(args) -> list[str]:
+    """The argv that the manifest records, for ``main`` to run again."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     argv_list = manifest.get("argv") if isinstance(manifest, dict) else None
@@ -393,7 +367,7 @@ def cmd_replay(args, argv) -> int:
         raise ValueError("manifest must be a JSON object whose argv is a list of strings")
     if argv_list[:1] == ["replay"]:
         raise ValueError("manifest argv must not be another replay")
-    return main(argv_list)
+    return argv_list
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +445,6 @@ def _fill(parser: argparse.ArgumentParser, path: tuple) -> argparse.ArgumentPars
     for name, options in arguments:
         parser.add_argument(name, **options)
     parser.set_defaults(func=handler, **dict(zip(("command", "subcommand"), path)))
-    if path == ("replay",):
-        parser.set_defaults(seed=0, out_dir=".")
     return parser
 
 
@@ -517,10 +489,12 @@ def main(argv=None) -> int:
         args = parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    out_dir = getattr(args, "out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     try:
-        return args.func(args, argv)
+        if args.command == "replay":
+            return main(args.func(args))
+        os.makedirs(args.out_dir, exist_ok=True)
+        _write(args, argv, *args.func(args))
+        return EXIT_OK
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,9 +1,11 @@
-"""The row source under every qfin input file: CSV rows, less those whose
-fields are all blank or whose first field starts with ``#`` (before a header
-too), each numbered by the file line it starts on and refused by it as
-``bad <what> line N: <reason>``."""
+"""qfin's file forms. ``rows`` is the row source under every input file: CSV
+rows, less those whose fields are all blank or whose first field starts with
+``#`` (before a header too), each numbered by the file line it starts on and
+refused by it as ``bad <what> line N: <reason>``. ``json_text`` is the one
+form of every JSON file qfin writes."""
 
 import csv
+import json
 import math
 from contextlib import contextmanager
 
@@ -39,3 +41,8 @@ def finite_floats(fields, what) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite")
     return values
+
+
+def json_text(payload) -> str:
+    """``payload`` as qfin writes JSON: indented by 2, keys sorted, one closing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

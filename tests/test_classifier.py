@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -218,6 +220,34 @@ def test_transactions_csv_roundtrip_bitwise(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def _per_record_csv(dataset) -> str:
+    """The dataset's CSV as one ``csv.writer`` row of ``repr``/``int`` fields per record."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([*dataset.continuous_names, *dataset.categorical_names, "label"])
+    for i in range(len(dataset)):
+        writer.writerow([repr(float(v)) for v in dataset.continuous[i]]
+                        + [int(v) for v in dataset.categorical[i]] + [int(dataset.labels[i])])
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("records,chunk_rows", [
+    (1, 1), (7, 1), (7, 3), (50, 7), (50, 1 << 14), ((1 << 14) + 3, 1 << 14)])
+def test_dataset_csv_equals_the_per_record_writer_at_any_chunking(monkeypatch, records,
+                                                                  chunk_rows):
+    monkeypatch.setattr(clf, "DATASET_CHUNK_ROWS", chunk_rows)
+    for dataset in (clf.synthesize_transactions(records, seed=records),
+                    clf.synthesize_separable(min(records, 50), seed=records)):
+        chunks = list(clf.dataset_csv(dataset))
+        assert "".join(chunks) == _per_record_csv(dataset)
+        assert len(chunks) == 1 + -(-len(dataset) // chunk_rows)
+    # an integer feature column still prints as a float, a float code as an int
+    odd = clf.LabeledDataset(np.array([[3], [-0]]), np.array([[2.0], [1.0]]),
+                             np.array([1, -1]), ("x",), ("c",), (4,))
+    assert "".join(clf.dataset_csv(odd)) == _per_record_csv(odd) == (
+        "x,c,label\r\n3.0,2,1\r\n0.0,1,-1\r\n")
+
+
 def test_ingest_reports_bad_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,amount,method,zip,mcc,label\n"
@@ -270,6 +300,15 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.bias == model.bias
     x = data.continuous[0]
     assert clf.decision(loaded, x) == pytest.approx(clf.decision(model, x))
+
+
+def test_a_model_file_config_holds_the_checked_keys_only():
+    # model_payload writes every ModelConfig field and load_model builds the
+    # config from the keys it checks: the two lists must be one
+    fields = [f.name for f in dataclasses.fields(clf.ModelConfig)]
+    assert sorted(fields) == sorted(clf._CONFIG_INTS + clf._CONFIG_LISTS)
+    model = identity_scaled_model(TWO_Q, np.zeros(clf.separator_parameter_count(TWO_Q)))
+    assert sorted(clf.model_payload(model)["config"]) == sorted(fields)
 
 
 def test_baselines_solve_linearly_separable_toy():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from qfin import optimizers
 from qfin import qubo as qb
 from qfin import simulator as sv
 from qfin import variational as vq
-from qfin.amplitude_estimation import MAX_COUNTING_QUBITS
+from qfin.amplitude_estimation import MAX_COUNTING_QUBITS, coverage_probability
 from qfin.cli import main
 from oracles import predict
 
@@ -864,26 +865,58 @@ def test_ae_calibrate_rejects_qpe_table_outside_bounds(tmp_path, capsys, s_max, 
 
 def _rerun_commands(tmp_path, demo_portfolio_csv, portfolio_instance):
     synth = tmp_path / "synth"
+    similarity = tmp_path / "rho.csv"
+    similarity.write_text("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n")
+    auction = tmp_path / "auction.csv"
+    admm.write_auction_csv(auction, *admm.random_auction(8, 2, 5, seed=4))
     return {
         "risk-var": ["risk", "var", "--portfolio", demo_portfolio_csv, "--m", "3"],
         "portfolio-frontier": ["opt", "portfolio", "--instance", str(portfolio_instance),
                                "--solver", "vqe", "--iterations", "5", "--frontier"],
+        "diversify": ["opt", "diversify", "--similarity", str(similarity), "--clusters", "2"],
+        "auction-admm": ["opt", "auction", "--instance", str(auction), "--max-iterations", "10"],
+        "auction-brute-force": ["opt", "auction", "--instance", str(auction),
+                                "--solver", "brute-force"],
         "ml-synth": ["ml", "synth", "--n", "12", "--mode", "separable", "--seed", "2"],
         "ml-train": ["ml", "train", "--data", str(synth / "dataset.csv"), "--iterations", "3"],
+        "ml-eval": ["ml", "eval", "--model", str(tmp_path / "model" / "model.json"),
+                    "--data", str(synth / "dataset.csv")],
         "ae-calibrate": ["ae", "calibrate", "--m", "2", "--grid", "0.25",
                          "--s-max", "2", "--p-max", "2"],
     }
 
 
-@pytest.mark.parametrize("command", ["risk-var", "portfolio-frontier", "ml-synth", "ml-train",
-                                     "ae-calibrate"])
+# each command of ``_rerun_commands`` and the files it writes besides the manifest
+RERUN_OUTPUTS = {
+    "risk-var": ["result.json"],
+    "portfolio-frontier": ["frontier.csv", "result.json"],
+    "diversify": ["result.json"],
+    "auction-admm": ["result.json", "trace.json"],
+    "auction-brute-force": ["result.json"],
+    "ml-synth": ["dataset.csv"],
+    "ml-train": ["loss_trace.csv", "model.json", "result.json"],
+    "ml-eval": ["eval.json"],
+    "ae-calibrate": ["coverage.csv", "qpe_failure.csv"],
+}
+# the options that name a file the command reads
+INPUT_OPTIONS = ("--portfolio", "--instance", "--similarity", "--data", "--model")
+
+
+def _write_ml_inputs(tmp_path):
+    """The dataset and the model that the ml commands of ``_rerun_commands`` read."""
+    assert main(["ml", "synth", "--n", "12", "--mode", "separable", "--seed", "2",
+                 "--out-dir", str(tmp_path / "synth")]) == 0
+    assert main(["ml", "train", "--data", str(tmp_path / "synth" / "dataset.csv"),
+                 "--iterations", "3", "--out-dir", str(tmp_path / "model")]) == 0
+
+
+@pytest.mark.parametrize("command", RERUN_OUTPUTS)
 def test_rerun_creates_each_file_anew(tmp_path, demo_portfolio_csv, portfolio_instance,
                                       command):
     # a file rewritten in place is flushed on close by ext4; each output is
     # unlinked and created instead, so a hard link to it keeps the old bytes
     argv = _rerun_commands(tmp_path, demo_portfolio_csv, portfolio_instance)[command]
-    assert main(["ml", "synth", "--n", "12", "--mode", "separable", "--seed", "2",
-                 "--out-dir", str(tmp_path / "synth")]) == 0
+    _write_ml_inputs(tmp_path)
     out = tmp_path / "run"
     assert main(argv + ["--out-dir", str(out)]) == 0
     files = sorted(out.iterdir())
@@ -899,6 +932,49 @@ def test_rerun_creates_each_file_anew(tmp_path, demo_portfolio_csv, portfolio_in
         assert not os.path.samefile(link, path), path.name
         assert link.read_bytes() == before
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", RERUN_OUTPUTS)
+def test_manifest_lists_every_output_and_digests_every_input(
+        tmp_path, demo_portfolio_csv, portfolio_instance, command):
+    argv = _rerun_commands(tmp_path, demo_portfolio_csv, portfolio_instance)[command]
+    _write_ml_inputs(tmp_path)
+    out = tmp_path / "run"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["outputs"] == RERUN_OUTPUTS[command]
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"]
+                                                           + ["manifest.json"])
+    read = [Path(argv[i + 1]) for i, flag in enumerate(argv) if flag in INPUT_OPTIONS]
+    assert manifest["inputs"] == {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in read}
+    assert manifest["argv"] == argv + ["--out-dir", str(out)]
+
+
+def test_a_command_failing_while_computing_writes_nothing(tmp_path, capsys, monkeypatch):
+    # every file is computed before the first is written: a fault in the third
+    # coverage row leaves neither a two-row coverage.csv nor any other file
+    rows = []
+
+    def third_row_fails(a, m):
+        rows.append(a)
+        if len(rows) == 3:
+            raise ValueError("coverage fault")
+        return coverage_probability(a, m)
+
+    monkeypatch.setattr(cli, "coverage_probability", third_row_fails)
+    out = tmp_path / "run"
+    assert main(["ae", "calibrate", "--m", "2", "--out-dir", str(out)]) == 3
+    _assert_one_line_error(capsys, "validation error: coverage fault")
+    assert len(rows) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_an_out_dir_that_cannot_be_made_exits_3_with_one_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "run"
+    assert main(["ae", "calibrate", "--m", "2", "--out-dir", str(out)]) == 3
+    _assert_one_line_error(capsys, "validation error: [Errno 20] Not a directory")
 
 
 def test_ml_synth_rejects_unreachable_margin(tmp_path, capsys):

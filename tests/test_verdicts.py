@@ -1,6 +1,7 @@
 """The verdict rule of ``tools/verdicts.py`` on fixed tables."""
 
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -68,6 +69,26 @@ def test_changed_counts_result_bytes_not_scores():
     new = outcomes([0.1, 0.1], results=[b"a", b"c"])
     got = verdicts.compare(base, new)
     assert got["changed"] == 1 and got["passes"]
+
+
+def test_changed_counts_every_output_and_the_stdout(tmp_path):
+    # any file the command writes counts, and its stdout; the manifest's argv,
+    # which names each side's own out-dir, does not
+    def written(side, trace=b"[1]", model=b"{}", stdout="ok\n"):
+        out = tmp_path / side
+        out.mkdir()
+        (out / "result.json").write_bytes(b"{}")
+        (out / "trace.json").write_bytes(trace)
+        (out / "model.json").write_bytes(model)
+        (out / "manifest.json").write_text(json.dumps({"argv": [str(out)], "seed": 1}))
+        return Outcome(0.1, True, False, verdicts._compared(out, f"wrote {out}\n" + stdout))
+
+    base = written("base")
+    new = [written("same"), written("trace", trace=b"[2]"), written("model", model=b"[]"),
+           written("stdout", stdout="other\n")]
+    got = verdicts.compare([base] * len(new), new)
+    assert got["changed"] == 3 and got["passes"]
+    assert [n.outputs != base.outputs for n in new] == [False, True, True, True]
 
 
 def test_the_fixed_sweep_can_see_a_unanimous_regression():

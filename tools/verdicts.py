@@ -36,7 +36,9 @@ command:
 
 The sweep is fixed: seeds 1-60 (``SEEDS``). The tool prints a paired
 per-seed table of gap and feasibility (the miss, for ``risk var`` and
-``vqc``), then one summary line per row.
+``vqc``), then one summary line per row. A row's ``changed`` counts the
+seeds on which any file the command writes (the manifest without its
+``argv``) or its stdout differs from the base's.
 
 Rule: a change passes when
   1. no row is worse under a one-sided sign test at p < 0.05, on misses and
@@ -78,7 +80,7 @@ class Outcome:
     gap: float
     feasible: bool
     miss: bool
-    result: bytes = b""  # result.json as written
+    outputs: tuple = ()  # what the command wrote, as ``_compared`` reads it
     iterations: int = 0  # ADMM iterations; 0 for the other rows
 
 
@@ -113,7 +115,7 @@ def compare(base: list[Outcome], new: list[Outcome]) -> dict:
     p_miss, p_gap = sign_test(*miss), sign_test(*gap)
     return {
         "seeds": len(pairs),
-        "changed": sum(b.result != n.result for b, n in pairs),
+        "changed": sum(b.outputs != n.outputs for b, n in pairs),
         "misses": (sum(b.miss for b in base), sum(n.miss for n in new)),
         "miss": miss + (p_miss,),
         "gap": gap + (p_gap,),
@@ -125,14 +127,26 @@ def _outputs(out_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
-def _run(src: Path, cmd) -> None:
-    """Run ``cmd`` with ``src``; a non-zero exit raises, so no seed drops out of a row."""
+def _compared(out_dir: Path, stdout: str) -> tuple:
+    """What a seed's ``changed`` compares: every file the command wrote, the
+    manifest without its ``argv`` (which names each side's own out-dir), and
+    its stdout with the out-dir masked."""
+    files = _outputs(out_dir)
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["argv"]
+    return files, manifest, stdout.replace(str(out_dir), "<out-dir>")
+
+
+def _run(src: Path, cmd) -> str:
+    """Run ``cmd`` with ``src`` and return its stdout; a non-zero exit raises, so
+    no seed drops out of a row."""
     argv = [sys.executable, "-m", "qfin.cli", *cmd.argv, "--out-dir", cmd.out_dir]
     done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{' '.join(argv[3:])} with {src} exited {done.returncode}: "
                            f"{done.stderr}")
+    return done.stdout
 
 
 def _vqc_command(workloads, src: Path, work: Path, seed: int):
@@ -145,9 +159,9 @@ def _vqc_command(workloads, src: Path, work: Path, seed: int):
         "ml", "train", "--data", data, *VQC_TRAIN, "--seed", str(seed)), "")
 
 
-def _score(workloads, row, cmd, work: Path, seed: int) -> tuple[Outcome, list[str]]:
-    result = Path(cmd.out_dir, "result.json").read_bytes()
-    fields = json.loads(result)
+def _score(workloads, row, cmd, work: Path, seed: int,
+           stdout: str) -> tuple[Outcome, list[str]]:
+    fields = json.loads(Path(cmd.out_dir, "result.json").read_bytes())
     iterations = 0
     if row == "vqc":
         labels = workloads._labels(str(work / "separable" / "dataset.csv"))
@@ -170,7 +184,8 @@ def _score(workloads, row, cmd, work: Path, seed: int) -> tuple[Outcome, list[st
         verdict = workloads._check_portfolio(cmd, str(work / "instance.txt"))
         feasible = fields["budget_feasible"]
     gap = row_gap(row, verdict.gap, feasible)
-    return Outcome(gap, feasible, verdict.miss, result, iterations), verdict.problems
+    outputs = _compared(Path(cmd.out_dir), stdout)
+    return Outcome(gap, feasible, verdict.miss, outputs, iterations), verdict.problems
 
 
 def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
@@ -194,8 +209,8 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
         for side, src in (("base", base_src), ("new", new_src)):
             for row, cmd in zip(ROWS, commands):
                 cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
-                _run(src, cmd)
-                outcome, found = _score(workloads, row, cmd, work, seed)
+                stdout = _run(src, cmd)
+                outcome, found = _score(workloads, row, cmd, work, seed, stdout)
                 outcomes[side][row][seed] = outcome
                 if side == "new":
                     problems += [f"seed {seed} {row}: {p}" for p in found]
