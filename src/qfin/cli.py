@@ -129,13 +129,12 @@ def cmd_risk_var(args):
     assets = cr.load_portfolio_csv(args.portfolio)
     portfolio = cr.CreditPortfolio(assets=tuple(assets), n_z=args.nz,
                                    z_low=args.z_low, z_high=args.z_high)
-    dist = cr.exact_loss_distribution(portfolio)
     if args.alpha <= 0.0:
-        var = min(dist.pmf)
-        trace = []
+        var, trace = 0, []  # no default at all is the smallest loss
     else:
         var, trace = cr.var_bisection(portfolio, args.alpha, args.m)
-    expected = dist.mean()
+    pmf = cr.loss_pmf(portfolio)
+    expected = float(np.arange(pmf.size) @ pmf)
     result = {
         "alpha": args.alpha,
         "m": args.m,
@@ -147,9 +146,10 @@ def cmd_risk_var(args):
                       for p in trace],
     }
     if args.exact_oracle:
+        dist = cr.exact_loss_distribution(portfolio)
         result["oracle"] = {
             "pmf": {str(k): v for k, v in sorted(dist.pmf.items())},
-            "expected_loss": expected,
+            "expected_loss": dist.mean(),
             "var": dist.value_at_risk(args.alpha) if args.alpha > 0 else min(dist.pmf),
             "cvar": cr.cvar(dist, args.alpha) if args.alpha > 0 else dist.mean(),
             "probe_deltas": [{"x": p.mid, "quantum": p.cdf,

@@ -3,11 +3,12 @@
 The CDF operator A = C * S * U acts on four registers laid out low to high:
 the latent factor Z (n_z qubits), one default qubit per asset, the weighted
 loss sum (n_s qubits), and the objective qubit marked when the loss is at or
-below the probed threshold. ``var_bisection`` applies S * U once, without the
-objective qubit, and reads each probe's a = P[L <= t] off the prefix sums of
-the loss marginal; A as gates is the oracle of that table. Classical
-enumeration oracles use exactly the same linearized default probabilities as
-the circuit, so quantum/classical comparisons are tight to machine precision.
+below the probed threshold. The loss S * U leaves in the sum register has a
+closed form, ``loss_pmf``, built without a statevector; ``var_bisection``
+reads each probe's a = P[L <= t] off its prefix sums, and A as gates is the
+oracle of that table. Classical enumeration oracles use exactly the same
+linearized default probabilities as the circuit, so quantum/classical
+comparisons are tight to machine precision.
 """
 
 import csv
@@ -20,16 +21,7 @@ import numpy as np
 from . import inputs
 from .amplitude_estimation import EstimationProblem, run_ae
 from .distributions import discretize_normal, loader_ops
-from .simulator import (
-    MAX_QUBITS,
-    CapacityError,
-    GateOp,
-    apply_ops,
-    new_zero_state,
-    perm_gate,
-    register_distribution,
-    ry,
-)
+from .simulator import MAX_QUBITS, CapacityError, GateOp, perm_gate, ry
 
 
 _STANDARD_NORMAL = NormalDist()
@@ -202,10 +194,28 @@ def estimation_problem(portfolio: CreditPortfolio, threshold: int) -> Estimation
                              n_state_qubits=portfolio.n_qubits - 1)
 
 
+def loss_pmf(portfolio: CreditPortfolio) -> np.ndarray:
+    """P[L = l] for l = 0 .. 2^n_s - 1, the sum register's distribution after S U.
+
+    Given latent index i the assets default independently with p_k(i) =
+    sin^2((a_k i + b_k) / 2): row i starts at loss 0, and each asset keeps its
+    mass with 1 - p_k(i) and moves it up by lgd_k with p_k(i); 2^n_s > total
+    LGD, so nothing wraps. ``loss_ops`` is the gate-level oracle.
+    """
+    idx = np.arange(1 << portfolio.n_z)
+    table = np.zeros((idx.size, 1 << portfolio.n_sum))
+    table[:, 0] = 1.0
+    for asset, (a_k, b_k) in zip(portfolio.assets, linear_angle_fit(portfolio)):
+        p = np.sin(0.5 * (a_k * idx + b_k))[:, None] ** 2
+        moved = p * table[:, :-asset.lgd]
+        table *= 1.0 - p
+        table[:, asset.lgd:] += moved
+    return latent_distribution(portfolio).probabilities @ table
+
+
 def loss_cdf(portfolio: CreditPortfolio) -> np.ndarray:
-    """P[L <= l] for l = 0 .. 2^n_s - 1, from one pass of S U below the objective qubit."""
-    state = apply_ops(new_zero_state(portfolio.n_qubits - 1), loss_ops(portfolio))
-    return np.cumsum(register_distribution(state, portfolio.sum_register))
+    """P[L <= l] for l = 0 .. 2^n_s - 1, the prefix sums of ``loss_pmf``."""
+    return np.cumsum(loss_pmf(portfolio))
 
 
 def cdf_estimate(cdf: np.ndarray, threshold: int, m: int) -> float:

@@ -19,11 +19,9 @@ from .simulator import (
     GateOp,
     IsingObservable,
     Statevector,
-    apply_ops,
     basis_probabilities,
     cnot,
     h,
-    new_zero_state,
     parity_signs,
     phase_gate,
     rx,
@@ -456,8 +454,9 @@ def qaoa_minimize(observable: IsingObservable, p: int, optimizer: OptimizerConfi
         n_qubits = observable.max_qubit() + 1
     if p == 0:
         # degenerate: uniform superposition, no parameters to tune
-        state = apply_ops(new_zero_state(n_qubits), [h(q) for q in range(n_qubits)])
         table = observable.energy_table(n_qubits)
+        uniform = compile_ansatz(qaoa_ansatz(n_qubits, 0, observable), table)
+        state = Statevector(n_qubits, uniform(np.zeros(0)))
         value = float(basis_probabilities(state) @ table)
         return VariationalResult(
             best_value=value, best_params=np.zeros(0),

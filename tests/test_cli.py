@@ -90,14 +90,27 @@ def _count_apply_ops(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("alpha,passes", [("0.95", 1), ("0", 0)])
-def test_risk_var_applies_s_u_at_most_once(tmp_path, demo_portfolio_csv, monkeypatch,
-                                            alpha, passes):
+@pytest.mark.parametrize("alpha", ["0.95", "0"])
+@pytest.mark.parametrize("n_assets", [2, 13])
+def test_risk_var_applies_no_gate(tmp_path, monkeypatch, n_assets, alpha):
+    """The loss distribution is a closed form: no gate is built or applied, at
+    8 qubits or at 22, and the enumeration oracle runs only when asked for."""
+    path = tmp_path / "portfolio.csv"
+    cr.write_portfolio_csv(path, [cr.Asset(1 + k % 2, 0.15, 0.1) for k in range(n_assets)])
     calls = _count_apply_ops(monkeypatch)
-    assert main(["risk", "var", "--portfolio", demo_portfolio_csv, "--alpha", alpha,
-                 "--nz", "3", "--m", "6", "--exact-oracle",
-                 "--out-dir", str(tmp_path / "run")]) == 0
-    assert len(calls) == passes
+    gates, enumerations = [], []
+    post_init, enumerate_losses = sv.GateOp.__post_init__, cr.exact_loss_distribution
+    monkeypatch.setattr(sv.GateOp, "__post_init__",
+                        lambda op: gates.append(op) or post_init(op))
+    monkeypatch.setattr(cr, "exact_loss_distribution",
+                        lambda p: enumerations.append(p) or enumerate_losses(p))
+    argv = ["risk", "var", "--portfolio", str(path), "--alpha", alpha, "--nz", "3", "--m", "6"]
+    assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 0
+    qubits = read_json(tmp_path / "run" / "result.json")["n_qubits"]
+    assert qubits == {2: 8, 13: 22}[n_assets]
+    assert (calls, gates, enumerations) == ([], [], [])
+    assert main(argv + ["--exact-oracle", "--out-dir", str(tmp_path / "oracle")]) == 0
+    assert (calls, gates, len(enumerations)) == ([], [], 1)
 
 
 def test_ae_calibrate_applies_no_gate(tmp_path, monkeypatch):

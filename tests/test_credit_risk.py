@@ -282,6 +282,41 @@ def test_var_bisection_equals_the_gate_path_bisection():
         assert cr.var_bisection(portfolio, alpha, m) == _gate_path_bisection(portfolio, alpha, m)
 
 
+@pytest.mark.parametrize("n_assets", [10, 12, 14])
+def test_loss_pmf_equals_the_enumeration_at_width(n_assets):
+    """At 19, 21 and 23 qubits, past where the gate path is cheap to run as an oracle."""
+    rng = np.random.default_rng([n_assets, 26])
+    assets = tuple(cr.Asset(int(rng.integers(1, 4)), float(rng.uniform(0.02, 0.4)),
+                            float(rng.uniform(0.0, 0.4)))
+                   for _ in range(n_assets))
+    portfolio = cr.CreditPortfolio(assets=assets, n_z=3)
+    want = np.zeros(1 << portfolio.n_sum)
+    for loss, p in cr.exact_loss_distribution(portfolio).pmf.items():
+        want[loss] = p
+    got = cr.loss_pmf(portfolio)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.array_equal(cr.loss_cdf(portfolio), np.cumsum(got))
+
+
+def test_var_bisection_at_the_ceiling_holds_no_register():
+    import tracemalloc
+
+    # 3 latent + 15 asset + 5 sum + 1 objective = 24 qubits; one S U pass
+    # would hold a 2^23 complex state, 128 MiB
+    assets = tuple(cr.Asset(1 + k % 2, 0.05 + 0.01 * k, 0.2) for k in range(15))
+    portfolio = cr.CreditPortfolio(assets=assets, n_z=3)
+    assert portfolio.n_qubits == sv.MAX_QUBITS
+    tracemalloc.start()
+    try:
+        var, trace = cr.var_bisection(portfolio, 0.95, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < var <= portfolio.total_lgd and trace
+    assert peak < 1 << 20
+
+
 def test_var_bisection_reads_one_estimate_per_probe(monkeypatch):
     passes, estimates = [], []
     loss_cdf, cdf_estimate = cr.loss_cdf, cr.cdf_estimate

@@ -11,6 +11,7 @@ from qfin.simulator import (
     Statevector,
     apply_ops,
     basis_probabilities,
+    h,
     new_zero_state,
 )
 from oracles import energy_spread
@@ -74,6 +75,17 @@ def test_qaoa_depth_zero_gives_mean_energy():
     obs = qb.to_ising(qubo)
     result = vq.qaoa_minimize(obs, 0, OptimizerConfig(iterations=1))
     assert result.best_value == pytest.approx(float(obs.energy_table(3).mean()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_qaoa_depth_zero_state_is_the_hadamard_layer(n):
+    rng = np.random.default_rng([n, 26])
+    qubo = qb.Qubo(n=n, quadratic=np.zeros((n, n)), linear=rng.normal(size=n))
+    result = vq.qaoa_minimize(qb.to_ising(qubo), 0, OptimizerConfig(iterations=1), n_qubits=n)
+    want = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
+    assert result.state.amplitudes.shape == want.shape
+    assert np.max(np.abs(result.state.amplitudes - want)) <= 1e-15
+    assert result.best_params.size == 0 and result.trace == [result.best_value]
 
 
 def test_vqe_single_qubit_ground_state():

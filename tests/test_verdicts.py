@@ -131,6 +131,53 @@ def test_risk_var_and_vqc_gaps_are_scored_as_checked():
     assert set(verdicts.ROWS) == {"vqe", "qaoa", "diversify", "risk var", "admm", "vqc"}
 
 
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_wide_risk_var_row_scores_as_the_benchmark_check_does(tmp_path):
+    from qfin.cli import main
+
+    workloads = _workloads()
+    assert (verdicts.WIDE_ALPHA, verdicts.WIDE_NZ, verdicts.WIDE_M) == (
+        workloads.ALPHA, workloads.CREDIT_NZ, workloads.CREDIT_M)
+    scored = []
+    for seed in (1, 3, 17):  # seeds 3 and 17 miss: the VaR settles one unit high
+        (tmp_path / str(seed)).mkdir()
+        cmd = workloads.build_credit_var(None, str(tmp_path / str(seed)), seed)[0]
+        assert main(list(cmd.argv) + ["--out-dir", cmd.out_dir]) == 0
+        result = json.loads(Path(cmd.out_dir, "result.json").read_text())
+        assets = workloads._credit_assets(seed)
+        want = workloads._check_risk_var(cmd, seed)
+        got = verdicts.score_risk_var(result, assets, workloads.Verdict(cmd.name))
+        assert (got.gap, got.miss, got.problems) == (want.gap, want.miss, want.problems)
+        scored.append((result, assets, got))
+    assert [got.miss for *_, got in scored] == [False, True, True]
+
+    result, assets, _ = scored[0]
+    high = json.loads(json.dumps(result))
+    high["var"] += 1
+    got = verdicts.score_risk_var(high, assets, workloads.Verdict("high"))
+    assert got.miss and got.gap == 1.0
+    assert got.problems == ["VaR is not the end of its own bisection"]
+    outside = json.loads(json.dumps(result))
+    outside["bisection"][0]["cdf"] = outside["oracle"]["probe_deltas"][0]["classical"] + 0.5
+    got = verdicts.score_risk_var(outside, assets, workloads.Verdict("outside"))
+    assert got.miss and got.gap == 0.0
+
+
+def test_the_wide_risk_var_row_is_wide():
+    from qfin import credit_risk as cr
+
+    widths = {cr.CreditPortfolio(assets=tuple(verdicts.wide_assets(seed)),
+                                 n_z=verdicts.WIDE_NZ).n_qubits for seed in verdicts.SEEDS}
+    assert min(widths) >= 20 and max(widths) <= 22
+
+
 def test_a_command_that_exits_3_stops_the_sweep(tmp_path):
     # every seed draws a separable set, so a refused command is a fault of
     # the change under test, not a seed to leave out of its row

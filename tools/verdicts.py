@@ -24,6 +24,10 @@ command:
   above 0). An infeasible allocation scores gap 1.0: the check's own gap is
   negative when an allocation over-sells, and the sign test would read that
   as better. The table also shows each side's ADMM iterations.
+- ``risk var wide``: the same command and score on a wider portfolio drawn
+  here (``wide_assets``) and written with ``qfin``'s own writer: 12 assets
+  with LGDs 1-3, an A register of about 21 qubits. ``score_risk_var`` is
+  ``_check_risk_var``'s rule for any portfolio.
 - ``vqc``: ``ml synth --mode separable --n 200`` is run once per seed with
   the working tree, and both sides run ``ml train --encoder map --optimizer
   nelder-mead --iterations 300 --cross-validate --folds 4`` on that one
@@ -63,12 +67,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ("vqe", "qaoa", "diversify", "risk var", "admm", "vqc")
+ROWS = ("vqe", "qaoa", "diversify", "risk var", "admm", "vqc")  # the benchmark's inputs
+WIDE_ROWS = ("risk var wide",)  # inputs drawn here, wider than the benchmark's
+ALL_ROWS = ROWS + WIDE_ROWS
 ENERGY_ROWS = ("vqe", "qaoa", "diversify")  # normalised energy gaps
-MISS_ROWS = ("risk var", "vqc")  # rows whose third cell is the miss, not feasibility
+MISS_ROWS = ("risk var", "vqc", "risk var wide")  # third cell is the miss, not feasibility
 SIGNIFICANCE = 0.05
 SEEDS = range(1, 61)  # fixed, so every change is judged on the same sweep
 SEPARABLE_RECORDS = 200
+WIDE_ASSETS = 12
+WIDE_ALPHA, WIDE_NZ, WIDE_M = 0.95, 3, 6
 VQC_TRAIN = ("--encoder", "map", "--optimizer", "nelder-mead", "--iterations", "300",
              "--cross-validate", "--folds", "4")
 
@@ -159,6 +167,61 @@ def _vqc_command(workloads, src: Path, work: Path, seed: int):
         "ml", "train", "--data", data, *VQC_TRAIN, "--seed", str(seed)), "")
 
 
+def wide_assets(seed: int) -> list:
+    """The ``risk var wide`` row's portfolio: LGDs 1-3, p0 and rho in [0.05, 0.3)."""
+    import numpy as np
+    from qfin import credit_risk as cr
+
+    rng = np.random.default_rng([seed, WIDE_ASSETS])
+    return [cr.Asset(int(rng.integers(1, 4)), float(rng.uniform(0.05, 0.3)),
+                     float(rng.uniform(0.05, 0.3))) for _ in range(WIDE_ASSETS)]
+
+
+def _wide_command(workloads, work: Path, seed: int):
+    """The ``risk var wide`` row's command, on the portfolio it writes for the seed."""
+    from qfin import credit_risk as cr
+
+    portfolio = work / "wide.csv"
+    cr.write_portfolio_csv(portfolio, wide_assets(seed))
+    return workloads.Command("risk-var-wide", (
+        "risk", "var", "--portfolio", str(portfolio), "--alpha", str(WIDE_ALPHA),
+        "--nz", str(WIDE_NZ), "--m", str(WIDE_M), "--exact-oracle", "--seed", str(seed)), "")
+
+
+def score_risk_var(result: dict, assets, verdict):
+    """Score a ``risk var`` result on ``assets`` into ``verdict`` as the benchmark's
+    ``_check_risk_var`` does, at the row's alpha, n_z and m: the gap
+    |VaR - exact VaR|, and a miss for a VaR off the exact one or a probe
+    outside the AE error bound; an inconsistent result is a problem."""
+    from qfin import credit_risk as cr
+    from qfin.amplitude_estimation import error_bound
+
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+    portfolio = cr.CreditPortfolio(assets=tuple(assets), n_z=WIDE_NZ)
+    dist = cr.exact_loss_distribution(portfolio)
+    exact_var = dist.value_at_risk(WIDE_ALPHA)
+    verdict.expect(result["n_qubits"] == portfolio.n_qubits, "register width differs")
+    verdict.expect(close(result["expected_loss"], dist.mean()), "expected loss differs")
+    low, high = -1, portfolio.total_lgd + 1
+    for probe in result["bisection"]:
+        verdict.expect((probe["low"], probe["high"]) == (low, high)
+                       and probe["mid"] == (low + high) // 2, "bisection bracket is inconsistent")
+        classical = dist.cdf(probe["mid"])
+        verdict.miss |= abs(probe["cdf"] - classical) > error_bound(classical, 1 << WIDE_M)
+        low, high = (low, probe["mid"]) if probe["cdf"] >= WIDE_ALPHA else (probe["mid"], high)
+    for probe, row in zip(result["bisection"], result["oracle"]["probe_deltas"]):
+        verdict.expect(close(row["classical"], dist.cdf(probe["mid"])),
+                       "reported classical CDF differs from enumeration")
+    verdict.expect(high - low == 1 and result["var"] == high,
+                   "VaR is not the end of its own bisection")
+    verdict.expect(result["oracle"]["var"] == exact_var, "reported oracle VaR differs")
+    verdict.miss |= result["var"] != exact_var
+    verdict.gap = float(abs(result["var"] - exact_var))
+    return verdict
+
+
 def _score(workloads, row, cmd, work: Path, seed: int,
            stdout: str) -> tuple[Outcome, list[str]]:
     fields = json.loads(Path(cmd.out_dir, "result.json").read_bytes())
@@ -174,6 +237,9 @@ def _score(workloads, row, cmd, work: Path, seed: int,
     elif row == "admm":
         verdict = workloads.check_auction_admm(str(work), seed, [cmd])[0]
         feasible, iterations = not verdict.miss, fields["iterations"]
+    elif row == "risk var wide":
+        verdict = score_risk_var(fields, wide_assets(seed), workloads.Verdict(cmd.name))
+        feasible = True
     elif row == "risk var":
         verdict = workloads._check_risk_var(cmd, seed)
         feasible = True  # every integer loss is an admissible VaR
@@ -196,7 +262,7 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
     sys.path[:0] = [str(new_src), str(ROOT / "perfbench")]
     import workloads
 
-    outcomes = {side: {row: {} for row in ROWS} for side in ("base", "new")}
+    outcomes = {side: {row: {} for row in ALL_ROWS} for side in ("base", "new")}
     problems, unstable = [], []
     for seed in seeds:
         work = scratch / f"seed-{seed}"
@@ -205,9 +271,10 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
         commands = (workloads.build_portfolio_vqe(None, str(work), seed)
                     + workloads.build_credit_var(None, str(work), seed)[:1]
                     + workloads.build_auction_admm(None, str(work), seed)
-                    + [_vqc_command(workloads, new_src, work, seed)])
+                    + [_vqc_command(workloads, new_src, work, seed),
+                       _wide_command(workloads, work, seed)])
         for side, src in (("base", base_src), ("new", new_src)):
-            for row, cmd in zip(ROWS, commands):
+            for row, cmd in zip(ALL_ROWS, commands):
                 cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
                 stdout = _run(src, cmd)
                 outcome, found = _score(workloads, row, cmd, work, seed, stdout)
@@ -232,7 +299,7 @@ def _cells(row: str, b: Outcome, n: Outcome) -> list[str]:
 def report(seeds, outcomes, problems, unstable) -> bool:
     """Print the per-seed table and the row summaries; True when the change passes."""
     header = ["seed"]
-    for row in ROWS:
+    for row in ALL_ROWS:
         header += [f"{row} gap base", f"{row} gap new",
                    f"{row} {'miss' if row in MISS_ROWS else 'feasible'}"]
         header += ["admm iterations"] if row == "admm" else []
@@ -240,7 +307,7 @@ def report(seeds, outcomes, problems, unstable) -> bool:
     print("|" + " --- |" * len(header))
     for seed in seeds:
         cells = [str(seed)]
-        for row in ROWS:
+        for row in ALL_ROWS:
             cells += _cells(row, outcomes["base"][row][seed], outcomes["new"][row][seed])
         print("| " + " | ".join(cells) + " |")
     print()
@@ -248,7 +315,7 @@ def report(seeds, outcomes, problems, unstable) -> bool:
           "| gaps worse/better, p | verdict |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     passes = not problems and not unstable
-    for row in ROWS:
+    for row in ALL_ROWS:
         c = compare(list(outcomes["base"][row].values()), list(outcomes["new"][row].values()))
         passes = passes and c["passes"]
         print(f"| {row} | {c['seeds']} | {c['changed']} | {c['misses'][0]} → {c['misses'][1]} "
