@@ -77,16 +77,19 @@ def _values(fn, stack: np.ndarray) -> list:
 def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator) -> OptimizeOutcome:
     """SPSA from x0: iteration k evaluates ``[x_k, x_k + c_k*delta_k, x_k - c_k*delta_k]``.
 
-    The three points are one stack (see ``_values``); the last f(x) is a
-    call of its own.
+    The three points are one stack in one buffer (see ``_values``); the
+    last f(x) is a call of its own, on a copy of x.
     """
     stability = 0.1 * config.iterations
     x = np.asarray(x0, dtype=float).copy()
+    points = np.empty((3, x.size))
     trace = []
     for k in range(config.iterations):
         c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
         delta = _SIGNS[rng.integers(0, 2, size=x.size)]
-        f_x, f_plus, f_minus = _values(fn, np.stack([x, x + c_k * delta, x - c_k * delta]))
+        step = c_k * delta
+        points[0], points[1], points[2] = x, x + step, x - step
+        f_x, f_plus, f_minus = _values(fn, points)
         if not trace or f_x < best_f:
             best_f = f_x
             best_x = x.copy()
@@ -94,7 +97,7 @@ def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator)
         a_k = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA
         diff = f_plus - f_minus
         x = x - a_k * (diff / (2.0 * c_k)) * delta
-    f_x = fn(x)
+    f_x = fn(x.copy())
     if f_x < best_f:
         best_f = f_x
         best_x = x.copy()
@@ -117,15 +120,14 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     best_f, best_x, evaluations = None, None, 0
 
     def evaluate(points):
-        # each point goes to fn as a row of a copy: fn may write to its argument
+        # fn gets a copy of the points: it may write to its argument
         nonlocal best_f, best_x, evaluations
-        stack = np.array(points)
-        values = _values(fn, stack)
-        for params, value in zip(stack, values):
+        values = _values(fn, np.array(points))
+        for params, value in zip(points, values):
             evaluations += 1
             if best_x is None or value < best_f:
                 best_f = value
-                best_x = np.array(params, dtype=float)
+                best_x = params.copy()
         return values
 
     values = evaluate(sim)

@@ -7,13 +7,13 @@ superposition. Expectations are computed from the statevector, so the
 classical optimizer sees a noiseless objective.
 """
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, minimize_restarts
+from .optimizers import OptimizeOutcome, OptimizerConfig, minimize_restarts
 from .qubo import Qubo, to_ising
 from .simulator import (
     GateOp,
@@ -39,7 +39,7 @@ ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
 # at 24 qubits holds one row's buffers, not P + 1.
 BLOCK_AMPLITUDES = 1 << 14
 
-# Most qubits one group of a rotation layer spans (see ``_kron_groups``).
+# Most qubits one group of a rotation layer spans (see ``_groups``).
 GROUP_QUBITS = 5
 
 # Columns of a ``start`` block each matmul takes (see ``compile_ansatz``).
@@ -166,98 +166,109 @@ def _checked_stack(ansatz: Ansatz, params) -> np.ndarray:
     return stack
 
 
-_IDENTITY = np.eye(2)
+def _rotation_steps(angles: np.ndarray, out: np.ndarray, steps: list, rx: bool, ry: bool):
+    """Steps that write ``out[..., q, i, j]`` = m_ij of qubit q's RY(phi)·RX(theta).
 
-
-def _rotations(rx_angles: np.ndarray | None, ry_angles: np.ndarray | None) -> np.ndarray:
-    """Per-qubit 2x2 matrices ``[..., q, i, j]`` = m_ij of RY(phi)·RX(theta).
-
-    ``rx_angles[..., q]`` is qubit q's theta and ``ry_angles[..., q]`` its
-    phi; either may be None, for no such gate. With c, s the cosine and
-    sine of theta/2 and C, S those of phi/2, RY(phi) is [[C, -S], [S, C]]
-    and RX(theta) = cI - isX, so the product is c RY(phi) - is RY(phi)X:
-    [[Cc + iSs, -Sc - iCs], [Sc - iCs, Cc - iSs]], one product per part.
+    ``angles[..., :n]`` are the qubits' thetas when ``rx`` and
+    ``angles[..., -n:]`` their phis when ``ry``; without one kind there is
+    no such gate. With c, s the cosine and sine of theta/2 and C, S those
+    of phi/2, RY(phi) is [[C, -S], [S, C]] and RX(theta) = cI - isX, so the
+    product is c RY(phi) - is RY(phi)X: [[Cc + iSs, -Sc - iCs],
+    [Sc - iCs, Cc - iSs]], one product per part.
     """
-    if ry_angles is None:
-        ry = _IDENTITY
-    else:
-        halves = 0.5 * ry_angles
-        cos, sin = np.cos(halves), np.sin(halves)
-        ry = np.empty(halves.shape + (2, 2))
-        ry[..., 0, 0] = ry[..., 1, 1] = cos
-        ry[..., 1, 0] = sin
-        np.negative(sin, out=ry[..., 0, 1])
-    if rx_angles is None:
-        return ry
-    halves = 0.5 * rx_angles
-    rotations = np.empty(halves.shape + (2, 2), dtype=complex)
-    np.multiply(ry, np.cos(halves)[..., None, None], out=rotations.real)
-    np.multiply(ry[..., ::-1], -np.sin(halves)[..., None, None], out=rotations.imag)
-    return rotations
+    n = out.shape[-3]
+    halves, cos, sin = np.empty((3,) + angles.shape)
+    steps += [partial(np.multiply, 0.5, angles, halves),
+              partial(np.cos, halves, cos), partial(np.sin, halves, sin)]
+    m = np.eye(2)
+    if ry:
+        m, c, s = np.empty(out.shape) if rx else out, cos[..., -n:], sin[..., -n:]
+        steps += [partial(np.copyto, m[..., 0, 0], c), partial(np.copyto, m[..., 1, 1], c),
+                  partial(np.copyto, m[..., 1, 0], s), partial(np.negative, s, m[..., 0, 1])]
+    if rx:
+        steps += [partial(np.negative, sin[..., :n], sin[..., :n]),
+                  partial(np.multiply, m, cos[..., :n, None, None], out.real),
+                  partial(np.multiply, m[..., ::-1], sin[..., :n, None, None], out.imag)]
 
 
-def _kron(factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of the ``factors[..., q, :, :]``, factor q on index bit q.
+def _kron_steps(factors: np.ndarray, products: list, steps: list):
+    """Steps that build Kronecker products of ``factors[..., q, :, :]``, factor q on index bit q.
 
-    One broadcast product per factor puts it on top of those below it, so
-    each product's inner loop runs over a whole row of the smaller matrix,
-    and each entry is the product of its factors' entries, top one first.
+    ``products[q - 1]`` receives the product of factors 0 to q. One broadcast
+    multiply per factor puts it on top of the product below it, so each
+    multiply's inner loop runs over a whole row of the smaller matrix, and
+    each entry is the product of its factors' entries, top one first.
     """
-    product = factors[..., 0, :, :]
-    for q in range(1, factors.shape[-3]):
-        product = (factors[..., q, :, None, :, None] * product[..., None, :, None, :]).reshape(
-            product.shape[:-2] + (2 * product.shape[-2], factors.shape[-1] * product.shape[-1]))
-    return product
+    below = factors[..., 0, :, :]
+    for q, product in enumerate(products, 1):
+        top, lower = factors[..., q, :, None, :, None], below[..., None, :, None, :]
+        view = np.reshape(product, np.broadcast_shapes(top.shape, lower.shape), copy=False)
+        steps.append(partial(np.multiply, top, lower, view))
+        below = product
 
 
-def _kron_groups(rotations: np.ndarray, least: int = 2) -> list:
-    """A layer of per-qubit rotations ``(..., n, 2, 2)`` as its balanced qubit groups.
+def _groups(n: int, least: int) -> list[tuple[int, int, int]]:
+    """An n-qubit rotation layer's balanced qubit groups, as runs ``(low, size, number)``.
 
-    Returns ``(low, high, matrix)`` per group, low group first, with
-    ``matrix[...]`` the Kronecker product R_{high-1} ⊗ ... ⊗ R_low. The n
-    qubits split into ceil(n / GROUP_QUBITS) groups whose sizes differ by
-    at most one, and into at least ``least`` (at most n): matrices built
+    The n qubits split into ceil(n / GROUP_QUBITS) groups whose sizes differ
+    by at most one, and into at least ``least`` (at most n): matrices built
     per parameter row take two groups even for a few qubits, 2 * 4^(n/2)
     entries instead of 4^n, while a start block's records share one matrix,
-    which is then cheaper whole. The groups of one size are built together.
+    which is then cheaper whole. A run holds ``number`` groups of ``size``
+    qubits from qubit ``low`` up, smaller groups first.
     """
-    n = rotations.shape[-3]
     count = min(n, max(least, -(-n // GROUP_QUBITS)))
     small, extra = divmod(n, count)
-    groups, low = [], 0
-    for size, number in ((small, count - extra), (small + 1, extra)):
-        if not number:
-            continue
-        part = rotations[..., low:low + size * number, :, :]
-        matrices = _kron(part.reshape(part.shape[:-3] + (number, size, 2, 2)))
-        groups.extend((low + j * size, low + (j + 1) * size, matrices[..., j, :, :])
-                      for j in range(number))
-        low += size * number
-    return groups
+    runs = ((0, small, count - extra), (small * (count - extra), small + 1, extra))
+    return [run for run in runs if run[2]]
 
 
-def _rotate_layer(groups, layer: int, n: int, src: np.ndarray, dst: np.ndarray):
-    """Apply layer ``layer`` of ``groups`` to the ``(B, 2^n, W)`` block ``src``.
+def _group_matrices(rotations: np.ndarray, runs, steps: list) -> list:
+    """Each run's matrices ``[..., j, K, K]``, group j's R_{high-1} ⊗ ... ⊗ R_low of its
+    qubits' ``rotations[..., q, :, :]``, built together by the steps appended to ``steps``."""
+    matrices = []
+    for low, size, number in runs:
+        part = np.reshape(rotations[..., low:low + size * number, :, :],
+                          rotations.shape[:-3] + (number, size, 2, 2), copy=False)
+        products = [np.empty(part.shape[:-3] + (2 << q, 2 << q), rotations.dtype)
+                    for q in range(1, size)]
+        _kron_steps(part, products, steps)
+        matrices.append(products[-1] if products else part[..., 0, :, :])
+    return matrices
 
-    Each group is one ``np.matmul`` from one buffer into the other, over
-    the view that puts the group's qubits on their own axis: a ``(B, K, K)``
-    matrix per state, or a ``(1, K, K)`` one all states share, times
-    ``(A, K, C)`` slices (A the states of the qubits above the group, C
-    those below it times W). With C = 1 the low group is read as rows times
-    the transposed matrix, one product per state instead of A. numpy calls
-    BLAS once per state and slice with the same shapes whatever B is.
-    Returns ``(result, spare)``.
+
+def _layer_steps(n: int, runs, matrices, layer: int, state, at: int, steps: list) -> int:
+    """Steps that apply layer ``layer`` of the group ``matrices`` to the block in ``state[at]``.
+
+    ``state`` is a ping-pong pair of ``(B, 2^n, W)`` blocks. Each group is one
+    ``np.matmul`` from one buffer into the other, over the view that puts the
+    group's qubits on their own axis: a ``(B, 1, K, K)`` matrix per state
+    times ``(B, A, K, C)`` slices (A the states of the qubits above the
+    group, C those below it times W), or, with C = 1, the low group read as
+    ``(B, A, K)`` rows times the transposed matrix, one product per state
+    instead of A. numpy calls BLAS once per state and slice with the same
+    shapes whatever B is. Returns the buffer the layer ends in.
     """
-    for low, high, matrix in groups:
-        matrix = matrix[:, layer]
-        shape = (len(src), 1 << (n - high), 1 << (high - low), src.shape[2] << low)
-        if shape[3] == 1:
-            np.matmul(src.reshape(shape[:3]), matrix.transpose(0, 2, 1),
-                      out=dst.reshape(shape[:3]))
-        else:
-            np.matmul(matrix[:, None], src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-    return src, dst
+    rows, _, width = state.shape[1:]
+    for (low, size, number), run in zip(runs, matrices):
+        for j in range(number):
+            high = low + (j + 1) * size
+            view = (rows, 1 << (n - high), 1 << size, width << (high - size))
+            matrix, view = run[:, layer, j], view[:3] if view[3] == 1 else view
+            src, dst = state[at].reshape(view), state[1 - at].reshape(view)
+            pair = (src, matrix.transpose(0, 2, 1)) if len(view) == 3 else (matrix[:, None], src)
+            steps.append(partial(np.matmul, *pair, dst))
+            at ^= 1
+    return at
+
+
+def _run(plan: tuple, stack: np.ndarray) -> np.ndarray:
+    """Copy ``stack`` into a plan's parameter buffer, run its steps and return its last block."""
+    params, steps, _, last = plan
+    params[...] = stack
+    for step in steps:
+        step()
+    return last
 
 
 def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
@@ -271,10 +282,17 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
 
     The state is held batch-first, a contiguous 2^n row per parameter row.
     A rotation layer is the Kronecker product of its qubit groups
-    (``_kron_groups``), built from each row's angles and applied by
-    ``_rotate_layer``; RX+RY rotates each qubit by RY·RX. The first layer
-    from |0...0> is the product state of the rotations' first columns, and
-    the CNOT ladder is one gather. RY amplitudes stay real.
+    (``_groups``, by ``GROUP_QUBITS`` at compile time), built from each
+    row's angles and applied by one matmul per group; RX+RY rotates each
+    qubit by RY·RX. The first layer from |0...0> is the product state of the
+    rotations' first columns, and the CNOT ladder is one gather. RY
+    amplitudes stay real.
+
+    Each block shape gets a plan on its first call: its buffers, and the
+    numpy calls between them with their views bound (the steps). A call
+    copies its rows in, runs the steps and returns a copy of the result. The
+    plans of the two latest block shapes are kept; two threads must not call
+    one state function at once.
 
     The RY and RX+RY functions also take ``start``, a ``(2^n, R)`` block to
     run from instead of |0...0> under one parameter row, and return a
@@ -283,9 +301,7 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     BLAS picks its kernel by shape, and a column's bytes must not depend on
     how many share the block.
 
-    ``table`` is QAOA's cost energy table, if the caller has built it. The
-    buffers of the two latest block shapes are kept; the returned block is
-    a copy, and two threads must not call one state function at once.
+    ``table`` is QAOA's cost energy table, if the caller has built it.
     """
     if ansatz.kind == "qaoa":
         return _compile_qaoa(ansatz, table)
@@ -293,40 +309,51 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     dim = 1 << n
     perm = _ladder_permutation(n) if p else None
     real = ansatz.kind == "ry-full-entanglement"
-    pair = functools.lru_cache(maxsize=2)(lambda shape, dtype: np.empty((2,) + shape, dtype))
+    row_runs, start_runs = _groups(n, 2), _groups(n, 1)
+
+    @lru_cache(maxsize=2)
+    def plan(rows: int, start: bool):
+        """``rows`` parameter rows from |0...0>, or a start block of ``rows`` chunks."""
+        params = np.empty((1 if start else rows, ansatz.parameter_count))
+        layers, steps = params.reshape(len(params), p + 1, -1), []
+        rotations = np.empty(layers.shape[:2] + (n, 2, 2), float if real else complex)
+        _rotation_steps(layers, rotations, steps, rx=not real, ry=True)
+        state = np.empty((2, rows, dim, RECORD_COLUMNS if start else 1),
+                         complex if start or not real else float)
+        if not start:  # the product state, doubled up so that its last product lands in state[0]
+            columns = rotations[:, 0, :, :, :1]
+            _kron_steps(columns, [state[(n - 1 - q) % 2, :, :2 << q] for q in range(1, n)], steps)
+            if n == 1:
+                steps.append(partial(np.copyto, state[0], columns[:, 0]))
+            rotations = rotations[:, 1:]
+        runs, first = (start_runs, 0) if start else (row_runs, 1)
+        matrices, at = _group_matrices(rotations, runs, steps), 0
+        for layer in range(first, p + 1):
+            if layer:
+                steps.append(partial(np.take, state[at], perm, axis=1, out=state[1 - at],
+                                     mode="clip"))
+                at ^= 1
+            at = _layer_steps(n, runs, matrices, layer - first, state, at, steps)
+        return params, steps, state, state[at]
 
     def layered_state(params, start=None):
         stack = _checked_stack(ansatz, params)
-        if start is not None and (len(stack) != 1 or np.ndim(start) != 2
-                                  or len(start) != dim):
-            raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
-        layers = stack.reshape(len(stack), p + 1, -1)
-        rotations = (_rotations(None, layers) if real
-                     else _rotations(layers[..., :n], layers[..., n:]))
         if start is None:
-            src, dst = pair((len(stack), dim, 1), float if real else complex)
-            src[:, :, 0] = _kron(rotations[:, 0, :, :, :1])[..., 0]  # from |0...0>
-            groups, first = _kron_groups(rotations[:, 1:]), 1
-        else:
-            start = np.asarray(start)
-            records, width = start.shape[1], RECORD_COLUMNS
-            full, rest = divmod(records, width)
-            src, dst = pair((full + (rest > 0), dim, width), complex)
-            grid = src.transpose(1, 0, 2)  # (2^n, chunks, width)
-            grid[:, :full] = start[:, :full * width].reshape(dim, full, width)
-            if rest:
-                grid[:, full, :rest] = start[:, full * width:]
-                grid[:, full, rest:] = 0.0
-            groups, first = _kron_groups(rotations, 1), 0
-        for layer in range(first, p + 1):
-            if layer:
-                np.take(src, perm, axis=1, out=dst, mode="clip")
-                src, dst = dst, src
-            src, dst = _rotate_layer(groups, layer - first, n, src, dst)
-        if start is not None:
-            return np.array(src.transpose(1, 0, 2)).reshape(dim, -1)[:, :records]
-        amps = src[:, :, 0].copy().T
-        return amps if np.ndim(params) == 2 else amps[:, 0]
+            amps = _run(plan(len(stack), False), stack)[:, :, 0].copy().T
+            return amps if np.ndim(params) == 2 else amps[:, 0]
+        if len(stack) != 1 or np.ndim(start) != 2 or len(start) != dim:
+            raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
+        start = np.asarray(start)
+        records, width = start.shape[1], RECORD_COLUMNS
+        full, rest = divmod(records, width)
+        planned = plan(full + (rest > 0), True)
+        grid = planned[2][0].transpose(1, 0, 2)  # (2^n, chunks, width)
+        grid[:, :full] = start[:, :full * width].reshape(dim, full, width)
+        if rest:
+            grid[:, full, :rest] = start[:, full * width:]
+            grid[:, full, rest:] = 0.0
+        block = _run(planned, stack).transpose(1, 0, 2)
+        return np.array(block).reshape(dim, -1)[:, :records]
 
     return layered_state
 
@@ -337,26 +364,42 @@ def _compile_qaoa(ansatz: Ansatz, table: np.ndarray | None = None):
     Every cost term is a product of Z factors, so a level's cost layer is
     one diagonal: each amplitude is multiplied by exp(-i gamma C), with C
     ``table`` or else ``ansatz.cost.energy_table(n)``; its offset is a
-    global phase. The mixer is the RX(2 beta) layer, applied by qubit group
-    as ``compile_ansatz``'s rotation layers are, to the uniform start state.
+    global phase; it is computed into the spare state buffer. The mixer is
+    the RX(2 beta) layer, applied by qubit group as ``compile_ansatz``'s
+    rotation layers are, to the uniform start state; every qubit turns by
+    the same RX(2 beta), so a group's matrix is a power of one factor.
     """
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
     energies = ansatz.cost.energy_table(n) if table is None else table
-    buffers = functools.lru_cache(maxsize=2)(
-        lambda width: np.empty((3, width, dim, 1), dtype=complex))
+    runs = _groups(n, 2)
+
+    @lru_cache(maxsize=2)
+    def plan(rows: int):
+        params, gammas = np.empty((rows, 2 * p)), np.empty((rows, p, 1), complex)
+        turns, factor = np.empty((rows, p, 1)), np.empty((rows, p, 1, 2, 2), complex)
+        state = np.empty((2, rows, dim, 1), complex)
+        steps = [partial(np.multiply, 2.0, params[:, p:, None], turns)]
+        _rotation_steps(turns, factor, steps, rx=True, ry=False)
+        powers = [factor] + [np.empty((rows, p, 1, 2 << q, 2 << q), complex)
+                             for q in range(1, runs[-1][1])]
+        _kron_steps(np.broadcast_to(factor[:, :, None], (rows, p, 1, len(powers), 2, 2)),
+                    powers[1:], steps)
+        mixers = [np.broadcast_to(powers[size - 1], (rows, p, number) + powers[size - 1].shape[3:])
+                  for _, size, number in runs]
+        steps += [partial(np.multiply, -1j, params[:, :p, None], gammas),
+                  partial(state[0].fill, math.sqrt(0.5) ** n)]  # H on every qubit of |0...0>
+        at = 0
+        for level in range(p):
+            amps, phases = state[at], state[1 - at]
+            steps += [partial(np.multiply, gammas[:, level], energies, phases[:, :, 0]),
+                      partial(np.exp, phases, phases), partial(np.multiply, amps, phases, amps)]
+            at = _layer_steps(n, runs, mixers, level, state, at, steps)
+        return params, steps, state, state[at]
 
     def qaoa_state(params):
         stack = _checked_stack(ansatz, params)
-        src, dst, phases = buffers(len(stack))
-        mixers = _kron_groups(_rotations(np.repeat(2.0 * stack[:, p:, None], n, axis=2), None))
-        src.fill(math.sqrt(0.5) ** n)  # H on every qubit of |0...0>
-        for level in range(p):
-            np.multiply.outer(-1j * stack[:, level], energies, out=phases[:, :, 0])
-            np.exp(phases, out=phases)
-            src *= phases
-            src, dst = _rotate_layer(mixers, level, n, src, dst)
-        amps = src[:, :, 0].copy().T
+        amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return qaoa_state
@@ -390,6 +433,8 @@ class VariationalResult:
     top_states: list[tuple[str, float, float]]
     trace: list[float]
     state: Statevector
+    evaluations: int  # the winning run's objective calls, as ``OptimizeOutcome`` counts them
+    stop_reason: str  # its ``OptimizeOutcome.stop_reason``; "none" when nothing was tuned
 
 
 def _initial_params(ansatz: Ansatz, rng: np.random.Generator) -> np.ndarray:
@@ -410,9 +455,10 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
     the B values in row order, each equal bit for bit to
     ``objective(row)``. The bound keeps a stack of wide rows, such as a
-    Nelder-Mead simplex, from holding every row's state at once. Each state
-    is read out as a contiguous 1-D row, as a single state is, not as a
-    matrix-vector product, whose sums may round differently.
+    Nelder-Mead simplex, from holding every row's state at once. A block is
+    squared once, and each state's probabilities are read out as a
+    contiguous 1-D row, as a single state's are, not as a matrix-vector
+    product, whose sums may round differently.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -427,16 +473,20 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
         stack = np.asarray(stack, dtype=float)
         values = []
         for at in range(0, len(stack), chunk):
-            # columns copied out as contiguous 1-D rows, read in row order
-            block = np.ascontiguousarray(state_of(stack[at:at + chunk]).T)
-            values.extend(float(np.abs(amps) ** 2 @ table) for amps in block)
+            # the block's columns are contiguous 1-D rows of its transpose
+            probs = np.abs(state_of(stack[at:at + chunk]).T) ** 2
+            values.extend(float(row @ table) for row in probs)
         return values
 
     def objective(params):
         return rows([params])[0]
 
     objective.rows = rows
-    best = minimize_restarts(objective, functools.partial(_initial_params, ansatz), optimizer)
+    if ansatz.parameter_count:
+        best = minimize_restarts(objective, partial(_initial_params, ansatz), optimizer)
+    else:  # QAOA at p = 0: the uniform superposition, nothing to tune
+        value = objective(np.zeros(0))
+        best = OptimizeOutcome(np.zeros(0), value, [value], evaluations=1, stop_reason="none")
     state = Statevector(ansatz.n_qubits, state_of(best.x).astype(complex, copy=False))
     return VariationalResult(
         best_value=best.value,
@@ -444,24 +494,19 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
         top_states=sample_solutions(state, table, min(top_k, state.dim)),
         trace=best.trace,
         state=state,
+        evaluations=best.evaluations,
+        stop_reason=best.stop_reason,
     )
 
 
 def qaoa_minimize(observable: IsingObservable, p: int, optimizer: OptimizerConfig,
                   n_qubits: int | None = None, top_k: int = 8) -> VariationalResult:
-    """VQE loop over the QAOA ansatz of depth p on the given cost observable."""
+    """VQE loop over the QAOA ansatz of depth p on the given cost observable.
+
+    At p = 0 the state is the uniform superposition, evaluated once.
+    """
     if n_qubits is None:
         n_qubits = observable.max_qubit() + 1
-    if p == 0:
-        # degenerate: uniform superposition, no parameters to tune
-        table = observable.energy_table(n_qubits)
-        uniform = compile_ansatz(qaoa_ansatz(n_qubits, 0, observable), table)
-        state = Statevector(n_qubits, uniform(np.zeros(0)))
-        value = float(basis_probabilities(state) @ table)
-        return VariationalResult(
-            best_value=value, best_params=np.zeros(0),
-            top_states=sample_solutions(state, table, min(top_k, state.dim)),
-            trace=[value], state=state)
     return vqe_minimize(observable, qaoa_ansatz(n_qubits, p, observable),
                         optimizer, top_k=top_k)
 

@@ -5,9 +5,13 @@ scale for QUBO tests, an unconstrained ADMM problem, an ADMM result's
 per-iteration histories, a classifier's one-record prediction, the
 feature-map state of one record and a state's expectation of a diagonal
 observable. ``solve_auction_loop`` is the per-subset
-loop that ``admm.solve_auction_exact`` replaced with subset-sum tables, and
-``z_sign_loop`` the sign loop that ``simulator.z_diagonal`` replaced.
+loop that ``admm.solve_auction_exact`` replaced with subset-sum tables,
+``z_sign_loop`` the sign loop that ``simulator.z_diagonal`` replaced, and
+``per_call_compile_ansatz`` the state functions that
+``variational.compile_ansatz`` replaced with one plan per block shape.
 """
+
+import math
 
 import numpy as np
 
@@ -92,3 +96,138 @@ def z_sign_loop(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
             sign *= 1.0 - 2.0 * ((idx >> q) & 1)
         out += coeff * sign
     return out
+
+
+# -- the per-call state functions the planned ones replaced ------------------
+#
+# ``per_call_compile_ansatz`` is ``variational.compile_ansatz`` as it was
+# before each block shape got a plan: every call builds its rotations and
+# Kronecker products in new arrays, splits each layer into its qubit groups
+# again (``kron_groups``) and reshapes both ping-pong buffers per group and
+# layer (``rotate_layer``). It reads ``vq.GROUP_QUBITS`` when called.
+
+
+def rotations(rx_angles, ry_angles) -> np.ndarray:
+    """Per-qubit 2x2 matrices ``[..., q, i, j]`` = m_ij of RY(phi)·RX(theta);
+    either angle array may be None, for no such gate."""
+    if ry_angles is None:
+        ry = np.eye(2)
+    else:
+        halves = 0.5 * ry_angles
+        cos, sin = np.cos(halves), np.sin(halves)
+        ry = np.empty(halves.shape + (2, 2))
+        ry[..., 0, 0] = ry[..., 1, 1] = cos
+        ry[..., 1, 0] = sin
+        np.negative(sin, out=ry[..., 0, 1])
+    if rx_angles is None:
+        return ry
+    halves = 0.5 * rx_angles
+    matrices = np.empty(halves.shape + (2, 2), dtype=complex)
+    np.multiply(ry, np.cos(halves)[..., None, None], out=matrices.real)
+    np.multiply(ry[..., ::-1], -np.sin(halves)[..., None, None], out=matrices.imag)
+    return matrices
+
+
+def kron(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of the ``factors[..., q, :, :]``, factor q on index bit q."""
+    product = factors[..., 0, :, :]
+    for q in range(1, factors.shape[-3]):
+        product = (factors[..., q, :, None, :, None] * product[..., None, :, None, :]).reshape(
+            product.shape[:-2] + (2 * product.shape[-2], factors.shape[-1] * product.shape[-1]))
+    return product
+
+
+def kron_groups(turns: np.ndarray, least: int = 2) -> list:
+    """A layer of per-qubit rotations ``turns[..., q, :, :]`` as ``(low, high, matrix)``
+    per balanced qubit group, low group first; the groups of one size are
+    built together."""
+    from qfin import variational as vq
+
+    n = turns.shape[-3]
+    count = min(n, max(least, -(-n // vq.GROUP_QUBITS)))
+    small, extra = divmod(n, count)
+    groups, low = [], 0
+    for size, number in ((small, count - extra), (small + 1, extra)):
+        if not number:
+            continue
+        part = turns[..., low:low + size * number, :, :]
+        matrices = kron(part.reshape(part.shape[:-3] + (number, size, 2, 2)))
+        groups.extend((low + j * size, low + (j + 1) * size, matrices[..., j, :, :])
+                      for j in range(number))
+        low += size * number
+    return groups
+
+
+def rotate_layer(groups, layer: int, n: int, src: np.ndarray, dst: np.ndarray):
+    """Apply layer ``layer`` of ``groups`` to the ``(B, 2^n, W)`` block ``src``,
+    one matmul per group from one buffer into the other; the low group is
+    rows times the transposed matrix when W = 1. Returns ``(result, spare)``."""
+    for low, high, matrix in groups:
+        matrix = matrix[:, layer]
+        shape = (len(src), 1 << (n - high), 1 << (high - low), src.shape[2] << low)
+        if shape[3] == 1:
+            np.matmul(src.reshape(shape[:3]), matrix.transpose(0, 2, 1),
+                      out=dst.reshape(shape[:3]))
+        else:
+            np.matmul(matrix[:, None], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    return src, dst
+
+
+def per_call_compile_ansatz(ansatz, table=None):
+    """``compile_ansatz``'s state function, building every group and view per call."""
+    from qfin import variational as vq
+
+    n, p = ansatz.n_qubits, ansatz.depth
+    dim = 1 << n
+    if ansatz.kind == "qaoa":
+        energies = ansatz.cost.energy_table(n) if table is None else table
+
+        def qaoa_state(params):
+            stack = vq._checked_stack(ansatz, params)
+            src, dst, phases = np.empty((3, len(stack), dim, 1), dtype=complex)
+            mixers = kron_groups(rotations(np.repeat(2.0 * stack[:, p:, None], n, axis=2), None))
+            src.fill(math.sqrt(0.5) ** n)  # H on every qubit of |0...0>
+            for level in range(p):
+                np.multiply.outer(-1j * stack[:, level], energies, out=phases[:, :, 0])
+                np.exp(phases, out=phases)
+                src *= phases
+                src, dst = rotate_layer(mixers, level, n, src, dst)
+            amps = src[:, :, 0].copy().T
+            return amps if np.ndim(params) == 2 else amps[:, 0]
+
+        return qaoa_state
+    perm = vq._ladder_permutation(n) if p else None
+    real = ansatz.kind == "ry-full-entanglement"
+
+    def layered_state(params, start=None):
+        stack = vq._checked_stack(ansatz, params)
+        layers = stack.reshape(len(stack), p + 1, -1)
+        turns = (rotations(None, layers) if real
+                 else rotations(layers[..., :n], layers[..., n:]))
+        if start is None:
+            src, dst = np.empty((2, len(stack), dim, 1), float if real else complex)
+            src[:, :, 0] = kron(turns[:, 0, :, :, :1])[..., 0]  # from |0...0>
+            groups, first = kron_groups(turns[:, 1:]), 1
+        else:
+            start = np.asarray(start)
+            records, width = start.shape[1], vq.RECORD_COLUMNS
+            full, rest = divmod(records, width)
+            src, dst = np.empty((2, full + (rest > 0), dim, width), complex)
+            grid = src.transpose(1, 0, 2)
+            grid[:, :full] = start[:, :full * width].reshape(dim, full, width)
+            if rest:
+                grid[:, full, :rest] = start[:, full * width:]
+                grid[:, full, rest:] = 0.0
+            groups, first = kron_groups(turns, 1), 0
+        for layer in range(first, p + 1):
+            if layer:
+                np.take(src, perm, axis=1, out=dst, mode="clip")
+                src, dst = dst, src
+            src, dst = rotate_layer(groups, layer - first, n, src, dst)
+        if start is not None:
+            return np.array(src.transpose(1, 0, 2)).reshape(dim, -1)[:, :records]
+        amps = src[:, :, 0].copy().T
+        return amps if np.ndim(params) == 2 else amps[:, 0]
+
+    return layered_state

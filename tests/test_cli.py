@@ -1211,3 +1211,34 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
         if kind == "qaoa":
             got, want = np.abs(got) ** 2, np.abs(want) ** 2
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_a_default_vqe_portfolio_run_makes_iterations_plus_two_state_calls(
+        tmp_path, monkeypatch, portfolio_instance):
+    # SPSA's default 300 iterations: one stack of three per iteration, the
+    # last f(x) alone, and the returned state; 1 + 3 * 300 evaluations
+    from qfin import variational as vq
+
+    calls, results, compile_ansatz = [], [], vq.compile_ansatz
+    minimize_qubo = vq.minimize_qubo
+
+    def counted(ansatz, table=None):
+        state_of = compile_ansatz(ansatz, table)
+
+        def state(params, **kwargs):
+            calls.append(np.shape(params))
+            return state_of(params, **kwargs)
+        return state
+
+    def kept(*args, **kwargs):
+        results.append(minimize_qubo(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(vq, "compile_ansatz", counted)
+    monkeypatch.setattr(vq, "minimize_qubo", kept)
+    assert main(["opt", "portfolio", "--instance", portfolio_instance, "--solver", "vqe",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    # depth 3: 4 layers of 6 angles; the last f(x) is a stack of one
+    assert calls == [(3, 24)] * 300 + [(1, 24), (24,)]
+    (_, _, run), = results
+    assert (run.evaluations, run.stop_reason) == (1 + 3 * 300, "maxiter")

@@ -64,10 +64,11 @@ def scipy_nelder_mead(fn, x0, config):
     trace = []
 
     def wrapped(params):
+        point = np.array(params, dtype=float)  # as evaluated: fn may write to params
         value = fn(params)
         if not best or value < best["f"]:
             best["f"] = value
-            best["x"] = np.array(params, dtype=float)
+            best["x"] = point
         if not trace:
             trace.append(value)
         return value
@@ -364,3 +365,39 @@ def test_qaoa_portfolio_command_equals_sequential_spsa(tmp_path, monkeypatch):
     batched = run(tmp_path / "batched")
     monkeypatch.setattr(optimizers, "_spsa", sequential_spsa)
     assert run(tmp_path / "sequential") == batched
+
+
+# -- the objective may write to every array it is handed ---------------------
+
+def poisoning(fn):
+    """fn, and its ``rows`` when it has one, filling each array it is handed
+    with NaN once it has read it."""
+    def objective(params):
+        value = fn(params)
+        params[...] = np.nan
+        return value
+
+    if hasattr(fn, "rows"):
+        def rows(stack):
+            values = fn.rows(stack)
+            stack[...] = np.nan
+            return values
+        objective.rows = rows
+    return objective
+
+
+@pytest.mark.parametrize("method", ["spsa", "nelder-mead"])
+@pytest.mark.parametrize("rows", [True, False], ids=["rows", "per-point"])
+def test_an_objective_that_overwrites_its_arguments_changes_no_outcome(monkeypatch, method,
+                                                                       rows):
+    # the loops reuse buffers for the points they hand out: an objective that
+    # writes to them must not reach the simplex, x or the reported best point
+    fn, x0 = vqe_objective(monkeypatch, vq.ry_ansatz(6, 1))
+    fn = fn if rows else stripped(fn)
+    config = OptimizerConfig(method, iterations=60, seed=4)
+    for objective in (fn, rosenbrock):
+        clean = minimize(objective, x0.copy(), config)
+        poisoned = minimize(poisoning(objective), x0.copy(), config)
+        assert hasattr(poisoning(objective), "rows") == hasattr(objective, "rows")
+        assert not np.isnan(poisoned.x).any()
+        assert_identical_outcomes(poisoned, clean)

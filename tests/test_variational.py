@@ -14,7 +14,7 @@ from qfin.simulator import (
     h,
     new_zero_state,
 )
-from oracles import energy_spread
+from oracles import energy_spread, per_call_compile_ansatz
 
 Z0 = IsingObservable(terms=(((0,), 1.0),))
 
@@ -357,6 +357,32 @@ def test_columns_equal_single_calls_at_every_group_count(monkeypatch, group_qubi
                     assert block[:, b].tobytes() == column.tobytes(), (n, kind, depth, b)
 
 
+@pytest.mark.parametrize("group_qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["ry", "rxry", "qaoa"])
+def test_planned_states_equal_the_per_call_functions_bytewise(monkeypatch, kind, group_qubits):
+    # a plan moves only the shape work out of the call: every byte stays the
+    # per-call functions', for stacks, single rows and start blocks
+    monkeypatch.setattr(vq, "GROUP_QUBITS", group_qubits)
+    rng = np.random.default_rng([group_qubits, ["ry", "rxry", "qaoa"].index(kind)])
+    for n in range(1, 13):
+        for depth in range(4):
+            ansatz = _ansaetze(kind, n, depth, rng)
+            planned, former = vq.compile_ansatz(ansatz), per_call_compile_ansatz(ansatz)
+            for rows in range(1, 6):
+                stack = rng.uniform(-math.pi, math.pi, (rows, ansatz.parameter_count))
+                stack[0] *= 1e4 if rows > 1 else 1.0
+                assert planned(stack).tobytes() == former(stack).tobytes(), (n, depth, rows)
+                assert planned(stack[0]).tobytes() == former(stack[0]).tobytes(), (n, depth)
+            if kind == "qaoa":
+                continue
+            row = stack[-1]
+            for columns in range(1, 41) if n <= 8 else (1, 15, 16, 17, 40):
+                shape = (1 << n, columns)
+                start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                got = planned(row, start=start)
+                assert got.tobytes() == former(row, start=start).tobytes(), (n, depth, columns)
+
+
 def test_state_function_shapes_and_validation():
     ansatz = vq.ry_ansatz(3, 1)
     state_of = vq.compile_ansatz(ansatz)
@@ -407,15 +433,22 @@ def test_kron_groups_are_balanced_and_cover_the_layer():
     rng = np.random.default_rng(7)
     for n in range(1, 14):
         rotations = rng.normal(size=(n, 2, 2))
-        groups = vq._kron_groups(rotations)
-        bounds = [(low, high) for low, high, _ in groups]
+        runs = vq._groups(n, 2)
+        bounds = [(low + j * size, low + (j + 1) * size)
+                  for low, size, number in runs for j in range(number)]
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         sizes = [high - low for low, high in bounds]
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= vq.GROUP_QUBITS
-        assert len(groups) == min(n, max(2, -(-n // vq.GROUP_QUBITS)))
-        assert len(vq._kron_groups(rotations, 1)) == -(-n // vq.GROUP_QUBITS)
-        for low, high, matrix in groups:
+        assert len(bounds) == min(n, max(2, -(-n // vq.GROUP_QUBITS)))
+        assert sum(number for *_, number in vq._groups(n, 1)) == -(-n // vq.GROUP_QUBITS)
+        steps = []
+        matrices = vq._group_matrices(rotations[None, None], runs, steps)
+        for step in steps:
+            step()
+        groups = [run[0, 0, j] for run, (_, _, number) in zip(matrices, runs)
+                  for j in range(number)]
+        for (low, high), matrix in zip(bounds, groups):
             want = rotations[low]
             for q in range(low + 1, high):
                 want = np.kron(rotations[q], want)  # qubit q on top of those below it
@@ -612,7 +645,24 @@ def test_qaoa_tables_stay_within_the_block_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two ping-pong buffers, the phase buffer and the returned copy (a 2^n
-    # complex vector to spare), one 2^n energy table, and 64 KiB for the
-    # small tables
-    assert peak < 16 * (5 << n) + 8 * (1 << n) + (1 << 16)
+    # three 2^n complex vectors: the two ping-pong buffers, the spare one
+    # holding exp(-i gamma C), and the returned copy; one 2^n energy table,
+    # and 128 KiB for the small tables. A third buffer for the phases, as
+    # the per-call functions held, would not fit.
+    assert peak < 16 * (3 << n) + 8 * (1 << n) + (1 << 17)
+
+
+def test_variational_result_carries_the_winning_runs_counts():
+    for depth, config in ((1, OptimizerConfig("spsa", 25, seed=3)),
+                          (1, OptimizerConfig("spsa", 7, seed=1, restarts=3)),
+                          (1, OptimizerConfig("nelder-mead", 40, seed=3, restarts=2)),
+                          (0, OptimizerConfig("nelder-mead", 2000, seed=2))):
+        ansatz = vq.ry_ansatz(6, depth)
+        got = vq.vqe_minimize(PORTFOLIO, ansatz, config, top_k=3)
+        best, _ = reference_vqe(PORTFOLIO, ansatz, config, top_k=3)
+        assert (got.evaluations, got.stop_reason) == (best.evaluations, best.stop_reason)
+        if config.method == "spsa":
+            assert (got.evaluations, got.stop_reason) == (1 + 3 * config.iterations, "maxiter")
+    assert (got.evaluations, got.stop_reason) == (700, "tolerance")
+    uniform = vq.qaoa_minimize(PORTFOLIO, 0, OptimizerConfig(), n_qubits=6)
+    assert (uniform.evaluations, uniform.stop_reason) == (1, "none")

@@ -178,6 +178,33 @@ def test_the_wide_risk_var_row_is_wide():
     assert min(widths) >= 20 and max(widths) <= 22
 
 
+def test_the_wide_portfolio_rows_are_12_qubits_and_score_as_the_benchmark_check(tmp_path):
+    import dataclasses
+
+    from qfin import qubo as qb
+    from qfin.cli import main
+
+    workloads = _workloads()
+    assert verdicts.ALL_ROWS[-2:] == ("vqe wide", "qaoa wide")
+    for seed in (1, 2):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        commands = verdicts._wide_portfolio_commands(workloads, work, seed)
+        spec = qb.read_portfolio_instance(str(work / "wide-instance.txt"))
+        assert (spec.n, spec.budget) == (12, 6)
+        for row, cmd in zip(("vqe wide", "qaoa wide"), commands):
+            assert "--iterations" not in cmd.argv and "--depth" not in cmd.argv  # defaults
+            cmd = dataclasses.replace(cmd, out_dir=str(work / row))
+            assert main(list(cmd.argv) + ["--out-dir", cmd.out_dir]) == 0
+            result = json.loads(Path(cmd.out_dir, "result.json").read_text())
+            assert result["solver"] == row.split()[0] and len(result["selection"]) == 12
+            want = workloads._check_portfolio(cmd, str(work / "wide-instance.txt"))
+            got, problems = verdicts._score(workloads, row, cmd, work, seed, "")
+            assert problems == want.problems == []
+            assert (got.gap, got.feasible, got.miss) == (
+                max(0.0, want.gap), result["budget_feasible"], want.miss)
+
+
 def test_a_command_that_exits_3_stops_the_sweep(tmp_path):
     # every seed draws a separable set, so a refused command is a fault of
     # the change under test, not a seed to leave out of its row

@@ -28,6 +28,12 @@ command:
   here (``wide_assets``) and written with ``qfin``'s own writer: 12 assets
   with LGDs 1-3, an A register of about 21 qubits. ``score_risk_var`` is
   ``_check_risk_var``'s rule for any portfolio.
+- ``vqe wide``, ``qaoa wide``: ``opt portfolio`` by VQE and by QAOA, with
+  the command's defaults, on a 12-asset instance drawn here as the benchmark
+  draws its 6-asset one (``wide_portfolio``) and written with
+  ``qubo.write_portfolio_instance``; ``_check_portfolio`` scores them. At 12
+  qubits a rotation layer splits into three qubit groups, where the
+  benchmark's 6 qubits give two, so these rows judge a middle group too.
 - ``vqc``: ``ml synth --mode separable --n 200`` is run once per seed with
   the working tree, and both sides run ``ml train --encoder map --optimizer
   nelder-mead --iterations 300 --cross-validate --folds 4`` on that one
@@ -68,14 +74,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ROWS = ("vqe", "qaoa", "diversify", "risk var", "admm", "vqc")  # the benchmark's inputs
-WIDE_ROWS = ("risk var wide",)  # inputs drawn here, wider than the benchmark's
+# inputs drawn here, wider than the benchmark's
+WIDE_ROWS = ("risk var wide", "vqe wide", "qaoa wide")
 ALL_ROWS = ROWS + WIDE_ROWS
-ENERGY_ROWS = ("vqe", "qaoa", "diversify")  # normalised energy gaps
+ENERGY_ROWS = ("vqe", "qaoa", "diversify", "vqe wide", "qaoa wide")  # normalised energy gaps
 MISS_ROWS = ("risk var", "vqc", "risk var wide")  # third cell is the miss, not feasibility
 SIGNIFICANCE = 0.05
 SEEDS = range(1, 61)  # fixed, so every change is judged on the same sweep
 SEPARABLE_RECORDS = 200
-WIDE_ASSETS = 12
+WIDE_ASSETS, WIDE_BUDGET = 12, 6  # the wide rows' assets; the portfolio rows' budget
 WIDE_ALPHA, WIDE_NZ, WIDE_M = 0.95, 3, 6
 VQC_TRAIN = ("--encoder", "map", "--optimizer", "nelder-mead", "--iterations", "300",
              "--cross-validate", "--folds", "4")
@@ -188,6 +195,28 @@ def _wide_command(workloads, work: Path, seed: int):
         "--nz", str(WIDE_NZ), "--m", str(WIDE_M), "--exact-oracle", "--seed", str(seed)), "")
 
 
+def wide_portfolio(path: Path, seed: int) -> Path:
+    """Write the wide portfolio rows' instance for ``seed`` to ``path``: the
+    benchmark's draw (``build_portfolio_vqe``) at 12 assets and budget 6."""
+    import numpy as np
+    from qfin import qubo as qb
+
+    n = WIDE_ASSETS
+    rng = np.random.default_rng([seed, 2, n])
+    w = rng.normal(size=(n, n))
+    qb.write_portfolio_instance(path, qb.PortfolioSpec(
+        mu=rng.uniform(0.0, 0.1, n), sigma=w @ w.T / n, q=0.5, budget=WIDE_BUDGET))
+    return path
+
+
+def _wide_portfolio_commands(workloads, work: Path, seed: int) -> list:
+    """The ``vqe wide`` and ``qaoa wide`` rows' commands, on the instance they write."""
+    instance = str(wide_portfolio(work / "wide-instance.txt", seed))
+    return [workloads.Command(f"opt-portfolio-{solver}-wide", (
+        "opt", "portfolio", "--instance", instance, "--solver", solver, "--seed", str(seed)), "")
+        for solver in ("vqe", "qaoa")]
+
+
 def score_risk_var(result: dict, assets, verdict):
     """Score a ``risk var`` result on ``assets`` into ``verdict`` as the benchmark's
     ``_check_risk_var`` does, at the row's alpha, n_z and m: the gap
@@ -247,7 +276,8 @@ def _score(workloads, row, cmd, work: Path, seed: int,
         verdict = workloads._check_diversify(cmd, str(work / "similarity.csv"))
         feasible = fields["feasible"]
     else:
-        verdict = workloads._check_portfolio(cmd, str(work / "instance.txt"))
+        instance = "wide-instance.txt" if row in WIDE_ROWS else "instance.txt"
+        verdict = workloads._check_portfolio(cmd, str(work / instance))
         feasible = fields["budget_feasible"]
     gap = row_gap(row, verdict.gap, feasible)
     outputs = _compared(Path(cmd.out_dir), stdout)
@@ -272,7 +302,8 @@ def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
                     + workloads.build_credit_var(None, str(work), seed)[:1]
                     + workloads.build_auction_admm(None, str(work), seed)
                     + [_vqc_command(workloads, new_src, work, seed),
-                       _wide_command(workloads, work, seed)])
+                       _wide_command(workloads, work, seed)]
+                    + _wide_portfolio_commands(workloads, work, seed))
         for side, src in (("base", base_src), ("new", new_src)):
             for row, cmd in zip(ALL_ROWS, commands):
                 cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
