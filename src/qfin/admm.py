@@ -17,6 +17,7 @@ import numpy as np
 from . import inputs
 from . import qubo as qb
 from .optimizers import OptimizerConfig
+from .simulator import MAX_QUBITS, CapacityError
 from .variational import minimize_qubo
 
 QUBO_SOLVERS = ("brute-force", "vqe", "qaoa")
@@ -451,8 +452,8 @@ def solve_auction_exact(bids, units) -> tuple[np.ndarray, float]:
     """
     bids, units = _auction_bids(bids, units)
     n = len(bids)
-    if n > 24:
-        raise ValueError("exhaustive search supports at most 24 bids")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"exhaustive search supports at most {MAX_QUBITS} bids")
     columns = np.array([(b.price, *b.quantities) for b in bids], dtype=float)
     columns = columns.reshape(n, units.size + 1).T
     best, best_profit = 0, 0.0

@@ -24,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -187,13 +188,10 @@ def synthesize_transactions(n_records: int, seed: int) -> LabeledDataset:
     methods = rng.integers(0, 3, size=n_records)
     zips = rng.integers(0, 10, size=n_records)
     mccs = rng.integers(0, 10, size=n_records)
-    risky_mcc = {7, 9}
-    labels = np.ones(n_records, dtype=int)
-    big = np.quantile(amounts, 0.7)
-    for i in range(n_records):
-        night = hours[i] < 6.0 or hours[i] > 22.0
-        if (amounts[i] >= big and methods[i] == 2) or (night and mccs[i] in risky_mcc):
-            labels[i] = -1
+    night = (hours < 6.0) | (hours > 22.0)
+    risky_mcc = (mccs == 7) | (mccs == 9)
+    fraud = ((amounts >= np.quantile(amounts, 0.7)) & (methods == 2)) | (night & risky_mcc)
+    labels = np.where(fraud, -1, 1)
     flip = rng.random(n_records) < 0.03
     labels[flip] *= -1
     if np.all(labels == labels[0]):  # force both classes to appear
@@ -531,9 +529,13 @@ def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
                                 parity_signs(model.config.n_qubits))
 
 
+def _labels(values: np.ndarray) -> np.ndarray:
+    """The +/-1 label of each decision value; a value of 0 is +1."""
+    return np.where(values >= 0.0, 1, -1)
+
+
 def _accuracy_of_values(values: np.ndarray, labels: np.ndarray) -> float:
-    predicted = np.where(values >= 0.0, 1, -1)
-    return float(np.mean(predicted == labels))
+    return float(np.mean(_labels(values) == labels))
 
 
 def accuracy(model: VqcModel, dataset: LabeledDataset) -> float:
@@ -606,6 +608,14 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     best = minimize_restarts(objective, initial, optimizer)
     model = build(best.x)
     return model, best.trace, _accuracy_of_values(decide(model), dataset.labels)
+
+
+def vqc_fit(config: ModelConfig, optimizer: OptimizerConfig, form: str):
+    """``train`` as a ``cross_validate`` learner: ``fit(train_set) -> predict``."""
+    def fit(train_set: LabeledDataset):
+        model = train(train_set, config, optimizer, form)[0]
+        return lambda dataset: _labels(decisions(model, dataset))
+    return fit
 
 
 def model_payload(model: VqcModel, provenance: dict | None = None) -> dict:
@@ -694,30 +704,19 @@ HINGE_STEP = 0.2
 HINGE_L2 = 1e-3
 
 
-def _train_logistic(features, labels):
-    w = np.zeros(features.shape[1] + 1)
-    design = np.hstack([features, np.ones((features.shape[0], 1))])
-    target = (labels + 1) / 2.0
-    for _ in range(BASELINE_EPOCHS):
-        prob = 1.0 / (1.0 + np.exp(-design @ w))
-        w -= LOGISTIC_STEP * design.T @ (prob - target) / len(labels)
-    return lambda feats: np.where(
-        np.hstack([feats, np.ones((feats.shape[0], 1))]) @ w >= 0.0, 1, -1)
+def _logistic_step(w, design, labels):
+    prob = 1.0 / (1.0 + np.exp(-design @ w))
+    return LOGISTIC_STEP * design.T @ (prob - (labels + 1) / 2.0) / len(labels)
 
 
-def _train_hinge(features, labels):
-    w = np.zeros(features.shape[1] + 1)
-    design = np.hstack([features, np.ones((features.shape[0], 1))])
-    for _ in range(BASELINE_EPOCHS):
-        margins = labels * (design @ w)
-        active = margins < 1.0
-        grad = HINGE_L2 * w - (labels[active, None] * design[active]).sum(axis=0) / len(labels)
-        w -= HINGE_STEP * grad
-    return lambda feats: np.where(
-        np.hstack([feats, np.ones((feats.shape[0], 1))]) @ w >= 0.0, 1, -1)
+def _hinge_step(w, design, labels):
+    active = labels * (design @ w) < 1.0
+    grad = HINGE_L2 * w - (labels[active, None] * design[active]).sum(axis=0) / len(labels)
+    return HINGE_STEP * grad
 
 
-BASELINES = {"logistic-regression": _train_logistic, "linear-hinge": _train_hinge}
+# each baseline's descent step, w -= step(w, design, labels)
+BASELINES = {"logistic-regression": _logistic_step, "linear-hinge": _hinge_step}
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -736,22 +735,22 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(f)) for f in folds]
 
 
-def cross_validate(trainer, dataset: LabeledDataset, k: int = 5,
+def cross_validate(fit, dataset: LabeledDataset, k: int = 5,
                    seed: int = 0) -> dict[str, float]:
-    """Stratified k-fold; ``trainer(train_set) -> (predict_fn, train_accuracy)``.
+    """Stratified k-fold; ``fit(train_set) -> predict``, ``predict(dataset)`` its +/-1 labels.
 
-    Returns mean and standard deviation of train and test accuracy.
+    Train and test accuracy are both scored through ``predict``. Returns
+    their means and standard deviations over the folds.
     """
     folds = stratified_folds(dataset.labels, k, seed)
-    train_scores, test_scores = [], []
-    for fold_idx in range(k):
-        test_idx = folds[fold_idx]
-        train_idx = np.sort(np.concatenate([folds[i] for i in range(k) if i != fold_idx]))
-        train_set = dataset.subset(train_idx)
+    scores = []  # (train, test) accuracy of each fold
+    for i, test_idx in enumerate(folds):
+        train_set = dataset.subset(np.sort(np.concatenate(folds[:i] + folds[i + 1:])))
         test_set = dataset.subset(test_idx)
-        predict_fn, train_acc = trainer(train_set)
-        train_scores.append(train_acc)
-        test_scores.append(float(np.mean(predict_fn(test_set) == test_set.labels)))
+        predict = fit(train_set)
+        scores.append([float(np.mean(predict(part) == part.labels))
+                       for part in (train_set, test_set)])
+    train_scores, test_scores = zip(*scores)
     return {
         "train_mean": float(np.mean(train_scores)),
         "train_std": float(np.std(train_scores)),
@@ -760,38 +759,29 @@ def cross_validate(trainer, dataset: LabeledDataset, k: int = 5,
     }
 
 
-def _baseline_trainer(kind: str):
-    fit = BASELINES[kind]
-
-    def trainer(train_set: LabeledDataset):
-        features = _baseline_features_like(train_set, train_set)
-        model = fit(features, train_set.labels)
-        train_acc = float(np.mean(model(features) == train_set.labels))
-
-        def predict_fn(test_set: LabeledDataset):
-            return model(_baseline_features_like(train_set, test_set))
-
-        return predict_fn, train_acc
-
-    return trainer
-
-
-def _baseline_features_like(reference: LabeledDataset, new: LabeledDataset) -> np.ndarray:
-    blocks = []
-    if reference.continuous.size:
-        low, high = fit_scaler(reference.continuous)
-        blocks.append((new.continuous - low) / (high - low))
+def _design(reference: LabeledDataset, new: LabeledDataset) -> np.ndarray:
+    """The baselines' design matrix of ``new``: its continuous features min-max
+    scaled as ``reference``'s, each code one-hot, then a column of ones."""
+    low, high = fit_scaler(reference.continuous)
+    blocks = [(new.continuous - low) / (high - low)]
     for idx, vocab in enumerate(reference.vocab_sizes):
-        codes = new.categorical[:, idx]
         onehot = np.zeros((len(new), vocab))
-        onehot[np.arange(len(new)), codes] = 1.0
+        onehot[np.arange(len(new)), new.categorical[:, idx]] = 1.0
         blocks.append(onehot)
-    if not blocks:
-        return np.zeros((len(new), 0))
+    blocks.append(np.ones((len(new), 1)))
     return np.hstack(blocks)
+
+
+def _fit_baseline(kind: str, train_set: LabeledDataset):
+    """Baseline ``kind`` after ``BASELINE_EPOCHS`` descent steps from w = 0, as its ``predict``."""
+    step, design = BASELINES[kind], _design(train_set, train_set)
+    w = np.zeros(design.shape[1])
+    for _ in range(BASELINE_EPOCHS):
+        w -= step(w, design, train_set.labels)
+    return lambda dataset: _labels(_design(train_set, dataset) @ w)
 
 
 def classical_baselines(dataset: LabeledDataset, k: int = 5, seed: int = 0) -> dict[str, dict[str, float]]:
     """Cross-validated accuracy table for the shipped classical methods."""
-    return {kind: cross_validate(_baseline_trainer(kind), dataset, k=k, seed=seed)
+    return {kind: cross_validate(partial(_fit_baseline, kind), dataset, k=k, seed=seed)
             for kind in BASELINES}

@@ -129,11 +129,11 @@ def cmd_risk_var(args):
     assets = cr.load_portfolio_csv(args.portfolio)
     portfolio = cr.CreditPortfolio(assets=tuple(assets), n_z=args.nz,
                                    z_low=args.z_low, z_high=args.z_high)
+    pmf = cr.loss_pmf(portfolio)
     if args.alpha <= 0.0:
         var, trace = 0, []  # no default at all is the smallest loss
     else:
-        var, trace = cr.var_bisection(portfolio, args.alpha, args.m)
-    pmf = cr.loss_pmf(portfolio)
+        var, trace = cr.var_bisection(np.cumsum(pmf), portfolio.total_lgd, args.alpha, args.m)
     expected = float(np.arange(pmf.size) @ pmf)
     result = {
         "alpha": args.alpha,
@@ -300,13 +300,8 @@ def cmd_ml_train(args):
         "final_loss": trace[-1], "train_accuracy": train_accuracy,
     }
     if args.cross_validate:
-        def trainer(train_set):
-            m, _, train_acc = clf.train(train_set, config, optimizer, form=args.risk)
-            def predict_fn(test_set):
-                return np.where(clf.decisions(m, test_set) >= 0.0, 1, -1)
-            return predict_fn, train_acc
         result["cross_validation"] = clf.cross_validate(
-            trainer, dataset, k=args.folds, seed=args.seed)
+            clf.vqc_fit(config, optimizer, args.risk), dataset, k=args.folds, seed=args.seed)
         result["baselines"] = clf.classical_baselines(dataset, k=args.folds,
                                                       seed=args.seed)
     files = {

@@ -232,18 +232,17 @@ class BisectionProbe:
     cdf: float
 
 
-def var_bisection(portfolio: CreditPortfolio, alpha: float,
+def var_bisection(cdf: np.ndarray, total_lgd: int, alpha: float,
                   m: int) -> tuple[int, list[BisectionProbe]]:
-    """Smallest integer loss whose estimated CDF reaches alpha.
+    """Smallest integer loss whose estimated CDF reaches alpha, given ``loss_cdf``'s table.
 
     The bracket starts at [-1, total LGD + 1] so the whole distribution is
     inside it; midpoints are floored to integers and each probe is recorded.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    cdf = loss_cdf(portfolio)
     low = -1
-    high = portfolio.total_lgd + 1
+    high = total_lgd + 1
     trace: list[BisectionProbe] = []
     while high - low > 1:
         mid = (low + high) // 2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inputs
-from .simulator import CapacityError, IsingObservable
+from .simulator import MAX_QUBITS, CapacityError, IsingObservable
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ class QuadraticEnumeration:
 
     def __init__(self, quadratic: np.ndarray):
         n = quadratic.shape[0]
-        if n > 24:
-            raise CapacityError("enumeration supports at most 24 variables")
+        if n > MAX_QUBITS:
+            raise CapacityError(f"enumeration supports at most {MAX_QUBITS} variables")
         self.n = n
         self._energies = None
         cross = quadratic + quadratic.T

@@ -9,6 +9,10 @@ loop that ``admm.solve_auction_exact`` replaced with subset-sum tables,
 ``z_sign_loop`` the sign loop that ``simulator.z_diagonal`` replaced, and
 ``per_call_compile_ansatz`` the state functions that
 ``variational.compile_ansatz`` replaced with one plan per block shape.
+``synthesize_transactions_loop`` labels records one at a time, as
+``classifier.synthesize_transactions`` did, and ``cross_validate`` with
+``baseline_trainer`` and ``vqc_trainer`` is the cross-validation that
+``classifier.cross_validate`` replaced with ``fit -> predict`` learners.
 """
 
 import math
@@ -74,6 +78,35 @@ def merit_history(result: admm.AdmmResult) -> list[float]:
 
 def predict(model: clf.VqcModel, continuous, categorical=()) -> int:
     return 1 if clf.decision(model, continuous, categorical) >= 0.0 else -1
+
+
+def synthesize_transactions_loop(n_records: int, seed: int) -> clf.LabeledDataset:
+    """``classifier.synthesize_transactions``, its planted rule applied record by record."""
+    rng = np.random.default_rng(seed)
+    hours = np.round(rng.uniform(0.0, 24.0, size=n_records), 3)
+    amounts = np.round(np.exp(rng.normal(3.0, 1.0, size=n_records)), 2)
+    methods = rng.integers(0, 3, size=n_records)
+    zips = rng.integers(0, 10, size=n_records)
+    mccs = rng.integers(0, 10, size=n_records)
+    risky_mcc = {7, 9}
+    labels = np.ones(n_records, dtype=int)
+    big = np.quantile(amounts, 0.7)
+    for i in range(n_records):
+        night = hours[i] < 6.0 or hours[i] > 22.0
+        if (amounts[i] >= big and methods[i] == 2) or (night and mccs[i] in risky_mcc):
+            labels[i] = -1
+    flip = rng.random(n_records) < 0.03
+    labels[flip] *= -1
+    if np.all(labels == labels[0]):  # force both classes to appear
+        labels[0] = -labels[0]
+    return clf.LabeledDataset(
+        continuous=np.column_stack([hours, amounts]),
+        categorical=np.column_stack([methods, zips, mccs]),
+        labels=labels,
+        continuous_names=clf.TRANSACTION_CONTINUOUS,
+        categorical_names=clf.TRANSACTION_CATEGORICAL,
+        vocab_sizes=clf.TRANSACTION_VOCABS,
+    )
 
 
 def feature_state(n_qubits: int, repetitions: int, x) -> sv.Statevector:
@@ -231,3 +264,101 @@ def per_call_compile_ansatz(ansatz, table=None):
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return layered_state
+
+
+# -- cross-validation with ``trainer(train_set) -> (predict_fn, train_accuracy)`` --
+#
+# The protocol ``classifier.cross_validate`` had before its learners became
+# ``fit(train_set) -> predict``: each baseline a whole trainer with its own
+# design matrix and predictor, and the VQC's train accuracy the one training
+# reads off its own block.
+
+
+def sign(values):
+    return np.where(values >= 0.0, 1, -1)
+
+
+def train_logistic(features, labels):
+    w = np.zeros(features.shape[1] + 1)
+    design = np.hstack([features, np.ones((features.shape[0], 1))])
+    target = (labels + 1) / 2.0
+    for _ in range(clf.BASELINE_EPOCHS):
+        prob = 1.0 / (1.0 + np.exp(-design @ w))
+        w -= clf.LOGISTIC_STEP * design.T @ (prob - target) / len(labels)
+    return lambda feats: sign(np.hstack([feats, np.ones((feats.shape[0], 1))]) @ w)
+
+
+def train_hinge(features, labels):
+    w = np.zeros(features.shape[1] + 1)
+    design = np.hstack([features, np.ones((features.shape[0], 1))])
+    for _ in range(clf.BASELINE_EPOCHS):
+        margins = labels * (design @ w)
+        active = margins < 1.0
+        grad = clf.HINGE_L2 * w - (labels[active, None] * design[active]).sum(axis=0) / len(labels)
+        w -= clf.HINGE_STEP * grad
+    return lambda feats: sign(np.hstack([feats, np.ones((feats.shape[0], 1))]) @ w)
+
+
+TRAINERS = {"logistic-regression": train_logistic, "linear-hinge": train_hinge}
+
+
+def baseline_features_like(reference: clf.LabeledDataset, new: clf.LabeledDataset) -> np.ndarray:
+    blocks = []
+    if reference.continuous.size:
+        low, high = clf.fit_scaler(reference.continuous)
+        blocks.append((new.continuous - low) / (high - low))
+    for idx, vocab in enumerate(reference.vocab_sizes):
+        codes = new.categorical[:, idx]
+        onehot = np.zeros((len(new), vocab))
+        onehot[np.arange(len(new)), codes] = 1.0
+        blocks.append(onehot)
+    if not blocks:
+        return np.zeros((len(new), 0))
+    return np.hstack(blocks)
+
+
+def baseline_trainer(kind: str):
+    fit = TRAINERS[kind]
+
+    def trainer(train_set: clf.LabeledDataset):
+        features = baseline_features_like(train_set, train_set)
+        model = fit(features, train_set.labels)
+        train_acc = float(np.mean(model(features) == train_set.labels))
+
+        def predict_fn(test_set: clf.LabeledDataset):
+            return model(baseline_features_like(train_set, test_set))
+
+        return predict_fn, train_acc
+
+    return trainer
+
+
+def vqc_trainer(config, optimizer, form):
+    def trainer(train_set):
+        m, _, train_acc = clf.train(train_set, config, optimizer, form=form)
+
+        def predict_fn(test_set):
+            return sign(clf.decisions(m, test_set))
+        return predict_fn, train_acc
+
+    return trainer
+
+
+def cross_validate(trainer, dataset: clf.LabeledDataset, k: int = 5,
+                   seed: int = 0) -> dict[str, float]:
+    folds = clf.stratified_folds(dataset.labels, k, seed)
+    train_scores, test_scores = [], []
+    for fold_idx in range(k):
+        test_idx = folds[fold_idx]
+        train_idx = np.sort(np.concatenate([folds[i] for i in range(k) if i != fold_idx]))
+        train_set = dataset.subset(train_idx)
+        test_set = dataset.subset(test_idx)
+        predict_fn, train_acc = trainer(train_set)
+        train_scores.append(train_acc)
+        test_scores.append(float(np.mean(predict_fn(test_set) == test_set.labels)))
+    return {
+        "train_mean": float(np.mean(train_scores)),
+        "train_std": float(np.std(train_scores)),
+        "test_mean": float(np.mean(test_scores)),
+        "test_std": float(np.std(test_scores)),
+    }

@@ -59,7 +59,7 @@ def test_criterion_02_credit_risk_demo():
     portfolio = cr.CreditPortfolio(
         assets=(cr.Asset(1, 0.15, 0.1), cr.Asset(2, 0.25, 0.05)), n_z=2)
     assert portfolio.n_sum == 2
-    var, trace = cr.var_bisection(portfolio, 0.95, 4)
+    var, trace = cr.var_bisection(cr.loss_cdf(portfolio), portfolio.total_lgd, 0.95, 4)
     dist = cr.exact_loss_distribution(portfolio)
     amplitude_ok = all(
         abs(true_amplitude(cr.estimation_problem(portfolio, probe.mid))

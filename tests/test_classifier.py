@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from qfin import classifier as clf
 from qfin import simulator as sv
 from qfin.optimizers import OptimizerConfig, minimize, minimize_restarts
+import oracles
 from oracles import feature_state, predict
 
 TWO_Q = clf.ModelConfig(n_qubits=2, continuous_names=("a", "b"))
@@ -210,6 +212,19 @@ def test_synthesize_transactions_deterministic_with_both_labels():
     assert one.categorical[:, 1].max() < 10 and one.categorical[:, 2].max() < 10
 
 
+@pytest.mark.parametrize("records", [1, 2, 40, 1000])
+def test_transaction_labels_equal_the_per_record_loop(records):
+    # every seed at 1 record, and 7 of these 8 at 2, take the branch that
+    # forces both classes to appear
+    for seed in range(8):
+        got = clf.synthesize_transactions(records, seed)
+        want = oracles.synthesize_transactions_loop(records, seed)
+        assert got.labels.dtype == want.labels.dtype
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.continuous, want.continuous)
+        assert np.array_equal(got.categorical, want.categorical)
+
+
 def test_transactions_csv_roundtrip_bitwise(tmp_path):
     dataset = clf.synthesize_transactions(50, seed=3)
     path_a = tmp_path / "a.csv"
@@ -350,9 +365,80 @@ def test_stratified_folds_reject_sparse_class():
 
 def test_cross_validate_report_shape():
     data = clf.synthesize_transactions(40, seed=11)
-    report = clf.cross_validate(clf._baseline_trainer("logistic-regression"),
+    report = clf.cross_validate(functools.partial(clf._fit_baseline, "logistic-regression"),
                                 data, k=4, seed=2)
     assert set(report) == {"train_mean", "train_std", "test_mean", "test_std"}
+
+
+def test_cross_validate_scores_train_and_test_through_predict():
+    data = clf.synthesize_transactions(40, seed=11)
+    seen = []
+
+    def fit(train_set):
+        def predict(dataset):
+            seen.append(len(dataset))
+            return np.ones(len(dataset), dtype=int)
+        return predict
+
+    report = clf.cross_validate(fit, data, k=4, seed=2)
+    folds = clf.stratified_folds(data.labels, 4, seed=2)
+    assert seen == [size for fold in folds for size in (40 - len(fold), len(fold))]
+    # predicting +1 everywhere scores each part's share of +1 labels
+    positives = [(data.labels[fold] == 1).sum() for fold in folds]
+    total = (data.labels == 1).sum()
+    train = [(total - p) / (40 - len(f)) for p, f in zip(positives, folds)]
+    test = [p / len(f) for p, f in zip(positives, folds)]
+    assert report["train_mean"] == pytest.approx(np.mean(train), abs=1e-15)
+    assert report["test_mean"] == pytest.approx(np.mean(test), abs=1e-15)
+    assert report["test_std"] == pytest.approx(np.std(test), abs=1e-15)
+
+
+def _cv_sets(seed):
+    """A transactions set (continuous and categorical features) and a separable one (continuous only)."""
+    return (clf.synthesize_transactions(40, seed), clf.synthesize_separable(40, seed))
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_baselines_equal_the_trainer_protocol_oracle(seed, k):
+    transactions, separable = _cv_sets(seed)
+    codes_only = clf.LabeledDataset(
+        np.zeros((len(transactions), 0)), transactions.categorical, transactions.labels,
+        (), transactions.categorical_names, transactions.vocab_sizes)
+    for dataset in (transactions, separable, codes_only):
+        want = {kind: oracles.cross_validate(oracles.baseline_trainer(kind), dataset, k, seed)
+                for kind in oracles.TRAINERS}
+        assert clf.classical_baselines(dataset, k=k, seed=seed) == want
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_baseline_decision_values_equal_the_oracle_bitwise(monkeypatch, k):
+    """Every value a baseline's predictor reads its labels off, fold by fold, in order."""
+    got, want = [], []
+    labels, sign = clf._labels, oracles.sign
+    monkeypatch.setattr(clf, "_labels", lambda values: got.append(values) or labels(values))
+    monkeypatch.setattr(oracles, "sign", lambda values: want.append(values) or sign(values))
+    for dataset in _cv_sets(k):
+        clf.classical_baselines(dataset, k=k, seed=k)
+        for kind in oracles.TRAINERS:
+            oracles.cross_validate(oracles.baseline_trainer(kind), dataset, k, k)
+    assert len(got) == len(want) == 2 * 2 * 2 * k
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_vqc_cross_validation_equals_the_trainer_protocol_oracle(seed, k):
+    optimizer = OptimizerConfig(method="nelder-mead", iterations=6, seed=seed)
+    transactions, separable = _cv_sets(seed)
+    for dataset, qrac in ((transactions, ("method",)), (transactions, ()), (separable, ())):
+        config = clf.build_vqc_with_qrac(dataset.continuous_names, dataset.categorical_names,
+                                         dataset.vocab_sizes, qrac_features=qrac)
+        for form in clf.RISK_FORMS:
+            got = clf.cross_validate(clf.vqc_fit(config, optimizer, form), dataset, k, seed)
+            want = oracles.cross_validate(oracles.vqc_trainer(config, optimizer, form),
+                                          dataset, k, seed)
+            assert got == want
 
 
 def _per_record_decisions(model, dataset):

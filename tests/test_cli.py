@@ -113,6 +113,15 @@ def test_risk_var_applies_no_gate(tmp_path, monkeypatch, n_assets, alpha):
     assert (calls, gates, len(enumerations)) == ([], [], 1)
 
 
+@pytest.mark.parametrize("alpha", ["0.95", "0"])
+def test_risk_var_builds_its_loss_table_once(tmp_path, monkeypatch, demo_portfolio_csv, alpha):
+    tables, loss_pmf = [], cr.loss_pmf
+    monkeypatch.setattr(cr, "loss_pmf", lambda p: tables.append(p) or loss_pmf(p))
+    assert main(["risk", "var", "--portfolio", demo_portfolio_csv, "--alpha", alpha,
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert len(tables) == 1
+
+
 def test_ae_calibrate_applies_no_gate(tmp_path, monkeypatch):
     calls = _count_apply_ops(monkeypatch)
     assert main(["ae", "calibrate", "--m", "8", "--out-dir", str(tmp_path / "run")]) == 0
@@ -357,6 +366,18 @@ def test_opt_auction_wrong_solver_exit(tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize("solver", ["brute-force", "admm"])
+def test_opt_auction_over_the_ceiling_exits_capacity_on_every_solver(tmp_path, capsys, solver):
+    path = tmp_path / "auction.csv"
+    admm.write_auction_csv(path, *admm.random_auction(sv.MAX_QUBITS + 1, 3, 6, seed=1))
+    out = tmp_path / "run"
+    code = main(["opt", "auction", "--instance", str(path), "--solver", solver,
+                 "--out-dir", str(out)])
+    assert code == 4
+    _assert_one_line_error(capsys, "capacity error:")
+    assert not any(out.iterdir())
+
+
 def _auction_csv(tmp_path, units_line="units,5.0,5.0", first_bid="3.0,1,2"):
     path = tmp_path / "auction.csv"
     path.write_text(f"price,qty_item_1,qty_item_2\n{first_bid}\n4.5,2,1\n{units_line}\n")
@@ -501,16 +522,12 @@ def test_ml_cross_validation_matches_per_record_prediction(tmp_path, seed):
                                      dataset.vocab_sizes, qrac_features=("method",))
     optimizer = OptimizerConfig(method="nelder-mead", iterations=6, seed=seed)
 
-    def per_record_trainer(train_set):
+    def per_record_fit(train_set):
         model, _, _ = clf.train(train_set, config, optimizer)
+        return lambda part: np.array([predict(model, part.continuous[i], part.categorical[i])
+                                      for i in range(len(part))])
 
-        def predict_fn(test_set):
-            return np.array([predict(model, test_set.continuous[i], test_set.categorical[i])
-                             for i in range(len(test_set))])
-
-        return predict_fn, clf.accuracy(model, train_set)
-
-    want = clf.cross_validate(per_record_trainer, dataset, k=3, seed=seed)
+    want = clf.cross_validate(per_record_fit, dataset, k=3, seed=seed)
     assert read_json(train_dir / "result.json")["cross_validation"] == want
 
 

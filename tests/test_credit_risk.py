@@ -227,7 +227,7 @@ def test_cdf_estimate_monotone_up_to_grid():
 
 
 def test_var_bisection_paper_demo():
-    var, trace = cr.var_bisection(DEMO, 0.95, 4)
+    var, trace = cr.var_bisection(cr.loss_cdf(DEMO), DEMO.total_lgd, 0.95, 4)
     assert var == 2
     assert len(trace) <= 2
     dist = cr.exact_loss_distribution(DEMO)
@@ -279,7 +279,8 @@ def test_var_bisection_equals_the_gate_path_bisection():
         portfolio = _seeded_portfolio(seed)
         alpha = (0.5, 0.9, 0.95, 0.99)[seed % 4]
         m = (3, 4, 6)[seed % 3]
-        assert cr.var_bisection(portfolio, alpha, m) == _gate_path_bisection(portfolio, alpha, m)
+        got = cr.var_bisection(cr.loss_cdf(portfolio), portfolio.total_lgd, alpha, m)
+        assert got == _gate_path_bisection(portfolio, alpha, m)
 
 
 @pytest.mark.parametrize("n_assets", [10, 12, 14])
@@ -309,7 +310,7 @@ def test_var_bisection_at_the_ceiling_holds_no_register():
     assert portfolio.n_qubits == sv.MAX_QUBITS
     tracemalloc.start()
     try:
-        var, trace = cr.var_bisection(portfolio, 0.95, 6)
+        var, trace = cr.var_bisection(cr.loss_cdf(portfolio), portfolio.total_lgd, 0.95, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -318,25 +319,27 @@ def test_var_bisection_at_the_ceiling_holds_no_register():
 
 
 def test_var_bisection_reads_one_estimate_per_probe(monkeypatch):
-    passes, estimates = [], []
-    loss_cdf, cdf_estimate = cr.loss_cdf, cr.cdf_estimate
-    monkeypatch.setattr(cr, "loss_cdf", lambda *a: passes.append(1) or loss_cdf(*a))
+    portfolio = _seeded_portfolio(5)
+    cdf = cr.loss_cdf(portfolio)
+    tables, estimates = [], []
+    loss_pmf, cdf_estimate = cr.loss_pmf, cr.cdf_estimate
+    monkeypatch.setattr(cr, "loss_pmf", lambda *a: tables.append(1) or loss_pmf(*a))
     monkeypatch.setattr(cr, "cdf_estimate", lambda *a: estimates.append(1) or cdf_estimate(*a))
-    _, trace = cr.var_bisection(_seeded_portfolio(5), 0.95, 6)
-    assert len(passes) == 1
+    _, trace = cr.var_bisection(cdf, portfolio.total_lgd, 0.95, 6)
+    assert tables == []  # the bisection reads the table it is given
     assert len(estimates) == len(trace) > 1
 
 
 def test_var_bisection_bernoulli():
     portfolio = cr.CreditPortfolio(assets=(cr.Asset(1, 0.9, 0.0),), n_z=1)
-    var, _ = cr.var_bisection(portfolio, 0.5, 4)
+    var, _ = cr.var_bisection(cr.loss_cdf(portfolio), portfolio.total_lgd, 0.5, 4)
     # oracle: Bernoulli(0.9) on {0, 1}; CDF(0) = 0.1 < 0.5 <= CDF(1)
     assert var == 1
 
 
 def test_var_bisection_alpha_validation():
     with pytest.raises(ValueError):
-        cr.var_bisection(DEMO, 0.0, 4)
+        cr.var_bisection(cr.loss_cdf(DEMO), DEMO.total_lgd, 0.0, 4)
 
 
 def test_exact_loss_distribution_bernoulli():
