@@ -229,11 +229,6 @@ def dataset_csv(dataset: LabeledDataset):
     yield text.getvalue()
 
 
-def export_csv(path, dataset: LabeledDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.writelines(dataset_csv(dataset))
-
-
 def ingest_csv(path, continuous_names=None, categorical_names=(),
                vocab_sizes=()) -> LabeledDataset:
     """Read a dataset CSV, validating the schema; a bad record is refused by its file line.
@@ -630,11 +625,6 @@ def model_payload(model: VqcModel, provenance: dict | None = None) -> dict:
     }
 
 
-def save_model(path, model: VqcModel, provenance: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(inputs.json_text(model_payload(model, provenance)))
-
-
 # The feature map runs its layers this many times per record; ``ml train``
 # writes 2, and a larger value in a model file is refused.
 MAX_REPETITIONS = 16
@@ -651,7 +641,7 @@ def _finite_vector(values, length: int, name: str) -> np.ndarray:
 
 
 def load_model(path) -> VqcModel:
-    """Read a model written by ``save_model``, checking it where it enters.
+    """Read a model file (``model_payload`` as JSON), checking it where it enters.
 
     Raises ValueError unless the file holds a JSON object with the saved
     keys, a well-typed configuration (at most ``MAX_REPETITIONS`` feature-map

@@ -10,12 +10,13 @@ iteration, the number of objective calls and why they stopped.
 
 Objectives are deterministic: a point's value depends on the point alone.
 An objective may carry a ``rows`` attribute: ``fn.rows(stack)`` takes a
-``(B, P)`` array of points and returns their B values in row order, each
-equal to ``fn(row)``. SPSA evaluates f(x_k) together with the +/- pair
-about x_k as one stack of three, and Nelder-Mead its initial simplex and
-each shrink as one stack. Without ``rows`` (a plain function, or a wrapper
-that does not pass it on) each point of a stack is its own call, in the
-same order, so both see the same point sequence and give the same outcome.
+``(B, P)`` array of points and returns a sequence of their B values in row
+order, each equal to ``fn(row)``. SPSA evaluates f(x_k) together with the
++/- pair about x_k as one stack of three, and Nelder-Mead its initial
+simplex and each shrink as one stack. Without ``rows`` (a plain function, or
+a wrapper that does not pass it on) each point of a stack is its own call,
+in the same order, so both see the same point sequence and give the same
+outcome. A run looks ``rows`` up once.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,9 @@ SIMPLEX_STEP = 0.5
 # SPSA's perturbation signs: indexed by ``rng.integers(0, 2, size)``, they give
 # the values and generator state ``rng.choice((-1.0, 1.0), size)`` gives
 _SIGNS = np.array((-1.0, 1.0))
+# Iterations whose signs SPSA draws in one call: the same signs and generator
+# state as a draw per iteration, without holding every iteration's signs.
+SIGN_BLOCK = 64
 
 # Bounds on ``--iterations`` and ``--restarts``: a run's objective calls grow
 # with their product, so a larger value is refused before any is made.
@@ -66,44 +70,45 @@ class OptimizeOutcome:
     stop_reason: str  # "tolerance" or "maxiter"
 
 
-def _values(fn, stack: np.ndarray) -> list:
-    """fn at each row of ``stack``, in row order: one ``fn.rows`` call when fn has one."""
+def _rows(fn):
+    """``fn.rows`` when fn has one, else a function that calls fn on each row of a stack."""
     rows = getattr(fn, "rows", None)
-    if rows is None:
-        return [fn(point) for point in stack]
-    return list(rows(stack))
+    return rows if rows is not None else lambda stack: [fn(point) for point in stack]
 
 
 def _spsa(fn, x0: np.ndarray, config: OptimizerConfig, rng: np.random.Generator) -> OptimizeOutcome:
     """SPSA from x0: iteration k evaluates ``[x_k, x_k + c_k*delta_k, x_k - c_k*delta_k]``.
 
-    The three points are one stack in one buffer (see ``_values``); the
-    last f(x) is a call of its own, on a copy of x.
+    The three points are one stack, rebuilt each iteration in a buffer held
+    for the run, as the step is; the last f(x) is a call of its own, on a copy of x.
     """
-    stability = 0.1 * config.iterations
+    rows, iterations = _rows(fn), config.iterations
+    stability = 0.1 * iterations
     x = np.asarray(x0, dtype=float).copy()
-    points = np.empty((3, x.size))
-    trace = []
-    for k in range(config.iterations):
-        c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
-        delta = _SIGNS[rng.integers(0, 2, size=x.size)]
-        step = c_k * delta
-        points[0], points[1], points[2] = x, x + step, x - step
-        f_x, f_plus, f_minus = _values(fn, points)
-        if not trace or f_x < best_f:
-            best_f = f_x
-            best_x = x.copy()
-        trace.append(best_f)
-        a_k = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA
-        diff = f_plus - f_minus
-        x = x - a_k * (diff / (2.0 * c_k)) * delta
+    points, step, trace = np.empty((3, x.size)), np.empty(x.size), []
+    for first in range(0, iterations, SIGN_BLOCK):
+        signs = _SIGNS[rng.integers(0, 2, size=(min(SIGN_BLOCK, iterations - first), x.size))]
+        for k, delta in enumerate(signs, first):
+            c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
+            np.multiply(c_k, delta, out=step)
+            points[0] = x
+            np.add(x, step, out=points[1])
+            np.subtract(x, step, out=points[2])
+            f_x, f_plus, f_minus = rows(points)
+            if not trace or f_x < best_f:
+                best_f = f_x
+                best_x = x.copy()
+            trace.append(best_f)
+            a_k = SPSA_A / (k + 1 + stability) ** SPSA_ALPHA
+            np.multiply(a_k * ((f_plus - f_minus) / (2.0 * c_k)), delta, out=step)
+            np.subtract(x, step, out=x)
     f_x = fn(x.copy())
     if f_x < best_f:
         best_f = f_x
         best_x = x.copy()
     trace.append(best_f)
     return OptimizeOutcome(x=best_x, value=best_f, trace=trace,
-                           evaluations=1 + 3 * config.iterations, stop_reason="maxiter")
+                           evaluations=1 + 3 * iterations, stop_reason="maxiter")
 
 
 def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome:
@@ -115,14 +120,14 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     objective sees the same points bit for bit, each as a copy of the simplex
     row. The trace starts at f(x0), the value of the simplex's first row.
     """
-    n = x0.size
+    rows, n = _rows(fn), x0.size
     sim = np.vstack([x0] + [x0 + SIMPLEX_STEP * np.eye(n)[i] for i in range(n)])
     best_f, best_x, evaluations = None, None, 0
 
     def evaluate(points):
         # fn gets a copy of the points: it may write to its argument
         nonlocal best_f, best_x, evaluations
-        values = _values(fn, np.array(points))
+        values = rows(np.array(points))
         for params, value in zip(points, values):
             evaluations += 1
             if best_x is None or value < best_f:
@@ -135,15 +140,14 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     fsim = np.array(values, dtype=float)
     # two sorts, as scipy does: argsort is not stable, so the second may reorder ties
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
     stop_reason = "maxiter"
     iterations = 1
     while iterations < config.iterations:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-10
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
             stop_reason = "tolerance"
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
@@ -173,9 +177,8 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
                 sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
                 fsim[1:] = evaluate(sim[1:])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
         trace.append(best_f)
     trace.append(best_f)
     return OptimizeOutcome(x=best_x, value=best_f, trace=trace,

@@ -330,8 +330,7 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
         matrices, at = _group_matrices(rotations, runs, steps), 0
         for layer in range(first, p + 1):
             if layer:
-                steps.append(partial(np.take, state[at], perm, axis=1, out=state[1 - at],
-                                     mode="clip"))
+                steps.append(partial(state[at].take, perm, 1, state[1 - at], "clip"))
                 at ^= 1
             at = _layer_steps(n, runs, matrices, layer - first, state, at, steps)
         return params, steps, state, state[at]
@@ -474,8 +473,8 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
         values = []
         for at in range(0, len(stack), chunk):
             # the block's columns are contiguous 1-D rows of its transpose
-            probs = np.abs(state_of(stack[at:at + chunk]).T) ** 2
-            values.extend(float(row @ table) for row in probs)
+            probs = np.abs(state_of(stack[at:at + chunk]).T)
+            values += [float(row @ table) for row in np.square(probs, out=probs)]
         return values
 
     def objective(params):

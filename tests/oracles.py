@@ -13,6 +13,10 @@ loop that ``admm.solve_auction_exact`` replaced with subset-sum tables,
 ``classifier.synthesize_transactions`` did, and ``cross_validate`` with
 ``baseline_trainer`` and ``vqc_trainer`` is the cross-validation that
 ``classifier.cross_validate`` replaced with ``fit -> predict`` learners.
+``spsa_per_iteration`` and ``nelder_mead_per_call`` are the optimizer loops
+that look the objective's ``rows`` up on every stack, and SPSA drawing its
+signs one iteration at a time, as ``optimizers._spsa`` and
+``optimizers._nelder_mead`` did before they held their buffers for the run.
 """
 
 import math
@@ -21,6 +25,7 @@ import numpy as np
 
 from qfin import admm
 from qfin import classifier as clf
+from qfin import optimizers as opt
 from qfin import qubo as qb
 from qfin import simulator as sv
 
@@ -362,3 +367,106 @@ def cross_validate(trainer, dataset: clf.LabeledDataset, k: int = 5,
         "test_mean": float(np.mean(test_scores)),
         "test_std": float(np.std(test_scores)),
     }
+
+
+def stack_values(fn, stack: np.ndarray) -> list:
+    """fn at each row of ``stack``, in row order: one ``fn.rows`` call when fn has one."""
+    rows = getattr(fn, "rows", None)
+    if rows is None:
+        return [fn(point) for point in stack]
+    return list(rows(stack))
+
+
+def spsa_per_iteration(fn, x0: np.ndarray, config, rng: np.random.Generator):
+    """SPSA drawing each iteration's signs and building its points afresh."""
+    stability = 0.1 * config.iterations
+    x = np.asarray(x0, dtype=float).copy()
+    points = np.empty((3, x.size))
+    trace = []
+    for k in range(config.iterations):
+        c_k = opt.SPSA_C / (k + 1) ** opt.SPSA_GAMMA
+        delta = opt._SIGNS[rng.integers(0, 2, size=x.size)]
+        step = c_k * delta
+        points[0], points[1], points[2] = x, x + step, x - step
+        f_x, f_plus, f_minus = stack_values(fn, points)
+        if not trace or f_x < best_f:
+            best_f = f_x
+            best_x = x.copy()
+        trace.append(best_f)
+        a_k = opt.SPSA_A / (k + 1 + stability) ** opt.SPSA_ALPHA
+        diff = f_plus - f_minus
+        x = x - a_k * (diff / (2.0 * c_k)) * delta
+    f_x = fn(x.copy())
+    if f_x < best_f:
+        best_f = f_x
+        best_x = x.copy()
+    trace.append(best_f)
+    return opt.OptimizeOutcome(x=best_x, value=best_f, trace=trace,
+                               evaluations=1 + 3 * config.iterations, stop_reason="maxiter")
+
+
+def nelder_mead_per_call(fn, x0: np.ndarray, config):
+    """The scipy-order Nelder-Mead through ``np`` functions and ``stack_values``."""
+    n = x0.size
+    sim = np.vstack([x0] + [x0 + opt.SIMPLEX_STEP * np.eye(n)[i] for i in range(n)])
+    best_f, best_x, evaluations = None, None, 0
+
+    def evaluate(points):
+        nonlocal best_f, best_x, evaluations
+        values = stack_values(fn, np.array(points))
+        for params, value in zip(points, values):
+            evaluations += 1
+            if best_x is None or value < best_f:
+                best_f = value
+                best_x = params.copy()
+        return values
+
+    values = evaluate(sim)
+    trace = [values[0]]
+    fsim = np.array(values, dtype=float)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    stop_reason = "maxiter"
+    iterations = 1
+    while iterations < config.iterations:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            stop_reason = "tolerance"
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = evaluate(xr[None])[0]
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = evaluate(xe[None])[0]
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = evaluate(xc[None])[0]
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = evaluate(xc[None])[0]
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = evaluate(sim[1:])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        trace.append(best_f)
+    trace.append(best_f)
+    return opt.OptimizeOutcome(x=best_x, value=best_f, trace=trace,
+                               evaluations=evaluations, stop_reason=stop_reason)

@@ -8,12 +8,24 @@ import numpy as np
 import pytest
 
 from qfin import classifier as clf
+from qfin import inputs
 from qfin import simulator as sv
 from qfin.optimizers import OptimizerConfig, minimize, minimize_restarts
 import oracles
 from oracles import feature_state, predict
 
 TWO_Q = clf.ModelConfig(n_qubits=2, continuous_names=("a", "b"))
+
+
+def export_csv(path, dataset):
+    """``dataset`` as the CSV ``ml synth`` writes."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(clf.dataset_csv(dataset))
+
+
+def save_model(path, model, provenance=None):
+    """``model`` as the model file ``ml train`` writes."""
+    path.write_text(inputs.json_text(clf.model_payload(model, provenance)))
 
 
 def identity_scaled_model(config, theta, bias=0.0):
@@ -229,9 +241,9 @@ def test_transactions_csv_roundtrip_bitwise(tmp_path):
     dataset = clf.synthesize_transactions(50, seed=3)
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    clf.export_csv(path_a, dataset)
+    export_csv(path_a, dataset)
     loaded = clf.ingest_csv(path_a)
-    clf.export_csv(path_b, loaded)
+    export_csv(path_b, loaded)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -307,7 +319,7 @@ def test_model_save_load_roundtrip(tmp_path):
     data = clf.synthesize_separable(8, seed=2)
     model, _, _ = clf.train(data, TWO_Q, OptimizerConfig(iterations=5, seed=1))
     path = tmp_path / "model.json"
-    clf.save_model(path, model, provenance={"seed": 1})
+    save_model(path, model, provenance={"seed": 1})
     assert json.loads(path.read_text())["provenance"] == {"seed": 1}
     loaded = clf.load_model(path)
     assert loaded.config == model.config

@@ -1,6 +1,10 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
+import oracles
 from qfin import optimizers
 from qfin import qubo as qb
 from qfin import variational as vq
@@ -401,3 +405,99 @@ def test_an_objective_that_overwrites_its_arguments_changes_no_outcome(monkeypat
         assert hasattr(poisoning(objective), "rows") == hasattr(objective, "rows")
         assert not np.isnan(poisoned.x).any()
         assert_identical_outcomes(poisoned, clean)
+
+
+# -- the loops against the former ones: signs in blocks, held buffers --------
+
+def wavy(x):
+    return float(np.sum(np.cos(3.0 * x) + 0.1 * (x - 0.4) ** 2))
+
+
+def with_rows(fn):
+    """fn with a ``rows`` that evaluates a stack row by row, writes and all."""
+    def objective(params):
+        return fn(params)
+
+    objective.rows = lambda stack: [fn(row) for row in stack]
+    return objective
+
+
+ORACLE_OBJECTIVES = {"plain": wavy, "rows": with_rows(wavy), "scribbling": scribbling,
+                     "scribbling-rows": with_rows(scribbling)}
+ORACLE_CASES = pytest.mark.parametrize("objective", ORACLE_OBJECTIVES)
+ORACLE_WIDTHS = pytest.mark.parametrize("width", [1, 5, 6, 7, 24])
+
+
+def assert_equals_oracle(loop, oracle, fn, x0):
+    """The loop and its oracle see the same points and give identical outcomes."""
+    got_fn, got_points = recorded(fn)
+    want_fn, want_points = recorded(fn)
+    got, want = loop(got_fn, x0.copy()), oracle(want_fn, x0.copy())
+    assert got_points == want_points
+    assert len(got_points) == got.evaluations
+    assert_identical_outcomes(got, want)
+    return got
+
+
+@ORACLE_CASES
+@ORACLE_WIDTHS
+@pytest.mark.parametrize("iterations", [1, 63, 65, 150])
+def test_spsa_equals_the_per_iteration_loop(objective, width, iterations):
+    # 150 iterations draw their signs in blocks of 64, 64 and 22
+    config = OptimizerConfig("spsa", iterations=iterations, seed=width)
+    rng, oracle_rng = np.random.default_rng(width), np.random.default_rng(width)
+    assert_equals_oracle(partial(optimizers._spsa, config=config, rng=rng),
+                         partial(oracles.spsa_per_iteration, config=config, rng=oracle_rng),
+                         ORACLE_OBJECTIVES[objective], np.linspace(-0.5, 0.7, width))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@ORACLE_CASES
+@ORACLE_WIDTHS
+def test_nelder_mead_equals_the_per_call_loop(objective, width):
+    config = OptimizerConfig("nelder-mead", iterations=150)
+    assert_equals_oracle(partial(optimizers._nelder_mead, config=config),
+                         partial(oracles.nelder_mead_per_call, config=config),
+                         ORACLE_OBJECTIVES[objective], np.linspace(-0.5, 0.7, width))
+
+
+@pytest.mark.parametrize("objective", ["plain", "rows"])
+def test_nelder_mead_stopping_on_tolerance_equals_the_per_call_loop(objective):
+    config = OptimizerConfig("nelder-mead", iterations=5000)
+    fn = quadratic_bowl if objective == "plain" else with_rows(quadratic_bowl)
+    got = assert_equals_oracle(partial(optimizers._nelder_mead, config=config),
+                               partial(oracles.nelder_mead_per_call, config=config),
+                               fn, np.zeros(3))
+    assert got.stop_reason == "tolerance"
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("method", ["spsa", "nelder-mead"])
+@SPSA_ANSATZ
+def test_restarts_on_vqe_objectives_equal_the_former_loops(monkeypatch, method, ansatz,
+                                                           restarts):
+    # the RY objective has 24 parameters and the QAOA one 6, both with rows
+    fn, _ = vqe_objective(monkeypatch, ansatz)
+    config = OptimizerConfig(method, iterations=70, seed=4, restarts=restarts)
+    initial = partial(vq._initial_params, ansatz)
+    got_fn, got_points = recorded(fn)
+    got = optimizers.minimize_restarts(got_fn, initial, config)
+    monkeypatch.setattr(optimizers, "_spsa", oracles.spsa_per_iteration)
+    monkeypatch.setattr(optimizers, "_nelder_mead", oracles.nelder_mead_per_call)
+    want_fn, want_points = recorded(fn)
+    want = optimizers.minimize_restarts(want_fn, initial, config)
+    assert got_points == want_points
+    assert_identical_outcomes(got, want)
+
+
+def test_spsa_holds_one_block_of_signs_at_a_time():
+    # a run's signs drawn at once would be 20,000 x 200 integers and as many
+    # floats, about 64 MB
+    config = OptimizerConfig("spsa", iterations=20_000, seed=1)
+    tracemalloc.start()
+    try:
+        minimize(lambda x: 0.0, np.zeros(200), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
