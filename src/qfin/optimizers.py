@@ -146,8 +146,8 @@ def _nelder_mead(fn, x0: np.ndarray, config: OptimizerConfig) -> OptimizeOutcome
     stop_reason = "maxiter"
     iterations = 1
     while iterations < config.iterations:
-        if (np.abs(sim[1:] - sim[0]).max() <= 1e-10
-                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
+        # fsim is sorted, NaN last: its spread is scipy's max |fsim[0] - fsim[1:]|
+        if fsim[-1] - fsim[0] <= 1e-12 and np.abs(sim[1:] - sim[0]).max() <= 1e-10:
             stop_reason = "tolerance"
             break
         xbar = np.add.reduce(sim[:-1], 0) / n

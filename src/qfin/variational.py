@@ -104,12 +104,17 @@ def _ladder_permutation(n: int) -> np.ndarray:
     """Gather index of the CNOT ladder: ``amps[perm]`` applies ``_entangler(n)``.
 
     One CNOT maps amplitude ``k`` from ``k ^ (bit_c(k) << t)``; composing the
-    ladder's maps last gate first gives the whole ladder's source index.
+    ladder's maps last gate first gives the whole ladder's source index. Each
+    map is linear over GF(2), so the index is the XOR of the images of k's
+    bits: composed on the n basis indices, then filled by doubling.
     """
-    perm = np.arange(1 << n)
-    for op in reversed(_entangler(n)):
-        control, target = op.targets
-        perm ^= ((perm >> control) & 1) << target
+    columns = [1 << q for q in range(n)]
+    for control in reversed(range(n)):  # the ladder's CNOTs, last first
+        for target in reversed(range(control + 1, n)):
+            columns = [k ^ (((k >> control) & 1) << target) for k in columns]
+    perm = np.zeros(1 << n, dtype=np.intp)
+    for q, column in enumerate(columns):
+        np.bitwise_xor(perm[:1 << q], column, out=perm[1 << q:2 << q])
     return perm
 
 
@@ -166,20 +171,19 @@ def _checked_stack(ansatz: Ansatz, params) -> np.ndarray:
     return stack
 
 
-def _rotation_steps(angles: np.ndarray, out: np.ndarray, steps: list, rx: bool, ry: bool):
+def _rotation_steps(halves: np.ndarray, out: np.ndarray, steps: list, rx: bool, ry: bool):
     """Steps that write ``out[..., q, i, j]`` = m_ij of qubit q's RY(phi)·RX(theta).
 
-    ``angles[..., :n]`` are the qubits' thetas when ``rx`` and
-    ``angles[..., -n:]`` their phis when ``ry``; without one kind there is
+    ``halves[..., :n]`` are the qubits' theta/2 when ``rx`` and
+    ``halves[..., -n:]`` their phi/2 when ``ry``; without one kind there is
     no such gate. With c, s the cosine and sine of theta/2 and C, S those
     of phi/2, RY(phi) is [[C, -S], [S, C]] and RX(theta) = cI - isX, so the
     product is c RY(phi) - is RY(phi)X: [[Cc + iSs, -Sc - iCs],
     [Sc - iCs, Cc - iSs]], one product per part.
     """
     n = out.shape[-3]
-    halves, cos, sin = np.empty((3,) + angles.shape)
-    steps += [partial(np.multiply, 0.5, angles, halves),
-              partial(np.cos, halves, cos), partial(np.sin, halves, sin)]
+    cos, sin = np.empty((2,) + halves.shape)
+    steps += [partial(np.cos, halves, cos), partial(np.sin, halves, sin)]
     m = np.eye(2)
     if ry:
         m, c, s = np.empty(out.shape) if rx else out, cos[..., -n:], sin[..., -n:]
@@ -262,9 +266,23 @@ def _layer_steps(n: int, runs, matrices, layer: int, state, at: int, steps: list
     return at
 
 
-def _run(plan: tuple, stack: np.ndarray) -> np.ndarray:
+def _readout_steps(state: np.ndarray, at: int, steps: list) -> np.ndarray:
+    """Steps that square the magnitudes of the block in ``state[at]`` into the spare
+    buffer ``state[1 - at]``; returns the squares, a contiguous 2^n row per state,
+    which a complex spare holds in the first 2^n floats of each of its rows."""
+    amps, spare = state[at, :, :, 0], state[1 - at]
+    if spare.dtype == float:
+        probs = spare[:, :, 0]
+        steps.append(partial(np.square, amps, probs))
+    else:
+        probs = spare.view(float).reshape(len(spare), -1)[:, :amps.shape[1]]
+        steps += [partial(np.abs, amps, probs), partial(np.square, probs, probs)]
+    return probs
+
+
+def _run(plan: tuple, stack) -> np.ndarray:
     """Copy ``stack`` into a plan's parameter buffer, run its steps and return its last block."""
-    params, steps, _, last = plan
+    params, steps, _, last, _ = plan
     params[...] = stack
     for step in steps:
         step()
@@ -292,7 +310,11 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     numpy calls between them with their views bound (the steps). A call
     copies its rows in, runs the steps and returns a copy of the result. The
     plans of the two latest block shapes are kept; two threads must not call
-    one state function at once.
+    one state function at once. The function's ``plan(rows)`` is the plan of
+    a ``(rows, P)`` stack, ``(params, steps, state, last, probs)``: ``last``
+    is the block the state ends in, and the last steps square its
+    magnitudes into ``probs``, the spare buffer (``_readout_steps``), for
+    ``vqe_minimize`` to read.
 
     The RY and RX+RY functions also take ``start``, a ``(2^n, R)`` block to
     run from instead of |0...0> under one parameter row, and return a
@@ -312,10 +334,12 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     row_runs, start_runs = _groups(n, 2), _groups(n, 1)
 
     @lru_cache(maxsize=2)
-    def plan(rows: int, start: bool):
+    def plan(rows: int, start: bool = False):
         """``rows`` parameter rows from |0...0>, or a start block of ``rows`` chunks."""
         params = np.empty((1 if start else rows, ansatz.parameter_count))
-        layers, steps = params.reshape(len(params), p + 1, -1), []
+        layers = params.reshape(len(params), p + 1, -1)
+        # the angles are halved in place: each call copies its rows in anew
+        steps = [partial(np.multiply, 0.5, params, params)]
         rotations = np.empty(layers.shape[:2] + (n, 2, 2), float if real else complex)
         _rotation_steps(layers, rotations, steps, rx=not real, ry=True)
         state = np.empty((2, rows, dim, RECORD_COLUMNS if start else 1),
@@ -333,12 +357,13 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
                 steps.append(partial(state[at].take, perm, 1, state[1 - at], "clip"))
                 at ^= 1
             at = _layer_steps(n, runs, matrices, layer - first, state, at, steps)
-        return params, steps, state, state[at]
+        probs = None if start else _readout_steps(state, at, steps)
+        return params, steps, state, state[at], probs
 
     def layered_state(params, start=None):
         stack = _checked_stack(ansatz, params)
         if start is None:
-            amps = _run(plan(len(stack), False), stack)[:, :, 0].copy().T
+            amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
             return amps if np.ndim(params) == 2 else amps[:, 0]
         if len(stack) != 1 or np.ndim(start) != 2 or len(start) != dim:
             raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
@@ -354,6 +379,7 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
         block = _run(planned, stack).transpose(1, 0, 2)
         return np.array(block).reshape(dim, -1)[:, :records]
 
+    layered_state.plan = plan
     return layered_state
 
 
@@ -366,7 +392,11 @@ def _compile_qaoa(ansatz: Ansatz, table: np.ndarray | None = None):
     global phase; it is computed into the spare state buffer. The mixer is
     the RX(2 beta) layer, applied by qubit group as ``compile_ansatz``'s
     rotation layers are, to the uniform start state; every qubit turns by
-    the same RX(2 beta), so a group's matrix is a power of one factor.
+    the same RX(2 beta), so a group's matrix is a power of one factor. Its
+    half-angle is beta itself, read from the parameter buffer as it is.
+    The plan's readout takes the final block's magnitudes into the first
+    2^n floats of each row of the spare complex buffer and squares them
+    there.
     """
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
@@ -376,10 +406,9 @@ def _compile_qaoa(ansatz: Ansatz, table: np.ndarray | None = None):
     @lru_cache(maxsize=2)
     def plan(rows: int):
         params, gammas = np.empty((rows, 2 * p)), np.empty((rows, p, 1), complex)
-        turns, factor = np.empty((rows, p, 1)), np.empty((rows, p, 1, 2, 2), complex)
+        factor, steps = np.empty((rows, p, 1, 2, 2), complex), []
         state = np.empty((2, rows, dim, 1), complex)
-        steps = [partial(np.multiply, 2.0, params[:, p:, None], turns)]
-        _rotation_steps(turns, factor, steps, rx=True, ry=False)
+        _rotation_steps(params[:, p:, None], factor, steps, rx=True, ry=False)
         powers = [factor] + [np.empty((rows, p, 1, 2 << q, 2 << q), complex)
                              for q in range(1, runs[-1][1])]
         _kron_steps(np.broadcast_to(factor[:, :, None], (rows, p, 1, len(powers), 2, 2)),
@@ -394,13 +423,14 @@ def _compile_qaoa(ansatz: Ansatz, table: np.ndarray | None = None):
             steps += [partial(np.multiply, gammas[:, level], energies, phases[:, :, 0]),
                       partial(np.exp, phases, phases), partial(np.multiply, amps, phases, amps)]
             at = _layer_steps(n, runs, mixers, level, state, at, steps)
-        return params, steps, state, state[at]
+        return params, steps, state, state[at], _readout_steps(state, at, steps)
 
     def qaoa_state(params):
         stack = _checked_stack(ansatz, params)
         amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
+    qaoa_state.plan = plan
     return qaoa_state
 
 
@@ -454,10 +484,14 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     from state blocks of at most ``BLOCK_AMPLITUDES`` amplitudes and returns
     the B values in row order, each equal bit for bit to
     ``objective(row)``. The bound keeps a stack of wide rows, such as a
-    Nelder-Mead simplex, from holding every row's state at once. A block is
-    squared once, and each state's probabilities are read out as a
-    contiguous 1-D row, as a single state's are, not as a matrix-vector
-    product, whose sums may round differently.
+    Nelder-Mead simplex, from holding every row's state at once. Each chunk
+    of rows is copied into the plan of its shape (``compile_ansatz``), whose
+    last steps square the block's magnitudes into the spare state buffer;
+    each state's probabilities are read there as a contiguous 1-D row dotted
+    with the energy table, as a single state's are, not as a matrix-vector
+    product or a strided column, whose sums may round differently. The
+    stack is a float array or a list of rows (a single point comes as a
+    list of one), converted by the copy alone.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -466,15 +500,15 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     table = observable.energy_table(ansatz.n_qubits)
     state_of = compile_ansatz(ansatz, table if ansatz.cost is observable else None)
 
-    chunk = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits)
+    chunk, plan = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits), state_of.plan
 
     def rows(stack):
-        stack = np.asarray(stack, dtype=float)
         values = []
         for at in range(0, len(stack), chunk):
-            # the block's columns are contiguous 1-D rows of its transpose
-            probs = np.abs(state_of(stack[at:at + chunk]).T)
-            values += [float(row @ table) for row in np.square(probs, out=probs)]
+            block = stack[at:at + chunk]
+            planned = plan(len(block))
+            _run(planned, block)
+            values += [float(row @ table) for row in planned[4]]
         return values
 
     def objective(params):

@@ -17,6 +17,10 @@ loop that ``admm.solve_auction_exact`` replaced with subset-sum tables,
 that look the objective's ``rows`` up on every stack, and SPSA drawing its
 signs one iteration at a time, as ``optimizers._spsa`` and
 ``optimizers._nelder_mead`` did before they held their buffers for the run.
+``stack_readout`` is ``vqe_minimize``'s readout before it ran inside the
+plan, and ``ladder_per_cnot`` the CNOT ladder's gather index composed one
+CNOT at a time over the whole index, as ``variational._ladder_permutation``
+built it before it composed the n basis indices and filled by doubling.
 """
 
 import math
@@ -269,6 +273,29 @@ def per_call_compile_ansatz(ansatz, table=None):
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return layered_state
+
+
+def stack_readout(state_of, table: np.ndarray, stack, chunk: int) -> list:
+    """``vqe_minimize``'s values of ``stack`` read off the state function: each
+    chunk's ``(2^n, B)`` block transposed, its magnitudes squared into a new
+    array and each contiguous row dotted with ``table``."""
+    stack = np.asarray(stack, dtype=float)
+    values = []
+    for at in range(0, len(stack), chunk):
+        probs = np.abs(state_of(stack[at:at + chunk]).T)
+        values += [float(row @ table) for row in np.square(probs, out=probs)]
+    return values
+
+
+def ladder_per_cnot(n: int) -> np.ndarray:
+    """The CNOT ladder's gather index, one CNOT's map composed over all 2^n indices at a time."""
+    from qfin import variational as vq
+
+    perm = np.arange(1 << n)
+    for op in reversed(vq._entangler(n)):
+        control, target = op.targets
+        perm ^= ((perm >> control) & 1) << target
+    return perm
 
 
 # -- cross-validation with ``trainer(train_set) -> (predict_fn, train_accuracy)`` --

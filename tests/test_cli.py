@@ -1168,8 +1168,8 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
                                                             portfolio_instance):
     # a regression guard on whole commands: any change to SPSA's stacks
     # shows in a file. The grouped state functions round unlike the former
-    # kernels, so those are held to them on every point the opt commands
-    # evaluate: amplitudes within 1e-12, and QAOA's probabilities (its cost
+    # kernels, so every block a plan runs for the opt commands is held to
+    # them: amplitudes within 1e-12, and QAOA's probabilities (its cost
     # layer also turns by the offset, a global phase the gates leave out)
     from test_optimizers import sequential_spsa
 
@@ -1208,23 +1208,26 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
     assert len(planned) == 2 * 4 + 3
     monkeypatch.setattr(optimizers, "_spsa", sequential_spsa)
     assert run(tmp_path / "sequential") == planned
-    points, grouped = [], vq.compile_ansatz
+    points, formers, grouped, run_plan = [], [], vq.compile_ansatz, vq._run
 
     def recording(ansatz, table=None):
-        state_of, former = grouped(ansatz, table), former_compile_ansatz(ansatz)
+        formers.append((ansatz.kind, former_compile_ansatz(ansatz)))
+        return grouped(ansatz, table)
 
-        def record(params):
-            points.append((ansatz.kind, state_of, former, np.array(params)))
-            return state_of(params)
-        return record
+    def recorded_run(plan, stack):
+        # each plan run belongs to the ansatz compiled last; its block as it ends
+        last = run_plan(plan, stack)
+        points.append(formers[-1] + (np.array(stack), last[:, :, 0].T.copy()))
+        return last
 
     monkeypatch.setattr(vq, "compile_ansatz", recording)
+    monkeypatch.setattr(vq, "_run", recorded_run)
     recorded = run(tmp_path / "recorded", ml=False)
     assert recorded == {name: planned[name] for name in recorded}
     assert len(recorded) == 3
     assert {kind for kind, *_ in points} == {"ry-full-entanglement", "qaoa"}
-    for kind, state_of, former, params in points:
-        got, want = state_of(params), former(params)
+    for kind, former, params, got in points:
+        want = former(params)
         if kind == "qaoa":
             got, want = np.abs(got) ** 2, np.abs(want) ** 2
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -1232,30 +1235,28 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
 
 def test_a_default_vqe_portfolio_run_makes_iterations_plus_two_state_calls(
         tmp_path, monkeypatch, portfolio_instance):
-    # SPSA's default 300 iterations: one stack of three per iteration, the
-    # last f(x) alone, and the returned state; 1 + 3 * 300 evaluations
+    # SPSA's default 300 iterations: one plan run per stack of three, one
+    # for the last f(x) alone, and one for the returned state; 1 + 3 * 300
+    # evaluations
     from qfin import variational as vq
 
-    calls, results, compile_ansatz = [], [], vq.compile_ansatz
+    calls, results, run_plan = [], [], vq._run
     minimize_qubo = vq.minimize_qubo
 
-    def counted(ansatz, table=None):
-        state_of = compile_ansatz(ansatz, table)
-
-        def state(params, **kwargs):
-            calls.append(np.shape(params))
-            return state_of(params, **kwargs)
-        return state
+    def counted(plan, stack):
+        calls.append((type(stack).__name__, np.shape(stack)))
+        return run_plan(plan, stack)
 
     def kept(*args, **kwargs):
         results.append(minimize_qubo(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(vq, "compile_ansatz", counted)
+    monkeypatch.setattr(vq, "_run", counted)
     monkeypatch.setattr(vq, "minimize_qubo", kept)
     assert main(["opt", "portfolio", "--instance", portfolio_instance, "--solver", "vqe",
                  "--out-dir", str(tmp_path / "out")]) == 0
-    # depth 3: 4 layers of 6 angles; the last f(x) is a stack of one
-    assert calls == [(3, 24)] * 300 + [(1, 24), (24,)]
+    # depth 3: 4 layers of 6 angles; the last f(x) is a list of one row, and
+    # the state function runs the checked stack of one
+    assert calls == [("ndarray", (3, 24))] * 300 + [("list", (1, 24)), ("ndarray", (1, 24))]
     (_, _, run), = results
     assert (run.evaluations, run.stop_reason) == (1 + 3 * 300, "maxiter")

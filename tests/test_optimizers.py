@@ -471,6 +471,36 @@ def test_nelder_mead_stopping_on_tolerance_equals_the_per_call_loop(objective):
     assert got.stop_reason == "tolerance"
 
 
+def non_finite(kind: str, where):
+    """wavy(x), or the value ``kind`` names ("nan", "inf", "-inf") where ``where(x)`` holds."""
+    def objective(x):
+        return float(kind) if where(x) else wavy(x)
+    return objective
+
+
+NON_FINITE = {
+    "nan-above": non_finite("nan", lambda x: x[0] > 0.6),
+    "inf-above": non_finite("inf", lambda x: x.sum() > 0.9),
+    "-inf-below": non_finite("-inf", lambda x: x[0] < -1.2),
+    "nan-everywhere": non_finite("nan", lambda x: True),
+    "inf-everywhere": non_finite("inf", lambda x: True),
+    "-inf-everywhere": non_finite("-inf", lambda x: True),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("objective", NON_FINITE)
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_nelder_mead_on_non_finite_values_equals_the_per_call_loop(objective, width):
+    # the tolerance test reads the sorted simplex's spread: NaN sorts last,
+    # and an infinite spread (or inf - inf) never passes, as scipy's max does not
+    config = OptimizerConfig("nelder-mead", iterations=150)
+    for fn in (NON_FINITE[objective], with_rows(NON_FINITE[objective])):
+        assert_equals_oracle(partial(optimizers._nelder_mead, config=config),
+                             partial(oracles.nelder_mead_per_call, config=config),
+                             fn, np.linspace(-0.5, 0.7, width))
+
+
 @pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("method", ["spsa", "nelder-mead"])
 @SPSA_ANSATZ

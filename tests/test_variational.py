@@ -5,7 +5,7 @@ import pytest
 
 from qfin import qubo as qb
 from qfin import variational as vq
-from qfin.optimizers import OptimizerConfig, minimize
+from qfin.optimizers import OptimizeOutcome, OptimizerConfig, minimize
 from qfin.simulator import (
     IsingObservable,
     Statevector,
@@ -14,7 +14,7 @@ from qfin.simulator import (
     h,
     new_zero_state,
 )
-from oracles import energy_spread, per_call_compile_ansatz
+from oracles import energy_spread, ladder_per_cnot, per_call_compile_ansatz, stack_readout
 
 Z0 = IsingObservable(terms=(((0,), 1.0),))
 
@@ -421,6 +421,12 @@ def test_ladder_permutation_is_the_cnot_ladder():
         assert np.array_equal(amps[vq._ladder_permutation(n)], ladder)
 
 
+def test_ladder_permutation_equals_the_per_cnot_composition():
+    for n in range(1, 15):
+        got, want = vq._ladder_permutation(n), ladder_per_cnot(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
 def test_cost_phase_ops_signs_are_z_parities():
     cost = IsingObservable(terms=(((), 0.5), ((1,), 2.0), ((0, 2), -1.0)))
     ops = vq.cost_phase_ops(cost, 0.3)
@@ -580,6 +586,63 @@ def test_stacks_split_into_blocks_equal_the_ops_objective_loop(monkeypatch):
     assert got.best_params.tobytes() == best.x.tobytes()
     assert got.trace == best.trace
     assert got.top_states == top_states
+
+
+def objective_rows(monkeypatch, observable, ansatz):
+    """The ``rows`` of the objective ``vqe_minimize`` hands ``minimize_restarts``."""
+    captured = []
+
+    def capture(fn, initial, config):
+        captured.append(fn.rows)
+        return OptimizeOutcome(np.zeros(ansatz.parameter_count), 0.0, [0.0], evaluations=0,
+                               stop_reason="")
+
+    monkeypatch.setattr(vq, "minimize_restarts", capture)
+    vq.vqe_minimize(observable, ansatz, OptimizerConfig(), top_k=1)
+    monkeypatch.undo()
+    return captured[0]
+
+
+@pytest.mark.parametrize("kind", ["ry", "qaoa"])
+def test_rows_equal_the_former_readout_bytewise(monkeypatch, kind):
+    # the readout runs in the plan, into its spare buffer; every value keeps
+    # the bytes of the former readout's row of a transposed copy. From 13
+    # qubits up a chunk holds 2 rows, then 1, so the stacks span chunks
+    rng = np.random.default_rng(["ry", "qaoa"].index(kind) + 50)
+    for n in range(1, 15):
+        observable = mixed_cost(n, rng)
+        ansatz = vq.ry_ansatz(n, 2) if kind == "ry" else vq.qaoa_ansatz(n, 2, observable)
+        rows, table = objective_rows(monkeypatch, observable, ansatz), observable.energy_table(n)
+        state_of, chunk = vq.compile_ansatz(ansatz, table), max(1, vq.BLOCK_AMPLITUDES >> n)
+        for size in range(1, 8):
+            stack = rng.uniform(-math.pi, math.pi, (size, ansatz.parameter_count))
+            want = np.array(stack_readout(state_of, table, stack, chunk))
+            assert np.array(rows(stack)).tobytes() == want.tobytes(), (n, size)
+        # the per-point path hands ``rows`` a list of one row
+        assert np.array(rows([stack[-1]])).tobytes() == want[-1:].tobytes(), n
+
+
+@pytest.mark.parametrize("solver,method,n,states", [
+    ("vqe", "spsa", 16, 5.07), ("qaoa", "spsa", 16, 5.54), ("vqe", "nelder-mead", 16, 5.05),
+    ("vqe", "nelder-mead", 12, 10.45)])
+def test_variational_runs_peak_within_their_pinned_states(solver, method, n, states):
+    # a one-iteration depth-1 run, in complex 2^n states under tracemalloc.
+    # The readout writes into a plan's spare buffer, so no call holds a copy
+    # of its block or a probability block beside it; at 12 qubits a
+    # Nelder-Mead simplex runs 4 rows per chunk, whose copies took 12.06
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(n, n))
+    qubo = qb.build_portfolio_qubo(qb.PortfolioSpec(
+        mu=rng.uniform(0.0, 0.1, n), sigma=w @ w.T / n, q=0.5, budget=n // 2))
+    tracemalloc.start()
+    try:
+        vq.minimize_qubo(qubo, solver, 1, OptimizerConfig(method, 1, seed=1), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= states * (16 << n)
 
 
 # -- planned state functions: buffers, start blocks and QAOA's memory

@@ -20,10 +20,14 @@ in one interpreter, numpy and BLAS; separate benchmark runs, minutes apart,
 see the host's speed move by more than most changes. Times are not scaled
 to a nominal host speed.
 
-Prints each command's median wall time on each side with the ratio CHANGE /
-BASE, the median and quartiles of each side's pass times, and the median of
-the paired pass ratios with the number of pairs CHANGE won. Exits with the
-failure when a command fails on either side.
+Prints each command's median wall time on each side with the ratio of the
+two medians CHANGE / BASE, and the median of its paired ratios (CHANGE's
+run over BASE's in the same pair) with the number of pairs CHANGE won; then
+the median and quartiles of each side's pass times, and the median of the
+paired pass ratios with the number of pairs CHANGE won. The paired figures
+are the ones to cite: a ratio of medians takes each side's median from
+other pairs, so host drift between pairs moves it. Exits with the failure
+when a command fails on either side.
 """
 
 import argparse
@@ -127,18 +131,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, median, high
 
 
+def paired(before: list[float], after: list[float]) -> tuple[list[float], int]:
+    """The pairs' ratios after / before, and the number of pairs where after is lower."""
+    ratios = [late / early for early, late in zip(before, after)]
+    return ratios, sum(ratio < 1.0 for ratio in ratios)
+
+
 def report(base: Side, change: Side) -> None:
     width = max(len(name) for name in base.walls)
-    print(f"{'command':<{width}}  {'base_s':>10}  {'change_s':>10}  change/base")
+    print(f"{'command':<{width}}  {'base_s':>10}  {'change_s':>10}  change/base  "
+          f"paired  wins")
     for name, walls in base.walls.items():
         before, after = statistics.median(walls), statistics.median(change.walls[name])
-        print(f"{name:<{width}}  {before:10.5f}  {after:10.5f}  {after / before:11.3f}")
+        ratios, wins = paired(walls, change.walls[name])
+        print(f"{name:<{width}}  {before:10.5f}  {after:10.5f}  {after / before:11.3f}  "
+              f"{statistics.median(ratios):6.3f}  {wins}/{len(ratios)}")
     for side in (base, change):
         low, median, high = quartiles(side.passes)
         print(f"{side.label} pass: median {median:.4f} s, quartiles {low:.4f}-{high:.4f} s, "
               f"{len(side.passes)} passes")
-    ratios = [after / before for before, after in zip(base.passes, change.passes)]
-    wins = sum(after < before for before, after in zip(base.passes, change.passes))
+    ratios, wins = paired(base.passes, change.passes)
     low, median, high = quartiles(ratios)
     print(f"paired pass ratio change/base: median {median:.4f}, quartiles {low:.4f}-{high:.4f}; "
           f"change faster in {wins} of {len(ratios)} pairs")
