@@ -229,15 +229,20 @@ def _groups(n: int, least: int) -> list[tuple[int, int, int]]:
 
 def _group_matrices(rotations: np.ndarray, runs, steps: list) -> list:
     """Each run's matrices ``[..., j, K, K]``, group j's R_{high-1} ⊗ ... ⊗ R_low of its
-    qubits' ``rotations[..., q, :, :]``, built together by the steps appended to ``steps``."""
-    matrices = []
-    for low, size, number in runs:
+    qubits' ``rotations[..., q, :, :]``, built together by the steps appended to ``steps``.
+    When every qubit turns alike (a stride-0 qubit axis, as QAOA's mixer has), the groups
+    share one chain of products, built once for the largest group."""
+    matrices, products, shared = [], [], rotations.strides[-3] == 0
+    for low, size, number in reversed(runs):
         part = np.reshape(rotations[..., low:low + size * number, :, :],
                           rotations.shape[:-3] + (number, size, 2, 2), copy=False)
-        products = [np.empty(part.shape[:-3] + (2 << q, 2 << q), rotations.dtype)
-                    for q in range(1, size)]
-        _kron_steps(part, products, steps)
-        matrices.append(products[-1] if products else part[..., 0, :, :])
+        part = part[..., :1, :, :, :] if shared else part
+        if not (shared and products):
+            products = [np.empty(part.shape[:-3] + (2 << q, 2 << q), rotations.dtype)
+                        for q in range(1, size)]
+            _kron_steps(part, products, steps)
+        matrix = products[size - 2] if size > 1 else part[..., 0, :, :]
+        matrices.insert(0, np.broadcast_to(matrix, part.shape[:-4] + (number,) + matrix.shape[-2:]))
     return matrices
 
 
@@ -301,10 +306,16 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     The state is held batch-first, a contiguous 2^n row per parameter row.
     A rotation layer is the Kronecker product of its qubit groups
     (``_groups``, by ``GROUP_QUBITS`` at compile time), built from each
-    row's angles and applied by one matmul per group; RX+RY rotates each
-    qubit by RY·RX. The first layer from |0...0> is the product state of the
-    rotations' first columns, and the CNOT ladder is one gather. RY
-    amplitudes stay real.
+    row's factors by ``_group_matrices`` and applied by one matmul per group.
+    The kinds differ in three places. RY and RX+RY start from the product
+    state of the first layer's first columns, QAOA from the uniform
+    superposition. RX+RY's factor is RY·RX (RY amplitudes stay real); QAOA's
+    is one RX(2 beta) per level, broadcast over the qubits, beta read from
+    the parameter buffer as its half-angle. Between layers, RY and RX+RY run
+    the CNOT ladder as one gather; QAOA multiplies by the diagonal
+    exp(-i gamma C) (every cost term is a product of Z factors), built in the
+    spare state buffer, C ``table`` (the caller's cost energy table) or else
+    ``ansatz.cost.energy_table(n)``; its offset is a global phase.
 
     Each block shape gets a plan on its first call: its buffers, and the
     numpy calls between them with their views bound (the steps). A call
@@ -322,51 +333,56 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     last padded with zeros, so every matmul has one shape whatever R is:
     BLAS picks its kernel by shape, and a column's bytes must not depend on
     how many share the block.
-
-    ``table`` is QAOA's cost energy table, if the caller has built it.
     """
-    if ansatz.kind == "qaoa":
-        return _compile_qaoa(ansatz, table)
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
-    perm = _ladder_permutation(n) if p else None
-    real = ansatz.kind == "ry-full-entanglement"
-    row_runs, start_runs = _groups(n, 2), _groups(n, 1)
+    qaoa, real = ansatz.kind == "qaoa", ansatz.kind == "ry-full-entanglement"
+    energies = ansatz.cost.energy_table(n) if qaoa and table is None else table
+    perm = _ladder_permutation(n) if p and not qaoa else None
 
     @lru_cache(maxsize=2)
     def plan(rows: int, start: bool = False):
-        """``rows`` parameter rows from |0...0>, or a start block of ``rows`` chunks."""
+        """``rows`` parameter rows from the kind's start, or a start block of ``rows`` chunks."""
         params = np.empty((1 if start else rows, ansatz.parameter_count))
-        layers = params.reshape(len(params), p + 1, -1)
-        # the angles are halved in place: each call copies its rows in anew
-        steps = [partial(np.multiply, 0.5, params, params)]
-        rotations = np.empty(layers.shape[:2] + (n, 2, 2), float if real else complex)
-        _rotation_steps(layers, rotations, steps, rx=not real, ry=True)
         state = np.empty((2, rows, dim, RECORD_COLUMNS if start else 1),
                          complex if start or not real else float)
-        if not start:  # the product state, doubled up so that its last product lands in state[0]
+        # QAOA's beta is RX(2 beta)'s half-angle; other angles are halved in place per call
+        steps = [] if qaoa else [partial(np.multiply, 0.5, params, params)]
+        halves = params[:, p:, None] if qaoa else params.reshape(len(params), p + 1, -1)
+        factors = np.empty(halves.shape[:2] + (1 if qaoa else n, 2, 2), float if real else complex)
+        _rotation_steps(halves, factors, steps, rx=not real, ry=not qaoa)
+        rotations = np.broadcast_to(factors, halves.shape[:2] + (n, 2, 2))
+        if qaoa:
+            gammas = np.empty((rows, p, 1), complex)
+            steps += [partial(np.multiply, -1j, params[:, :p, None], gammas),
+                      partial(state[0].fill, math.sqrt(0.5) ** n)]  # H on every qubit of |0...0>
+        elif not start:  # the product state, doubled up so its last product lands in state[0]
             columns = rotations[:, 0, :, :, :1]
             _kron_steps(columns, [state[(n - 1 - q) % 2, :, :2 << q] for q in range(1, n)], steps)
             if n == 1:
                 steps.append(partial(np.copyto, state[0], columns[:, 0]))
             rotations = rotations[:, 1:]
-        runs, first = (start_runs, 0) if start else (row_runs, 1)
+        runs = _groups(n, 1 if start else 2)
         matrices, at = _group_matrices(rotations, runs, steps), 0
-        for layer in range(first, p + 1):
-            if layer:
+        for layer in range(rotations.shape[1]):
+            if qaoa:  # exp(-i gamma C) in the spare buffer, then onto the state
+                amps, phases = state[at], state[1 - at]
+                steps += [partial(np.multiply, gammas[:, layer], energies, phases[:, :, 0]),
+                          partial(np.exp, phases, phases), partial(np.multiply, amps, phases, amps)]
+            elif layer or not start:
                 steps.append(partial(state[at].take, perm, 1, state[1 - at], "clip"))
                 at ^= 1
-            at = _layer_steps(n, runs, matrices, layer - first, state, at, steps)
+            at = _layer_steps(n, runs, matrices, layer, state, at, steps)
         probs = None if start else _readout_steps(state, at, steps)
         return params, steps, state, state[at], probs
 
-    def layered_state(params, start=None):
+    def state_function(params, start=None):
         stack = _checked_stack(ansatz, params)
         if start is None:
             amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
             return amps if np.ndim(params) == 2 else amps[:, 0]
-        if len(stack) != 1 or np.ndim(start) != 2 or len(start) != dim:
-            raise ValueError(f"start must be a ({dim}, B) block run by one parameter row")
+        if qaoa or len(stack) != 1 or np.ndim(start) != 2 or len(start) != dim:
+            raise ValueError(f"start must be a ({dim}, B) block run by one RY or RX+RY row")
         start = np.asarray(start)
         records, width = start.shape[1], RECORD_COLUMNS
         full, rest = divmod(records, width)
@@ -379,59 +395,8 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
         block = _run(planned, stack).transpose(1, 0, 2)
         return np.array(block).reshape(dim, -1)[:, :records]
 
-    layered_state.plan = plan
-    return layered_state
-
-
-def _compile_qaoa(ansatz: Ansatz, table: np.ndarray | None = None):
-    """``compile_ansatz`` for the QAOA kind.
-
-    Every cost term is a product of Z factors, so a level's cost layer is
-    one diagonal: each amplitude is multiplied by exp(-i gamma C), with C
-    ``table`` or else ``ansatz.cost.energy_table(n)``; its offset is a
-    global phase; it is computed into the spare state buffer. The mixer is
-    the RX(2 beta) layer, applied by qubit group as ``compile_ansatz``'s
-    rotation layers are, to the uniform start state; every qubit turns by
-    the same RX(2 beta), so a group's matrix is a power of one factor. Its
-    half-angle is beta itself, read from the parameter buffer as it is.
-    The plan's readout takes the final block's magnitudes into the first
-    2^n floats of each row of the spare complex buffer and squares them
-    there.
-    """
-    n, p = ansatz.n_qubits, ansatz.depth
-    dim = 1 << n
-    energies = ansatz.cost.energy_table(n) if table is None else table
-    runs = _groups(n, 2)
-
-    @lru_cache(maxsize=2)
-    def plan(rows: int):
-        params, gammas = np.empty((rows, 2 * p)), np.empty((rows, p, 1), complex)
-        factor, steps = np.empty((rows, p, 1, 2, 2), complex), []
-        state = np.empty((2, rows, dim, 1), complex)
-        _rotation_steps(params[:, p:, None], factor, steps, rx=True, ry=False)
-        powers = [factor] + [np.empty((rows, p, 1, 2 << q, 2 << q), complex)
-                             for q in range(1, runs[-1][1])]
-        _kron_steps(np.broadcast_to(factor[:, :, None], (rows, p, 1, len(powers), 2, 2)),
-                    powers[1:], steps)
-        mixers = [np.broadcast_to(powers[size - 1], (rows, p, number) + powers[size - 1].shape[3:])
-                  for _, size, number in runs]
-        steps += [partial(np.multiply, -1j, params[:, :p, None], gammas),
-                  partial(state[0].fill, math.sqrt(0.5) ** n)]  # H on every qubit of |0...0>
-        at = 0
-        for level in range(p):
-            amps, phases = state[at], state[1 - at]
-            steps += [partial(np.multiply, gammas[:, level], energies, phases[:, :, 0]),
-                      partial(np.exp, phases, phases), partial(np.multiply, amps, phases, amps)]
-            at = _layer_steps(n, runs, mixers, level, state, at, steps)
-        return params, steps, state, state[at], _readout_steps(state, at, steps)
-
-    def qaoa_state(params):
-        stack = _checked_stack(ansatz, params)
-        amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
-        return amps if np.ndim(params) == 2 else amps[:, 0]
-
-    qaoa_state.plan = plan
-    return qaoa_state
+    state_function.plan = plan
+    return state_function
 
 
 def prepare_state(ansatz: Ansatz, params) -> Statevector:
@@ -446,11 +411,15 @@ def bitstring_of(index: int, n: int) -> str:
 
 def sample_solutions(state: Statevector, table: np.ndarray,
                      top_k: int) -> list[tuple[str, float, float]]:
-    """Most probable basis states with exact probabilities and energies from ``table``."""
+    """The ``top_k`` most probable basis states (all, if fewer; equal probabilities by
+    index) with exact probabilities and energies from ``table``. Only the states at or
+    above the k-th largest probability are sorted, so no 2^n sort keys are held."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     probs = basis_probabilities(state)
-    order = np.lexsort((np.arange(probs.size), -probs))[:top_k]
+    k = min(top_k, probs.size)
+    candidates = np.flatnonzero(probs >= np.partition(probs, -k)[-k])
+    order = candidates[np.lexsort((candidates, -probs[candidates]))][:k]
     return [(bitstring_of(int(i), state.n_qubits), float(probs[i]), float(table[i]))
             for i in order]
 
@@ -524,7 +493,7 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     return VariationalResult(
         best_value=best.value,
         best_params=best.x,
-        top_states=sample_solutions(state, table, min(top_k, state.dim)),
+        top_states=sample_solutions(state, table, top_k),
         trace=best.trace,
         state=state,
         evaluations=best.evaluations,

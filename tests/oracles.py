@@ -21,6 +21,9 @@ signs one iteration at a time, as ``optimizers._spsa`` and
 plan, and ``ladder_per_cnot`` the CNOT ladder's gather index composed one
 CNOT at a time over the whole index, as ``variational._ladder_permutation``
 built it before it composed the n basis indices and filled by doubling.
+``sample_solutions_full_sort`` picks the most probable states by a lexsort
+of all 2^n states, as ``variational.sample_solutions`` did before it sorted
+only the states at or above the k-th largest probability.
 """
 
 import math
@@ -296,6 +299,16 @@ def ladder_per_cnot(n: int) -> np.ndarray:
         control, target = op.targets
         perm ^= ((perm >> control) & 1) << target
     return perm
+
+
+def sample_solutions_full_sort(state: sv.Statevector, table: np.ndarray, top_k: int) -> list:
+    """``variational.sample_solutions`` by one lexsort of all 2^n states, by (-p, index)."""
+    from qfin import variational as vq
+
+    probs = sv.basis_probabilities(state)
+    order = np.lexsort((np.arange(probs.size), -probs))[:top_k]
+    return [(vq.bitstring_of(int(i), state.n_qubits), float(probs[i]), float(table[i]))
+            for i in order]
 
 
 # -- cross-validation with ``trainer(train_set) -> (predict_fn, train_accuracy)`` --

@@ -14,7 +14,8 @@ from qfin.simulator import (
     h,
     new_zero_state,
 )
-from oracles import energy_spread, ladder_per_cnot, per_call_compile_ansatz, stack_readout
+from oracles import (energy_spread, ladder_per_cnot, per_call_compile_ansatz,
+                     sample_solutions_full_sort, stack_readout)
 
 Z0 = IsingObservable(terms=(((0,), 1.0),))
 
@@ -164,6 +165,27 @@ def test_sample_solutions_sorted_descending():
     probabilities = [p for _, p, _ in top]
     assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sample_solutions_equal_the_full_sort_bytewise():
+    # only the states at or above the k-th largest probability are sorted; the
+    # kept states, their order and their bytes are those of a lexsort of all
+    # 2^n states, ties (uniform, repeated and zero probabilities) included
+    rng = np.random.default_rng(61)
+    for n in range(1, 11):
+        dim = 1 << n
+        table = rng.normal(size=dim)
+        random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        tied = rng.choice([0.0, 0.5, 1.0, 1j], size=dim)
+        sparse = np.zeros(dim, complex)
+        sparse[rng.choice(dim, size=max(1, dim // 5), replace=False)] = 1.0
+        for amps in (random / np.linalg.norm(random), np.full(dim, math.sqrt(1.0 / dim)),
+                     tied, sparse, new_zero_state(n).amplitudes):
+            state = Statevector(n, amps.astype(complex))
+            for top_k in sorted({1, 2, 3, 8, max(1, dim - 1), dim, dim + 5}):
+                got = vq.sample_solutions(state, table, top_k)
+                want = sample_solutions_full_sort(state, table, top_k)
+                assert repr(got) == repr(want), (n, top_k)
 
 
 def test_qaoa_depth_four_runs_on_portfolio():
@@ -459,6 +481,19 @@ def test_kron_groups_are_balanced_and_cover_the_layer():
             for q in range(low + 1, high):
                 want = np.kron(rotations[q], want)  # qubit q on top of those below it
             assert np.array_equal(matrix, want), (n, low, high)
+        # every qubit turning alike (QAOA's mixer): a broadcast layer's run shares
+        # one matrix, with the bytes of the one built from a materialised copy
+        turn = rng.normal(size=(3, 2, 1, 2, 2)) + 1j * rng.normal(size=(3, 2, 1, 2, 2))
+        layer = np.broadcast_to(turn, (3, 2, n, 2, 2))
+        shared, copied, steps = [], [], []
+        for rotations, matrices in ((layer, shared), (layer.copy(), copied)):
+            matrices += vq._group_matrices(rotations, runs, steps)
+        for step in steps:
+            step()
+        for got, want, (_, size, number) in zip(shared, copied, runs):
+            assert got.shape == want.shape == (3, 2, number, 1 << size, 1 << size)
+            for j in range(number):
+                assert got[:, :, j].tobytes() == want[:, :, j].tobytes(), (n, size, j)
 
 
 # -- stacks and start blocks of 1, 3 and 16 columns against the gate path and
@@ -623,13 +658,15 @@ def test_rows_equal_the_former_readout_bytewise(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("solver,method,n,states", [
-    ("vqe", "spsa", 16, 5.07), ("qaoa", "spsa", 16, 5.54), ("vqe", "nelder-mead", 16, 5.05),
-    ("vqe", "nelder-mead", 12, 10.45)])
+    ("vqe", "spsa", 16, 4.07), ("qaoa", "spsa", 16, 4.54), ("vqe", "nelder-mead", 16, 4.05),
+    ("vqe", "nelder-mead", 12, 9.35), ("vqe", "spsa", 20, 4.01), ("qaoa", "spsa", 20, 4.51)])
 def test_variational_runs_peak_within_their_pinned_states(solver, method, n, states):
     # a one-iteration depth-1 run, in complex 2^n states under tracemalloc.
     # The readout writes into a plan's spare buffer, so no call holds a copy
     # of its block or a probability block beside it; at 12 qubits a
-    # Nelder-Mead simplex runs 4 rows per chunk, whose copies took 12.06
+    # Nelder-Mead simplex runs 4 rows per chunk, whose copies took 12.06.
+    # sample_solutions sorts only the states at or above the k-th largest
+    # probability; sorting all 2^n took one more state
     import tracemalloc
 
     rng = np.random.default_rng(7)
@@ -691,6 +728,10 @@ def test_start_block_validation():
                                (row, start[:, 0])):
         with pytest.raises(ValueError):
             state_of(bad_row, start=bad_start)
+    # QAOA starts from the uniform superposition and takes no start block
+    qaoa = vq.qaoa_ansatz(2, 1, Z0)
+    with pytest.raises(ValueError):
+        vq.compile_ansatz(qaoa)(np.zeros(qaoa.parameter_count), start=start)
 
 
 def test_qaoa_tables_stay_within_the_block_bound():
