@@ -44,6 +44,16 @@ class MboProblem:
     Constraints: Gx = b (equality), g(x) <= 0 and l(x, u) <= 0 as linear rows,
     and the consensus structure A0 x + A1 u - y ~ 0 exploited by the solver.
     phi(u) = 0.5 u' P u + r' u.
+
+    Every array's shape is checked here, so the blocks use each as it is. With
+    n binaries, l continuous variables and d consensus rows (the lengths of
+    ``q_linear`` and ``phi_linear`` and the rows of ``a0``), and e, i and j
+    equality, inequality and joint rows (the rows of ``eq_matrix``,
+    ``ineq_matrix`` and ``joint_x``), any of them 0: ``q_quadratic`` (n, n),
+    ``q_linear`` (n,), ``eq_matrix`` (e, n), ``eq_rhs`` (e,), ``ineq_matrix``
+    (i, n), ``ineq_rhs`` (i,), ``phi_quadratic`` (l, l), ``phi_linear``,
+    ``u_lower`` and ``u_upper`` (l,), ``joint_x`` (j, n), ``joint_u`` (j, l),
+    ``joint_rhs`` (j,), ``a0`` (d, n) and ``a1`` (d, l).
     """
 
     q_quadratic: np.ndarray
@@ -64,21 +74,17 @@ class MboProblem:
 
     def __post_init__(self):
         n, l = self.n_binary, self.n_continuous
-        checks = [
-            (self.q_quadratic.shape, (n, n), "q_quadratic"),
-            (self.eq_matrix.shape[1:], (n,), "eq_matrix") if self.eq_matrix.size else None,
-            (self.ineq_matrix.shape[1:], (n,), "ineq_matrix") if self.ineq_matrix.size else None,
-            (self.phi_quadratic.shape, (l, l), "phi_quadratic"),
-            (self.a0.shape, (self.n_consensus, n), "a0"),
-            (self.a1.shape, (self.n_consensus, l), "a1"),
-        ]
-        for item in checks:
-            if item and item[0] != item[1]:
-                raise ValueError(f"inconsistent dimensions for {item[2]}")
-        for name in ("q_quadratic", "q_linear", "eq_matrix", "eq_rhs", "ineq_matrix",
-                     "ineq_rhs", "phi_quadratic", "phi_linear", "joint_x", "joint_u",
-                     "joint_rhs", "a0", "a1"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        eq, ineq, joint, d = (m.shape[:1] for m in (self.eq_matrix, self.ineq_matrix,
+                                                   self.joint_x, self.a0))
+        shapes = dict(q_quadratic=(n, n), q_linear=(n,), eq_matrix=eq + (n,), eq_rhs=eq,
+                      ineq_matrix=ineq + (n,), ineq_rhs=ineq, phi_quadratic=(l, l),
+                      phi_linear=(l,), u_lower=(l,), u_upper=(l,), joint_x=joint + (n,),
+                      joint_u=joint + (l,), joint_rhs=joint, a0=d + (n,), a1=d + (l,))
+        for name, shape in shapes.items():
+            array = getattr(self, name)
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, not {array.shape}")
+            if name not in ("u_lower", "u_upper") and not np.all(np.isfinite(array)):
                 raise ValueError(f"{name} must be finite")
         if not (np.all(self.u_lower < math.inf) and np.all(self.u_upper > -math.inf)):
             raise ValueError("u_lower must be below +inf and u_upper above -inf, neither NaN")
@@ -101,8 +107,6 @@ class MboProblem:
         return float(x @ self.q_quadratic @ x + self.q_linear @ x)
 
     def continuous_objective(self, u: np.ndarray) -> float:
-        if u.size == 0:
-            return 0.0
         return float(0.5 * u @ self.phi_quadratic @ u + self.phi_linear @ u)
 
 
@@ -155,19 +159,12 @@ class AdmmResult:
 
 def block1_fixed(problem: MboProblem, config: AdmmConfig) -> qb.Qubo:
     """Block 1 without its terms in x_bar, y and lam: the part no iterate changes."""
-    n = problem.n_binary
-    quadratic = problem.q_quadratic.copy()
-    linear = problem.q_linear.copy()
-    constant = 0.0
-    if problem.eq_matrix.size:
-        g_mat, b_vec = problem.eq_matrix, problem.eq_rhs
-        quadratic = quadratic + 0.5 * config.c * (g_mat.T @ g_mat)
-        linear = linear - config.c * (g_mat.T @ b_vec)
-        constant += 0.5 * config.c * float(b_vec @ b_vec)
-    if problem.n_consensus:
-        quadratic = quadratic + 0.5 * config.rho * (problem.a0.T @ problem.a0)
-    return qb.Qubo(n=n, quadratic=0.5 * (quadratic + quadratic.T), linear=linear,
-                   constant=constant)
+    g_mat, b_vec, a0 = problem.eq_matrix, problem.eq_rhs, problem.a0
+    quadratic = (problem.q_quadratic + 0.5 * config.c * (g_mat.T @ g_mat)
+                 + 0.5 * config.rho * (a0.T @ a0))
+    return qb.Qubo(n=problem.n_binary, quadratic=0.5 * (quadratic + quadratic.T),
+                   linear=problem.q_linear - config.c * (g_mat.T @ b_vec),
+                   constant=0.5 * config.c * float(b_vec @ b_vec))
 
 
 def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
@@ -177,9 +174,7 @@ def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
     Expands q(x) + (c/2)||Gx - b||^2 + lam'A0 x + (rho/2)||A0 x + A1 xbar - y||^2;
     ``fixed`` is ``block1_fixed(problem, config)``.
     """
-    if not problem.n_consensus:
-        return fixed
-    drift = problem.a1 @ x_bar - y if problem.n_continuous else -y
+    drift = problem.a1 @ x_bar - y
     linear = fixed.linear + problem.a0.T @ lam + config.rho * (problem.a0.T @ drift)
     constant = fixed.constant + 0.5 * config.rho * float(drift @ drift)
     return qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear, constant=constant)
@@ -191,7 +186,7 @@ def _project_box(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndar
 
 def _project_feasible(u, lower, upper, halfspace_a, halfspace_b):
     """Dykstra alternating projection onto the box intersected with halfspaces."""
-    if halfspace_a.size == 0:
+    if halfspace_a.size == 0:  # the box alone projects exactly, where sweeps would repeat it
         return _project_box(u, lower, upper)
     rows = [(halfspace_a[i], float(halfspace_b[i])) for i in range(halfspace_a.shape[0])]
     corrections = [np.zeros_like(u) for _ in range(len(rows) + 1)]
@@ -232,25 +227,19 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
     stationarity measured by the projected-gradient mapping. ``curvature``
     is ``block2_curvature(problem, config)``.
     """
-    l = problem.n_continuous
-    if l == 0:
-        return np.zeros(0)
-    rho = config.rho
     hess, step = curvature
     offset = problem.a0 @ x - y
-    grad0 = problem.phi_linear + problem.a1.T @ lam + rho * (problem.a1.T @ offset)
-
-    if problem.joint_u.size:
-        half_a = problem.joint_u
-        half_b = problem.joint_rhs - problem.joint_x @ x
-    else:
-        half_a = np.zeros((0, l))
-        half_b = np.zeros(0)
+    grad0 = problem.phi_linear + problem.a1.T @ lam + config.rho * (problem.a1.T @ offset)
+    half_a = problem.joint_u
+    half_b = problem.joint_rhs - problem.joint_x @ x
 
     def project(u):
         return _project_feasible(u, problem.u_lower, problem.u_upper, half_a, half_b)
 
-    u = project(np.clip(np.zeros(l), problem.u_lower, problem.u_upper))
+    u = project(np.clip(np.zeros(problem.n_continuous), problem.u_lower, problem.u_upper))
+    # Skipped when joint_u is empty. Without joint rows the test is an empty sum,
+    # a few microseconds per iteration; without continuous variables the rows
+    # bind x alone, which block 2 cannot repair and merit prices.
     if half_a.size and np.any(half_a @ u - half_b > 1e-6):
         raise InfeasibleContinuousBlock("joint constraints admit no continuous point")
 
@@ -277,28 +266,22 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
 def block3_y(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
              lam: np.ndarray, config: AdmmConfig) -> np.ndarray:
     """Closed-form auxiliary update y = (lam + rho (A0 x + A1 xbar)) / (beta + rho)."""
-    if problem.n_consensus == 0:
-        return np.zeros(0)
-    consensus = problem.a0 @ x + (problem.a1 @ x_bar if problem.n_continuous else 0.0)
-    return (lam + config.rho * consensus) / (config.beta + config.rho)
+    return (lam + config.rho * (problem.a0 @ x + problem.a1 @ x_bar)) / (config.beta + config.rho)
 
 
 def dual_update(problem: MboProblem, x, x_bar, y, lam, config: AdmmConfig) -> np.ndarray:
-    consensus = problem.a0 @ x + (problem.a1 @ x_bar if problem.n_continuous else 0.0)
-    return lam + config.rho * (consensus - y)
+    return lam + config.rho * (problem.a0 @ x + problem.a1 @ x_bar - y)
 
 
 def merit(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
           merit_weight: float) -> float:
     """Objective plus weighted rowwise positive-part constraint violations."""
     value = problem.binary_objective(x) + problem.continuous_objective(x_bar)
-    violation = 0.0
-    if problem.ineq_matrix.size:
-        violation += float(np.maximum(problem.ineq_matrix @ x - problem.ineq_rhs, 0.0).sum())
-    if problem.joint_x.size or problem.joint_u.size:
-        rows = problem.joint_x @ x
-        if problem.n_continuous:
-            rows = rows + problem.joint_u @ x_bar
+    violation = float(np.maximum(problem.ineq_matrix @ x - problem.ineq_rhs, 0.0).sum())
+    # Skipped without joint rows only for speed: the empty sum would add 0.0 and
+    # cost a few microseconds per iteration.
+    if problem.joint_rhs.size:
+        rows = problem.joint_x @ x + problem.joint_u @ x_bar
         violation += float(np.maximum(rows - problem.joint_rhs, 0.0).sum())
     return value + merit_weight * violation
 
@@ -327,12 +310,10 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     fixed part and block 2's Hessian and first step are computed once per
     run too.
     """
-    n, l, d = problem.n_binary, problem.n_continuous, problem.n_consensus
+    d = problem.n_consensus
     mu = resolve_merit_weight(problem)
-    x = np.zeros(n)
     x_bar = np.where(np.isfinite(problem.u_upper), problem.u_upper,
-                     np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0)) \
-        if l else np.zeros(0)
+                     np.where(np.isfinite(problem.u_lower), problem.u_lower, 0.0))
     y = np.zeros(d)
     lam = np.zeros(d)
     trace: list[AdmmIterate] = []
@@ -354,7 +335,7 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
         previous_x_bar, previous_y = x_bar, y
         x_bar = block2_convex(problem, x, y, lam, config, curvature)
         y = block3_y(problem, x, x_bar, lam, config)
-        residual = problem.a0 @ x + (problem.a1 @ x_bar if l else 0.0) - y
+        residual = problem.a0 @ x + problem.a1 @ x_bar - y
         gradient = config.beta * y - lam - config.rho * residual
         lam = dual_update(problem, x, x_bar, y, lam, config)
         trace.append(AdmmIterate(

@@ -294,7 +294,7 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
     rng = np.random.default_rng(seed)
     config = ModelConfig(n_qubits=SEPARABLE_FEATURES)
     no_categorical = np.zeros((n_records, 0), dtype=int)
-    separate, signs = _separator(config), parity_signs(config.n_qubits)
+    decide = _decider(config)
     for attempt in range(500 * REFERENCE_DRAWS):
         if attempt % 500 == 0:  # a reference model, and points to label by it
             theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
@@ -302,9 +302,7 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
         else:
             points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), SEPARABLE_FEATURES))
         scaler = fit_scaler(points)
-        reference = _assemble_model(config, theta_star, bias=0.0, scaler=scaler)
-        block = _encoded_block(config, scaler, points, no_categorical)
-        values = _separated_decisions(reference, block, separate, signs)
+        values = decide(theta_star, 0.0, _encoded_block(config, scaler, points, no_categorical))
         weak = np.abs(values) < margin
         if not weak.any():
             break
@@ -390,12 +388,6 @@ class VqcModel:
     scaler_high: np.ndarray
 
 
-def _assemble_model(config: ModelConfig, theta, bias, scaler) -> VqcModel:
-    return VqcModel(config=config, theta=np.asarray(theta, dtype=float),
-                    bias=float(bias), scaler_low=np.asarray(scaler[0], dtype=float),
-                    scaler_high=np.asarray(scaler[1], dtype=float))
-
-
 def fit_scaler(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min-max bounds mapping each column onto [0, 2 pi]."""
     if values.size == 0:
@@ -446,16 +438,12 @@ def _encoding_ops(config: ModelConfig, scaler, continuous, categorical) -> list[
     return ops
 
 
-def _separator_ops(model: VqcModel) -> list[GateOp]:
-    separator = rxry_ansatz(model.config.n_qubits, model.config.separator_layers)
-    return ansatz_ops(separator, model.theta)
-
-
 def model_state(model: VqcModel, continuous, categorical=()) -> Statevector:
     """Feature-map + QRAC preparation followed by the separator."""
     scaler = (model.scaler_low, model.scaler_high)
     ops = _encoding_ops(model.config, scaler, continuous, categorical)
-    ops.extend(_separator_ops(model))
+    ops.extend(ansatz_ops(rxry_ansatz(model.config.n_qubits, model.config.separator_layers),
+                          model.theta))
     return apply_ops(new_zero_state(model.config.n_qubits), ops)
 
 
@@ -497,31 +485,28 @@ def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.n
     return np.pad(block, ((0, (1 << config.n_qubits) - len(block)), (0, 0)))
 
 
-def _separator(config: ModelConfig):
-    """The separator of ``config`` compiled once: ``(theta, start=block) -> block``."""
-    return compile_ansatz(rxry_ansatz(config.n_qubits, config.separator_layers))
+def _decider(config: ModelConfig):
+    """``(theta, bias, block) -> values``: the decision values of ``block``'s columns.
 
-
-def _separated_decisions(model: VqcModel, block: np.ndarray, separate,
-                         signs: np.ndarray) -> np.ndarray:
-    """Run the separator over every column of ``block`` at once, then read each out.
-
-    ``separate`` is ``_separator(model.config)``, whose compiled layers
-    rotate every column with ``model.theta``'s angles, each qubit's RX and
-    RY as one rotation, where ``decision``'s gates apply them in turn. The
-    parity readout of all records is one ``signs @ probs`` product, with
-    ``signs`` the run's ``parity_signs(n_qubits)``.
+    The separator of ``config`` is compiled once, here. Its layers rotate
+    every column of ``block`` at once with ``theta``'s angles, each qubit's
+    RX and RY as one rotation, where ``decision``'s gates apply them in
+    turn. The parity readout of all records is then one ``signs @ probs``
+    product, plus ``bias``.
     """
-    state = separate(model.theta, start=block)
-    return signs @ np.abs(state) ** 2 + model.bias
+    separate = compile_ansatz(rxry_ansatz(config.n_qubits, config.separator_layers))
+    signs = parity_signs(config.n_qubits)
+
+    def decide(theta, bias, block):
+        return signs @ np.abs(separate(theta, start=block)) ** 2 + bias
+    return decide
 
 
 def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
     """f(x) of every record, with the separator applied to all records in one pass."""
     scaler = (model.scaler_low, model.scaler_high)
     block = _encoded_block(model.config, scaler, dataset.continuous, dataset.categorical)
-    return _separated_decisions(model, block, _separator(model.config),
-                                parity_signs(model.config.n_qubits))
+    return _decider(model.config)(model.theta, model.bias, block)
 
 
 def _labels(values: np.ndarray) -> np.ndarray:
@@ -586,23 +571,19 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     scaler = fit_scaler(_map_block(config, dataset.continuous, dataset.categorical)[0])
     n_params = separator_parameter_count(config)
     encoded = _encoded_block(config, scaler, dataset.continuous, dataset.categorical)
-    separate, signs = _separator(config), parity_signs(config.n_qubits)
-
-    def build(params):
-        return _assemble_model(config, params[:n_params], params[n_params], scaler)
-
-    def decide(model):
-        return _separated_decisions(model, encoded, separate, signs)
+    decide = _decider(config)
 
     def objective(params):
-        return _risk_of_values(decide(build(params)), dataset.labels, form)
+        values = decide(params[:n_params], params[n_params], encoded)
+        return _risk_of_values(values, dataset.labels, form)
 
     def initial(rng):
         return np.concatenate([rng.uniform(-math.pi, math.pi, size=n_params), [0.0]])
 
     best = minimize_restarts(objective, initial, optimizer)
-    model = build(best.x)
-    return model, best.trace, _accuracy_of_values(decide(model), dataset.labels)
+    model = VqcModel(config, best.x[:n_params], float(best.x[n_params]), *scaler)
+    values = decide(model.theta, model.bias, encoded)
+    return model, best.trace, _accuracy_of_values(values, dataset.labels)
 
 
 def vqc_fit(config: ModelConfig, optimizer: OptimizerConfig, form: str):

@@ -338,48 +338,36 @@ def build_diversification_qubo(spec: DiversificationSpec) -> Qubo:
     """
     n = spec.n
     n_vars = diversification_variable_count(n)
-    rho = spec.rho
     weight = spec.penalty if spec.penalty is not None else _auto_penalty(
-        np.zeros((1, 1)), rho.flatten())
+        np.zeros((1, 1)), spec.rho.flatten())
 
-    def xi(i: int, j: int) -> int:
-        return i * n + j
-
-    def yi(j: int) -> int:
-        return n * n + j
+    rows = np.arange(n)
+    x_of = rows[:, None] * n + rows  # index of x_ij at [i, j]
+    y_of = n * n + rows
 
     linear = np.zeros(n_vars)
-    for i in range(n):
-        for j in range(n):
-            linear[xi(i, j)] -= rho[i, j]
+    linear[x_of] -= spec.rho
     base = Qubo(n=n_vars, quadratic=np.zeros((n_vars, n_vars)), linear=linear)
 
     budget_row = np.zeros((1, n_vars))
-    for j in range(n):
-        budget_row[0, yi(j)] = 1.0
+    budget_row[0, y_of] = 1.0
     base = fold_equality(base, budget_row, np.array([float(spec.q_clusters)]), weight)
 
     assign_rows = np.zeros((n, n_vars))
-    for i in range(n):
-        for j in range(n):
-            assign_rows[i, xi(i, j)] = 1.0
+    assign_rows[rows[:, None], x_of] = 1.0
     base = fold_equality(base, assign_rows, np.ones(n), weight)
 
     diag_rows = np.zeros((n, n_vars))
-    for j in range(n):
-        diag_rows[j, xi(j, j)] = 1.0
-        diag_rows[j, yi(j)] = -1.0
+    diag_rows[rows, x_of[rows, rows]] = 1.0
+    diag_rows[rows, y_of] = -1.0
     base = fold_equality(base, diag_rows, np.zeros(n), weight)
 
-    # x_ij (1 - y_j): linear on x_ij minus the product coupling
-    quadratic = base.quadratic.copy()
-    linear = base.linear.copy()
-    for i in range(n):
-        for j in range(n):
-            linear[xi(i, j)] += weight
-            quadratic[xi(i, j), yi(j)] -= 0.5 * weight
-            quadratic[yi(j), xi(i, j)] -= 0.5 * weight
-    return Qubo(n=n_vars, quadratic=quadratic, linear=linear, constant=base.constant)
+    # x_ij (1 - y_j): linear on x_ij minus the product coupling, in the arrays
+    # the last fold made
+    base.linear[x_of] += weight
+    base.quadratic[x_of, y_of] -= 0.5 * weight
+    base.quadratic[y_of, x_of] -= 0.5 * weight
+    return Qubo(n=n_vars, quadratic=base.quadratic, linear=base.linear, constant=base.constant)
 
 
 @dataclass(frozen=True)

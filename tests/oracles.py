@@ -24,6 +24,9 @@ built it before it composed the n basis indices and filled by doubling.
 ``sample_solutions_full_sort`` picks the most probable states by a lexsort
 of all 2^n states, as ``variational.sample_solutions`` did before it sorted
 only the states at or above the k-th largest probability.
+``diversification_qubo_loop`` writes the diversification QUBO's entries one
+variable at a time, as ``qubo.build_diversification_qubo`` did before it
+wrote them through index arrays.
 """
 
 import math
@@ -41,6 +44,53 @@ def energy_spread(qubo: qb.Qubo) -> float:
     """max - min energy over all assignments; a sufficient penalty scale."""
     energies = qb.all_energies(qubo)
     return float(energies.max() - energies.min())
+
+
+def diversification_qubo_loop(spec: qb.DiversificationSpec) -> qb.Qubo:
+    """``qb.build_diversification_qubo`` with each entry written in a Python loop."""
+    n = spec.n
+    n_vars = qb.diversification_variable_count(n)
+    rho = spec.rho
+    weight = spec.penalty if spec.penalty is not None else qb._auto_penalty(
+        np.zeros((1, 1)), rho.flatten())
+
+    def xi(i: int, j: int) -> int:
+        return i * n + j
+
+    def yi(j: int) -> int:
+        return n * n + j
+
+    linear = np.zeros(n_vars)
+    for i in range(n):
+        for j in range(n):
+            linear[xi(i, j)] -= rho[i, j]
+    base = qb.Qubo(n=n_vars, quadratic=np.zeros((n_vars, n_vars)), linear=linear)
+
+    budget_row = np.zeros((1, n_vars))
+    for j in range(n):
+        budget_row[0, yi(j)] = 1.0
+    base = qb.fold_equality(base, budget_row, np.array([float(spec.q_clusters)]), weight)
+
+    assign_rows = np.zeros((n, n_vars))
+    for i in range(n):
+        for j in range(n):
+            assign_rows[i, xi(i, j)] = 1.0
+    base = qb.fold_equality(base, assign_rows, np.ones(n), weight)
+
+    diag_rows = np.zeros((n, n_vars))
+    for j in range(n):
+        diag_rows[j, xi(j, j)] = 1.0
+        diag_rows[j, yi(j)] = -1.0
+    base = qb.fold_equality(base, diag_rows, np.zeros(n), weight)
+
+    quadratic = base.quadratic.copy()
+    linear = base.linear.copy()
+    for i in range(n):
+        for j in range(n):
+            linear[xi(i, j)] += weight
+            quadratic[xi(i, j), yi(j)] -= 0.5 * weight
+            quadratic[yi(j), xi(i, j)] -= 0.5 * weight
+    return qb.Qubo(n=n_vars, quadratic=quadratic, linear=linear, constant=base.constant)
 
 
 def pure_binary_problem(quadratic, linear) -> admm.MboProblem:

@@ -598,3 +598,84 @@ def test_mbo_problem_accepts_an_unbounded_box():
     fields = _mbo_fields()
     fields.update(u_lower=np.array([-np.inf]), u_upper=np.array([np.inf]))
     admm.MboProblem(**fields)
+
+
+# one array at a time given a shape that does not fit the rest of _mbo_fields'
+# problem (n = 2, l = 1 and one row of each kind)
+WRONG_SHAPES = [
+    ("q_quadratic", np.eye(3)), ("q_linear", np.ones((2, 1))),
+    ("eq_matrix", np.ones((1, 3))), ("eq_rhs", np.ones(2)),
+    ("ineq_matrix", np.ones((1, 1))), ("ineq_rhs", np.ones(())),
+    ("phi_quadratic", np.eye(2)), ("phi_linear", np.ones((1, 1))),
+    ("u_lower", np.zeros(2)), ("u_upper", np.ones(0)),
+    ("joint_x", np.ones((1, 3))), ("joint_u", np.ones((1, 2))), ("joint_rhs", np.ones(2)),
+    ("a0", np.ones((1, 1))), ("a1", -np.eye(2)),
+]
+
+
+@pytest.mark.parametrize("name,bad", WRONG_SHAPES, ids=[name for name, _ in WRONG_SHAPES])
+def test_mbo_problem_rejects_a_wrong_shape(name, bad):
+    fields = _mbo_fields()
+    assert set(fields) == {name for name, _ in WRONG_SHAPES}
+    fields[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must have shape"):
+        admm.MboProblem(**fields)
+
+
+@pytest.mark.parametrize("name", ["eq_matrix", "ineq_matrix", "joint_x", "joint_u", "a0", "a1"])
+def test_mbo_problem_rejects_a_wrong_width_with_no_rows(name):
+    fields = dict(_mbo_fields(), eq_matrix=np.zeros((0, 2)), eq_rhs=np.zeros(0),
+                  ineq_matrix=np.zeros((0, 2)), ineq_rhs=np.zeros(0),
+                  joint_x=np.zeros((0, 2)), joint_u=np.zeros((0, 1)), joint_rhs=np.zeros(0),
+                  a0=np.zeros((0, 2)), a1=np.zeros((0, 1)))
+    admm.MboProblem(**fields)
+    fields[name] = np.zeros((0, fields[name].shape[1] + 1))
+    with pytest.raises(ValueError, match=f"^{name} must have shape"):
+        admm.MboProblem(**fields)
+
+
+def test_mbo_problem_refuses_misfits_that_numpy_would_broadcast_or_skip():
+    # a one-entry u_lower under two continuous variables broadcasts in run
+    two = admm.build_auction([((1, 0), 3.0), ((0, 1), 2.0)], (2.0, 2.0))
+    with pytest.raises(ValueError, match="^u_lower"):
+        dataclasses.replace(two, u_lower=np.zeros(1))
+    # empty joint rows of the wrong width on a three-bid auction touch no arithmetic
+    problem = small_problem()
+    with pytest.raises(ValueError, match="^joint_x"):
+        dataclasses.replace(problem, joint_x=np.zeros((0, 7)), joint_u=np.zeros((0, 9)))
+    with pytest.raises(ValueError, match="^joint_u"):
+        dataclasses.replace(problem, joint_u=np.zeros((0, 9)))
+    # one right-hand side under two equality rows would fail only inside run
+    with pytest.raises(ValueError, match="^eq_rhs"):
+        dataclasses.replace(problem, eq_matrix=np.ones((2, 3)), eq_rhs=np.ones(1))
+
+
+def test_run_with_consensus_rows_and_no_continuous_variables():
+    """a1 is (d, 0): x_bar stays empty, and y and lam follow A0 x alone."""
+    rng = np.random.default_rng(31)
+    n, d = 8, 3
+    m = rng.normal(size=(n, n))
+    problem = dataclasses.replace(
+        pure_binary_problem((m + m.T) / 2, rng.normal(size=n)),
+        a0=rng.uniform(-1.0, 1.0, size=(d, n)), a1=np.zeros((d, 0)))
+    config = admm.AdmmConfig(rho=2.0, beta=1.5, max_iterations=20)
+    result = admm.run(problem, config)
+    assert len(result.trace) > 1
+    assert_same_trace(result, reference_run(problem, config))
+    a0, rho = problem.a0, config.rho
+    y = lam = np.zeros(d)
+    for it in result.trace:
+        # block 1 by its formula, with A1 xbar gone from the drift
+        quadratic = problem.q_quadratic + 0.5 * rho * (a0.T @ a0)
+        block = qb.Qubo(n=n, quadratic=quadratic,
+                        linear=problem.q_linear + a0.T @ lam - rho * (a0.T @ y),
+                        constant=0.5 * rho * float(y @ y))
+        assert np.array_equal(it.x, qb.brute_force(block)[0])
+        y = (lam + rho * (a0 @ it.x)) / (config.beta + rho)
+        lam = lam + rho * (a0 @ it.x - y)
+        assert it.x_bar.shape == (0,)
+        assert np.allclose(it.y, y, rtol=0.0, atol=1e-12)
+        assert np.allclose(it.lam, lam, rtol=0.0, atol=1e-12)
+        assert it.residual_norm == pytest.approx(np.linalg.norm(a0 @ it.x - y), abs=1e-12)
+        assert it.merit == problem.binary_objective(it.x)
+    assert result.merit == min(it.merit for it in result.trace)

@@ -485,7 +485,7 @@ def test_batched_decisions_equal_per_record_bitwise(encoder, layers):
         theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(config))
         values, _ = clf._map_block(config, dataset.continuous, dataset.categorical)
         scaler = clf.fit_scaler(values)
-        model = clf._assemble_model(config, theta, rng.normal(), scaler)
+        model = clf.VqcModel(config, theta, rng.normal(), *scaler)
         assert np.abs(clf.decisions(model, dataset)
                       - _per_record_decisions(model, dataset)).max() <= AGREEMENT
 
@@ -535,7 +535,7 @@ def _per_record_train(dataset, config, optimizer, form, evaluated=None):
     n_params = clf.separator_parameter_count(config)
 
     def build(params):
-        return clf._assemble_model(config, params[:n_params], params[n_params], scaler)
+        return clf.VqcModel(config, params[:n_params], float(params[n_params]), *scaler)
 
     def objective(params):
         values = _per_record_decisions(build(params), dataset)
@@ -593,8 +593,7 @@ def _per_record_separable(n_records, seed, n_features=2, margin=0.1):
         theta_star = rng.uniform(-math.pi, math.pi, size=clf.separator_parameter_count(config))
         points = rng.uniform(0.0, 2 * math.pi, size=(n_records, n_features))
         for tries in range(1, 501):
-            reference = clf._assemble_model(config, theta_star, bias=0.0,
-                                            scaler=clf.fit_scaler(points))
+            reference = clf.VqcModel(config, theta_star, 0.0, *clf.fit_scaler(points))
             values = np.array([clf.decision(reference, x) for x in points])
             weak = np.abs(values) < margin
             if not weak.any() or tries == 500:
@@ -631,13 +630,13 @@ def test_synthesize_separable_redraws_a_reference_that_cannot_clear_the_margin()
 def test_synthesize_separable_compiles_the_separator_once(monkeypatch):
     # seed 43 makes over 500 draws under two reference models
     compiled = []
-    separator = clf._separator
+    decider = clf._decider
 
     def counting(config):
         compiled.append(config)
-        return separator(config)
+        return decider(config)
 
-    monkeypatch.setattr(clf, "_separator", counting)
+    monkeypatch.setattr(clf, "_decider", counting)
     clf.synthesize_separable(8, 43, margin=0.3)
     assert len(compiled) == 1
     clf.synthesize_separable(40, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfin import qubo as qb
-from oracles import energy_spread
+from oracles import diversification_qubo_loop, energy_spread
 
 
 def random_qubo(n, seed, scale=1.0):
@@ -280,6 +280,23 @@ def test_diversification_penalty_separates_feasible_energy():
         similarity = float((rho * x_mat).sum())
         want = -similarity + weight * float(penalty)
         assert qb.energy(qubo, bits) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_diversification_qubo_equals_the_loop_builder_bitwise(seed):
+    """Each entry written through the index arrays is the one the loops wrote."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 8):
+        m = rng.uniform(-1.0, 1.0, size=(n, n))
+        rho = (m + m.T) / 2
+        np.fill_diagonal(rho, 1.0)
+        for penalty in (None, float(rng.uniform(0.1, 40.0))):
+            spec = qb.DiversificationSpec(rho=rho, q_clusters=int(rng.integers(1, n + 1)),
+                                          penalty=penalty)
+            got, want = qb.build_diversification_qubo(spec), diversification_qubo_loop(spec)
+            assert got.quadratic.tobytes() == want.quadratic.tobytes()
+            assert got.linear.tobytes() == want.linear.tobytes()
+            assert repr(got.constant) == repr(want.constant)
 
 
 def test_diversification_decode_all_zero_is_infeasible():

@@ -1,6 +1,6 @@
 """Time two checkouts' ``qfin`` in one process, their passes interleaved.
 
-    python tools/abtime.py BASE CHANGE [--workload statevector] [--seed 11] [--passes 20]
+    python tools/abtime.py BASE CHANGE [--workload statevector] [--seed 11] [--passes 100]
 
 BASE and CHANGE are checkout directories. Each one's ``src/qfin`` is copied
 into a temporary directory as a package of its own (``qfin_base``,
@@ -162,7 +162,7 @@ def parse_args(argv):
     parser.add_argument("change", type=Path, help="checkout directory of the change side")
     parser.add_argument("--workload", default="statevector")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--passes", type=int, default=20, help="pairs of timed passes")
+    parser.add_argument("--passes", type=int, default=100, help="pairs of timed passes")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
