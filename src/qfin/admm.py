@@ -168,16 +168,28 @@ def block1_fixed(problem: MboProblem, config: AdmmConfig) -> qb.Qubo:
 
 
 def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
-                lam: np.ndarray, config: AdmmConfig, fixed: qb.Qubo) -> qb.Qubo:
-    """QUBO for the binary update with the other blocks frozen.
+                lam: np.ndarray, config: AdmmConfig,
+                fixed: qb.Qubo) -> tuple[np.ndarray, float]:
+    """Linear term and constant of the binary update's QUBO, the other blocks frozen.
 
     Expands q(x) + (c/2)||Gx - b||^2 + lam'A0 x + (rho/2)||A0 x + A1 xbar - y||^2;
-    ``fixed`` is ``block1_fixed(problem, config)``.
+    ``fixed`` is ``block1_fixed(problem, config)``, whose quadratic matrix,
+    checked there, is the QUBO's. A non-finite term raises ``ValueError``
+    as ``qb.Qubo`` would.
     """
     drift = problem.a1 @ x_bar - y
     linear = fixed.linear + problem.a0.T @ lam + config.rho * (problem.a0.T @ drift)
     constant = fixed.constant + 0.5 * config.rho * float(drift @ drift)
-    return qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear, constant=constant)
+    if not np.isfinite(linear).all():
+        raise ValueError("linear must be finite")
+    if not math.isfinite(constant):
+        raise ValueError("constant must be finite")
+    return linear, constant
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a contiguous 1-D float vector, sqrt(v . v), without its dispatch."""
+    return math.sqrt(v @ v)
 
 
 def _project_box(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -248,15 +260,18 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
 
     for _ in range(BLOCK2_MAX_STEPS):
         grad = hess @ u + grad0
+        start = value(u)
         candidate = project(u - step * grad)
-        # backtracking on the projected step
+        moved = candidate - u
+        # backtracking on the projected step; ``squared`` is that of the final candidate
         shrink = 0
-        while value(candidate) > value(u) + grad @ (candidate - u) \
-                + 0.5 / step * float((candidate - u) @ (candidate - u)) + 1e-15 and shrink < 60:
+        while value(candidate) > start + grad @ moved \
+                + 0.5 / step * (squared := float(moved @ moved)) + 1e-15 and shrink < 60:
             step *= 0.5
             shrink += 1
             candidate = project(u - step * grad)
-        mapping_norm = np.linalg.norm(candidate - u) / step
+            moved = candidate - u
+        mapping_norm = math.sqrt(squared) / step
         u = candidate
         if mapping_norm <= BLOCK2_TOLERANCE:
             break
@@ -269,8 +284,9 @@ def block3_y(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
     return (lam + config.rho * (problem.a0 @ x + problem.a1 @ x_bar)) / (config.beta + config.rho)
 
 
-def dual_update(problem: MboProblem, x, x_bar, y, lam, config: AdmmConfig) -> np.ndarray:
-    return lam + config.rho * (problem.a0 @ x + problem.a1 @ x_bar - y)
+def dual_update(lam: np.ndarray, residual: np.ndarray, config: AdmmConfig) -> np.ndarray:
+    """lam + rho r for the consensus residual r = A0 x + A1 xbar - y."""
+    return lam + config.rho * residual
 
 
 def merit(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
@@ -303,12 +319,16 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     VQE and QAOA draw a new SPSA seed per iteration, so for them the same
     stop ends a run that a later iteration might still have changed.
 
-    Block 1's quadratic matrix does not depend on x_bar, y or lam, so with the
-    brute-force solver x'Qx is enumerated once per run and each iteration only
-    adds the subset sums of its linear term and its constant (the same
-    energies as ``qb.brute_force`` on each block, bit for bit). Block 1's
-    fixed part and block 2's Hessian and first step are computed once per
-    run too.
+    Block 1's quadratic matrix does not depend on x_bar, y or lam: it is
+    checked once, in ``block1_fixed``, and each iteration forms only its
+    linear term and constant (``block1_qubo``), which the VQE and QAOA
+    solvers wrap in a ``qb.Qubo``. With the brute-force solver x'Qx is
+    enumerated once per run, and each iteration writes the subset sums of
+    its linear term into the enumeration's held buffer and adds x'Qx and
+    the constant there (the same energies as ``qb.brute_force`` on each
+    block, bit for bit). Block 2's Hessian and first step are computed once
+    per run too, and the residual the trace records is the one the dual
+    update adds.
     """
     d = problem.n_consensus
     mu = resolve_merit_weight(problem)
@@ -323,11 +343,13 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
                    if config.qubo_solver == "brute-force" else None)
 
     for k in range(1, config.max_iterations + 1):
-        block = block1_qubo(problem, x_bar, y, lam, config, fixed)
+        linear, constant = block1_qubo(problem, x_bar, y, lam, config, fixed)
         if enumeration is not None:
-            x = enumeration.minimize(block.linear, block.constant)[0].astype(float)
+            x = enumeration.minimize(linear, constant)[0].astype(float)
         else:
             # Block 1 by VQE or QAOA; brute force is served by the enumeration above
+            block = qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear,
+                            constant=constant)
             opt = OptimizerConfig(method="spsa", iterations=VQE_ITERATIONS,
                                   seed=config.seed * 100003 + k)
             depth = 3 if config.qubo_solver == "vqe" else QAOA_DEPTH
@@ -337,16 +359,16 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
         y = block3_y(problem, x, x_bar, lam, config)
         residual = problem.a0 @ x + problem.a1 @ x_bar - y
         gradient = config.beta * y - lam - config.rho * residual
-        lam = dual_update(problem, x, x_bar, y, lam, config)
+        lam = dual_update(lam, residual, config)
+        # every array here is fresh from its block, so the trace holds them uncopied
         trace.append(AdmmIterate(
-            k=k, x=x.copy(), x_bar=x_bar.copy(), y=y.copy(), lam=lam.copy(),
-            residual_norm=float(np.linalg.norm(residual)),
+            k=k, x=x, x_bar=x_bar, y=y, lam=lam,
+            residual_norm=_norm(residual),
             merit=merit(problem, x, x_bar, mu),
             block3_gradient_norm=float(np.abs(gradient).max(initial=0.0)),
         ))
-        if (trace[-1].residual_norm < TOLERANCE
-                and np.linalg.norm(x_bar - previous_x_bar) < TOLERANCE
-                and np.linalg.norm(y - previous_y) < TOLERANCE):
+        if (trace[-1].residual_norm < TOLERANCE and _norm(x_bar - previous_x_bar) < TOLERANCE
+                and _norm(y - previous_y) < TOLERANCE):
             break
 
     best = min(trace, key=lambda it: (it.merit, it.k))
@@ -371,10 +393,18 @@ class Bid:
         object.__setattr__(self, "quantities", tuple(int(q) for q in self.quantities))
 
 
+# 10 x the largest price x (1 + the total quantity) may be at most this. It
+# bounds ADMM's merit weight times any capacity violation, and it keeps every
+# profit of at most MAX_QUBITS bids finite, with room left for the sums
+# around them.
+AUCTION_VALUE_LIMIT = 1e300
+
+
 def _auction_bids(bids, units) -> tuple[list[Bid], np.ndarray]:
     """``Bid``s (from ``(quantities, price)`` pairs too) and finite nonnegative float units.
 
-    Every bid must quote a quantity per item.
+    Every bid must quote a quantity per item, and the prices and quantities
+    must keep within AUCTION_VALUE_LIMIT.
     """
     bids = [b if isinstance(b, Bid) else Bid(tuple(b[0]), float(b[1])) for b in bids]
     units = np.asarray(units, dtype=float)
@@ -382,6 +412,11 @@ def _auction_bids(bids, units) -> tuple[list[Bid], np.ndarray]:
         raise ValueError("units must be finite and nonnegative")
     if any(len(b.quantities) != units.size for b in bids):
         raise ValueError("every bid must quote all items")
+    top = max((b.price for b in bids), default=0.0)
+    total = sum(float(q) for b in bids for q in b.quantities)  # inf past the float range
+    if top and 10.0 * top * (1.0 + total) > AUCTION_VALUE_LIMIT:
+        raise ValueError("10 x the largest price x (1 + the total quantity) must be at most "
+                         f"{AUCTION_VALUE_LIMIT:g}")
     return bids, units
 
 
@@ -495,4 +530,4 @@ def read_auction_csv(path) -> tuple[list[Bid], np.ndarray]:
         raise ValueError("auction CSV is missing its units line")
     if not bids:
         raise ValueError("auction CSV contains no bids")
-    return bids, units
+    return _auction_bids(bids, units)

@@ -92,11 +92,12 @@ class QuadraticEnumeration:
     where the states with top bit j go, so building the table takes no
     other 2^n vector.
 
-    ``energies(linear, constant)`` then adds the subset sum of ``linear`` and
-    the constant, 2^16 states at a time, so a solver whose QUBOs share Q and
-    differ only in those two gets ``all_energies``' energies bit for bit
-    without redoing the quadratic form. ``minimize`` holds a second 2^n
-    vector, its energies, from its first call on.
+    ``energies(linear, constant)`` then writes the subset sums of ``linear``
+    (``subset_sums``, all 2^n of them) into its output and adds x'Qx and the
+    constant there, so a solver whose QUBOs share Q and differ only in those
+    two gets ``all_energies``' energies bit for bit (IEEE addition commutes)
+    without redoing the quadratic form. ``minimize`` holds that output, a
+    second 2^n vector, from its first call on.
     """
 
     def __init__(self, quadratic: np.ndarray):
@@ -115,13 +116,10 @@ class QuadraticEnumeration:
 
     def energies(self, linear: np.ndarray, constant: float = 0.0,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """Energies indexed by basis index (bit i = x_i); ``out`` may be ``self.quad``."""
-        if out is None:
-            out = np.empty(1 << self.n)
-        for start, sums in subset_sum_blocks(linear):
-            part = slice(start, start + sums.size)
-            np.add(self.quad[part], sums, out=out[part])
-            out[part] += constant
+        """Energies indexed by basis index (bit i = x_i); ``out`` must not be ``self.quad``."""
+        out = subset_sums(linear, out=out)
+        out += self.quad
+        out += constant
         return out
 
     def minimize(self, linear: np.ndarray, constant: float = 0.0) -> tuple[np.ndarray, float]:
@@ -138,8 +136,13 @@ class QuadraticEnumeration:
 def all_energies(qubo: Qubo) -> np.ndarray:
     """Energies of all 2^n assignments, indexed by basis index (bit i = x_i)."""
     form = QuadraticEnumeration(qubo.quadratic)
-    # one-shot: overwrite x'Qx block by block, so only one 2^n vector exists
-    return form.energies(qubo.linear, qubo.constant, out=form.quad)
+    # one-shot: add the linear sums to x'Qx in place, 2^16 states at a time,
+    # so only one 2^n vector exists
+    for start, sums in subset_sum_blocks(qubo.linear):
+        part = form.quad[start:start + sums.size]
+        part += sums
+        part += qubo.constant
+    return form.quad
 
 
 def bits_of_index(index: int, n: int) -> np.ndarray:

@@ -26,7 +26,12 @@ of all 2^n states, as ``variational.sample_solutions`` did before it sorted
 only the states at or above the k-th largest probability.
 ``diversification_qubo_loop`` writes the diversification QUBO's entries one
 variable at a time, as ``qubo.build_diversification_qubo`` did before it
-wrote them through index arrays.
+wrote them through index arrays. ``energies_by_blocks`` adds a linear
+term's subset sums to x'Qx 2^16 states at a time in a fresh vector, as
+``qubo.QuadraticEnumeration.energies`` did before it wrote all 2^n sums
+into its output and added x'Qx there. ``block2_convex_per_check`` is ADMM's
+block 2 as it was before it held each step's value and move for its
+backtracking checks and took its norm without ``np.linalg.norm``.
 """
 
 import math
@@ -44,6 +49,53 @@ def energy_spread(qubo: qb.Qubo) -> float:
     """max - min energy over all assignments; a sufficient penalty scale."""
     energies = qb.all_energies(qubo)
     return float(energies.max() - energies.min())
+
+
+def energies_by_blocks(quad: np.ndarray, linear: np.ndarray, constant: float = 0.0,
+                       table_bits: int = 16) -> np.ndarray:
+    """x'Qx (``quad``, as ``QuadraticEnumeration`` holds it) plus each block's
+    ``qb.subset_sum_blocks`` sums of ``linear``, then the constant, in a fresh vector."""
+    out = np.empty(quad.size)
+    for start, sums in qb.subset_sum_blocks(linear, table_bits):
+        part = slice(start, start + sums.size)
+        np.add(quad[part], sums, out=out[part])
+        out[part] += constant
+    return out
+
+
+def block2_convex_per_check(problem: admm.MboProblem, x, y, lam, config: admm.AdmmConfig,
+                            curvature) -> np.ndarray:
+    """``admm.block2_convex`` recomputing value(u) and candidate - u on every check."""
+    hess, step = curvature
+    offset = problem.a0 @ x - y
+    grad0 = problem.phi_linear + problem.a1.T @ lam + config.rho * (problem.a1.T @ offset)
+    half_a = problem.joint_u
+    half_b = problem.joint_rhs - problem.joint_x @ x
+
+    def project(u):
+        return admm._project_feasible(u, problem.u_lower, problem.u_upper, half_a, half_b)
+
+    u = project(np.clip(np.zeros(problem.n_continuous), problem.u_lower, problem.u_upper))
+    if half_a.size and np.any(half_a @ u - half_b > 1e-6):
+        raise admm.InfeasibleContinuousBlock("joint constraints admit no continuous point")
+
+    def value(u):
+        return float(0.5 * u @ hess @ u + grad0 @ u)
+
+    for _ in range(admm.BLOCK2_MAX_STEPS):
+        grad = hess @ u + grad0
+        candidate = project(u - step * grad)
+        shrink = 0
+        while value(candidate) > value(u) + grad @ (candidate - u) \
+                + 0.5 / step * float((candidate - u) @ (candidate - u)) + 1e-15 and shrink < 60:
+            step *= 0.5
+            shrink += 1
+            candidate = project(u - step * grad)
+        mapping_norm = np.linalg.norm(candidate - u) / step
+        u = candidate
+        if mapping_norm <= admm.BLOCK2_TOLERANCE:
+            break
+    return u
 
 
 def diversification_qubo_loop(spec: qb.DiversificationSpec) -> qb.Qubo:

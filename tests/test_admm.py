@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qfin import admm
 from qfin import qubo as qb
-from oracles import merit_history, pure_binary_problem, residual_history, solve_auction_loop
+from oracles import (block2_convex_per_check, merit_history, pure_binary_problem, residual_history,
+                     solve_auction_loop)
 
 SMALL_BIDS = [((1, 0), 3.0), ((0, 1), 3.0), ((2, 2), 5.0)]
 SMALL_UNITS = (2.0, 2.0)
@@ -16,6 +17,13 @@ SMALL_UNITS = (2.0, 2.0)
 
 def small_problem():
     return admm.build_auction(SMALL_BIDS, SMALL_UNITS)
+
+
+def block1(problem, x_bar, y, lam, config):
+    """Block 1's QUBO: ``block1_fixed``'s quadratic with ``block1_qubo``'s terms."""
+    fixed = admm.block1_fixed(problem, config)
+    linear, constant = admm.block1_qubo(problem, x_bar, y, lam, config, fixed)
+    return qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear, constant=constant)
 
 
 def test_block1_qubo_matches_direct_formula():
@@ -26,7 +34,7 @@ def test_block1_qubo_matches_direct_formula():
     x_bar = rng.normal(size=2)
     y = rng.normal(size=2)
     lam = rng.normal(size=2)
-    block = admm.block1_qubo(problem, x_bar, y, lam, config, admm.block1_fixed(problem, config))
+    block = block1(problem, x_bar, y, lam, config)
     for index in range(8):
         bits = np.array([(index >> i) & 1 for i in range(3)], dtype=float)
         drift = problem.a0 @ bits + problem.a1 @ x_bar - y
@@ -43,8 +51,7 @@ def test_block1_decouples_when_couplings_vanish():
     linear = rng.normal(size=3)
     problem = pure_binary_problem(quadratic, linear)
     config = admm.AdmmConfig()
-    block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0), config,
-                             admm.block1_fixed(problem, config))
+    block = block1(problem, np.zeros(0), np.zeros(0), np.zeros(0), config)
     for index in range(8):
         bits = np.array([(index >> i) & 1 for i in range(3)], dtype=float)
         assert qb.energy(block, bits) == pytest.approx(
@@ -63,8 +70,7 @@ def test_block1_equality_term_vanishes_on_feasible_x():
         joint_x=base.joint_x, joint_u=base.joint_u, joint_rhs=base.joint_rhs,
         a0=base.a0, a1=base.a1)
     config = admm.AdmmConfig(c=50.0)
-    block = admm.block1_qubo(problem, np.zeros(0), np.zeros(0), np.zeros(0), config,
-                             admm.block1_fixed(problem, config))
+    block = block1(problem, np.zeros(0), np.zeros(0), np.zeros(0), config)
     feasible = np.array([1.0, 1.0, 0.0])
     assert qb.energy(block, feasible) == pytest.approx(
         problem.binary_objective(feasible), abs=1e-9)
@@ -134,6 +140,39 @@ def test_block2_respects_joint_halfspace():
     assert np.allclose(got, [0.5, 0.5], atol=1e-5)
 
 
+def block2_case(seed):
+    """A random block-2 problem, its arguments and a config; joint rows on odd seeds."""
+    rng = np.random.default_rng(seed)
+    n, l, d = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    joint = int(seed % 2) * int(rng.integers(1, 3))
+    m = rng.normal(size=(l, l))
+    problem = admm.MboProblem(
+        q_quadratic=np.zeros((n, n)), q_linear=rng.normal(size=n),
+        eq_matrix=np.zeros((0, n)), eq_rhs=np.zeros(0),
+        ineq_matrix=np.zeros((0, n)), ineq_rhs=np.zeros(0),
+        phi_quadratic=m @ m.T * rng.uniform(0.0, 2.0), phi_linear=rng.normal(size=l),
+        u_lower=-rng.uniform(0.0, 3.0, size=l), u_upper=rng.uniform(0.5, 3.0, size=l),
+        joint_x=rng.uniform(0.0, 1.0, size=(joint, n)),
+        joint_u=rng.uniform(0.1, 1.0, size=(joint, l)),
+        joint_rhs=rng.uniform(2.0, 4.0, size=joint),
+        a0=rng.normal(size=(d, n)), a1=rng.normal(size=(d, l)))
+    config = admm.AdmmConfig(rho=float(rng.uniform(0.1, 20.0)), beta=2.0)
+    x = rng.integers(0, 2, size=n).astype(float)
+    return problem, x, rng.normal(size=d) * 3, rng.normal(size=d) * 3, config
+
+
+@pytest.mark.parametrize("first_step", [1.0, 16.0])
+@pytest.mark.parametrize("seed", range(40))
+def test_block2_equals_the_per_check_loop_bitwise(seed, first_step):
+    # a first step 16 times 1/L makes every call backtrack
+    problem, x, y, lam, config = block2_case(seed)
+    hess, step = admm.block2_curvature(problem, config)
+    curvature = hess, step * first_step
+    got = admm.block2_convex(problem, x, y, lam, config, curvature)
+    want = block2_convex_per_check(problem, x, y, lam, config, curvature)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_block3_closed_form_is_stationary():
     rng = np.random.default_rng(10)
     problem = small_problem()
@@ -184,7 +223,7 @@ def test_dual_update_zero_residual_fixed_point():
     x = np.array([1.0, 0.0, 0.0])
     x_bar = problem.a0 @ x  # A1 = -I so consensus = A0 x - xbar
     lam = np.array([0.5, -0.5])
-    out = admm.dual_update(problem, x, x_bar, np.zeros(2), lam, config)
+    out = admm.dual_update(lam, problem.a0 @ x + problem.a1 @ x_bar - np.zeros(2), config)
     assert np.allclose(out, lam)
 
 
@@ -195,7 +234,7 @@ def test_dual_update_accumulates_residual():
     x_bar = np.zeros(2)
     y = np.zeros(2)
     residual = problem.a0 @ x + problem.a1 @ x_bar - y
-    out = admm.dual_update(problem, x, x_bar, y, np.zeros(2), config)
+    out = admm.dual_update(np.zeros(2), residual, config)
     assert np.allclose(out, residual)
 
 
@@ -233,7 +272,7 @@ def test_run_records_replayable_dual_history():
     result = admm.run(problem, config)
     lam = np.zeros(2)
     for it in result.trace:
-        lam = admm.dual_update(problem, it.x, it.x_bar, it.y, lam, config)
+        lam = admm.dual_update(lam, problem.a0 @ it.x + problem.a1 @ it.x_bar - it.y, config)
         assert np.max(np.abs(lam - it.lam)) < 1e-9
     assert len(result.trace) == 8
     assert all(it.block3_gradient_norm < 1e-9 for it in result.trace)
@@ -432,13 +471,13 @@ def passes_stop_test(problem, trace):
 
 
 def reference_run(problem, config):
-    """``run`` with a fresh ``qb.brute_force(block1_qubo(...))`` on every iteration.
+    """``run`` with a fresh ``qb.brute_force`` of block 1's ``qb.Qubo`` on every iteration.
 
     Block 1's fixed part and block 2's curvature are rebuilt on every
-    iteration too, so this also checks that ``run``'s once-per-run copies
-    change nothing.
+    iteration too, and the norms are ``np.linalg.norm``'s, so this also
+    checks that ``run``'s once-per-run copies and its own norms change
+    nothing.
     """
-    l = problem.n_continuous
     mu = admm.resolve_merit_weight(problem)
     x_bar = start_x_bar(problem)
     y = np.zeros(problem.n_consensus)
@@ -446,32 +485,43 @@ def reference_run(problem, config):
     trace = []
     for k in range(1, config.max_iterations + 1):
         previous_x_bar, previous_y = x_bar, y
-        fixed = admm.block1_fixed(problem, config)
-        bits, _ = qb.brute_force(admm.block1_qubo(problem, x_bar, y, lam, config, fixed))
-        x = bits.astype(float)
+        x = qb.brute_force(block1(problem, x_bar, y, lam, config))[0].astype(float)
         x_bar = admm.block2_convex(problem, x, y, lam, config,
                                    admm.block2_curvature(problem, config))
         y = admm.block3_y(problem, x, x_bar, lam, config)
-        lam = admm.dual_update(problem, x, x_bar, y, lam, config)
-        residual = problem.a0 @ x + (problem.a1 @ x_bar if l else 0.0) - y
-        trace.append((x, lam, float(np.linalg.norm(residual)),
-                      admm.merit(problem, x, x_bar, mu)))
-        if (trace[-1][2] < admm.TOLERANCE
+        residual = problem.a0 @ x + problem.a1 @ x_bar - y
+        gradient = config.beta * y - lam - config.rho * residual
+        lam = admm.dual_update(lam, residual, config)
+        trace.append(admm.AdmmIterate(
+            k=k, x=x, x_bar=x_bar, y=y, lam=lam,
+            residual_norm=float(np.linalg.norm(residual)),
+            merit=admm.merit(problem, x, x_bar, mu),
+            block3_gradient_norm=float(np.abs(gradient).max(initial=0.0))))
+        if (trace[-1].residual_norm < admm.TOLERANCE
                 and np.linalg.norm(x_bar - previous_x_bar) < admm.TOLERANCE
                 and np.linalg.norm(y - previous_y) < admm.TOLERANCE):
             break
-    k_star = min(range(len(trace)), key=lambda i: (trace[i][3], i)) + 1
+    k_star = min(trace, key=lambda it: (it.merit, it.k)).k
     return trace, k_star
 
 
+ITERATE_ARRAYS = ("x", "x_bar", "y", "lam")
+ITERATE_FLOATS = ("residual_norm", "merit", "block3_gradient_norm")
+
+
 def assert_same_trace(result, reference):
+    """Every field of every iterate is the reference's: arrays byte for byte, and
+    floats by ``repr``, so that a -0.0 -> 0.0 flip or a float type change shows."""
     trace, k_star = reference
     assert len(result.trace) == len(trace)
-    for it, (x, lam, residual_norm, merit) in zip(result.trace, trace):
-        assert np.array_equal(it.x, x)
-        assert np.array_equal(it.lam, lam)
-        assert it.residual_norm == residual_norm
-        assert it.merit == merit
+    for it, want in zip(result.trace, trace):
+        assert it.k == want.k
+        for name in ITERATE_ARRAYS:
+            got, ref = getattr(it, name), getattr(want, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), \
+                (it.k, name)
+        for name in ITERATE_FLOATS:
+            assert repr(getattr(it, name)) == repr(getattr(want, name)), (it.k, name)
     assert result.k_star == k_star
 
 
@@ -481,6 +531,33 @@ def test_held_enumeration_matches_per_iteration_brute_force_on_auctions(seed):
     problem = admm.build_auction(bids, units)
     config = admm.AdmmConfig(rho=12.0, beta=11.0, max_iterations=12)
     assert_same_trace(admm.run(problem, config), reference_run(problem, config))
+
+
+@pytest.mark.parametrize("rho,beta", [(12.0, 11.0), (3.0, 1000.0)])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_run_equals_the_reference_on_the_benchmark_auctions(seed, rho, beta):
+    # the benchmark's instance and iteration limit (perfbench/workloads.py)
+    problem = admm.build_auction(*admm.random_auction(16, 3, 6, seed=seed))
+    config = admm.AdmmConfig(rho=rho, beta=beta)
+    assert_same_trace(admm.run(problem, config), reference_run(problem, config))
+
+
+def test_a_brute_force_run_calls_each_traced_block_once_per_iteration(monkeypatch):
+    # the benchmark's --trace 1 reads each block's time from these calls
+    calls = dict.fromkeys(("block1_qubo", "block2_convex", "block3_y", "dual_update", "merit"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(admm, name, counted(name, getattr(admm, name)))
+    problem = admm.build_auction(*admm.random_auction(16, 3, 6, seed=3))
+    result = admm.run(problem, admm.AdmmConfig(rho=12.0, beta=11.0))
+    assert len(result.trace) == 13
+    assert calls == dict.fromkeys(calls, 13)
 
 
 def test_held_enumeration_matches_on_two_chunks():

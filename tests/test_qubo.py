@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfin import qubo as qb
-from oracles import diversification_qubo_loop, energy_spread
+from oracles import diversification_qubo_loop, energies_by_blocks, energy_spread
 
 
 def random_qubo(n, seed, scale=1.0):
@@ -505,6 +505,27 @@ def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk
         want_bits, want_value = qb.brute_force(qubo)
         assert np.array_equal(bits, want_bits) and value == want_value
     assert np.array_equal(form.quad, held_quad)
+
+
+@pytest.mark.parametrize("halves", [False, True], ids=["blocks-of-2^16", "blocks-of-half"])
+@pytest.mark.parametrize("n", range(1, 19))
+def test_enumerated_energies_equal_the_block_loop_bitwise(n, halves):
+    # n > 16 has states beyond the first 2^16, which the block loop sums in later
+    # blocks; blocks of half the bits give a small n later blocks too
+    table_bits = (n + 1) // 2 if halves else 16
+    rng = np.random.default_rng([n, table_bits])
+    m = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 3, size=(n, n))
+    form = qb.QuadraticEnumeration((m + m.T) / 2)
+    for scale in (1.0, 1e-7, 1e9):
+        linear = rng.normal(size=n) * scale
+        linear[rng.integers(n)] = -0.0
+        constant = float(rng.normal() * scale)
+        want = energies_by_blocks(form.quad, linear, constant, table_bits)
+        assert same_bits(form.energies(linear, constant), want)
+        bits, value = form.minimize(linear, constant)
+        assert same_bits(form._energies, want)  # the held buffer, reused from the second scale
+        want_bits, want_value = qb.lowest_energy(want, n)
+        assert np.array_equal(bits, want_bits) and repr(value) == repr(want_value)
 
 
 @pytest.mark.parametrize("quadratic", [

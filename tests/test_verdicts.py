@@ -1,7 +1,12 @@
 """The verdict rule of ``tools/verdicts.py`` on fixed tables."""
 
+import contextlib
 import importlib.util
+import io
 import json
+import os
+import sys
+import time
 import types
 from pathlib import Path
 
@@ -10,6 +15,8 @@ import pytest
 _spec = importlib.util.spec_from_file_location(
     "verdicts", Path(__file__).resolve().parents[1] / "tools" / "verdicts.py")
 verdicts = importlib.util.module_from_spec(_spec)
+# registered, so that an Outcome a worker process returns unpickles as this module's
+sys.modules.setdefault("verdicts", verdicts)
 _spec.loader.exec_module(verdicts)
 Outcome = verdicts.Outcome
 
@@ -217,3 +224,38 @@ def test_a_command_that_exits_3_stops_the_sweep(tmp_path):
         verdicts._run(src, command("ml", "synth", "--n", "0"))
     verdicts._run(src, command("ml", "synth", "--n", "4"))
     assert (tmp_path / "dataset.csv").is_file()
+
+
+def stub_seed(base_src, new_src, scratch, seed):
+    """A seed's work without its commands: outcomes, a problem and a rerun fault
+    that depend on the seed. Seed 1 finishes last, so a parallel sweep gets
+    its seeds out of order."""
+    if seed == 1:
+        time.sleep(0.5)
+    (scratch / f"seed-{seed}").mkdir()
+    outcomes = {side: {row: Outcome(0.01 * seed + (side == "new") * 0.001 * i, seed % 2 == 0,
+                                    i % 3 == seed % 3, (row, side, seed), seed * i)
+                       for i, row in enumerate(verdicts.ALL_ROWS)}
+                for side in ("base", "new")}
+    return outcomes, [f"seed {seed} vqe: stub problem"], [f"seed {seed} admm"] * (seed == 2)
+
+
+def test_a_parallel_sweep_reports_as_the_serial_one(tmp_path):
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    texts = []
+    for jobs in (1, 2):
+        scratch = tmp_path / str(jobs)
+        scratch.mkdir()
+        found = verdicts.sweep(tmp_path / "base", tmp_path / "new", [1, 2], scratch, jobs,
+                               work=stub_seed)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            passes = verdicts.report([1, 2], *found)
+        texts.append(out.getvalue())
+        assert not passes  # the stub reports problems
+        assert sorted(p.name for p in scratch.iterdir()) == ["seed-1", "seed-2"]
+    assert texts[0] == texts[1]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == threads  # the workers' share, undone
+    assert "| 1 | 0.0100 | 0.0100 |" in texts[0]
+    assert texts[0].index("seed 1 vqe: stub problem") < texts[0].index("seed 2 vqe: stub problem")
+    assert "oracle problems: 2; reruns that changed bytes: 1" in texts[0]

@@ -44,11 +44,18 @@ command:
   fraction predicted +1 would need per-fold predictions, which the command
   does not record, so the row has neither.
 
-The sweep is fixed: seeds 1-60 (``SEEDS``). The tool prints a paired
-per-seed table of gap and feasibility (the miss, for ``risk var`` and
-``vqc``), then one summary line per row. A row's ``changed`` counts the
-seeds on which any file the command writes (the manifest without its
-``argv``) or its stdout differs from the base's.
+The sweep is fixed: seeds 1-60 (``SEEDS``), run by ``--jobs`` worker
+processes (2 by default; 1 runs them in this process). Each seed has its
+own work directory and shares no state with another, and the report keeps
+the seed order whatever order the seeds finish in. A worker, and every
+command it runs, has its share of the cores as ``OPENBLAS_NUM_THREADS``
+unless that is set: OpenBLAS threads spin while they wait, and two commands
+with a thread per core each ran the sweep slower than one at a time.
+
+The tool prints a paired per-seed table of gap and feasibility (the miss,
+for ``risk var`` and ``vqc``), then one summary line per row. A row's
+``changed`` counts the seeds on which any file the command writes (the
+manifest without its ``argv``) or its stdout differs from the base's.
 
 Rule: a change passes when
   1. no row is worse under a one-sided sign test at p < 0.05, on misses and
@@ -62,14 +69,17 @@ The exit status is 0 when the change passes and 1 when it does not.
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +90,7 @@ ALL_ROWS = ROWS + WIDE_ROWS
 ENERGY_ROWS = ("vqe", "qaoa", "diversify", "vqe wide", "qaoa wide")  # normalised energy gaps
 MISS_ROWS = ("risk var", "vqc", "risk var wide")  # third cell is the miss, not feasibility
 SIGNIFICANCE = 0.05
+JOBS = 2  # worker processes, each running one command at a time
 SEEDS = range(1, 61)  # fixed, so every change is judged on the same sweep
 SEPARABLE_RECORDS = 200
 WIDE_ASSETS, WIDE_BUDGET = 12, 6  # the wide rows' assets; the portfolio rows' budget
@@ -284,38 +295,81 @@ def _score(workloads, row, cmd, work: Path, seed: int,
     return Outcome(gap, feasible, verdict.miss, outputs, iterations), verdict.problems
 
 
-def sweep(base_src: Path, new_src: Path, seeds, scratch: Path):
+def _workloads(new_src: Path):
+    """The benchmark's ``workloads`` module, with the new side's ``qfin`` on the path."""
+    for path in (str(ROOT / "perfbench"), str(new_src)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import workloads
+    return workloads
+
+
+def seed_outcomes(base_src: Path, new_src: Path, scratch: Path, seed: int):
+    """One seed's outcomes on both sides, the new side's problems, and its rerun faults.
+
+    ``outcomes[side][row]`` is the seed's outcome. The seed's inputs and
+    outputs go in its own directory under ``scratch``.
+    """
+    workloads = _workloads(new_src)
+    outcomes = {side: {} for side in ("base", "new")}
+    problems, unstable = [], []
+    work = scratch / f"seed-{seed}"
+    work.mkdir()
+    # the builders write their inputs through qfin; they do not run the CLI
+    commands = (workloads.build_portfolio_vqe(None, str(work), seed)
+                + workloads.build_credit_var(None, str(work), seed)[:1]
+                + workloads.build_auction_admm(None, str(work), seed)
+                + [_vqc_command(workloads, new_src, work, seed),
+                   _wide_command(workloads, work, seed)]
+                + _wide_portfolio_commands(workloads, work, seed))
+    for side, src in (("base", base_src), ("new", new_src)):
+        for row, cmd in zip(ALL_ROWS, commands):
+            cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
+            stdout = _run(src, cmd)
+            outcome, found = _score(workloads, row, cmd, work, seed, stdout)
+            outcomes[side][row] = outcome
+            if side == "new":
+                problems += [f"seed {seed} {row}: {p}" for p in found]
+                first = _outputs(Path(cmd.out_dir))
+                _run(src, cmd)
+                if _outputs(Path(cmd.out_dir)) != first:
+                    unstable.append(f"seed {seed} {row}")
+    return outcomes, problems, unstable
+
+
+def sweep(base_src: Path, new_src: Path, seeds, scratch: Path, jobs: int = JOBS,
+          work=seed_outcomes):
     """Both sides' outcomes per row and seed, the new side's problems, and its rerun faults.
 
-    ``outcomes[side][row]`` maps each seed to its outcome.
+    ``work(base_src, new_src, scratch, seed)`` runs one seed, as
+    ``seed_outcomes``; with ``jobs`` above 1 the seeds run in that many
+    spawned worker processes, each with its share of the cores as
+    ``OPENBLAS_NUM_THREADS`` unless that is set. ``outcomes[side][row]``
+    maps each seed to its outcome, and the problems and rerun faults are
+    listed in seed order.
     """
-    sys.path[:0] = [str(new_src), str(ROOT / "perfbench")]
-    import workloads
-
+    one_seed = functools.partial(work, base_src, new_src, scratch)
+    if jobs == 1:
+        results = [one_seed(seed) for seed in seeds]
+    else:
+        shared = "OPENBLAS_NUM_THREADS" not in os.environ
+        if shared:  # the workers start in the pool's map; they and their commands inherit it
+            os.environ["OPENBLAS_NUM_THREADS"] = str(max(1, (os.cpu_count() or 1) // jobs))
+        try:
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(jobs, mp_context=context) as pool:
+                results = list(pool.map(one_seed, seeds))  # in seed order
+        finally:
+            if shared:
+                del os.environ["OPENBLAS_NUM_THREADS"]
     outcomes = {side: {row: {} for row in ALL_ROWS} for side in ("base", "new")}
     problems, unstable = [], []
-    for seed in seeds:
-        work = scratch / f"seed-{seed}"
-        work.mkdir()
-        # the builders write their inputs through qfin; they do not run the CLI
-        commands = (workloads.build_portfolio_vqe(None, str(work), seed)
-                    + workloads.build_credit_var(None, str(work), seed)[:1]
-                    + workloads.build_auction_admm(None, str(work), seed)
-                    + [_vqc_command(workloads, new_src, work, seed),
-                       _wide_command(workloads, work, seed)]
-                    + _wide_portfolio_commands(workloads, work, seed))
-        for side, src in (("base", base_src), ("new", new_src)):
-            for row, cmd in zip(ALL_ROWS, commands):
-                cmd = dataclasses.replace(cmd, out_dir=str(work / side / row))
-                stdout = _run(src, cmd)
-                outcome, found = _score(workloads, row, cmd, work, seed, stdout)
+    for seed, (by_side, found, changed) in zip(seeds, results):
+        for side, rows in by_side.items():
+            for row, outcome in rows.items():
                 outcomes[side][row][seed] = outcome
-                if side == "new":
-                    problems += [f"seed {seed} {row}: {p}" for p in found]
-                    first = _outputs(Path(cmd.out_dir))
-                    _run(src, cmd)
-                    if _outputs(Path(cmd.out_dir)) != first:
-                        unstable.append(f"seed {seed} {row}")
+        problems += found
+        unstable += changed
     return outcomes, problems, unstable
 
 
@@ -364,7 +418,11 @@ def report(seeds, outcomes, problems, unstable) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare the working tree with")
+    parser.add_argument("--jobs", type=int, default=JOBS,
+                        help=f"worker processes for the seeds (default {JOBS}; 1 runs them here)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     with tempfile.TemporaryDirectory(prefix="qfin-verdicts-") as tmp:
         checkout = Path(tmp, "base")
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src"],
@@ -373,7 +431,7 @@ def main(argv=None) -> int:
             tar.extractall(checkout, filter="data")
         scratch = Path(tmp, "runs")
         scratch.mkdir()
-        found = sweep(checkout / "src", ROOT / "src", SEEDS, scratch)
+        found = sweep(checkout / "src", ROOT / "src", SEEDS, scratch, args.jobs)
     return 0 if report(SEEDS, *found) else 1
 
 
