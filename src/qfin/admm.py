@@ -302,6 +302,7 @@ def merit(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
     return value + merit_weight * violation
 
 
+@np.errstate(over="ignore", invalid="ignore")  # block 1's finite checks refuse an overflow
 def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     """Iterate the three blocks and dual update, returning the merit-best iterate.
 
@@ -329,6 +330,10 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     block, bit for bit). Block 2's Hessian and first step are computed once
     per run too, and the residual the trace records is the one the dual
     update adds.
+
+    numpy's overflow warnings are off for the run: a block-1 term that
+    overflows raises the ``ValueError`` of the finite checks in
+    ``block1_fixed`` (``qb.Qubo``'s) and ``block1_qubo``, the command's one line.
     """
     d = problem.n_consensus
     mu = resolve_merit_weight(problem)

@@ -12,9 +12,11 @@ separator angles, so a dataset is encoded once into the columns of one
 batched statevector, with no gate built. The feature map's U_phi is one
 diagonal per record, exp(i sum_S phi_S prod_S Z) from ``z_diagonal``,
 multiplied in after each Hadamard layer; each QRAC qubit is set to its Bloch
-state as a product-state factor. Each training objective call then runs
-only the separator, compiled once by ``compile_ansatz``, over that block
-with one parameter row for every record. ``decision`` and ``model_state``
+state as a product-state factor. The separator's plan (``compile_ansatz``)
+then holds that block for as long as the dataset is scored, and each
+training objective call copies its parameter row in and runs only the
+separator, the parity readout and the risk, in held buffers, with one
+parameter row for every record. ``decision`` and ``model_state``
 keep the per-record gate-list path, which the batched one agrees with to
 round-off; the tests use it as the oracle.
 """
@@ -294,7 +296,7 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
     rng = np.random.default_rng(seed)
     config = ModelConfig(n_qubits=SEPARABLE_FEATURES)
     no_categorical = np.zeros((n_records, 0), dtype=int)
-    decide = _decider(config)
+    decider = _decider(config)
     for attempt in range(500 * REFERENCE_DRAWS):
         if attempt % 500 == 0:  # a reference model, and points to label by it
             theta_star = rng.uniform(-math.pi, math.pi, size=separator_parameter_count(config))
@@ -302,7 +304,7 @@ def synthesize_separable(n_records: int, seed: int, margin: float = 0.1) -> Labe
         else:
             points[weak] = rng.uniform(0.0, TWO_PI, size=(int(weak.sum()), SEPARABLE_FEATURES))
         scaler = fit_scaler(points)
-        values = decide(theta_star, 0.0, _encoded_block(config, scaler, points, no_categorical))
+        values = decider(_encoded_block(config, scaler, points, no_categorical))(theta_star, 0.0)
         weak = np.abs(values) < margin
         if not weak.any():
             break
@@ -486,27 +488,43 @@ def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.n
 
 
 def _decider(config: ModelConfig):
-    """``(theta, bias, block) -> values``: the decision values of ``block``'s columns.
+    """``block -> decide``, and ``decide(theta, bias)`` the decision values of ``block``'s columns.
 
     The separator of ``config`` is compiled once, here. Its layers rotate
     every column of ``block`` at once with ``theta``'s angles, each qubit's
     RX and RY as one rotation, where ``decision``'s gates apply them in
-    turn. The parity readout of all records is then one ``signs @ probs``
-    product, plus ``bias``.
+    turn. ``decide`` holds the block in the separator's own plan
+    (``records`` of ``compile_ansatz``) for as long as it is kept, so a
+    call copies ``theta`` and ``bias`` in and runs arithmetic only: the
+    separator, the squared magnitudes as a ``(2^n, records)`` block, the
+    parity readout of all records as one ``signs @ probs`` product into a
+    held vector, and the bias. It returns that vector, which the next call
+    overwrites.
     """
     separate = compile_ansatz(rxry_ansatz(config.n_qubits, config.separator_layers))
     signs = parity_signs(config.n_qubits)
 
-    def decide(theta, bias, block):
-        return signs @ np.abs(separate(theta, start=block)) ** 2 + bias
-    return decide
+    def records(block):
+        params, steps, _, _, probs = separate.records(block)
+        values, shift = np.empty(probs.shape[1]), np.empty(())
+        steps = steps + [partial(np.matmul, signs, probs, values),
+                         partial(np.add, values, shift, values)]
+
+        def decide(theta, bias):
+            params[...] = theta
+            shift[...] = bias
+            for step in steps:
+                step()
+            return values
+        return decide
+    return records
 
 
 def decisions(model: VqcModel, dataset: LabeledDataset) -> np.ndarray:
     """f(x) of every record, with the separator applied to all records in one pass."""
     scaler = (model.scaler_low, model.scaler_high)
     block = _encoded_block(model.config, scaler, dataset.continuous, dataset.categorical)
-    return _decider(model.config)(model.theta, model.bias, block)
+    return _decider(model.config)(block)(model.theta, model.bias)
 
 
 def _labels(values: np.ndarray) -> np.ndarray:
@@ -531,8 +549,7 @@ def empirical_risk(model: VqcModel, dataset: LabeledDataset,
         raise ValueError(f"risk form must be one of {RISK_FORMS}")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    values = decisions(model, dataset)
-    return _risk_of_values(values, dataset.labels, form)
+    return _risk(dataset.labels, form)(decisions(model, dataset))
 
 
 def evaluate(model: VqcModel, dataset: LabeledDataset) -> tuple[float, float]:
@@ -541,16 +558,41 @@ def evaluate(model: VqcModel, dataset: LabeledDataset) -> tuple[float, float]:
         raise ValueError("dataset is empty")
     values = decisions(model, dataset)
     return (_accuracy_of_values(values, dataset.labels),
-            _risk_of_values(values, dataset.labels, "absolute"))
+            _risk(dataset.labels, "absolute")(values))
 
 
-def _risk_of_values(values: np.ndarray, labels: np.ndarray, form: str) -> float:
+def _risk(labels: np.ndarray, form: str):
+    """``values -> risk`` of decision values against ``labels``, in buffers held for them.
+
+    The absolute risk is the mean of |value - label|. The cross-entropy
+    squashes each value to prob = 1 / (1 + e^-value) (unit steepness),
+    clipped to [1e-12, 1 - 1e-12], and averages -log prob over the positive
+    labels and -log(1 - prob) over the others, each through one ``np.log``
+    over the vector. A mean is ``add.reduce`` over the count, as ``np.mean``.
+    """
+    count, work = len(labels), np.empty(len(labels))
     if form == "absolute":
-        return float(np.mean(np.abs(values - labels)))
-    prob = 1.0 / (1.0 + np.exp(-values))  # logistic squashing, unit steepness
-    prob = np.clip(prob, 1e-12, 1.0 - 1e-12)
-    positive = labels > 0
-    return float(-np.mean(np.where(positive, np.log(prob), np.log(1.0 - prob))))
+        targets = labels.astype(float)
+
+        def risk(values):
+            np.subtract(values, targets, out=work)
+            np.abs(work, out=work)
+            return float(np.add.reduce(work) / count)
+        return risk
+    negative, other = labels <= 0, np.empty(count)
+
+    def risk(values):
+        np.negative(values, out=work)
+        np.exp(work, out=work)
+        np.add(1.0, work, out=work)
+        np.divide(1.0, work, out=work)
+        np.maximum(work, 1e-12, out=work)  # the clip to [1e-12, 1 - 1e-12]
+        np.minimum(work, 1.0 - 1e-12, out=work)
+        np.subtract(1.0, work, out=other)
+        np.copyto(work, other, where=negative)
+        np.log(work, out=work)
+        return float(-(np.add.reduce(work) / count))
+    return risk
 
 
 def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConfig,
@@ -559,7 +601,8 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
 
     Continuous features are min-max scaled onto [0, 2 pi]; the scaler is
     stored on the model. The scaler is fixed before optimizing, so the records
-    are encoded once and each objective call applies only the separator.
+    are encoded once, into the separator's plan (``_decider``), and each
+    objective call applies only the separator, the readout and the risk.
     Returns the trained model, the loss trace and the training accuracy. The
     accuracy is read off the block training encoded, and equals
     ``accuracy(model, dataset)``.
@@ -571,19 +614,20 @@ def train(dataset: LabeledDataset, config: ModelConfig, optimizer: OptimizerConf
     scaler = fit_scaler(_map_block(config, dataset.continuous, dataset.categorical)[0])
     n_params = separator_parameter_count(config)
     encoded = _encoded_block(config, scaler, dataset.continuous, dataset.categorical)
-    decide = _decider(config)
+    decide = _decider(config)(encoded)
+    del encoded  # the plan holds the records, so the encoded block is not kept beside it
+    risk = _risk(dataset.labels, form)
 
     def objective(params):
-        values = decide(params[:n_params], params[n_params], encoded)
-        return _risk_of_values(values, dataset.labels, form)
+        return risk(decide(params[:n_params], params[n_params]))
 
     def initial(rng):
         return np.concatenate([rng.uniform(-math.pi, math.pi, size=n_params), [0.0]])
 
     best = minimize_restarts(objective, initial, optimizer)
     model = VqcModel(config, best.x[:n_params], float(best.x[n_params]), *scaler)
-    values = decide(model.theta, model.bias, encoded)
-    return model, best.trace, _accuracy_of_values(values, dataset.labels)
+    return model, best.trace, _accuracy_of_values(decide(model.theta, model.bias),
+                                                  dataset.labels)
 
 
 def vqc_fit(config: ModelConfig, optimizer: OptimizerConfig, form: str):

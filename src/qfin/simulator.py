@@ -181,8 +181,8 @@ def phase_layout(dim: int, targets, controls=()):
     Returns ``_split``'s shape and control selection, the shape that
     broadcasts the table over that selection (2 on the target axes, 1 on the
     blocks), and the order that takes the table from sub-basis order (bit
-    j <-> targets[j]) to the split view's axis order. The ``phase`` kind and
-    ``z_diagonal`` both lay their tables out here.
+    j <-> targets[j]) to the split view's axis order. The ``phase`` kind lays
+    its table out here.
     """
     targets, controls = tuple(targets), tuple(controls)
     shape, select, axes = _split(dim, targets, controls)
@@ -210,23 +210,28 @@ def z_diagonal(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
     """``offset + sum_S c_S prod_{q in S} Z_q`` over all 2^n basis states.
 
     ``terms`` is a sequence of ``(support, c_S)`` with no qubit repeated in a
-    support. Each term is added in order through ``phase_layout``'s view of
-    its support, as its 2^|S| signed coefficients broadcast over the blocks,
-    so no 2^n index or sign vector is built. Every sign is exactly +-1, so
-    each entry is the same sum, in the same order, as adding ``c_S`` times
-    a term's sign vector. A ``c_S`` may also be a row of values, one per
-    column: all coefficients are then rows of one length B, and the result
-    is a ``(2^n, B)`` block with one diagonal per column.
+    support. Each term is added in order through ``_split``'s view of the
+    result, which puts each qubit of its support on an axis of length 2, as
+    its 2^|S| signed coefficients broadcast over the blocks, so no 2^n
+    index or sign vector is built. The sign of a basis state is the parity
+    of its support bits, whatever their order, and the parities of the
+    first 2^|S| indices are those of |S| bits, so one sign table per call,
+    ``parity_signs`` of the widest support, serves every term. Every sign is
+    exactly +-1, so each entry is the same sum, in the same order, as adding
+    ``c_S`` times a term's sign vector. A ``c_S`` may also be a row of
+    values, one per column: all coefficients are then rows of one length B,
+    and the result is a ``(2^n, B)`` block with one diagonal per column.
     """
     dim = 1 << n_qubits
     coeffs = [np.asarray(c, dtype=float) for _, c in terms]
     columns = coeffs[0].shape if coeffs else ()
     out = np.full((dim,) + columns, offset, dtype=float)
+    signs = parity_signs(max((len(support) for support, _ in terms), default=0))
     for (support, _), coeff in zip(terms, coeffs):
-        shape, _, factor_shape, order = phase_layout(dim, support)
+        shape, _, axes = _split(dim, tuple(support))
+        factor = tuple(2 if axis in axes else 1 for axis in range(len(shape)))
         rows = out.reshape(shape + columns, copy=False)
-        rows += np.multiply.outer(parity_signs(len(support))[order], coeff).reshape(
-            factor_shape + columns)
+        rows += np.multiply.outer(signs[:1 << len(support)], coeff).reshape(factor + columns)
     return out
 
 

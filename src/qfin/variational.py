@@ -246,8 +246,10 @@ def _group_matrices(rotations: np.ndarray, runs, steps: list) -> list:
     return matrices
 
 
-def _layer_steps(n: int, runs, matrices, layer: int, state, at: int, steps: list) -> int:
-    """Steps that apply layer ``layer`` of the group ``matrices`` to the block in ``state[at]``.
+def _layer_steps(n: int, runs, matrices, layer: int, state, at: int, steps: list,
+                 source=None) -> int:
+    """Steps that apply layer ``layer`` of the group ``matrices`` to the block in ``state[at]``,
+    or in ``source``, a block of ``state``'s shape that the first matmul reads and no step writes.
 
     ``state`` is a ping-pong pair of ``(B, 2^n, W)`` blocks. Each group is one
     ``np.matmul`` from one buffer into the other, over the view that puts the
@@ -264,10 +266,11 @@ def _layer_steps(n: int, runs, matrices, layer: int, state, at: int, steps: list
             high = low + (j + 1) * size
             view = (rows, 1 << (n - high), 1 << size, width << (high - size))
             matrix, view = run[:, layer, j], view[:3] if view[3] == 1 else view
-            src, dst = state[at].reshape(view), state[1 - at].reshape(view)
+            src = (state[at] if source is None else source).reshape(view)
+            dst = state[1 - at].reshape(view)
             pair = (src, matrix.transpose(0, 2, 1)) if len(view) == 3 else (matrix[:, None], src)
             steps.append(partial(np.matmul, *pair, dst))
-            at ^= 1
+            at, source = at ^ 1, None
     return at
 
 
@@ -282,6 +285,23 @@ def _readout_steps(state: np.ndarray, at: int, steps: list) -> np.ndarray:
     else:
         probs = spare.view(float).reshape(len(spare), -1)[:, :amps.shape[1]]
         steps += [partial(np.abs, amps, probs), partial(np.square, probs, probs)]
+    return probs
+
+
+def _record_readout_steps(state: np.ndarray, at: int, records: int, steps: list) -> np.ndarray:
+    """Steps that square the magnitudes of the first ``records`` columns of the
+    chunked block ``state[at]``, ``(chunks, 2^n, RECORD_COLUMNS)``, into a C-contiguous
+    ``(2^n, records)`` float block laid over the spare buffer ``state[1 - at]``;
+    returns that block, the layout ``np.abs(block) ** 2`` has for the block as columns."""
+    last, (dim, width) = state[at], state.shape[2:]
+    probs = state[1 - at].view(float).reshape(-1)[:dim * records].reshape(dim, records)
+    full, rest = divmod(records, width)
+    if full:
+        steps.append(partial(np.abs, last[:full].transpose(1, 0, 2),
+                             probs[:, :full * width].reshape(dim, full, width, copy=False)))
+    if rest:
+        steps.append(partial(np.abs, last[full, :, :rest], probs[:, full * width:]))
+    steps.append(partial(np.square, probs, probs))
     return probs
 
 
@@ -327,12 +347,17 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     magnitudes into ``probs``, the spare buffer (``_readout_steps``), for
     ``vqe_minimize`` to read.
 
-    The RY and RX+RY functions also take ``start``, a ``(2^n, R)`` block to
-    run from instead of |0...0> under one parameter row, and return a
-    ``(2^n, R)`` block. Its columns run in chunks of ``RECORD_COLUMNS``, the
-    last padded with zeros, so every matmul has one shape whatever R is:
-    BLAS picks its kernel by shape, and a column's bytes must not depend on
-    how many share the block.
+    For RY and RX+RY, ``records(start)`` is the plan of a ``(2^n, R)`` start
+    block run under one parameter row instead of |0...0>, a plan of its own
+    that holds the block for as long as it is kept. The block is copied in
+    once, in chunks of ``RECORD_COLUMNS`` columns, the last padded with
+    zeros, so every matmul has one shape whatever R is: BLAS picks its
+    kernel by shape, and a column's bytes must not depend on how many share
+    the block. The first layer reads that copy, which no step writes, so a
+    call copies its row into ``params`` and runs the steps, and nothing
+    else. ``last`` then holds the chunked states, and ``probs`` their
+    squared magnitudes as a C-contiguous ``(2^n, R)`` block over the spare
+    buffer (``_record_readout_steps``), column r record r.
     """
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
@@ -340,9 +365,10 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     energies = ansatz.cost.energy_table(n) if qaoa and table is None else table
     perm = _ladder_permutation(n) if p and not qaoa else None
 
-    @lru_cache(maxsize=2)
-    def plan(rows: int, start: bool = False):
-        """``rows`` parameter rows from the kind's start, or a start block of ``rows`` chunks."""
+    def build(rows: int, source: np.ndarray | None = None, count: int = 0):
+        """``rows`` parameter rows from the kind's start, or one row over the
+        ``rows`` chunks of ``source``, whose first ``count`` columns are read out."""
+        start = source is not None
         params = np.empty((1 if start else rows, ansatz.parameter_count))
         state = np.empty((2, rows, dim, RECORD_COLUMNS if start else 1),
                          complex if start or not real else float)
@@ -372,30 +398,33 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
             elif layer or not start:
                 steps.append(partial(state[at].take, perm, 1, state[1 - at], "clip"))
                 at ^= 1
-            at = _layer_steps(n, runs, matrices, layer, state, at, steps)
-        probs = None if start else _readout_steps(state, at, steps)
+            at = _layer_steps(n, runs, matrices, layer, state, at, steps,
+                              source if start and not layer else None)
+        probs = (_record_readout_steps(state, at, count, steps) if start
+                 else _readout_steps(state, at, steps))
         return params, steps, state, state[at], probs
 
-    def state_function(params, start=None):
-        stack = _checked_stack(ansatz, params)
-        if start is None:
-            amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
-            return amps if np.ndim(params) == 2 else amps[:, 0]
-        if qaoa or len(stack) != 1 or np.ndim(start) != 2 or len(start) != dim:
-            raise ValueError(f"start must be a ({dim}, B) block run by one RY or RX+RY row")
+    plan = lru_cache(maxsize=2)(build)
+
+    def records(start) -> tuple:
+        if qaoa or np.ndim(start) != 2 or len(start) != dim:
+            raise ValueError(f"start must be a ({dim}, R) block run by an RY or RX+RY row")
         start = np.asarray(start)
-        records, width = start.shape[1], RECORD_COLUMNS
-        full, rest = divmod(records, width)
-        planned = plan(full + (rest > 0), True)
-        grid = planned[2][0].transpose(1, 0, 2)  # (2^n, chunks, width)
+        count, width = start.shape[1], RECORD_COLUMNS
+        full, rest = divmod(count, width)
+        source = np.zeros((full + (rest > 0), dim, width), complex)
+        grid = source.transpose(1, 0, 2)  # (2^n, chunks, width)
         grid[:, :full] = start[:, :full * width].reshape(dim, full, width)
         if rest:
             grid[:, full, :rest] = start[:, full * width:]
-            grid[:, full, rest:] = 0.0
-        block = _run(planned, stack).transpose(1, 0, 2)
-        return np.array(block).reshape(dim, -1)[:, :records]
+        return build(len(source), source, count)
 
-    state_function.plan = plan
+    def state_function(params):
+        stack = _checked_stack(ansatz, params)
+        amps = _run(plan(len(stack)), stack)[:, :, 0].copy().T
+        return amps if np.ndim(params) == 2 else amps[:, 0]
+
+    state_function.plan, state_function.records = plan, records
     return state_function
 
 
@@ -457,7 +486,8 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     of rows is copied into the plan of its shape (``compile_ansatz``), whose
     last steps square the block's magnitudes into the spare state buffer;
     each state's probabilities are read there as a contiguous 1-D row dotted
-    with the energy table, as a single state's are, not as a matrix-vector
+    with the energy table, as a single state's are: one ``np.vecdot`` runs
+    the per-row dot products into a held vector, not a matrix-vector
     product or a strided column, whose sums may round differently. The
     stack is a float array or a list of rows (a single point comes as a
     list of one), converted by the copy alone.
@@ -470,6 +500,7 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     state_of = compile_ansatz(ansatz, table if ansatz.cost is observable else None)
 
     chunk, plan = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits), state_of.plan
+    held = np.empty(chunk)
 
     def rows(stack):
         values = []
@@ -477,7 +508,7 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
             block = stack[at:at + chunk]
             planned = plan(len(block))
             _run(planned, block)
-            values += [float(row @ table) for row in planned[4]]
+            values += np.vecdot(planned[4], table, out=held[:len(block)]).tolist()
         return values
 
     def objective(params):

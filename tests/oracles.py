@@ -32,6 +32,16 @@ term's subset sums to x'Qx 2^16 states at a time in a fresh vector, as
 into its output and added x'Qx there. ``block2_convex_per_check`` is ADMM's
 block 2 as it was before it held each step's value and move for its
 backtracking checks and took its norm without ``np.linalg.norm``.
+``z_diagonal_by_layout`` adds each term through ``simulator.phase_layout``
+and a sign table built for the term, as ``simulator.z_diagonal`` did
+before it built one sign table per support width and call.
+``copied_decider`` and ``risk_of_values`` are the classifier's decision
+values and risk as ``classifier._decider`` and ``classifier._risk`` computed
+them before a dataset's records stayed in the separator's plan: the start
+block chunked into the separator's buffers and copied back out on every
+call, its magnitudes squared into new arrays, and the risk in new arrays.
+``start_block`` reads the block a start-block plan ends in, as the state
+function returned it when it took ``start``.
 """
 
 import math
@@ -245,6 +255,43 @@ def z_sign_loop(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
     return out
 
 
+def z_diagonal_by_layout(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
+    """``simulator.z_diagonal``, each term laid out by ``phase_layout`` with its own sign table."""
+    dim = 1 << n_qubits
+    coeffs = [np.asarray(c, dtype=float) for _, c in terms]
+    columns = coeffs[0].shape if coeffs else ()
+    out = np.full((dim,) + columns, offset, dtype=float)
+    for (support, _), coeff in zip(terms, coeffs):
+        shape, _, factor_shape, order = sv.phase_layout(dim, support)
+        rows = out.reshape(shape + columns, copy=False)
+        rows += np.multiply.outer(sv.parity_signs(len(support))[order], coeff).reshape(
+            factor_shape + columns)
+    return out
+
+
+def copied_decider(config: clf.ModelConfig):
+    """``(theta, bias, block) -> values``, each call running the separator on a fresh
+    copy of ``block``'s chunks and squaring a copy of the result out."""
+    from qfin import variational as vq
+
+    separate = per_call_compile_ansatz(vq.rxry_ansatz(config.n_qubits, config.separator_layers))
+    signs = sv.parity_signs(config.n_qubits)
+
+    def decide(theta, bias, block):
+        return signs @ np.abs(separate(theta, start=block)) ** 2 + bias
+    return decide
+
+
+def risk_of_values(values: np.ndarray, labels: np.ndarray, form: str) -> float:
+    """The absolute or cross-entropy risk of ``values``, each step in a new array."""
+    if form == "absolute":
+        return float(np.mean(np.abs(values - labels)))
+    prob = 1.0 / (1.0 + np.exp(-values))  # logistic squashing, unit steepness
+    prob = np.clip(prob, 1e-12, 1.0 - 1e-12)
+    positive = labels > 0
+    return float(-np.mean(np.where(positive, np.log(prob), np.log(1.0 - prob))))
+
+
 # -- the per-call state functions the planned ones replaced ------------------
 #
 # ``per_call_compile_ansatz`` is ``variational.compile_ansatz`` as it was
@@ -378,6 +425,14 @@ def per_call_compile_ansatz(ansatz, table=None):
         return amps if np.ndim(params) == 2 else amps[:, 0]
 
     return layered_state
+
+
+def start_block(state_of, row, start) -> np.ndarray:
+    """The ``(2^n, R)`` block that ``state_of.records(start)`` ends in under ``row``."""
+    from qfin import variational as vq
+
+    planned = vq._run(state_of.records(start), row)
+    return np.array(planned.transpose(1, 0, 2)).reshape(len(start), -1)[:, :np.shape(start)[1]]
 
 
 def stack_readout(state_of, table: np.ndarray, stack, chunk: int) -> list:

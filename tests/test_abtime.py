@@ -44,6 +44,7 @@ def test_a_run_times_both_sides_and_writes_nothing_to_perfbench(capsys):
     assert lines[3].startswith("change pass: median") and lines[3].endswith("2 passes")
     assert lines[4].startswith("paired pass ratio change/base: median")
     assert lines[4].endswith("of 2 pairs")
+    assert lines[5].startswith("cmd_p50: base ") and lines[5].endswith("of 2 pairs")
     assert {p: p.stat().st_mtime_ns for p in perfbench.rglob("*")} == before
     # the workload builders' ``qfin`` is the real one again, and the copies are gone
     assert {key: module for key, module in sys.modules.items()
@@ -62,3 +63,21 @@ def test_each_command_reports_its_paired_ratio_median_and_wins(capsys):
     assert lines[1].split() == ["cmd", "2.00000", "2.00000", "1.000", "0.500", "2/3"]
     assert lines[4] == ("paired pass ratio change/base: median 0.5000, quartiles 0.5000-1.5000; "
                         "change faster in 2 of 3 pairs")
+
+
+def test_cmd_p50_is_the_median_of_command_medians_with_its_paired_ratio(capsys):
+    # cmd_p50 is the median over commands of each command's median, as the
+    # benchmark's cmd_p50_s; its paired ratio compares each pass's median
+    # over commands: pass 0 reads 2 -> 1, pass 1 reads 3 -> 3.3, pass 2 reads
+    # 5 -> 4, so the change is lower in two of three pairs
+    base = SimpleNamespace(label="base", passes=[1.0] * 3,
+                           walls={"a": [1.0, 3.0, 5.0], "b": [2.0, 3.0, 9.0], "c": [4.0, 1.0, 5.0]})
+    change = SimpleNamespace(label="change", passes=[1.0] * 3,
+                             walls={"a": [1.0, 3.3, 4.0], "b": [1.0, 4.0, 9.0],
+                                    "c": [0.5, 3.3, 2.0]})
+    assert abtime.cmd_p50(base.walls) == 3.0  # medians 3, 3 and 4
+    assert abtime.cmd_p50(change.walls) == 3.3  # medians 3.3, 4 and 2
+    abtime.report(base, change)  # paired ratios 0.5, 1.1 and 0.8
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "cmd_p50: base 3.00000 s, change 3.30000 s, change/base 1.100; "
+        "paired median 0.8000, change lower in 2 of 3 pairs")

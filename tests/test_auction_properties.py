@@ -146,9 +146,12 @@ def test_opt_auction_refuses_prices_that_overflow(tmp_path, name, solver):
 
 def test_opt_auction_stops_on_a_non_finite_block1_term(tmp_path):
     # within the limit (10 x 5 x (1 + 2e150 + 1)), but rho A0' drift overflows in block 1
+    # and the command prints its one message line, with no numpy warning
     text = "price,qty_item_1\n5.0,1e150\n4.0,1e150\n3.0,1\nunits,1e300\n"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, err, out = run_auction(text, "admm", tmp_path)
+    assert [str(w.message) for w in caught] == []
     assert code == 3
     assert err.splitlines() == ["validation error: linear must be finite"]
     assert list(out.iterdir()) == []
@@ -179,9 +182,10 @@ def large_auctions(draw):
 @settings(max_examples=80, deadline=None, database=None)
 @given(text=large_auctions(), solver=st.sampled_from(["brute-force", "admm"]))
 def test_opt_auction_exits_0_or_3_and_writes_only_finite_numbers(text, solver):
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, err, out = run_auction(text, solver, Path(tmp))
+        assert [str(w.message) for w in caught] == [], err
         assert code in (0, 3), err
         if code == 3:
             assert len(err.splitlines()) == 1 and list(out.iterdir()) == []

@@ -115,20 +115,20 @@ def test_empirical_risk_perfect_predictor_zero():
     data = clf.LabeledDataset(np.zeros((2, 0)), np.zeros((2, 0), dtype=int),
                               np.array([1, -1]))
     values = np.array([1.0, -1.0])
-    assert clf._risk_of_values(values, data.labels, "absolute") == 0.0
+    assert clf._risk(data.labels, "absolute")(values) == 0.0
 
 
 def test_empirical_risk_constant_zero_predictor():
     labels = np.array([1, -1, 1, -1])
-    assert clf._risk_of_values(np.zeros(4), labels, "absolute") == pytest.approx(1.0)
-    assert clf._risk_of_values(np.zeros(4), labels, "cross-entropy") \
+    assert clf._risk(labels, "absolute")(np.zeros(4)) == pytest.approx(1.0)
+    assert clf._risk(labels, "cross-entropy")(np.zeros(4)) \
         == pytest.approx(math.log(2.0))
 
 
 def test_empirical_risk_cross_entropy_rewards_margin():
     labels = np.array([1, 1])
-    low = clf._risk_of_values(np.array([0.2, 0.9]), labels, "cross-entropy")
-    high = clf._risk_of_values(np.array([0.9, 0.9]), labels, "cross-entropy")
+    low = clf._risk(labels, "cross-entropy")(np.array([0.2, 0.9]))
+    high = clf._risk(labels, "cross-entropy")(np.array([0.9, 0.9]))
     assert high < low
 
 
@@ -539,7 +539,7 @@ def _per_record_train(dataset, config, optimizer, form, evaluated=None):
 
     def objective(params):
         values = _per_record_decisions(build(params), dataset)
-        value = clf._risk_of_values(values, dataset.labels, form)
+        value = oracles.risk_of_values(values, dataset.labels, form)
         if evaluated is not None:
             evaluated.append((np.array(params), value))
         return value
@@ -661,3 +661,103 @@ def test_train_accuracy_equals_accuracy_of_the_trained_model(encoder, seed):
     optimizer = OptimizerConfig(method="spsa", iterations=10, seed=seed)
     model, _, train_acc = clf.train(dataset, config, optimizer)
     assert train_acc == clf.accuracy(model, dataset)
+
+
+# -- records held in the separator's plan
+
+def _unit_block(rng, n, records):
+    block = rng.normal(size=(1 << n, records)) + 1j * rng.normal(size=(1 << n, records))
+    return block / np.linalg.norm(block, axis=0)
+
+
+def test_decisions_and_risks_equal_the_copied_path_bytewise():
+    # the records stay in the separator's plan, and the readout and both risks
+    # run in held buffers: every value and risk keeps the bytes of the path
+    # that copied the block in and out per call, across the RECORD_COLUMNS
+    # chunk boundaries, and with biases large enough to reach the clip
+    rng = np.random.default_rng(81)
+    for n in range(1, 9):
+        for layers in (1, 2, 3):
+            config = clf.ModelConfig(n_qubits=n, separator_layers=layers)
+            decider, former = clf._decider(config), oracles.copied_decider(config)
+            count = clf.separator_parameter_count(config)
+            for records in (1, 15, 16, 17, 40, 75):
+                block = _unit_block(rng, n, records)
+                labels = np.where(rng.random(records) < 0.5, -1, 1)
+                decide = decider(block)
+                risks = {form: clf._risk(labels, form) for form in clf.RISK_FORMS}
+                for scale in (1.0, 1.0, 12.0):
+                    theta = rng.uniform(-math.pi, math.pi, count)
+                    bias = scale * rng.uniform(-math.pi, math.pi)
+                    want = former(theta, bias, block)
+                    got = decide(theta, bias)
+                    assert got.tobytes() == want.tobytes(), (n, layers, records)
+                    for form, risk in risks.items():
+                        assert repr(risk(got)) == repr(
+                            oracles.risk_of_values(want, labels, form)), (n, form)
+
+
+def test_two_datasets_scored_in_turn_keep_their_own_bytes():
+    # a dataset's records belong to its own ``decide``, not to a plan kept by
+    # block shape: 20 and 30 records both run in two chunks of 16 columns
+    rng = np.random.default_rng(82)
+    config = clf.ModelConfig(n_qubits=4, separator_layers=2)
+    decider = clf._decider(config)
+    blocks = [_unit_block(rng, 4, 20), _unit_block(rng, 4, 30)]
+    thetas = rng.uniform(-math.pi, math.pi, (3, clf.separator_parameter_count(config)))
+    alone = [[decider(block)(theta, 0.25).tobytes() for theta in thetas] for block in blocks]
+    first, second = decider(blocks[0]), decider(blocks[1])
+    for k, theta in enumerate(thetas):
+        assert first(theta, 0.25).tobytes() == alone[0][k]
+        assert second(theta, 0.25).tobytes() == alone[1][k]
+
+
+def test_training_plans_its_records_once_and_checks_no_stack_per_call(monkeypatch):
+    # an objective call copies its row into the plan and runs arithmetic: the
+    # records enter the separator's plan once, and no call checks a stack
+    from qfin import variational as vq
+
+    planned, compile_ansatz = [], clf.compile_ansatz
+
+    def counting(ansatz):
+        state_of = compile_ansatz(ansatz)
+        records = state_of.records
+        state_of.records = lambda start: planned.append(np.shape(start)) or records(start)
+        return state_of
+
+    def refuse(*args):
+        raise AssertionError("an objective call checked its stack")
+
+    monkeypatch.setattr(clf, "compile_ansatz", counting)
+    monkeypatch.setattr(vq, "_checked_stack", refuse)
+    dataset = clf.synthesize_transactions(20, seed=1)
+    config = _transaction_config("qrac", 1, dataset)
+    clf.train(dataset, config, OptimizerConfig(method="nelder-mead", iterations=10, seed=1))
+    assert planned == [(1 << config.n_qubits, 20)]
+
+
+def test_an_objective_call_peaks_within_its_held_blocks():
+    # 10 qubits x 200 records, in units of one complex (2^n, records) block.
+    # The plan holds the records' chunks and two ping-pong buffers, each 13
+    # chunks of 16 columns (1.04 blocks), and squares the magnitudes into
+    # the spare one: 3.22 blocks, all of them built for the dataset. Copying
+    # the block back out and squaring it into new arrays per call peaked at
+    # 4.20, beside the caller's encoded block
+    import tracemalloc
+
+    n, records = 10, 200
+    rng = np.random.default_rng(83)
+    config = clf.ModelConfig(n_qubits=n, continuous_names=tuple(f"x{i}" for i in range(n)))
+    points = rng.uniform(0.0, 1.0, (records, n))
+    block = clf._encoded_block(config, clf.fit_scaler(points), points,
+                               np.zeros((records, 0), dtype=int))
+    labels = np.where(rng.random(records) < 0.5, -1, 1)
+    theta = rng.uniform(-math.pi, math.pi, clf.separator_parameter_count(config))
+    tracemalloc.start()
+    try:
+        decide, risk = clf._decider(config)(block), clf._risk(labels, "cross-entropy")
+        risk(decide(theta, 0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * (16 << n) * records

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfin import simulator as sv
-from oracles import expectation, z_sign_loop
+from oracles import expectation, z_diagonal_by_layout, z_sign_loop
 from qpe_oracle import controlled_ops, inverse_qft
 
 
@@ -536,6 +536,24 @@ def test_z_diagonal_equals_the_sign_loop_bit_for_bit(n):
     assert sv.z_diagonal(n, terms).tobytes() == z_sign_loop(n, terms).tobytes()
     observable = sv.IsingObservable(terms=tuple(terms), offset=offset)
     assert observable.energy_table(n).tobytes() == z_sign_loop(n, terms, offset).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_z_diagonal_equals_the_per_term_layout_bytewise(n):
+    # one sign table per support width and call, where each term built its
+    # own through phase_layout: every entry keeps its bytes, with scalar and
+    # per-record coefficients, supports in any order (the empty one too),
+    # coefficients over seven decades and an offset
+    rng = np.random.default_rng(n + 300)
+    for columns in ((), (1,), (7,)):
+        terms = []
+        for _ in range(16):
+            support = tuple(int(q) for q in rng.permutation(n)[:rng.integers(0, min(n, 4) + 1)])
+            coeff = rng.normal(size=columns) * 10.0 ** int(rng.integers(-3, 4))
+            terms.append((support, float(coeff) if columns == () else coeff))
+        for offset in (0.0, -1.75):
+            want = z_diagonal_by_layout(n, terms, offset)
+            assert sv.z_diagonal(n, terms, offset).tobytes() == want.tobytes(), (n, columns)
 
 
 def test_z_diagonal_of_no_terms_is_the_offset():

@@ -15,7 +15,7 @@ from qfin.simulator import (
     new_zero_state,
 )
 from oracles import (energy_spread, ladder_per_cnot, per_call_compile_ansatz,
-                     sample_solutions_full_sort, stack_readout)
+                     sample_solutions_full_sort, stack_readout, start_block)
 
 Z0 = IsingObservable(terms=(((0,), 1.0),))
 
@@ -371,11 +371,11 @@ def test_columns_equal_single_calls_at_every_group_count(monkeypatch, group_qubi
                     assert matches_ops_path(ansatz, stack[0], np.abs(block[:, 0]) ** 2)
                     continue
                 start = rng.normal(size=(1 << n, 20)) + 1j * rng.normal(size=(1 << n, 20))
-                block = state_of(stack[0], start=start)
+                block = start_block(state_of, stack[0], start)
                 want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, stack[0]))
                 assert matches_ops_amplitudes(block, want.amplitudes), (n, kind, depth)
                 for b in (0, 15, 16, 19):
-                    column = state_of(stack[0], start=start[:, b:b + 1])
+                    column = start_block(state_of, stack[0], start[:, b:b + 1])
                     assert block[:, b].tobytes() == column.tobytes(), (n, kind, depth, b)
 
 
@@ -401,7 +401,7 @@ def test_planned_states_equal_the_per_call_functions_bytewise(monkeypatch, kind,
             for columns in range(1, 41) if n <= 8 else (1, 15, 16, 17, 40):
                 shape = (1 << n, columns)
                 start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                got = planned(row, start=start)
+                got = start_block(planned, row, start)
                 assert got.tobytes() == former(row, start=start).tobytes(), (n, depth, columns)
 
 
@@ -525,11 +525,11 @@ def test_moved_layout_start_blocks_equal_ops_path_and_per_column_calls(kind, n):
         row = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
         for width in (1, 3, 16):
             start = rng.normal(size=(1 << n, width)) + 1j * rng.normal(size=(1 << n, width))
-            block = state_of(row, start=start)
+            block = start_block(state_of, row, start)
             want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, row)).amplitudes
             assert matches_ops_amplitudes(block, want), (depth, width)
             for b in range(width):
-                column = state_of(row, start=start[:, b:b + 1])
+                column = start_block(state_of, row, start[:, b:b + 1])
                 assert block[:, b].tobytes() == column.tobytes(), (depth, width, b)
 
 
@@ -696,8 +696,8 @@ def test_returned_blocks_keep_their_bytes_after_later_calls(kind):
         kept.append((block, block.tobytes()))
         if kind != "qaoa":
             start = rng.normal(size=(16, width)) + 1j * rng.normal(size=(16, width))
-            block = state_of(rng.uniform(-math.pi, math.pi, ansatz.parameter_count),
-                             start=start)
+            block = start_block(state_of, rng.uniform(-math.pi, math.pi,
+                                                      ansatz.parameter_count), start)
             kept.append((block, block.tobytes()))
         for block, data in kept:
             assert block.tobytes() == data
@@ -713,7 +713,7 @@ def test_start_block_equals_ops_path(kind):
             for batch in (1, 2, 5):
                 start = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
                 row = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
-                block = state_of(row, start=start)
+                block = start_block(state_of, row, start)
                 assert block.shape == (1 << n, batch)
                 want = apply_ops(Statevector(n, start), vq.ansatz_ops(ansatz, row))
                 assert matches_ops_amplitudes(block, want.amplitudes), (n, depth, batch)
@@ -727,11 +727,11 @@ def test_start_block_validation():
     for bad_row, bad_start in ((np.stack([row, row]), start), (row, start[:2]),
                                (row, start[:, 0])):
         with pytest.raises(ValueError):
-            state_of(bad_row, start=bad_start)
+            start_block(state_of, bad_row, bad_start)
     # QAOA starts from the uniform superposition and takes no start block
     qaoa = vq.qaoa_ansatz(2, 1, Z0)
     with pytest.raises(ValueError):
-        vq.compile_ansatz(qaoa)(np.zeros(qaoa.parameter_count), start=start)
+        vq.compile_ansatz(qaoa).records(start)
 
 
 def test_qaoa_tables_stay_within_the_block_bound():

@@ -24,9 +24,12 @@ Prints each command's median wall time on each side with the ratio of the
 two medians CHANGE / BASE, and the median of its paired ratios (CHANGE's
 run over BASE's in the same pair) with the number of pairs CHANGE won; then
 the median and quartiles of each side's pass times, and the median of the
-paired pass ratios with the number of pairs CHANGE won. The paired figures
-are the ones to cite: a ratio of medians takes each side's median from
-other pairs, so host drift between pairs moves it. Exits with the failure
+paired pass ratios with the number of pairs CHANGE won; then each side's
+``cmd_p50``, the median over the commands of each command's median time
+(the benchmark's ``cmd_p50_s``, unscaled), and the median of its paired
+ratios, each pair's figure the median over the commands of that pass's
+times. The paired figures are the ones to cite: a ratio of medians takes
+each side's median from other pairs, so host drift between pairs moves it. Exits with the failure
 when a command fails on either side.
 """
 
@@ -137,6 +140,12 @@ def paired(before: list[float], after: list[float]) -> tuple[list[float], int]:
     return ratios, sum(ratio < 1.0 for ratio in ratios)
 
 
+def cmd_p50(walls: dict[str, list[float]]) -> float:
+    """The median over the commands of each command's median time, as
+    ``perfbench/run.py``'s ``_cmd_p50`` computes the benchmark's ``cmd_p50_s``."""
+    return statistics.median(statistics.median(times) for times in walls.values())
+
+
 def report(base: Side, change: Side) -> None:
     width = max(len(name) for name in base.walls)
     print(f"{'command':<{width}}  {'base_s':>10}  {'change_s':>10}  change/base  "
@@ -154,6 +163,12 @@ def report(base: Side, change: Side) -> None:
     low, median, high = quartiles(ratios)
     print(f"paired pass ratio change/base: median {median:.4f}, quartiles {low:.4f}-{high:.4f}; "
           f"change faster in {wins} of {len(ratios)} pairs")
+    before, after = cmd_p50(base.walls), cmd_p50(change.walls)
+    ratios, wins = paired(*([cmd_p50({name: [times[i]] for name, times in side.walls.items()})
+                             for i in range(len(side.passes))] for side in (base, change)))
+    print(f"cmd_p50: base {before:.5f} s, change {after:.5f} s, change/base {after / before:.3f}; "
+          f"paired median {statistics.median(ratios):.4f}, change lower in {wins} of "
+          f"{len(ratios)} pairs")
 
 
 def parse_args(argv):
