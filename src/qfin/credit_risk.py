@@ -119,7 +119,7 @@ def linear_angle_fit(portfolio: CreditPortfolio) -> list[tuple[float, float]]:
     for asset in portfolio.assets:
         theta = np.array([2.0 * math.asin(math.sqrt(default_probability(asset, z)))
                           for z in dist.grid])
-        if portfolio.n_z == 0 or np.allclose(theta, theta[0]):
+        if np.allclose(theta, theta[0]):
             fits.append((0.0, float(theta[0])))
             continue
         coef, *_ = np.linalg.lstsq(design, theta, rcond=None)

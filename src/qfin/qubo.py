@@ -381,7 +381,7 @@ class DiversificationDecode:
     violations: tuple[str, ...]
 
 
-def decode_diversification(bits, q_clusters: int | None = None) -> DiversificationDecode:
+def decode_diversification(bits, q_clusters: int) -> DiversificationDecode:
     """Recover stock selection and representative map; report violated families."""
     bits = np.asarray(bits, dtype=int)
     n = int((math.isqrt(4 * bits.size + 1) - 1) // 2)
@@ -398,9 +398,7 @@ def decode_diversification(bits, q_clusters: int | None = None) -> Diversificati
             assignment[i] = int(row[0])
         else:
             violations.append("row-assignment")
-    if q_clusters is not None and len(selected) != q_clusters:
-        violations.append("budget")
-    if q_clusters is None and len(selected) == 0:
+    if len(selected) != q_clusters:
         violations.append("budget")
     for j in range(n):
         if x_mat[j, j] != y_vec[j]:

@@ -210,28 +210,28 @@ def z_diagonal(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
     """``offset + sum_S c_S prod_{q in S} Z_q`` over all 2^n basis states.
 
     ``terms`` is a sequence of ``(support, c_S)`` with no qubit repeated in a
-    support. Each term is added in order through ``_split``'s view of the
-    result, which puts each qubit of its support on an axis of length 2, as
-    its 2^|S| signed coefficients broadcast over the blocks, so no 2^n
-    index or sign vector is built. The sign of a basis state is the parity
-    of its support bits, whatever their order, and the parities of the
-    first 2^|S| indices are those of |S| bits, so one sign table per call,
-    ``parity_signs`` of the widest support, serves every term. Every sign is
-    exactly +-1, so each entry is the same sum, in the same order, as adding
-    ``c_S`` times a term's sign vector. A ``c_S`` may also be a row of
-    values, one per column: all coefficients are then rows of one length B,
-    and the result is a ``(2^n, B)`` block with one diagonal per column.
+    support. The result is viewed once with one axis of length 2 per qubit,
+    qubit q on axis n - 1 - q, and each term's 2^|S| signed coefficients are
+    added in order, shaped 2 on its support's axes and 1 on the others, so
+    they broadcast over the rest and no 2^n index or sign vector is built.
+    The sign of a basis state is the parity of its support bits, whatever
+    their order, and the parities of the first 2^|S| indices are those of
+    |S| bits, so one sign table per call, ``parity_signs`` of the widest
+    support, serves every term. Every sign is exactly +-1, so each entry is
+    the same sum, in the same order, as adding ``c_S`` times a term's sign
+    vector. A ``c_S`` may also be a row of values, one per column: all
+    coefficients are then rows of one length B, and the result is a
+    ``(2^n, B)`` block with one diagonal per column.
     """
-    dim = 1 << n_qubits
     coeffs = [np.asarray(c, dtype=float) for _, c in terms]
     columns = coeffs[0].shape if coeffs else ()
-    out = np.full((dim,) + columns, offset, dtype=float)
+    out = np.full((1 << n_qubits,) + columns, offset, dtype=float)
+    qubits = out.reshape((2,) * n_qubits + columns, copy=False)
     signs = parity_signs(max((len(support) for support, _ in terms), default=0))
     for (support, _), coeff in zip(terms, coeffs):
-        shape, _, axes = _split(dim, tuple(support))
-        factor = tuple(2 if axis in axes else 1 for axis in range(len(shape)))
-        rows = out.reshape(shape + columns, copy=False)
-        rows += np.multiply.outer(signs[:1 << len(support)], coeff).reshape(factor + columns)
+        axes = {n_qubits - 1 - q for q in support}
+        factor = tuple(2 if axis in axes else 1 for axis in range(n_qubits))
+        qubits += np.multiply.outer(signs[:1 << len(support)], coeff).reshape(factor + columns)
     return out
 
 

@@ -19,7 +19,6 @@ from .simulator import (
     GateOp,
     IsingObservable,
     Statevector,
-    basis_probabilities,
     cnot,
     h,
     parity_signs,
@@ -438,19 +437,18 @@ def bitstring_of(index: int, n: int) -> str:
     return "".join(str((index >> q) & 1) for q in range(n))
 
 
-def sample_solutions(state: Statevector, table: np.ndarray,
+def sample_solutions(probs: np.ndarray, table: np.ndarray,
                      top_k: int) -> list[tuple[str, float, float]]:
-    """The ``top_k`` most probable basis states (all, if fewer; equal probabilities by
-    index) with exact probabilities and energies from ``table``. Only the states at or
-    above the k-th largest probability are sorted, so no 2^n sort keys are held."""
+    """The ``top_k`` most probable basis states of the 2^n ``probs`` (all, if fewer;
+    equal probabilities by index) with their probabilities and energies from ``table``.
+    Only the states at or above the k-th largest probability are sorted, so no 2^n
+    sort keys are held."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    probs = basis_probabilities(state)
-    k = min(top_k, probs.size)
+    n, k = probs.size.bit_length() - 1, min(top_k, probs.size)
     candidates = np.flatnonzero(probs >= np.partition(probs, -k)[-k])
     order = candidates[np.lexsort((candidates, -probs[candidates]))][:k]
-    return [(bitstring_of(int(i), state.n_qubits), float(probs[i]), float(table[i]))
-            for i in order]
+    return [(bitstring_of(int(i), n), float(probs[i]), float(table[i])) for i in order]
 
 
 @dataclass(frozen=True)
@@ -459,7 +457,6 @@ class VariationalResult:
     best_params: np.ndarray
     top_states: list[tuple[str, float, float]]
     trace: list[float]
-    state: Statevector
     evaluations: int  # the winning run's objective calls, as ``OptimizeOutcome`` counts them
     stop_reason: str  # its ``OptimizeOutcome.stop_reason``; "none" when nothing was tuned
 
@@ -490,12 +487,13 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     the per-row dot products into a held vector, not a matrix-vector
     product or a strided column, whose sums may round differently. The
     stack is a float array or a list of rows (a single point comes as a
-    list of one), converted by the copy alone.
+    list of one), converted by the copy alone. The best row is run once more
+    through the plan of one row, and ``sample_solutions`` reads the top
+    states off the probabilities that plan squared, so no state is copied
+    out or squared again.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if observable.max_qubit() >= ansatz.n_qubits:
-        raise ValueError("observable support exceeds the ansatz register")
     table = observable.energy_table(ansatz.n_qubits)
     state_of = compile_ansatz(ansatz, table if ansatz.cost is observable else None)
 
@@ -520,13 +518,13 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     else:  # QAOA at p = 0: the uniform superposition, nothing to tune
         value = objective(np.zeros(0))
         best = OptimizeOutcome(np.zeros(0), value, [value], evaluations=1, stop_reason="none")
-    state = Statevector(ansatz.n_qubits, state_of(best.x).astype(complex, copy=False))
+    planned = plan(1)
+    _run(planned, best.x[None])
     return VariationalResult(
         best_value=best.value,
         best_params=best.x,
-        top_states=sample_solutions(state, table, top_k),
+        top_states=sample_solutions(planned[4][0], table, top_k),
         trace=best.trace,
-        state=state,
         evaluations=best.evaluations,
         stop_reason=best.stop_reason,
     )

@@ -556,6 +556,21 @@ def test_z_diagonal_equals_the_per_term_layout_bytewise(n):
             assert sv.z_diagonal(n, terms, offset).tobytes() == want.tobytes(), (n, columns)
 
 
+@pytest.mark.parametrize("n", [20, 24])
+def test_z_diagonal_equals_the_per_term_layout_bytewise_at_width(n):
+    # one axis per qubit up to the ceiling, with supports on the end qubits;
+    # seven columns at 24 qubits would take about 1 GiB, so one column at most
+    rng = np.random.default_rng(n + 400)
+    supports = [(0,), (n - 1,), (n - 1, 0), (0, n // 2, n - 1), (), (n - 2, 1, n - 1, 0)]
+    for columns in ((), (1,)):
+        terms = [(support, float(coeff) if columns == () else coeff)
+                 for support, coeff in zip(supports, rng.normal(size=(len(supports),) + columns))]
+        got, want = sv.z_diagonal(n, terms, -0.5), z_diagonal_by_layout(n, terms, -0.5)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), columns
+        del got, want
+
+
 def test_z_diagonal_of_no_terms_is_the_offset():
     assert sv.z_diagonal(3, []).tolist() == [0.0] * 8
     assert sv.z_diagonal(2, [], 1.5).tolist() == [1.5] * 4

@@ -82,10 +82,13 @@ def test_qaoa_depth_zero_gives_mean_energy():
 def test_qaoa_depth_zero_state_is_the_hadamard_layer(n):
     rng = np.random.default_rng([n, 26])
     qubo = qb.Qubo(n=n, quadratic=np.zeros((n, n)), linear=rng.normal(size=n))
-    result = vq.qaoa_minimize(qb.to_ising(qubo), 0, OptimizerConfig(iterations=1), n_qubits=n)
-    want = apply_ops(new_zero_state(n), [h(q) for q in range(n)]).amplitudes
-    assert result.state.amplitudes.shape == want.shape
-    assert np.max(np.abs(result.state.amplitudes - want)) <= 1e-15
+    result = vq.qaoa_minimize(qb.to_ising(qubo), 0, OptimizerConfig(iterations=1),
+                              n_qubits=n, top_k=1 << n)
+    want = basis_probabilities(apply_ops(new_zero_state(n), [h(q) for q in range(n)]))
+    # every state is equally likely, so all 2^n come in index order
+    assert [bits for bits, _, _ in result.top_states] == [vq.bitstring_of(i, n)
+                                                          for i in range(1 << n)]
+    assert np.max(np.abs(np.array([p for _, p, _ in result.top_states]) - want)) <= 1e-15
     assert result.best_params.size == 0 and result.trace == [result.best_value]
 
 
@@ -146,14 +149,14 @@ def test_random_ising_close_to_brute_force_in_restarts():
 
 def test_sample_solutions_vacuum():
     state = vq.prepare_state(vq.ry_ansatz(2, 0), np.zeros(2))
-    top = vq.sample_solutions(state, qb.to_ising(qb.Qubo(
+    top = vq.sample_solutions(basis_probabilities(state), qb.to_ising(qb.Qubo(
         n=2, quadratic=np.zeros((2, 2)), linear=np.zeros(2))).energy_table(2), 1)
     assert top == [("00", pytest.approx(1.0), 0.0)]
 
 
 def test_sample_solutions_uniform_superposition():
     state = vq.prepare_state(vq.qaoa_ansatz(2, 1, Z0), [0.0, 0.0])
-    top = vq.sample_solutions(state, Z0.energy_table(2), 4)
+    top = vq.sample_solutions(basis_probabilities(state), Z0.energy_table(2), 4)
     assert len(top) == 4
     for _, probability, _ in top:
         assert probability == pytest.approx(0.25, abs=1e-12)
@@ -161,7 +164,7 @@ def test_sample_solutions_uniform_superposition():
 
 def test_sample_solutions_sorted_descending():
     state = vq.prepare_state(vq.ry_ansatz(3, 1), np.linspace(0.1, 1.7, 6))
-    top = vq.sample_solutions(state, Z0.energy_table(3), 8)
+    top = vq.sample_solutions(basis_probabilities(state), Z0.energy_table(3), 8)
     probabilities = [p for _, p, _ in top]
     assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-9)
@@ -183,7 +186,7 @@ def test_sample_solutions_equal_the_full_sort_bytewise():
                      tied, sparse, new_zero_state(n).amplitudes):
             state = Statevector(n, amps.astype(complex))
             for top_k in sorted({1, 2, 3, 8, max(1, dim - 1), dim, dim + 5}):
-                got = vq.sample_solutions(state, table, top_k)
+                got = vq.sample_solutions(basis_probabilities(state), table, top_k)
                 want = sample_solutions_full_sort(state, table, top_k)
                 assert repr(got) == repr(want), (n, top_k)
 
@@ -571,8 +574,7 @@ def reference_vqe(observable, ansatz, optimizer, top_k=8):
         outcome = minimize(objective, vq._initial_params(ansatz, rng), optimizer, rng=rng)
         if best is None or outcome.value < best.value:
             best = outcome
-    state = Statevector(n, amplitudes(best.x))
-    return best, vq.sample_solutions(state, table, min(top_k, state.dim))
+    return best, vq.sample_solutions(np.abs(amplitudes(best.x)) ** 2, table, top_k)
 
 
 def _benchmark_observables():
@@ -657,16 +659,36 @@ def test_rows_equal_the_former_readout_bytewise(monkeypatch, kind):
         assert np.array(rows([stack[-1]])).tobytes() == want[-1:].tobytes(), n
 
 
+@pytest.mark.parametrize("kind", ["ry", "qaoa"])
+def test_top_states_equal_the_full_sort_of_the_prepared_state_bytewise(kind):
+    # the top states are read off the probabilities the plan squared for the
+    # best row; they keep the bytes of the prepared state's full sort
+    rng = np.random.default_rng(["ry", "qaoa"].index(kind) + 70)
+    for n in range(1, 11):
+        observable = mixed_cost(n, rng)
+        ansatz = vq.ry_ansatz(n, 1) if kind == "ry" else vq.qaoa_ansatz(n, 2, observable)
+        table = observable.energy_table(n)
+        for top_k in (1, 5, 1 << n):
+            result = vq.vqe_minimize(observable, ansatz, OptimizerConfig("spsa", 3, seed=n),
+                                     top_k=top_k)
+            want = sample_solutions_full_sort(vq.prepare_state(ansatz, result.best_params),
+                                              table, top_k)
+            assert repr(result.top_states) == repr(want), (n, top_k)
+
+
 @pytest.mark.parametrize("solver,method,n,states", [
-    ("vqe", "spsa", 16, 4.07), ("qaoa", "spsa", 16, 4.54), ("vqe", "nelder-mead", 16, 4.05),
-    ("vqe", "nelder-mead", 12, 9.35), ("vqe", "spsa", 20, 4.01), ("qaoa", "spsa", 20, 4.51)])
+    ("vqe", "spsa", 16, 2.59), ("qaoa", "spsa", 16, 3.07), ("vqe", "nelder-mead", 16, 2.59),
+    ("vqe", "nelder-mead", 12, 9.35), ("vqe", "spsa", 20, 2.52), ("qaoa", "spsa", 20, 3.02)])
 def test_variational_runs_peak_within_their_pinned_states(solver, method, n, states):
     # a one-iteration depth-1 run, in complex 2^n states under tracemalloc.
     # The readout writes into a plan's spare buffer, so no call holds a copy
     # of its block or a probability block beside it; at 12 qubits a
     # Nelder-Mead simplex runs 4 rows per chunk, whose copies took 12.06.
     # sample_solutions sorts only the states at or above the k-th largest
-    # probability; sorting all 2^n took one more state
+    # probability; sorting all 2^n took one more state. The top states are
+    # read off the probabilities the plan squared for the best row, where a
+    # second run of the state function, its complex copy and their squares
+    # took 1.5 more states
     import tracemalloc
 
     rng = np.random.default_rng(7)
