@@ -10,7 +10,8 @@ gradient-trained logistic regression and a linear hinge classifier.
 The encoded state of a record (feature map plus QRAC) does not depend on the
 separator angles, so a dataset is encoded once into the columns of one
 batched statevector, with no gate built. The feature map's U_phi is one
-diagonal per record, exp(i sum_S phi_S prod_S Z) from ``z_diagonal``,
+diagonal per record, exp(i sum_S phi_S prod_S Z), whose phases the doubling
+of QUBO brute force (``qubo.QuadraticEnumeration``) tables for all records,
 multiplied in after each Hadamard layer; each QRAC qubit is set to its Bloch
 state as a product-state factor. The separator's plan (``compile_ansatz``)
 then holds that block for as long as the dataset is scored, and each
@@ -46,8 +47,8 @@ from .simulator import (
     phase_gate,
     ry,
     rz,
-    z_diagonal,
 )
+from .qubo import QuadraticEnumeration
 from .variational import ansatz_ops, compile_ansatz, rxry_ansatz
 
 TWO_PI = 2.0 * math.pi
@@ -71,6 +72,22 @@ def default_coefficients(x: np.ndarray) -> dict[tuple[int, ...], float]:
         for j in range(i + 1, d):
             coeffs[(i, j)] = (math.pi - x[i]) * (math.pi - x[j])
     return coeffs
+
+
+def _phase_block(mapped: np.ndarray) -> np.ndarray:
+    """U_phi's phases sum_S phi_S prod_S z of each record (a row of ``mapped``) as a
+    ``(2^n, records)`` view. With z_q = 1 - 2 x_q for bit q of the basis index, phi_i z_i
+    and phi_ij z_i z_j are phi - 2 phi x_i and phi - 2 phi (x_i + x_j) + 4 phi x_i x_j:
+    a QUBO in x per record, whose energies ``QuadraticEnumeration`` doubles out."""
+    records, n = mapped.shape
+    quadratic, linear, constant = np.zeros((records, n, n)), np.zeros((records, n)), 0.0
+    for support, phi in default_coefficients(mapped.T).items():
+        constant = constant + phi
+        for q in support:
+            linear[:, q] -= 2.0 * phi
+        if len(support) == 2:
+            quadratic[:, support[0], support[1]] = 4.0 * phi
+    return QuadraticEnumeration(quadratic).energies(linear, constant[:, None]).T
 
 
 def feature_map_ops(n_qubits: int, repetitions: int, x) -> list[GateOp]:
@@ -462,7 +479,7 @@ def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.n
     record i, to round-off, with no gate built. The feature-map register
     takes the Hadamard layers through the scalar kernel, each followed by
     one multiply by U_phi, the record's diagonal exp(i sum_S phi_S prod_S Z)
-    from ``z_diagonal``. Each QRAC qubit then joins as a product-state
+    of ``_phase_block``. Each QRAC qubit then joins as a product-state
     factor in its Bloch state, and the latent qubits stay at |0>.
     """
     if config.n_qubits > MAX_QUBITS:
@@ -473,8 +490,8 @@ def _encoded_block(config: ModelConfig, scaler, continuous, categorical) -> np.n
     block = np.zeros((1 << config.n_map_qubits, records), dtype=np.complex128)
     block[0] = 1.0
     if config.n_map_qubits:
-        u_phi = np.exp(1j * z_diagonal(config.n_map_qubits,
-                                       sorted(default_coefficients(mapped.T).items())))
+        u_phi = np.empty_like(block)
+        np.exp(np.multiply(1j, _phase_block(mapped), out=u_phi), out=u_phi)
         for _ in range(config.repetitions):
             for q in range(config.n_map_qubits):
                 apply_1q_inplace(block, q, "h")

@@ -90,7 +90,8 @@ class QuadraticEnumeration:
     and S_j the subset sum (``subset_sums``) of its cross terms
     ``Q[j, k] + Q[k, j]`` over the lower set bits k. S_j is built in place
     where the states with top bit j go, so building the table takes no
-    other 2^n vector.
+    other 2^n vector. Leading axes of ``quadratic`` (a form per record)
+    lead the table and ``energies``' ``linear`` and ``constant`` too.
 
     ``energies(linear, constant)`` then writes the subset sums of ``linear``
     (``subset_sums``, all 2^n of them) into its output and adds x'Qx and the
@@ -101,18 +102,18 @@ class QuadraticEnumeration:
     """
 
     def __init__(self, quadratic: np.ndarray):
-        n = quadratic.shape[0]
+        n = quadratic.shape[-1]
         if n > MAX_QUBITS:
-            raise CapacityError(f"enumeration supports at most {MAX_QUBITS} variables")
+            raise CapacityError(f"energy table of {n} qubits, ceiling {MAX_QUBITS}")
         self.n = n
         self._energies = None
-        cross = quadratic + quadratic.T
-        self.quad = np.empty(1 << n)
-        self.quad[0] = 0.0
+        cross = quadratic + np.swapaxes(quadratic, -1, -2)
+        self.quad = np.empty(quadratic.shape[:-2] + (1 << n,))
+        self.quad[..., 0] = 0.0
         for j in range(n):
-            top = subset_sums(cross[j, :j], out=self.quad[1 << j:2 << j])
-            top += self.quad[:1 << j]
-            top += quadratic[j, j]
+            top = subset_sums(cross[..., j, :j], out=self.quad[..., 1 << j:2 << j])
+            top += self.quad[..., :1 << j]
+            top += quadratic[..., j, j, None]
 
     def energies(self, linear: np.ndarray, constant: float = 0.0,
                  out: np.ndarray | None = None) -> np.ndarray:

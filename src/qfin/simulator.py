@@ -219,19 +219,15 @@ def z_diagonal(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
     |S| bits, so one sign table per call, ``parity_signs`` of the widest
     support, serves every term. Every sign is exactly +-1, so each entry is
     the same sum, in the same order, as adding ``c_S`` times a term's sign
-    vector. A ``c_S`` may also be a row of values, one per column: all
-    coefficients are then rows of one length B, and the result is a
-    ``(2^n, B)`` block with one diagonal per column.
+    vector.
     """
-    coeffs = [np.asarray(c, dtype=float) for _, c in terms]
-    columns = coeffs[0].shape if coeffs else ()
-    out = np.full((1 << n_qubits,) + columns, offset, dtype=float)
-    qubits = out.reshape((2,) * n_qubits + columns, copy=False)
+    out = np.full(1 << n_qubits, offset, dtype=float)
+    qubits = out.reshape((2,) * n_qubits, copy=False)
     signs = parity_signs(max((len(support) for support, _ in terms), default=0))
-    for (support, _), coeff in zip(terms, coeffs):
+    for support, coeff in terms:
         axes = {n_qubits - 1 - q for q in support}
         factor = tuple(2 if axis in axes else 1 for axis in range(n_qubits))
-        qubits += np.multiply.outer(signs[:1 << len(support)], coeff).reshape(factor + columns)
+        qubits += (signs[:1 << len(support)] * coeff).reshape(factor)
     return out
 
 
@@ -337,9 +333,6 @@ class IsingObservable:
     terms: tuple[tuple[tuple[int, ...], float], ...]
     offset: float = 0.0
 
-    def max_qubit(self) -> int:
-        return max((q for support, _ in self.terms for q in support), default=-1)
-
     def energy_of(self, bits) -> float:
         e = self.offset
         for support, coeff in self.terms:
@@ -351,7 +344,7 @@ class IsingObservable:
 
     def energy_table(self, n_qubits: int) -> np.ndarray:
         """Energies of all 2^n basis states, indexed by basis index."""
-        if self.max_qubit() >= n_qubits:
+        if any(q >= n_qubits for support, _ in self.terms for q in support):
             raise ValueError("observable support out of range")
         if n_qubits > MAX_QUBITS:
             raise CapacityError(f"energy table of {n_qubits} qubits, ceiling {MAX_QUBITS}")

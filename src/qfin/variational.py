@@ -1,4 +1,4 @@
-"""VQE and QAOA over diagonal observables, with exact expectations.
+"""VQE and QAOA over diagonal observables given as energy tables, with exact expectations.
 
 Ansatz families: RY rotation layers with full-entanglement CNOT ladders,
 RX+RY layers with the same ladder (the classifier separator), and the QAOA
@@ -8,24 +8,14 @@ classical optimizer sees a noiseless objective.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .optimizers import OptimizeOutcome, OptimizerConfig, minimize_restarts
-from .qubo import Qubo, to_ising
-from .simulator import (
-    GateOp,
-    IsingObservable,
-    Statevector,
-    cnot,
-    h,
-    parity_signs,
-    phase_gate,
-    rx,
-    ry,
-)
+from .qubo import Qubo, all_energies
+from .simulator import GateOp, Statevector, cnot, h, phase_gate, rx, ry
 
 ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
 
@@ -49,12 +39,22 @@ RECORD_COLUMNS = 16
 MAX_DEPTH = 16
 
 
+def _checked_table(table, n_qubits: int) -> np.ndarray:
+    """``table`` as a float array of one finite energy per basis state of ``n_qubits`` qubits,
+    checked by its min and max (NaN propagates), which take no 2^n temporary."""
+    table = np.asarray(table, dtype=float)
+    if table.shape != (1 << n_qubits,) or not np.isfinite([table.min(), table.max()]).all():
+        raise ValueError(f"energy table must hold {1 << n_qubits} finite energies")
+    return table
+
+
 @dataclass(frozen=True)
 class Ansatz:
     kind: str
     n_qubits: int
     depth: int
-    cost: IsingObservable | None = None
+    # QAOA's cost C as its energy table, indexed by basis index; an array does not hash
+    cost: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in ANSATZ_KINDS:
@@ -64,14 +64,7 @@ class Ansatz:
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
         if self.kind == "qaoa":
-            if self.cost is None:
-                raise ValueError("qaoa ansatz needs a cost observable")
-            for support, _ in self.cost.terms:
-                if len(set(support)) != len(support):
-                    raise ValueError(f"cost term {support} repeats a qubit")
-                if not all(0 <= q < self.n_qubits for q in support):
-                    raise ValueError(
-                        f"cost term {support} does not fit {self.n_qubits} qubits")
+            object.__setattr__(self, "cost", _checked_table(self.cost, self.n_qubits))
 
     @property
     def parameter_count(self) -> int:
@@ -90,7 +83,7 @@ def rxry_ansatz(n_qubits: int, layers: int = 1) -> Ansatz:
     return Ansatz("rxry-full-entanglement", n_qubits, layers)
 
 
-def qaoa_ansatz(n_qubits: int, p: int, cost: IsingObservable) -> Ansatz:
+def qaoa_ansatz(n_qubits: int, p: int, cost: np.ndarray) -> Ansatz:
     return Ansatz("qaoa", n_qubits, p, cost=cost)
 
 
@@ -117,10 +110,9 @@ def _ladder_permutation(n: int) -> np.ndarray:
     return perm
 
 
-def cost_phase_ops(cost: IsingObservable, gamma: float) -> list[GateOp]:
-    """exp(-i gamma H) for a diagonal H, term by term; the offset is global phase."""
-    return [phase_gate(support, -gamma * coeff * parity_signs(len(support)))
-            for support, coeff in cost.terms]
+def cost_phase_ops(cost: np.ndarray, gamma: float) -> list[GateOp]:
+    """exp(-i gamma C) for C's energy table ``cost``, as one diagonal phase over every qubit."""
+    return [phase_gate(range(cost.size.bit_length() - 1), -gamma * cost)]
 
 
 def _checked_params(ansatz: Ansatz, params) -> np.ndarray:
@@ -313,7 +305,7 @@ def _run(plan: tuple, stack) -> np.ndarray:
     return last
 
 
-def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
+def compile_ansatz(ansatz: Ansatz):
     """Build ``ansatz`` once into a state function ``params -> amplitudes``.
 
     The function takes a ``(B, P)`` stack of parameter rows and returns a
@@ -332,9 +324,8 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     is one RX(2 beta) per level, broadcast over the qubits, beta read from
     the parameter buffer as its half-angle. Between layers, RY and RX+RY run
     the CNOT ladder as one gather; QAOA multiplies by the diagonal
-    exp(-i gamma C) (every cost term is a product of Z factors), built in the
-    spare state buffer, C ``table`` (the caller's cost energy table) or else
-    ``ansatz.cost.energy_table(n)``; its offset is a global phase.
+    exp(-i gamma C), built in the spare state buffer from C's energy table
+    ``ansatz.cost``.
 
     Each block shape gets a plan on its first call: its buffers, and the
     numpy calls between them with their views bound (the steps). A call
@@ -361,7 +352,6 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
     qaoa, real = ansatz.kind == "qaoa", ansatz.kind == "ry-full-entanglement"
-    energies = ansatz.cost.energy_table(n) if qaoa and table is None else table
     perm = _ladder_permutation(n) if p and not qaoa else None
 
     def build(rows: int, source: np.ndarray | None = None, count: int = 0):
@@ -392,7 +382,7 @@ def compile_ansatz(ansatz: Ansatz, table: np.ndarray | None = None):
         for layer in range(rotations.shape[1]):
             if qaoa:  # exp(-i gamma C) in the spare buffer, then onto the state
                 amps, phases = state[at], state[1 - at]
-                steps += [partial(np.multiply, gammas[:, layer], energies, phases[:, :, 0]),
+                steps += [partial(np.multiply, gammas[:, layer], ansatz.cost, phases[:, :, 0]),
                           partial(np.exp, phases, phases), partial(np.multiply, amps, phases, amps)]
             elif layer or not start:
                 steps.append(partial(state[at].take, perm, 1, state[1 - at], "clip"))
@@ -467,9 +457,9 @@ def _initial_params(ansatz: Ansatz, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-math.pi, math.pi, size=ansatz.parameter_count)
 
 
-def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
+def vqe_minimize(table: np.ndarray, ansatz: Ansatz,
                  optimizer: OptimizerConfig, top_k: int = 8) -> VariationalResult:
-    """Classical loop over exact statevector expectations; restarts keep the best outcome.
+    """Classical loop over exact expectations of the energy table ``table``; restarts keep the best.
 
     The returned trace is the winning restart's best-so-far curve, which is
     nonincreasing by construction.
@@ -494,10 +484,8 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    table = observable.energy_table(ansatz.n_qubits)
-    state_of = compile_ansatz(ansatz, table if ansatz.cost is observable else None)
-
-    chunk, plan = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits), state_of.plan
+    table = _checked_table(table, ansatz.n_qubits)
+    chunk, plan = max(1, BLOCK_AMPLITUDES >> ansatz.n_qubits), compile_ansatz(ansatz).plan
     held = np.empty(chunk)
 
     def rows(stack):
@@ -530,28 +518,27 @@ def vqe_minimize(observable: IsingObservable, ansatz: Ansatz,
     )
 
 
-def qaoa_minimize(observable: IsingObservable, p: int, optimizer: OptimizerConfig,
-                  n_qubits: int | None = None, top_k: int = 8) -> VariationalResult:
-    """VQE loop over the QAOA ansatz of depth p on the given cost observable.
+def qaoa_minimize(table: np.ndarray, p: int, optimizer: OptimizerConfig,
+                  top_k: int = 8) -> VariationalResult:
+    """VQE loop over the depth-p QAOA ansatz whose cost is the energy table ``table``.
 
     At p = 0 the state is the uniform superposition, evaluated once.
     """
-    if n_qubits is None:
-        n_qubits = observable.max_qubit() + 1
-    return vqe_minimize(observable, qaoa_ansatz(n_qubits, p, observable),
-                        optimizer, top_k=top_k)
+    n_qubits = np.size(table).bit_length() - 1
+    return vqe_minimize(table, qaoa_ansatz(n_qubits, p, table), optimizer, top_k=top_k)
 
 
 def minimize_qubo(qubo: Qubo, solver: str, depth: int, optimizer: OptimizerConfig,
                   top_k: int) -> tuple[np.ndarray, float, VariationalResult]:
     """(bits, energy, run) of the lowest-energy of a run's ``top_k`` most probable states.
 
-    ``solver`` is ``"vqe"`` (an RY ansatz of ``depth`` layers) or ``"qaoa"`` (``depth`` levels).
+    ``solver`` is ``"vqe"`` (an RY ansatz of ``depth`` layers) or ``"qaoa"`` (``depth`` levels),
+    on the energy table of ``qubo.all_energies``.
     """
-    observable = to_ising(qubo)
+    table = all_energies(qubo)
     if solver == "vqe":
-        result = vqe_minimize(observable, ry_ansatz(qubo.n, depth), optimizer, top_k=top_k)
+        result = vqe_minimize(table, ry_ansatz(qubo.n, depth), optimizer, top_k=top_k)
     else:
-        result = qaoa_minimize(observable, depth, optimizer, n_qubits=qubo.n, top_k=top_k)
+        result = qaoa_minimize(table, depth, optimizer, top_k=top_k)
     bits, _, energy = min(result.top_states, key=lambda entry: entry[2])
     return np.array([int(ch) for ch in bits]), energy, result

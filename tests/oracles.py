@@ -258,14 +258,11 @@ def z_sign_loop(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
 def z_diagonal_by_layout(n_qubits: int, terms, offset: float = 0.0) -> np.ndarray:
     """``simulator.z_diagonal``, each term laid out by ``phase_layout`` with its own sign table."""
     dim = 1 << n_qubits
-    coeffs = [np.asarray(c, dtype=float) for _, c in terms]
-    columns = coeffs[0].shape if coeffs else ()
-    out = np.full((dim,) + columns, offset, dtype=float)
-    for (support, _), coeff in zip(terms, coeffs):
+    out = np.full(dim, offset, dtype=float)
+    for support, coeff in terms:
         shape, _, factor_shape, order = sv.phase_layout(dim, support)
-        rows = out.reshape(shape + columns, copy=False)
-        rows += np.multiply.outer(sv.parity_signs(len(support))[order], coeff).reshape(
-            factor_shape + columns)
+        rows = out.reshape(shape, copy=False)
+        rows += (sv.parity_signs(len(support))[order] * coeff).reshape(factor_shape)
     return out
 
 
@@ -368,14 +365,14 @@ def rotate_layer(groups, layer: int, n: int, src: np.ndarray, dst: np.ndarray):
     return src, dst
 
 
-def per_call_compile_ansatz(ansatz, table=None):
+def per_call_compile_ansatz(ansatz):
     """``compile_ansatz``'s state function, building every group and view per call."""
     from qfin import variational as vq
 
     n, p = ansatz.n_qubits, ansatz.depth
     dim = 1 << n
     if ansatz.kind == "qaoa":
-        energies = ansatz.cost.energy_table(n) if table is None else table
+        energies = ansatz.cost
 
         def qaoa_state(params):
             stack = vq._checked_stack(ansatz, params)

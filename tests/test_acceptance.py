@@ -108,11 +108,11 @@ def test_criterion_04_portfolio_structure():
     spec = qb.PortfolioSpec(mu=mu, sigma=sigma, q=0.5, budget=3, penalty=penalty)
     qubo = qb.build_portfolio_qubo(spec)
     best_bits, _ = qb.brute_force(qubo)
-    observable = qb.to_ising(qubo)
+    table = qb.all_energies(qubo)
     successes = 0
     for seed in range(5):
         result = vq.vqe_minimize(
-            observable, vq.ry_ansatz(6, 3),
+            table, vq.ry_ansatz(6, 3),
             OptimizerConfig(method="spsa", iterations=300, seed=seed), top_k=3)
         if all(bits.count("1") == 3 for bits, _, _ in result.top_states):
             successes += 1
@@ -141,7 +141,7 @@ def test_criterion_05_efficient_frontier():
             qubo = qb.Qubo(n=6, quadratic=q * sigma, linear=-mu)
             energies = qb.all_energies(qubo)
             result = vq.vqe_minimize(
-                qb.to_ising(qubo), vq.ry_ansatz(6, 1),
+                energies, vq.ry_ansatz(6, 1),
                 OptimizerConfig(method="nelder-mead", iterations=600, seed=seed,
                                 restarts=2), top_k=1)
             bits, _, energy = result.top_states[0]
@@ -176,11 +176,11 @@ def test_criterion_06_diversification():
     decode = qb.decode_diversification(best_bits, 2)
     brute_ok = decode.feasible and len(decode.selected) == 2
 
-    observable = qb.to_ising(qubo)
+    table = qb.all_energies(qubo)
     feasible_runs = 0
     for seed in range(5):
         result = vq.vqe_minimize(
-            observable, vq.ry_ansatz(12, 1),
+            table, vq.ry_ansatz(12, 1),
             OptimizerConfig(method="nelder-mead", iterations=400, seed=seed),
             top_k=1)
         sampled = qb.decode_diversification(

@@ -44,6 +44,22 @@ def test_default_coefficients_pair_formula():
     assert clf.default_coefficients(np.array([math.pi, math.pi]))[(0, 1)] == 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phase_block_equals_the_z_diagonal_of_each_record(n):
+    # the doubling of the map's x-form against the sum over Z parities, term
+    # by term: each column within the round-off of summing the phases
+    rng = np.random.default_rng(n + 90)
+    for records in (1, 15, 16, 17, 200):
+        mapped = rng.uniform(0.0, 2 * math.pi, size=(records, n))
+        block = clf._phase_block(mapped)
+        assert block.shape == (1 << n, records)
+        for r in range(records):
+            coeffs = clf.default_coefficients(mapped[r])
+            want = sv.z_diagonal(n, sorted(coeffs.items()))
+            bound = (n + 1) ** 2 * np.finfo(float).eps * sum(map(abs, coeffs.values()))
+            assert np.max(np.abs(block[:, r] - want)) <= bound, (records, r)
+
+
 def test_feature_state_zero_phases_returns_to_vacuum(monkeypatch):
     monkeypatch.setattr(clf, "default_coefficients", lambda x: {})
     state = feature_state(2, 2, [0.3, 0.4])

@@ -1210,9 +1210,9 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
     assert run(tmp_path / "sequential") == planned
     points, formers, grouped, run_plan = [], [], vq.compile_ansatz, vq._run
 
-    def recording(ansatz, table=None):
+    def recording(ansatz):
         formers.append((ansatz.kind, former_compile_ansatz(ansatz)))
-        return grouped(ansatz, table)
+        return grouped(ansatz)
 
     def recorded_run(plan, stack):
         # each plan run belongs to the ansatz compiled last; its block as it ends
@@ -1227,10 +1227,8 @@ def test_variational_commands_write_the_former_kernels_bytes(tmp_path, monkeypat
     assert len(recorded) == 3
     assert {kind for kind, *_ in points} == {"ry-full-entanglement", "qaoa"}
     for kind, former, params, got in points:
-        want = former(params)
-        if kind == "qaoa":
-            got, want = np.abs(got) ** 2, np.abs(want) ** 2
-        assert np.max(np.abs(got - want)) <= 1e-12
+        # QAOA's gates turn by the whole energy table, as its plan does
+        assert np.max(np.abs(got - former(params))) <= 1e-12
 
 
 def test_a_default_vqe_portfolio_run_makes_iterations_plus_two_state_calls(

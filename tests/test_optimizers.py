@@ -167,8 +167,8 @@ def test_spsa_signs_equal_rng_choice():
 def test_nelder_mead_vqe_matches_scipy(monkeypatch):
     # the port sends the simplex and each shrink through the objective's
     # rows, scipy calls it point by point: both must see the same points
-    observable = IsingObservable(terms=(((0,), 0.7), ((1, 2), -0.4), ((0, 3), 0.9),
-                                        ((2,), -0.3)), offset=0.1)
+    table = IsingObservable(terms=(((0,), 0.7), ((1, 2), -0.4), ((0, 3), 0.9),
+                                   ((2,), -0.3)), offset=0.1).energy_table(4)
     ansatz = vq.ry_ansatz(4, 1)
     config = OptimizerConfig(method="nelder-mead", iterations=60, seed=5)
 
@@ -180,7 +180,7 @@ def test_nelder_mead_vqe_matches_scipy(monkeypatch):
             return minimizer(objective, x0, config)
 
         monkeypatch.setattr(optimizers, "minimize", patched)
-        return vq.vqe_minimize(observable, ansatz, config, top_k=4), points
+        return vq.vqe_minimize(table, ansatz, config, top_k=4), points
 
     def oracle(fn, x0, config):
         x, value, trace, result = scipy_nelder_mead(fn, x0, config)
@@ -221,14 +221,14 @@ def sequential_spsa(fn, x0, config, rng):
                            evaluations=1 + 3 * config.iterations, stop_reason="maxiter")
 
 
-def _portfolio_observable():
+def _portfolio_table():
     rng = np.random.default_rng([3, 2])
     w = rng.normal(size=(6, 6))
-    return qb.to_ising(qb.build_portfolio_qubo(qb.PortfolioSpec(
+    return qb.all_energies(qb.build_portfolio_qubo(qb.PortfolioSpec(
         mu=rng.uniform(0.0, 0.1, 6), sigma=w @ w.T / 6, q=0.5, budget=3)))
 
 
-PORTFOLIO = _portfolio_observable()
+PORTFOLIO = _portfolio_table()
 
 
 def stripped(fn):

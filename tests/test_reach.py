@@ -50,8 +50,12 @@ def test_a_definition_nothing_mentions_is_reached_by_neither_path():
 def test_the_run_path_leaves_the_gate_engine():
     # the gate engine's state type, readout and layout helpers are test
     # oracles only; the gate constructors (h, x, rx, ry) are left out, since
-    # the walk goes by name and those names are also local variable names
+    # the walk goes by name and those names are also local variable names.
+    # So is the term-by-term Ising table: every energy and phase table on
+    # the run path comes from qubo's doubling recursion
     _, run, _ = reach.paths()
-    engine = {"Statevector", "basis_probabilities", "_split", "phase_layout", "apply_ops",
-              "_apply_inplace", "new_zero_state", "inverse_op", "phase_gate", "perm_gate"}
-    assert sorted(key for key in run if key[0] == "simulator" and key[1] in engine) == []
+    engine = {("simulator", name) for name in (
+        "Statevector", "basis_probabilities", "_split", "phase_layout", "apply_ops",
+        "_apply_inplace", "new_zero_state", "inverse_op", "phase_gate", "perm_gate",
+        "z_diagonal", "IsingObservable")} | {("qubo", "to_ising")}
+    assert sorted(run & engine) == []

@@ -541,52 +541,34 @@ def test_z_diagonal_equals_the_sign_loop_bit_for_bit(n):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_z_diagonal_equals_the_per_term_layout_bytewise(n):
     # one sign table per support width and call, where each term built its
-    # own through phase_layout: every entry keeps its bytes, with scalar and
-    # per-record coefficients, supports in any order (the empty one too),
-    # coefficients over seven decades and an offset
+    # own through phase_layout: every entry keeps its bytes, with supports
+    # in any order (the empty one too), coefficients over seven decades and
+    # an offset
     rng = np.random.default_rng(n + 300)
-    for columns in ((), (1,), (7,)):
-        terms = []
-        for _ in range(16):
-            support = tuple(int(q) for q in rng.permutation(n)[:rng.integers(0, min(n, 4) + 1)])
-            coeff = rng.normal(size=columns) * 10.0 ** int(rng.integers(-3, 4))
-            terms.append((support, float(coeff) if columns == () else coeff))
-        for offset in (0.0, -1.75):
-            want = z_diagonal_by_layout(n, terms, offset)
-            assert sv.z_diagonal(n, terms, offset).tobytes() == want.tobytes(), (n, columns)
+    terms = []
+    for _ in range(16):
+        support = tuple(int(q) for q in rng.permutation(n)[:rng.integers(0, min(n, 4) + 1)])
+        terms.append((support, float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4))))
+    for offset in (0.0, -1.75):
+        want = z_diagonal_by_layout(n, terms, offset)
+        assert sv.z_diagonal(n, terms, offset).tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("n", [20, 24])
 def test_z_diagonal_equals_the_per_term_layout_bytewise_at_width(n):
-    # one axis per qubit up to the ceiling, with supports on the end qubits;
-    # seven columns at 24 qubits would take about 1 GiB, so one column at most
+    # one axis per qubit up to the ceiling, with supports on the end qubits
     rng = np.random.default_rng(n + 400)
     supports = [(0,), (n - 1,), (n - 1, 0), (0, n // 2, n - 1), (), (n - 2, 1, n - 1, 0)]
-    for columns in ((), (1,)):
-        terms = [(support, float(coeff) if columns == () else coeff)
-                 for support, coeff in zip(supports, rng.normal(size=(len(supports),) + columns))]
-        got, want = sv.z_diagonal(n, terms, -0.5), z_diagonal_by_layout(n, terms, -0.5)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), columns
-        del got, want
+    terms = [(support, float(coeff)) for support, coeff in zip(supports, rng.normal(size=6))]
+    got, want = sv.z_diagonal(n, terms, -0.5), z_diagonal_by_layout(n, terms, -0.5)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_z_diagonal_of_no_terms_is_the_offset():
     assert sv.z_diagonal(3, []).tolist() == [0.0] * 8
     assert sv.z_diagonal(2, [], 1.5).tolist() == [1.5] * 4
     assert sv.IsingObservable(terms=()).energy_table(2).tolist() == [0.0] * 4
-
-
-def test_z_diagonal_takes_one_column_per_coefficient_value():
-    rng = np.random.default_rng(7)
-    n, columns = 5, 4
-    supports = [support for support, _ in _z_terms(n, rng)]
-    rows = rng.normal(size=(len(supports), columns))
-    block = sv.z_diagonal(n, list(zip(supports, rows)), 0.25)
-    assert block.shape == (1 << n, columns)
-    for b in range(columns):
-        want = z_sign_loop(n, list(zip(supports, rows[:, b])), 0.25)
-        assert block[:, b].tobytes() == want.tobytes(), b
 
 
 def test_parity_signs_are_the_z_product_of_every_qubit():
@@ -602,11 +584,11 @@ def test_compiled_qaoa_matches_gather_oracle(n, depth):
     rng = np.random.default_rng(n)
     terms = [((), 0.4), ((2, 0), 0.7), ((n - 1, 0, 1), -1.3)]
     terms += [((int(q),), float(rng.normal())) for q in rng.permutation(n)[:3]]
-    ansatz = vq.qaoa_ansatz(n, depth, sv.IsingObservable(terms=tuple(terms)))
+    ansatz = vq.qaoa_ansatz(n, depth, sv.IsingObservable(terms=tuple(terms)).energy_table(n))
     params = rng.uniform(-np.pi, np.pi, ansatz.parameter_count)
     amps = sv.new_zero_state(n).amplitudes
     for op in vq.ansatz_ops(ansatz, params):
         amps = _gather_apply(amps, n, op)
     compiled = vq.compile_ansatz(ansatz)(params)
-    # the compiled cost layer is one diagonal where the gates go term by term
+    # the compiled mixer is one matmul per qubit group where the gates go qubit by qubit
     assert np.max(np.abs(np.abs(compiled) ** 2 - np.abs(amps) ** 2)) <= 1e-14

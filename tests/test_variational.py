@@ -17,14 +17,17 @@ from qfin.simulator import (
 from oracles import (energy_spread, ladder_per_cnot, per_call_compile_ansatz,
                      sample_solutions_full_sort, stack_readout, start_block)
 
-Z0 = IsingObservable(terms=(((0,), 1.0),))
+
+def z0(n):
+    """The energy table of Z on qubit 0 of n qubits."""
+    return IsingObservable(terms=(((0,), 1.0),)).energy_table(n)
 
 
 def test_parameter_counts():
     assert vq.ry_ansatz(6, 3).parameter_count == 24
     assert vq.ry_ansatz(4, 0).parameter_count == 4
     assert vq.rxry_ansatz(5, 1).parameter_count == 20
-    assert vq.qaoa_ansatz(3, 4, Z0).parameter_count == 8
+    assert vq.qaoa_ansatz(3, 4, z0(3)).parameter_count == 8
 
 
 def test_ansatz_validation():
@@ -42,7 +45,7 @@ def test_ry_zero_parameters_is_vacuum():
 
 
 def test_qaoa_zero_parameters_is_uniform():
-    state = vq.prepare_state(vq.qaoa_ansatz(2, 1, Z0), [0.0, 0.0])
+    state = vq.prepare_state(vq.qaoa_ansatz(2, 1, z0(2)), [0.0, 0.0])
     assert np.allclose(np.abs(state.amplitudes) ** 2, 0.25, atol=1e-12)
 
 
@@ -56,7 +59,7 @@ def test_qaoa_single_qubit_closed_form():
             mixer = np.array([[c, -1j * s], [-1j * s, c]])
             psi = mixer @ (cost @ plus)
             want = float((np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2).real)
-            state = vq.prepare_state(vq.qaoa_ansatz(1, 1, Z0), [theta, beta])
+            state = vq.prepare_state(vq.qaoa_ansatz(1, 1, z0(1)), [theta, beta])
             got = float(basis_probabilities(state) @ np.array([1.0, -1.0]))
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -64,7 +67,7 @@ def test_qaoa_single_qubit_closed_form():
 def test_qaoa_single_qubit_grid_reaches_ground_state():
     best = min(
         float(basis_probabilities(
-            vq.prepare_state(vq.qaoa_ansatz(1, 1, Z0), [t, b])) @ np.array([1.0, -1.0]))
+            vq.prepare_state(vq.qaoa_ansatz(1, 1, z0(1)), [t, b])) @ np.array([1.0, -1.0]))
         for t in np.linspace(0.0, math.pi, 33)
         for b in np.linspace(0.0, math.pi, 33))
     assert best == pytest.approx(-1.0, abs=1e-9)
@@ -73,17 +76,17 @@ def test_qaoa_single_qubit_grid_reaches_ground_state():
 def test_qaoa_depth_zero_gives_mean_energy():
     rng = np.random.default_rng(0)
     qubo = qb.Qubo(n=3, quadratic=np.zeros((3, 3)), linear=rng.normal(size=3))
-    obs = qb.to_ising(qubo)
-    result = vq.qaoa_minimize(obs, 0, OptimizerConfig(iterations=1))
-    assert result.best_value == pytest.approx(float(obs.energy_table(3).mean()))
+    table = qb.all_energies(qubo)
+    result = vq.qaoa_minimize(table, 0, OptimizerConfig(iterations=1))
+    assert result.best_value == pytest.approx(float(table.mean()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 def test_qaoa_depth_zero_state_is_the_hadamard_layer(n):
     rng = np.random.default_rng([n, 26])
     qubo = qb.Qubo(n=n, quadratic=np.zeros((n, n)), linear=rng.normal(size=n))
-    result = vq.qaoa_minimize(qb.to_ising(qubo), 0, OptimizerConfig(iterations=1),
-                              n_qubits=n, top_k=1 << n)
+    result = vq.qaoa_minimize(qb.all_energies(qubo), 0, OptimizerConfig(iterations=1),
+                              top_k=1 << n)
     want = basis_probabilities(apply_ops(new_zero_state(n), [h(q) for q in range(n)]))
     # every state is equally likely, so all 2^n come in index order
     assert [bits for bits, _, _ in result.top_states] == [vq.bitstring_of(i, n)
@@ -93,18 +96,18 @@ def test_qaoa_depth_zero_state_is_the_hadamard_layer(n):
 
 
 def test_vqe_single_qubit_ground_state():
-    result = vq.vqe_minimize(Z0, vq.ry_ansatz(1, 1),
+    result = vq.vqe_minimize(z0(1), vq.ry_ansatz(1, 1),
                              OptimizerConfig(method="spsa", iterations=150, seed=1))
     assert result.best_value == pytest.approx(-1.0, abs=1e-4)
     assert result.top_states[0][0] == "1"
 
 
 def test_vqe_seeded_determinism():
-    obs = qb.to_ising(qb.Qubo(n=3, quadratic=np.eye(3) * 0.3,
-                              linear=np.array([0.2, -0.4, 0.1])))
+    table = qb.all_energies(qb.Qubo(n=3, quadratic=np.eye(3) * 0.3,
+                                    linear=np.array([0.2, -0.4, 0.1])))
     config = OptimizerConfig(method="spsa", iterations=60, seed=5)
-    one = vq.vqe_minimize(obs, vq.ry_ansatz(3, 1), config)
-    two = vq.vqe_minimize(obs, vq.ry_ansatz(3, 1), config)
+    one = vq.vqe_minimize(table, vq.ry_ansatz(3, 1), config)
+    two = vq.vqe_minimize(table, vq.ry_ansatz(3, 1), config)
     assert one.best_value == two.best_value
     assert np.array_equal(one.best_params, two.best_params)
 
@@ -113,19 +116,19 @@ def test_variational_bound_expectation_above_minimum():
     rng = np.random.default_rng(9)
     qubo = qb.Qubo(n=4, quadratic=(lambda m: (m + m.T) / 2)(rng.normal(size=(4, 4))),
                    linear=rng.normal(size=4))
-    obs = qb.to_ising(qubo)
+    table = qb.all_energies(qubo)
     _, minimum = qb.brute_force(qubo)
     ansatz = vq.ry_ansatz(4, 2)
     for seed in range(6):
         params = np.random.default_rng(seed).uniform(-math.pi, math.pi,
                                                      ansatz.parameter_count)
         state = vq.prepare_state(ansatz, params)
-        energy = float(basis_probabilities(state) @ obs.energy_table(4))
+        energy = float(basis_probabilities(state) @ table)
         assert energy >= minimum - 1e-9
 
 
 def test_trace_nonincreasing():
-    result = vq.vqe_minimize(Z0, vq.ry_ansatz(1, 1),
+    result = vq.vqe_minimize(z0(1), vq.ry_ansatz(1, 1),
                              OptimizerConfig(method="spsa", iterations=80, seed=2))
     assert all(b <= a + 1e-15 for a, b in zip(result.trace, result.trace[1:]))
 
@@ -134,12 +137,11 @@ def test_random_ising_close_to_brute_force_in_restarts():
     rng = np.random.default_rng(21)
     m = rng.normal(size=(4, 4))
     qubo = qb.Qubo(n=4, quadratic=(m + m.T) / 2, linear=rng.normal(size=4))
-    obs = qb.to_ising(qubo)
     energies = qb.all_energies(qubo)
     spread = energies.max() - energies.min()
     hits = 0
     for seed in range(5):
-        result = vq.vqe_minimize(obs, vq.ry_ansatz(4, 2),
+        result = vq.vqe_minimize(energies, vq.ry_ansatz(4, 2),
                                  OptimizerConfig(method="spsa", iterations=200,
                                                  seed=seed))
         if result.best_value <= energies.min() + 0.05 * spread:
@@ -149,14 +151,14 @@ def test_random_ising_close_to_brute_force_in_restarts():
 
 def test_sample_solutions_vacuum():
     state = vq.prepare_state(vq.ry_ansatz(2, 0), np.zeros(2))
-    top = vq.sample_solutions(basis_probabilities(state), qb.to_ising(qb.Qubo(
-        n=2, quadratic=np.zeros((2, 2)), linear=np.zeros(2))).energy_table(2), 1)
+    top = vq.sample_solutions(basis_probabilities(state), qb.all_energies(qb.Qubo(
+        n=2, quadratic=np.zeros((2, 2)), linear=np.zeros(2))), 1)
     assert top == [("00", pytest.approx(1.0), 0.0)]
 
 
 def test_sample_solutions_uniform_superposition():
-    state = vq.prepare_state(vq.qaoa_ansatz(2, 1, Z0), [0.0, 0.0])
-    top = vq.sample_solutions(basis_probabilities(state), Z0.energy_table(2), 4)
+    state = vq.prepare_state(vq.qaoa_ansatz(2, 1, z0(2)), [0.0, 0.0])
+    top = vq.sample_solutions(basis_probabilities(state), z0(2), 4)
     assert len(top) == 4
     for _, probability, _ in top:
         assert probability == pytest.approx(0.25, abs=1e-12)
@@ -164,7 +166,7 @@ def test_sample_solutions_uniform_superposition():
 
 def test_sample_solutions_sorted_descending():
     state = vq.prepare_state(vq.ry_ansatz(3, 1), np.linspace(0.1, 1.7, 6))
-    top = vq.sample_solutions(basis_probabilities(state), Z0.energy_table(3), 8)
+    top = vq.sample_solutions(basis_probabilities(state), z0(3), 8)
     probabilities = [p for _, p, _ in top]
     assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-9)
@@ -197,9 +199,9 @@ def test_qaoa_depth_four_runs_on_portfolio():
     sigma = w @ w.T / 6
     mu = rng.uniform(0.0, 0.1, size=6)
     spec = qb.PortfolioSpec(mu=mu, sigma=sigma, q=0.5, budget=3)
-    obs = qb.to_ising(qb.build_portfolio_qubo(spec))
-    result = vq.qaoa_minimize(obs, 4, OptimizerConfig(method="spsa", iterations=60,
-                                                      seed=0), n_qubits=6)
+    table = qb.all_energies(qb.build_portfolio_qubo(spec))
+    result = vq.qaoa_minimize(table, 4, OptimizerConfig(method="spsa", iterations=60,
+                                                        seed=0))
     assert result.best_params.size == 8
     assert len(result.top_states) == 8
 
@@ -215,12 +217,29 @@ def test_minimize_qubo_keeps_the_lowest_energy_top_state(solver, depth):
     assert energy == min(e for _, _, e in result.top_states)
     assert bits.dtype.kind == "i"
     assert energy == pytest.approx(qb.energy(qubo, bits), abs=1e-12)
-    observable = qb.to_ising(qubo)
+    table = qb.all_energies(qubo)
     if solver == "vqe":
-        want = vq.vqe_minimize(observable, vq.ry_ansatz(4, depth), optimizer, top_k=5)
+        want = vq.vqe_minimize(table, vq.ry_ansatz(4, depth), optimizer, top_k=5)
     else:
-        want = vq.qaoa_minimize(observable, depth, optimizer, n_qubits=4, top_k=5)
+        want = vq.qaoa_minimize(table, depth, optimizer, top_k=5)
     assert result.top_states == want.top_states
+
+
+@pytest.mark.parametrize("solver", ["vqe", "qaoa"])
+def test_top_state_energies_are_the_enumerated_energies_bit_for_bit(solver):
+    # VQE and QAOA read their energies off the table brute force enumerates,
+    # so every reported energy is that table's entry, bit for bit
+    rng = np.random.default_rng(["vqe", "qaoa"].index(solver) + 17)
+    for n in (4, 6, 9):
+        m = rng.normal(size=(n, n))
+        qubo = qb.Qubo(n=n, quadratic=(m + m.T) / 2, linear=rng.normal(size=n),
+                       constant=float(rng.normal()))
+        table = qb.all_energies(qubo)
+        optimizer = OptimizerConfig("spsa", 5, seed=n)
+        _, _, result = vq.minimize_qubo(qubo, solver, 1, optimizer, top_k=1 << n)
+        got = np.array([energy for _, _, energy in result.top_states])
+        want = table[[int(bits[::-1], 2) for bits, _, _ in result.top_states]]
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_portfolio_structure_top_states_select_budget():
@@ -232,8 +251,8 @@ def test_portfolio_structure_top_states_select_budget():
     unpenalized = qb.Qubo(n=6, quadratic=0.5 * sigma, linear=-mu)
     spec = qb.PortfolioSpec(mu=mu, sigma=sigma, q=0.5, budget=3,
                             penalty=energy_spread(unpenalized) * 1.5)
-    obs = qb.to_ising(qb.build_portfolio_qubo(spec))
-    result = vq.vqe_minimize(obs, vq.ry_ansatz(6, 3),
+    table = qb.all_energies(qb.build_portfolio_qubo(spec))
+    result = vq.vqe_minimize(table, vq.ry_ansatz(6, 3),
                              OptimizerConfig(method="spsa", iterations=300, seed=1),
                              top_k=3)
     assert all(bits.count("1") == 3 for bits, _, _ in result.top_states)
@@ -257,15 +276,11 @@ def matches_ops_path(ansatz, params, probs):
     A compiled rotation layer multiplies each amplitude by a Kronecker
     product of its qubits' matrices, whose entries come from the gates' own
     cosines and sines, and sums over a qubit group at once, where the gates
-    go qubit by qubit: the RY and RX+RY probabilities agree within 1e-14 at
-    any angle scale. QAOA's compiled cost layer is one diagonal
-    exp(-i gamma C), where the gates multiply term by term, so its
-    probabilities agree within 1e-14 for angles in [-pi, pi] and 1e-11 up
-    to the 1e4 scale.
+    go qubit by qubit: the probabilities agree within 1e-14 at any angle
+    scale. QAOA's cost layer is one diagonal exp(-i gamma C) of the same
+    energy table on both paths.
     """
-    want = ops_probabilities(ansatz, params)
-    small = ansatz.kind != "qaoa" or np.max(np.abs(params), initial=0.0) <= math.pi
-    return np.max(np.abs(probs - want)) <= (1e-14 if small else 1e-11)
+    return np.max(np.abs(probs - ops_probabilities(ansatz, params))) <= 1e-14
 
 
 def matches_ops_amplitudes(got, want):
@@ -274,7 +289,7 @@ def matches_ops_amplitudes(got, want):
 
 
 def mixed_cost(n, rng):
-    """Unsorted, non-adjacent, width-0 and width-3 supports over n qubits."""
+    """The energy table of unsorted, non-adjacent, width-0 and width-3 supports over n qubits."""
     terms = [((), float(rng.normal()))]
     for _ in range(2 * n):
         width = int(rng.integers(1, min(n, 3) + 1))
@@ -282,7 +297,7 @@ def mixed_cost(n, rng):
         terms.append((support, float(rng.normal())))
     if n >= 3:
         terms += [((2, 0), 0.7), ((n - 1, 0, n // 2), -1.3)]
-    return IsingObservable(terms=tuple(terms), offset=float(rng.normal()))
+    return IsingObservable(terms=tuple(terms), offset=float(rng.normal())).energy_table(n)
 
 
 def _ansaetze(kind, n, depth, rng):
@@ -350,8 +365,6 @@ def test_layers_agree_with_the_gate_path_within_1e_12(kind):
             ansatz = _ansaetze(kind, n, depth, rng)
             params = rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
             want = apply_ops(new_zero_state(n), vq.ansatz_ops(ansatz, params)).amplitudes
-            if kind == "qaoa":  # the compiled cost layer also turns by the offset
-                want = want * np.exp(-1j * ansatz.cost.offset * params[:depth].sum())
             got = vq.compile_ansatz(ansatz)(params)
             assert matches_ops_amplitudes(got, want), (n, depth)
 
@@ -453,11 +466,14 @@ def test_ladder_permutation_equals_the_per_cnot_composition():
 
 
 def test_cost_phase_ops_signs_are_z_parities():
-    cost = IsingObservable(terms=(((), 0.5), ((1,), 2.0), ((0, 2), -1.0)))
-    ops = vq.cost_phase_ops(cost, 0.3)
-    assert ops[0].phases == (-0.15,)
-    assert ops[1].phases == (-0.6, 0.6)
-    assert ops[2].phases == (0.3, -0.3, -0.3, 0.3)
+    # one diagonal phase over every qubit: basis state s turns by
+    # -gamma (0.5 + 2.0 z_1(s) - 1.0 z_0(s) z_2(s)), z_q(s) = +-1 the parity of bit q
+    cost = IsingObservable(terms=(((), 0.5), ((1,), 2.0), ((0, 2), -1.0))).energy_table(3)
+    (op,) = vq.cost_phase_ops(cost, 0.3)
+    z = 1.0 - 2.0 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)
+    assert op.kind == "phase" and op.targets == (0, 1, 2)
+    assert np.allclose(op.phases, -0.3 * (0.5 + 2.0 * z[:, 1] - z[:, 0] * z[:, 2]),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_kron_groups_are_balanced_and_cover_the_layer():
@@ -536,24 +552,21 @@ def test_moved_layout_start_blocks_equal_ops_path_and_per_column_calls(kind, n):
                 assert block[:, b].tobytes() == column.tobytes(), (depth, width, b)
 
 
-@pytest.mark.parametrize("terms", [
-    (((3,), 1.0),),
-    (((0, 3), 1.0),),
-    (((-1,), 1.0),),
-    (((1, 1), 1.0),),
-    (((0,), 1.0), ((2, 0, 2), 0.5)),
-])
-def test_qaoa_ansatz_rejects_cost_outside_the_register(terms):
-    cost = IsingObservable(terms=terms)
+@pytest.mark.parametrize("cost", [
+    np.zeros(4), np.zeros(16), np.zeros((8, 1)), np.full(8, np.nan), np.r_[np.zeros(7), np.inf],
+], ids=["short", "long", "column", "nan", "inf"])
+def test_qaoa_ansatz_rejects_a_cost_table_that_does_not_fit_the_register(cost):
     with pytest.raises(ValueError):
         vq.qaoa_ansatz(3, 1, cost)
     with pytest.raises(ValueError):
         vq.Ansatz("qaoa", 3, 2, cost=cost)
+    with pytest.raises(ValueError):
+        vq.vqe_minimize(cost, vq.ry_ansatz(3, 1), OptimizerConfig(iterations=1))
 
 
 # -- vqe_minimize against a loop over the gate-list objective ----------------
 
-def reference_vqe(observable, ansatz, optimizer, top_k=8):
+def reference_vqe(table, ansatz, optimizer, top_k=8):
     """vqe_minimize with one point per objective call, restarted by an
     explicit loop over the seed's children.
 
@@ -561,8 +574,6 @@ def reference_vqe(observable, ansatz, optimizer, top_k=8):
     layers round unlike the gates, and the tests above hold it to the gate
     path, so this checks the stacks, blocks and restarts around it.
     """
-    n = ansatz.n_qubits
-    table = observable.energy_table(n)
     amplitudes = vq.compile_ansatz(ansatz)
 
     def objective(params):
@@ -577,23 +588,23 @@ def reference_vqe(observable, ansatz, optimizer, top_k=8):
     return best, vq.sample_solutions(np.abs(amplitudes(best.x)) ** 2, table, top_k)
 
 
-def _benchmark_observables():
+def _benchmark_tables():
     rng = np.random.default_rng([3, 2])
     w = rng.normal(size=(6, 6))
-    portfolio = qb.to_ising(qb.build_portfolio_qubo(qb.PortfolioSpec(
+    portfolio = qb.all_energies(qb.build_portfolio_qubo(qb.PortfolioSpec(
         mu=rng.uniform(0.0, 0.1, 6), sigma=w @ w.T / 6, q=0.5, budget=3)))
     base = rng.uniform(0.1, 0.9, size=(3, 3))
     rho = (base + base.T) / 2.0
     np.fill_diagonal(rho, 1.0)
-    diversify = qb.to_ising(qb.build_diversification_qubo(
+    diversify = qb.all_energies(qb.build_diversification_qubo(
         qb.DiversificationSpec(rho=rho, q_clusters=2)))
     return portfolio, diversify
 
 
-PORTFOLIO, DIVERSIFY = _benchmark_observables()
+PORTFOLIO, DIVERSIFY = _benchmark_tables()
 
 
-@pytest.mark.parametrize("observable,ansatz,config", [
+@pytest.mark.parametrize("table,ansatz,config", [
     (PORTFOLIO, vq.ry_ansatz(6, 3), OptimizerConfig("spsa", 25, seed=3)),
     (PORTFOLIO, vq.qaoa_ansatz(6, 3, PORTFOLIO), OptimizerConfig("spsa", 25, seed=3)),
     (DIVERSIFY, vq.ry_ansatz(12, 1), OptimizerConfig("nelder-mead", 30, seed=3)),
@@ -602,9 +613,9 @@ PORTFOLIO, DIVERSIFY = _benchmark_observables()
     (PORTFOLIO, vq.qaoa_ansatz(6, 2, PORTFOLIO), OptimizerConfig("spsa", 10, seed=4)),
 ], ids=["vqe-spsa", "qaoa-spsa", "diversify-nelder-mead", "nelder-mead-restarts",
         "spsa-restarts", "qaoa-depth-2"])
-def test_vqe_minimize_equals_the_ops_objective_loop(observable, ansatz, config):
-    got = vq.vqe_minimize(observable, ansatz, config, top_k=5)
-    best, top_states = reference_vqe(observable, ansatz, config, top_k=5)
+def test_vqe_minimize_equals_the_ops_objective_loop(table, ansatz, config):
+    got = vq.vqe_minimize(table, ansatz, config, top_k=5)
+    best, top_states = reference_vqe(table, ansatz, config, top_k=5)
     assert got.best_value == best.value
     assert np.array_equal(got.best_params, best.x)
     assert got.trace == best.trace
@@ -625,7 +636,7 @@ def test_stacks_split_into_blocks_equal_the_ops_objective_loop(monkeypatch):
     assert got.top_states == top_states
 
 
-def objective_rows(monkeypatch, observable, ansatz):
+def objective_rows(monkeypatch, table, ansatz):
     """The ``rows`` of the objective ``vqe_minimize`` hands ``minimize_restarts``."""
     captured = []
 
@@ -635,7 +646,7 @@ def objective_rows(monkeypatch, observable, ansatz):
                                stop_reason="")
 
     monkeypatch.setattr(vq, "minimize_restarts", capture)
-    vq.vqe_minimize(observable, ansatz, OptimizerConfig(), top_k=1)
+    vq.vqe_minimize(table, ansatz, OptimizerConfig(), top_k=1)
     monkeypatch.undo()
     return captured[0]
 
@@ -647,10 +658,10 @@ def test_rows_equal_the_former_readout_bytewise(monkeypatch, kind):
     # qubits up a chunk holds 2 rows, then 1, so the stacks span chunks
     rng = np.random.default_rng(["ry", "qaoa"].index(kind) + 50)
     for n in range(1, 15):
-        observable = mixed_cost(n, rng)
-        ansatz = vq.ry_ansatz(n, 2) if kind == "ry" else vq.qaoa_ansatz(n, 2, observable)
-        rows, table = objective_rows(monkeypatch, observable, ansatz), observable.energy_table(n)
-        state_of, chunk = vq.compile_ansatz(ansatz, table), max(1, vq.BLOCK_AMPLITUDES >> n)
+        table = mixed_cost(n, rng)
+        ansatz = vq.ry_ansatz(n, 2) if kind == "ry" else vq.qaoa_ansatz(n, 2, table)
+        rows = objective_rows(monkeypatch, table, ansatz)
+        state_of, chunk = vq.compile_ansatz(ansatz), max(1, vq.BLOCK_AMPLITUDES >> n)
         for size in range(1, 8):
             stack = rng.uniform(-math.pi, math.pi, (size, ansatz.parameter_count))
             want = np.array(stack_readout(state_of, table, stack, chunk))
@@ -665,11 +676,10 @@ def test_top_states_equal_the_full_sort_of_the_prepared_state_bytewise(kind):
     # best row; they keep the bytes of the prepared state's full sort
     rng = np.random.default_rng(["ry", "qaoa"].index(kind) + 70)
     for n in range(1, 11):
-        observable = mixed_cost(n, rng)
-        ansatz = vq.ry_ansatz(n, 1) if kind == "ry" else vq.qaoa_ansatz(n, 2, observable)
-        table = observable.energy_table(n)
+        table = mixed_cost(n, rng)
+        ansatz = vq.ry_ansatz(n, 1) if kind == "ry" else vq.qaoa_ansatz(n, 2, table)
         for top_k in (1, 5, 1 << n):
-            result = vq.vqe_minimize(observable, ansatz, OptimizerConfig("spsa", 3, seed=n),
+            result = vq.vqe_minimize(table, ansatz, OptimizerConfig("spsa", 3, seed=n),
                                      top_k=top_k)
             want = sample_solutions_full_sort(vq.prepare_state(ansatz, result.best_params),
                                               table, top_k)
@@ -751,7 +761,7 @@ def test_start_block_validation():
         with pytest.raises(ValueError):
             start_block(state_of, bad_row, bad_start)
     # QAOA starts from the uniform superposition and takes no start block
-    qaoa = vq.qaoa_ansatz(2, 1, Z0)
+    qaoa = vq.qaoa_ansatz(2, 1, z0(2))
     with pytest.raises(ValueError):
         vq.compile_ansatz(qaoa).records(start)
 
@@ -763,7 +773,7 @@ def test_qaoa_tables_stay_within_the_block_bound():
     n = 14
     terms = [((i,), 0.1 * i) for i in range(n)]
     terms += [((i, j), 0.01 * (i + j)) for i in range(n) for j in range(i + 1, n)]
-    ansatz = vq.qaoa_ansatz(n, 1, IsingObservable(terms=tuple(terms)))
+    ansatz = vq.qaoa_ansatz(n, 1, IsingObservable(terms=tuple(terms)).energy_table(n))
     tracemalloc.start()
     try:
         state_of = vq.compile_ansatz(ansatz)
@@ -772,10 +782,10 @@ def test_qaoa_tables_stay_within_the_block_bound():
     finally:
         tracemalloc.stop()
     # three 2^n complex vectors: the two ping-pong buffers, the spare one
-    # holding exp(-i gamma C), and the returned copy; one 2^n energy table,
-    # and 128 KiB for the small tables. A third buffer for the phases, as
-    # the per-call functions held, would not fit.
-    assert peak < 16 * (3 << n) + 8 * (1 << n) + (1 << 17)
+    # holding exp(-i gamma C), and the returned copy; and 128 KiB for the
+    # small tables. The energy table is the ansatz's, built before. A third
+    # buffer for the phases, as the per-call functions held, would not fit.
+    assert peak < 16 * (3 << n) + (1 << 17)
 
 
 def test_variational_result_carries_the_winning_runs_counts():
@@ -790,5 +800,5 @@ def test_variational_result_carries_the_winning_runs_counts():
         if config.method == "spsa":
             assert (got.evaluations, got.stop_reason) == (1 + 3 * config.iterations, "maxiter")
     assert (got.evaluations, got.stop_reason) == (700, "tolerance")
-    uniform = vq.qaoa_minimize(PORTFOLIO, 0, OptimizerConfig(), n_qubits=6)
+    uniform = vq.qaoa_minimize(PORTFOLIO, 0, OptimizerConfig())
     assert (uniform.evaluations, uniform.stop_reason) == (1, "none")
