@@ -1,13 +1,16 @@
 """Quantum-finance toolkit on an exact dense statevector simulator.
 
-Subpackages by capability: ``simulator`` (gate tuples applied by
-``apply_ops``, readout, diagonal observables), ``amplitude_estimation``
-(Grover operator and closed-form phase-estimation readout),
-``distributions`` (register loading), ``credit_risk`` (VaR/ECR by AE
-bisection with classical oracles), ``qubo`` (penalty folding, Ising
-conversion, portfolio and diversification builders), ``variational``
-(VQE/QAOA), ``admm`` (three-block mixed-binary ADMM and auctions),
-``classifier`` (variational quantum classification with QRAC), and ``cli``.
+Subpackages by capability: ``simulator`` (the 24-qubit ceiling, and gate
+tuples with the engine ``apply_ops`` and readout that apply them, which no
+command reaches: the tests check every compiled path against them),
+``amplitude_estimation`` (Grover operator and closed-form phase-estimation
+readout), ``distributions`` (register loading), ``credit_risk`` (VaR/ECR
+by AE bisection with classical oracles), ``qubo`` (penalty folding, Ising
+conversion, portfolio and diversification builders, and the energy table
+every QUBO solver reads), ``variational`` (VQE/QAOA, and
+``minimize_table``, the one QUBO solve), ``admm`` (three-block
+mixed-binary ADMM and auctions), ``classifier`` (variational quantum
+classification with QRAC), and ``cli``.
 """
 
 __version__ = "0.1.0"

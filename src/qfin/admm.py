@@ -18,7 +18,7 @@ from . import inputs
 from . import qubo as qb
 from .optimizers import OptimizerConfig
 from .simulator import MAX_QUBITS, CapacityError
-from .variational import minimize_qubo
+from .variational import minimize_table
 
 QUBO_SOLVERS = ("brute-force", "vqe", "qaoa")
 
@@ -321,19 +321,19 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     stop ends a run that a later iteration might still have changed.
 
     Block 1's quadratic matrix does not depend on x_bar, y or lam: it is
-    checked once, in ``block1_fixed``, and each iteration forms only its
-    linear term and constant (``block1_qubo``), which the VQE and QAOA
-    solvers wrap in a ``qb.Qubo``. With the brute-force solver x'Qx is
-    enumerated once per run, and each iteration writes the subset sums of
-    its linear term into the enumeration's held buffer and adds x'Qx and
-    the constant there (the same energies as ``qb.brute_force`` on each
-    block, bit for bit). Block 2's Hessian and first step are computed once
-    per run too, and the residual the trace records is the one the dual
-    update adds.
+    checked once, in ``block1_fixed``, and x'Qx is enumerated once per run
+    (``qb.QuadraticEnumeration``). Each iteration forms only block 1's
+    linear term and constant (``block1_qubo``), writes their subset sums
+    into one held 2^n buffer and adds x'Qx and the constant there (the
+    energies of ``qb.all_energies`` on each block, bit for bit), and hands
+    that table to ``minimize_table``, whatever the solver. Block 2's Hessian
+    and first step are computed once per run too, and the residual the
+    trace records is the one the dual update adds.
 
     numpy's overflow warnings are off for the run: a block-1 term that
     overflows raises the ``ValueError`` of the finite checks in
-    ``block1_fixed`` (``qb.Qubo``'s) and ``block1_qubo``, the command's one line.
+    ``block1_fixed`` (``qb.Qubo``'s), ``block1_qubo`` and ``minimize_table``,
+    the command's one line.
     """
     d = problem.n_consensus
     mu = resolve_merit_weight(problem)
@@ -344,21 +344,17 @@ def run(problem: MboProblem, config: AdmmConfig) -> AdmmResult:
     trace: list[AdmmIterate] = []
     fixed = block1_fixed(problem, config)
     curvature = block2_curvature(problem, config)
-    enumeration = (qb.QuadraticEnumeration(fixed.quadratic)
-                   if config.qubo_solver == "brute-force" else None)
+    enumeration = qb.QuadraticEnumeration(fixed.quadratic)
+    energies = np.empty(1 << fixed.n)
+    depth = 3 if config.qubo_solver == "vqe" else QAOA_DEPTH
 
     for k in range(1, config.max_iterations + 1):
         linear, constant = block1_qubo(problem, x_bar, y, lam, config, fixed)
-        if enumeration is not None:
-            x = enumeration.minimize(linear, constant)[0].astype(float)
-        else:
-            # Block 1 by VQE or QAOA; brute force is served by the enumeration above
-            block = qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear,
-                            constant=constant)
-            opt = OptimizerConfig(method="spsa", iterations=VQE_ITERATIONS,
-                                  seed=config.seed * 100003 + k)
-            depth = 3 if config.qubo_solver == "vqe" else QAOA_DEPTH
-            x = minimize_qubo(block, config.qubo_solver, depth, opt, 16)[0].astype(float)
+        opt = (None if config.qubo_solver == "brute-force" else
+               OptimizerConfig(method="spsa", iterations=VQE_ITERATIONS,
+                               seed=config.seed * 100003 + k))
+        table = enumeration.energies(linear, constant, out=energies)
+        x = minimize_table(table, config.qubo_solver, depth, opt, 16)[0].astype(float)
         previous_x_bar, previous_y = x_bar, y
         x_bar = block2_convex(problem, x, y, lam, config, curvature)
         y = block3_y(problem, x, x_bar, lam, config)

@@ -169,11 +169,9 @@ def cmd_risk_var(args):
 
 
 def _solve_qubo_by(args, qubo: qb.Qubo):
-    if args.solver == "brute-force":
-        bits, value = qb.brute_force(qubo)
-        return bits, value, None
-    return vq.minimize_qubo(qubo, args.solver, args.depth,
-                            _optimizer_from_args(args), args.top_k)
+    optimizer = None if args.solver == "brute-force" else _optimizer_from_args(args)
+    return vq.minimize_table(qb.all_energies(qubo), args.solver, args.depth, optimizer,
+                             args.top_k)
 
 
 def _top_states(variational) -> list[dict]:

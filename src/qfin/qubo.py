@@ -97,8 +97,9 @@ class QuadraticEnumeration:
     (``subset_sums``, all 2^n of them) into its output and adds x'Qx and the
     constant there, so a solver whose QUBOs share Q and differ only in those
     two gets ``all_energies``' energies bit for bit (IEEE addition commutes)
-    without redoing the quadratic form. ``minimize`` holds that output, a
-    second 2^n vector, from its first call on.
+    without redoing the quadratic form. It holds x'Qx alone; a caller that
+    solves many passes one held ``out``, since a fresh 2^n vector per call
+    is paged in again, which at 16 variables costs more than the energies.
     """
 
     def __init__(self, quadratic: np.ndarray):
@@ -106,7 +107,6 @@ class QuadraticEnumeration:
         if n > MAX_QUBITS:
             raise CapacityError(f"energy table of {n} qubits, ceiling {MAX_QUBITS}")
         self.n = n
-        self._energies = None
         cross = quadratic + np.swapaxes(quadratic, -1, -2)
         self.quad = np.empty(quadratic.shape[:-2] + (1 << n,))
         self.quad[..., 0] = 0.0
@@ -123,17 +123,8 @@ class QuadraticEnumeration:
         out += constant
         return out
 
-    def minimize(self, linear: np.ndarray, constant: float = 0.0) -> tuple[np.ndarray, float]:
-        """``lowest_energy`` of ``energies``, written to one buffer that later calls reuse.
 
-        A fresh 2^n buffer per call would be paged in again each time, which
-        at 16 variables costs more than the energies themselves.
-        """
-        if self._energies is None:
-            self._energies = np.empty(1 << self.n)
-        return lowest_energy(self.energies(linear, constant, out=self._energies), self.n)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # overflows reach the finite checks, not stderr
 def all_energies(qubo: Qubo) -> np.ndarray:
     """Energies of all 2^n assignments, indexed by basis index (bit i = x_i)."""
     form = QuadraticEnumeration(qubo.quadratic)
@@ -151,9 +142,13 @@ def bits_of_index(index: int, n: int) -> np.ndarray:
 
 
 def lowest_energy(energies: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Minimizer over an n-variable energy table; ties break to the lowest basis index."""
+    """Minimizer over an n-variable energy table; ties break to the lowest basis index,
+    and a non-finite minimum (an overflowed or NaN entry) raises ``ValueError``."""
     best = int(np.argmin(energies))
-    return bits_of_index(best, n), float(energies[best])
+    value = float(energies[best])
+    if not math.isfinite(value):
+        raise ValueError(f"lowest energy {value} is not finite")
+    return bits_of_index(best, n), value
 
 
 def brute_force(qubo: Qubo) -> tuple[np.ndarray, float]:

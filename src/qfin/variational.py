@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .optimizers import OptimizeOutcome, OptimizerConfig, minimize_restarts
-from .qubo import Qubo, all_energies
+from .qubo import lowest_energy
 from .simulator import GateOp, Statevector, cnot, h, phase_gate, rx, ry
 
 ANSATZ_KINDS = ("ry-full-entanglement", "rxry-full-entanglement", "qaoa")
@@ -528,16 +528,20 @@ def qaoa_minimize(table: np.ndarray, p: int, optimizer: OptimizerConfig,
     return vqe_minimize(table, qaoa_ansatz(n_qubits, p, table), optimizer, top_k=top_k)
 
 
-def minimize_qubo(qubo: Qubo, solver: str, depth: int, optimizer: OptimizerConfig,
-                  top_k: int) -> tuple[np.ndarray, float, VariationalResult]:
-    """(bits, energy, run) of the lowest-energy of a run's ``top_k`` most probable states.
+def minimize_table(table: np.ndarray, solver: str, depth: int, optimizer: OptimizerConfig | None,
+                   top_k: int) -> tuple[np.ndarray, float, VariationalResult | None]:
+    """(bits, energy, run) of the lowest energy ``solver`` finds in the energy table ``table``.
 
-    ``solver`` is ``"vqe"`` (an RY ansatz of ``depth`` layers) or ``"qaoa"`` (``depth`` levels),
-    on the energy table of ``qubo.all_energies``.
+    ``"brute-force"`` is ``qubo.lowest_energy`` of the table, with no run;
+    ``"vqe"`` (an RY ansatz of ``depth`` layers) and ``"qaoa"`` (``depth``
+    levels) keep the lowest-energy of the run's ``top_k`` most probable
+    states. Every QUBO solve in ``opt`` and in ADMM's block 1 comes here.
     """
-    table = all_energies(qubo)
+    n = np.size(table).bit_length() - 1
+    if solver == "brute-force":
+        return (*lowest_energy(table, n), None)
     if solver == "vqe":
-        result = vqe_minimize(table, ry_ansatz(qubo.n, depth), optimizer, top_k=top_k)
+        result = vqe_minimize(table, ry_ansatz(n, depth), optimizer, top_k=top_k)
     else:
         result = qaoa_minimize(table, depth, optimizer, top_k=top_k)
     bits, _, energy = min(result.top_states, key=lambda entry: entry[2])

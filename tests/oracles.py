@@ -32,6 +32,10 @@ term's subset sums to x'Qx 2^16 states at a time in a fresh vector, as
 into its output and added x'Qx there. ``block2_convex_per_check`` is ADMM's
 block 2 as it was before it held each step's value and move for its
 backtracking checks and took its norm without ``np.linalg.norm``.
+``block1_by_qubo`` is ADMM's block 1 by VQE or QAOA as ``admm.run`` solved
+it before every block-1 solver read the run's one held energy table: a
+fresh ``qb.Qubo`` per iteration, handed to ``minimize_qubo``, which builds
+that QUBO's ``qb.all_energies`` table, x'Qx included, before its run.
 ``z_diagonal_by_layout`` adds each term through ``simulator.phase_layout``
 and a sign table built for the term, as ``simulator.z_diagonal`` did
 before it built one sign table per support width and call.
@@ -53,6 +57,7 @@ from qfin import classifier as clf
 from qfin import optimizers as opt
 from qfin import qubo as qb
 from qfin import simulator as sv
+from qfin import variational as vq
 
 
 def energy_spread(qubo: qb.Qubo) -> float:
@@ -106,6 +111,32 @@ def block2_convex_per_check(problem: admm.MboProblem, x, y, lam, config: admm.Ad
         if mapping_norm <= admm.BLOCK2_TOLERANCE:
             break
     return u
+
+
+def minimize_qubo(qubo: qb.Qubo, solver: str, depth: int, optimizer: opt.OptimizerConfig,
+                  top_k: int) -> tuple[np.ndarray, float, vq.VariationalResult]:
+    """(bits, energy, run) of the lowest-energy of a VQE (``depth`` RY layers) or QAOA
+    (``depth`` levels) run's ``top_k`` most probable states on ``qb.all_energies(qubo)``."""
+    table = qb.all_energies(qubo)
+    if solver == "vqe":
+        result = vq.vqe_minimize(table, vq.ry_ansatz(qubo.n, depth), optimizer, top_k=top_k)
+    else:
+        result = vq.qaoa_minimize(table, depth, optimizer, top_k=top_k)
+    bits, _, energy = min(result.top_states, key=lambda entry: entry[2])
+    return np.array([int(ch) for ch in bits]), energy, result
+
+
+def block1_by_qubo(problem: admm.MboProblem, x_bar, y, lam, config: admm.AdmmConfig,
+                   k: int) -> np.ndarray:
+    """Iteration k's binaries by ``config.qubo_solver`` (VQE or QAOA) on a fresh ``qb.Qubo``
+    of ``admm.block1_fixed``'s quadratic and ``admm.block1_qubo``'s terms."""
+    fixed = admm.block1_fixed(problem, config)
+    linear, constant = admm.block1_qubo(problem, x_bar, y, lam, config, fixed)
+    block = qb.Qubo(n=fixed.n, quadratic=fixed.quadratic, linear=linear, constant=constant)
+    optimizer = opt.OptimizerConfig(method="spsa", iterations=admm.VQE_ITERATIONS,
+                                    seed=config.seed * 100003 + k)
+    depth = 3 if config.qubo_solver == "vqe" else admm.QAOA_DEPTH
+    return minimize_qubo(block, config.qubo_solver, depth, optimizer, 16)[0].astype(float)
 
 
 def diversification_qubo_loop(spec: qb.DiversificationSpec) -> qb.Qubo:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qfin import admm
 from qfin import qubo as qb
-from oracles import (block2_convex_per_check, merit_history, pure_binary_problem, residual_history,
-                     solve_auction_loop)
+from oracles import (block1_by_qubo, block2_convex_per_check, merit_history, pure_binary_problem,
+                     residual_history, solve_auction_loop)
 
 SMALL_BIDS = [((1, 0), 3.0), ((0, 1), 3.0), ((2, 2), 5.0)]
 SMALL_UNITS = (2.0, 2.0)
@@ -471,7 +471,8 @@ def passes_stop_test(problem, trace):
 
 
 def reference_run(problem, config):
-    """``run`` with a fresh ``qb.brute_force`` of block 1's ``qb.Qubo`` on every iteration.
+    """``run`` with a fresh ``qb.brute_force`` of block 1's ``qb.Qubo`` on every iteration,
+    or, for VQE and QAOA, ``block1_by_qubo``'s fresh ``qb.Qubo`` and table.
 
     Block 1's fixed part and block 2's curvature are rebuilt on every
     iteration too, and the norms are ``np.linalg.norm``'s, so this also
@@ -485,7 +486,10 @@ def reference_run(problem, config):
     trace = []
     for k in range(1, config.max_iterations + 1):
         previous_x_bar, previous_y = x_bar, y
-        x = qb.brute_force(block1(problem, x_bar, y, lam, config))[0].astype(float)
+        if config.qubo_solver == "brute-force":
+            x = qb.brute_force(block1(problem, x_bar, y, lam, config))[0].astype(float)
+        else:
+            x = block1_by_qubo(problem, x_bar, y, lam, config, k)
         x_bar = admm.block2_convex(problem, x, y, lam, config,
                                    admm.block2_curvature(problem, config))
         y = admm.block3_y(problem, x, x_bar, lam, config)
@@ -539,6 +543,15 @@ def test_run_equals_the_reference_on_the_benchmark_auctions(seed, rho, beta):
     # the benchmark's instance and iteration limit (perfbench/workloads.py)
     problem = admm.build_auction(*admm.random_auction(16, 3, 6, seed=seed))
     config = admm.AdmmConfig(rho=rho, beta=beta)
+    assert_same_trace(admm.run(problem, config), reference_run(problem, config))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("solver", ["vqe", "qaoa"])
+def test_variational_block1_from_the_held_table_matches_a_fresh_qubo_per_iteration(solver,
+                                                                                  seed):
+    problem = admm.build_auction(*admm.random_auction(6, 2, 3, seed=seed))
+    config = admm.AdmmConfig(qubo_solver=solver, seed=seed, max_iterations=40)
     assert_same_trace(admm.run(problem, config), reference_run(problem, config))
 
 

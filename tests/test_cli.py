@@ -313,6 +313,75 @@ def test_opt_portfolio_refuses_a_bad_q_value_before_writing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags,line", [
+    (["--solver", "brute-force"], "lowest energy -inf is not finite"),
+    (["--solver", "vqe"], "energy table must hold 16 finite energies"),
+    (["--solver", "qaoa"], "energy table must hold 16 finite energies"),
+    (["--solver", "brute-force", "--frontier"], "lowest energy -inf is not finite"),
+], ids=["brute-force", "vqe", "qaoa", "frontier"])
+def test_opt_portfolio_refuses_an_overflowing_energy_on_every_solver(tmp_path, flags, line):
+    # every energy of two or more assets overflows to -inf; a fresh process shows
+    # any numpy warning on stderr
+    path = tmp_path / "instance.txt"
+    qb.write_portfolio_instance(path, qb.PortfolioSpec(
+        mu=[1e308] * 4, sigma=np.zeros((4, 4)), q=1.0, budget=2, penalty=1e-300))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfin.cli", "opt", "portfolio", "--instance", str(path),
+         "--iterations", "2", "--out-dir", str(out)] + flags,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [f"validation error: {line}"]
+    assert not (out / "result.json").exists()
+
+
+def _count_table_builds(monkeypatch) -> dict:
+    """Calls of ``qubo.all_energies``, at every qfin module that binds it, and
+    constructions of ``qubo.QuadraticEnumeration``, counted as they happen."""
+    counts = {"all_energies": 0, "QuadraticEnumeration": 0}
+    all_energies, init = qb.all_energies, qb.QuadraticEnumeration.__init__
+
+    def counted_all_energies(*args, **kwargs):
+        counts["all_energies"] += 1
+        return all_energies(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["QuadraticEnumeration"] += 1
+        init(self, *args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qfin")]:
+        if getattr(module, "all_energies", None) is all_energies:
+            monkeypatch.setattr(module, "all_energies", counted_all_energies)
+    monkeypatch.setattr(qb.QuadraticEnumeration, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("solver", ["brute-force", "vqe", "qaoa"])
+def test_opt_portfolio_and_diversify_build_one_energy_table(tmp_path, monkeypatch,
+                                                            portfolio_instance, solver):
+    similarity = tmp_path / "rho.csv"
+    similarity.write_text("1.0,0.8,0.2\n0.8,1.0,0.3\n0.2,0.3,1.0\n")
+    for argv in (["opt", "portfolio", "--instance", portfolio_instance],
+                 ["opt", "diversify", "--similarity", str(similarity), "--clusters", "2"]):
+        counts = _count_table_builds(monkeypatch)
+        assert main(argv + ["--solver", solver, "--iterations", "3", "--out-dir",
+                            str(tmp_path / argv[1])]) == 0
+        assert counts == {"all_energies": 1, "QuadraticEnumeration": 1}, argv[1]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("solver", ["brute-force", "vqe", "qaoa"])
+def test_an_admm_run_enumerates_its_quadratic_form_once(tmp_path, monkeypatch, solver):
+    path = tmp_path / "auction.csv"
+    admm.write_auction_csv(path, *admm.random_auction(5, 2, 4, seed=2))
+    counts = _count_table_builds(monkeypatch)
+    assert main(["opt", "auction", "--instance", str(path), "--solver", "admm",
+                 "--qubo-solver", solver, "--max-iterations", "4",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert read_json(tmp_path / "run" / "result.json")["iterations"] > 1
+    assert counts == {"all_energies": 0, "QuadraticEnumeration": 1}
+
+
 def test_opt_portfolio_vqe_schema_matches_brute_force(tmp_path, portfolio_instance):
     out_bf = tmp_path / "bf"
     out_vqe = tmp_path / "vqe"
@@ -1239,18 +1308,18 @@ def test_a_default_vqe_portfolio_run_makes_iterations_plus_two_state_calls(
     from qfin import variational as vq
 
     calls, results, run_plan = [], [], vq._run
-    minimize_qubo = vq.minimize_qubo
+    minimize_table = vq.minimize_table
 
     def counted(plan, stack):
         calls.append((type(stack).__name__, np.shape(stack)))
         return run_plan(plan, stack)
 
     def kept(*args, **kwargs):
-        results.append(minimize_qubo(*args, **kwargs))
+        results.append(minimize_table(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(vq, "_run", counted)
-    monkeypatch.setattr(vq, "minimize_qubo", kept)
+    monkeypatch.setattr(vq, "minimize_table", kept)
     assert main(["opt", "portfolio", "--instance", portfolio_instance, "--solver", "vqe",
                  "--out-dir", str(tmp_path / "out")]) == 0
     # depth 3: 4 layers of 6 angles; the last f(x) is a list of one row, and

@@ -492,7 +492,7 @@ def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk
                         lambda columns: blocks(columns, chunk.bit_length() - 1))
     base = random_qubo(n, 50 + n)
     form = qb.QuadraticEnumeration(base.quadratic)
-    held_quad = form.quad.copy()
+    held_quad, held = form.quad.copy(), np.empty(1 << n)
     rng = np.random.default_rng(n)
     indices = checked_indices(n, n)
     for _ in range(3):
@@ -501,7 +501,9 @@ def test_held_enumeration_serves_many_linear_terms_bitwise(monkeypatch, n, chunk
         energies = form.energies(qubo.linear, qubo.constant)
         assert same_bits(energies[indices], [doubling_energy(qubo, i) for i in indices])
         assert same_bits(energies, qb.all_energies(qubo))
-        bits, value = form.minimize(qubo.linear, qubo.constant)
+        assert form.energies(qubo.linear, qubo.constant, out=held) is held
+        assert same_bits(held, energies)
+        bits, value = qb.lowest_energy(held, n)
         want_bits, want_value = qb.brute_force(qubo)
         assert np.array_equal(bits, want_bits) and value == want_value
     assert np.array_equal(form.quad, held_quad)
@@ -516,14 +518,16 @@ def test_enumerated_energies_equal_the_block_loop_bitwise(n, halves):
     rng = np.random.default_rng([n, table_bits])
     m = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 3, size=(n, n))
     form = qb.QuadraticEnumeration((m + m.T) / 2)
+    held = np.empty(1 << n)
     for scale in (1.0, 1e-7, 1e9):
         linear = rng.normal(size=n) * scale
         linear[rng.integers(n)] = -0.0
         constant = float(rng.normal() * scale)
         want = energies_by_blocks(form.quad, linear, constant, table_bits)
         assert same_bits(form.energies(linear, constant), want)
-        bits, value = form.minimize(linear, constant)
-        assert same_bits(form._energies, want)  # the held buffer, reused from the second scale
+        # the held buffer, reused from the second scale
+        bits, value = qb.lowest_energy(form.energies(linear, constant, out=held), n)
+        assert same_bits(held, want)
         want_bits, want_value = qb.lowest_energy(want, n)
         assert np.array_equal(bits, want_bits) and repr(value) == repr(want_value)
 
@@ -584,13 +588,23 @@ def test_one_shot_enumeration_holds_one_table():
     assert peak <= (8 << n) + 4 * (8 << 16)
 
 
-def test_held_enumeration_minimize_keeps_lowest_index_tie_rule():
-    form = qb.QuadraticEnumeration(np.zeros((3, 3)))
+def test_held_enumeration_keeps_lowest_index_tie_rule():
+    form, held = qb.QuadraticEnumeration(np.zeros((3, 3))), np.empty(8)
     # indices 4..7 all reach -1 + 2; the lowest of them wins
-    bits, value = form.minimize(np.array([0.0, 0.0, -1.0]), 2.0)
+    bits, value = qb.lowest_energy(form.energies(np.array([0.0, 0.0, -1.0]), 2.0, out=held), 3)
     assert bits.tolist() == [0, 0, 1] and value == 1.0
-    bits, value = form.minimize(np.zeros(3), 1.0)
+    bits, value = qb.lowest_energy(form.energies(np.zeros(3), 1.0, out=held), 3)
     assert bits.tolist() == [0, 0, 0] and value == 1.0
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.nan])
+def test_lowest_energy_refuses_a_non_finite_minimum(bad):
+    table = np.array([1.0, bad, -2.0, np.inf])
+    with pytest.raises(ValueError, match="is not finite"):
+        qb.lowest_energy(table, 2)
+    # an overflow away from the minimum leaves the answer finite
+    bits, value = qb.lowest_energy(np.array([1.0, np.inf, -2.0, 0.5]), 2)
+    assert bits.tolist() == [0, 1] and value == -2.0
 
 
 def test_enumeration_capacity():

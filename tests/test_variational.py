@@ -207,22 +207,32 @@ def test_qaoa_depth_four_runs_on_portfolio():
 
 
 @pytest.mark.parametrize("solver,depth", [("vqe", 2), ("qaoa", 2), ("qaoa", 0)])
-def test_minimize_qubo_keeps_the_lowest_energy_top_state(solver, depth):
+def test_minimize_table_keeps_the_lowest_energy_top_state(solver, depth):
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4))
     qubo = qb.Qubo(n=4, quadratic=(m + m.T) / 2, linear=rng.normal(size=4))
     optimizer = OptimizerConfig(method="spsa", iterations=15, seed=2)
-    bits, energy, result = vq.minimize_qubo(qubo, solver, depth, optimizer, top_k=5)
+    table = qb.all_energies(qubo)
+    bits, energy, result = vq.minimize_table(table, solver, depth, optimizer, top_k=5)
     assert len(result.top_states) == 5
     assert energy == min(e for _, _, e in result.top_states)
     assert bits.dtype.kind == "i"
     assert energy == pytest.approx(qb.energy(qubo, bits), abs=1e-12)
-    table = qb.all_energies(qubo)
     if solver == "vqe":
         want = vq.vqe_minimize(table, vq.ry_ansatz(4, depth), optimizer, top_k=5)
     else:
         want = vq.qaoa_minimize(table, depth, optimizer, top_k=5)
     assert result.top_states == want.top_states
+
+
+def test_minimize_table_by_brute_force_reads_the_lowest_entry_and_makes_no_run():
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(5, 5))
+    qubo = qb.Qubo(n=5, quadratic=(m + m.T) / 2, linear=rng.normal(size=5))
+    bits, energy, result = vq.minimize_table(qb.all_energies(qubo), "brute-force", 3, None, 8)
+    want_bits, want_energy = qb.brute_force(qubo)
+    assert result is None
+    assert np.array_equal(bits, want_bits) and repr(energy) == repr(want_energy)
 
 
 @pytest.mark.parametrize("solver", ["vqe", "qaoa"])
@@ -236,7 +246,7 @@ def test_top_state_energies_are_the_enumerated_energies_bit_for_bit(solver):
                        constant=float(rng.normal()))
         table = qb.all_energies(qubo)
         optimizer = OptimizerConfig("spsa", 5, seed=n)
-        _, _, result = vq.minimize_qubo(qubo, solver, 1, optimizer, top_k=1 << n)
+        _, _, result = vq.minimize_table(table, solver, 1, optimizer, top_k=1 << n)
         got = np.array([energy for _, _, energy in result.top_states])
         want = table[[int(bits[::-1], 2) for bits, _, _ in result.top_states]]
         assert got.tobytes() == want.tobytes(), n
@@ -707,7 +717,7 @@ def test_variational_runs_peak_within_their_pinned_states(solver, method, n, sta
         mu=rng.uniform(0.0, 0.1, n), sigma=w @ w.T / n, q=0.5, budget=n // 2))
     tracemalloc.start()
     try:
-        vq.minimize_qubo(qubo, solver, 1, OptimizerConfig(method, 1, seed=1), 8)
+        vq.minimize_table(qb.all_energies(qubo), solver, 1, OptimizerConfig(method, 1, seed=1), 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
