@@ -8,9 +8,10 @@ out through phase estimation on m counting qubits yields the estimator
 ``sin^2(pi*y/M)`` with M = 2^m.
 
 That readout distribution depends on a alone (Brassard-Hoyer-Mosca-Tapp,
-quant-ph/0005055), so ``run_ae`` takes a and simulates nothing, neither A nor
-the counting qubits; m has its own bound, MAX_COUNTING_QUBITS. The gates of A
-and Q built below are the oracle the closed form is checked against.
+quant-ph/0005055), so ``run_ae`` simulates nothing and holds no 2^m array: it
+reads the mode off the closed form near M theta / pi. m has its own bound,
+MAX_COUNTING_QUBITS. The gates of A and Q built below are the oracle the
+closed form is checked against.
 """
 
 import math
@@ -29,8 +30,9 @@ from .simulator import (
     probability_of_one,
 )
 
-# The readout costs a few float arrays of 2^m entries: at m = 20 a run peaks
-# near 130 MiB, and each further bit doubles that.
+# A probe reads six values at any m, so memory no longer sets this bound. It
+# stays at 20 because it bounds the circuit modelled (2^m - 1 controlled Q),
+# and sin(M pi d) loses one more bit of precision with each bit of M.
 MAX_COUNTING_QUBITS = 20
 
 
@@ -56,10 +58,9 @@ class EstimationProblem:
 
 @dataclass(frozen=True)
 class AeResult:
-    """Exact readout distribution and the mode-based estimate."""
+    """The readout's mode and the estimate it gives."""
 
     m: int
-    distribution: np.ndarray
     y_mode: int
     a_estimate: float
 
@@ -99,32 +100,49 @@ def check_counting_qubits(m: int) -> None:
         raise CapacityError(f"m={m} counting qubits, at most {MAX_COUNTING_QUBITS}")
 
 
-def run_ae(a: float, m: int) -> AeResult:
-    """Phase estimation of the Grover operator on m counting qubits, for amplitude a.
+def _phase(a: float) -> float:
+    """theta/pi for a = sin^2(theta), a finite and clamped to [0, 1] against round-off."""
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
+    return math.asin(math.sqrt(min(max(a, 0.0), 1.0))) / math.pi
 
-    The readout distribution is evaluated exactly from a = sin^2(theta), a
-    clamped to [0, 1]: P(y) = [F_M(y/M - theta/pi) + F_M(y/M + theta/pi)]/2
-    with the Fejer kernel F_M(d) = sin^2(M pi d) / (M^2 sin^2(pi d)), and
-    F_M = 1 where sin(pi d) = 0. Nothing is simulated; m above
-    MAX_COUNTING_QUBITS raises CapacityError.
 
-    The estimate is the mode of the exact distribution. Since P(y) = P(M - y),
-    the mode always ties with its mirror image; the tie rule takes the first
-    maximum over y = 0..M/2.
+def readout_probabilities(a: float, m: int, y) -> np.ndarray:
+    """Exact P(y) of the m-qubit phase-estimation readout, at the integers y.
+
+    P(y) = [F_M(y/M - theta/pi) + F_M(y/M + theta/pi)]/2 with M = 2^m and the
+    Fejer kernel F_M(d) = sin^2(M pi d) / (M^2 sin^2(pi d)), F_M = 1 where
+    sin(pi d) = 0. m above MAX_COUNTING_QUBITS raises CapacityError.
     """
     check_counting_qubits(m)
-    a = min(max(a, 0.0), 1.0)
     big_m = 1 << m
-    phase = math.asin(math.sqrt(a)) / math.pi
-    y = np.arange(big_m) / big_m
+    phase = _phase(a)
+    y = np.asarray(y) / big_m
     delta = np.stack([y - phase, y + phase])
     ratio = np.divide(np.sin(big_m * np.pi * delta), big_m * np.sin(np.pi * delta),
                       out=np.ones_like(delta), where=delta != 0.0)
-    dist = 0.5 * (ratio ** 2).sum(axis=0)
+    return 0.5 * (ratio ** 2).sum(axis=0)
 
-    y_mode = int(np.argmax(dist[:big_m // 2 + 1]))
-    a_est = math.sin(math.pi * y_mode / big_m) ** 2
-    return AeResult(m=m, distribution=dist, y_mode=y_mode, a_estimate=a_est)
+
+def run_ae(a: float, m: int) -> AeResult:
+    """Phase estimation of the Grover operator on m counting qubits, for amplitude a.
+
+    The estimate is sin^2(pi y/M) at the mode y of ``readout_probabilities``.
+    Since P(y) = P(M - y), the mode always ties with its mirror image; the tie
+    rule takes the first maximum over y = 0..M/2.
+
+    Only y in [0, M/2] within c - 2 .. c + 3, c = floor(M theta/pi), are read.
+    A Fejer term u bins off its centre is at most 1/(4u^2), so every y in
+    [0, M/2] at least 2 bins from both centres, M theta/pi and its mirror, has
+    P(y) <= 1/16, while the y nearest M theta/pi has P(y) >= 2/pi^2. So the mode
+    is in c - 1 .. c + 2; the extra bin each side absorbs round-off in c.
+    """
+    check_counting_qubits(m)
+    big_m = 1 << m
+    centre = math.floor(big_m * _phase(a))
+    window = np.arange(max(centre - 2, 0), min(centre + 3, big_m // 2) + 1)
+    y_mode = int(window[np.argmax(readout_probabilities(a, m, window))])
+    return AeResult(m=m, y_mode=y_mode, a_estimate=math.sin(math.pi * y_mode / big_m) ** 2)
 
 
 def estimates_grid(m: int) -> np.ndarray:
@@ -145,9 +163,8 @@ def error_bound(a: float, big_m: int) -> float:
 def coverage_probability(a: float, m: int) -> float:
     """Exact AE output mass on estimates within error_bound(a, 2^m) of a."""
     bound = error_bound(a, 1 << m)
-    result = run_ae(a, m)
-    grid = estimates_grid(m)
-    return float(result.distribution[np.abs(grid - a) <= bound].sum())
+    dist = readout_probabilities(a, m, np.arange(1 << m))
+    return float(dist[np.abs(estimates_grid(m) - a) <= bound].sum())
 
 
 def qpe_failure_probability(s: int, p: int) -> float:

@@ -46,8 +46,9 @@ EXIT_VALIDATION = 3
 EXIT_CAPACITY = 4
 EXIT_SOLVER = 5
 
-# ``ae calibrate`` bounds: at most 9,999 grid points, and a QPE table of at
-# most about 2^23 failure-sum terms (2^(p-1) for each s and p)
+# ``ae calibrate`` bounds: 2^m readout values per row, at most 9,999 grid
+# points, and a QPE table of at most about 2^23 terms (2^(p-1) per s and p)
+CALIBRATE_MAX_M = 8
 CALIBRATE_MIN_GRID = 1e-4
 CALIBRATE_MAX_QPE_BITS = 24
 
@@ -329,8 +330,8 @@ def cmd_ml_eval(args):
 
 
 def cmd_ae_calibrate(args):
-    if not 1 <= args.m <= 8:
-        raise ValueError("calibration supports 1 <= m <= 8")
+    if not 1 <= args.m <= CALIBRATE_MAX_M:
+        raise ValueError(f"calibration supports 1 <= m <= {CALIBRATE_MAX_M}")
     if not CALIBRATE_MIN_GRID <= args.grid < 1.0:
         raise ValueError(f"grid step must lie in [{CALIBRATE_MIN_GRID}, 1)")
     if not (args.s_max >= 1 and args.p_max >= 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,24 +77,23 @@ def test_run_ae_zero_amplitude_concentrates_at_origin():
     result = ae.run_ae(0.0, 4)
     assert result.y_mode == 0
     assert result.a_estimate == pytest.approx(0.0)
-    assert result.distribution[0] == pytest.approx(1.0, abs=1e-9)
+    assert ae.readout_probabilities(0.0, 4, np.arange(16))[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_run_ae_grid_aligned_angle_is_exact():
     a = math.sin(3 * math.pi / 16) ** 2
     result = ae.run_ae(a, 4)
-    support = np.nonzero(result.distribution > 1e-9)[0]
+    support = np.nonzero(ae.readout_probabilities(a, 4, np.arange(16)) > 1e-9)[0]
     assert sorted(support.tolist()) == [3, 13]
     assert result.a_estimate == pytest.approx(a, abs=1e-12)
 
 
-def test_run_ae_distribution_normalized_and_symmetric():
-    result = ae.run_ae(0.37, 4)
-    assert result.distribution.sum() == pytest.approx(1.0, abs=1e-9)
+def test_readout_probabilities_normalized_and_symmetric():
+    dist = ae.readout_probabilities(0.37, 4, np.arange(16))
+    assert dist.sum() == pytest.approx(1.0, abs=1e-9)
     # real-amplitude A gives P(y) = P(M - y) for y != 0
     for y in range(1, 16):
-        assert result.distribution[y] == pytest.approx(result.distribution[16 - y],
-                                                       abs=1e-9)
+        assert dist[y] == pytest.approx(dist[16 - y], abs=1e-9)
 
 
 def test_run_ae_capacity_error():
@@ -207,9 +207,10 @@ def _qpe_circuit_distribution(problem: ae.EstimationProblem, m: int) -> np.ndarr
 
 
 def _assert_matches_circuit(problem: ae.EstimationProblem, m: int) -> None:
-    result = ae.run_ae(ae.true_amplitude(problem), m)
+    a = ae.true_amplitude(problem)
+    result = ae.run_ae(a, m)
     circuit = _qpe_circuit_distribution(problem, m)
-    assert np.max(np.abs(result.distribution - circuit)) <= 1e-12
+    assert np.max(np.abs(ae.readout_probabilities(a, m, np.arange(1 << m)) - circuit)) <= 1e-12
     # the same tie rule applied to the circuit's distribution
     big_m = 1 << m
     y_circuit = int(np.argmax(circuit[:big_m // 2 + 1]))
@@ -251,9 +252,9 @@ def test_tie_rule_picks_lower_half_mode():
         assert (one.y_mode, one.a_estimate) == (big_m // 2, 1.0)
         for a in (0.05, 0.37, 0.5, 0.95):
             result = ae.run_ae(a, m)
+            dist = ae.readout_probabilities(a, m, np.arange(big_m))
             assert result.y_mode <= big_m // 2
-            assert result.distribution[result.y_mode] == pytest.approx(
-                result.distribution.max(), abs=1e-12)
+            assert dist[result.y_mode] == pytest.approx(dist.max(), abs=1e-12)
     # grid-aligned: exact ties between y = 3 and y = M - 3 = 13
     aligned = ae.run_ae(math.sin(3 * math.pi / 16) ** 2, 4)
     assert aligned.y_mode == 3
@@ -269,4 +270,52 @@ def test_run_ae_clamps_amplitude_rounded_above_one():
     result = ae.run_ae(a, 3)
     assert (result.y_mode, result.a_estimate) == (4, 1.0)
     # and an amplitude rounded below 0 reads as 0
-    assert ae.run_ae(-1e-17, 3).distribution.tolist() == ae.run_ae(0.0, 3).distribution.tolist()
+    y = np.arange(8)
+    assert (ae.readout_probabilities(-1e-17, 3, y).tolist()
+            == ae.readout_probabilities(0.0, 3, y).tolist())
+
+
+def _full_table_mode(a: float, m: int) -> int:
+    """The first maximum of the whole readout over y = 0..M/2: the window's oracle."""
+    big_m = 1 << m
+    return int(np.argmax(ae.readout_probabilities(a, m, np.arange(big_m))[:big_m // 2 + 1]))
+
+
+EDGE_AMPLITUDES = (0.0, 1.0, 1e-300, 1 - 1e-16, -1e-17, 1 + 4e-16)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_window_mode_is_the_full_table_mode_on_grid_midpoints_and_edges(m):
+    big_m = 1 << m
+    rng = np.random.default_rng([m, 38])
+    grid = [math.sin(math.pi * k / big_m) ** 2 for k in range(big_m)]
+    # midpoints, where P(y) ties with its neighbour
+    midpoints = [math.sin(math.pi * (k + 0.5) / big_m) ** 2 for k in range(big_m)]
+    for a in (*grid, *midpoints, *EDGE_AMPLITUDES, *rng.random(200)):
+        assert ae.run_ae(a, m).y_mode == _full_table_mode(a, m), a
+
+
+@pytest.mark.parametrize("m", range(13, 21))
+def test_window_mode_is_the_full_table_mode_on_random_amplitudes(m):
+    rng = np.random.default_rng([m, 38])
+    for a in rng.random(5):
+        assert ae.run_ae(a, m).y_mode == _full_table_mode(a, m), a
+
+
+def test_run_ae_holds_no_readout_table():
+    ae.run_ae(0.3, 20)
+    tracemalloc.start()
+    try:
+        ae.run_ae(0.3, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_run_ae_refuses_a_non_finite_amplitude(a):
+    with pytest.raises(ValueError, match="finite"):
+        ae.run_ae(a, 4)
+    with pytest.raises(ValueError, match="finite"):
+        ae.readout_probabilities(a, 4, np.arange(16))

@@ -207,15 +207,15 @@ def test_cdf_estimates_within_ae_bound_of_classical():
 
 def test_composed_a_ae_mass_within_bound():
     """The full C S U estimation problem also honors the 8/pi^2 mass bound."""
-    from qfin.amplitude_estimation import estimates_grid
+    from qfin.amplitude_estimation import estimates_grid, readout_probabilities
 
     dist = cr.exact_loss_distribution(DEMO)
     grid = estimates_grid(4)
     for x in (0, 1, 2):
         a = dist.cdf(x)
-        result = run_ae(true_amplitude(cr.estimation_problem(DEMO, x)), 4)
-        mass = float(result.distribution[np.abs(grid - a)
-                                         <= error_bound(a, 16)].sum())
+        readout = readout_probabilities(
+            true_amplitude(cr.estimation_problem(DEMO, x)), 4, np.arange(16))
+        mass = float(readout[np.abs(grid - a) <= error_bound(a, 16)].sum())
         assert mass >= 8 / math.pi ** 2
 
 
