@@ -35,6 +35,7 @@ QAOA_DEPTH = 2
 BLOCK2_MAX_STEPS = 5000
 BLOCK2_TOLERANCE = 1e-8
 DYKSTRA_SWEEPS = 200
+MIN_PENALTY = 2.0 ** -1021  # least rho and c: block 1 folds with rho/2 and c/2, exact halves
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,14 @@ class MboProblem:
     def continuous_objective(self, u: np.ndarray) -> float:
         return float(0.5 * u @ self.phi_quadratic @ u + self.phi_linear @ u)
 
+    def violation(self, x: np.ndarray, u: np.ndarray) -> float:
+        """Rowwise positive parts of g(x) <= 0, summed, plus those of l(x, u) <= 0."""
+        violation = float(np.maximum(self.ineq_matrix @ x - self.ineq_rhs, 0.0).sum())
+        if self.joint_rhs.size:  # the empty sum would add 0.0, in a few microseconds
+            rows = self.joint_x @ x + self.joint_u @ u
+            violation += float(np.maximum(rows - self.joint_rhs, 0.0).sum())
+        return violation
+
 
 @dataclass(frozen=True)
 class AdmmConfig:
@@ -123,6 +132,8 @@ class AdmmConfig:
         # written so that NaN fails too
         if not all(0.0 < v < math.inf for v in (self.rho, self.beta, self.c)):
             raise ValueError("rho, beta, and c must be finite and positive")
+        if min(self.rho, self.c) < MIN_PENALTY:
+            raise ValueError(f"rho and c must be at least 2^-1021 ({MIN_PENALTY!r})")
         if not 1 <= self.max_iterations <= MAX_ITERATIONS:
             raise ValueError(f"max_iterations must lie in [1, {MAX_ITERATIONS}]")
         if self.qubo_solver not in QUBO_SOLVERS:
@@ -158,13 +169,15 @@ class AdmmResult:
 
 
 def block1_fixed(problem: MboProblem, config: AdmmConfig) -> qb.Qubo:
-    """Block 1 without its terms in x_bar, y and lam: the part no iterate changes."""
-    g_mat, b_vec, a0 = problem.eq_matrix, problem.eq_rhs, problem.a0
-    quadratic = (problem.q_quadratic + 0.5 * config.c * (g_mat.T @ g_mat)
-                 + 0.5 * config.rho * (a0.T @ a0))
-    return qb.Qubo(n=problem.n_binary, quadratic=0.5 * (quadratic + quadratic.T),
-                   linear=problem.q_linear - config.c * (g_mat.T @ b_vec),
-                   constant=0.5 * config.c * float(b_vec @ b_vec))
+    """Block 1 without its terms in x_bar, y and lam: the part no iterate changes.
+
+    ``qb.fold_equality`` folds (c/2)||Gx - b||^2 onto a zero quadratic: q's is symmetric
+    only within 1e-12, and a large penalty's rounding could fail the fold's check."""
+    n, a0 = problem.n_binary, problem.a0
+    penalty = qb.fold_equality(qb.Qubo(n, np.zeros((n, n)), problem.q_linear),
+                               problem.eq_matrix, problem.eq_rhs, 0.5 * config.c)
+    quadratic = problem.q_quadratic + penalty.quadratic + 0.5 * config.rho * (a0.T @ a0)
+    return qb.Qubo(n, 0.5 * (quadratic + quadratic.T), penalty.linear, penalty.constant)
 
 
 def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
@@ -172,14 +185,13 @@ def block1_qubo(problem: MboProblem, x_bar: np.ndarray, y: np.ndarray,
                 fixed: qb.Qubo) -> tuple[np.ndarray, float]:
     """Linear term and constant of the binary update's QUBO, the other blocks frozen.
 
-    Expands q(x) + (c/2)||Gx - b||^2 + lam'A0 x + (rho/2)||A0 x + A1 xbar - y||^2;
-    ``fixed`` is ``block1_fixed(problem, config)``, whose quadratic matrix,
-    checked there, is the QUBO's. A non-finite term raises ``ValueError``
-    as ``qb.Qubo`` would.
+    q(x) + (c/2)||Gx - b||^2 + lam'A0 x + (rho/2)||A0 x - (y - A1 xbar)||^2: ``fixed``
+    is ``block1_fixed(problem, config)``, whose quadratic matrix, checked there, is
+    the QUBO's, and ``qb.fold_terms`` folds the last penalty. A non-finite term
+    raises ``ValueError`` as ``qb.Qubo`` would.
     """
-    drift = problem.a1 @ x_bar - y
-    linear = fixed.linear + problem.a0.T @ lam + config.rho * (problem.a0.T @ drift)
-    constant = fixed.constant + 0.5 * config.rho * float(drift @ drift)
+    linear, constant = qb.fold_terms(fixed.linear + problem.a0.T @ lam, fixed.constant,
+                                     problem.a0, y - problem.a1 @ x_bar, 0.5 * config.rho)
     if not np.isfinite(linear).all():
         raise ValueError("linear must be finite")
     if not math.isfinite(constant):
@@ -258,21 +270,21 @@ def block2_convex(problem: MboProblem, x: np.ndarray, y: np.ndarray,
     def value(u):
         return float(0.5 * u @ hess @ u + grad0 @ u)
 
+    start = value(u)
     for _ in range(BLOCK2_MAX_STEPS):
         grad = hess @ u + grad0
-        start = value(u)
         candidate = project(u - step * grad)
         moved = candidate - u
-        # backtracking on the projected step; ``squared`` is that of the final candidate
+        # backtracking on the projected step; ``reached`` and ``squared`` are the final candidate's
         shrink = 0
-        while value(candidate) > start + grad @ moved \
+        while (reached := value(candidate)) > start + grad @ moved \
                 + 0.5 / step * (squared := float(moved @ moved)) + 1e-15 and shrink < 60:
             step *= 0.5
             shrink += 1
             candidate = project(u - step * grad)
             moved = candidate - u
         mapping_norm = math.sqrt(squared) / step
-        u = candidate
+        u, start = candidate, reached
         if mapping_norm <= BLOCK2_TOLERANCE:
             break
     return u
@@ -293,13 +305,7 @@ def merit(problem: MboProblem, x: np.ndarray, x_bar: np.ndarray,
           merit_weight: float) -> float:
     """Objective plus weighted rowwise positive-part constraint violations."""
     value = problem.binary_objective(x) + problem.continuous_objective(x_bar)
-    violation = float(np.maximum(problem.ineq_matrix @ x - problem.ineq_rhs, 0.0).sum())
-    # Skipped without joint rows only for speed: the empty sum would add 0.0 and
-    # cost a few microseconds per iteration.
-    if problem.joint_rhs.size:
-        rows = problem.joint_x @ x + problem.joint_u @ x_bar
-        violation += float(np.maximum(rows - problem.joint_rhs, 0.0).sum())
-    return value + merit_weight * violation
+    return value + merit_weight * problem.violation(x, x_bar)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # block 1's finite checks refuse an overflow

@@ -34,6 +34,7 @@ from .simulator import (
 # stays at 20 because it bounds the circuit modelled (2^m - 1 controlled Q),
 # and sin(M pi d) loses one more bit of precision with each bit of M.
 MAX_COUNTING_QUBITS = 20
+QPE_CHUNK = 1 << 16  # terms of ``qpe_failure_probability``'s sum per array
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,10 @@ def qpe_failure_probability(s: int, p: int) -> float:
     """Probability of missing s-bit accuracy in phase estimation with s+p qubits."""
     if s < 1 or p < 1:
         raise ValueError("s and p must be >= 1")
-    t = p + s
-    total = 0.0
-    for l in range(1, (1 << (p - 1)) + 1):
-        total += 1.0 / (1.0 - math.cos(math.pi * (2 * l - 1) / (1 << t)))
+    t, terms, total = p + s, 1 << (p - 1), 0.0
+    for start in range(0, terms, QPE_CHUNK):  # l in order: one cumsum carried across chunks
+        odd = np.arange(2 * start + 1, 2 * min(start + QPE_CHUNK, terms), 2)  # 2l - 1
+        chunk = 1.0 / (1.0 - np.cos(odd * (math.pi / (1 << t))))
+        chunk[0] += total
+        total = float(np.cumsum(chunk)[-1])
     return 1.0 - total / (1 << (2 * t - 2))

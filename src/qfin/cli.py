@@ -251,8 +251,7 @@ def cmd_opt_auction(args):
                              qubo_solver=args.qubo_solver, seed=args.seed)
     outcome = admm.run(problem, config)
     profit = admm.auction_profit(bids, outcome.x)
-    violation = float(np.maximum(problem.ineq_matrix @ outcome.x - problem.ineq_rhs,
-                                 0.0).sum())
+    violation = problem.violation(outcome.x, outcome.x_bar)
     result = {
         "solver": "admm", "qubo_solver": args.qubo_solver,
         "rho": args.rho, "beta": args.beta,

@@ -166,12 +166,14 @@ def fold_equality(qubo: Qubo, a, b, weight: float) -> Qubo:
         raise ValueError("row count of a must equal length of b")
     if a.shape[1] != qubo.n:
         raise ValueError("constraint width does not match variable count")
-    return Qubo(
-        n=qubo.n,
-        quadratic=qubo.quadratic + weight * (a.T @ a),
-        linear=qubo.linear - 2.0 * weight * (a.T @ b),
-        constant=qubo.constant + weight * float(b @ b),
-    )
+    return Qubo(qubo.n, qubo.quadratic + weight * (a.T @ a),
+                *fold_terms(qubo.linear, qubo.constant, a, b, weight))
+
+
+def fold_terms(linear: np.ndarray, constant: float, a, b, weight: float) -> tuple:
+    """The linear term and constant of ``fold_equality``: those of weight * ||a x - b||^2
+    added to ``linear`` and ``constant``, unchecked, for a caller that holds the quadratic."""
+    return linear - 2.0 * weight * (a.T @ b), constant + weight * float(b @ b)
 
 
 def to_ising(qubo: Qubo) -> IsingObservable:

@@ -32,6 +32,10 @@ term's subset sums to x'Qx 2^16 states at a time in a fresh vector, as
 into its output and added x'Qx there. ``block2_convex_per_check`` is ADMM's
 block 2 as it was before it held each step's value and move for its
 backtracking checks and took its norm without ``np.linalg.norm``.
+``block1_fixed_by_hand`` and ``block1_qubo_by_hand`` are ADMM's block 1
+with both penalties expanded by hand, as ``admm.block1_fixed`` and
+``admm.block1_qubo`` built it before they folded them with
+``qb.fold_equality``'s arithmetic (``qb.fold_terms``).
 ``block1_by_qubo`` is ADMM's block 1 by VQE or QAOA as ``admm.run`` solved
 it before every block-1 solver read the run's one held energy table: a
 fresh ``qb.Qubo`` per iteration, handed to ``minimize_qubo``, which builds
@@ -111,6 +115,25 @@ def block2_convex_per_check(problem: admm.MboProblem, x, y, lam, config: admm.Ad
         if mapping_norm <= admm.BLOCK2_TOLERANCE:
             break
     return u
+
+
+def block1_fixed_by_hand(problem: admm.MboProblem, config: admm.AdmmConfig) -> qb.Qubo:
+    """Block 1 without its terms in x_bar, y and lam, both penalties expanded by hand."""
+    g_mat, b_vec, a0 = problem.eq_matrix, problem.eq_rhs, problem.a0
+    quadratic = (problem.q_quadratic + 0.5 * config.c * (g_mat.T @ g_mat)
+                 + 0.5 * config.rho * (a0.T @ a0))
+    return qb.Qubo(n=problem.n_binary, quadratic=0.5 * (quadratic + quadratic.T),
+                   linear=problem.q_linear - config.c * (g_mat.T @ b_vec),
+                   constant=0.5 * config.c * float(b_vec @ b_vec))
+
+
+def block1_qubo_by_hand(problem: admm.MboProblem, x_bar, y, lam, config: admm.AdmmConfig,
+                        fixed: qb.Qubo) -> tuple[np.ndarray, float]:
+    """Block 1's linear term and constant, (rho/2)||A0 x + A1 xbar - y||^2 expanded by hand."""
+    drift = problem.a1 @ x_bar - y
+    linear = fixed.linear + problem.a0.T @ lam + config.rho * (problem.a0.T @ drift)
+    constant = fixed.constant + 0.5 * config.rho * float(drift @ drift)
+    return linear, constant
 
 
 def minimize_qubo(qubo: qb.Qubo, solver: str, depth: int, optimizer: opt.OptimizerConfig,

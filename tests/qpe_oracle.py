@@ -4,7 +4,9 @@
 amplitude alone, so the package applies no controlled Grover operator and
 no inverse QFT, and builds no A to find a given amplitude. These builders
 reproduce the circuit those formulas replace, for the tests that compare
-against it.
+against it. ``qpe_failure_loop`` is ``qpe_failure_probability``'s sum as
+one Python loop over its terms, as it was before it summed them in numpy
+chunks.
 """
 
 import math
@@ -58,3 +60,13 @@ def inverse_qft_ops(register) -> tuple[sv.GateOp, ...]:
 def inverse_qft(state: sv.Statevector, register) -> sv.Statevector:
     """Apply F_M^dagger (|k> -> M^{-1/2} sum_y e^{-2 pi i yk/M} |y>) to the register."""
     return sv.apply_ops(state, inverse_qft_ops(register))
+
+
+def qpe_failure_loop(s: int, p: int) -> float:
+    """Probability of missing s-bit accuracy in phase estimation with s+p qubits,
+    its 2^(p-1) terms added one at a time in order."""
+    t = p + s
+    total = 0.0
+    for l in range(1, (1 << (p - 1)) + 1):
+        total += 1.0 / (1.0 - math.cos(math.pi * (2 * l - 1) / (1 << t)))
+    return 1.0 - total / (1 << (2 * t - 2))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from qfin import admm
 from qfin import qubo as qb
-from oracles import (block1_by_qubo, block2_convex_per_check, merit_history, pure_binary_problem,
+from oracles import (block1_by_qubo, block1_fixed_by_hand, block1_qubo_by_hand,
+                     block2_convex_per_check, merit_history, pure_binary_problem,
                      residual_history, solve_auction_loop)
 
 SMALL_BIDS = [((1, 0), 3.0), ((0, 1), 3.0), ((2, 2), 5.0)]
@@ -74,6 +76,93 @@ def test_block1_equality_term_vanishes_on_feasible_x():
     feasible = np.array([1.0, 1.0, 0.0])
     assert qb.energy(block, feasible) == pytest.approx(
         problem.binary_objective(feasible), abs=1e-9)
+
+
+def fold_case(seed):
+    """A random problem for block 1 with its config: equality rows, A0 of either sign,
+    -0.0 and 0.0 linear entries, c from 1e-300 to 100; every fourth seed an auction."""
+    rng = np.random.default_rng(seed)
+    config = admm.AdmmConfig(rho=float(10.0 ** rng.uniform(-3.0, 2.0)),
+                             c=float(10.0 ** rng.uniform(-300.0, 2.0)))
+    if seed % 4 == 3:
+        return admm.build_auction(*admm.random_auction(int(rng.integers(1, 9)), 2, 4, seed)), \
+            config, rng
+    n, l, d, e = (int(rng.integers(low, high)) for low, high in ((1, 9), (0, 4), (0, 4), (0, 3)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    m = rng.normal(size=(n, n)) * scale
+    q_linear = rng.normal(size=n) * scale
+    q_linear[rng.random(n) < 0.3] = -0.0
+    q_linear[rng.random(n) < 0.2] = 0.0
+    problem = admm.MboProblem(
+        q_quadratic=m + m.T, q_linear=q_linear,
+        eq_matrix=rng.integers(-2, 3, size=(e, n)).astype(float),
+        eq_rhs=rng.integers(-2, 3, size=e).astype(float),
+        ineq_matrix=np.zeros((0, n)), ineq_rhs=np.zeros(0),
+        phi_quadratic=np.eye(l), phi_linear=np.zeros(l),
+        u_lower=np.zeros(l), u_upper=np.ones(l),
+        joint_x=np.zeros((0, n)), joint_u=np.zeros((0, l)), joint_rhs=np.zeros(0),
+        a0=rng.integers(-3, 4, size=(d, n)) * rng.choice([-1.0, 1.0]), a1=rng.normal(size=(d, l)))
+    return problem, config, rng
+
+
+def assert_same_qubo_terms(got, want):
+    """Arrays byte for byte and the constant by its hex, so that a -0.0 -> 0.0 flip shows."""
+    for g, w in zip(got, want):
+        if isinstance(w, float):
+            assert isinstance(g, float) and g.hex() == w.hex()
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_block1_fixed_folds_as_the_hand_expansion_bitwise(seed):
+    problem, config, _ = fold_case(seed)
+    got, want = admm.block1_fixed(problem, config), block1_fixed_by_hand(problem, config)
+    assert_same_qubo_terms((got.quadratic, got.linear, got.constant),
+                           (want.quadratic, want.linear, want.constant))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_block1_qubo_folds_as_the_hand_expansion_bitwise(seed):
+    problem, config, rng = fold_case(seed)
+    fixed = admm.block1_fixed(problem, config)
+    d, l = problem.n_consensus, problem.n_continuous
+    for drift in ("random", "zero", "zero"):
+        x_bar = rng.uniform(0.0, 4.0, size=l)
+        lam = rng.normal(size=d) * float(rng.random() < 0.7)
+        y = problem.a1 @ x_bar if drift == "zero" else rng.normal(size=d)
+        assert_same_qubo_terms(admm.block1_qubo(problem, x_bar, y, lam, config, fixed),
+                               block1_qubo_by_hand(problem, x_bar, y, lam, config, fixed))
+
+
+@pytest.mark.parametrize("weight", ["rho", "c"])
+def test_block1_folds_as_the_hand_expansion_at_the_smallest_penalty(weight):
+    problem, config, rng = fold_case(5)
+    config = dataclasses.replace(config, **{weight: admm.MIN_PENALTY})
+    fixed, want = admm.block1_fixed(problem, config), block1_fixed_by_hand(problem, config)
+    assert_same_qubo_terms((fixed.quadratic, fixed.linear, fixed.constant),
+                           (want.quadratic, want.linear, want.constant))
+    d, l = problem.n_consensus, problem.n_continuous
+    x_bar, y, lam = rng.uniform(0.0, 4.0, size=l), rng.normal(size=d), np.zeros(d)
+    assert_same_qubo_terms(admm.block1_qubo(problem, x_bar, y, lam, config, fixed),
+                           block1_qubo_by_hand(problem, x_bar, y, lam, config, fixed))
+
+
+def test_block1_fixed_accepts_a_quadratic_within_the_symmetry_tolerance():
+    # q's off-diagonal pair differs by 5e-13, across a rounding midpoint of the penalty's
+    # 5e6: folded onto q's quadratic, the sum would be asymmetric by 2^-30 and refused
+    half_ulp = 2.0 ** -31
+    base = pure_binary_problem(np.array([[0.0, half_ulp - 1e-13], [half_ulp + 4e-13, 0.0]]),
+                               np.zeros(2))
+    problem = dataclasses.replace(base, eq_matrix=np.full((1, 2), 100.0),
+                                  eq_rhs=np.array([100.0]))
+    config = admm.AdmmConfig(c=1e3)
+    with pytest.raises(ValueError, match="symmetric"):
+        qb.fold_equality(qb.Qubo(2, problem.q_quadratic, problem.q_linear),
+                         problem.eq_matrix, problem.eq_rhs, 0.5 * config.c)
+    got, want = admm.block1_fixed(problem, config), block1_fixed_by_hand(problem, config)
+    assert_same_qubo_terms((got.quadratic, got.linear, got.constant),
+                           (want.quadratic, want.linear, want.constant))
 
 
 def test_block2_empty_continuous_is_noop():
@@ -252,6 +341,26 @@ def test_merit_prices_violations_rowwise():
     assert value == pytest.approx(-11.0 + mu * 2.0)
 
 
+def test_violation_sums_both_row_kinds_and_merit_prices_it():
+    problem = dataclasses.replace(
+        small_problem(), joint_x=np.array([[1.0, 0.0, 1.0]]), joint_u=np.array([[0.5, 0.5]]),
+        joint_rhs=np.array([1.0]))
+    x, u = np.array([1.0, 1.0, 1.0]), np.array([2.0, 1.0])
+    # capacity excess 1 + 1, joint row 2 + 1.5 - 1
+    assert problem.violation(x, u) == 4.5
+    assert admm.merit(problem, x, u, 50.0) == \
+        problem.binary_objective(x) + problem.continuous_objective(u) + 50.0 * 4.5
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_auction_violation_is_the_capacity_excess_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    problem = admm.build_auction(*admm.random_auction(8, 3, 5, seed))
+    x = rng.integers(0, 2, size=8).astype(float)
+    want = float(np.maximum(problem.ineq_matrix @ x - problem.ineq_rhs, 0.0).sum())
+    assert problem.violation(x, rng.uniform(0.0, 5.0, size=3)).hex() == want.hex()
+
+
 def test_run_pure_qubo_single_iteration():
     rng = np.random.default_rng(13)
     m = rng.normal(size=(4, 4))
@@ -423,6 +532,19 @@ def test_config_validation():
 def test_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ValueError, match="finite and positive"):
         admm.AdmmConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rho", "c"])
+@pytest.mark.parametrize("value", [5e-324, 3 * 5e-324, 2.0 ** -1022,
+                                   math.nextafter(admm.MIN_PENALTY, 0.0)])
+def test_config_refuses_a_penalty_whose_half_may_round(field, value):
+    with pytest.raises(ValueError, match=r"rho and c must be at least 2\^-1021"):
+        admm.AdmmConfig(**{field: value})
+
+
+def test_config_accepts_the_smallest_penalty_that_halves_exactly():
+    config = admm.AdmmConfig(rho=admm.MIN_PENALTY, beta=5e-324, c=admm.MIN_PENALTY)
+    assert 2.0 * (0.5 * config.rho) == config.rho == 2.0 * (0.5 * config.c)
 
 
 @pytest.mark.parametrize("quantities,price", [
@@ -611,6 +733,21 @@ def test_held_enumeration_matches_with_equality_rows():
     result = admm.run(problem, config)
     assert len(result.trace) > 1
     assert_same_trace(result, reference_run(problem, config))
+
+
+@pytest.mark.parametrize("case", ["equality rows", "auction 1", "auction 2"])
+def test_a_run_with_the_folds_is_the_run_with_the_hand_expansions(case, monkeypatch):
+    if case == "equality rows":
+        problem, config = equality_rows_problem(), EQUALITY_ROWS_CONFIG
+    else:
+        seed = int(case[-1])
+        problem = admm.build_auction(*admm.random_auction(10, 3, 5, seed))
+        config = admm.AdmmConfig(rho=3.0, beta=2.0, max_iterations=30, seed=seed)
+    result = admm.run(problem, config)
+    monkeypatch.setattr(admm, "block1_fixed", block1_fixed_by_hand)
+    monkeypatch.setattr(admm, "block1_qubo", block1_qubo_by_hand)
+    want = admm.run(problem, config)
+    assert_same_trace(result, (want.trace, want.k_star))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from qfin import amplitude_estimation as ae
 from qfin import credit_risk as cr
 from qfin import simulator as sv
-from qpe_oracle import controlled_ops, inverse_qft_ops, single_qubit_problem
+from qpe_oracle import controlled_ops, inverse_qft_ops, qpe_failure_loop, single_qubit_problem
 
 
 def test_true_amplitude_identity_and_x():
@@ -141,6 +141,26 @@ def test_qpe_failure_monotone_decreasing_in_p():
     for s in range(1, 7):
         values = [ae.qpe_failure_probability(s, p) for p in range(1, 7)]
         assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
+
+
+def test_qpe_failure_probability_is_the_loop_bitwise():
+    for s in range(1, 8):
+        for p in range(1, 18):
+            assert ae.qpe_failure_probability(s, p).hex() == qpe_failure_loop(s, p).hex()
+
+
+@pytest.mark.parametrize("s,p", [(1, 18), (4, 18), (1, 19)])
+def test_qpe_failure_probability_carries_its_sum_across_chunks_bitwise(s, p):
+    assert 1 << (p - 1) > ae.QPE_CHUNK
+    assert ae.qpe_failure_probability(s, p).hex() == qpe_failure_loop(s, p).hex()
+
+
+def test_qpe_failure_probability_in_small_chunks_is_the_loop_bitwise(monkeypatch):
+    # chunks of 3 terms: a partial last chunk, a full one, and p = 1 and 2 inside the first
+    monkeypatch.setattr(ae, "QPE_CHUNK", 3)
+    for s in range(1, 4):
+        for p in range(1, 10):
+            assert ae.qpe_failure_probability(s, p).hex() == qpe_failure_loop(s, p).hex()
 
 
 def _qpe_distribution(phi: float, t: int) -> np.ndarray:

@@ -514,6 +514,17 @@ def test_opt_auction_rejects_non_finite_admm_parameters(tmp_path, capsys, flag, 
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--rho", "--c"])
+def test_opt_auction_rejects_a_penalty_whose_half_may_round(tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    code = main(["opt", "auction", "--instance", _auction_csv(tmp_path), flag, "5e-324",
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "validation error: rho and c must be at least 2^-1021 (4.450147717014403e-308)"]
+    assert not (out / "result.json").exists()
+
+
 def test_opt_auction_infeasible_continuous_block_exits_solver(tmp_path, capsys, monkeypatch):
     def infeasible(problem, config):
         raise admm.InfeasibleContinuousBlock("joint constraints admit no continuous point")
